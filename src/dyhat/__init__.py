@@ -31,6 +31,7 @@ from .hats import (
     Normalization,
     all_encoding_triples,
     canonical_form,
+    hat_of,
     kappa,
     normalize,
     pointed_canonical,

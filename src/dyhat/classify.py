@@ -3,7 +3,7 @@
 Everything here is decided by integer divisibility criteria on hat
 parameters; witnesses and cross-checks come from the exact oracle, and the
 two routes must agree on every call (a disagreement is a defect, surfaced
-as an assertion failure).
+as an InconsistencyError).
 """
 
 from __future__ import annotations
@@ -13,13 +13,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .dyadic import solve_congruence
-from .errors import InvalidBounds, InvalidHat
+from .errors import InconsistencyError, InvalidBounds, InvalidHat
 from .geometry import AffineMap, Triangle, boundary_type
 from .hats import (
     EncodingTriple,
     Hat,
     all_encoding_triples,
-    normalize,
+    hat_of,
     pointed_canonical,
 )
 from .oracle import (
@@ -109,11 +109,12 @@ def automorphism_group(h: Hat) -> AutGroup:
     cycle = aut_cycle(h)
 
     transpositions = fix_a + fix_b + fix_c
-    assert transpositions != 2, f"two transpositions cannot coexist: {h}"
-    if transpositions == 3:
-        assert cycle, f"three transpositions force a 3-cycle: {h}"
-    if transpositions == 1:
-        assert not cycle, f"a single transposition excludes a 3-cycle: {h}"
+    if transpositions == 2:
+        raise InconsistencyError(f"two transpositions cannot coexist: {h}")
+    if transpositions == 3 and not cycle:
+        raise InconsistencyError(f"three transpositions force a 3-cycle: {h}")
+    if transpositions == 1 and cycle:
+        raise InconsistencyError(f"a single transposition excludes a 3-cycle: {h}")
 
     if transpositions == 3:
         tag = "S3"
@@ -142,10 +143,11 @@ def automorphism_group(h: Hat) -> AutGroup:
         if solved is not None:
             witnesses.append((perm_label(corr.perm), solved))
             found.add(corr.perm)
-    assert found == expected, (
-        f"criteria and oracle disagree on {h}: criteria {sorted(expected)}, "
-        f"oracle {sorted(found)}"
-    )
+    if found != expected:
+        raise InconsistencyError(
+            f"criteria and oracle disagree on {h}: criteria {sorted(expected)}, "
+            f"oracle {sorted(found)}"
+        )
     return AutGroup(tag, tuple(witnesses))
 
 
@@ -190,14 +192,16 @@ def _decide(t1: Triangle, t2: Triangle, h1: Hat, h2: Hat) -> IsoResult:
     by_canonical = min(triples1) == min(triples2)
     by_overlap = bool(triples1 & triples2)
     case = next((c for c in CASES if iso_case(h1, h2, c)), None)
-    assert by_canonical == by_overlap == (case is not None), (
-        f"isomorphism routes disagree: canonical {by_canonical}, "
-        f"overlap {by_overlap}, case {case}"
-    )
+    if not (by_canonical == by_overlap == (case is not None)):
+        raise InconsistencyError(
+            f"isomorphism routes disagree: canonical {by_canonical}, "
+            f"overlap {by_overlap}, case {case}"
+        )
     if not by_canonical:
         return IsoResult(False, None, None)
     found = oracle_isomorphic(t1, t2)
-    assert found is not None, "oracle failed to confirm a criteria isomorphism"
+    if found is None:
+        raise InconsistencyError("oracle failed to confirm a criteria isomorphism")
     return IsoResult(True, case, found[1])
 
 
@@ -207,7 +211,7 @@ def isomorphic(t1: Triangle, t2: Triangle) -> IsoResult:
     Three independent criteria routes (canonical triples, triple overlap,
     hat case analysis) must agree; the witness map comes from the oracle.
     """
-    return _decide(t1, t2, normalize(t1).hat, normalize(t2).hat)
+    return _decide(t1, t2, hat_of(t1), hat_of(t2))
 
 
 def isomorphic_hats(h1: Hat, h2: Hat) -> IsoResult:
@@ -251,7 +255,7 @@ def _census_cell(cell: tuple[int, int]) -> CensusRow:
         h = Hat(i, j, m)
         tri = h.triangle()
         # run the full pipeline rather than trusting i to be canonical
-        pointed.add(pointed_canonical(normalize(tri).hat))
+        pointed.add(pointed_canonical(hat_of(tri)))
         group = automorphism_group(h)
         counts[group.tag] += 1
         triples = all_encoding_triples(tri)

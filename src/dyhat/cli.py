@@ -2,8 +2,10 @@
 
 One query per invocation.  Exit codes: 0 success (for iso: isomorphic),
 1 failed verification, 2 usage error, 3 not isomorphic, 4 domain error
-(malformed literal, non-dyadic value, degenerate triangle, even j, bad
-bounds), each with a diagnostic naming the violated invariant.
+(malformed or oversized literal, non-dyadic value, degenerate triangle,
+even j, bad bounds), 5 internal inconsistency (two cross-checked routes
+disagreed: a defect in dyhat, not in the input), each with a diagnostic
+naming the violated invariant.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import permutations
 
 from .classify import automorphism_group, census, isomorphic, isomorphic_hats
 from .dyadic import DyadicRational
-from .errors import DomainError, InvalidHat, NotDyadic, ParseError
+from .errors import DomainError, InconsistencyError, InvalidHat, NotDyadic, ParseError
 from .geometry import AffineMap, Matrix2, Point2, Triangle
 from .hats import EncodingTriple, Hat, canonical_form, normalize, pointed_canonical
 from .render import render_svg
@@ -24,22 +26,47 @@ from .render import render_svg
 _LITERAL = re.compile(r"^(-?\d+)(?:/(.+))?$")
 _POW2 = re.compile(r"^2\^(\d+)$")
 
+#: Longest digit string a literal may hold (numerator, denominator or k).
+MAX_LITERAL_DIGITS = 1000
+#: Largest k in a "digits/2^k" literal.
+MAX_POW2_EXPONENT = 4096
+
+
+def _bounded_int(digits: str) -> int:
+    """int(digits), refused before conversion when there are too many digits."""
+    count = len(digits.lstrip("-"))
+    if count > MAX_LITERAL_DIGITS:
+        raise ParseError(
+            f"literal has a {count}-digit part; at most "
+            f"{MAX_LITERAL_DIGITS} digits are allowed"
+        )
+    return int(digits)
+
 
 def parse_dyadic(text: str) -> DyadicRational:
-    """Parse "[-]digits", "[-]digits/denom" or "[-]digits/2^k"."""
+    """Parse "[-]digits", "[-]digits/denom" or "[-]digits/2^k".
+
+    Digit strings longer than MAX_LITERAL_DIGITS and k above
+    MAX_POW2_EXPONENT are rejected with ParseError.
+    """
     match = _LITERAL.match(text.strip())
     if not match:
         raise ParseError(f"malformed dyadic literal {text!r}")
-    num = int(match.group(1))
+    num = _bounded_int(match.group(1))
     den_text = match.group(2)
     if den_text is None:
         return DyadicRational(num)
     pow2 = _POW2.match(den_text)
     if pow2:
-        return DyadicRational(num, -int(pow2.group(1)))
-    if not den_text.isdigit():
+        k = _bounded_int(pow2.group(1))
+        if k > MAX_POW2_EXPONENT:
+            raise ParseError(
+                f"exponent 2^{k} exceeds the limit 2^{MAX_POW2_EXPONENT}"
+            )
+        return DyadicRational(num, -k)
+    if not den_text.isdecimal():
         raise ParseError(f"malformed denominator in {text!r}")
-    den = int(den_text)
+    den = _bounded_int(den_text)
     if den <= 0 or den & (den - 1):
         raise NotDyadic(f"denominator {den} is not a positive power of two")
     return DyadicRational(num, 1 - den.bit_length())
@@ -154,14 +181,9 @@ def _format_map(f: AffineMap) -> str:
 
 
 def _cmd_normalize(args) -> int:
-    tri = parse_triangle(args.triangle)
     if args.canonical:
-        triple = canonical_form(tri)
-        if args.json:
-            print(json.dumps({"triple": triple_json(triple)}))
-        else:
-            print(f"{triple.i} {triple.j} {triple.m}")
-        return 0
+        return _cmd_canon(args)
+    tri = parse_triangle(args.triangle)
 
     rows = []
     for roles in permutations((0, 1, 2)):
@@ -372,6 +394,9 @@ def run(argv: list[str] | None = None) -> int:
     except DomainError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
+    except InconsistencyError as err:
+        print(f"internal inconsistency: {err}", file=sys.stderr)
+        return 5
 
 
 def main() -> None:

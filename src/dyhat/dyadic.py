@@ -86,10 +86,6 @@ class DyadicRational:
         return self.num == 0
 
     @property
-    def is_integer(self) -> bool:
-        return self.num == 0 or self.exp >= 0
-
-    @property
     def sign(self) -> int:
         return (self.num > 0) - (self.num < 0)
 
@@ -201,6 +197,16 @@ def _coerce(value) -> "DyadicRational":
     if isinstance(value, int):
         return DyadicRational(value)
     return NotImplemented
+
+
+def common_scale(*values: DyadicRational) -> tuple[tuple[int, ...], int]:
+    """Integers n and one exponent e with values[k] == n[k] * 2**e.
+
+    e is the least exponent of a nonzero value (0 when every value is zero),
+    so at least one n[k] is odd unless all are zero.
+    """
+    e = min((v.exp for v in values if v.num), default=0)
+    return tuple(v.num << (v.exp - e) if v.num else 0 for v in values), e
 
 
 ZERO = DyadicRational(0)

@@ -51,3 +51,11 @@ class InvalidBounds(DomainError):
 
 class ParseError(DomainError, ValueError):
     """Malformed textual input."""
+
+
+class InconsistencyError(Exception):
+    """An internal cross-check failed: a defect in dyhat, not bad input.
+
+    Deliberately not a DomainError, and raised explicitly rather than by
+    assert, so that it survives python -O.
+    """

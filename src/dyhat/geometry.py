@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from .dyadic import DyadicRational, HALF, ONE, odd_gcd
+from .dyadic import DyadicRational, HALF, ONE, common_scale, odd_gcd, odd_part, val2
 from .errors import DegenerateTriangle, EqualPoints, NotInvertibleOverD
 
 
@@ -146,6 +146,42 @@ class AffineMap:
         return AffineMap(inv, -inv.apply(self.translation))
 
 
+def _coords(points: tuple[Point2, ...]) -> list[DyadicRational]:
+    return [c for p in points for c in (p.x, p.y)]
+
+
+def affine_through(
+    src_pts: tuple[Point2, Point2, Point2], dst_pts: tuple[Point2, Point2, Point2]
+) -> AffineMap | None:
+    """The unit affine map sending src_pts[k] to dst_pts[k], or None.
+
+    Both triples must be non-collinear.  Cramer's rule runs on coordinates
+    cleared to integers by common_scale: an entry is dyadic exactly when the
+    odd part of the source determinant divides its numerator, and the map is
+    a unit exactly when both determinants have the same odd part up to sign.
+    """
+    (ax, ay, px, py, qx, qy), src_exp = common_scale(*_coords(src_pts))
+    (bx, by, rx, ry, sx, sy), dst_exp = common_scale(*_coords(dst_pts))
+    u1x, u1y, u2x, u2y = px - ax, py - ay, qx - ax, qy - ay
+    w1x, w1y, w2x, w2y = rx - bx, ry - by, sx - bx, sy - by
+    det = u1x * u2y - u1y * u2x
+    odd = odd_part(det)
+    if odd_part(w1x * w2y - w1y * w2x) not in (odd, -odd):
+        return None
+    nums = (w1x * u2y - w2x * u1y, w2x * u1x - w1x * u2x,
+            w1y * u2y - w2y * u1y, w2y * u1x - w1y * u2x)
+    if any(n % odd for n in nums):
+        return None
+    a, b, c, d = (n // odd for n in nums)
+    v = val2(det)
+    exp = dst_exp - src_exp - v
+    # linear is (a, b, c, d) * 2**exp, so the translation t0 - linear(s0)
+    # is an integer pair times 2**(dst_exp - v)
+    shift = Point2(DyadicRational((bx << v) - a * ax - b * ay, dst_exp - v),
+                   DyadicRational((by << v) - c * ax - d * ay, dst_exp - v))
+    return AffineMap(Matrix2(*(DyadicRational(n, exp) for n in (a, b, c, d))), shift)
+
+
 @dataclass(frozen=True)
 class Triangle:
     """Three non-collinear dyadic vertices; degeneracy is rejected here."""
@@ -184,9 +220,7 @@ def segment_type(p: Point2, q: Point2) -> int:
     if p == q:
         raise EqualPoints("segment endpoints must differ")
     d = q - p
-    e = min(c.exp for c in (d.x, d.y) if c.num != 0)
-    a = d.x.num << (d.x.exp - e) if d.x.num else 0
-    b = d.y.num << (d.y.exp - e) if d.y.num else 0
+    (a, b), _ = common_scale(d.x, d.y)
     return odd_gcd(a, b)
 
 

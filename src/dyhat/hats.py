@@ -6,6 +6,8 @@ dyadic triangle with a chosen vertex role assignment is isomorphic, by a
 unit affine map, to exactly one representative hat with i odd in
 {1, 3, ..., 2j-1}; that triple encodes the pointed isomorphism class, and
 the set of triples over all six role assignments encodes the full class.
+hat_of finds that hat on integers alone; normalize also returns the witness
+map, for the callers that ask for one.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import NamedTuple
 
-from .dyadic import DyadicRational, dyadic_mod_odd, egcd
-from .errors import InvalidHat
-from .geometry import AffineMap, Matrix2, Point2, Triangle
+from .dyadic import DyadicRational, common_scale, dyadic_mod_odd, egcd, odd_part, val2
+from .errors import InconsistencyError, InvalidHat
+from .geometry import ORIGIN, AffineMap, Point2, Triangle, affine_through
 
 
 def _check_odd_positive(value: int, name: str) -> None:
@@ -92,63 +94,46 @@ class Normalization(NamedTuple):
 IDENTITY_ROLES = (0, 1, 2)
 
 
-def normalize(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> Normalization:
-    """Send a triangle to its representative hat for the given vertex roles.
+def hat_of(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> Hat:
+    """The representative hat of a triangle for the given vertex roles.
 
-    roles picks which vertex plays which part: vertices[roles[0]] is pinned
-    at the origin, vertices[roles[1]] becomes the apex (i, j) and
-    vertices[roles[2]] lands on (m, 0).  The returned witness is the unit
-    affine map realizing that, composed from a translation, an integer
-    Bezout matrix, power-of-two rescalings, an optional reflection and a
-    final dyadic shear.
+    roles picks which vertex plays which part: vertices[roles[0]] goes to
+    the origin, vertices[roles[1]] to the apex (i, j) and vertices[roles[2]]
+    to (m, 0).  On integer coordinates, the base (a, b) has gcd g and Bezout
+    row (s, t): m is the odd part of g, j the odd part of the height
+    (a*q - b*p) / m of the apex (p, q), and i the apex abscissa
+    (s*p + t*q) / 2**val2(g) mod j, lifted to an odd residue mod 2j.
     """
     if sorted(roles) != [0, 1, 2]:
         raise ValueError("roles must be a permutation of (0, 1, 2)")
     x, y, z = (tri.vertices[k] for k in roles)
+    (x0, y0, x1, y1, x2, y2), _ = common_scale(x.x, x.y, y.x, y.y, z.x, z.y)
+    a, b, p, q = x2 - x0, y2 - y0, x1 - x0, y1 - y0
+    g, s, t = egcd(a, b)
+    m = odd_part(g)
+    j = abs(odd_part((a * q - b * p) // m))
+    r = dyadic_mod_odd(DyadicRational(s * p + t * q, -val2(g)), j).value
+    return Hat(r if r % 2 else r + j, j, m)
 
-    witness = AffineMap.from_translation(-x)
-    v = z - x
 
-    # rotate/scale the base: v goes to (m, 0) with m its odd gcd
-    alpha = min(c.exp for c in (v.x, v.y) if c.num != 0)
-    a = (v.x.num << (v.x.exp - alpha)) if v.x.num else 0
-    b = (v.y.num << (v.y.exp - alpha)) if v.y.num else 0
-    m, bez_x, bez_y = egcd(a, b)
-    base_fix = Matrix2(
-        DyadicRational(bez_x, -alpha),
-        DyadicRational(bez_y, -alpha),
-        DyadicRational(-(b // m), -alpha),
-        DyadicRational(a // m, -alpha),
+def normalize(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> Normalization:
+    """hat_of(tri, roles) with its witness: the unique unit affine map
+    through the three vertex pairs, which equals the composition of a
+    translation, a Bezout matrix, rescalings, a reflection and a shear."""
+    hat = hat_of(tri, roles)
+    witness = affine_through(
+        tuple(tri.vertices[k] for k in roles),
+        (ORIGIN, Point2.of(hat.i, hat.j), Point2.of(hat.m, 0)),
     )
-    witness = AffineMap.from_linear(base_fix) @ witness
-
-    # the apex must end up above the base line
-    apex = witness.apply(y)
-    if apex.y.num < 0:
-        witness = AffineMap.from_linear(Matrix2.of(1, 0, 0, -1)) @ witness
-        apex = Point2(apex.x, -apex.y)
-
-    # rescale the height to an odd integer j; (m, 0) is fixed
-    if apex.y.exp != 0:
-        scale = Matrix2.of(1, 0, 0, DyadicRational(1, -apex.y.exp))
-        witness = AffineMap.from_linear(scale) @ witness
-        apex = Point2(apex.x, DyadicRational(apex.y.num))
-    j = apex.y.num
-
-    # shear i0 onto the odd representative of its class mod 2j
-    i0 = apex.x
-    r = dyadic_mod_odd(i0, j).value
-    i = r if r % 2 else r + j
-    shear_c = (DyadicRational(i) - i0) / DyadicRational(j)
-    witness = AffineMap.from_linear(Matrix2.of(1, shear_c, 0, 1)) @ witness
-
-    return Normalization(Hat(i, j, m), witness)
+    if witness is None:
+        raise InconsistencyError(f"no unit map carries {tri} with roles {roles} to {hat}")
+    return Normalization(hat, witness)
 
 
 def all_encoding_triples(tri: Triangle) -> frozenset[EncodingTriple]:
     """Encoding triples over all six vertex role assignments (1 to 6 values)."""
     return frozenset(
-        pointed_canonical(normalize(tri, roles).hat)
+        pointed_canonical(hat_of(tri, roles))
         for roles in permutations((0, 1, 2))
     )
 

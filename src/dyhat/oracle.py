@@ -1,20 +1,19 @@
 """Independent exact isomorphism oracle.
 
 Decides whether an affine map carries one triangle onto another by solving
-the vertex correspondence equations over plain rationals and then testing
-that the solved map has dyadic entries and determinant +-2**k.  This route
-shares no logic with the number-theoretic criteria, so each side checks the
+the vertex correspondence equations with integer Cramer's rule
+(geometry.affine_through): the solved map qualifies when its entries are
+dyadic and its determinant is +-2**k.  This route shares no logic with the
+number-theoretic criteria or with hats.hat_of, so each side checks the
 other.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .dyadic import DyadicRational
 from .errors import InvalidBounds
-from .geometry import AffineMap, Matrix2, Point2, Triangle, midpoint
+from .geometry import AffineMap, Point2, Triangle, affine_through, midpoint
 
 
 class Correspondence(NamedTuple):
@@ -44,52 +43,12 @@ def perm_label(perm: tuple[int, int, int]) -> str:
     return "".join("ABC"[k] for k in perm)
 
 
-def _fr(d: DyadicRational) -> Fraction:
-    if d.exp >= 0:
-        return Fraction(d.num << d.exp)
-    return Fraction(d.num, 1 << -d.exp)
-
-
-def _dy(f: Fraction) -> DyadicRational | None:
-    den = f.denominator
-    if den & (den - 1):
-        return None
-    return DyadicRational(f.numerator, 1 - den.bit_length())
-
-
 def solve_correspondence(
     src: Triangle, dst: Triangle, perm: tuple[int, int, int]
 ) -> AffineMap | None:
-    """The unit affine map realizing the correspondence, or None.
-
-    The unique affine map over Q sending vertex k of src to vertex perm[k]
-    of dst is solved exactly; it qualifies only if every entry is dyadic
-    and the determinant is +-2**k.
-    """
-    s = src.vertices
-    t = tuple(dst.vertices[perm[k]] for k in range(3))
-
-    ax, ay = _fr(s[0].x), _fr(s[0].y)
-    u1x, u1y = _fr(s[1].x) - ax, _fr(s[1].y) - ay
-    u2x, u2y = _fr(s[2].x) - ax, _fr(s[2].y) - ay
-    bx, by = _fr(t[0].x), _fr(t[0].y)
-    w1x, w1y = _fr(t[1].x) - bx, _fr(t[1].y) - by
-    w2x, w2y = _fr(t[2].x) - bx, _fr(t[2].y) - by
-
-    det = u1x * u2y - u1y * u2x  # nonzero: triangles are nondegenerate
-    entries = [
-        _dy((w1x * u2y - w2x * u1y) / det),
-        _dy((w2x * u1x - w1x * u2x) / det),
-        _dy((w1y * u2y - w2y * u1y) / det),
-        _dy((w2y * u1x - w1y * u2x) / det),
-    ]
-    if any(e is None for e in entries):
-        return None
-    linear = Matrix2(*entries)
-    if not linear.is_unit():
-        return None
-    translation = t[0] - linear.apply(s[0])
-    return AffineMap(linear, translation)
+    """The unit affine map sending vertex k of src to vertex perm[k] of dst,
+    or None when that unique affine map is not a dyadic unit."""
+    return affine_through(src.vertices, tuple(dst.vertices[k] for k in perm))
 
 
 def oracle_isomorphic(

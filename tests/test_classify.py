@@ -31,7 +31,7 @@ from dyhat import (
     oracle_aut_count,
     twice_area,
 )
-from dyhat.errors import InvalidBounds, InvalidHat
+from dyhat.errors import InconsistencyError, InvalidBounds, InvalidHat
 
 import tutil
 
@@ -111,6 +111,24 @@ def test_group_witnesses_permute_vertices_as_labeled():
 def test_trivial_group_witness_is_identity():
     group = automorphism_group(Hat(1, 9, 5))
     assert group.witnesses == (("ABC", AffineMap.identity()),)
+
+
+def test_lying_criterion_raises_inconsistency(monkeypatch):
+    # Hat(1, 9, 5) has the trivial group; a fix-B criterion that always
+    # fires claims a swap the oracle cannot realize
+    monkeypatch.setattr("dyhat.classify.aut_fix_B", lambda h: True)
+    with pytest.raises(InconsistencyError, match="criteria and oracle disagree"):
+        automorphism_group(Hat(1, 9, 5))
+    # on an S3 hat it also contradicts the other two transpositions
+    monkeypatch.setattr("dyhat.classify.aut_fix_B", lambda h: False)
+    with pytest.raises(InconsistencyError, match="two transpositions"):
+        automorphism_group(Hat(1, 1, 1))
+
+
+def test_lying_case_test_raises_inconsistency(monkeypatch):
+    monkeypatch.setattr("dyhat.classify.iso_case", lambda h1, h2, case: False)
+    with pytest.raises(InconsistencyError, match="routes disagree"):
+        isomorphic_hats(Hat(1, 3, 5), Hat(5, 15, 1))
 
 
 def test_iso_case_fixtures():

@@ -1,13 +1,18 @@
 """Command line surface: literals, exit codes, JSON schema, SVG output."""
 
 import json
+import os
+import shutil
 import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+import dyhat
 from dyhat import (
     AffineMap,
     CensusReport,
@@ -19,6 +24,8 @@ from dyhat import (
     Triangle,
 )
 from dyhat.cli import (
+    MAX_LITERAL_DIGITS,
+    MAX_POW2_EXPONENT,
     format_dyadic,
     hat_from_json,
     map_from_json,
@@ -58,6 +65,28 @@ def test_parse_dyadic_rejects():
     for bad in ("abc", "5/", "1/2^", "/8", "1.5", ""):
         with pytest.raises(ParseError):
             parse_dyadic(bad)
+
+
+def test_parse_dyadic_bounds_literal_size():
+    big = "1" + "0" * 5000  # 5,001 digits: past the cap and past int()'s own limit
+    for bad in (big, "-" + big, "1/" + big, f"1/2^{MAX_POW2_EXPONENT + 1}"):
+        with pytest.raises(ParseError):
+            parse_dyadic(bad)
+    at_cap = "7" * MAX_LITERAL_DIGITS
+    assert parse_dyadic("-" + at_cap) == D(-int(at_cap))
+    assert parse_dyadic(f"3/2^{MAX_POW2_EXPONENT}") == D(3, -MAX_POW2_EXPONENT)
+    # isdigit() holds for superscripts, which int() rejects
+    with pytest.raises(ParseError):
+        parse_dyadic("1/\u00b2")
+
+
+def test_oversized_literal_exits_4(capsys):
+    big = "1" + "0" * 5000
+    assert run(["canon", f"0,0 {big},3 5,0"]) == 4
+    assert run(["canon", f"0,0 1/2^{MAX_POW2_EXPONENT + 1},3 5,0"]) == 4
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2
+    assert len(err) < 500
 
 
 def test_format_dyadic():
@@ -297,14 +326,55 @@ def test_render_requires_out(capsys):
 # ---------------------------------------------------------------- entry point
 
 
+def _child_env() -> dict:
+    """Environment in which a child interpreter imports this same dyhat."""
+    src = str(Path(dyhat.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 def test_installed_script():
-    proc = subprocess.run(["dyhat"], capture_output=True, text=True)
+    # the console script when installed, else the same entry point via -m
+    command = ["dyhat"] if shutil.which("dyhat") else [sys.executable, "-m", "dyhat"]
+    env = _child_env()
+    proc = subprocess.run(command, capture_output=True, text=True, env=env)
     assert proc.returncode == 2  # no subcommand
 
     proc = subprocess.run(
-        ["dyhat", "aut", "--quiet", "3", "7", "1"],
+        [*command, "aut", "--quiet", "3", "7", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "C3"
+
+
+def test_inconsistency_exits_5(capsys, monkeypatch):
+    monkeypatch.setattr("dyhat.classify.aut_fix_B", lambda h: True)
+    assert run(["aut", "1", "9", "5"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "criteria and oracle disagree" in captured.err
+
+
+def test_inconsistency_survives_optimized_mode():
+    # python -O strips assert statements; the cross-checks must still fire
+    script = (
+        "import sys, dyhat.classify, dyhat.cli\n"
+        "dyhat.classify.aut_fix_B = lambda h: True\n"
+        "try:\n"
+        "    dyhat.classify.automorphism_group(dyhat.Hat(1, 9, 5))\n"
+        "except dyhat.errors.InconsistencyError:\n"
+        "    print('raised')\n"
+        "sys.exit(dyhat.cli.run(['aut', '1', '9', '5']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stdout.strip() == "raised"
+    assert "criteria and oracle disagree" in proc.stderr

@@ -20,6 +20,7 @@ from dyhat import (
     solve_congruence,
     val2,
 )
+from dyhat.dyadic import common_scale
 from dyhat.errors import (
     BothZero,
     DivisionByZero,
@@ -159,6 +160,21 @@ def test_residue_validation():
     r = Residue(2, 7)
     assert r.contains(2) and r.contains(16) and r.contains(-5)
     assert not r.contains(3)
+
+
+def test_common_scale():
+    D = DyadicRational
+    assert common_scale(D(3, -2), D(0), D(5, 1), D(-1, 0)) == ((3, 0, 40, -4), -2)
+    assert common_scale(D(0), D(3, 2)) == ((0, 3), 2)
+    assert common_scale(D(0), D(0)) == ((0, 0), 0)
+    assert common_scale() == ((), 0)
+
+
+@given(st.lists(tutil.dyadics, max_size=5))
+def test_common_scale_reconstructs_its_values(values):
+    ints, e = common_scale(*values)
+    assert [DyadicRational(n, e) for n in ints] == values
+    assert not any(ints) or any(n % 2 for n in ints)
 
 
 def test_fraction_conversions():

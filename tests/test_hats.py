@@ -1,5 +1,7 @@
 """Hat normal forms: the reduction pipeline, pointed classes, triple sets."""
 
+import random
+import time
 from itertools import permutations
 
 import pytest
@@ -15,11 +17,12 @@ from dyhat import (
     Triangle,
     all_encoding_triples,
     canonical_form,
+    hat_of,
     kappa,
     normalize,
     pointed_canonical,
 )
-from dyhat.errors import InvalidHat
+from dyhat.errors import InconsistencyError, InvalidHat
 
 import tutil
 
@@ -184,3 +187,27 @@ def test_canonical_form_is_a_unit_map_invariant(t, f):
 @given(tutil.rep_hats)
 def test_triple_count_divides_six(h):
     assert 6 % len(all_encoding_triples(h.triangle())) == 0
+
+
+def test_hat_of_matches_normalize_on_the_31_grid():
+    rng = random.Random(31)
+    start = time.perf_counter()
+    hats = 0
+    for j in range(1, 32, 2):
+        for m in range(1, 32, 2):
+            for i in range(1, 2 * j, 2):
+                h = Hat(i, j, m)
+                image = h.triangle().transformed(tutil.rand_unit_map(rng))
+                for roles in permutations((0, 1, 2)):
+                    assert hat_of(image, roles) == normalize(image, roles).hat, (h, roles)
+                assert hat_of(image, (0, 1, 2)) == pointed_canonical(h).hat(), h
+                hats += 1
+    took = time.perf_counter() - start
+    assert hats == 4096
+    assert took < 3.0, f"{took:.2f} s"
+
+
+def test_normalize_raises_when_no_witness_exists(monkeypatch):
+    monkeypatch.setattr("dyhat.hats.affine_through", lambda src, dst: None)
+    with pytest.raises(InconsistencyError):
+        normalize(Hat(1, 3, 5).triangle())

@@ -5,6 +5,8 @@ hand and double-checked against the solver; nothing here is copied out of
 the classification code.
 """
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given
 
@@ -125,6 +127,27 @@ def test_oracle_accepts_unit_images(t, f):
     corr, witness = found
     assert corr.case == "a"
     assert witness == f
+
+
+def test_solver_matches_fraction_reference_on_the_grid():
+    solved = 0
+    for j in range(1, 16, 2):
+        for m in range(1, 16, 2):
+            for i in range(1, 2 * j, 2):
+                t = Hat(i, j, m).triangle()
+                for perm in permutations((0, 1, 2)):
+                    got = solve_correspondence(t, t, perm)
+                    assert got == tutil.fraction_solve(t, t, perm), (i, j, m, perm)
+                    solved += got is not None
+    assert solved > 512  # the identity everywhere, plus the automorphisms
+
+
+@given(tutil.triangles, tutil.unit_maps, tutil.triangles)
+def test_solver_matches_fraction_reference(t, f, other):
+    image = t.transformed(f)
+    for perm in permutations((0, 1, 2)):
+        assert solve_correspondence(t, image, perm) == tutil.fraction_solve(t, image, perm)
+        assert solve_correspondence(t, other, perm) == tutil.fraction_solve(t, other, perm)
 
 
 def test_oracle_aut_counts():

@@ -1,5 +1,6 @@
 """Shared strategies and random builders for the test suite."""
 
+from fractions import Fraction
 from functools import reduce
 
 import hypothesis.strategies as st
@@ -89,3 +90,41 @@ def rand_interior_point(rng, tri):
         return DyadicRational(rng.randrange(1, 64), -6)
 
     return weighted_mean(weighted_mean(a, b, weight()), c, weight())
+
+
+def _dyadic_or_none(f: Fraction):
+    den = f.denominator
+    if den & (den - 1):
+        return None
+    return DyadicRational.from_fraction(f)
+
+
+def fraction_solve(src, dst, perm):
+    """Reference correspondence solver: Cramer's rule over Fraction.
+
+    The unique affine map over Q sending vertex k of src to vertex perm[k]
+    of dst, or None unless every entry is dyadic and the determinant is
+    +-2**k.
+    """
+    s = [(p.x.to_fraction(), p.y.to_fraction()) for p in src.vertices]
+    t = [(dst.vertices[perm[k]].x.to_fraction(), dst.vertices[perm[k]].y.to_fraction())
+         for k in range(3)]
+    (ax, ay), (bx, by) = s[0], t[0]
+    u1x, u1y = s[1][0] - ax, s[1][1] - ay
+    u2x, u2y = s[2][0] - ax, s[2][1] - ay
+    w1x, w1y = t[1][0] - bx, t[1][1] - by
+    w2x, w2y = t[2][0] - bx, t[2][1] - by
+
+    det = u1x * u2y - u1y * u2x
+    entries = [
+        _dyadic_or_none((w1x * u2y - w2x * u1y) / det),
+        _dyadic_or_none((w2x * u1x - w1x * u2x) / det),
+        _dyadic_or_none((w1y * u2y - w2y * u1y) / det),
+        _dyadic_or_none((w2y * u1x - w1y * u2x) / det),
+    ]
+    if any(e is None for e in entries):
+        return None
+    linear = Matrix2(*entries)
+    if not linear.is_unit():
+        return None
+    return AffineMap(linear, dst.vertices[perm[0]] - linear.apply(src.vertices[0]))
