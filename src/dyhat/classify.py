@@ -9,12 +9,13 @@ as an InconsistencyError).
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .dyadic import solve_congruence
+from .dyadic import odd_gcd, solve_congruence
 from .errors import InconsistencyError, InvalidBounds, InvalidHat
-from .geometry import AffineMap, Triangle, boundary_type
+from .geometry import AffineMap, Triangle
 from .hats import (
     EncodingTriple,
     Hat,
@@ -69,7 +70,8 @@ def aut_cycle(h: Hat) -> bool:
     for k = i/m, l = j/m."""
     _require_representative(h)
     i, j, m = h.i, h.j, h.m
-    if boundary_type(h.triangle()) != (m, m, m):
+    # boundary_type of (0,0), (i,j), (m,0) is (odd_gcd(i, j), odd_gcd(m - i, j), m)
+    if odd_gcd(i, j) != m or odd_gcd(m - i, j) != m:
         return False
     k = i // m
     l = j // m
@@ -270,7 +272,8 @@ def census(j_max: int, m_max: int, workers: int = 1) -> CensusReport:
 
     Work units are independent (j, m) cells; with workers > 1 they run in a
     process pool and are merged in a fixed order, so the report does not
-    depend on scheduling.
+    depend on scheduling.  The pool never has more workers than CPUs or
+    cells; when that leaves one, the cells run serially.
     """
     for name, bound in (("j_max", j_max), ("m_max", m_max)):
         if bound <= 0 or bound % 2 == 0:
@@ -283,6 +286,7 @@ def census(j_max: int, m_max: int, workers: int = 1) -> CensusReport:
         for j in range(1, j_max + 1, 2)
         for m in range(1, m_max + 1, 2)
     ]
+    workers = min(workers, os.cpu_count() or 1, len(cells))
     if workers == 1:
         rows = tuple(_census_cell(cell) for cell in cells)
     else:

@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jmax", type=int, required=True)
     p.add_argument("--mmax", type=int, required=True)
     p.add_argument("--par", type=int, default=1, metavar="N",
-                   help="number of parallel workers")
+                   help="number of parallel workers (at most one per CPU)")
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("render", parents=[common],

@@ -4,11 +4,16 @@ Points, 2x2 matrices and affine maps with entries in Z[1/2], plus the
 triangle invariants (area, side types, boundary triples) that drive the
 classification.  A map is a unit when its determinant is +-2**k; exactly the
 units are invertible over the dyadics.
+
+A Triangle also holds its six vertex coordinates as integers times one
+common power of two, cleared once when it is built; the collinearity check,
+hats.hat_of and the oracle's solve read those integers instead of clearing
+the coordinates again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import NamedTuple
 
@@ -155,13 +160,24 @@ def affine_through(
 ) -> AffineMap | None:
     """The unit affine map sending src_pts[k] to dst_pts[k], or None.
 
-    Both triples must be non-collinear.  Cramer's rule runs on coordinates
-    cleared to integers by common_scale: an entry is dyadic exactly when the
-    odd part of the source determinant divides its numerator, and the map is
-    a unit exactly when both determinants have the same odd part up to sign.
+    Both triples must be non-collinear; affine_through_scaled does the solve
+    once the coordinates are cleared to integers by common_scale.
     """
-    (ax, ay, px, py, qx, qy), src_exp = common_scale(*_coords(src_pts))
-    (bx, by, rx, ry, sx, sy), dst_exp = common_scale(*_coords(dst_pts))
+    return affine_through_scaled(common_scale(*_coords(src_pts)),
+                                 common_scale(*_coords(dst_pts)))
+
+
+def affine_through_scaled(
+    src: tuple[tuple[int, ...], int], dst: tuple[tuple[int, ...], int]
+) -> AffineMap | None:
+    """affine_through on points given as common_scale output (ints, e).
+
+    Cramer's rule on the integers: an entry is dyadic exactly when the odd
+    part of the source determinant divides its numerator, and the map is a
+    unit exactly when both determinants have the same odd part up to sign.
+    """
+    (ax, ay, px, py, qx, qy), src_exp = src
+    (bx, by, rx, ry, sx, sy), dst_exp = dst
     u1x, u1y, u2x, u2y = px - ax, py - ay, qx - ax, qy - ay
     w1x, w1y, w2x, w2y = rx - bx, ry - by, sx - bx, sy - by
     det = u1x * u2y - u1y * u2x
@@ -184,14 +200,33 @@ def affine_through(
 
 @dataclass(frozen=True)
 class Triangle:
-    """Three non-collinear dyadic vertices; degeneracy is rejected here."""
+    """Three non-collinear dyadic vertices; degeneracy is rejected here.
+
+    The six coordinates are also held as integers n and one exponent e with
+    coordinate k == n[k] * 2**e (common_scale, run once here); that field
+    takes no part in equality, hashing or repr.
+    """
 
     vertices: tuple[Point2, Point2, Point2]
+    _scaled: tuple[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a, b, c = self.vertices
-        if _cross(b - a, c - a).is_zero:
+        scaled = common_scale(a.x, a.y, b.x, b.y, c.x, c.y)
+        (ax, ay, bx, by, cx, cy), _ = scaled
+        if (bx - ax) * (cy - ay) == (by - ay) * (cx - ax):
             raise DegenerateTriangle(f"vertices {a}, {b}, {c} are collinear")
+        object.__setattr__(self, "_scaled", scaled)
+
+    def scaled_coords(
+        self, order: tuple[int, int, int] = (0, 1, 2)
+    ) -> tuple[tuple[int, ...], int]:
+        """(x, y) integers of vertices[order[0]], [order[1]], [order[2]],
+        flattened, with the common exponent: the common_scale of those
+        coordinates."""
+        n, e = self._scaled
+        i, j, k = (2 * r for r in order)
+        return (n[i], n[i + 1], n[j], n[j + 1], n[k], n[k + 1]), e
 
     @staticmethod
     def of(a, b, c) -> "Triangle":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import NamedTuple
 
-from .dyadic import DyadicRational, common_scale, dyadic_mod_odd, egcd, odd_part, val2
+from .dyadic import DyadicRational, dyadic_mod_odd, egcd, odd_part, val2
 from .errors import InconsistencyError, InvalidHat
 from .geometry import ORIGIN, AffineMap, Point2, Triangle, affine_through
 
@@ -99,15 +99,16 @@ def hat_of(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> Hat:
 
     roles picks which vertex plays which part: vertices[roles[0]] goes to
     the origin, vertices[roles[1]] to the apex (i, j) and vertices[roles[2]]
-    to (m, 0).  On integer coordinates, the base (a, b) has gcd g and Bezout
-    row (s, t): m is the odd part of g, j the odd part of the height
-    (a*q - b*p) / m of the apex (p, q), and i the apex abscissa
-    (s*p + t*q) / 2**val2(g) mod j, lifted to an odd residue mod 2j.
+    to (m, 0).  It reads the integer coordinates the triangle already holds
+    (Triangle.scaled_coords; the common power of two drops out).  The base
+    (a, b) has gcd g and Bezout row (s, t): m is the odd part of g, j the
+    odd part of the height (a*q - b*p) / m of the apex (p, q), and i the
+    apex abscissa (s*p + t*q) / 2**val2(g) mod j, lifted to an odd residue
+    mod 2j.
     """
     if sorted(roles) != [0, 1, 2]:
         raise ValueError("roles must be a permutation of (0, 1, 2)")
-    x, y, z = (tri.vertices[k] for k in roles)
-    (x0, y0, x1, y1, x2, y2), _ = common_scale(x.x, x.y, y.x, y.y, z.x, z.y)
+    (x0, y0, x1, y1, x2, y2), _ = tri.scaled_coords(roles)
     a, b, p, q = x2 - x0, y2 - y0, x1 - x0, y1 - y0
     g, s, t = egcd(a, b)
     m = odd_part(g)

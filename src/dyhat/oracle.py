@@ -2,8 +2,9 @@
 
 Decides whether an affine map carries one triangle onto another by solving
 the vertex correspondence equations with integer Cramer's rule
-(geometry.affine_through): the solved map qualifies when its entries are
-dyadic and its determinant is +-2**k.  This route shares no logic with the
+(geometry.affine_through_scaled, on the integer coordinates each Triangle
+holds): the solved map qualifies when its entries are dyadic and its
+determinant is +-2**k.  This route shares no logic with the
 number-theoretic criteria or with hats.hat_of, so each side checks the
 other.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidBounds
-from .geometry import AffineMap, Point2, Triangle, affine_through, midpoint
+from .geometry import AffineMap, Point2, Triangle, affine_through_scaled, midpoint
 
 
 class Correspondence(NamedTuple):
@@ -48,7 +49,7 @@ def solve_correspondence(
 ) -> AffineMap | None:
     """The unit affine map sending vertex k of src to vertex perm[k] of dst,
     or None when that unique affine map is not a dyadic unit."""
-    return affine_through(src.vertices, tuple(dst.vertices[k] for k in perm))
+    return affine_through_scaled(src.scaled_coords(), dst.scaled_coords(perm))
 
 
 def oracle_isomorphic(

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import math
 
+from .errors import DomainError
 from .geometry import Triangle
 
 _TARGET = 480.0  # px for the larger bounding-box dimension
+_TOO_LARGE = "a coordinate is too large to draw as a float"
 
 
 def _fmt(v: float) -> str:
@@ -19,12 +21,19 @@ def _fmt(v: float) -> str:
 
 def render_svg(tri: Triangle, labels: tuple[str, str, str] = ("A", "B", "C")) -> str:
     """Triangle with lattice guides, axes, ticks and labeled vertices."""
-    pts = [(float(p.x), float(p.y)) for p in tri.vertices]
+    try:
+        pts = [(float(p.x), float(p.y)) for p in tri.vertices]
+    except OverflowError:
+        raise DomainError(_TOO_LARGE) from None
     xs = [p[0] for p in pts] + [0.0]
     ys = [p[1] for p in pts] + [0.0]
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
     span = max(max_x - min_x, max_y - min_y, 1.0)
+    cx = sum(p[0] for p in pts) / 3
+    cy = sum(p[1] for p in pts) / 3
+    if not all(map(math.isfinite, (span, cx, cy))):
+        raise DomainError(_TOO_LARGE)
     unit = _TARGET / span
     pad = 0.1 * span * unit
 
@@ -47,17 +56,16 @@ def render_svg(tri: Triangle, labels: tuple[str, str, str] = ("A", "B", "C")) ->
     step = max(1, math.ceil(span / 24))
     x0, x1 = math.ceil(min_x), math.floor(max_x)
     y0, y1 = math.ceil(min_y), math.floor(max_y)
-    for gx in range(x0, x1 + 1):
-        if gx % step:
-            continue
+    # the multiples of step in [x0, x1] and in [y0, y1]
+    grid_x = range(-(-x0 // step) * step, x1 + 1, step)
+    grid_y = range(-(-y0 // step) * step, y1 + 1, step)
+    for gx in grid_x:
         parts.append(
             f'<line x1="{_fmt(sx(gx))}" y1="{_fmt(sy(min_y))}" '
             f'x2="{_fmt(sx(gx))}" y2="{_fmt(sy(max_y))}" '
             'stroke="#dddddd" stroke-width="1"/>'
         )
-    for gy in range(y0, y1 + 1):
-        if gy % step:
-            continue
+    for gy in grid_y:
         parts.append(
             f'<line x1="{_fmt(sx(min_x))}" y1="{_fmt(sy(gy))}" '
             f'x2="{_fmt(sx(max_x))}" y2="{_fmt(sy(gy))}" '
@@ -79,8 +87,8 @@ def render_svg(tri: Triangle, labels: tuple[str, str, str] = ("A", "B", "C")) ->
         )
 
     # axis ticks with numeric labels
-    for gx in range(x0, x1 + 1):
-        if gx % step or gx == 0:
+    for gx in grid_x:
+        if gx == 0:
             continue
         parts.append(
             f'<line x1="{_fmt(sx(gx))}" y1="{_fmt(sy(0) - 4)}" '
@@ -93,8 +101,8 @@ def render_svg(tri: Triangle, labels: tuple[str, str, str] = ("A", "B", "C")) ->
             f'<text x="{_fmt(sx(gx))}" y="{_fmt(height - 2)}" '
             f'font-size="11" text-anchor="middle" fill="#555555">{gx}</text>'
         )
-    for gy in range(y0, y1 + 1):
-        if gy % step or gy == 0:
+    for gy in grid_y:
+        if gy == 0:
             continue
         if min_x <= 0 <= max_x:
             parts.append(
@@ -115,8 +123,6 @@ def render_svg(tri: Triangle, labels: tuple[str, str, str] = ("A", "B", "C")) ->
     )
 
     # vertices and their labels, pushed away from the centroid
-    cx = sum(p[0] for p in pts) / 3
-    cy = sum(p[1] for p in pts) / 3
     for (x, y), label in zip(pts, labels):
         parts.append(
             f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="3.5" fill="#113355"/>'

@@ -1,7 +1,11 @@
 """Automorphism criteria, group assembly, isomorphism cases, census."""
 
+import ast
 import math
+import sys
+import types
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +35,9 @@ from dyhat import (
     oracle_aut_count,
     twice_area,
 )
+from dyhat.dyadic import odd_gcd
 from dyhat.errors import InconsistencyError, InvalidBounds, InvalidHat
+from dyhat.hats import hat_of
 
 import tutil
 
@@ -320,3 +326,113 @@ def test_census_bounds_validation():
         census(5, 0)
     with pytest.raises(InvalidBounds):
         census(5, 5, workers=0)
+
+
+def test_census_workers_are_bounded_by_cpus(monkeypatch):
+    classify = sys.modules["dyhat.classify"]
+    pools = []
+
+    class SpyPool(classify.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(classify, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: 2)
+    serial = census(3, 3)
+    assert pools == []
+    assert census(3, 3, workers=10**6) == serial
+    assert pools == [2]
+    # one cell, or one CPU, leaves nothing to share: no pool at all
+    assert census(1, 1, workers=10**6) == census(1, 1)
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: None)
+    assert census(3, 3, workers=10**6) == serial
+    assert pools == [2]
+
+
+# ------------------------------------ integer boundary and route independence
+
+
+def _boundary_of_hat(i, j, m):
+    """aut_cycle's boundary of (0,0), (i,j), (m,0), read off the integers."""
+    return (odd_gcd(i, j), odd_gcd(m - i, j), m)
+
+
+def test_integer_boundary_matches_boundary_type_exhaustively():
+    for j in range(1, 32, 2):
+        for m in range(1, 32, 2):
+            for i in range(-2 * j, 4 * j + 1):
+                h = Hat(i, j, m)
+                expected = boundary_type(h.triangle())
+                assert _boundary_of_hat(i, j, m) == expected, h
+                if i % 2:
+                    k, l = i // m, j // m
+                    cycle = expected == (m, m, m) and (k * k - k + 1) % l == 0
+                    assert aut_cycle(h) == cycle, h
+
+
+_SOLVER_NAMES = {"affine_through", "affine_through_scaled", "solve_correspondence"}
+
+
+def _reachable_names(fn, seen=None):
+    """Global and attribute names used by fn and by every dyhat function or
+    class it names, followed transitively."""
+    seen = set() if seen is None else seen
+    names = set()
+    stack = [fn.__code__]
+    while stack:
+        code = stack.pop()
+        names.update(code.co_names)
+        stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    for name in names & fn.__globals__.keys():
+        target = fn.__globals__[name]
+        module = getattr(target, "__module__", None) or ""
+        if module.startswith("dyhat") and target not in seen:
+            seen.add(target)
+            members = vars(target).values() if isinstance(target, type) else [target]
+            for member in members:
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                if isinstance(member, types.FunctionType):
+                    names |= _reachable_names(member, seen)
+    return names
+
+
+@pytest.mark.parametrize(
+    "fn", [aut_fix_A, aut_fix_B, aut_fix_C, aut_cycle, iso_case, hat_of],
+    ids=lambda fn: fn.__name__,
+)
+def test_decision_routes_never_reach_the_solver(fn):
+    assert not _reachable_names(fn) & _SOLVER_NAMES
+
+
+def test_reachable_names_sees_the_solver_where_it_is_used():
+    assert "affine_through_scaled" in _reachable_names(oracle_aut_count)
+    assert "affine_through" in _reachable_names(normalize)
+
+
+def _package_imports(module):
+    """dyhat modules imported by module, directly or through one another."""
+    src = Path(sys.modules["dyhat"].__file__).parent
+    found, todo = set(), [module]
+    while todo:
+        tree = ast.parse((src / f"{todo.pop()}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                names = [node.module]
+            elif isinstance(node, ast.ImportFrom) and node.module and node.module.startswith("dyhat."):
+                names = [node.module.split(".", 1)[1]]
+            elif isinstance(node, ast.Import):
+                names = [a.name.split(".", 1)[1] for a in node.names if a.name.startswith("dyhat.")]
+            else:
+                names = []
+            for name in set(names) - found:
+                found.add(name)
+                todo.append(name)
+    return found
+
+
+def test_oracle_does_not_import_hats():
+    imported = _package_imports("oracle")
+    assert "geometry" in imported
+    assert "hats" not in imported and "classify" not in imported

@@ -323,6 +323,52 @@ def test_render_requires_out(capsys):
     capsys.readouterr()
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize("shape, fixture", [
+    ("T 1 3 5", "render_T_1_3_5.svg"),
+    ("0,0 1/2,1/2 1,0", "render_half_triangle.svg"),
+])
+def test_render_output_is_unchanged(tmp_path, capsys, shape, fixture):
+    out = tmp_path / "out.svg"
+    assert run(["render", "--quiet", shape, "--out", str(out)]) == 0
+    assert out.read_bytes() == (FIXTURES / fixture).read_bytes()
+
+
+def test_render_wide_triangle_is_fast(tmp_path):
+    # a child process, so that a lattice loop over every integer fails the
+    # timeout instead of hanging the suite; the child times run() alone
+    out = tmp_path / "wide.svg"
+    script = (
+        "import sys, time\n"
+        "from dyhat.cli import run\n"
+        "start = time.perf_counter()\n"
+        "code = run(['render', '--quiet', '0,0 1000000000000,3 5,0', '--out', sys.argv[1]])\n"
+        "print(code, time.perf_counter() - start)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(out)], capture_output=True,
+                          text=True, env=_child_env(), timeout=20)
+    code, seconds = proc.stdout.split()
+    assert code == "0", proc.stderr
+    assert float(seconds) < 1.0
+    ET.parse(out)
+
+
+@pytest.mark.parametrize("shape", [
+    f"0,0 {'9' * 400},3 5,0",  # the float of a vertex overflows
+    f"0,0 {'9' * 308},3 -{'9' * 308},0",  # the span overflows
+    f"{'9' * 308},0 {'9' * 308},1 {'9' * 307}1,0",  # the centroid overflows
+])
+def test_render_oversized_coordinate_exits_4(tmp_path, capsys, shape):
+    out = tmp_path / "huge.svg"
+    assert run(["render", shape, "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert "too large to draw" in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- entry point
 
 

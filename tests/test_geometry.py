@@ -1,5 +1,9 @@
 """Points, unit affine maps, triangles, and boundary invariants."""
 
+import pickle
+from itertools import permutations
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -19,7 +23,9 @@ from dyhat import (
     twice_area,
     weighted_mean,
 )
+from dyhat.dyadic import common_scale
 from dyhat.errors import DegenerateTriangle, EqualPoints, NotInvertibleOverD
+from dyhat.geometry import _cross
 
 import tutil
 
@@ -180,3 +186,68 @@ def test_two_equal_boundary_entries_divide_the_third(t):
         assert r % s == 0
     if r == u:
         assert s % r == 0
+
+
+# ------------------------------------------------- stored integer coordinates
+
+
+def _collinear_triple(a, d, r, s):
+    """a, a + r*d, a + s*d: collinear, with r and s of unrelated exponents."""
+    return a, a + d.scaled(r), a + d.scaled(s)
+
+
+_any_triples = st.tuples(tutil.points, tutil.points, tutil.points)
+_collinear_triples = st.builds(
+    _collinear_triple, tutil.points, tutil.points, tutil.dyadics, tutil.dyadics
+)
+
+
+@given(st.one_of(_any_triples, _collinear_triples))
+def test_integer_collinearity_check_matches_cross(pts):
+    a, b, c = pts
+    if _cross(b - a, c - a).is_zero:
+        with pytest.raises(DegenerateTriangle, match="are collinear"):
+            Triangle(pts)
+    else:
+        Triangle(pts)
+
+
+def test_collinear_triples_with_mixed_exponents_are_rejected():
+    a = Point2(D(3, -5), D(-1, 7))
+    d = Point2(D(5, -2), D(3, 3))
+    for r, s in ((D(1, -9), D(3, 6)), (D(-7, 2), D(1, -1)), (D(5), D(0))):
+        with pytest.raises(DegenerateTriangle):
+            Triangle(_collinear_triple(a, d, r, s))
+
+
+def _assert_stored_integers_reconstruct(t):
+    for order in permutations(range(3)):
+        ints, e = t.scaled_coords(order)
+        coords = [c for k in order for c in (t.vertices[k].x, t.vertices[k].y)]
+        assert [D(n, e) for n in ints] == coords
+        assert (ints, e) == common_scale(*coords)
+
+
+@given(tutil.triangles, tutil.unit_maps)
+def test_stored_integers_reconstruct_the_vertices(t, f):
+    _assert_stored_integers_reconstruct(t)
+    _assert_stored_integers_reconstruct(t.transformed(f))
+
+
+def test_stored_integers_leave_equality_hash_repr_and_pickle_alone():
+    t = Triangle((Point2(D(3, -2), D(0)), Point2.of(5, 1), Point2(D(-7, -3), D(9, 4))))
+    assert repr(t) == (
+        "Triangle(vertices=(Point2(x=DyadicRational(3, -2), y=DyadicRational(0, 0)), "
+        "Point2(x=DyadicRational(5, 0), y=DyadicRational(1, 0)), "
+        "Point2(x=DyadicRational(-7, -3), y=DyadicRational(9, 4))))"
+    )
+    # a frozen dataclass hashes the tuple of its compared fields
+    assert hash(t) == hash((t.vertices,))
+    twin = Triangle(tuple(Point2(p.x, p.y) for p in t.vertices))
+    assert twin == t and hash(twin) == hash(t)
+    assert t != Triangle((t.vertices[1], t.vertices[0], t.vertices[2]))
+    copy = pickle.loads(pickle.dumps(t))
+    assert copy == t and hash(copy) == hash(t) and repr(copy) == repr(t)
+    assert copy.scaled_coords() == t.scaled_coords() == (
+        (6, 0, 40, 8, -7, 1152), -3
+    )
