@@ -23,13 +23,7 @@ from .hats import (
     hat_of,
     pointed_canonical,
 )
-from .oracle import (
-    CASES,
-    CORRESPONDENCES,
-    oracle_isomorphic,
-    perm_label,
-    solve_correspondence,
-)
+from .oracle import CASES, oracle_isomorphic, perm_label, realized_correspondences
 
 GROUP_ORDER = {"Trivial": 1, "C2": 2, "C3": 3, "S3": 6}
 
@@ -138,19 +132,14 @@ def automorphism_group(h: Hat) -> AutGroup:
         expected.update(_CYCLE_PERMS)
 
     tri = h.triangle()
-    witnesses = []
-    found = set()
-    for corr in CORRESPONDENCES:
-        solved = solve_correspondence(tri, tri, corr.perm)
-        if solved is not None:
-            witnesses.append((perm_label(corr.perm), solved))
-            found.add(corr.perm)
+    realized = tuple(realized_correspondences(tri, tri))
+    found = {corr.perm for corr, _ in realized}
     if found != expected:
         raise InconsistencyError(
             f"criteria and oracle disagree on {h}: criteria {sorted(expected)}, "
             f"oracle {sorted(found)}"
         )
-    return AutGroup(tag, tuple(witnesses))
+    return AutGroup(tag, tuple((perm_label(corr.perm), f) for corr, f in realized))
 
 
 def iso_case(h1: Hat, h2: Hat, case: str) -> bool:

@@ -115,6 +115,11 @@ def _is_hat_literal(text: str) -> bool:
     return bool(head) and head[0] in ("T", "TT")
 
 
+def parse_shape(text: str) -> Triangle:
+    """Parse a hat literal (as its triangle) or a triangle literal."""
+    return parse_hat(text).triangle() if _is_hat_literal(text) else parse_triangle(text)
+
+
 # ---------------------------------------------------------------- JSON shapes
 
 
@@ -245,9 +250,7 @@ def _cmd_iso(args) -> int:
     if _is_hat_literal(first) and _is_hat_literal(second):
         result = isomorphic_hats(parse_hat(first), parse_hat(second))
     else:
-        t1 = parse_hat(first).triangle() if _is_hat_literal(first) else parse_triangle(first)
-        t2 = parse_hat(second).triangle() if _is_hat_literal(second) else parse_triangle(second)
-        result = isomorphic(t1, t2)
+        result = isomorphic(parse_shape(first), parse_shape(second))
 
     if args.json:
         payload = {
@@ -313,11 +316,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    if _is_hat_literal(args.shape):
-        tri = parse_hat(args.shape).triangle()
-    else:
-        tri = parse_triangle(args.shape)
-    svg = render_svg(tri)
+    svg = render_svg(parse_shape(args.shape))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     if args.json:
@@ -371,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jmax", type=int, required=True)
     p.add_argument("--mmax", type=int, required=True)
     p.add_argument("--par", type=int, default=1, metavar="N",
-                   help="number of parallel workers (at most one per CPU)")
+                   help="number of parallel workers (at most one per CPU); "
+                        "the pool pays only on large grids, such as 63x63")
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("render", parents=[common],

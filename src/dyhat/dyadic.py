@@ -209,7 +209,6 @@ def common_scale(*values: DyadicRational) -> tuple[tuple[int, ...], int]:
     return tuple(v.num << (v.exp - e) if v.num else 0 for v in values), e
 
 
-ZERO = DyadicRational(0)
 ONE = DyadicRational(1)
 HALF = DyadicRational(1, -1)
 

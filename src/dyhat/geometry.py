@@ -7,8 +7,9 @@ units are invertible over the dyadics.
 
 A Triangle also holds its six vertex coordinates as integers times one
 common power of two, cleared once when it is built; the collinearity check,
-hats.hat_of and the oracle's solve read those integers instead of clearing
-the coordinates again.
+hats.hat_of and affine_through read those integers instead of clearing the
+coordinates again.  affine_through is the one integer Cramer solve: it
+gives hats.normalize its witness and the oracle its maps.
 """
 
 from __future__ import annotations
@@ -151,30 +152,17 @@ class AffineMap:
         return AffineMap(inv, -inv.apply(self.translation))
 
 
-def _coords(points: tuple[Point2, ...]) -> list[DyadicRational]:
-    return [c for p in points for c in (p.x, p.y)]
-
-
 def affine_through(
-    src_pts: tuple[Point2, Point2, Point2], dst_pts: tuple[Point2, Point2, Point2]
-) -> AffineMap | None:
-    """The unit affine map sending src_pts[k] to dst_pts[k], or None.
-
-    Both triples must be non-collinear; affine_through_scaled does the solve
-    once the coordinates are cleared to integers by common_scale.
-    """
-    return affine_through_scaled(common_scale(*_coords(src_pts)),
-                                 common_scale(*_coords(dst_pts)))
-
-
-def affine_through_scaled(
     src: tuple[tuple[int, ...], int], dst: tuple[tuple[int, ...], int]
 ) -> AffineMap | None:
-    """affine_through on points given as common_scale output (ints, e).
+    """The unit affine map sending source point k to target point k, or None.
 
-    Cramer's rule on the integers: an entry is dyadic exactly when the odd
-    part of the source determinant divides its numerator, and the map is a
-    unit exactly when both determinants have the same odd part up to sign.
+    Each side is three non-collinear points given as common_scale output
+    (ints, e): the flattened integers (x0, y0, x1, y1, x2, y2) and one
+    exponent, as Triangle.scaled_coords returns them.  Cramer's rule on the
+    integers: an entry is dyadic exactly when the odd part of the source
+    determinant divides its numerator, and the map is a unit exactly when
+    both determinants have the same odd part up to sign.
     """
     (ax, ay, px, py, qx, qy), src_exp = src
     (bx, by, rx, ry, sx, sy), dst_exp = dst

@@ -7,7 +7,8 @@ unit affine map, to exactly one representative hat with i odd in
 {1, 3, ..., 2j-1}; that triple encodes the pointed isomorphism class, and
 the set of triples over all six role assignments encodes the full class.
 hat_of finds that hat on integers alone; normalize also returns the witness
-map, for the callers that ask for one.
+map, for the callers that ask for one, solved by geometry.affine_through
+from the triangle's integers and the hat's.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 from .dyadic import DyadicRational, dyadic_mod_odd, egcd, odd_part, val2
 from .errors import InconsistencyError, InvalidHat
-from .geometry import ORIGIN, AffineMap, Point2, Triangle, affine_through
+from .geometry import AffineMap, Triangle, affine_through
 
 
 def _check_odd_positive(value: int, name: str) -> None:
@@ -122,10 +123,7 @@ def normalize(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> No
     through the three vertex pairs, which equals the composition of a
     translation, a Bezout matrix, rescalings, a reflection and a shear."""
     hat = hat_of(tri, roles)
-    witness = affine_through(
-        tuple(tri.vertices[k] for k in roles),
-        (ORIGIN, Point2.of(hat.i, hat.j), Point2.of(hat.m, 0)),
-    )
+    witness = affine_through(tri.scaled_coords(roles), ((0, 0, hat.i, hat.j, hat.m, 0), 0))
     if witness is None:
         raise InconsistencyError(f"no unit map carries {tri} with roles {roles} to {hat}")
     return Normalization(hat, witness)

@@ -2,19 +2,21 @@
 
 Decides whether an affine map carries one triangle onto another by solving
 the vertex correspondence equations with integer Cramer's rule
-(geometry.affine_through_scaled, on the integer coordinates each Triangle
-holds): the solved map qualifies when its entries are dyadic and its
-determinant is +-2**k.  This route shares no logic with the
+(geometry.affine_through, on the integer coordinates each Triangle holds):
+the solved map qualifies when its entries are dyadic and its determinant is
++-2**k.  realized_correspondences is the one loop over the six
+correspondences; oracle_isomorphic takes its first item and
+oracle_aut_count counts them.  This route shares no logic with the
 number-theoretic criteria or with hats.hat_of, so each side checks the
 other.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidBounds
-from .geometry import AffineMap, Point2, Triangle, affine_through_scaled, midpoint
+from .geometry import AffineMap, Point2, Triangle, affine_through, midpoint
 
 
 class Correspondence(NamedTuple):
@@ -49,26 +51,31 @@ def solve_correspondence(
 ) -> AffineMap | None:
     """The unit affine map sending vertex k of src to vertex perm[k] of dst,
     or None when that unique affine map is not a dyadic unit."""
-    return affine_through_scaled(src.scaled_coords(), dst.scaled_coords(perm))
+    return affine_through(src.scaled_coords(), dst.scaled_coords(perm))
+
+
+def realized_correspondences(
+    src: Triangle, dst: Triangle
+) -> Iterator[tuple[Correspondence, AffineMap]]:
+    """Each correspondence (in the fixed order) realized by a unit map, with
+    that map.  The solves run lazily: a caller that stops at an item leaves
+    the later correspondences unsolved."""
+    for corr in CORRESPONDENCES:
+        solved = solve_correspondence(src, dst, corr.perm)
+        if solved is not None:
+            yield corr, solved
 
 
 def oracle_isomorphic(
     src: Triangle, dst: Triangle
 ) -> tuple[Correspondence, AffineMap] | None:
     """First correspondence (in the fixed order) realized by a unit map."""
-    for corr in CORRESPONDENCES:
-        solved = solve_correspondence(src, dst, corr.perm)
-        if solved is not None:
-            return corr, solved
-    return None
+    return next(realized_correspondences(src, dst), None)
 
 
 def oracle_aut_count(tri: Triangle) -> int:
     """Number of self-correspondences realized by unit maps (1, 2, 3 or 6)."""
-    return sum(
-        solve_correspondence(tri, tri, corr.perm) is not None
-        for corr in CORRESPONDENCES
-    )
+    return sum(1 for _ in realized_correspondences(tri, tri))
 
 
 MAX_CLOSURE_DEPTH = 12

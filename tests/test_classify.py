@@ -38,6 +38,7 @@ from dyhat import (
 from dyhat.dyadic import odd_gcd
 from dyhat.errors import InconsistencyError, InvalidBounds, InvalidHat
 from dyhat.hats import hat_of
+from dyhat.oracle import realized_correspondences
 
 import tutil
 
@@ -371,7 +372,7 @@ def test_integer_boundary_matches_boundary_type_exhaustively():
                     assert aut_cycle(h) == cycle, h
 
 
-_SOLVER_NAMES = {"affine_through", "affine_through_scaled", "solve_correspondence"}
+_SOLVER_NAMES = {"affine_through", "solve_correspondence"}
 
 
 def _reachable_names(fn, seen=None):
@@ -407,8 +408,9 @@ def test_decision_routes_never_reach_the_solver(fn):
 
 
 def test_reachable_names_sees_the_solver_where_it_is_used():
-    assert "affine_through_scaled" in _reachable_names(oracle_aut_count)
+    assert "affine_through" in _reachable_names(oracle_aut_count)
     assert "affine_through" in _reachable_names(normalize)
+    assert _SOLVER_NAMES <= _reachable_names(realized_correspondences)
 
 
 def _package_imports(module):

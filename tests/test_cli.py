@@ -177,6 +177,10 @@ def test_iso_triangles_and_mixed_literals(capsys):
     assert "isomorphic (case a)" in capsys.readouterr().out
     assert run(["iso", "T 1 3 5", "0,0 5,15 1,0"]) == 0
     capsys.readouterr()
+    assert run(["iso", "0,0 5,15 1,0", "T 1 3 5"]) == 0
+    assert "isomorphic (case c)" in capsys.readouterr().out
+    assert run(["iso", "0,0 1,3 5,0", "T 3 27 21"]) == 3
+    assert "not isomorphic" in capsys.readouterr().out
 
 
 def test_iso_json_witness_maps_vertices(capsys):

@@ -207,6 +207,20 @@ def test_hat_of_matches_normalize_on_the_31_grid():
     assert took < 3.0, f"{took:.2f} s"
 
 
+def test_normalize_witness_matches_fraction_reference_on_the_grid():
+    rng = random.Random(15)
+    for j in range(1, 16, 2):
+        for m in range(1, 16, 2):
+            for i in range(1, 2 * j, 2):
+                image = Hat(i, j, m).triangle().transformed(tutil.rand_unit_map(rng))
+                for roles in permutations((0, 1, 2)):
+                    result = normalize(image, roles)
+                    # vertices[roles[k]] goes to vertex k of the hat
+                    inverse = tuple(roles.index(k) for k in range(3))
+                    want = tutil.fraction_solve(image, result.hat.triangle(), inverse)
+                    assert want is not None and result.witness == want, (i, j, m, roles)
+
+
 def test_normalize_raises_when_no_witness_exists(monkeypatch):
     monkeypatch.setattr("dyhat.hats.affine_through", lambda src, dst: None)
     with pytest.raises(InconsistencyError):

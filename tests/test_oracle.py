@@ -5,6 +5,7 @@ hand and double-checked against the solver; nothing here is copied out of
 the classification code.
 """
 
+import random
 from itertools import permutations
 
 import pytest
@@ -27,6 +28,7 @@ from dyhat import (
     solve_correspondence,
 )
 from dyhat.errors import InvalidBounds
+from dyhat.oracle import realized_correspondences
 
 import tutil
 
@@ -148,6 +150,36 @@ def test_solver_matches_fraction_reference(t, f, other):
     for perm in permutations((0, 1, 2)):
         assert solve_correspondence(t, image, perm) == tutil.fraction_solve(t, image, perm)
         assert solve_correspondence(t, other, perm) == tutil.fraction_solve(t, other, perm)
+
+
+def _solved(src, dst):
+    """The realized correspondences, one solve_correspondence call each."""
+    return [
+        (corr, solved)
+        for corr in CORRESPONDENCES
+        if (solved := solve_correspondence(src, dst, corr.perm)) is not None
+    ]
+
+
+def test_realized_correspondences_yield_the_solver_hits_in_order():
+    rng = random.Random(15)
+    pairs = 0
+    for j in range(1, 16, 2):
+        for m in range(1, 16, 2):
+            for i in range(1, 2 * j, 2):
+                t = Hat(i, j, m).triangle()
+                image = t.transformed(tutil.rand_unit_map(rng))
+                shuffled = Triangle(tuple(rng.sample(image.vertices, 3)))
+                for src, dst in ((t, t), (t, shuffled), (shuffled, t)):
+                    want = _solved(src, dst)
+                    assert want, (i, j, m)
+                    assert list(realized_correspondences(src, dst)) == want, (i, j, m)
+                    assert oracle_isomorphic(src, dst) == want[0], (i, j, m)
+                    assert oracle_aut_count(src) == len(_solved(src, src))
+                    pairs += 1
+    other = Hat(1, 3, 5).triangle()
+    assert list(realized_correspondences(Hat(1, 1, 1).triangle(), other)) == []
+    assert pairs == 3 * 512
 
 
 def test_oracle_aut_counts():
