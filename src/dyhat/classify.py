@@ -3,14 +3,15 @@
 Everything here is decided by integer divisibility criteria on hat
 parameters; witnesses and cross-checks come from the exact oracle, and the
 two routes must agree on every call (a disagreement is a defect, surfaced
-as an InconsistencyError).
+as an InconsistencyError).  The process pool is imported only when a census
+runs pooled, so the other commands never load concurrent.futures.process or
+multiprocessing.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .dyadic import odd_gcd, solve_congruence
@@ -99,6 +100,11 @@ def automorphism_group(h: Hat) -> AutGroup:
     the oracle's self-correspondence solver.  The two must agree
     permutation by permutation.
     """
+    return _automorphism_group(h, h.triangle())
+
+
+def _automorphism_group(h: Hat, tri: Triangle) -> AutGroup:
+    """automorphism_group(h) for a caller that already holds h.triangle()."""
     fix_a = aut_fix_A(h)
     fix_b = aut_fix_B(h)
     fix_c = aut_fix_C(h)
@@ -131,7 +137,6 @@ def automorphism_group(h: Hat) -> AutGroup:
     if cycle:
         expected.update(_CYCLE_PERMS)
 
-    tri = h.triangle()
     realized = tuple(realized_correspondences(tri, tri))
     found = {corr.perm for corr, _ in realized}
     if found != expected:
@@ -247,7 +252,7 @@ def _census_cell(cell: tuple[int, int]) -> CensusRow:
         tri = h.triangle()
         # run the full pipeline rather than trusting i to be canonical
         pointed.add(pointed_canonical(hat_of(tri)))
-        group = automorphism_group(h)
+        group = _automorphism_group(h, tri)
         counts[group.tag] += 1
         triples = all_encoding_triples(tri)
         canonical.add(min(triples))
@@ -279,6 +284,8 @@ def census(j_max: int, m_max: int, workers: int = 1) -> CensusReport:
     if workers == 1:
         rows = tuple(_census_cell(cell) for cell in cells)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = tuple(pool.map(_census_cell, cells))
     return CensusReport(j_max, m_max, rows)

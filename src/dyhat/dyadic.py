@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BothZero, DivisionByZero, NoSolution, NotDyadic, ZeroArgument
 
@@ -77,6 +76,8 @@ class DyadicRational:
         return cls(f.numerator, 1 - den.bit_length())
 
     def to_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         if self.exp >= 0:
             return Fraction(self.num << self.exp)
         return Fraction(self.num, 1 << -self.exp)

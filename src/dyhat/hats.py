@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import NamedTuple
 
-from .dyadic import DyadicRational, dyadic_mod_odd, egcd, odd_part, val2
+from .dyadic import egcd, odd_part, val2
 from .errors import InconsistencyError, InvalidHat
 from .geometry import AffineMap, Triangle, affine_through
 
@@ -114,7 +114,7 @@ def hat_of(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> Hat:
     g, s, t = egcd(a, b)
     m = odd_part(g)
     j = abs(odd_part((a * q - b * p) // m))
-    r = dyadic_mod_odd(DyadicRational(s * p + t * q, -val2(g)), j).value
+    r = (s * p + t * q) * pow(2, -val2(g), j) % j
     return Hat(r if r % 2 else r + j, j, m)
 
 

@@ -1,6 +1,7 @@
 """Automorphism criteria, group assembly, isomorphism cases, census."""
 
 import ast
+import concurrent.futures
 import math
 import sys
 import types
@@ -333,12 +334,13 @@ def test_census_workers_are_bounded_by_cpus(monkeypatch):
     classify = sys.modules["dyhat.classify"]
     pools = []
 
-    class SpyPool(classify.ProcessPoolExecutor):
+    # census imports the pool class when it runs pooled, so spy at its source
+    class SpyPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(classify, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
     monkeypatch.setattr(classify.os, "cpu_count", lambda: 2)
     serial = census(3, 3)
     assert pools == []

@@ -400,6 +400,64 @@ def test_installed_script():
     assert proc.stdout.strip() == "C3"
 
 
+#: Modules that only a pooled census (the first two) or to_fraction needs.
+_LAZY_MODULES = ("concurrent.futures.process", "multiprocessing", "fractions")
+
+
+def _isolated_child(script: str) -> subprocess.CompletedProcess:
+    """Run script in a fresh `python -I` interpreter; its sys.argv[1] is the
+    directory that holds this same dyhat (-I ignores PYTHONPATH)."""
+    src = str(Path(dyhat.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-I", "-c", script, src],
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("module", ["dyhat", "dyhat.cli"])
+def test_import_loads_neither_the_pool_nor_fractions(module):
+    script = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        f"import {module}\n"
+        "print(json.dumps([sorted(set(sys.modules) - before), sorted(sys.modules)]))\n"
+    )
+    proc = _isolated_child(script)
+    assert proc.returncode == 0, proc.stderr
+    added, loaded = json.loads(proc.stdout)
+    assert module in added
+    # checked against every loaded module, so none can hide in "before" either
+    assert not set(_LAZY_MODULES) & set(added)
+    assert not set(_LAZY_MODULES) & set(loaded)
+
+
+def test_pooled_census_loads_the_pool_and_matches_serial():
+    # positive control for the test above: the pool arrives with its first use
+    script = (
+        "import json, os, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from dyhat.classify import census\n"
+        "os.cpu_count = lambda: 2  # two workers even on a one-CPU host\n"
+        "serial = census(3, 3)\n"
+        "before = 'concurrent.futures.process' in sys.modules\n"
+        "pooled = census(3, 3, workers=2)\n"
+        "after = 'concurrent.futures.process' in sys.modules\n"
+        "print(json.dumps([before, after, pooled == serial]))\n"
+    )
+    proc = _isolated_child(script)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, True, True]
+
+
+def test_pooled_census_process_matches_serial():
+    command = [sys.executable, "-m", "dyhat", "census", "--jmax", "3", "--mmax", "3"]
+    serial = subprocess.run(command, capture_output=True, text=True, env=_child_env(),
+                            timeout=60)
+    pooled = subprocess.run([*command, "--par", "2"], capture_output=True, text=True,
+                            env=_child_env(), timeout=60)
+    assert serial.returncode == 0, serial.stderr
+    assert (pooled.returncode, pooled.stdout) == (serial.returncode, serial.stdout)
+
+
 def test_inconsistency_exits_5(capsys, monkeypatch):
     monkeypatch.setattr("dyhat.classify.aut_fix_B", lambda h: True)
     assert run(["aut", "1", "9", "5"]) == 5

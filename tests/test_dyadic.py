@@ -152,6 +152,13 @@ def test_dyadic_mod_odd_is_additive(x, y, k):
     assert s.value == (dyadic_mod_odd(x, n).value + dyadic_mod_odd(y, n).value) % n
 
 
+@given(st.integers(-10**30, 10**30), st.integers(0, 300), st.integers(0, 10**6))
+def test_integer_residue_matches_dyadic_mod_odd(n, k, half):
+    # the residue hat_of computes on integers, n / 2**k mod an odd j
+    j = 2 * half + 1
+    assert n * pow(2, -k, j) % j == dyadic_mod_odd(DyadicRational(n, -k), j).value
+
+
 def test_residue_validation():
     with pytest.raises(ValueError):
         Residue(0, 4)
