@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import BothZero, DivisionByZero, NoSolution, NotDyadic, ZeroArgument
 
@@ -208,6 +209,19 @@ def common_scale(*values: DyadicRational) -> tuple[tuple[int, ...], int]:
     """
     e = min((v.exp for v in values if v.num), default=0)
     return tuple(v.num << (v.exp - e) if v.num else 0 for v in values), e
+
+
+def reduce_scale(ints: Iterable[int], e: int) -> tuple[tuple[int, ...], int]:
+    """common_scale of the values ints[k] * 2**e, computed on the integers:
+    the power of two that divides all of them moves into the exponent."""
+    ints = tuple(ints)
+    g = math.gcd(*ints)
+    if g & 1:
+        return ints, e
+    if not g:
+        return ints, 0
+    v = (g & -g).bit_length() - 1
+    return tuple([n >> v for n in ints]), e + v
 
 
 ONE = DyadicRational(1)

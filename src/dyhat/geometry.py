@@ -5,20 +5,34 @@ triangle invariants (area, side types, boundary triples) that drive the
 classification.  A map is a unit when its determinant is +-2**k; exactly the
 units are invertible over the dyadics.
 
-A Triangle also holds its six vertex coordinates as integers times one
-common power of two, cleared once when it is built; the collinearity check,
-hats.hat_of and affine_through read those integers instead of clearing the
-coordinates again.  affine_through is the one integer Cramer solve: it
-gives hats.normalize its witness and the oracle its maps.
+A Triangle is stored as its six vertex coordinates in common_scale form:
+integers times one common power of two.  Triangle(vertices) clears the
+powers of two once; Triangle.from_scaled starts from the integers.  An
+AffineMap is stored the same way, its four linear entries and its two
+translation coordinates each as integers and one exponent.  Triangle.vertices
+and AffineMap.linear / .translation are Point2, Matrix2 and DyadicRational
+views, built on first access and then kept; the collinearity check,
+hats.hat_of and affine_through read the integers and build none of them.
+affine_through is the one integer Cramer solve: it gives hats.normalize its
+witness and the oracle its maps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .dyadic import DyadicRational, HALF, ONE, common_scale, odd_gcd, odd_part, val2
+from .dyadic import (
+    DyadicRational,
+    HALF,
+    ONE,
+    common_scale,
+    odd_gcd,
+    odd_part,
+    reduce_scale,
+    val2,
+)
 from .errors import DegenerateTriangle, EqualPoints, NotInvertibleOverD
 
 
@@ -110,12 +124,65 @@ class Matrix2:
         return Matrix2(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
 
-@dataclass(frozen=True)
 class AffineMap:
-    """p |-> linear @ p + translation."""
+    """p |-> linear @ p + translation.
 
-    linear: Matrix2
-    translation: Point2
+    Stored as two common_scale forms (ints, e): the linear entries
+    (a, b, c, d) and the translation (x, y).  linear and translation are
+    views built on first access.  Equality compares the integers; hash,
+    repr and pickling are those of a frozen dataclass of (linear,
+    translation).
+    """
+
+    __slots__ = ("_scaled", "_linear", "_translation")
+
+    def __init__(self, linear: Matrix2, translation: Point2):
+        self._scaled = (
+            common_scale(linear.a, linear.b, linear.c, linear.d),
+            common_scale(translation.x, translation.y),
+        )
+        self._linear = linear
+        self._translation = translation
+
+    @classmethod
+    def from_scaled(
+        cls, linear: tuple[Iterable[int], int], translation: tuple[Iterable[int], int]
+    ) -> "AffineMap":
+        """The map with entries n[k] * 2**e for (n, e) = linear and
+        translation; any power of two common to a group's integers moves
+        into its exponent."""
+        f = cls.__new__(cls)
+        f._scaled = (reduce_scale(*linear), reduce_scale(*translation))
+        f._linear = f._translation = None
+        return f
+
+    @property
+    def linear(self) -> Matrix2:
+        if self._linear is None:
+            n, e = self._scaled[0]
+            self._linear = Matrix2(*(DyadicRational(k, e) for k in n))
+        return self._linear
+
+    @property
+    def translation(self) -> Point2:
+        if self._translation is None:
+            (x, y), e = self._scaled[1]
+            self._translation = Point2(DyadicRational(x, e), DyadicRational(y, e))
+        return self._translation
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._scaled == other._scaled
+
+    def __hash__(self):
+        return hash((self.linear, self.translation))
+
+    def __repr__(self) -> str:
+        return f"AffineMap(linear={self.linear!r}, translation={self.translation!r})"
+
+    def __reduce__(self):
+        return self.from_scaled, self._scaled
 
     @staticmethod
     def identity() -> "AffineMap":
@@ -172,39 +239,78 @@ def affine_through(
     odd = odd_part(det)
     if odd_part(w1x * w2y - w1y * w2x) not in (odd, -odd):
         return None
-    nums = (w1x * u2y - w2x * u1y, w2x * u1x - w1x * u2x,
-            w1y * u2y - w2y * u1y, w2y * u1x - w1y * u2x)
-    if any(n % odd for n in nums):
+    na, nb = w1x * u2y - w2x * u1y, w2x * u1x - w1x * u2x
+    nc, nd = w1y * u2y - w2y * u1y, w2y * u1x - w1y * u2x
+    if na % odd or nb % odd or nc % odd or nd % odd:
         return None
-    a, b, c, d = (n // odd for n in nums)
+    a, b, c, d = na // odd, nb // odd, nc // odd, nd // odd
     v = val2(det)
-    exp = dst_exp - src_exp - v
-    # linear is (a, b, c, d) * 2**exp, so the translation t0 - linear(s0)
-    # is an integer pair times 2**(dst_exp - v)
-    shift = Point2(DyadicRational((bx << v) - a * ax - b * ay, dst_exp - v),
-                   DyadicRational((by << v) - c * ax - d * ay, dst_exp - v))
-    return AffineMap(Matrix2(*(DyadicRational(n, exp) for n in (a, b, c, d))), shift)
+    # linear is (a, b, c, d) * 2**(dst_exp - src_exp - v), so the translation
+    # t0 - linear(s0) is an integer pair times 2**(dst_exp - v)
+    return AffineMap.from_scaled(
+        ((a, b, c, d), dst_exp - src_exp - v),
+        (((bx << v) - a * ax - b * ay, (by << v) - c * ax - d * ay), dst_exp - v),
+    )
 
 
-@dataclass(frozen=True)
 class Triangle:
     """Three non-collinear dyadic vertices; degeneracy is rejected here.
 
-    The six coordinates are also held as integers n and one exponent e with
-    coordinate k == n[k] * 2**e (common_scale, run once here); that field
-    takes no part in equality, hashing or repr.
+    Stored as integers n and one exponent e with coordinate k ==
+    n[k] * 2**e, in the order (x0, y0, x1, y1, x2, y2): the common_scale of
+    the coordinates.  vertices is a view built on first access.  Equality
+    compares the integers; hash, repr and pickling are those of a frozen
+    dataclass of vertices.
     """
 
-    vertices: tuple[Point2, Point2, Point2]
-    _scaled: tuple[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("_scaled", "_vertices")
 
-    def __post_init__(self):
-        a, b, c = self.vertices
-        scaled = common_scale(a.x, a.y, b.x, b.y, c.x, c.y)
-        (ax, ay, bx, by, cx, cy), _ = scaled
+    def __init__(self, vertices: tuple[Point2, Point2, Point2]):
+        a, b, c = vertices
+        self._scaled = common_scale(a.x, a.y, b.x, b.y, c.x, c.y)
+        self._vertices = vertices
+        self._reject_collinear()
+
+    @classmethod
+    def from_scaled(cls, ints: Iterable[int], e: int) -> "Triangle":
+        """The triangle with coordinates ints[k] * 2**e, in the order
+        (x0, y0, x1, y1, x2, y2); equal to Triangle(vertices) for those
+        vertices, without building them."""
+        t = cls.__new__(cls)
+        t._scaled = reduce_scale(ints, e)
+        t._vertices = None
+        t._reject_collinear()
+        return t
+
+    def _reject_collinear(self) -> None:
+        (ax, ay, bx, by, cx, cy), _ = self._scaled
         if (bx - ax) * (cy - ay) == (by - ay) * (cx - ax):
+            a, b, c = self.vertices
             raise DegenerateTriangle(f"vertices {a}, {b}, {c} are collinear")
-        object.__setattr__(self, "_scaled", scaled)
+
+    @property
+    def vertices(self) -> tuple[Point2, Point2, Point2]:
+        if self._vertices is None:
+            n, e = self._scaled
+            self._vertices = tuple(
+                Point2(DyadicRational(n[k], e), DyadicRational(n[k + 1], e))
+                for k in (0, 2, 4)
+            )
+        return self._vertices
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._scaled == other._scaled
+
+    def __hash__(self):
+        return hash((self.vertices,))
+
+    def __repr__(self) -> str:
+        return f"Triangle(vertices={self.vertices!r})"
+
+    def __reduce__(self):
+        return self.from_scaled, self._scaled
 
     def scaled_coords(
         self, order: tuple[int, int, int] = (0, 1, 2)
@@ -213,8 +319,9 @@ class Triangle:
         flattened, with the common exponent: the common_scale of those
         coordinates."""
         n, e = self._scaled
-        i, j, k = (2 * r for r in order)
-        return (n[i], n[i + 1], n[j], n[j + 1], n[k], n[k + 1]), e
+        i, j, k = order
+        return (n[2 * i], n[2 * i + 1], n[2 * j], n[2 * j + 1],
+                n[2 * k], n[2 * k + 1]), e
 
     @staticmethod
     def of(a, b, c) -> "Triangle":

@@ -8,7 +8,10 @@ unit affine map, to exactly one representative hat with i odd in
 the set of triples over all six role assignments encodes the full class.
 hat_of finds that hat on integers alone; normalize also returns the witness
 map, for the callers that ask for one, solved by geometry.affine_through
-from the triangle's integers and the hat's.
+from the triangle's integers and the hat's.  Hat.triangle builds its
+triangle with Triangle.from_scaled, and the witness is stored as integers
+too: no DyadicRational is built until a caller reads the vertices or the
+witness's linear part or translation.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ class Hat:
         return self.i % 2 != 0
 
     def triangle(self) -> Triangle:
-        return Triangle.of((0, 0), (self.i, self.j), (self.m, 0))
+        return Triangle.from_scaled((0, 0, self.i, self.j, self.m, 0), 0)
 
 
 @dataclass(frozen=True)

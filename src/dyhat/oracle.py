@@ -6,9 +6,10 @@ the vertex correspondence equations with integer Cramer's rule
 the solved map qualifies when its entries are dyadic and its determinant is
 +-2**k.  realized_correspondences is the one loop over the six
 correspondences; oracle_isomorphic takes its first item and
-oracle_aut_count counts them.  This route shares no logic with the
-number-theoretic criteria or with hats.hat_of, so each side checks the
-other.
+oracle_aut_count counts them.  A solved map is stored as integers
+(AffineMap.from_scaled); its linear part and translation are built only
+when read.  This route shares no logic with the number-theoretic criteria
+or with hats.hat_of, so each side checks the other.
 """
 
 from __future__ import annotations

@@ -2,10 +2,12 @@
 
 import ast
 import concurrent.futures
+import hashlib
 import math
+import random
 import sys
 import types
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -34,11 +36,13 @@ from dyhat import (
     isomorphic_hats,
     normalize,
     oracle_aut_count,
+    oracle_isomorphic,
     twice_area,
 )
 from dyhat.dyadic import odd_gcd
 from dyhat.errors import InconsistencyError, InvalidBounds, InvalidHat
 from dyhat.hats import hat_of
+from dyhat import oracle
 from dyhat.oracle import realized_correspondences
 
 import tutil
@@ -319,6 +323,61 @@ def test_census_counts_a_three_cycle_cell():
 
 def test_census_parallel_matches_serial():
     assert census(5, 5, workers=2) == census(5, 5)
+
+
+def test_census_builds_no_dyadic_rational_and_skips_no_solve(monkeypatch):
+    built = []
+    init = DyadicRational.__init__
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    solves = []
+    solve = oracle.affine_through
+
+    def counted_solve(src, dst):
+        solves.append(solve(src, dst))
+        return solves[-1]
+
+    monkeypatch.setattr(DyadicRational, "__init__", counted_init)
+    monkeypatch.setattr(oracle, "affine_through", counted_solve)
+    assert census(15, 15).ok
+    assert built == []
+    # six correspondence solves per hat, and as many hits as before
+    assert len(solves) == 6 * 512
+    assert sum(f is not None for f in solves) == 666
+    # positive control: reading a witness's views does build dyadics
+    normalize(Hat(5, 15, 1).triangle()).witness.linear
+    assert len(built) == 4
+
+
+#: sha256 of the reprs below, recorded before Triangle and AffineMap were
+#: stored as integers (when both held DyadicRational coordinates).
+GRID_DIGEST = "da87552da372a8e1eb36e3620aebb6e7b6eb2a97351460658d823947049e79a7"
+
+
+def test_results_on_the_15_grid_are_unchanged():
+    """normalize (six roles), automorphism_group (odd i), oracle_isomorphic
+    both ways against a seeded unit-map image with shuffled vertices, for
+    every i in -2j..4j and j, m <= 15, then census(15, 15)."""
+    digest = hashlib.sha256()
+    rng = random.Random(6)
+    for j in range(1, 16, 2):
+        for m in range(1, 16, 2):
+            for i in range(-2 * j, 4 * j + 1):
+                hat = Hat(i, j, m)
+                t = hat.triangle()
+                for roles in permutations(range(3)):
+                    digest.update(repr(normalize(t, roles)).encode())
+                if i % 2:
+                    digest.update(repr(automorphism_group(hat)).encode())
+                image = t.transformed(tutil.rand_unit_map(rng))
+                shuffled = Triangle(tuple(rng.sample(image.vertices, 3)))
+                digest.update(repr(oracle_isomorphic(t, shuffled)).encode())
+                digest.update(repr(oracle_isomorphic(shuffled, t)).encode())
+    digest.update(repr(census(15, 15)).encode())
+    assert digest.hexdigest() == GRID_DIGEST
 
 
 def test_census_bounds_validation():

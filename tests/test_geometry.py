@@ -251,3 +251,31 @@ def test_stored_integers_leave_equality_hash_repr_and_pickle_alone():
     assert copy.scaled_coords() == t.scaled_coords() == (
         (6, 0, 40, 8, -7, 1152), -3
     )
+
+
+def _assert_same_triangle(u, t):
+    assert u == t and hash(u) == hash(t) and repr(u) == repr(t)
+    for order in permutations(range(3)):
+        assert u.scaled_coords(order) == t.scaled_coords(order)
+
+
+@given(tutil.triangles, tutil.unit_maps)
+def test_from_scaled_matches_the_vertex_constructor(t, f):
+    for tri in (t, t.transformed(f)):
+        built = Triangle.from_scaled(*tri.scaled_coords())
+        _assert_same_triangle(built, tri)
+        _assert_same_triangle(pickle.loads(pickle.dumps(built)), tri)
+        # a power of two left on the integers moves into the exponent
+        ints, e = tri.scaled_coords()
+        _assert_same_triangle(Triangle.from_scaled([n << 3 for n in ints], e - 3), tri)
+
+
+def test_from_scaled_rejects_collinear_integers_like_the_vertex_constructor():
+    pts = (Point2.of(0, 0), Point2(D(1, -1), D(3, -2)), Point2.of(2, 3))
+    with pytest.raises(DegenerateTriangle) as by_vertices:
+        Triangle(pts)
+    with pytest.raises(DegenerateTriangle) as by_integers:
+        Triangle.from_scaled((0, 0, 2, 3, 8, 12), -2)
+    assert str(by_integers.value) == str(by_vertices.value)
+    with pytest.raises(DegenerateTriangle):
+        Triangle.from_scaled((0,) * 6, 5)

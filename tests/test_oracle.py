@@ -5,6 +5,7 @@ hand and double-checked against the solver; nothing here is copied out of
 the classification code.
 """
 
+import pickle
 import random
 from itertools import permutations
 
@@ -222,3 +223,18 @@ def test_closure_sample_fixpoint_and_bounds():
         closure_sample(single, 13)
     with pytest.raises(InvalidBounds):
         closure_sample(single, -1)
+
+
+@given(tutil.triangles, tutil.unit_maps)
+def test_solved_maps_match_maps_built_from_their_views(t, f):
+    image = t.transformed(f)
+    for perm in permutations((0, 1, 2)):
+        solved = solve_correspondence(t, image, perm)
+        if solved is None:
+            continue
+        copy = pickle.loads(pickle.dumps(solved))
+        twin = AffineMap(solved.linear, solved.translation)
+        for g in (copy, twin, pickle.loads(pickle.dumps(twin))):
+            assert g == solved and hash(g) == hash(solved) and repr(g) == repr(solved)
+            assert [g(p) for p in t.vertices] == [solved(p) for p in t.vertices]
+        assert [solved(p) for p in t.vertices] == [image.vertices[k] for k in perm]
