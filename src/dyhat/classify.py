@@ -32,7 +32,7 @@ GROUP_TAGS = tuple(GROUP_ORDER)
 
 
 def _require_representative(h: Hat) -> None:
-    if h.i % 2 == 0:
+    if not h.is_representative:
         raise InvalidHat(f"criteria require a representative hat (odd i), got i={h.i}")
 
 
@@ -65,7 +65,7 @@ def aut_cycle(h: Hat) -> bool:
     for k = i/m, l = j/m."""
     _require_representative(h)
     i, j, m = h.i, h.j, h.m
-    # boundary_type of (0,0), (i,j), (m,0) is (odd_gcd(i, j), odd_gcd(m - i, j), m)
+    # the side types of (0,0), (i,j), (m,0) are (odd_gcd(i, j), odd_gcd(m - i, j), m)
     if odd_gcd(i, j) != m or odd_gcd(m - i, j) != m:
         return False
     k = i // m

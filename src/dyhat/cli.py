@@ -19,7 +19,7 @@ from itertools import permutations
 from .classify import automorphism_group, census, isomorphic, isomorphic_hats
 from .dyadic import DyadicRational
 from .errors import DomainError, InconsistencyError, InvalidHat, NotDyadic, ParseError
-from .geometry import AffineMap, Matrix2, Point2, Triangle
+from .geometry import AffineMap, Point2, Triangle
 from .hats import EncodingTriple, Hat, canonical_form, normalize, pointed_canonical
 from .render import render_svg
 
@@ -91,9 +91,10 @@ def parse_hat(text: str) -> Hat:
         i, j, m = (int(t) for t in tokens[1:])
     except ValueError:
         raise ParseError(f"hat parameters must be integers in {text!r}") from None
-    if tokens[0] == "T" and i % 2 == 0:
+    hat = Hat(i, j, m)
+    if tokens[0] == "T" and not hat.is_representative:
         raise InvalidHat(f"representative hat literal needs odd i, got {i}")
-    return Hat(i, j, m)
+    return hat
 
 
 def parse_triangle(text: str) -> Triangle:
@@ -127,16 +128,8 @@ def hat_json(h: Hat) -> dict:
     return {"i": h.i, "j": h.j, "m": h.m}
 
 
-def hat_from_json(obj: dict) -> Hat:
-    return Hat(obj["i"], obj["j"], obj["m"])
-
-
 def triple_json(t: EncodingTriple) -> list[int]:
     return [t.i, t.j, t.m]
-
-
-def triple_from_json(arr: list[int]) -> EncodingTriple:
-    return EncodingTriple(*arr)
 
 
 def map_json(f: AffineMap) -> dict:
@@ -151,15 +144,6 @@ def map_json(f: AffineMap) -> dict:
             format_dyadic(f.translation.y),
         ],
     }
-
-
-def map_from_json(obj: dict) -> AffineMap:
-    (a, b), (c, d) = obj["linear"]
-    x, y = obj["translation"]
-    return AffineMap(
-        Matrix2(parse_dyadic(a), parse_dyadic(b), parse_dyadic(c), parse_dyadic(d)),
-        Point2(parse_dyadic(x), parse_dyadic(y)),
-    )
 
 
 def aut_json(group) -> dict:
@@ -230,8 +214,6 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_aut(args) -> int:
-    if args.i % 2 == 0:
-        raise InvalidHat(f"i must be odd for a representative hat, got {args.i}")
     group = automorphism_group(Hat(args.i, args.j, args.m))
     if args.json:
         print(json.dumps({"aut": aut_json(group)}))

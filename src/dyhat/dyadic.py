@@ -69,27 +69,12 @@ class DyadicRational:
             self.num = num >> k
             self.exp = exp + k
 
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "DyadicRational":
-        den = f.denominator
-        if den & (den - 1):
-            raise NotDyadic(f"{f} has a denominator that is not a power of two")
-        return cls(f.numerator, 1 - den.bit_length())
-
     def to_fraction(self) -> Fraction:
         from fractions import Fraction
 
         if self.exp >= 0:
             return Fraction(self.num << self.exp)
         return Fraction(self.num, 1 << -self.exp)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num == 0
-
-    @property
-    def sign(self) -> int:
-        return (self.num > 0) - (self.num < 0)
 
     def __bool__(self) -> bool:
         return self.num != 0
@@ -158,34 +143,6 @@ class DyadicRational:
             raise NotDyadic(f"{self!r} / {other!r} is not a dyadic rational")
         return DyadicRational(self.num // other.num, self.exp - other.exp)
 
-    def _cmp(self, other) -> int:
-        d = self - other
-        return d.sign
-
-    def __lt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp(other) >= 0
-
     def __float__(self) -> float:
         return self.num * 2.0 ** self.exp
 
@@ -224,10 +181,6 @@ def reduce_scale(ints: Iterable[int], e: int) -> tuple[tuple[int, ...], int]:
     return tuple([n >> v for n in ints]), e + v
 
 
-ONE = DyadicRational(1)
-HALF = DyadicRational(1, -1)
-
-
 @dataclass(frozen=True)
 class Residue:
     """A residue class value + modulus*Z with an odd positive modulus."""
@@ -240,9 +193,6 @@ class Residue:
             raise ValueError("modulus must be an odd positive integer")
         if not 0 <= self.value < self.modulus:
             raise ValueError("residue value must lie in [0, modulus)")
-
-    def contains(self, x: int) -> bool:
-        return (x - self.value) % self.modulus == 0
 
 
 def solve_congruence(a: int, b: int, n: int) -> Residue:
@@ -259,13 +209,3 @@ def solve_congruence(a: int, b: int, n: int) -> Residue:
     m = n // g
     x = pow(a // g, -1, m) * ((b // g) % m) % m
     return Residue(x, m)
-
-
-def dyadic_mod_odd(d: DyadicRational, n: int) -> Residue:
-    """Image of a dyadic rational in Z/nZ for odd positive n.
-
-    2 is invertible mod n, so num * 2**exp reduces even for negative exp.
-    """
-    if n <= 0 or n % 2 == 0:
-        raise ValueError("modulus must be an odd positive integer")
-    return Residue(d.num * pow(2, d.exp, n) % n, n)

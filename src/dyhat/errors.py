@@ -29,14 +29,6 @@ class NoSolution(DomainError):
     """The linear congruence has no solution."""
 
 
-class EqualPoints(DomainError):
-    """Two distinct points are required."""
-
-
-class NotInvertibleOverD(DomainError):
-    """The map has no inverse with dyadic entries."""
-
-
 class DegenerateTriangle(DomainError):
     """The three vertices are collinear (or not distinct)."""
 

@@ -1,9 +1,8 @@
 """Exact planar geometry over the dyadic rationals.
 
-Points, 2x2 matrices and affine maps with entries in Z[1/2], plus the
-triangle invariants (area, side types, boundary triples) that drive the
-classification.  A map is a unit when its determinant is +-2**k; exactly the
-units are invertible over the dyadics.
+Points, 2x2 matrices, affine maps and triangles with entries in Z[1/2].  A
+map is a unit when its determinant is +-2**k; exactly the units are
+invertible over the dyadics.
 
 A Triangle is stored as its six vertex coordinates in common_scale form:
 integers times one common power of two.  Triangle(vertices) clears the
@@ -20,20 +19,10 @@ witness and the oracle its maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
-from .dyadic import (
-    DyadicRational,
-    HALF,
-    ONE,
-    common_scale,
-    odd_gcd,
-    odd_part,
-    reduce_scale,
-    val2,
-)
-from .errors import DegenerateTriangle, EqualPoints, NotInvertibleOverD
+from .dyadic import DyadicRational, common_scale, odd_part, reduce_scale, val2
+from .errors import DegenerateTriangle
 
 
 def _dy(value) -> DyadicRational:
@@ -52,33 +41,6 @@ class Point2:
     def __add__(self, other: "Point2") -> "Point2":
         return Point2(self.x + other.x, self.y + other.y)
 
-    def __sub__(self, other: "Point2") -> "Point2":
-        return Point2(self.x - other.x, self.y - other.y)
-
-    def __neg__(self) -> "Point2":
-        return Point2(-self.x, -self.y)
-
-    def scaled(self, r) -> "Point2":
-        r = _dy(r)
-        return Point2(self.x * r, self.y * r)
-
-
-ORIGIN = Point2.of(0, 0)
-
-
-def weighted_mean(a: Point2, b: Point2, r: DyadicRational) -> Point2:
-    """The affine combination a*(1-r) + b*r."""
-    r = _dy(r)
-    return a.scaled(ONE - r) + b.scaled(r)
-
-
-def midpoint(a: Point2, b: Point2) -> Point2:
-    return weighted_mean(a, b, HALF)
-
-
-def _cross(u: Point2, v: Point2) -> DyadicRational:
-    return u.x * v.y - u.y * v.x
-
 
 @dataclass(frozen=True)
 class Matrix2:
@@ -88,14 +50,6 @@ class Matrix2:
     b: DyadicRational
     c: DyadicRational
     d: DyadicRational
-
-    @staticmethod
-    def of(a, b, c, d) -> "Matrix2":
-        return Matrix2(_dy(a), _dy(b), _dy(c), _dy(d))
-
-    @staticmethod
-    def identity() -> "Matrix2":
-        return Matrix2.of(1, 0, 0, 1)
 
     def det(self) -> DyadicRational:
         return self.a * self.d - self.b * self.c
@@ -114,14 +68,6 @@ class Matrix2:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def invert(self) -> "Matrix2":
-        det = self.det()
-        if abs(det.num) != 1:
-            raise NotInvertibleOverD(
-                f"determinant {det!r} is not +-2**k, no dyadic inverse"
-            )
-        return Matrix2(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
 
 class AffineMap:
@@ -184,18 +130,6 @@ class AffineMap:
     def __reduce__(self):
         return self.from_scaled, self._scaled
 
-    @staticmethod
-    def identity() -> "AffineMap":
-        return AffineMap(Matrix2.identity(), ORIGIN)
-
-    @staticmethod
-    def from_linear(m: Matrix2) -> "AffineMap":
-        return AffineMap(m, ORIGIN)
-
-    @staticmethod
-    def from_translation(t: Point2) -> "AffineMap":
-        return AffineMap(Matrix2.identity(), t)
-
     def apply(self, p: Point2) -> Point2:
         return self.linear.apply(p) + self.translation
 
@@ -208,15 +142,8 @@ class AffineMap:
             self.linear.apply(other.translation) + self.translation,
         )
 
-    def det(self) -> DyadicRational:
-        return self.linear.det()
-
     def is_unit(self) -> bool:
         return self.linear.is_unit()
-
-    def invert(self) -> "AffineMap":
-        inv = self.linear.invert()
-        return AffineMap(inv, -inv.apply(self.translation))
 
 
 def affine_through(
@@ -331,59 +258,6 @@ class Triangle:
         return Triangle((pt(a), pt(b), pt(c)))
 
     def transformed(self, f: AffineMap) -> "Triangle":
+        """The triangle with vertices f(a), f(b), f(c)."""
         a, b, c = self.vertices
         return Triangle((f.apply(a), f.apply(b), f.apply(c)))
-
-
-def twice_area(t: Triangle) -> DyadicRational:
-    """Absolute cross product of two edge vectors (twice the area)."""
-    a, b, c = t.vertices
-    return abs(_cross(b - a, c - a))
-
-
-def segment_type(p: Point2, q: Point2) -> int:
-    """Odd positive type of the segment from p to q.
-
-    Clear the common power of two from q - p, then take the odd gcd of the
-    resulting integer pair.
-    """
-    if p == q:
-        raise EqualPoints("segment endpoints must differ")
-    d = q - p
-    (a, b), _ = common_scale(d.x, d.y)
-    return odd_gcd(a, b)
-
-
-class BoundaryType(NamedTuple):
-    """Side types of the three edges (AB, BC, CA)."""
-
-    r: int
-    s: int
-    t: int
-
-
-def boundary_type(tri: Triangle) -> BoundaryType:
-    a, b, c = tri.vertices
-    return BoundaryType(segment_type(a, b), segment_type(b, c), segment_type(c, a))
-
-
-def is_valid_boundary_triple(r: int, s: int, t: int) -> bool:
-    """Whether the three pairwise gcds agree (realizable boundary triples)."""
-    return gcd(r, s) == gcd(s, t) == gcd(r, t)
-
-
-def boundary_types_equivalent(u: BoundaryType, v: BoundaryType) -> bool:
-    """Equality up to cyclic rotation and orientation reversal."""
-    r, s, t = u
-    forward = {(r, s, t), (s, t, r), (t, r, s)}
-    return tuple(v) in forward or tuple(reversed(v)) in forward
-
-
-def contains(tri: Triangle, p: Point2) -> bool:
-    """Whether p lies in the closed triangle, boundary included."""
-    a, b, c = tri.vertices
-    d1 = _cross(b - a, p - a).sign
-    d2 = _cross(c - b, p - b).sign
-    d3 = _cross(a - c, p - c).sign
-    signs = {d1, d2, d3}
-    return not (1 in signs and -1 in signs)

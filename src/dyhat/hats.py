@@ -66,17 +66,9 @@ class EncodingTriple:
                 f"i must be odd in 1..{2 * self.j - 1}, got {self.i}"
             )
 
-    def hat(self) -> Hat:
-        return Hat(self.i, self.j, self.m)
-
     def __lt__(self, other: "EncodingTriple") -> bool:
         # canonical order: lexicographic on (j, m, i)
         return (self.j, self.m, self.i) < (other.j, other.m, other.i)
-
-
-def kappa(h: Hat) -> Hat:
-    """The involution (i, j, m) -> (m - i, j, m); flips the parity of i."""
-    return Hat(h.m - h.i, h.j, h.m)
 
 
 def pointed_canonical(h: Hat) -> EncodingTriple:
@@ -85,7 +77,7 @@ def pointed_canonical(h: Hat) -> EncodingTriple:
     Odd i moves by multiples of 2j; even i passes through i + j first.
     """
     two_j = 2 * h.j
-    if h.i % 2:
+    if h.is_representative:
         return EncodingTriple(h.i % two_j, h.j, h.m)
     return EncodingTriple((h.i + h.j) % two_j, h.j, h.m)
 

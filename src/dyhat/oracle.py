@@ -5,19 +5,17 @@ the vertex correspondence equations with integer Cramer's rule
 (geometry.affine_through, on the integer coordinates each Triangle holds):
 the solved map qualifies when its entries are dyadic and its determinant is
 +-2**k.  realized_correspondences is the one loop over the six
-correspondences; oracle_isomorphic takes its first item and
-oracle_aut_count counts them.  A solved map is stored as integers
-(AffineMap.from_scaled); its linear part and translation are built only
-when read.  This route shares no logic with the number-theoretic criteria
+correspondences, and oracle_isomorphic takes its first item.  A solved map
+is stored as integers (AffineMap.from_scaled); its linear part and
+translation are built only when read.  This route shares no logic with the number-theoretic criteria
 or with hats.hat_of, so each side checks the other.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
-from .errors import InvalidBounds
-from .geometry import AffineMap, Point2, Triangle, affine_through, midpoint
+from .geometry import AffineMap, Triangle, affine_through
 
 
 class Correspondence(NamedTuple):
@@ -72,26 +70,3 @@ def oracle_isomorphic(
 ) -> tuple[Correspondence, AffineMap] | None:
     """First correspondence (in the fixed order) realized by a unit map."""
     return next(realized_correspondences(src, dst), None)
-
-
-def oracle_aut_count(tri: Triangle) -> int:
-    """Number of self-correspondences realized by unit maps (1, 2, 3 or 6)."""
-    return sum(1 for _ in realized_correspondences(tri, tri))
-
-
-MAX_CLOSURE_DEPTH = 12
-
-
-def closure_sample(points: Iterable[Point2], depth: int) -> frozenset[Point2]:
-    """Close a point set under pairwise midpoints, depth rounds."""
-    if not 0 <= depth <= MAX_CLOSURE_DEPTH:
-        raise InvalidBounds(f"depth must be between 0 and {MAX_CLOSURE_DEPTH}")
-    current = set(points)
-    for _ in range(depth):
-        grown = current | {
-            midpoint(p, q) for p in current for q in current if p != q
-        }
-        if grown == current:
-            break
-        current = grown
-    return frozenset(current)

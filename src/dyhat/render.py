@@ -12,6 +12,7 @@ from .errors import DomainError
 from .geometry import Triangle
 
 _TARGET = 480.0  # px for the larger bounding-box dimension
+_LABELS = ("A", "B", "C")
 _TOO_LARGE = "a coordinate is too large to draw as a float"
 
 
@@ -19,7 +20,7 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}".rstrip("0").rstrip(".")
 
 
-def render_svg(tri: Triangle, labels: tuple[str, str, str] = ("A", "B", "C")) -> str:
+def render_svg(tri: Triangle) -> str:
     """Triangle with lattice guides, axes, ticks and labeled vertices."""
     try:
         pts = [(float(p.x), float(p.y)) for p in tri.vertices]
@@ -123,7 +124,7 @@ def render_svg(tri: Triangle, labels: tuple[str, str, str] = ("A", "B", "C")) ->
     )
 
     # vertices and their labels, pushed away from the centroid
-    for (x, y), label in zip(pts, labels):
+    for (x, y), label in zip(pts, _LABELS):
         parts.append(
             f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="3.5" fill="#113355"/>'
         )

@@ -1,0 +1,79 @@
+"""The public API: what dyhat exports, what the benchmark looks up, and
+that the package holds no code that only the tests reach."""
+
+import importlib
+import importlib.util
+import pkgutil
+import re
+import types
+from pathlib import Path
+
+import dyhat
+import dyhat.cli
+
+from tutil import _reachable_names
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _library_section() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _public_names() -> set[str]:
+    return {
+        name for name, value in vars(dyhat).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+
+
+def test_exports_are_the_readme_library_list():
+    listed = _library_section().split("```", 1)[0]
+    items = [line for line in listed.splitlines() if line.startswith("- ")]
+    assert set(re.findall(r"`(\w+)`", "\n".join(items))) == _public_names()
+
+
+def test_readme_library_example_runs():
+    example = re.search(r"```python\n(.*?)```", _library_section(), re.S).group(1)
+    exec(compile(example, "README.md", "exec"), {})
+
+
+def test_benchmark_tracer_targets_resolve():
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attr in [*tracer.SPAN_TARGETS.values(), *tracer.COUNT_FUNCTIONS.values()]:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+    for module, cls_name, methods in tracer.COUNT_METHODS.values():
+        cls = getattr(importlib.import_module(module), cls_name)
+        for method in methods:
+            # the counting pass swaps the class's own attribute
+            assert callable(cls.__dict__.get(method)), (cls_name, method)
+
+
+#: Reached only from outside the package: the console-script entry point.
+_ENTRY_POINTS = {("dyhat.cli", "main")}
+
+
+def test_every_function_and_class_is_reached_from_the_cli_or_an_export():
+    seen, reached = set(), _public_names() | {"run"}
+    roots = [dyhat.cli.run]
+    for name in _public_names():
+        value = getattr(dyhat, name)
+        members = vars(value).values() if isinstance(value, type) else [value]
+        roots += [m.__func__ if isinstance(m, (staticmethod, classmethod)) else m
+                  for m in members]
+    for root in roots:
+        if isinstance(root, types.FunctionType):
+            reached |= _reachable_names(root, seen)
+    unreached = []
+    for info in pkgutil.iter_modules(dyhat.__path__):
+        module = importlib.import_module(f"dyhat.{info.name}")
+        for name, value in vars(module).items():
+            if (isinstance(value, (type, types.FunctionType))
+                    and value.__module__ == module.__name__
+                    and name not in reached
+                    and (module.__name__, name) not in _ENTRY_POINTS):
+                unreached.append(f"{module.__name__}.{name}")
+    assert unreached == []

@@ -6,7 +6,6 @@ import hashlib
 import math
 import random
 import sys
-import types
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -14,30 +13,24 @@ import pytest
 from hypothesis import given, settings
 
 from dyhat import (
-    GROUP_ORDER,
-    AffineMap,
     DyadicRational,
-    EncodingTriple,
     Hat,
-    Matrix2,
-    Point2,
     Triangle,
     all_encoding_triples,
+    automorphism_group,
+    census,
+    isomorphic,
+    isomorphic_hats,
+    normalize,
+    oracle_isomorphic,
+)
+from dyhat.classify import (
+    GROUP_ORDER,
     aut_cycle,
     aut_fix_A,
     aut_fix_B,
     aut_fix_C,
-    automorphism_group,
-    boundary_type,
-    boundary_types_equivalent,
-    census,
     iso_case,
-    isomorphic,
-    isomorphic_hats,
-    normalize,
-    oracle_aut_count,
-    oracle_isomorphic,
-    twice_area,
 )
 from dyhat.dyadic import odd_gcd
 from dyhat.errors import InconsistencyError, InvalidBounds, InvalidHat
@@ -46,6 +39,14 @@ from dyhat import oracle
 from dyhat.oracle import realized_correspondences
 
 import tutil
+from reference import (
+    IDENTITY,
+    boundary_type,
+    boundary_types_equivalent,
+    oracle_aut_count,
+    twice_area,
+)
+from tutil import _reachable_names
 
 D = DyadicRational
 
@@ -122,7 +123,7 @@ def test_group_witnesses_permute_vertices_as_labeled():
 
 def test_trivial_group_witness_is_identity():
     group = automorphism_group(Hat(1, 9, 5))
-    assert group.witnesses == (("ABC", AffineMap.identity()),)
+    assert group.witnesses == (("ABC", IDENTITY),)
 
 
 def test_lying_criterion_raises_inconsistency(monkeypatch):
@@ -196,7 +197,7 @@ def test_isomorphic_on_self_gives_identity_witness():
     t = Hat(1, 9, 5).triangle()
     result = isomorphic(t, t)
     assert result.isomorphic and result.case == "a"
-    assert result.witness == AffineMap.identity()
+    assert result.witness == IDENTITY
 
 
 def test_isomorphism_class_of_the_three_triples():
@@ -436,30 +437,6 @@ def test_integer_boundary_matches_boundary_type_exhaustively():
 _SOLVER_NAMES = {"affine_through", "solve_correspondence"}
 
 
-def _reachable_names(fn, seen=None):
-    """Global and attribute names used by fn and by every dyhat function or
-    class it names, followed transitively."""
-    seen = set() if seen is None else seen
-    names = set()
-    stack = [fn.__code__]
-    while stack:
-        code = stack.pop()
-        names.update(code.co_names)
-        stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
-    for name in names & fn.__globals__.keys():
-        target = fn.__globals__[name]
-        module = getattr(target, "__module__", None) or ""
-        if module.startswith("dyhat") and target not in seen:
-            seen.add(target)
-            members = vars(target).values() if isinstance(target, type) else [target]
-            for member in members:
-                if isinstance(member, (staticmethod, classmethod)):
-                    member = member.__func__
-                if isinstance(member, types.FunctionType):
-                    names |= _reachable_names(member, seen)
-    return names
-
-
 @pytest.mark.parametrize(
     "fn", [aut_fix_A, aut_fix_B, aut_fix_C, aut_cycle, iso_case, hat_of],
     ids=lambda fn: fn.__name__,
@@ -469,7 +446,7 @@ def test_decision_routes_never_reach_the_solver(fn):
 
 
 def test_reachable_names_sees_the_solver_where_it_is_used():
-    assert "affine_through" in _reachable_names(oracle_aut_count)
+    assert "affine_through" in _reachable_names(oracle_isomorphic)
     assert "affine_through" in _reachable_names(normalize)
     assert _SOLVER_NAMES <= _reachable_names(realized_correspondences)
 

@@ -13,27 +13,16 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import dyhat
-from dyhat import (
-    AffineMap,
-    CensusReport,
-    CensusRow,
-    DyadicRational,
-    EncodingTriple,
-    Hat,
-    Point2,
-    Triangle,
-)
+from dyhat import AffineMap, DyadicRational, EncodingTriple, Hat, Triangle
+from dyhat.classify import CensusReport, CensusRow
 from dyhat.cli import (
     MAX_LITERAL_DIGITS,
     MAX_POW2_EXPONENT,
     format_dyadic,
-    hat_from_json,
-    map_from_json,
     parse_dyadic,
     parse_hat,
     parse_triangle,
     run,
-    triple_from_json,
 )
 from dyhat.errors import (
     DegenerateTriangle,
@@ -41,8 +30,17 @@ from dyhat.errors import (
     NotDyadic,
     ParseError,
 )
+from dyhat.geometry import Matrix2, Point2
 
 D = DyadicRational
+
+
+def map_from_json(obj: dict) -> AffineMap:
+    """The AffineMap that cli.map_json printed as obj."""
+    (a, b), (c, d) = obj["linear"]
+    x, y = obj["translation"]
+    return AffineMap(Matrix2(*map(parse_dyadic, (a, b, c, d))),
+                     Point2(parse_dyadic(x), parse_dyadic(y)))
 
 
 # ---------------------------------------------------------------- literals
@@ -145,10 +143,11 @@ def test_domain_errors_exit_4(capsys):
     assert run(["iso", "T 1 3", "T 1 3 5"]) == 4
     assert run(["canon", "0,0 1,1 2,2"]) == 4
     assert run(["aut", "4", "3", "5"]) == 4
+    assert run(["aut", "2", "3", "5"]) == 4
     assert run(["aut", "1", "2", "3"]) == 4
     assert run(["census", "--jmax", "4", "--mmax", "3"]) == 4
     err = capsys.readouterr().err
-    assert err.count("error:") == 5
+    assert err.count("error:") == 6
 
 
 # ---------------------------------------------------------------- iso
@@ -225,7 +224,7 @@ def test_canon(capsys):
     assert capsys.readouterr().out.strip() == "1 3 5"
     assert run(["canon", "--json", "0,0 1,3 5,0"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert triple_from_json(payload["triple"]) == EncodingTriple(1, 3, 5)
+    assert EncodingTriple(*payload["triple"]) == EncodingTriple(1, 3, 5)
 
 
 def test_normalize_canonical(capsys):
@@ -255,9 +254,9 @@ def test_normalize_json_round_trips(capsys):
     assert len(results) == 6
     t = Triangle.of((0, 0), (1, 3), (5, 0))
     for entry in results:
-        h = hat_from_json(entry["hat"])
-        triple = triple_from_json(entry["triple"])
-        assert triple.hat() == h
+        h = Hat(**entry["hat"])
+        triple = EncodingTriple(*entry["triple"])
+        assert (triple.i, triple.j, triple.m) == (h.i, h.j, h.m)
         witness = map_from_json(entry["map"])
         roles = ["ABC".index(ch) for ch in entry["roles"]]
         assert witness(t.vertices[roles[0]]) == Point2.of(0, 0)

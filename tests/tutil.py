@@ -1,12 +1,16 @@
-"""Shared strategies and random builders for the test suite."""
+"""Shared strategies, random builders and the reachability walk for the tests."""
 
+import types
 from fractions import Fraction
 from functools import reduce
 
 import hypothesis.strategies as st
 
-from dyhat import AffineMap, DyadicRational, Hat, Matrix2, Point2, Triangle, weighted_mean
+from dyhat import AffineMap, DyadicRational, Hat, Triangle
 from dyhat.errors import DegenerateTriangle
+from dyhat.geometry import Matrix2, Point2
+
+from reference import IDENTITY, affine, from_fraction, weighted_mean
 
 dyadics = st.builds(DyadicRational, st.integers(-(2**16), 2**16), st.integers(-10, 10))
 small_dyadics = st.builds(DyadicRational, st.integers(-64, 64), st.integers(-4, 4))
@@ -32,51 +36,41 @@ triangles = st.builds(_triangle_or_none, points, points, points).filter(
     lambda t: t is not None
 )
 
-_translations = points.map(AffineMap.from_translation)
-_shears_x = st.integers(-4, 4).map(
-    lambda s: AffineMap.from_linear(Matrix2.of(1, s, 0, 1))
-)
-_shears_y = st.integers(-4, 4).map(
-    lambda s: AffineMap.from_linear(Matrix2.of(1, 0, s, 1))
-)
+_translations = points.map(lambda t: affine(1, 0, 0, 1, t.x, t.y))
+_shears_x = st.integers(-4, 4).map(lambda s: affine(1, s, 0, 1))
+_shears_y = st.integers(-4, 4).map(lambda s: affine(1, 0, s, 1))
 _diags = st.tuples(
     st.sampled_from([1, -1]), st.sampled_from([1, -1]), st.integers(-3, 3)
-).map(
-    lambda t: AffineMap.from_linear(
-        Matrix2.of(t[0], 0, 0, DyadicRational(t[1], t[2]))
-    )
-)
+).map(lambda t: affine(t[0], 0, 0, DyadicRational(t[1], t[2])))
 
 unit_factors = st.one_of(_translations, _shears_x, _shears_y, _diags)
 
 unit_maps = st.lists(unit_factors, max_size=4).map(
-    lambda fs: reduce(lambda f, g: f @ g, fs, AffineMap.identity())
+    lambda fs: reduce(lambda f, g: f @ g, fs, IDENTITY)
 )
 
 
 def rand_unit_map(rng, max_factors=6):
     """Random unit map: composition of translations, shears and diagonals."""
-    f = AffineMap.identity()
+    f = IDENTITY
     for _ in range(rng.randrange(1, max_factors + 1)):
         kind = rng.randrange(4)
         if kind == 0:
-            t = Point2(
+            step = affine(
+                1, 0, 0, 1,
                 DyadicRational(rng.randrange(-32, 33), rng.randrange(-3, 4)),
                 DyadicRational(rng.randrange(-32, 33), rng.randrange(-3, 4)),
             )
-            step = AffineMap.from_translation(t)
         elif kind == 1:
-            step = AffineMap.from_linear(Matrix2.of(1, rng.randrange(-5, 6), 0, 1))
+            step = affine(1, rng.randrange(-5, 6), 0, 1)
         elif kind == 2:
-            step = AffineMap.from_linear(Matrix2.of(1, 0, rng.randrange(-5, 6), 1))
+            step = affine(1, 0, rng.randrange(-5, 6), 1)
         else:
-            step = AffineMap.from_linear(
-                Matrix2.of(
-                    rng.choice([1, -1]),
-                    0,
-                    0,
-                    DyadicRational(rng.choice([1, -1]), rng.randrange(-3, 4)),
-                )
+            step = affine(
+                rng.choice([1, -1]),
+                0,
+                0,
+                DyadicRational(rng.choice([1, -1]), rng.randrange(-3, 4)),
             )
         f = step @ f
     return f
@@ -96,7 +90,7 @@ def _dyadic_or_none(f: Fraction):
     den = f.denominator
     if den & (den - 1):
         return None
-    return DyadicRational.from_fraction(f)
+    return from_fraction(f)
 
 
 def fraction_solve(src, dst, perm):
@@ -127,4 +121,42 @@ def fraction_solve(src, dst, perm):
     linear = Matrix2(*entries)
     if not linear.is_unit():
         return None
-    return AffineMap(linear, dst.vertices[perm[0]] - linear.apply(src.vertices[0]))
+    image, target = linear.apply(src.vertices[0]), dst.vertices[perm[0]]
+    return AffineMap(linear, Point2(target.x - image.x, target.y - image.y))
+
+
+def fraction_inverse(f, tri):
+    """The inverse of f by the reference solve, from f's images of tri's
+    vertices back to them; None unless it is a dyadic unit map."""
+    return fraction_solve(Triangle(tuple(f(v) for v in tri.vertices)), tri, (0, 1, 2))
+
+
+def _reachable_names(fn, seen=None):
+    """Global and attribute names used by fn and by every dyhat function or
+    class it names, followed transitively.  A class's methods and property
+    getters are followed, and a global tuple (a table such as
+    oracle.CORRESPONDENCES) reaches the classes of its items."""
+    seen = set() if seen is None else seen
+    names = set()
+    stack = [fn.__code__]
+    while stack:
+        code = stack.pop()
+        names.update(code.co_names)
+        stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    for name in names & fn.__globals__.keys():
+        value = fn.__globals__[name]
+        for target in {type(v) for v in value} if isinstance(value, tuple) else [value]:
+            module = getattr(target, "__module__", None) or ""
+            if not module.startswith("dyhat") or target in seen:
+                continue
+            seen.add(target)
+            names.add(target.__name__)
+            members = vars(target).values() if isinstance(target, type) else [target]
+            for member in members:
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                if isinstance(member, types.FunctionType):
+                    names |= _reachable_names(member, seen)
+    return names
