@@ -13,7 +13,13 @@ and AffineMap.linear / .translation are Point2, Matrix2 and DyadicRational
 views, built on first access and then kept; the collinearity check,
 hats.hat_of and affine_through read the integers and build none of them.
 affine_through is the one integer Cramer solve: it gives hats.normalize its
-witness and the oracle its maps.
+witness and the oracle its maps.  It takes its source as cramer_source data
+(the first point, the two edge vectors from it, the odd part and 2-adic
+valuation of their determinant, and the exponent) and its target as
+integers.  Triangle.cramer_source holds that data for the triangle's own
+vertex order, built on the first solve and then kept, so the oracle's six
+solves from one triangle share it; hats.normalize builds it for a role
+order with the same helper.
 """
 
 from __future__ import annotations
@@ -146,24 +152,37 @@ class AffineMap:
         return self.linear.is_unit()
 
 
+def cramer_source(
+    src: tuple[tuple[int, ...], int]
+) -> tuple[tuple[int, ...], int, int, int]:
+    """What affine_through needs of its source: ((ax, ay, u1x, u1y, u2x,
+    u2y), odd, v, e) for three non-collinear points given as common_scale
+    output (ints, e), where (ax, ay) is the first point, u1 and u2 are the
+    edge vectors from it to the other two, and the determinant u1 x u2 is
+    odd * 2**v."""
+    (ax, ay, px, py, qx, qy), e = src
+    u1x, u1y, u2x, u2y = px - ax, py - ay, qx - ax, qy - ay
+    det = u1x * u2y - u1y * u2x
+    return (ax, ay, u1x, u1y, u2x, u2y), odd_part(det), val2(det), e
+
+
 def affine_through(
-    src: tuple[tuple[int, ...], int], dst: tuple[tuple[int, ...], int]
+    source: tuple[tuple[int, ...], int, int, int], dst: tuple[tuple[int, ...], int]
 ) -> AffineMap | None:
     """The unit affine map sending source point k to target point k, or None.
 
-    Each side is three non-collinear points given as common_scale output
-    (ints, e): the flattened integers (x0, y0, x1, y1, x2, y2) and one
-    exponent, as Triangle.scaled_coords returns them.  Cramer's rule on the
-    integers: an entry is dyadic exactly when the odd part of the source
-    determinant divides its numerator, and the map is a unit exactly when
-    both determinants have the same odd part up to sign.
+    source is cramer_source of the three source points (Triangle.cramer_source
+    holds it for a triangle's own vertex order); dst is three non-collinear
+    points given as common_scale output (ints, e): the flattened integers
+    (x0, y0, x1, y1, x2, y2) and one exponent, as Triangle.scaled_coords
+    returns them.  Cramer's rule on the integers: an entry is dyadic exactly
+    when the odd part of the source determinant divides its numerator, and
+    the map is a unit exactly when both determinants have the same odd part
+    up to sign.
     """
-    (ax, ay, px, py, qx, qy), src_exp = src
+    (ax, ay, u1x, u1y, u2x, u2y), odd, v, src_exp = source
     (bx, by, rx, ry, sx, sy), dst_exp = dst
-    u1x, u1y, u2x, u2y = px - ax, py - ay, qx - ax, qy - ay
     w1x, w1y, w2x, w2y = rx - bx, ry - by, sx - bx, sy - by
-    det = u1x * u2y - u1y * u2x
-    odd = odd_part(det)
     if odd_part(w1x * w2y - w1y * w2x) not in (odd, -odd):
         return None
     na, nb = w1x * u2y - w2x * u1y, w2x * u1x - w1x * u2x
@@ -171,7 +190,6 @@ def affine_through(
     if na % odd or nb % odd or nc % odd or nd % odd:
         return None
     a, b, c, d = na // odd, nb // odd, nc // odd, nd // odd
-    v = val2(det)
     # linear is (a, b, c, d) * 2**(dst_exp - src_exp - v), so the translation
     # t0 - linear(s0) is an integer pair times 2**(dst_exp - v)
     return AffineMap.from_scaled(
@@ -187,15 +205,18 @@ class Triangle:
     n[k] * 2**e, in the order (x0, y0, x1, y1, x2, y2): the common_scale of
     the coordinates.  vertices is a view built on first access.  Equality
     compares the integers; hash, repr and pickling are those of a frozen
-    dataclass of vertices.
+    dataclass of vertices.  cramer_source, the oracle's solve data for the
+    vertex order (0, 1, 2), is built on the first solve and then kept; it
+    takes no part in equality, hash, repr or pickling.
     """
 
-    __slots__ = ("_scaled", "_vertices")
+    __slots__ = ("_scaled", "_vertices", "_source")
 
     def __init__(self, vertices: tuple[Point2, Point2, Point2]):
         a, b, c = vertices
         self._scaled = common_scale(a.x, a.y, b.x, b.y, c.x, c.y)
         self._vertices = vertices
+        self._source = None
         self._reject_collinear()
 
     @classmethod
@@ -205,7 +226,7 @@ class Triangle:
         vertices, without building them."""
         t = cls.__new__(cls)
         t._scaled = reduce_scale(ints, e)
-        t._vertices = None
+        t._vertices = t._source = None
         t._reject_collinear()
         return t
 
@@ -224,6 +245,12 @@ class Triangle:
                 for k in (0, 2, 4)
             )
         return self._vertices
+
+    @property
+    def cramer_source(self) -> tuple[tuple[int, ...], int, int, int]:
+        if self._source is None:
+            self._source = cramer_source(self._scaled)
+        return self._source
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -6,9 +6,13 @@ dyadic triangle with a chosen vertex role assignment is isomorphic, by a
 unit affine map, to exactly one representative hat with i odd in
 {1, 3, ..., 2j-1}; that triple encodes the pointed isomorphism class, and
 the set of triples over all six role assignments encodes the full class.
-hat_of finds that hat on integers alone; normalize also returns the witness
-map, for the callers that ask for one, solved by geometry.affine_through
-from the triangle's integers and the hat's.  Hat.triangle builds its
+hat_of finds that hat on integers alone, and all_encoding_triples finds all
+six; both go through one reduction, _reduce_roles, which takes the odd part
+of twice the area once and the extended Euclid of each of the three edges
+once, the reversed edge reusing it with the Bezout row negated.  normalize
+also returns the witness map, for the callers that ask for one, solved by
+geometry.affine_through from geometry.cramer_source of the triangle's
+integers in role order and the hat's integers.  Hat.triangle builds its
 triangle with Triangle.from_scaled, and the witness is stored as integers
 too: no DyadicRational is built until a caller reads the vertices or the
 witness's linear part or translation.
@@ -18,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .dyadic import egcd, odd_part, val2
 from .errors import InconsistencyError, InvalidHat
-from .geometry import AffineMap, Triangle, affine_through
+from .geometry import AffineMap, Triangle, affine_through, cramer_source
 
 
 def _check_odd_positive(value: int, name: str) -> None:
@@ -90,27 +94,58 @@ class Normalization(NamedTuple):
 IDENTITY_ROLES = (0, 1, 2)
 
 
+#: The six vertex role orders, in permutations order.
+_ALL_ROLES = tuple(permutations((0, 1, 2)))
+
+
+def _reduce_roles(
+    tri: Triangle, orders: Iterable[tuple[int, int, int]]
+) -> list[tuple[int, int, int]]:
+    """(i, j, m) of the representative hat for each vertex role order.
+
+    An order (o, a, b) sends vertex o to the origin, a to the apex (i, j)
+    and b to (m, 0).  It reads the integer coordinates the triangle already
+    holds (the common power of two drops out).  The base (A, B) from o to b
+    has gcd g and Bezout row (s, t): m is the odd part of g, j the odd part
+    of twice the area over m, and i the apex abscissa (s*p + t*q) /
+    2**val2(g) mod j of the apex (p, q) relative to o, lifted to an odd
+    residue mod 2j.  The odd part of twice the area is found once, and g,
+    (s, t), m, j and 1 / 2**val2(g) mod j once per unordered base edge: the
+    reversed edge (-A, -B) takes the Bezout row (-s, -t).  That is exact,
+    since another Bezout row moves s*p + t*q by a multiple of twice the
+    area over g, which is +-j * 2**w, so i mod j does not change.
+    """
+    (x0, y0, x1, y1, x2, y2), _ = tri.scaled_coords()
+    xs, ys = (x0, x1, x2), (y0, y1, y2)
+    odd = abs(odd_part((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)))
+    # indexed by o + b, which tells the three edges apart
+    edges = [None] * 4
+    hats = []
+    for o, a, b in orders:
+        edge = edges[o + b]
+        if edge is None:
+            g, s, t = egcd(xs[b] - xs[o], ys[b] - ys[o])
+            m = odd_part(g)
+            j = odd // m
+            edge = edges[o + b] = o, s, t, m, j, pow(2, -val2(g), j)
+        origin, s, t, m, j, scale = edge
+        if o != origin:
+            s, t = -s, -t
+        r = (s * (xs[a] - xs[o]) + t * (ys[a] - ys[o])) * scale % j
+        hats.append((r if r % 2 else r + j, j, m))
+    return hats
+
+
 def hat_of(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> Hat:
     """The representative hat of a triangle for the given vertex roles.
 
     roles picks which vertex plays which part: vertices[roles[0]] goes to
     the origin, vertices[roles[1]] to the apex (i, j) and vertices[roles[2]]
-    to (m, 0).  It reads the integer coordinates the triangle already holds
-    (Triangle.scaled_coords; the common power of two drops out).  The base
-    (a, b) has gcd g and Bezout row (s, t): m is the odd part of g, j the
-    odd part of the height (a*q - b*p) / m of the apex (p, q), and i the
-    apex abscissa (s*p + t*q) / 2**val2(g) mod j, lifted to an odd residue
-    mod 2j.
+    to (m, 0); see _reduce_roles.
     """
     if sorted(roles) != [0, 1, 2]:
         raise ValueError("roles must be a permutation of (0, 1, 2)")
-    (x0, y0, x1, y1, x2, y2), _ = tri.scaled_coords(roles)
-    a, b, p, q = x2 - x0, y2 - y0, x1 - x0, y1 - y0
-    g, s, t = egcd(a, b)
-    m = odd_part(g)
-    j = abs(odd_part((a * q - b * p) // m))
-    r = (s * p + t * q) * pow(2, -val2(g), j) % j
-    return Hat(r if r % 2 else r + j, j, m)
+    return Hat(*_reduce_roles(tri, (roles,))[0])
 
 
 def normalize(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> Normalization:
@@ -118,7 +153,9 @@ def normalize(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> No
     through the three vertex pairs, which equals the composition of a
     translation, a Bezout matrix, rescalings, a reflection and a shear."""
     hat = hat_of(tri, roles)
-    witness = affine_through(tri.scaled_coords(roles), ((0, 0, hat.i, hat.j, hat.m, 0), 0))
+    witness = affine_through(
+        cramer_source(tri.scaled_coords(roles)), ((0, 0, hat.i, hat.j, hat.m, 0), 0)
+    )
     if witness is None:
         raise InconsistencyError(f"no unit map carries {tri} with roles {roles} to {hat}")
     return Normalization(hat, witness)
@@ -126,10 +163,7 @@ def normalize(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> No
 
 def all_encoding_triples(tri: Triangle) -> frozenset[EncodingTriple]:
     """Encoding triples over all six vertex role assignments (1 to 6 values)."""
-    return frozenset(
-        pointed_canonical(hat_of(tri, roles))
-        for roles in permutations((0, 1, 2))
-    )
+    return frozenset(EncodingTriple(*ijm) for ijm in _reduce_roles(tri, _ALL_ROLES))
 
 
 def canonical_form(tri: Triangle) -> EncodingTriple:

@@ -5,10 +5,14 @@ the vertex correspondence equations with integer Cramer's rule
 (geometry.affine_through, on the integer coordinates each Triangle holds):
 the solved map qualifies when its entries are dyadic and its determinant is
 +-2**k.  realized_correspondences is the one loop over the six
-correspondences, and oracle_isomorphic takes its first item.  A solved map
+correspondences, and oracle_isomorphic takes its first item.  Each solve
+reads the source's Triangle.cramer_source (edge vectors and determinant,
+found on the first solve from that triangle and then kept) and the target's
+integers in correspondence order; all six solves still run.  A solved map
 is stored as integers (AffineMap.from_scaled); its linear part and
-translation are built only when read.  This route shares no logic with the number-theoretic criteria
-or with hats.hat_of, so each side checks the other.
+translation are built only when read.  This route shares no logic with the
+number-theoretic criteria or with hats.hat_of, so each side checks the
+other.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ def solve_correspondence(
 ) -> AffineMap | None:
     """The unit affine map sending vertex k of src to vertex perm[k] of dst,
     or None when that unique affine map is not a dyadic unit."""
-    return affine_through(src.scaled_coords(), dst.scaled_coords(perm))
+    return affine_through(src.cramer_source, dst.scaled_coords(perm))
 
 
 def realized_correspondences(

@@ -1,15 +1,18 @@
 """The public API: what dyhat exports, what the benchmark looks up, and
 that the package holds no code that only the tests reach."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
 import re
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import dyhat
 import dyhat.cli
+from dyhat import DyadicRational
 
 from tutil import _reachable_names
 
@@ -50,6 +53,47 @@ def test_benchmark_tracer_targets_resolve():
         for method in methods:
             # the counting pass swaps the class's own attribute
             assert callable(cls.__dict__.get(method)), (cls_name, method)
+
+
+def _dyhat_chains(path: Path) -> set[str]:
+    """Every dotted name rooted at dyhat that a file reads, e.g.
+    "dyhat.classify.census" for self.dyhat.classify.census."""
+    chains = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name):
+            names.append(node.id)
+        names.reverse()
+        if "dyhat" in names[:-1]:
+            chains.add(".".join(names[names.index("dyhat"):]))
+    return chains
+
+
+def _resolves(chain: str) -> bool:
+    try:
+        pkgutil.resolve_name(chain)
+    except (ImportError, AttributeError):
+        return False
+    return True
+
+
+#: bench/test_bench.py's wrapper test still looks up classify.normalize,
+#: which classify has not imported since it reduces with hat_of; that test
+#: fails for it (ROADMAP item 1).  Mending it must empty this set.
+_STALE_BENCH_CHAINS = {"dyhat.classify.normalize"}
+
+
+def test_benchmark_attribute_chains_resolve():
+    chains = set().union(*map(_dyhat_chains, sorted((ROOT / "bench").glob("*.py"))))
+    assert {"dyhat.classify.census", "dyhat.cli.format_dyadic",
+            "dyhat.DyadicRational"} <= chains
+    assert {c for c in chains if not _resolves(c)} == _STALE_BENCH_CHAINS
+    # read off a value, not a chain: bench/test_bench.py is its only caller
+    assert callable(DyadicRational.to_fraction)
+    assert DyadicRational(5, -11).to_fraction() == Fraction(5, 2048)
 
 
 #: Reached only from outside the package: the console-script entry point.

@@ -1,9 +1,11 @@
 """Hat normal forms: the reduction pipeline, pointed classes, triple sets."""
 
+import hashlib
 import random
 import time
 from itertools import permutations
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -19,7 +21,7 @@ from dyhat import (
 )
 from dyhat.errors import InconsistencyError, InvalidHat
 from dyhat.geometry import Point2
-from dyhat.hats import pointed_canonical
+from dyhat.hats import _reduce_roles, pointed_canonical
 
 import tutil
 from reference import IDENTITY, affine
@@ -205,6 +207,47 @@ def test_normalize_witness_matches_fraction_reference_on_the_grid():
                     inverse = tuple(roles.index(k) for k in range(3))
                     want = tutil.fraction_solve(image, result.hat.triangle(), inverse)
                     assert want is not None and result.witness == want, (i, j, m, roles)
+
+
+def _unshared_hats(t):
+    """hat_of for each of the six role orders, each on the triangle with
+    its vertices put in that order, so that no edge is shared."""
+    return [hat_of(Triangle.from_scaled(*t.scaled_coords(roles)), (0, 1, 2))
+            for roles in permutations((0, 1, 2))]
+
+
+def _check_shared_edges(t):
+    """The shared-edge reduction against _unshared_hats; returns the triples."""
+    unshared = _unshared_hats(t)
+    for roles, hat in zip(permutations((0, 1, 2)), unshared):
+        assert hat_of(t, roles) == hat, (t, roles)
+    assert _reduce_roles(t, list(permutations((0, 1, 2)))) == [
+        (h.i, h.j, h.m) for h in unshared]
+    triples = all_encoding_triples(t)
+    assert triples == {EncodingTriple(h.i, h.j, h.m) for h in unshared}
+    return triples
+
+
+#: sha256 of the sorted reprs of all_encoding_triples below, recorded before
+#: the six role orders shared their base edges.
+ENCODING_DIGEST = "bcf340382abbe8ba93fa9c0654f38b2fc1d95310847596af6ef79aa4cdf4a852"
+
+
+def test_shared_edge_reduction_matches_unshared_hats_on_the_31_grid():
+    """Every i in -2j..4j and j, m <= 31: each role order's hat equals the
+    hat of the reordered triangle, and the triple set is unchanged."""
+    digest = hashlib.sha256()
+    for j in range(1, 32, 2):
+        for m in range(1, 32, 2):
+            for i in range(-2 * j, 4 * j + 1):
+                triples = _check_shared_edges(Hat(i, j, m).triangle())
+                digest.update(repr(sorted(map(repr, triples))).encode())
+    assert digest.hexdigest() == ENCODING_DIGEST
+
+
+@given(st.one_of(tutil.triangles, tutil.large_triangles))
+def test_shared_edge_reduction_matches_unshared_hats(t):
+    _check_shared_edges(t)
 
 
 def test_normalize_raises_when_no_witness_exists(monkeypatch):

@@ -9,10 +9,10 @@ import pickle
 import random
 from itertools import permutations
 
-from hypothesis import given
+from hypothesis import given, settings
 
 from dyhat import AffineMap, DyadicRational, Hat, Triangle, oracle_isomorphic
-from dyhat.geometry import Point2
+from dyhat.geometry import Point2, cramer_source
 from dyhat.oracle import (
     CASES,
     CORRESPONDENCES,
@@ -139,6 +139,36 @@ def test_solver_matches_fraction_reference(t, f, other):
     for perm in permutations((0, 1, 2)):
         assert solve_correspondence(t, image, perm) == tutil.fraction_solve(t, image, perm)
         assert solve_correspondence(t, other, perm) == tutil.fraction_solve(t, other, perm)
+
+
+@settings(max_examples=50)
+@given(tutil.triangles, tutil.large_triangles, tutil.unit_maps, tutil.unit_maps,
+       tutil.triangles)
+def test_one_source_solved_to_several_targets_matches_the_reference(t, large, f, g, other):
+    # each source keeps the Cramer data of its first solve for the later ones
+    for src in (t, large):
+        for dst in (src.transformed(f), other, src, large, src.transformed(g)):
+            for perm in permutations((0, 1, 2)):
+                got = solve_correspondence(src, dst, perm)
+                assert got == tutil.fraction_solve(src, dst, perm), (src, dst, perm)
+        assert src._source == cramer_source(src.scaled_coords())
+        assert src.cramer_source is src._source
+
+
+@given(tutil.triangles, tutil.unit_maps)
+def test_a_solved_triangle_equals_a_fresh_one(t, f):
+    image = t.transformed(f)
+    solved = list(realized_correspondences(t, image))
+    assert t._source is not None
+    fresh = Triangle.from_scaled(*t.scaled_coords())
+    assert fresh._source is None
+    copy = pickle.loads(pickle.dumps(t))
+    for u in (fresh, copy):
+        assert u == t and t == u and hash(u) == hash(t) and repr(u) == repr(t)
+    # the kept data is not pickled, and the copy solves like the original
+    assert pickle.dumps(t) == pickle.dumps(fresh)
+    assert copy._source is None
+    assert list(realized_correspondences(copy, image)) == solved
 
 
 def _solved(src, dst):

@@ -36,6 +36,17 @@ triangles = st.builds(_triangle_or_none, points, points, points).filter(
     lambda t: t is not None
 )
 
+# coordinates far past a machine word, of either sign, with exponents of
+# either sign, so that gcds, determinants and residues are large too
+_large_dyadics = st.builds(
+    DyadicRational, st.integers(-(2**80), 2**80), st.integers(-40, 40)
+)
+_large_points = st.builds(Point2, _large_dyadics, _large_dyadics)
+
+large_triangles = st.builds(
+    _triangle_or_none, _large_points, _large_points, _large_points
+).filter(lambda t: t is not None)
+
 _translations = points.map(lambda t: affine(1, 0, 0, 1, t.x, t.y))
 _shears_x = st.integers(-4, 4).map(lambda s: affine(1, s, 0, 1))
 _shears_y = st.integers(-4, 4).map(lambda s: affine(1, 0, s, 1))
