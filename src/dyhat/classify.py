@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .dyadic import odd_gcd, solve_congruence
 from .errors import InconsistencyError, InvalidBounds, InvalidHat
@@ -81,12 +81,27 @@ _CYCLE_PERMS = ((1, 2, 0), (2, 0, 1))
 _IDENTITY_PERM = (0, 1, 2)
 
 
-@dataclass(frozen=True)
-class AutGroup:
-    """Group tag plus one oracle witness per group element."""
+class AutGroup(namedtuple("AutGroup", "tag witnesses")):
+    """Group tag plus one oracle witness per group element: witnesses is a
+    tuple of (permutation label, AffineMap) pairs.
 
-    tag: str
-    witnesses: tuple[tuple[str, AffineMap], ...]
+    An immutable record: it equals only another AutGroup, hashes as the
+    tuple of its fields and has no order.
+    """
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __lt__(self, other):
+        raise TypeError(f"{self.__class__.__name__} values have no order")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     @property
     def order(self) -> int:
@@ -175,11 +190,28 @@ def iso_case(h1: Hat, h2: Hat, case: str) -> bool:
     return (k - anchor) % l == 0
 
 
-@dataclass(frozen=True)
-class IsoResult:
-    isomorphic: bool
-    case: str | None
-    witness: AffineMap | None
+class IsoResult(namedtuple("IsoResult", "isomorphic case witness")):
+    """An isomorphism decision: isomorphic (bool), the hat case that holds
+    (a letter of CASES, or None) and the oracle's witness map (an AffineMap,
+    or None).
+
+    An immutable record: it equals only another IsoResult, hashes as the
+    tuple of its fields and has no order.
+    """
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __lt__(self, other):
+        raise TypeError(f"{self.__class__.__name__} values have no order")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
 
 def _decide(t1: Triangle, t2: Triangle, h1: Hat, h2: Hat) -> IsoResult:
@@ -215,25 +247,57 @@ def isomorphic_hats(h1: Hat, h2: Hat) -> IsoResult:
     return _decide(h1.triangle(), h2.triangle(), h1, h2)
 
 
-@dataclass(frozen=True)
-class CensusRow:
-    j: int
-    m: int
-    pointed_classes: int
-    isomorphism_classes: int
-    aut_counts: dict[str, int]
-    orbit_ok: bool
+class CensusRow(namedtuple(
+    "CensusRow", "j m pointed_classes isomorphism_classes aut_counts orbit_ok"
+)):
+    """One (j, m) census cell: the numbers of pointed and isomorphism
+    classes, aut_counts (a dict from group tag to count) and whether the
+    orbit identity held for every hat.
+
+    An immutable record: it equals only another CensusRow and has no order.
+    Its hash is that of the tuple of its fields, so, as aut_counts is a
+    dict, hashing one raises TypeError.
+    """
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __lt__(self, other):
+        raise TypeError(f"{self.__class__.__name__} values have no order")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     @property
     def ok(self) -> bool:
         return self.pointed_classes == self.j and self.orbit_ok
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    j_max: int
-    m_max: int
-    rows: tuple[CensusRow, ...]
+class CensusReport(namedtuple("CensusReport", "j_max m_max rows")):
+    """The census bounds and its rows, a tuple of CensusRow in cell order.
+
+    An immutable record: it equals only another CensusReport and has no
+    order; like a CensusRow, it cannot be hashed.
+    """
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __lt__(self, other):
+        raise TypeError(f"{self.__class__.__name__} values have no order")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     @property
     def ok(self) -> bool:

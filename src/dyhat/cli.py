@@ -11,7 +11,6 @@ naming the violated invariant.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from itertools import permutations
@@ -124,6 +123,14 @@ def parse_shape(text: str) -> Triangle:
 # ---------------------------------------------------------------- JSON shapes
 
 
+def _print_json(payload: dict) -> None:
+    """Print payload as one line of JSON.  json is imported here, so a
+    command run without --json never loads it."""
+    import json
+
+    print(json.dumps(payload))
+
+
 def hat_json(h: Hat) -> dict:
     return {"i": h.i, "j": h.j, "m": h.m}
 
@@ -200,7 +207,7 @@ def _cmd_normalize(args) -> int:
             }
             for label, res, _ in rows
         ]
-        print(json.dumps({"results": payload}))
+        _print_json({"results": payload})
         return 0
     for label, res, verified in rows:
         h = res.hat
@@ -216,7 +223,7 @@ def _cmd_normalize(args) -> int:
 def _cmd_aut(args) -> int:
     group = automorphism_group(Hat(args.i, args.j, args.m))
     if args.json:
-        print(json.dumps({"aut": aut_json(group)}))
+        _print_json({"aut": aut_json(group)})
         return 0
     if args.quiet:
         print(group.tag)
@@ -240,7 +247,7 @@ def _cmd_iso(args) -> int:
             "case": result.case,
             "map": map_json(result.witness) if result.witness else None,
         }
-        print(json.dumps({"iso": payload}))
+        _print_json({"iso": payload})
     elif result.isomorphic:
         if not args.quiet:
             print(f"isomorphic (case {result.case})")
@@ -253,7 +260,7 @@ def _cmd_iso(args) -> int:
 def _cmd_canon(args) -> int:
     triple = canonical_form(parse_triangle(args.triangle))
     if args.json:
-        print(json.dumps({"triple": triple_json(triple)}))
+        _print_json({"triple": triple_json(triple)})
     else:
         print(f"{triple.i} {triple.j} {triple.m}")
     return 0
@@ -278,7 +285,7 @@ def _cmd_census(args) -> int:
                 for row in report.rows
             ],
         }
-        print(json.dumps({"census": payload}))
+        _print_json({"census": payload})
         return 0 if report.ok else 1
     if not args.quiet:
         header = f"{'j':>4} {'m':>4} {'pointed':>8} {'classes':>8} " \
@@ -302,7 +309,7 @@ def _cmd_render(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     if args.json:
-        print(json.dumps({"render": {"out": args.out}}))
+        _print_json({"render": {"out": args.out}})
     elif not args.quiet:
         print(f"wrote {args.out}")
     return 0

@@ -9,7 +9,7 @@ that would leave the ring raises ``NotDyadic``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
 from .errors import BothZero, DivisionByZero, NoSolution, NotDyadic, ZeroArgument
@@ -181,18 +181,42 @@ def reduce_scale(ints: Iterable[int], e: int) -> tuple[tuple[int, ...], int]:
     return tuple([n >> v for n in ints]), e + v
 
 
-@dataclass(frozen=True)
-class Residue:
-    """A residue class value + modulus*Z with an odd positive modulus."""
+class Residue(namedtuple("Residue", "value modulus")):
+    """A residue class value + modulus*Z with an odd positive modulus.
 
-    value: int
-    modulus: int
+    An immutable record: it equals only another Residue, hashes as the
+    tuple of its fields and has no order.  _make, _replace, copy and
+    pickle all build through the validating constructor.
+    """
 
-    def __post_init__(self):
-        if self.modulus <= 0 or self.modulus % 2 == 0:
+    __slots__ = ()
+
+    def __new__(cls, value: int, modulus: int) -> Residue:
+        if modulus <= 0 or modulus % 2 == 0:
             raise ValueError("modulus must be an odd positive integer")
-        if not 0 <= self.value < self.modulus:
+        if not 0 <= value < modulus:
             raise ValueError("residue value must lie in [0, modulus)")
+        return tuple.__new__(cls, (value, modulus))
+
+    @classmethod
+    def _make(cls, values: Iterable[int]) -> Residue:
+        return cls(*values)
+
+    def __reduce__(self):
+        return self.__class__, tuple(self)
+
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __lt__(self, other):
+        raise TypeError(f"{self.__class__.__name__} values have no order")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
 
 def solve_congruence(a: int, b: int, n: int) -> Residue:

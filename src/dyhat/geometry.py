@@ -24,7 +24,7 @@ order with the same helper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
 from .dyadic import DyadicRational, common_scale, odd_part, reduce_scale, val2
@@ -35,10 +35,26 @@ def _dy(value) -> DyadicRational:
     return value if isinstance(value, DyadicRational) else DyadicRational(value)
 
 
-@dataclass(frozen=True)
-class Point2:
-    x: DyadicRational
-    y: DyadicRational
+class Point2(namedtuple("Point2", "x y")):
+    """A point (x, y) with DyadicRational coordinates.
+
+    An immutable record: it equals only another Point2, hashes as the tuple
+    of its fields and has no order.
+    """
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __lt__(self, other):
+        raise TypeError(f"{self.__class__.__name__} values have no order")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     @staticmethod
     def of(x, y) -> "Point2":
@@ -48,14 +64,27 @@ class Point2:
         return Point2(self.x + other.x, self.y + other.y)
 
 
-@dataclass(frozen=True)
-class Matrix2:
-    """Row-major 2x2 matrix [[a, b], [c, d]] acting on column vectors."""
+class Matrix2(namedtuple("Matrix2", "a b c d")):
+    """Row-major 2x2 matrix [[a, b], [c, d]] acting on column vectors, with
+    DyadicRational entries.
 
-    a: DyadicRational
-    b: DyadicRational
-    c: DyadicRational
-    d: DyadicRational
+    An immutable record: it equals only another Matrix2, hashes as the
+    tuple of its fields and has no order.
+    """
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __lt__(self, other):
+        raise TypeError(f"{self.__class__.__name__} values have no order")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     def det(self) -> DyadicRational:
         return self.a * self.d - self.b * self.c
@@ -81,9 +110,10 @@ class AffineMap:
 
     Stored as two common_scale forms (ints, e): the linear entries
     (a, b, c, d) and the translation (x, y).  linear and translation are
-    views built on first access.  Equality compares the integers; hash,
-    repr and pickling are those of a frozen dataclass of (linear,
-    translation).
+    views built on first access.  A map equals only another AffineMap,
+    compared on the integers, and hashes as the tuple (linear,
+    translation); its repr is AffineMap(linear=..., translation=...).  A
+    pickle holds the integers and rebuilds the map with from_scaled.
     """
 
     __slots__ = ("_scaled", "_linear", "_translation")
@@ -203,11 +233,13 @@ class Triangle:
 
     Stored as integers n and one exponent e with coordinate k ==
     n[k] * 2**e, in the order (x0, y0, x1, y1, x2, y2): the common_scale of
-    the coordinates.  vertices is a view built on first access.  Equality
-    compares the integers; hash, repr and pickling are those of a frozen
-    dataclass of vertices.  cramer_source, the oracle's solve data for the
-    vertex order (0, 1, 2), is built on the first solve and then kept; it
-    takes no part in equality, hash, repr or pickling.
+    the coordinates.  vertices is a view built on first access.  A
+    triangle equals only another Triangle, compared on the integers, and
+    hashes as the tuple (vertices,); its repr is Triangle(vertices=(...)).
+    A pickle holds the integers and rebuilds the triangle with from_scaled,
+    which rejects collinear vertices again.  cramer_source, the oracle's
+    solve data for the vertex order (0, 1, 2), is built on the first solve
+    and then kept; it takes no part in equality, hash, repr or pickling.
     """
 
     __slots__ = ("_scaled", "_vertices", "_source")

@@ -20,7 +20,7 @@ witness's linear part or translation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import permutations
 from typing import Iterable, NamedTuple
 
@@ -34,17 +34,40 @@ def _check_odd_positive(value: int, name: str) -> None:
         raise InvalidHat(f"{name} must be an odd positive integer, got {value}")
 
 
-@dataclass(frozen=True)
-class Hat:
-    """Triangle (0,0), (i,j), (m,0) with odd positive j, m; i unrestricted."""
+class Hat(namedtuple("Hat", "i j m")):
+    """Triangle (0,0), (i,j), (m,0) with odd positive j, m; i unrestricted.
 
-    i: int
-    j: int
-    m: int
+    An immutable record: it equals only another Hat, hashes as the tuple of
+    its fields and has no order.  _make, _replace, copy and pickle all build
+    through the validating constructor.
+    """
 
-    def __post_init__(self):
-        _check_odd_positive(self.j, "j")
-        _check_odd_positive(self.m, "m")
+    __slots__ = ()
+
+    def __new__(cls, i: int, j: int, m: int) -> Hat:
+        _check_odd_positive(j, "j")
+        _check_odd_positive(m, "m")
+        return tuple.__new__(cls, (i, j, m))
+
+    @classmethod
+    def _make(cls, values: Iterable[int]) -> Hat:
+        return cls(*values)
+
+    def __reduce__(self):
+        return self.__class__, tuple(self)
+
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __lt__(self, other):
+        raise TypeError(f"{self.__class__.__name__} values have no order")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     @property
     def is_representative(self) -> bool:
@@ -54,25 +77,54 @@ class Hat:
         return Triangle.from_scaled((0, 0, self.i, self.j, self.m, 0), 0)
 
 
-@dataclass(frozen=True)
-class EncodingTriple:
-    """Pointed class label: odd i in {1, ..., 2j-1} with odd positive j, m."""
+class EncodingTriple(namedtuple("EncodingTriple", "i j m")):
+    """Pointed class label: odd i in {1, ..., 2j-1} with odd positive j, m.
 
-    i: int
-    j: int
-    m: int
+    An immutable record: it equals only another EncodingTriple and hashes
+    as the tuple of its fields.  It is ordered by < and > alone, in the
+    canonical (j, m, i) order; <= and >= raise TypeError.  _make, _replace,
+    copy and pickle all build through the validating constructor.
+    """
 
-    def __post_init__(self):
-        _check_odd_positive(self.j, "j")
-        _check_odd_positive(self.m, "m")
-        if self.i % 2 == 0 or not 1 <= self.i <= 2 * self.j - 1:
-            raise InvalidHat(
-                f"i must be odd in 1..{2 * self.j - 1}, got {self.i}"
-            )
+    __slots__ = ()
+
+    def __new__(cls, i: int, j: int, m: int) -> EncodingTriple:
+        _check_odd_positive(j, "j")
+        _check_odd_positive(m, "m")
+        if i % 2 == 0 or not 1 <= i <= 2 * j - 1:
+            raise InvalidHat(f"i must be odd in 1..{2 * j - 1}, got {i}")
+        return tuple.__new__(cls, (i, j, m))
+
+    @classmethod
+    def _make(cls, values: Iterable[int]) -> EncodingTriple:
+        return cls(*values)
+
+    def __reduce__(self):
+        return self.__class__, tuple(self)
+
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
 
     def __lt__(self, other: "EncodingTriple") -> bool:
         # canonical order: lexicographic on (j, m, i)
         return (self.j, self.m, self.i) < (other.j, other.m, other.i)
+
+    def __gt__(self, other: "EncodingTriple") -> bool:
+        if not isinstance(other, EncodingTriple):
+            raise TypeError(
+                f"EncodingTriple has no order against {other.__class__.__name__}"
+            )
+        return other < self
+
+    def __le__(self, other):
+        raise TypeError("EncodingTriple values are ordered by < and > only")
+
+    __ge__ = __le__
 
 
 def pointed_canonical(h: Hat) -> EncodingTriple:

@@ -1,5 +1,6 @@
 """Command line surface: literals, exit codes, JSON schema, SVG output."""
 
+import ast
 import json
 import os
 import shutil
@@ -399,8 +400,11 @@ def test_installed_script():
     assert proc.stdout.strip() == "C3"
 
 
-#: Modules that only a pooled census (the first two) or to_fraction needs.
-_LAZY_MODULES = ("concurrent.futures.process", "multiprocessing", "fractions")
+#: Modules that only a pooled census (the first two), to_fraction
+#: (fractions) or --json output (json) needs, and two that no dyhat module
+#: imports (dataclasses and inspect, which dataclasses imports).
+_LAZY_MODULES = ("concurrent.futures.process", "multiprocessing", "fractions",
+                 "json", "dataclasses", "inspect")
 
 
 def _isolated_child(script: str) -> subprocess.CompletedProcess:
@@ -413,20 +417,46 @@ def _isolated_child(script: str) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("module", ["dyhat", "dyhat.cli"])
 def test_import_loads_neither_the_pool_nor_fractions(module):
+    # the child reports with repr, as importing json would load a module
+    # under test
     script = (
-        "import json, sys\n"
+        "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "before = set(sys.modules)\n"
         f"import {module}\n"
-        "print(json.dumps([sorted(set(sys.modules) - before), sorted(sys.modules)]))\n"
+        "print(repr([sorted(set(sys.modules) - before), sorted(sys.modules)]))\n"
     )
     proc = _isolated_child(script)
     assert proc.returncode == 0, proc.stderr
-    added, loaded = json.loads(proc.stdout)
+    added, loaded = ast.literal_eval(proc.stdout)
     assert module in added
     # checked against every loaded module, so none can hide in "before" either
     assert not set(_LAZY_MODULES) & set(added)
     assert not set(_LAZY_MODULES) & set(loaded)
+
+
+def test_json_arrives_with_json_output():
+    # positive control for the test above: text output leaves json unloaded,
+    # and --json loads it and prints the same line as before
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from dyhat.cli import run\n"
+        "codes = [run(['canon', '--quiet', '0,0 5,15 1,0']),\n"
+        "         run(['iso', '--quiet', 'T 1 3 5', 'T 5 15 1'])]\n"
+        "before = 'json' in sys.modules\n"
+        "codes.append(run(['iso', '--json', 'T 1 3 5', 'T 5 15 1']))\n"
+        "print(repr([codes, before, 'json' in sys.modules]))\n"
+    )
+    proc = _isolated_child(script)
+    assert proc.returncode == 0, proc.stderr
+    canon, iso_json, report = proc.stdout.splitlines()
+    assert canon == "1 3 5"
+    assert iso_json == (
+        '{"iso": {"result": true, "case": "c", "map": {"linear": '
+        '[["1", "0"], ["3", "-1"]], "translation": ["0", "0"]}}}'
+    )
+    assert ast.literal_eval(report) == [[0, 0, 0], False, True]
 
 
 def test_pooled_census_loads_the_pool_and_matches_serial():
