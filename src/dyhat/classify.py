@@ -3,9 +3,11 @@
 Everything here is decided by integer divisibility criteria on hat
 parameters; witnesses and cross-checks come from the exact oracle, and the
 two routes must agree on every call (a disagreement is a defect, surfaced
-as an InconsistencyError).  The process pool is imported only when a census
-runs pooled, so the other commands never load concurrent.futures.process or
-multiprocessing.
+as an InconsistencyError).  A census cell decides each hat's group with
+automorphism_group itself, the same call the aut command makes.  The results
+(AutGroup, IsoResult, CensusRow, CensusReport) are dyadic.Record values.
+The process pool is imported only when a census runs pooled, so the other
+commands never load concurrent.futures.process or multiprocessing.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import math
 import os
 from collections import namedtuple
 
-from .dyadic import odd_gcd, solve_congruence
+from .dyadic import Record, odd_gcd, solve_congruence
 from .errors import InconsistencyError, InvalidBounds, InvalidHat
-from .geometry import AffineMap, Triangle
+from .geometry import Triangle
 from .hats import (
     EncodingTriple,
     Hat,
@@ -81,27 +83,11 @@ _CYCLE_PERMS = ((1, 2, 0), (2, 0, 1))
 _IDENTITY_PERM = (0, 1, 2)
 
 
-class AutGroup(namedtuple("AutGroup", "tag witnesses")):
+class AutGroup(Record, namedtuple("AutGroup", "tag witnesses")):
     """Group tag plus one oracle witness per group element: witnesses is a
-    tuple of (permutation label, AffineMap) pairs.
-
-    An immutable record: it equals only another AutGroup, hashes as the
-    tuple of its fields and has no order.
-    """
+    tuple of (permutation label, AffineMap) pairs; a Record."""
 
     __slots__ = ()
-    __hash__ = tuple.__hash__
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __lt__(self, other):
-        raise TypeError(f"{self.__class__.__name__} values have no order")
-
-    __le__ = __gt__ = __ge__ = __lt__
 
     @property
     def order(self) -> int:
@@ -115,11 +101,6 @@ def automorphism_group(h: Hat) -> AutGroup:
     the oracle's self-correspondence solver.  The two must agree
     permutation by permutation.
     """
-    return _automorphism_group(h, h.triangle())
-
-
-def _automorphism_group(h: Hat, tri: Triangle) -> AutGroup:
-    """automorphism_group(h) for a caller that already holds h.triangle()."""
     fix_a = aut_fix_A(h)
     fix_b = aut_fix_B(h)
     fix_c = aut_fix_C(h)
@@ -152,6 +133,7 @@ def _automorphism_group(h: Hat, tri: Triangle) -> AutGroup:
     if cycle:
         expected.update(_CYCLE_PERMS)
 
+    tri = h.triangle()
     realized = tuple(realized_correspondences(tri, tri))
     found = {corr.perm for corr, _ in realized}
     if found != expected:
@@ -190,28 +172,12 @@ def iso_case(h1: Hat, h2: Hat, case: str) -> bool:
     return (k - anchor) % l == 0
 
 
-class IsoResult(namedtuple("IsoResult", "isomorphic case witness")):
+class IsoResult(Record, namedtuple("IsoResult", "isomorphic case witness")):
     """An isomorphism decision: isomorphic (bool), the hat case that holds
     (a letter of CASES, or None) and the oracle's witness map (an AffineMap,
-    or None).
-
-    An immutable record: it equals only another IsoResult, hashes as the
-    tuple of its fields and has no order.
-    """
+    or None); a Record."""
 
     __slots__ = ()
-    __hash__ = tuple.__hash__
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __lt__(self, other):
-        raise TypeError(f"{self.__class__.__name__} values have no order")
-
-    __le__ = __gt__ = __ge__ = __lt__
 
 
 def _decide(t1: Triangle, t2: Triangle, h1: Hat, h2: Hat) -> IsoResult:
@@ -247,57 +213,26 @@ def isomorphic_hats(h1: Hat, h2: Hat) -> IsoResult:
     return _decide(h1.triangle(), h2.triangle(), h1, h2)
 
 
-class CensusRow(namedtuple(
+class CensusRow(Record, namedtuple(
     "CensusRow", "j m pointed_classes isomorphism_classes aut_counts orbit_ok"
 )):
     """One (j, m) census cell: the numbers of pointed and isomorphism
     classes, aut_counts (a dict from group tag to count) and whether the
-    orbit identity held for every hat.
-
-    An immutable record: it equals only another CensusRow and has no order.
-    Its hash is that of the tuple of its fields, so, as aut_counts is a
-    dict, hashing one raises TypeError.
-    """
+    orbit identity held for every hat.  A Record; as aut_counts is a dict,
+    hashing one raises TypeError."""
 
     __slots__ = ()
-    __hash__ = tuple.__hash__
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __lt__(self, other):
-        raise TypeError(f"{self.__class__.__name__} values have no order")
-
-    __le__ = __gt__ = __ge__ = __lt__
 
     @property
     def ok(self) -> bool:
         return self.pointed_classes == self.j and self.orbit_ok
 
 
-class CensusReport(namedtuple("CensusReport", "j_max m_max rows")):
+class CensusReport(Record, namedtuple("CensusReport", "j_max m_max rows")):
     """The census bounds and its rows, a tuple of CensusRow in cell order.
-
-    An immutable record: it equals only another CensusReport and has no
-    order; like a CensusRow, it cannot be hashed.
-    """
+    A Record; like a CensusRow, it cannot be hashed."""
 
     __slots__ = ()
-    __hash__ = tuple.__hash__
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __lt__(self, other):
-        raise TypeError(f"{self.__class__.__name__} values have no order")
-
-    __le__ = __gt__ = __ge__ = __lt__
 
     @property
     def ok(self) -> bool:
@@ -316,7 +251,7 @@ def _census_cell(cell: tuple[int, int]) -> CensusRow:
         tri = h.triangle()
         # run the full pipeline rather than trusting i to be canonical
         pointed.add(pointed_canonical(hat_of(tri)))
-        group = _automorphism_group(h, tri)
+        group = automorphism_group(h)
         counts[group.tag] += 1
         triples = all_encoding_triples(tri)
         canonical.add(min(triples))

@@ -20,6 +20,7 @@ from .dyadic import DyadicRational
 from .errors import DomainError, InconsistencyError, InvalidHat, NotDyadic, ParseError
 from .geometry import AffineMap, Point2, Triangle
 from .hats import EncodingTriple, Hat, canonical_form, normalize, pointed_canonical
+from .oracle import perm_label
 from .render import render_svg
 
 _LITERAL = re.compile(r"^(-?\d+)(?:/(.+))?$")
@@ -179,11 +180,11 @@ def _format_map(f: AffineMap) -> str:
 def _cmd_normalize(args) -> int:
     if args.canonical:
         return _cmd_canon(args)
-    tri = parse_triangle(args.triangle)
+    tri = parse_shape(args.shape)
 
     rows = []
     for roles in permutations((0, 1, 2)):
-        label = "".join("ABC"[r] for r in roles)
+        label = perm_label(roles)
         result = normalize(tri, roles)
         verified = None
         if args.verify:
@@ -258,7 +259,7 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_canon(args) -> int:
-    triple = canonical_form(parse_triangle(args.triangle))
+    triple = canonical_form(parse_shape(args.shape))
     if args.json:
         _print_json({"triple": triple_json(triple)})
     else:
@@ -329,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", parents=[common],
                        help="representative hats for all six vertex roles")
-    p.add_argument("triangle", help='triangle literal, e.g. "0,0 1,3 2,0"')
+    p.add_argument("shape", help='hat or triangle literal, e.g. "0,0 1,3 2,0"')
     p.add_argument("--canonical", action="store_true",
                    help="print only the canonical triple")
     p.add_argument("--verify", action="store_true",
@@ -350,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_iso)
 
     p = sub.add_parser("canon", parents=[common],
-                       help="canonical encoding triple of a triangle")
-    p.add_argument("triangle")
+                       help="canonical encoding triple of a hat or triangle")
+    p.add_argument("shape", help="hat or triangle literal")
     p.set_defaults(func=_cmd_canon)
 
     p = sub.add_parser("census", parents=[common],

@@ -2,8 +2,13 @@
 
 A value is kept in the canonical form ``num * 2**exp`` with ``num`` odd, zero
 being stored as ``(0, 0)``.  Canonical form is unique per value, so equality
-and hashing are plain field comparisons.  All operations are exact; anything
-that would leave the ring raises ``NotDyadic``.
+and hashing are plain field comparisons, and a pickle holds the two fields.
+All operations are exact; anything that would leave the ring raises
+``NotDyadic``.
+
+Record, at the top, states once the policy of dyhat's value records
+(same-class equality, tuple hash, no order, validating construction); every
+record in dyhat, Residue here among them, is a namedtuple built on it.
 """
 
 from __future__ import annotations
@@ -13,6 +18,40 @@ from collections import namedtuple
 from typing import Iterable
 
 from .errors import BothZero, DivisionByZero, NoSolution, NotDyadic, ZeroArgument
+
+
+class Record:
+    """The policy of dyhat's value records, each declared as
+    ``class Name(Record, namedtuple("Name", fields))``.
+
+    A record is an immutable tuple of its fields.  It equals only another
+    record of the same class, hashes as the tuple of its fields and has no
+    order.  _make, _replace, copy and pickle all build through the class's
+    own constructor, so a record that validates its fields in __new__ is
+    validated on every route.  Record comes first among the bases so that
+    its _make shadows the namedtuple's, which would skip __new__.
+    """
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    @classmethod
+    def _make(cls, values: Iterable):
+        return cls(*values)
+
+    def __reduce__(self):
+        return self.__class__, tuple(self)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __lt__(self, other):
+        raise TypeError(f"{self.__class__.__name__} values have no order")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
 
 def val2(n: int) -> int:
@@ -87,6 +126,9 @@ class DyadicRational:
 
     def __hash__(self):
         return hash((self.num, self.exp))
+
+    def __reduce__(self):
+        return DyadicRational, (self.num, self.exp)
 
     def __neg__(self) -> "DyadicRational":
         return DyadicRational(-self.num, self.exp)
@@ -181,13 +223,9 @@ def reduce_scale(ints: Iterable[int], e: int) -> tuple[tuple[int, ...], int]:
     return tuple([n >> v for n in ints]), e + v
 
 
-class Residue(namedtuple("Residue", "value modulus")):
-    """A residue class value + modulus*Z with an odd positive modulus.
-
-    An immutable record: it equals only another Residue, hashes as the
-    tuple of its fields and has no order.  _make, _replace, copy and
-    pickle all build through the validating constructor.
-    """
+class Residue(Record, namedtuple("Residue", "value modulus")):
+    """A residue class value + modulus*Z with an odd positive modulus; a
+    Record, validated on every construction route."""
 
     __slots__ = ()
 
@@ -197,26 +235,6 @@ class Residue(namedtuple("Residue", "value modulus")):
         if not 0 <= value < modulus:
             raise ValueError("residue value must lie in [0, modulus)")
         return tuple.__new__(cls, (value, modulus))
-
-    @classmethod
-    def _make(cls, values: Iterable[int]) -> Residue:
-        return cls(*values)
-
-    def __reduce__(self):
-        return self.__class__, tuple(self)
-
-    __hash__ = tuple.__hash__
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __lt__(self, other):
-        raise TypeError(f"{self.__class__.__name__} values have no order")
-
-    __le__ = __gt__ = __ge__ = __lt__
 
 
 def solve_congruence(a: int, b: int, n: int) -> Residue:

@@ -2,7 +2,7 @@
 
 Points, 2x2 matrices, affine maps and triangles with entries in Z[1/2].  A
 map is a unit when its determinant is +-2**k; exactly the units are
-invertible over the dyadics.
+invertible over the dyadics.  Point2 and Matrix2 are dyadic.Record values.
 
 A Triangle is stored as its six vertex coordinates in common_scale form:
 integers times one common power of two.  Triangle(vertices) clears the
@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterable
 
-from .dyadic import DyadicRational, common_scale, odd_part, reduce_scale, val2
+from .dyadic import DyadicRational, Record, common_scale, odd_part, reduce_scale, val2
 from .errors import DegenerateTriangle
 
 
@@ -35,26 +35,10 @@ def _dy(value) -> DyadicRational:
     return value if isinstance(value, DyadicRational) else DyadicRational(value)
 
 
-class Point2(namedtuple("Point2", "x y")):
-    """A point (x, y) with DyadicRational coordinates.
-
-    An immutable record: it equals only another Point2, hashes as the tuple
-    of its fields and has no order.
-    """
+class Point2(Record, namedtuple("Point2", "x y")):
+    """A point (x, y) with DyadicRational coordinates; a Record."""
 
     __slots__ = ()
-    __hash__ = tuple.__hash__
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __lt__(self, other):
-        raise TypeError(f"{self.__class__.__name__} values have no order")
-
-    __le__ = __gt__ = __ge__ = __lt__
 
     @staticmethod
     def of(x, y) -> "Point2":
@@ -64,27 +48,11 @@ class Point2(namedtuple("Point2", "x y")):
         return Point2(self.x + other.x, self.y + other.y)
 
 
-class Matrix2(namedtuple("Matrix2", "a b c d")):
+class Matrix2(Record, namedtuple("Matrix2", "a b c d")):
     """Row-major 2x2 matrix [[a, b], [c, d]] acting on column vectors, with
-    DyadicRational entries.
-
-    An immutable record: it equals only another Matrix2, hashes as the
-    tuple of its fields and has no order.
-    """
+    DyadicRational entries; a Record."""
 
     __slots__ = ()
-    __hash__ = tuple.__hash__
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __lt__(self, other):
-        raise TypeError(f"{self.__class__.__name__} values have no order")
-
-    __le__ = __gt__ = __ge__ = __lt__
 
     def det(self) -> DyadicRational:
         return self.a * self.d - self.b * self.c

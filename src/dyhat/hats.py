@@ -15,18 +15,20 @@ geometry.affine_through from geometry.cramer_source of the triangle's
 integers in role order and the hat's integers.  Hat.triangle builds its
 triangle with Triangle.from_scaled, and the witness is stored as integers
 too: no DyadicRational is built until a caller reads the vertices or the
-witness's linear part or translation.
+witness's linear part or translation.  Hat, EncodingTriple and Normalization
+are dyadic.Record values; EncodingTriple alone adds an order, the canonical
+(j, m, i) order that canonical_form takes the least triple in.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from itertools import permutations
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
-from .dyadic import egcd, odd_part, val2
+from .dyadic import Record, egcd, odd_part, val2
 from .errors import InconsistencyError, InvalidHat
-from .geometry import AffineMap, Triangle, affine_through, cramer_source
+from .geometry import Triangle, affine_through, cramer_source
 
 
 def _check_odd_positive(value: int, name: str) -> None:
@@ -34,13 +36,9 @@ def _check_odd_positive(value: int, name: str) -> None:
         raise InvalidHat(f"{name} must be an odd positive integer, got {value}")
 
 
-class Hat(namedtuple("Hat", "i j m")):
+class Hat(Record, namedtuple("Hat", "i j m")):
     """Triangle (0,0), (i,j), (m,0) with odd positive j, m; i unrestricted.
-
-    An immutable record: it equals only another Hat, hashes as the tuple of
-    its fields and has no order.  _make, _replace, copy and pickle all build
-    through the validating constructor.
-    """
+    A Record, validated on every construction route."""
 
     __slots__ = ()
 
@@ -48,26 +46,6 @@ class Hat(namedtuple("Hat", "i j m")):
         _check_odd_positive(j, "j")
         _check_odd_positive(m, "m")
         return tuple.__new__(cls, (i, j, m))
-
-    @classmethod
-    def _make(cls, values: Iterable[int]) -> Hat:
-        return cls(*values)
-
-    def __reduce__(self):
-        return self.__class__, tuple(self)
-
-    __hash__ = tuple.__hash__
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __lt__(self, other):
-        raise TypeError(f"{self.__class__.__name__} values have no order")
-
-    __le__ = __gt__ = __ge__ = __lt__
 
     @property
     def is_representative(self) -> bool:
@@ -77,14 +55,11 @@ class Hat(namedtuple("Hat", "i j m")):
         return Triangle.from_scaled((0, 0, self.i, self.j, self.m, 0), 0)
 
 
-class EncodingTriple(namedtuple("EncodingTriple", "i j m")):
+class EncodingTriple(Record, namedtuple("EncodingTriple", "i j m")):
     """Pointed class label: odd i in {1, ..., 2j-1} with odd positive j, m.
-
-    An immutable record: it equals only another EncodingTriple and hashes
-    as the tuple of its fields.  It is ordered by < and > alone, in the
-    canonical (j, m, i) order; <= and >= raise TypeError.  _make, _replace,
-    copy and pickle all build through the validating constructor.
-    """
+    A Record, validated on every construction route, except that it is
+    ordered by < and > alone, in the canonical (j, m, i) order; <= and >=
+    raise TypeError."""
 
     __slots__ = ()
 
@@ -94,21 +69,6 @@ class EncodingTriple(namedtuple("EncodingTriple", "i j m")):
         if i % 2 == 0 or not 1 <= i <= 2 * j - 1:
             raise InvalidHat(f"i must be odd in 1..{2 * j - 1}, got {i}")
         return tuple.__new__(cls, (i, j, m))
-
-    @classmethod
-    def _make(cls, values: Iterable[int]) -> EncodingTriple:
-        return cls(*values)
-
-    def __reduce__(self):
-        return self.__class__, tuple(self)
-
-    __hash__ = tuple.__hash__
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
 
     def __lt__(self, other: "EncodingTriple") -> bool:
         # canonical order: lexicographic on (j, m, i)
@@ -138,9 +98,11 @@ def pointed_canonical(h: Hat) -> EncodingTriple:
     return EncodingTriple((h.i + h.j) % two_j, h.j, h.m)
 
 
-class Normalization(NamedTuple):
-    hat: Hat
-    witness: AffineMap
+class Normalization(Record, namedtuple("Normalization", "hat witness")):
+    """normalize's result: the representative hat and the witness map; a
+    Record."""
+
+    __slots__ = ()
 
 
 IDENTITY_ROLES = (0, 1, 2)

@@ -17,16 +17,18 @@ other.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from collections import namedtuple
+from typing import Iterator
 
+from .dyadic import Record
 from .geometry import AffineMap, Triangle, affine_through
 
 
-class Correspondence(NamedTuple):
-    """Vertex assignment: source vertex k maps to target vertex perm[k]."""
+class Correspondence(Record, namedtuple("Correspondence", "case perm")):
+    """Vertex assignment: source vertex k maps to target vertex perm[k]; a
+    Record."""
 
-    case: str
-    perm: tuple[int, int, int]
+    __slots__ = ()
 
 
 #: The six correspondences in a fixed order.  Read off the target slot of

@@ -226,6 +226,9 @@ def test_canon(capsys):
     assert run(["canon", "--json", "0,0 1,3 5,0"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert EncodingTriple(*payload["triple"]) == EncodingTriple(1, 3, 5)
+    # a hat literal stands for its triangle, here one isomorphic to T 1 3 5
+    assert run(["canon", "T 5 15 1"]) == 0
+    assert capsys.readouterr().out.strip() == "1 3 5"
 
 
 def test_normalize_canonical(capsys):
@@ -241,6 +244,9 @@ def test_normalize_lists_all_roles(capsys):
     assert {line.split(":")[0] for line in lines} == {
         "ABC", "ACB", "BAC", "BCA", "CAB", "CBA"
     }
+    # the hat literal of the same triangle
+    assert run(["normalize", "T 1 3 5"]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 def test_normalize_verify(capsys):

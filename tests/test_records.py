@@ -1,7 +1,8 @@
 """The value records: Residue, Point2, Matrix2, Hat, EncodingTriple, AutGroup,
-IsoResult, CensusRow and CensusReport.
+IsoResult, CensusRow, CensusReport, Normalization and Correspondence.
 
-Each was a frozen dataclass; the reprs below were captured from that code.
+The first nine were frozen dataclasses and the last two typing.NamedTuple
+classes; the reprs below were captured from that code.
 Pinned here: repr, hash (that of the tuple of the fields), pickling, equality
 only with the same class, no assignment, the validation messages on every
 construction route, and the order (none, except EncodingTriple's canonical
@@ -19,6 +20,8 @@ from dyhat.classify import AutGroup, CensusReport, CensusRow, IsoResult
 from dyhat.dyadic import Residue
 from dyhat.errors import InvalidHat
 from dyhat.geometry import Matrix2, Point2
+from dyhat.hats import Normalization
+from dyhat.oracle import Correspondence
 
 #: The witness of case c from T 1 3 5 to T 5 15 1.
 _MAP = AffineMap.from_scaled(((1, 0, 3, -1), 0), ((0, 0), 0))
@@ -34,7 +37,7 @@ _ROW_REPR = (
     "aut_counts={'Trivial': 1, 'C2': 2, 'C3': 0, 'S3': 0}, orbit_ok=True)"
 )
 
-#: (class, field values, repr of the frozen dataclass with those fields)
+#: (class, field values, repr of the former class with those fields)
 SAMPLES = [
     (Residue, (3, 7), "Residue(value=3, modulus=7)"),
     (Point2, (D(1, -1), D(-3)),
@@ -53,6 +56,9 @@ SAMPLES = [
     (CensusRow, (3, 5, 3, 2, _COUNTS, True), _ROW_REPR),
     (CensusReport, (3, 5, (_ROW,)),
      f"CensusReport(j_max=3, m_max=5, rows=({_ROW_REPR},))"),
+    (Normalization, (Hat(5, 15, 1), _MAP),
+     f"Normalization(hat=Hat(i=5, j=15, m=1), witness={_MAP_REPR})"),
+    (Correspondence, ("c", (0, 2, 1)), "Correspondence(case='c', perm=(0, 2, 1))"),
 ]
 
 _IDS = [f"{cls.__name__}{k}" for k, (cls, _, _) in enumerate(SAMPLES)]
@@ -77,10 +83,8 @@ def test_repr_and_hash_are_those_of_the_dataclass(cls, fields, expected):
 @pytest.mark.parametrize("cls, fields, expected", SAMPLES, ids=_IDS)
 def test_pickle_and_copy_round_trip(cls, fields, expected):
     value = cls(*fields)
-    # from protocol 2: DyadicRational, which Point2 and Matrix2 hold, has
-    # __slots__ and no __getstate__, so protocols 0 and 1 refuse it
     copies = [pickle.loads(pickle.dumps(value, protocol))
-              for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     copies += [copy.copy(value), copy.deepcopy(value), value._make(fields),
                value._replace()]
     for other in copies:

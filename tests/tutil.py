@@ -144,9 +144,10 @@ def fraction_inverse(f, tri):
 
 def _reachable_names(fn, seen=None):
     """Global and attribute names used by fn and by every dyhat function or
-    class it names, followed transitively.  A class's methods and property
-    getters are followed, and a global tuple (a table such as
-    oracle.CORRESPONDENCES) reaches the classes of its items."""
+    class it names, followed transitively.  A class reaches its dyhat bases
+    (its __mro__, e.g. dyadic.Record under each record), and the methods and
+    property getters of each reached class are followed.  A global tuple (a
+    table such as oracle.CORRESPONDENCES) reaches the classes of its items."""
     seen = set() if seen is None else seen
     names = set()
     stack = [fn.__code__]
@@ -156,7 +157,8 @@ def _reachable_names(fn, seen=None):
         stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
     for name in names & fn.__globals__.keys():
         value = fn.__globals__[name]
-        for target in {type(v) for v in value} if isinstance(value, tuple) else [value]:
+        values = {type(v) for v in value} if isinstance(value, tuple) else [value]
+        for target in [t for v in values for t in getattr(v, "__mro__", [v])]:
             module = getattr(target, "__module__", None) or ""
             if not module.startswith("dyhat") or target in seen:
                 continue
