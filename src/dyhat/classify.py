@@ -23,8 +23,7 @@ from .hats import (
     EncodingTriple,
     Hat,
     all_encoding_triples,
-    hat_of,
-    pointed_canonical,
+    role_triples,
 )
 from .oracle import CASES, oracle_isomorphic, perm_label, realized_correspondences
 
@@ -180,9 +179,16 @@ class IsoResult(Record, namedtuple("IsoResult", "isomorphic case witness")):
     __slots__ = ()
 
 
-def _decide(t1: Triangle, t2: Triangle, h1: Hat, h2: Hat) -> IsoResult:
-    triples1 = all_encoding_triples(t1)
-    triples2 = all_encoding_triples(t2)
+def _decide(
+    t1: Triangle,
+    t2: Triangle,
+    h1: Hat,
+    h2: Hat,
+    triples1: frozenset[EncodingTriple],
+    triples2: frozenset[EncodingTriple],
+) -> IsoResult:
+    """The three routes on the hats and triple sets of t1 and t2, then the
+    oracle on t1 and t2 themselves when the routes say isomorphic."""
     by_canonical = min(triples1) == min(triples2)
     by_overlap = bool(triples1 & triples2)
     case = next((c for c in CASES if iso_case(h1, h2, c)), None)
@@ -204,13 +210,20 @@ def isomorphic(t1: Triangle, t2: Triangle) -> IsoResult:
 
     Three independent criteria routes (canonical triples, triple overlap,
     hat case analysis) must agree; the witness map comes from the oracle.
+    One role_triples reduction per triangle gives both its hat (entry 0,
+    the identity order) and its triple set; the oracle shares no code with
+    that reduction.
     """
-    return _decide(t1, t2, hat_of(t1), hat_of(t2))
+    roles1, roles2 = role_triples(t1), role_triples(t2)
+    return _decide(
+        t1, t2, Hat(*roles1[0]), Hat(*roles2[0]), frozenset(roles1), frozenset(roles2)
+    )
 
 
 def isomorphic_hats(h1: Hat, h2: Hat) -> IsoResult:
     """Same decision for two (almost representative) hats, given directly."""
-    return _decide(h1.triangle(), h2.triangle(), h1, h2)
+    t1, t2 = h1.triangle(), h2.triangle()
+    return _decide(t1, t2, h1, h2, all_encoding_triples(t1), all_encoding_triples(t2))
 
 
 class CensusRow(Record, namedtuple(
@@ -249,11 +262,13 @@ def _census_cell(cell: tuple[int, int]) -> CensusRow:
     for i in range(1, 2 * j, 2):
         h = Hat(i, j, m)
         tri = h.triangle()
-        # run the full pipeline rather than trusting i to be canonical
-        pointed.add(pointed_canonical(hat_of(tri)))
+        # run the full pipeline rather than trusting i to be canonical:
+        # entry 0 is the identity order's pointed class
+        roles = role_triples(tri)
+        pointed.add(roles[0])
         group = automorphism_group(h)
         counts[group.tag] += 1
-        triples = all_encoding_triples(tri)
+        triples = frozenset(roles)
         canonical.add(min(triples))
         if len(triples) * group.order != 6:
             orbit_ok = False

@@ -5,12 +5,15 @@ One query per invocation.  Exit codes: 0 success (for iso: isomorphic),
 (malformed or oversized literal, non-dyadic value, degenerate triangle,
 even j, bad bounds), 5 internal inconsistency (two cross-checked routes
 disagreed: a defect in dyhat, not in the input), each with a diagnostic
-naming the violated invariant.
+naming the violated invariant, 6 output could not be written (render's
+--out file, with a one-line diagnostic, or stdout closed by its reader, as
+in "dyhat census ... | head -1", silently).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from itertools import permutations
@@ -307,8 +310,12 @@ def _cmd_census(args) -> int:
 
 def _cmd_render(args) -> int:
     svg = render_svg(parse_shape(args.shape))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except OSError as err:
+        print(f"error: cannot write {args.out}: {err.strerror or err}", file=sys.stderr)
+        return 6
     if args.json:
         _print_json({"render": {"out": args.out}})
     elif not args.quiet:
@@ -390,4 +397,12 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush
+        # at interpreter exit cannot fail again, and end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 6
+    sys.exit(code)

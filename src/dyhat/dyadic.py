@@ -75,18 +75,17 @@ def odd_gcd(a: int, b: int) -> int:
 
 
 def egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: (g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        return -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+    """Extended Euclid: (g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g.
+
+    Which Bezout row (x, y) comes back is unspecified.  The gcd and the
+    inverse of a/g modulo |b/g| both run in C (math.gcd and pow), and y
+    follows exactly, since a*x = g modulo |b|.
+    """
+    g = math.gcd(a, b)
+    if b == 0:
+        return g, (a > 0) - (a < 0), 0
+    x = pow(a // g, -1, abs(b // g))
+    return g, x, (g - a * x) // b
 
 
 class DyadicRational:

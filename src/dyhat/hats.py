@@ -6,10 +6,13 @@ dyadic triangle with a chosen vertex role assignment is isomorphic, by a
 unit affine map, to exactly one representative hat with i odd in
 {1, 3, ..., 2j-1}; that triple encodes the pointed isomorphism class, and
 the set of triples over all six role assignments encodes the full class.
-hat_of finds that hat on integers alone, and all_encoding_triples finds all
-six; both go through one reduction, _reduce_roles, which takes the odd part
-of twice the area once and the extended Euclid of each of the three edges
-once, the reversed edge reusing it with the Bezout row negated.  normalize
+hat_of finds that hat on integers alone, and role_triples finds all six,
+identity order first; both go through one reduction, _reduce_roles, which
+takes the odd part of twice the area once and the extended Euclid of each
+of the three edges once, the reversed edge reusing it with the Bezout row
+negated.  So one role_triples call per triangle serves both its pointed
+class (entry 0, the identity order's hat) and its triple set
+(all_encoding_triples), and a caller that needs both reduces once.  normalize
 also returns the witness map, for the callers that ask for one, solved by
 geometry.affine_through from geometry.cramer_source of the triangle's
 integers in role order and the hat's integers.  Hat.triangle builds its
@@ -175,9 +178,16 @@ def normalize(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> No
     return Normalization(hat, witness)
 
 
+def role_triples(tri: Triangle) -> tuple[EncodingTriple, ...]:
+    """The encoding triple of each of the six vertex role orders, in
+    _ALL_ROLES order: entry 0, the identity order, is the pointed class
+    pointed_canonical(hat_of(tri))."""
+    return tuple(EncodingTriple(*ijm) for ijm in _reduce_roles(tri, _ALL_ROLES))
+
+
 def all_encoding_triples(tri: Triangle) -> frozenset[EncodingTriple]:
     """Encoding triples over all six vertex role assignments (1 to 6 values)."""
-    return frozenset(EncodingTriple(*ijm) for ijm in _reduce_roles(tri, _ALL_ROLES))
+    return frozenset(role_triples(tri))
 
 
 def canonical_form(tri: Triangle) -> EncodingTriple:

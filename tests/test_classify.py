@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from dyhat import (
     DyadicRational,
@@ -26,6 +27,7 @@ from dyhat import (
 )
 from dyhat.classify import (
     GROUP_ORDER,
+    IsoResult,
     aut_cycle,
     aut_fix_A,
     aut_fix_B,
@@ -35,8 +37,8 @@ from dyhat.classify import (
 from dyhat.dyadic import odd_gcd
 from dyhat.errors import InconsistencyError, InvalidBounds, InvalidHat
 from dyhat.hats import hat_of
-from dyhat import oracle
-from dyhat.oracle import realized_correspondences
+from dyhat import classify, hats, oracle
+from dyhat.oracle import CASES, realized_correspondences
 
 import tutil
 from reference import (
@@ -234,6 +236,68 @@ def test_group_order_matches_oracle_count(h):
 def test_orbit_stabilizer_identity(h):
     triples = all_encoding_triples(h.triangle())
     assert len(triples) * automorphism_group(h).order == 6
+
+
+def _check_isomorphic(t1, t2):
+    """isomorphic(t1, t2) against its parts computed apart: the case from
+    iso_case on hat_of of each triangle, the canonical route from
+    all_encoding_triples, the verdict and witness from the oracle."""
+    result = isomorphic(t1, t2)
+    found = oracle_isomorphic(t1, t2)
+    h1, h2 = hat_of(t1), hat_of(t2)
+    case = next((c for c in CASES if iso_case(h1, h2, c)), None)
+    assert result == IsoResult(found is not None, case, found and found[1]), (t1, t2)
+    assert result.isomorphic == (
+        min(all_encoding_triples(t1)) == min(all_encoding_triples(t2)))
+
+
+def test_isomorphic_answers_on_the_15_grid():
+    """Each representative hat with j, m <= 15 against a shuffled unit-map
+    image of itself and against the hat two steps along in i."""
+    rng = random.Random(12)
+    for j in range(1, 16, 2):
+        for m in range(1, 16, 2):
+            for i in range(1, 2 * j, 2):
+                t = Hat(i, j, m).triangle()
+                image = t.transformed(tutil.rand_unit_map(rng))
+                _check_isomorphic(Triangle(tuple(rng.sample(image.vertices, 3))), t)
+                _check_isomorphic(t, Hat(i + 2, j, m).triangle())
+
+
+@given(st.one_of(tutil.large_triangles, tutil.huge_triangles), tutil.unit_maps,
+       st.one_of(tutil.large_triangles, tutil.huge_triangles))
+@settings(max_examples=60)
+def test_isomorphic_answers_on_large_coordinates(t, f, other):
+    _check_isomorphic(t, t.transformed(f))
+    _check_isomorphic(t, other)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_role_reduction_per_triangle_and_every_route_runs(monkeypatch):
+    reductions = _count_calls(monkeypatch, hats, "_reduce_roles")
+    cases = _count_calls(monkeypatch, classify, "iso_case")
+    solves = _count_calls(monkeypatch, classify, "oracle_isomorphic")
+    t1, t2 = Hat(1, 3, 5).triangle(), Hat(5, 15, 1).triangle()
+    assert isomorphic(t1, t2).case == "c"
+    assert [orders for _, orders in reductions] == [hats._ALL_ROLES] * 2
+    assert [case for _, _, case in cases] == ["a", "b", "c"]
+    assert len(solves) == 1
+    # a census hat is reduced once, and still gets its six oracle solves
+    reductions.clear()
+    corrs = _count_calls(monkeypatch, classify, "realized_correspondences")
+    assert census(5, 5).ok
+    assert len(reductions) == len(corrs) == 27
 
 
 def test_right_triangle_rule():

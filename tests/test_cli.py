@@ -379,6 +379,15 @@ def test_render_oversized_coordinate_exits_4(tmp_path, capsys, shape):
     assert not out.exists()
 
 
+def test_render_into_a_missing_directory_exits_6(tmp_path, capsys):
+    out = tmp_path / "missing" / "hat.svg"
+    assert run(["render", "T 1 3 5", "--out", str(out)]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+
+
 # ---------------------------------------------------------------- entry point
 
 
@@ -404,6 +413,39 @@ def test_installed_script():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "C3"
+
+
+#: Commands that print more than one line.
+_MANY_LINES = [
+    ["census", "--jmax", "15", "--mmax", "15"],
+    ["normalize", "--verify", "0,0 1,3 5,0"],
+]
+
+
+@pytest.mark.parametrize("args", _MANY_LINES)
+def test_reader_closing_stdout_after_one_line_leaves_no_traceback(args):
+    proc = subprocess.Popen([sys.executable, "-m", "dyhat", *args], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_child_env())
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    # the rest of the output may still have fitted in the pipe, hence 0
+    assert proc.wait(timeout=60) in (0, 6)
+    assert first.strip()
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+@pytest.mark.parametrize("args", _MANY_LINES)
+def test_stdout_closed_before_the_first_line_exits_6_quietly(args):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "dyhat", *args], stdout=write,
+                              stderr=subprocess.PIPE, env=_child_env(), timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (6, b"")
 
 
 #: Modules that only a pooled census (the first two), to_fraction

@@ -4,10 +4,11 @@ Exact operations are cross-checked against stdlib Fraction, which plays the
 role of the independent arithmetic oracle here.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from dyhat import DyadicRational
@@ -96,13 +97,35 @@ def test_odd_gcd():
         odd_gcd(0, 0)
 
 
-@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
-def test_egcd_identity(a, b):
+_egcd_ints = st.one_of(st.integers(-10**6, 10**6), st.integers(-(2**700), 2**700))
+
+
+def _check_egcd(a, b):
     g, x, y = egcd(a, b)
     assert a * x + b * y == g
     assert g >= 0
     if (a, b) != (0, 0):
         assert a % g == 0 and b % g == 0
+        assert math.gcd(a, b) == g
+
+
+@given(_egcd_ints, _egcd_ints)
+@example(0, 0)
+@example(0, 12)
+@example(0, -(2**700))
+@example(12, 0)
+@example(-(2**700) + 1, 0)
+@example(35, -35)
+@example(-(2**699), 2**699)
+@example(91, 7)  # |b/g| == 1: the inverse is taken mod 1
+@example(-(3**400), -(3**200))
+def test_egcd_identity(a, b):
+    _check_egcd(a, b)
+
+
+@given(st.integers(1, 2**350), _egcd_ints, _egcd_ints)
+def test_egcd_identity_with_a_large_common_factor(c, a, b):
+    _check_egcd(c * a, c * b)
 
 
 def test_solve_congruence_examples():

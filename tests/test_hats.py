@@ -21,7 +21,7 @@ from dyhat import (
 )
 from dyhat.errors import InconsistencyError, InvalidHat
 from dyhat.geometry import Point2
-from dyhat.hats import _reduce_roles, pointed_canonical
+from dyhat.hats import _reduce_roles, pointed_canonical, role_triples
 
 import tutil
 from reference import IDENTITY, affine
@@ -217,12 +217,17 @@ def _unshared_hats(t):
 
 
 def _check_shared_edges(t):
-    """The shared-edge reduction against _unshared_hats; returns the triples."""
+    """The shared-edge reduction against _unshared_hats; returns the triples.
+    role_triples lists each order's triple, entry 0 being the pointed class
+    of hat_of, and all_encoding_triples is their set."""
     unshared = _unshared_hats(t)
     for roles, hat in zip(permutations((0, 1, 2)), unshared):
         assert hat_of(t, roles) == hat, (t, roles)
     assert _reduce_roles(t, list(permutations((0, 1, 2)))) == [
         (h.i, h.j, h.m) for h in unshared]
+    roles = role_triples(t)
+    assert roles == tuple(EncodingTriple(h.i, h.j, h.m) for h in unshared)
+    assert roles[0] == pointed_canonical(hat_of(t))
     triples = all_encoding_triples(t)
     assert triples == {EncodingTriple(h.i, h.j, h.m) for h in unshared}
     return triples
@@ -245,7 +250,18 @@ def test_shared_edge_reduction_matches_unshared_hats_on_the_31_grid():
     assert digest.hexdigest() == ENCODING_DIGEST
 
 
-@given(st.one_of(tutil.triangles, tutil.large_triangles))
+def test_shared_edge_reduction_on_unit_map_images_of_the_15_grid():
+    """As above, on a seeded unit-map image of every representative hat
+    with j, m <= 15, so that no vertex sits at the origin."""
+    rng = random.Random(11)
+    for j in range(1, 16, 2):
+        for m in range(1, 16, 2):
+            for i in range(1, 2 * j, 2):
+                _check_shared_edges(Hat(i, j, m).triangle().transformed(
+                    tutil.rand_unit_map(rng)))
+
+
+@given(st.one_of(tutil.triangles, tutil.large_triangles, tutil.huge_triangles))
 def test_shared_edge_reduction_matches_unshared_hats(t):
     _check_shared_edges(t)
 

@@ -36,16 +36,21 @@ triangles = st.builds(_triangle_or_none, points, points, points).filter(
     lambda t: t is not None
 )
 
+
+def _triangles_with_numerators_up_to(bound: int):
+    dyadics = st.builds(DyadicRational, st.integers(-bound, bound), st.integers(-40, 40))
+    points = st.builds(Point2, dyadics, dyadics)
+    return st.builds(_triangle_or_none, points, points, points).filter(
+        lambda t: t is not None
+    )
+
+
 # coordinates far past a machine word, of either sign, with exponents of
 # either sign, so that gcds, determinants and residues are large too
-_large_dyadics = st.builds(
-    DyadicRational, st.integers(-(2**80), 2**80), st.integers(-40, 40)
-)
-_large_points = st.builds(Point2, _large_dyadics, _large_dyadics)
-
-large_triangles = st.builds(
-    _triangle_or_none, _large_points, _large_points, _large_points
-).filter(lambda t: t is not None)
+large_triangles = _triangles_with_numerators_up_to(2**80)
+# numerators of up to 700 bits, so that each edge's extended Euclid runs
+# on integers of hundreds of bits
+huge_triangles = _triangles_with_numerators_up_to(2**700)
 
 _translations = points.map(lambda t: affine(1, 0, 0, 1, t.x, t.y))
 _shears_x = st.integers(-4, 4).map(lambda s: affine(1, s, 0, 1))
