@@ -3,11 +3,13 @@
 Everything here is decided by integer divisibility criteria on hat
 parameters; witnesses and cross-checks come from the exact oracle, and the
 two routes must agree on every call (a disagreement is a defect, surfaced
-as an InconsistencyError).  A census cell decides each hat's group with
-automorphism_group itself, the same call the aut command makes.  The results
-(AutGroup, IsoResult, CensusRow, CensusReport) are dyadic.Record values.
-The process pool is imported only when a census runs pooled, so the other
-commands never load concurrent.futures.process or multiprocessing.
+as an InconsistencyError).  isomorphic is the one isomorphism decision:
+isomorphic_hats runs it on the hats' triangles.  A census cell decides each
+hat's group with automorphism_group itself, the same call the aut command
+makes.  The results (AutGroup, IsoResult, CensusRow, CensusReport) are
+dyadic.Record values.  The process pool is imported only when a census runs
+pooled, so the other commands never load concurrent.futures.process or
+multiprocessing.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .geometry import Triangle
 from .hats import (
     EncodingTriple,
     Hat,
-    all_encoding_triples,
     role_triples,
 )
 from .oracle import CASES, oracle_isomorphic, perm_label, realized_correspondences
@@ -179,18 +180,20 @@ class IsoResult(Record, namedtuple("IsoResult", "isomorphic case witness")):
     __slots__ = ()
 
 
-def _decide(
-    t1: Triangle,
-    t2: Triangle,
-    h1: Hat,
-    h2: Hat,
-    triples1: frozenset[EncodingTriple],
-    triples2: frozenset[EncodingTriple],
-) -> IsoResult:
-    """The three routes on the hats and triple sets of t1 and t2, then the
-    oracle on t1 and t2 themselves when the routes say isomorphic."""
-    by_canonical = min(triples1) == min(triples2)
-    by_overlap = bool(triples1 & triples2)
+def isomorphic(t1: Triangle, t2: Triangle) -> IsoResult:
+    """Decide whether two triangles are isomorphic over the dyadics.
+
+    Three independent criteria routes (canonical triples, triple overlap,
+    hat case analysis) must agree; the witness map comes from the oracle,
+    run on t1 and t2 themselves when the routes say isomorphic.  One
+    role_triples reduction per triangle gives both its hat (entry 0, the
+    identity order) and its triple set; the oracle shares no code with that
+    reduction.
+    """
+    roles1, roles2 = role_triples(t1), role_triples(t2)
+    by_canonical = min(roles1) == min(roles2)
+    by_overlap = not frozenset(roles1).isdisjoint(roles2)
+    h1, h2 = Hat(*roles1[0]), Hat(*roles2[0])
     case = next((c for c in CASES if iso_case(h1, h2, c)), None)
     if not (by_canonical == by_overlap == (case is not None)):
         raise InconsistencyError(
@@ -205,25 +208,9 @@ def _decide(
     return IsoResult(True, case, found[1])
 
 
-def isomorphic(t1: Triangle, t2: Triangle) -> IsoResult:
-    """Decide whether two triangles are isomorphic over the dyadics.
-
-    Three independent criteria routes (canonical triples, triple overlap,
-    hat case analysis) must agree; the witness map comes from the oracle.
-    One role_triples reduction per triangle gives both its hat (entry 0,
-    the identity order) and its triple set; the oracle shares no code with
-    that reduction.
-    """
-    roles1, roles2 = role_triples(t1), role_triples(t2)
-    return _decide(
-        t1, t2, Hat(*roles1[0]), Hat(*roles2[0]), frozenset(roles1), frozenset(roles2)
-    )
-
-
 def isomorphic_hats(h1: Hat, h2: Hat) -> IsoResult:
-    """Same decision for two (almost representative) hats, given directly."""
-    t1, t2 = h1.triangle(), h2.triangle()
-    return _decide(t1, t2, h1, h2, all_encoding_triples(t1), all_encoding_triples(t2))
+    """isomorphic on the two hats' triangles; i may have either parity."""
+    return isomorphic(h1.triangle(), h2.triangle())
 
 
 class CensusRow(Record, namedtuple(

@@ -18,11 +18,11 @@ import re
 import sys
 from itertools import permutations
 
-from .classify import automorphism_group, census, isomorphic, isomorphic_hats
+from .classify import automorphism_group, census, isomorphic
 from .dyadic import DyadicRational
 from .errors import DomainError, InconsistencyError, InvalidHat, NotDyadic, ParseError
 from .geometry import AffineMap, Point2, Triangle
-from .hats import EncodingTriple, Hat, canonical_form, normalize, pointed_canonical
+from .hats import EncodingTriple, Hat, canonical_form, normalize
 from .oracle import perm_label
 from .render import render_svg
 
@@ -114,14 +114,12 @@ def parse_triangle(text: str) -> Triangle:
     return Triangle(tuple(points))
 
 
-def _is_hat_literal(text: str) -> bool:
-    head = text.split(maxsplit=1)
-    return bool(head) and head[0] in ("T", "TT")
-
-
 def parse_shape(text: str) -> Triangle:
     """Parse a hat literal (as its triangle) or a triangle literal."""
-    return parse_hat(text).triangle() if _is_hat_literal(text) else parse_triangle(text)
+    head = text.split(maxsplit=1)
+    if head and head[0] in ("T", "TT"):
+        return parse_hat(text).triangle()
+    return parse_triangle(text)
 
 
 # ---------------------------------------------------------------- JSON shapes
@@ -139,7 +137,7 @@ def hat_json(h: Hat) -> dict:
     return {"i": h.i, "j": h.j, "m": h.m}
 
 
-def triple_json(t: EncodingTriple) -> list[int]:
+def triple_json(t: EncodingTriple | Hat) -> list[int]:
     return [t.i, t.j, t.m]
 
 
@@ -206,7 +204,8 @@ def _cmd_normalize(args) -> int:
             {
                 "roles": label,
                 "hat": hat_json(res.hat),
-                "triple": triple_json(pointed_canonical(res.hat)),
+                # hat_of's i is already odd in 1..2j-1: the hat is its own triple
+                "triple": triple_json(res.hat),
                 "map": map_json(res.witness),
             }
             for label, res, _ in rows
@@ -239,12 +238,7 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    first, second = args.first, args.second
-    if _is_hat_literal(first) and _is_hat_literal(second):
-        result = isomorphic_hats(parse_hat(first), parse_hat(second))
-    else:
-        result = isomorphic(parse_shape(first), parse_shape(second))
-
+    result = isomorphic(parse_shape(args.first), parse_shape(args.second))
     if args.json:
         payload = {
             "result": result.isomorphic,
@@ -382,7 +376,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        if argv.count("--") > 1:
+            # argparse in Python 3.11 drops a second "--" and can hand a
+            # positional an empty list in place of a value ("aut -- 1 -- 3")
+            parser.error("'--' may be given at most once")
         args = parser.parse_args(argv)
     except SystemExit as exit_:  # argparse handles usage errors and --help
         return int(exit_.code or 0)

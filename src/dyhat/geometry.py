@@ -12,14 +12,13 @@ translation coordinates each as integers and one exponent.  Triangle.vertices
 and AffineMap.linear / .translation are Point2, Matrix2 and DyadicRational
 views, built on first access and then kept; the collinearity check,
 hats.hat_of and affine_through read the integers and build none of them.
-affine_through is the one integer Cramer solve: it gives hats.normalize its
-witness and the oracle its maps.  It takes its source as cramer_source data
-(the first point, the two edge vectors from it, the odd part and 2-adic
-valuation of their determinant, and the exponent) and its target as
-integers.  Triangle.cramer_source holds that data for the triangle's own
-vertex order, built on the first solve and then kept, so the oracle's six
-solves from one triangle share it; hats.normalize builds it for a role
-order with the same helper.
+affine_through is the one integer Cramer solve: it gives the oracle its
+maps, and hats.normalize its witness through the oracle.  It takes its
+source as cramer_source data (the first point, the two edge vectors from
+it, the odd part and 2-adic valuation of their determinant, and the
+exponent) and its target as integers.  Triangle.cramer_source holds that
+data for the triangle's own vertex order, built on the first solve and then
+kept, so the oracle's six solves from one triangle share it.
 """
 
 from __future__ import annotations

@@ -13,11 +13,11 @@ of the three edges once, the reversed edge reusing it with the Bezout row
 negated.  So one role_triples call per triangle serves both its pointed
 class (entry 0, the identity order's hat) and its triple set
 (all_encoding_triples), and a caller that needs both reduces once.  normalize
-also returns the witness map, for the callers that ask for one, solved by
-geometry.affine_through from geometry.cramer_source of the triangle's
-integers in role order and the hat's integers.  Hat.triangle builds its
-triangle with Triangle.from_scaled, and the witness is stored as integers
-too: no DyadicRational is built until a caller reads the vertices or the
+also returns the witness map, for the callers that ask for one: the oracle's
+solve_correspondence from the triangle to the hat's triangle, the same solve
+that isomorphism witnesses come from.  Hat.triangle builds its triangle
+with Triangle.from_scaled, and the witness is stored as integers too: no
+DyadicRational is built until a caller reads the vertices or the
 witness's linear part or translation.  Hat, EncodingTriple and Normalization
 are dyadic.Record values; EncodingTriple alone adds an order, the canonical
 (j, m, i) order that canonical_form takes the least triple in.
@@ -31,7 +31,8 @@ from typing import Iterable
 
 from .dyadic import Record, egcd, odd_part, val2
 from .errors import InconsistencyError, InvalidHat
-from .geometry import Triangle, affine_through, cramer_source
+from .geometry import Triangle
+from .oracle import solve_correspondence
 
 
 def _check_odd_positive(value: int, name: str) -> None:
@@ -88,17 +89,6 @@ class EncodingTriple(Record, namedtuple("EncodingTriple", "i j m")):
         raise TypeError("EncodingTriple values are ordered by < and > only")
 
     __ge__ = __le__
-
-
-def pointed_canonical(h: Hat) -> EncodingTriple:
-    """Reduce i to the odd representative of its pointed class in 1..2j-1.
-
-    Odd i moves by multiples of 2j; even i passes through i + j first.
-    """
-    two_j = 2 * h.j
-    if h.is_representative:
-        return EncodingTriple(h.i % two_j, h.j, h.m)
-    return EncodingTriple((h.i + h.j) % two_j, h.j, h.m)
 
 
 class Normalization(Record, namedtuple("Normalization", "hat witness")):
@@ -168,11 +158,11 @@ def hat_of(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> Hat:
 def normalize(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> Normalization:
     """hat_of(tri, roles) with its witness: the unique unit affine map
     through the three vertex pairs, which equals the composition of a
-    translation, a Bezout matrix, rescalings, a reflection and a shear."""
+    translation, a Bezout matrix, rescalings, a reflection and a shear.
+    The oracle solves it, sending vertex roles[k] to hat vertex k."""
     hat = hat_of(tri, roles)
-    witness = affine_through(
-        cramer_source(tri.scaled_coords(roles)), ((0, 0, hat.i, hat.j, hat.m, 0), 0)
-    )
+    inverse = tuple(roles.index(k) for k in range(3))
+    witness = solve_correspondence(tri, hat.triangle(), inverse)
     if witness is None:
         raise InconsistencyError(f"no unit map carries {tri} with roles {roles} to {hat}")
     return Normalization(hat, witness)
@@ -180,8 +170,8 @@ def normalize(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> No
 
 def role_triples(tri: Triangle) -> tuple[EncodingTriple, ...]:
     """The encoding triple of each of the six vertex role orders, in
-    _ALL_ROLES order: entry 0, the identity order, is the pointed class
-    pointed_canonical(hat_of(tri))."""
+    _ALL_ROLES order: entry 0, the identity order, is the pointed class,
+    the i, j, m of hat_of(tri)."""
     return tuple(EncodingTriple(*ijm) for ijm in _reduce_roles(tri, _ALL_ROLES))
 
 

@@ -10,9 +10,10 @@ reads the source's Triangle.cramer_source (edge vectors and determinant,
 found on the first solve from that triangle and then kept) and the target's
 integers in correspondence order; all six solves still run.  A solved map
 is stored as integers (AffineMap.from_scaled); its linear part and
-translation are built only when read.  This route shares no logic with the
-number-theoretic criteria or with hats.hat_of, so each side checks the
-other.
+translation are built only when read.  hats.normalize solves its witness
+through solve_correspondence too, after hat_of has found the hat.  This
+route shares no logic with the number-theoretic criteria or with
+hats.hat_of, so each side checks the other.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 dyhat decides isomorphism from hat parameters and never needs these.  The
 tests use them to state the paper's invariants (area, side types, boundary
-triples, closure under midpoints) and to compare the integer arithmetic
-with stdlib Fraction.
+triples, closure under midpoints, the pointed class of a hat of either
+parity) and to compare the integer arithmetic with stdlib Fraction.
 """
 
 from fractions import Fraction
@@ -12,6 +12,7 @@ from math import gcd
 from dyhat.dyadic import DyadicRational, common_scale, odd_gcd
 from dyhat.errors import NotDyadic
 from dyhat.geometry import AffineMap, Matrix2, Point2
+from dyhat.hats import EncodingTriple, Hat
 from dyhat.oracle import realized_correspondences
 
 D = DyadicRational
@@ -98,3 +99,14 @@ def closure_sample(points, depth: int) -> frozenset:
 def oracle_aut_count(t) -> int:
     """Number of self-correspondences realized by unit maps (1, 2, 3 or 6)."""
     return sum(1 for _ in realized_correspondences(t, t))
+
+
+def pointed_canonical(h: Hat) -> EncodingTriple:
+    """Reduce i to the odd representative of its pointed class in 1..2j-1.
+
+    Odd i moves by multiples of 2j; even i passes through i + j first.
+    """
+    two_j = 2 * h.j
+    if h.is_representative:
+        return EncodingTriple(h.i % two_j, h.j, h.m)
+    return EncodingTriple((h.i + h.j) % two_j, h.j, h.m)

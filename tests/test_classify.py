@@ -6,7 +6,7 @@ import hashlib
 import math
 import random
 import sys
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -176,6 +176,27 @@ def test_isomorphic_hats_fixtures():
     assert got.isomorphic and got.case == "e"
     got = isomorphic_hats(Hat(3, 27, 21), Hat(39, 27, 21))
     assert (got.isomorphic, got.case, got.witness) == (False, None, None)
+
+
+#: sha256 of the reprs below, recorded while isomorphic_hats still ran
+#: iso_case on the hats as given, with triple sets of its own.
+CASE_DIGEST = "691df9962754539b3605cccd98444b19f9e3b47989f33626497a86f9b342a591"
+
+
+def test_verdicts_and_case_letters_on_the_7_grid_are_unchanged():
+    """isomorphic_hats on every ordered pair of equal-area hats with
+    j, m <= 7 and i in -j..3j-1, of either parity (8,128 pairs)."""
+    by_area = {}
+    for j in range(1, 8, 2):
+        for m in range(1, 8, 2):
+            by_area.setdefault(j * m, []).extend(Hat(i, j, m) for i in range(-j, 3 * j))
+    digest = hashlib.sha256()
+    for hats_of_area in by_area.values():
+        for h1, h2 in product(hats_of_area, repeat=2):
+            result = isomorphic_hats(h1, h2)
+            digest.update(
+                repr((tuple(h1), tuple(h2), result.isomorphic, result.case)).encode())
+    assert digest.hexdigest() == CASE_DIGEST
 
 
 def test_non_isomorphic_pair_shares_area_and_boundary():

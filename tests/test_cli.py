@@ -1,6 +1,8 @@
 """Command line surface: literals, exit codes, JSON schema, SVG output."""
 
 import ast
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -10,7 +12,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import dyhat
@@ -132,7 +134,9 @@ def test_parse_triangle():
 def test_usage_errors_exit_2(capsys):
     assert run([]) == 2
     assert run(["bogus"]) == 2
-    capsys.readouterr()
+    # argparse in Python 3.11 would give j the value [] here
+    assert run(["aut", "--", "1", "--", "3"]) == 2
+    assert "'--' may be given at most once" in capsys.readouterr().err
 
 
 def test_help_exits_0(capsys):
@@ -181,6 +185,17 @@ def test_iso_triangles_and_mixed_literals(capsys):
     assert "isomorphic (case c)" in capsys.readouterr().out
     assert run(["iso", "0,0 1,3 5,0", "T 3 27 21"]) == 3
     assert "not isomorphic" in capsys.readouterr().out
+    # a hat literal, of either parity, is read as its triangle
+    for hats, triangles, code in [
+        (("TT 4 3 5", "T 1 3 5"), ("0,0 4,3 5,0", "0,0 1,3 5,0"), 0),
+        (("T 3 27 21", "TT 39 27 21"), ("0,0 3,27 21,0", "0,0 39,27 21,0"), 3),
+    ]:
+        assert run(["iso", "--json", *hats]) == code
+        by_hats = capsys.readouterr().out
+        assert run(["iso", "--json", *triangles]) == code
+        assert capsys.readouterr().out == by_hats
+        assert run(["iso", "--json", hats[0], triangles[1]]) == code
+        assert capsys.readouterr().out == by_hats
 
 
 def test_iso_json_witness_maps_vertices(capsys):
@@ -386,6 +401,87 @@ def test_render_into_a_missing_directory_exits_6(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {out}: ")
     assert captured.err.count("\n") == 1
+
+
+# ---------------------------------------------------------------- fuzzing
+
+
+_digits = st.text("0123456789", min_size=1, max_size=6)
+_oversized = st.one_of(
+    st.integers(MAX_LITERAL_DIGITS + 1, MAX_LITERAL_DIGITS + 40).map(lambda n: "7" * n),
+    st.integers(MAX_POW2_EXPONENT + 1, 10**12).map("1/2^{}".format),
+)
+_denominators = st.one_of(
+    st.just(""),
+    st.sampled_from(["/2", "/8", "/1024"]),
+    _digits.map("/{}".format),
+    _digits.map("/2^{}".format),
+)
+_numbers = st.tuples(st.sampled_from(["", "-"]), _digits, _denominators).map("".join)
+_integers = st.one_of(st.integers(-40, 40).map(str), _digits)
+_vertices = st.tuples(_numbers, _numbers).map(",".join)
+_triangle_literals = st.lists(_vertices, min_size=3, max_size=3).map(" ".join)
+_hat_literals = st.tuples(st.sampled_from(["T", "TT"]), _integers, _integers,
+                          _integers).map(" ".join)
+_oversized_literals = st.one_of(_oversized.map("0,0 {},3 5,0".format),
+                                _oversized.map("T 1 {} 5".format))
+
+
+def _mutate(text: str, position: int, char: str, kind: str) -> str:
+    k = position % (len(text) + 1)
+    if kind == "delete":
+        return text[:k] + text[k + 1:]
+    if kind == "insert":
+        return text[:k] + char + text[k:]
+    return text[:k] + char + text[k + 1:]
+
+
+_literals = st.one_of(_triangle_literals, _hat_literals, _oversized_literals)
+_shapes = st.one_of(
+    _literals,
+    # \u0663 is an Arabic-Indic digit, which \d matches; \u00b2 is a
+    # superscript two, which isdigit() accepts and int() refuses
+    st.builds(_mutate, _literals, st.integers(0, 60),
+              st.sampled_from([*"0123456789-/,^T .\tx", "\u0663", "\u00b2"]),
+              st.sampled_from(["delete", "insert", "replace"])),
+)
+#: flags that take no value, so that an inserted one cannot pick up a
+#: census bound, a worker count or a render path
+_flags = st.sampled_from(["--json", "--quiet", "--canonical", "--verify", "--help",
+                          "--bogus", "--"])
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_fuzzed_argv_exits_with_a_documented_code(fuzz_dir, data):
+    command = data.draw(st.sampled_from(
+        ["normalize", "canon", "iso", "aut", "census", "render", "isomorphic", ""]))
+    if command == "iso":
+        argv = [command, data.draw(_shapes), data.draw(_shapes)]
+    elif command == "aut":
+        numbers = st.one_of(_integers, _oversized)
+        argv = [command, *data.draw(st.lists(numbers, min_size=2, max_size=4))]
+    elif command == "census":
+        bounds = st.integers(-1, 15).map(str)
+        argv = [command, "--jmax", data.draw(bounds), "--mmax", data.draw(bounds),
+                "--par", data.draw(st.sampled_from(["1", "2"]))]
+    elif command == "render":
+        out = fuzz_dir / data.draw(st.sampled_from(["out.svg", "missing/out.svg"]))
+        argv = [command, data.draw(_shapes), "--out", str(out)]
+    else:
+        argv = [command, data.draw(_shapes)]
+    for flag in data.draw(st.lists(_flags, max_size=3)):
+        argv.insert(data.draw(st.integers(0, len(argv))), flag)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run(argv)
+    assert code in range(7), argv
+    assert "Traceback" not in stderr.getvalue(), argv
 
 
 # ---------------------------------------------------------------- entry point

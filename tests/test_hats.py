@@ -21,10 +21,10 @@ from dyhat import (
 )
 from dyhat.errors import InconsistencyError, InvalidHat
 from dyhat.geometry import Point2
-from dyhat.hats import _reduce_roles, pointed_canonical, role_triples
+from dyhat.hats import _reduce_roles, role_triples
 
 import tutil
-from reference import IDENTITY, affine
+from reference import IDENTITY, affine, pointed_canonical
 
 D = DyadicRational
 
@@ -267,6 +267,6 @@ def test_shared_edge_reduction_matches_unshared_hats(t):
 
 
 def test_normalize_raises_when_no_witness_exists(monkeypatch):
-    monkeypatch.setattr("dyhat.hats.affine_through", lambda src, dst: None)
+    monkeypatch.setattr("dyhat.hats.solve_correspondence", lambda src, dst, perm: None)
     with pytest.raises(InconsistencyError):
         normalize(Hat(1, 3, 5).triangle())
