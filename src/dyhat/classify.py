@@ -32,6 +32,9 @@ GROUP_ORDER = {"Trivial": 1, "C2": 2, "C3": 3, "S3": 6}
 
 GROUP_TAGS = tuple(GROUP_ORDER)
 
+#: Most (j, m) cells that one census may sweep: the 1023x1023 grid.
+MAX_CENSUS_CELLS = 512 * 512
+
 
 def _require_representative(h: Hat) -> None:
     if not h.is_representative:
@@ -268,13 +271,20 @@ def census(j_max: int, m_max: int, workers: int = 1) -> CensusReport:
     Work units are independent (j, m) cells; with workers > 1 they run in a
     process pool and are merged in a fixed order, so the report does not
     depend on scheduling.  The pool never has more workers than CPUs or
-    cells; when that leaves one, the cells run serially.
+    cells; when that leaves one, the cells run serially.  A grid of more
+    than MAX_CENSUS_CELLS cells raises InvalidBounds.
     """
     for name, bound in (("j_max", j_max), ("m_max", m_max)):
         if bound <= 0 or bound % 2 == 0:
             raise InvalidBounds(f"{name} must be an odd positive integer, got {bound}")
     if workers < 1:
         raise InvalidBounds(f"workers must be at least 1, got {workers}")
+    # refused before the cell list is built, which would exhaust memory
+    count = ((j_max + 1) // 2) * ((m_max + 1) // 2)
+    if count > MAX_CENSUS_CELLS:
+        raise InvalidBounds(
+            f"a census may sweep at most {MAX_CENSUS_CELLS} cells, got {count}"
+        )
 
     cells = [
         (j, m)

@@ -1,13 +1,14 @@
 """Command line front end.
 
 One query per invocation.  Exit codes: 0 success (for iso: isomorphic),
-1 failed verification, 2 usage error, 3 not isomorphic, 4 domain error
-(malformed or oversized literal, non-dyadic value, degenerate triangle,
-even j, bad bounds), 5 internal inconsistency (two cross-checked routes
-disagreed: a defect in dyhat, not in the input), each with a diagnostic
-naming the violated invariant, 6 output could not be written (render's
---out file, with a one-line diagnostic, or stdout closed by its reader, as
-in "dyhat census ... | head -1", silently).
+1 failed census (and nothing else), 2 usage error, 3 not isomorphic,
+4 domain error (malformed or oversized literal, non-dyadic value,
+degenerate triangle, even j, bad bounds), 5 internal inconsistency (two
+cross-checked routes disagreed, or a normalize --verify witness failed
+re-application: a defect in dyhat, not in the input), each with a
+diagnostic naming the violated invariant, 6 output could not be written
+(render's --out file, with a one-line diagnostic, or stdout closed by its
+reader, as in "dyhat census ... | head -1", silently).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .classify import automorphism_group, census, isomorphic
 from .dyadic import DyadicRational
 from .errors import DomainError, InconsistencyError, InvalidHat, NotDyadic, ParseError
 from .geometry import AffineMap, Point2, Triangle
-from .hats import EncodingTriple, Hat, canonical_form, normalize
+from .hats import Hat, canonical_form, normalize
 from .oracle import perm_label
 from .render import render_svg
 
@@ -35,15 +36,21 @@ MAX_LITERAL_DIGITS = 1000
 MAX_POW2_EXPONENT = 4096
 
 
-def _bounded_int(digits: str) -> int:
-    """int(digits), refused before conversion when there are too many digits."""
+def _bounded_int(digits: str, literal: str) -> int:
+    """int(digits) for a part of literal.  ParseError refuses more than
+    MAX_LITERAL_DIGITS digits, before conversion, and what int() refuses."""
     count = len(digits.lstrip("-"))
     if count > MAX_LITERAL_DIGITS:
         raise ParseError(
             f"literal has a {count}-digit part; at most "
             f"{MAX_LITERAL_DIGITS} digits are allowed"
         )
-    return int(digits)
+    try:
+        return int(digits)
+    except ValueError:
+        # parse_dyadic's pattern admits only digits, so the parts that int()
+        # refuses are the parameters of a hat literal or of aut
+        raise ParseError(f"hat parameters must be integers in {literal!r}") from None
 
 
 def parse_dyadic(text: str) -> DyadicRational:
@@ -55,13 +62,13 @@ def parse_dyadic(text: str) -> DyadicRational:
     match = _LITERAL.match(text.strip())
     if not match:
         raise ParseError(f"malformed dyadic literal {text!r}")
-    num = _bounded_int(match.group(1))
+    num = _bounded_int(match.group(1), text)
     den_text = match.group(2)
     if den_text is None:
         return DyadicRational(num)
     pow2 = _POW2.match(den_text)
     if pow2:
-        k = _bounded_int(pow2.group(1))
+        k = _bounded_int(pow2.group(1), text)
         if k > MAX_POW2_EXPONENT:
             raise ParseError(
                 f"exponent 2^{k} exceeds the limit 2^{MAX_POW2_EXPONENT}"
@@ -69,7 +76,7 @@ def parse_dyadic(text: str) -> DyadicRational:
         return DyadicRational(num, -k)
     if not den_text.isdecimal():
         raise ParseError(f"malformed denominator in {text!r}")
-    den = _bounded_int(den_text)
+    den = _bounded_int(den_text, text)
     if den <= 0 or den & (den - 1):
         raise NotDyadic(f"denominator {den} is not a positive power of two")
     return DyadicRational(num, 1 - den.bit_length())
@@ -90,13 +97,9 @@ def parse_hat(text: str) -> Hat:
     tokens = text.split()
     if len(tokens) != 4 or tokens[0] not in ("T", "TT"):
         raise ParseError(f"malformed hat literal {text!r}")
-    try:
-        i, j, m = (int(t) for t in tokens[1:])
-    except ValueError:
-        raise ParseError(f"hat parameters must be integers in {text!r}") from None
-    hat = Hat(i, j, m)
+    hat = Hat(*(_bounded_int(t, text) for t in tokens[1:]))
     if tokens[0] == "T" and not hat.is_representative:
-        raise InvalidHat(f"representative hat literal needs odd i, got {i}")
+        raise InvalidHat(f"representative hat literal needs odd i, got {hat.i}")
     return hat
 
 
@@ -122,23 +125,20 @@ def parse_shape(text: str) -> Triangle:
     return parse_triangle(text)
 
 
-# ---------------------------------------------------------------- JSON shapes
+# ---------------------------------------------------------------- output
 
 
-def _print_json(payload: dict) -> None:
-    """Print payload as one line of JSON.  json is imported here, so a
-    command run without --json never loads it."""
-    import json
+def _emit(args, payload: dict, lines: list[str], quiet: list[str]) -> None:
+    """Print payload as one line of JSON under --json, quiet under --quiet,
+    and lines otherwise.  json is imported in the JSON branch, so a command
+    run without --json never loads it."""
+    if args.json:
+        import json
 
-    print(json.dumps(payload))
-
-
-def hat_json(h: Hat) -> dict:
-    return {"i": h.i, "j": h.j, "m": h.m}
-
-
-def triple_json(t: EncodingTriple | Hat) -> list[int]:
-    return [t.i, t.j, t.m]
+        print(json.dumps(payload))
+        return
+    for line in quiet if args.quiet else lines:
+        print(line)
 
 
 def map_json(f: AffineMap) -> dict:
@@ -155,150 +155,113 @@ def map_json(f: AffineMap) -> dict:
     }
 
 
-def aut_json(group) -> dict:
-    return {
-        "group": group.tag,
-        "order": group.order,
-        "witnesses": [
-            {"perm": perm, **map_json(witness)} for perm, witness in group.witnesses
-        ],
-    }
-
-
 def _format_map(f: AffineMap) -> str:
-    lin = f.linear
-    a, b, c, d = (format_dyadic(v) for v in (lin.a, lin.b, lin.c, lin.d))
-    t = f.translation
-    return (
-        f"linear [[{a}, {b}], [{c}, {d}]] "
-        f"translation ({format_dyadic(t.x)}, {format_dyadic(t.y)})"
-    )
+    shape = map_json(f)
+    (a, b), (c, d) = shape["linear"]
+    x, y = shape["translation"]
+    return f"linear [[{a}, {b}], [{c}, {d}]] translation ({x}, {y})"
 
 
 # ---------------------------------------------------------------- subcommands
 
 
 def _cmd_normalize(args) -> int:
-    if args.canonical:
-        return _cmd_canon(args)
     tri = parse_shape(args.shape)
-
-    rows = []
+    payload, lines, quiet = [], [], []
+    ok = "  ok" if args.verify else ""
     for roles in permutations((0, 1, 2)):
         label = perm_label(roles)
         result = normalize(tri, roles)
-        verified = None
+        h, witness = result.hat, result.witness
         if args.verify:
-            images = [result.witness(tri.vertices[r]) for r in roles]
-            h = result.hat
+            images = [witness(tri.vertices[r]) for r in roles]
             targets = [Point2.of(0, 0), Point2.of(h.i, h.j), Point2.of(h.m, 0)]
-            verified = images == targets and result.witness.is_unit()
-            if not verified:
-                print(f"error: witness for roles {label} failed verification",
-                      file=sys.stderr)
-                return 1
-        rows.append((label, result, verified))
-
-    if args.json:
-        payload = [
-            {
-                "roles": label,
-                "hat": hat_json(res.hat),
-                # hat_of's i is already odd in 1..2j-1: the hat is its own triple
-                "triple": triple_json(res.hat),
-                "map": map_json(res.witness),
-            }
-            for label, res, _ in rows
-        ]
-        _print_json({"results": payload})
-        return 0
-    for label, res, verified in rows:
-        h = res.hat
-        line = f"{label}: T {h.i} {h.j} {h.m}"
-        if not args.quiet:
-            line += f"  {_format_map(res.witness)}"
-            if verified:
-                line += "  ok"
-        print(line)
+            if images != targets or not witness.is_unit():
+                raise InconsistencyError(f"witness for roles {label} failed verification")
+        payload.append({
+            "roles": label,
+            "hat": h._asdict(),
+            # hat_of's i is already odd in 1..2j-1: the hat is its own triple
+            "triple": list(h),
+            "map": map_json(witness),
+        })
+        quiet.append(f"{label}: T {h.i} {h.j} {h.m}")
+        lines.append(f"{quiet[-1]}  {_format_map(witness)}{ok}")
+    _emit(args, {"results": payload}, lines, quiet)
     return 0
 
 
 def _cmd_aut(args) -> int:
-    group = automorphism_group(Hat(args.i, args.j, args.m))
-    if args.json:
-        _print_json({"aut": aut_json(group)})
-        return 0
-    if args.quiet:
-        print(group.tag)
-        return 0
-    print(f"{group.tag} (order {group.order})")
-    for perm, witness in group.witnesses:
-        print(f"  {perm}  {_format_map(witness)}")
+    numbers = (args.i, args.j, args.m)
+    literal = " ".join(numbers)
+    group = automorphism_group(Hat(*(_bounded_int(n, literal) for n in numbers)))
+    payload = {
+        "group": group.tag,
+        "order": group.order,
+        "witnesses": [
+            {"perm": perm, **map_json(witness)} for perm, witness in group.witnesses
+        ],
+    }
+    lines = [f"{group.tag} (order {group.order})"]
+    lines += [f"  {perm}  {_format_map(witness)}" for perm, witness in group.witnesses]
+    _emit(args, {"aut": payload}, lines, [group.tag])
     return 0
 
 
 def _cmd_iso(args) -> int:
     result = isomorphic(parse_shape(args.first), parse_shape(args.second))
-    if args.json:
-        payload = {
-            "result": result.isomorphic,
-            "case": result.case,
-            "map": map_json(result.witness) if result.witness else None,
-        }
-        _print_json({"iso": payload})
-    elif result.isomorphic:
-        if not args.quiet:
-            print(f"isomorphic (case {result.case})")
-            print(f"  {_format_map(result.witness)}")
-    elif not args.quiet:
-        print("not isomorphic")
+    payload = {
+        "result": result.isomorphic,
+        "case": result.case,
+        "map": map_json(result.witness) if result.witness else None,
+    }
+    if result.isomorphic:
+        lines = [f"isomorphic (case {result.case})", f"  {_format_map(result.witness)}"]
+    else:
+        lines = ["not isomorphic"]
+    _emit(args, {"iso": payload}, lines, [])
     return 0 if result.isomorphic else 3
 
 
 def _cmd_canon(args) -> int:
     triple = canonical_form(parse_shape(args.shape))
-    if args.json:
-        _print_json({"triple": triple_json(triple)})
-    else:
-        print(f"{triple.i} {triple.j} {triple.m}")
+    lines = [f"{triple.i} {triple.j} {triple.m}"]
+    _emit(args, {"triple": list(triple)}, lines, lines)
     return 0
 
 
 def _cmd_census(args) -> int:
     report = census(args.jmax, args.mmax, workers=args.par)
-    if args.json:
-        payload = {
-            "jmax": report.j_max,
-            "mmax": report.m_max,
-            "ok": report.ok,
-            "rows": [
-                {
-                    "j": row.j,
-                    "m": row.m,
-                    "pointed": row.pointed_classes,
-                    "classes": row.isomorphism_classes,
-                    "aut": row.aut_counts,
-                    "orbit_ok": row.orbit_ok,
-                }
-                for row in report.rows
-            ],
-        }
-        _print_json({"census": payload})
-        return 0 if report.ok else 1
-    if not args.quiet:
-        header = f"{'j':>4} {'m':>4} {'pointed':>8} {'classes':>8} " \
-                 f"{'Trivial':>8} {'C2':>5} {'C3':>5} {'S3':>5}  orbit"
-        print(header)
-        for row in report.rows:
-            counts = row.aut_counts
-            print(
-                f"{row.j:>4} {row.m:>4} {row.pointed_classes:>8} "
-                f"{row.isomorphism_classes:>8} {counts['Trivial']:>8} "
-                f"{counts['C2']:>5} {counts['C3']:>5} {counts['S3']:>5}  "
-                f"{'ok' if row.orbit_ok else 'FAIL'}"
-            )
-    verdict = "ok" if report.ok else "FAILED"
-    print(f"census {verdict}: {len(report.rows)} cells")
+    payload = {
+        "jmax": report.j_max,
+        "mmax": report.m_max,
+        "ok": report.ok,
+        "rows": [
+            {
+                "j": row.j,
+                "m": row.m,
+                "pointed": row.pointed_classes,
+                "classes": row.isomorphism_classes,
+                "aut": row.aut_counts,
+                "orbit_ok": row.orbit_ok,
+            }
+            for row in report.rows
+        ],
+    }
+    header = f"{'j':>4} {'m':>4} {'pointed':>8} {'classes':>8} " \
+             f"{'Trivial':>8} {'C2':>5} {'C3':>5} {'S3':>5}  orbit"
+    lines = [header]
+    for row in report.rows:
+        counts = row.aut_counts
+        lines.append(
+            f"{row.j:>4} {row.m:>4} {row.pointed_classes:>8} "
+            f"{row.isomorphism_classes:>8} {counts['Trivial']:>8} "
+            f"{counts['C2']:>5} {counts['C3']:>5} {counts['S3']:>5}  "
+            f"{'ok' if row.orbit_ok else 'FAIL'}"
+        )
+    verdict = f"census {'ok' if report.ok else 'FAILED'}: {len(report.rows)} cells"
+    lines.append(verdict)
+    _emit(args, {"census": payload}, lines, [verdict])
     return 0 if report.ok else 1
 
 
@@ -310,10 +273,7 @@ def _cmd_render(args) -> int:
     except OSError as err:
         print(f"error: cannot write {args.out}: {err.strerror or err}", file=sys.stderr)
         return 6
-    if args.json:
-        _print_json({"render": {"out": args.out}})
-    elif not args.quiet:
-        print(f"wrote {args.out}")
+    _emit(args, {"render": {"out": args.out}}, [f"wrote {args.out}"], [])
     return 0
 
 
@@ -332,17 +292,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", parents=[common],
                        help="representative hats for all six vertex roles")
     p.add_argument("shape", help='hat or triangle literal, e.g. "0,0 1,3 2,0"')
-    p.add_argument("--canonical", action="store_true",
-                   help="print only the canonical triple")
     p.add_argument("--verify", action="store_true",
                    help="re-apply each witness map and check the vertices")
     p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser("aut", parents=[common],
                        help="automorphism group of a representative hat")
-    p.add_argument("i", type=int)
-    p.add_argument("j", type=int)
-    p.add_argument("m", type=int)
+    p.add_argument("i")
+    p.add_argument("j")
+    p.add_argument("m")
     p.set_defaults(func=_cmd_aut)
 
     p = sub.add_parser("iso", parents=[common],

@@ -2,9 +2,11 @@
 
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -16,8 +18,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import dyhat
-from dyhat import AffineMap, DyadicRational, EncodingTriple, Hat, Triangle
-from dyhat.classify import CensusReport, CensusRow
+from dyhat import AffineMap, DyadicRational, EncodingTriple, Hat, Triangle, normalize
+from dyhat.classify import MAX_CENSUS_CELLS, CensusReport, CensusRow
 from dyhat.cli import (
     MAX_LITERAL_DIGITS,
     MAX_POW2_EXPONENT,
@@ -81,13 +83,25 @@ def test_parse_dyadic_bounds_literal_size():
         parse_dyadic("1/\u00b2")
 
 
-def test_oversized_literal_exits_4(capsys):
+def test_oversized_literal_exits_4(tmp_path, capsys):
     big = "1" + "0" * 5000
     assert run(["canon", f"0,0 {big},3 5,0"]) == 4
     assert run(["canon", f"0,0 1/2^{MAX_POW2_EXPONENT + 1},3 5,0"]) == 4
     err = capsys.readouterr().err
     assert err.count("error:") == 2
     assert len(err) < 500
+    # a hat literal's integers and aut's obey the same digit limit
+    sevens = "7" * 1500
+    out = tmp_path / "out.svg"
+    for argv in (["canon", f"T 1 {sevens} 5"],
+                 ["iso", "T 1 3 5", f"T 1 {sevens} 5"],
+                 ["render", f"T 1 {sevens} 5", "--out", str(out)],
+                 ["aut", "1", sevens, "5"]):
+        assert run(argv) == 4, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: literal has a 1500-digit part"), argv
+    assert not out.exists()
 
 
 def test_format_dyadic():
@@ -150,9 +164,30 @@ def test_domain_errors_exit_4(capsys):
     assert run(["aut", "4", "3", "5"]) == 4
     assert run(["aut", "2", "3", "5"]) == 4
     assert run(["aut", "1", "2", "3"]) == 4
+    assert run(["aut", "x", "3", "5"]) == 4
     assert run(["census", "--jmax", "4", "--mmax", "3"]) == 4
     err = capsys.readouterr().err
-    assert err.count("error:") == 6
+    assert err.count("error:") == 7
+    assert "error: hat parameters must be integers in 'x 3 5'\n" in err
+
+
+def test_census_above_the_cell_cap_exits_4():
+    # the address-space limit turns a census that builds its cells anyway
+    # into a quick MemoryError, not a host out of memory
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "dyhat", "census", "--jmax", "99999999999",
+         "--mmax", "99999999999"],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+        preexec_fn=limit_memory,
+    )
+    assert (proc.returncode, proc.stdout) == (4, ""), proc.stderr
+    assert proc.stderr.startswith(
+        f"error: a census may sweep at most {MAX_CENSUS_CELLS} cells, got "
+    )
+    assert proc.stderr.count("\n") == 1
 
 
 # ---------------------------------------------------------------- iso
@@ -247,8 +282,11 @@ def test_canon(capsys):
 
 
 def test_normalize_canonical(capsys):
-    assert run(["normalize", "--canonical", "0,0 1,3 2,0"]) == 0
-    assert capsys.readouterr().out.strip() == "5 3 1"
+    # normalize has no --canonical flag: canon prints the canonical triple
+    assert run(["normalize", "--canonical", "0,0 1,3 2,0"]) == 2
+    assert "unrecognized arguments: --canonical" in capsys.readouterr().err
+    assert run(["canon", "0,0 1,3 2,0"]) == 0
+    assert capsys.readouterr().out == "5 3 1\n"
 
 
 def test_normalize_lists_all_roles(capsys):
@@ -268,6 +306,21 @@ def test_normalize_verify(capsys):
     assert run(["normalize", "--verify", "0,0 1,3 5,0"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert all(line.endswith("ok") for line in lines)
+
+
+def test_failed_verify_exits_5(capsys, monkeypatch):
+    def shifted(tri, roles):
+        result = normalize(tri, roles)
+        h = result.hat
+        return result._replace(hat=Hat(h.i + 2 * h.j, h.j, h.m))
+
+    monkeypatch.setattr("dyhat.cli.normalize", shifted)
+    assert run(["normalize", "--verify", "0,0 1,3 5,0"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal inconsistency: witness for roles ABC failed verification\n"
+    )
 
 
 def test_normalize_json_round_trips(capsys):
@@ -403,6 +456,51 @@ def test_render_into_a_missing_directory_exits_6(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+# ---------------------------------------------------------------- pinned output
+
+
+_PIN_SHAPES = ["T 1 3 5", "TT 4 3 5", "0,0 1,3 5,0", "0,0 1/2,1/2 1,0"]
+_PIN_CALLS = [
+    *(["normalize", shape] for shape in _PIN_SHAPES),
+    *(["normalize", "--verify", shape] for shape in _PIN_SHAPES),
+    *(["canon", shape] for shape in _PIN_SHAPES),
+    ["aut", "3", "7", "1"],
+    ["aut", "15", "9", "21"],
+    ["aut", "1", "1", "1"],
+    ["aut", "1", "3", "5"],
+    ["iso", "T 1 3 5", "T 5 15 1"],
+    ["iso", "TT 4 3 5", "0,0 1,3 5,0"],
+    ["iso", "0,0 1,3 5,0", "0,0 7,3 5,0"],
+    ["iso", "T 3 27 21", "TT 39 27 21"],
+    ["census", "--jmax", "7", "--mmax", "5"],
+    *(["render", shape, "--out", "out.svg"] for shape in _PIN_SHAPES),
+    # refusals
+    ["canon", "0,0 1,1 2,2"],
+    ["canon", "T a 3 5"],
+    ["normalize", "T 4 3 5"],
+    ["iso", "T 1 3", "T 1 3 5"],
+    ["aut", "4", "3", "5"],
+    ["aut", "1", "3"],
+    ["census", "--jmax", "4", "--mmax", "3"],
+    ["render", "0,0 1/3,1 1,0", "--out", "out.svg"],
+]
+_PIN_DIGEST = "40534fb75348f15ed5a99d813fb534f4f6fed0163ab761568b48c875b7bd7eb1"
+
+
+def test_cli_output_is_unchanged(tmp_path, monkeypatch, capsys):
+    # every call under each output mode; render writes a relative path, so
+    # the path it prints does not depend on the test's directory
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for flags in ([], ["--quiet"], ["--json"], ["--json", "--quiet"]):
+        for command, *rest in _PIN_CALLS:
+            argv = [command, *flags, *rest]
+            code = run(argv)
+            captured = capsys.readouterr()
+            digest.update(repr((argv, code, captured.out, captured.err)).encode())
+    assert digest.hexdigest() == _PIN_DIGEST
+
+
 # ---------------------------------------------------------------- fuzzing
 
 
@@ -467,7 +565,8 @@ def test_fuzzed_argv_exits_with_a_documented_code(fuzz_dir, data):
         numbers = st.one_of(_integers, _oversized)
         argv = [command, *data.draw(st.lists(numbers, min_size=2, max_size=4))]
     elif command == "census":
-        bounds = st.integers(-1, 15).map(str)
+        # 99999999999 asks for more cells than a census may sweep
+        bounds = st.one_of(st.integers(-1, 15), st.just(99999999999)).map(str)
         argv = [command, "--jmax", data.draw(bounds), "--mmax", data.draw(bounds),
                 "--par", data.draw(st.sampled_from(["1", "2"]))]
     elif command == "render":
