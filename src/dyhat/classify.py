@@ -32,6 +32,8 @@ GROUP_ORDER = {"Trivial": 1, "C2": 2, "C3": 3, "S3": 6}
 
 GROUP_TAGS = tuple(GROUP_ORDER)
 
+_TAG_OF_ORDER = {order: tag for tag, order in GROUP_ORDER.items()}
+
 #: Most (j, m) cells that one census may sweep: the 1023x1023 grid.
 MAX_CENSUS_CELLS = 512 * 512
 
@@ -78,14 +80,6 @@ def aut_cycle(h: Hat) -> bool:
     return (k * k - k + 1) % l == 0
 
 
-#: Self-correspondence realized by each criterion (images of A, B, C).
-_FIX_A_PERM = (0, 2, 1)
-_FIX_B_PERM = (2, 1, 0)
-_FIX_C_PERM = (1, 0, 2)
-_CYCLE_PERMS = ((1, 2, 0), (2, 0, 1))
-_IDENTITY_PERM = (0, 1, 2)
-
-
 class AutGroup(Record, namedtuple("AutGroup", "tag witnesses")):
     """Group tag plus one oracle witness per group element: witnesses is a
     tuple of (permutation label, AffineMap) pairs; a Record."""
@@ -100,9 +94,10 @@ class AutGroup(Record, namedtuple("AutGroup", "tag witnesses")):
 def automorphism_group(h: Hat) -> AutGroup:
     """Assemble the automorphism group of a representative hat.
 
-    The tag comes from the divisibility criteria; the witnesses come from
-    the oracle's self-correspondence solver.  The two must agree
-    permutation by permutation.
+    An automorphism is a self-isomorphism, so each criterion names the
+    oracle cases it realizes.  The criteria and the oracle's
+    self-correspondence solver must agree case by case; the tag is the
+    group of that order and the witnesses come from the oracle.
     """
     fix_a = aut_fix_A(h)
     fix_b = aut_fix_B(h)
@@ -117,33 +112,26 @@ def automorphism_group(h: Hat) -> AutGroup:
     if transpositions == 1 and cycle:
         raise InconsistencyError(f"a single transposition excludes a 3-cycle: {h}")
 
-    if transpositions == 3:
-        tag = "S3"
-    elif transpositions == 1:
-        tag = "C2"
-    elif cycle:
-        tag = "C3"
-    else:
-        tag = "Trivial"
-
-    expected = {_IDENTITY_PERM}
+    # the oracle.CORRESPONDENCES cases each criterion realizes; "a" is the identity
+    expected = {"a"}
     if fix_a:
-        expected.add(_FIX_A_PERM)
+        expected.add("c")
     if fix_b:
-        expected.add(_FIX_B_PERM)
+        expected.add("b")
     if fix_c:
-        expected.add(_FIX_C_PERM)
+        expected.add("f")
     if cycle:
-        expected.update(_CYCLE_PERMS)
+        expected.update("de")
 
     tri = h.triangle()
     realized = tuple(realized_correspondences(tri, tri))
-    found = {corr.perm for corr, _ in realized}
+    found = {corr.case for corr, _ in realized}
     if found != expected:
         raise InconsistencyError(
             f"criteria and oracle disagree on {h}: criteria {sorted(expected)}, "
             f"oracle {sorted(found)}"
         )
+    tag = _TAG_OF_ORDER[len(found)]
     return AutGroup(tag, tuple((perm_label(corr.perm), f) for corr, f in realized))
 
 

@@ -10,8 +10,9 @@ powers of two once; Triangle.from_scaled starts from the integers.  An
 AffineMap is stored the same way, its four linear entries and its two
 translation coordinates each as integers and one exponent.  Triangle.vertices
 and AffineMap.linear / .translation are Point2, Matrix2 and DyadicRational
-views, built on first access and then kept; the collinearity check,
-hats.hat_of and affine_through read the integers and build none of them.
+views, built each time they are read and never kept: a value's only state
+is its integers.  The collinearity check, hats.hat_of and affine_through
+read the integers and build none of them.
 affine_through is the one integer Cramer solve: it gives the oracle its
 maps, and hats.normalize its witness through the oracle.  It takes its
 source as cramer_source data (the first point, the two edge vectors from
@@ -77,21 +78,20 @@ class AffineMap:
 
     Stored as two common_scale forms (ints, e): the linear entries
     (a, b, c, d) and the translation (x, y).  linear and translation are
-    views built on first access.  A map equals only another AffineMap,
-    compared on the integers, and hashes as the tuple (linear,
-    translation); its repr is AffineMap(linear=..., translation=...).  A
-    pickle holds the integers and rebuilds the map with from_scaled.
+    views built each time they are read, not kept.  A map equals only
+    another AffineMap, compared on the integers, and hashes as the tuple
+    (linear, translation); its repr is AffineMap(linear=...,
+    translation=...).  A pickle holds the integers and rebuilds the map
+    with from_scaled.
     """
 
-    __slots__ = ("_scaled", "_linear", "_translation")
+    __slots__ = ("_scaled",)
 
     def __init__(self, linear: Matrix2, translation: Point2):
         self._scaled = (
             common_scale(linear.a, linear.b, linear.c, linear.d),
             common_scale(translation.x, translation.y),
         )
-        self._linear = linear
-        self._translation = translation
 
     @classmethod
     def from_scaled(
@@ -102,22 +102,17 @@ class AffineMap:
         into its exponent."""
         f = cls.__new__(cls)
         f._scaled = (reduce_scale(*linear), reduce_scale(*translation))
-        f._linear = f._translation = None
         return f
 
     @property
     def linear(self) -> Matrix2:
-        if self._linear is None:
-            n, e = self._scaled[0]
-            self._linear = Matrix2(*(DyadicRational(k, e) for k in n))
-        return self._linear
+        n, e = self._scaled[0]
+        return Matrix2(*(DyadicRational(k, e) for k in n))
 
     @property
     def translation(self) -> Point2:
-        if self._translation is None:
-            (x, y), e = self._scaled[1]
-            self._translation = Point2(DyadicRational(x, e), DyadicRational(y, e))
-        return self._translation
+        (x, y), e = self._scaled[1]
+        return Point2(DyadicRational(x, e), DyadicRational(y, e))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -200,21 +195,21 @@ class Triangle:
 
     Stored as integers n and one exponent e with coordinate k ==
     n[k] * 2**e, in the order (x0, y0, x1, y1, x2, y2): the common_scale of
-    the coordinates.  vertices is a view built on first access.  A
-    triangle equals only another Triangle, compared on the integers, and
-    hashes as the tuple (vertices,); its repr is Triangle(vertices=(...)).
+    the coordinates.  vertices is a view built each time it is read, not
+    kept.  A triangle equals only another Triangle, compared on the
+    integers, and hashes as the tuple (vertices,); its repr is
+    Triangle(vertices=(...)).
     A pickle holds the integers and rebuilds the triangle with from_scaled,
     which rejects collinear vertices again.  cramer_source, the oracle's
     solve data for the vertex order (0, 1, 2), is built on the first solve
     and then kept; it takes no part in equality, hash, repr or pickling.
     """
 
-    __slots__ = ("_scaled", "_vertices", "_source")
+    __slots__ = ("_scaled", "_source")
 
     def __init__(self, vertices: tuple[Point2, Point2, Point2]):
         a, b, c = vertices
         self._scaled = common_scale(a.x, a.y, b.x, b.y, c.x, c.y)
-        self._vertices = vertices
         self._source = None
         self._reject_collinear()
 
@@ -225,25 +220,22 @@ class Triangle:
         vertices, without building them."""
         t = cls.__new__(cls)
         t._scaled = reduce_scale(ints, e)
-        t._vertices = t._source = None
+        t._source = None
         t._reject_collinear()
         return t
 
     def _reject_collinear(self) -> None:
         (ax, ay, bx, by, cx, cy), _ = self._scaled
         if (bx - ax) * (cy - ay) == (by - ay) * (cx - ax):
-            a, b, c = self.vertices
-            raise DegenerateTriangle(f"vertices {a}, {b}, {c} are collinear")
+            raise DegenerateTriangle("the three vertices are collinear")
 
     @property
     def vertices(self) -> tuple[Point2, Point2, Point2]:
-        if self._vertices is None:
-            n, e = self._scaled
-            self._vertices = tuple(
-                Point2(DyadicRational(n[k], e), DyadicRational(n[k + 1], e))
-                for k in (0, 2, 4)
-            )
-        return self._vertices
+        n, e = self._scaled
+        return tuple(
+            Point2(DyadicRational(n[k], e), DyadicRational(n[k + 1], e))
+            for k in (0, 2, 4)
+        )
 
     @property
     def cramer_source(self) -> tuple[tuple[int, ...], int, int, int]:

@@ -20,6 +20,13 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}".rstrip("0").rstrip(".")
 
 
+def _line(x1: float, y1: float, x2: float, y2: float, stroke: str, width: str) -> str:
+    return (
+        f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+        f'stroke="{stroke}" stroke-width="{width}"/>'
+    )
+
+
 def render_svg(tri: Triangle) -> str:
     """Triangle with lattice guides, axes, ticks and labeled vertices."""
     try:
@@ -61,43 +68,19 @@ def render_svg(tri: Triangle) -> str:
     grid_x = range(-(-x0 // step) * step, x1 + 1, step)
     grid_y = range(-(-y0 // step) * step, y1 + 1, step)
     for gx in grid_x:
-        parts.append(
-            f'<line x1="{_fmt(sx(gx))}" y1="{_fmt(sy(min_y))}" '
-            f'x2="{_fmt(sx(gx))}" y2="{_fmt(sy(max_y))}" '
-            'stroke="#dddddd" stroke-width="1"/>'
-        )
+        parts.append(_line(sx(gx), sy(min_y), sx(gx), sy(max_y), "#dddddd", "1"))
     for gy in grid_y:
-        parts.append(
-            f'<line x1="{_fmt(sx(min_x))}" y1="{_fmt(sy(gy))}" '
-            f'x2="{_fmt(sx(max_x))}" y2="{_fmt(sy(gy))}" '
-            'stroke="#dddddd" stroke-width="1"/>'
-        )
+        parts.append(_line(sx(min_x), sy(gy), sx(max_x), sy(gy), "#dddddd", "1"))
 
-    # axes through the origin, when visible
-    if min_y <= 0 <= max_y:
-        parts.append(
-            f'<line x1="{_fmt(sx(min_x))}" y1="{_fmt(sy(0))}" '
-            f'x2="{_fmt(sx(max_x))}" y2="{_fmt(sy(0))}" '
-            'stroke="#888888" stroke-width="1.5"/>'
-        )
-    if min_x <= 0 <= max_x:
-        parts.append(
-            f'<line x1="{_fmt(sx(0))}" y1="{_fmt(sy(min_y))}" '
-            f'x2="{_fmt(sx(0))}" y2="{_fmt(sy(max_y))}" '
-            'stroke="#888888" stroke-width="1.5"/>'
-        )
+    # the box always holds the origin, so both axes are drawn
+    parts.append(_line(sx(min_x), sy(0), sx(max_x), sy(0), "#888888", "1.5"))
+    parts.append(_line(sx(0), sy(min_y), sx(0), sy(max_y), "#888888", "1.5"))
 
     # axis ticks with numeric labels
     for gx in grid_x:
         if gx == 0:
             continue
-        parts.append(
-            f'<line x1="{_fmt(sx(gx))}" y1="{_fmt(sy(0) - 4)}" '
-            f'x2="{_fmt(sx(gx))}" y2="{_fmt(sy(0) + 4)}" '
-            'stroke="#555555" stroke-width="1"/>'
-            if min_y <= 0 <= max_y
-            else ""
-        )
+        parts.append(_line(sx(gx), sy(0) - 4, sx(gx), sy(0) + 4, "#555555", "1"))
         parts.append(
             f'<text x="{_fmt(sx(gx))}" y="{_fmt(height - 2)}" '
             f'font-size="11" text-anchor="middle" fill="#555555">{gx}</text>'
@@ -105,12 +88,7 @@ def render_svg(tri: Triangle) -> str:
     for gy in grid_y:
         if gy == 0:
             continue
-        if min_x <= 0 <= max_x:
-            parts.append(
-                f'<line x1="{_fmt(sx(0) - 4)}" y1="{_fmt(sy(gy))}" '
-                f'x2="{_fmt(sx(0) + 4)}" y2="{_fmt(sy(gy))}" '
-                'stroke="#555555" stroke-width="1"/>'
-            )
+        parts.append(_line(sx(0) - 4, sy(gy), sx(0) + 4, sy(gy), "#555555", "1"))
         parts.append(
             f'<text x="2" y="{_fmt(sy(gy) + 4)}" font-size="11" '
             f'fill="#555555">{gy}</text>'
@@ -138,4 +116,4 @@ def render_svg(tri: Triangle) -> str:
         )
 
     parts.append("</svg>")
-    return "\n".join(p for p in parts if p)
+    return "\n".join(parts)

@@ -38,7 +38,7 @@ from dyhat.dyadic import odd_gcd
 from dyhat.errors import InconsistencyError, InvalidBounds, InvalidHat
 from dyhat.hats import hat_of
 from dyhat import classify, hats, oracle
-from dyhat.oracle import CASES, realized_correspondences
+from dyhat.oracle import CASES, CORRESPONDENCES, perm_label, realized_correspondences
 
 import tutil
 from reference import (
@@ -126,6 +126,19 @@ def test_group_witnesses_permute_vertices_as_labeled():
 def test_trivial_group_witness_is_identity():
     group = automorphism_group(Hat(1, 9, 5))
     assert group.witnesses == (("ABC", IDENTITY),)
+
+
+def test_automorphisms_are_the_self_isomorphisms_on_the_31_grid():
+    # iso_case shares no code with the four criteria, so this checks the
+    # criterion-to-case table of automorphism_group from outside
+    for j, m in product(range(1, 32, 2), repeat=2):
+        for i in range(-2 * j + 1, 4 * j, 2):
+            h = Hat(i, j, m)
+            labels = tuple(label for label, _ in automorphism_group(h).witnesses)
+            assert labels == tuple(
+                perm_label(corr.perm) for corr in CORRESPONDENCES
+                if iso_case(h, h, corr.case)
+            ), h
 
 
 def test_lying_criterion_raises_inconsistency(monkeypatch):

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import resource
 import shutil
 import subprocess
@@ -26,6 +27,7 @@ from dyhat.cli import (
     format_dyadic,
     parse_dyadic,
     parse_hat,
+    parse_shape,
     parse_triangle,
     run,
 )
@@ -36,6 +38,7 @@ from dyhat.errors import (
     ParseError,
 )
 from dyhat.geometry import Matrix2, Point2
+from dyhat.render import render_svg
 
 D = DyadicRational
 
@@ -102,6 +105,17 @@ def test_oversized_literal_exits_4(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: literal has a 1500-digit part"), argv
     assert not out.exists()
+
+
+def test_collinear_literal_gets_a_short_diagnostic(capsys):
+    # the diagnostic names no coordinate, so its length does not grow with them
+    sevens = "7" * 999
+    assert run(["canon", f"0,0 {sevens},{sevens} 1{sevens},1{sevens}"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert len(captured.err) < 100
+    assert "are collinear" in captured.err
 
 
 def test_format_dyadic():
@@ -414,6 +428,46 @@ def test_render_output_is_unchanged(tmp_path, capsys, shape, fixture):
     assert out.read_bytes() == (FIXTURES / fixture).read_bytes()
 
 
+def _render_literals(seed: int = 1729, count: int = 300) -> list[str]:
+    """Seeded triangle and hat literals: negative and fractional coordinates,
+    triangles with no vertex at the origin, spans wide enough that the tick
+    step is above 1, and hats of either parity."""
+    rng = random.Random(seed)
+
+    def coord(bound: int, shift: int) -> str:
+        den = 1 << rng.randint(0, 3)
+        n = rng.randint(-bound, bound) + shift * den
+        return f"{n}/{den}" if den > 1 else str(n)
+
+    literals = []
+    for k in range(count):
+        kind = k % 4
+        if kind == 3:
+            head = rng.choice(["T", "TT"])
+            i = 2 * rng.randint(-50, 100) + (head == "T" or rng.randint(0, 1))
+            j, m = rng.randrange(1, 99, 2), rng.randrange(1, 99, 2)
+            literals.append(f"{head} {i} {j} {m}")
+            continue
+        bound = (8, 60, 400)[kind]
+        # two thirds of the triangles are shifted away from the origin
+        dx, dy = (rng.randint(-bound, bound) if k % 3 else 0 for _ in range(2))
+        literals.append(" ".join(
+            f"{coord(bound, dx)},{coord(bound, dy)}" for _ in range(3)))
+    return literals
+
+
+#: sha256 over (literal, render_svg output) for every _render_literals shape,
+#: recorded while render_svg still wrote out each <line> element by hand
+_RENDER_DIGEST = "0e991b9f10ce98dda09c1f8423307f326e9a4029106737e37be3775a9d1e3b24"
+
+
+def test_render_output_over_seeded_shapes_is_unchanged():
+    digest = hashlib.sha256()
+    for literal in _render_literals():
+        digest.update(repr((literal, render_svg(parse_shape(literal)))).encode())
+    assert digest.hexdigest() == _RENDER_DIGEST
+
+
 def test_render_wide_triangle_is_fast(tmp_path):
     # a child process, so that a lattice loop over every integer fails the
     # timeout instead of hanging the suite; the child times run() alone
@@ -484,7 +538,7 @@ _PIN_CALLS = [
     ["census", "--jmax", "4", "--mmax", "3"],
     ["render", "0,0 1/3,1 1,0", "--out", "out.svg"],
 ]
-_PIN_DIGEST = "40534fb75348f15ed5a99d813fb534f4f6fed0163ab761568b48c875b7bd7eb1"
+_PIN_DIGEST = "d8db720bcb7141bf287e75d966e638c94a7a7dff62dac16308f3a9cf1a12f722"
 
 
 def test_cli_output_is_unchanged(tmp_path, monkeypatch, capsys):
