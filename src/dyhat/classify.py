@@ -21,18 +21,23 @@ from collections import namedtuple
 from .dyadic import Record, odd_gcd, solve_congruence
 from .errors import InconsistencyError, InvalidBounds, InvalidHat
 from .geometry import Triangle
-from .hats import (
-    EncodingTriple,
-    Hat,
-    role_triples,
+from .hats import CANONICAL_KEY, EncodingTriple, Hat, role_triples
+from .oracle import (
+    CASES,
+    CORRESPONDENCES,
+    oracle_isomorphic,
+    perm_label,
+    realized_correspondences,
 )
-from .oracle import CASES, oracle_isomorphic, perm_label, realized_correspondences
 
 GROUP_ORDER = {"Trivial": 1, "C2": 2, "C3": 3, "S3": 6}
 
 GROUP_TAGS = tuple(GROUP_ORDER)
 
 _TAG_OF_ORDER = {order: tag for tag, order in GROUP_ORDER.items()}
+
+#: The witness label of each oracle case, e.g. "c" -> "ACB".
+_PERM_LABEL = {corr.case: perm_label(corr.perm) for corr in CORRESPONDENCES}
 
 #: Most (j, m) cells that one census may sweep: the 1023x1023 grid.
 MAX_CENSUS_CELLS = 512 * 512
@@ -132,7 +137,7 @@ def automorphism_group(h: Hat) -> AutGroup:
             f"oracle {sorted(found)}"
         )
     tag = _TAG_OF_ORDER[len(found)]
-    return AutGroup(tag, tuple((perm_label(corr.perm), f) for corr, f in realized))
+    return AutGroup(tag, tuple((_PERM_LABEL[corr.case], f) for corr, f in realized))
 
 
 def iso_case(h1: Hat, h2: Hat, case: str) -> bool:
@@ -182,7 +187,7 @@ def isomorphic(t1: Triangle, t2: Triangle) -> IsoResult:
     reduction.
     """
     roles1, roles2 = role_triples(t1), role_triples(t2)
-    by_canonical = min(roles1) == min(roles2)
+    by_canonical = min(roles1, key=CANONICAL_KEY) == min(roles2, key=CANONICAL_KEY)
     by_overlap = not frozenset(roles1).isdisjoint(roles2)
     h1, h2 = Hat(*roles1[0]), Hat(*roles2[0])
     case = next((c for c in CASES if iso_case(h1, h2, c)), None)
@@ -246,9 +251,8 @@ def _census_cell(cell: tuple[int, int]) -> CensusRow:
         pointed.add(roles[0])
         group = automorphism_group(h)
         counts[group.tag] += 1
-        triples = frozenset(roles)
-        canonical.add(min(triples))
-        if len(triples) * group.order != 6:
+        canonical.add(min(roles, key=CANONICAL_KEY))
+        if len(frozenset(roles)) * group.order != 6:
             orbit_ok = False
     return CensusRow(j, m, len(pointed), len(canonical), counts, orbit_ok)
 

@@ -142,21 +142,19 @@ def _emit(args, payload: dict, lines: list[str], quiet: list[str]) -> None:
 
 
 def map_json(f: AffineMap) -> dict:
-    lin = f.linear
+    """The map's entries as literals; its views are each read once."""
+    lin, shift = f.linear, f.translation
     return {
         "linear": [
             [format_dyadic(lin.a), format_dyadic(lin.b)],
             [format_dyadic(lin.c), format_dyadic(lin.d)],
         ],
-        "translation": [
-            format_dyadic(f.translation.x),
-            format_dyadic(f.translation.y),
-        ],
+        "translation": [format_dyadic(shift.x), format_dyadic(shift.y)],
     }
 
 
-def _format_map(f: AffineMap) -> str:
-    shape = map_json(f)
+def _format_map(shape: dict) -> str:
+    """One text line for a map_json result."""
     (a, b), (c, d) = shape["linear"]
     x, y = shape["translation"]
     return f"linear [[{a}, {b}], [{c}, {d}]] translation ({x}, {y})"
@@ -167,6 +165,8 @@ def _format_map(f: AffineMap) -> str:
 
 def _cmd_normalize(args) -> int:
     tri = parse_shape(args.shape)
+    # a view, built on each read: read once for all six witnesses
+    vertices = tri.vertices if args.verify else None
     payload, lines, quiet = [], [], []
     ok = "  ok" if args.verify else ""
     for roles in permutations((0, 1, 2)):
@@ -174,19 +174,20 @@ def _cmd_normalize(args) -> int:
         result = normalize(tri, roles)
         h, witness = result.hat, result.witness
         if args.verify:
-            images = [witness(tri.vertices[r]) for r in roles]
+            images = [witness(vertices[r]) for r in roles]
             targets = [Point2.of(0, 0), Point2.of(h.i, h.j), Point2.of(h.m, 0)]
             if images != targets or not witness.is_unit():
                 raise InconsistencyError(f"witness for roles {label} failed verification")
+        shape = map_json(witness)
         payload.append({
             "roles": label,
             "hat": h._asdict(),
             # hat_of's i is already odd in 1..2j-1: the hat is its own triple
             "triple": list(h),
-            "map": map_json(witness),
+            "map": shape,
         })
         quiet.append(f"{label}: T {h.i} {h.j} {h.m}")
-        lines.append(f"{quiet[-1]}  {_format_map(witness)}{ok}")
+        lines.append(f"{quiet[-1]}  {_format_map(shape)}{ok}")
     _emit(args, {"results": payload}, lines, quiet)
     return 0
 
@@ -195,28 +196,24 @@ def _cmd_aut(args) -> int:
     numbers = (args.i, args.j, args.m)
     literal = " ".join(numbers)
     group = automorphism_group(Hat(*(_bounded_int(n, literal) for n in numbers)))
+    shapes = [(perm, map_json(witness)) for perm, witness in group.witnesses]
     payload = {
         "group": group.tag,
         "order": group.order,
-        "witnesses": [
-            {"perm": perm, **map_json(witness)} for perm, witness in group.witnesses
-        ],
+        "witnesses": [{"perm": perm, **shape} for perm, shape in shapes],
     }
     lines = [f"{group.tag} (order {group.order})"]
-    lines += [f"  {perm}  {_format_map(witness)}" for perm, witness in group.witnesses]
+    lines += [f"  {perm}  {_format_map(shape)}" for perm, shape in shapes]
     _emit(args, {"aut": payload}, lines, [group.tag])
     return 0
 
 
 def _cmd_iso(args) -> int:
     result = isomorphic(parse_shape(args.first), parse_shape(args.second))
-    payload = {
-        "result": result.isomorphic,
-        "case": result.case,
-        "map": map_json(result.witness) if result.witness else None,
-    }
+    shape = map_json(result.witness) if result.witness else None
+    payload = {"result": result.isomorphic, "case": result.case, "map": shape}
     if result.isomorphic:
-        lines = [f"isomorphic (case {result.case})", f"  {_format_map(result.witness)}"]
+        lines = [f"isomorphic (case {result.case})", f"  {_format_map(shape)}"]
     else:
         lines = ["not isomorphic"]
     _emit(args, {"iso": payload}, lines, [])

@@ -15,11 +15,14 @@ is its integers.  The collinearity check, hats.hat_of and affine_through
 read the integers and build none of them.
 affine_through is the one integer Cramer solve: it gives the oracle its
 maps, and hats.normalize its witness through the oracle.  It takes its
-source as cramer_source data (the first point, the two edge vectors from
-it, the odd part and 2-adic valuation of their determinant, and the
-exponent) and its target as integers.  Triangle.cramer_source holds that
-data for the triangle's own vertex order, built on the first solve and then
-kept, so the oracle's six solves from one triangle share it.
+source and its target as cramer_source data: the first point, the two edge
+vectors from it, the odd part and 2-adic valuation of their determinant,
+and the exponent.  Triangle.cramer_source holds that data for the
+triangle's own vertex order, built on its first use and then kept, so the
+oracle's six solves from one triangle share it.  Triangle.cramer_target
+gives the data for any vertex order, its determinant read from the kept
+data: every vertex order of one triangle has the same determinant up to
+sign, so no solve finds a determinant again.
 """
 
 from __future__ import annotations
@@ -159,23 +162,22 @@ def cramer_source(
 
 
 def affine_through(
-    source: tuple[tuple[int, ...], int, int, int], dst: tuple[tuple[int, ...], int]
+    source: tuple[tuple[int, ...], int, int, int],
+    target: tuple[tuple[int, ...], int, int, int],
 ) -> AffineMap | None:
     """The unit affine map sending source point k to target point k, or None.
 
     source is cramer_source of the three source points (Triangle.cramer_source
-    holds it for a triangle's own vertex order); dst is three non-collinear
-    points given as common_scale output (ints, e): the flattened integers
-    (x0, y0, x1, y1, x2, y2) and one exponent, as Triangle.scaled_coords
-    returns them.  Cramer's rule on the integers: an entry is dyadic exactly
-    when the odd part of the source determinant divides its numerator, and
-    the map is a unit exactly when both determinants have the same odd part
-    up to sign.
+    holds it for a triangle's own vertex order); target is the same data of
+    three target points, as Triangle.cramer_target gives it, whose odd part
+    may have either sign.  Cramer's rule on the integers: an entry is dyadic
+    exactly when the odd part of the source determinant divides its
+    numerator, and the map is a unit exactly when the two kept odd parts
+    agree up to sign.
     """
     (ax, ay, u1x, u1y, u2x, u2y), odd, v, src_exp = source
-    (bx, by, rx, ry, sx, sy), dst_exp = dst
-    w1x, w1y, w2x, w2y = rx - bx, ry - by, sx - bx, sy - by
-    if odd_part(w1x * w2y - w1y * w2x) not in (odd, -odd):
+    (bx, by, w1x, w1y, w2x, w2y), target_odd, _, dst_exp = target
+    if target_odd not in (odd, -odd):
         return None
     na, nb = w1x * u2y - w2x * u1y, w2x * u1x - w1x * u2x
     nc, nd = w1y * u2y - w2y * u1y, w2y * u1x - w1y * u2x
@@ -201,8 +203,10 @@ class Triangle:
     Triangle(vertices=(...)).
     A pickle holds the integers and rebuilds the triangle with from_scaled,
     which rejects collinear vertices again.  cramer_source, the oracle's
-    solve data for the vertex order (0, 1, 2), is built on the first solve
+    solve data for the vertex order (0, 1, 2), is built on its first use
     and then kept; it takes no part in equality, hash, repr or pickling.
+    cramer_target(order), the data for any vertex order, reads its odd part
+    and valuation from it.
     """
 
     __slots__ = ("_scaled", "_source")
@@ -242,6 +246,20 @@ class Triangle:
         if self._source is None:
             self._source = cramer_source(self._scaled)
         return self._source
+
+    def cramer_target(
+        self, order: tuple[int, int, int]
+    ) -> tuple[tuple[int, ...], int, int, int]:
+        """cramer_source data of vertices[order[0]], [order[1]], [order[2]].
+        Reordering the vertices changes the determinant by the sign of the
+        order alone, so its odd part and valuation are read from the kept
+        cramer_source: the odd part is right up to sign."""
+        n, e = self._scaled
+        i, j, k = order
+        bx, by = n[2 * i], n[2 * i + 1]
+        _, odd, v, _ = self.cramer_source
+        return (bx, by, n[2 * j] - bx, n[2 * j + 1] - by,
+                n[2 * k] - bx, n[2 * k + 1] - by), odd, v, e
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -8,25 +8,28 @@ unit affine map, to exactly one representative hat with i odd in
 the set of triples over all six role assignments encodes the full class.
 hat_of finds that hat on integers alone, and role_triples finds all six,
 identity order first; both go through one reduction, _reduce_roles, which
-takes the odd part of twice the area once and the extended Euclid of each
-of the three edges once, the reversed edge reusing it with the Bezout row
-negated.  So one role_triples call per triangle serves both its pointed
-class (entry 0, the identity order's hat) and its triple set
-(all_encoding_triples), and a caller that needs both reduces once.  normalize
-also returns the witness map, for the callers that ask for one: the oracle's
-solve_correspondence from the triangle to the hat's triangle, the same solve
-that isomorphism witnesses come from.  Hat.triangle builds its triangle
+takes the odd part of twice the area once and, for each of the three edges,
+one extended Euclid and one residue, from the edge's lower-index endpoint:
+the reversed order's residue is m minus that one, mod j.  So one
+role_triples call per triangle serves both its pointed class (entry 0, the
+identity order's hat) and its triple set (all_encoding_triples), and a
+caller that needs both reduces once.  normalize also returns the witness
+map, for the callers that ask for one: the oracle's solve_correspondence
+from the triangle to the hat's triangle, the same solve that isomorphism
+witnesses come from.  Hat.triangle builds its triangle
 with Triangle.from_scaled, and the witness is stored as integers too: no
 DyadicRational is built until a caller reads the vertices or the
 witness's linear part or translation.  Hat, EncodingTriple and Normalization
 are dyadic.Record values; EncodingTriple alone adds an order, the canonical
-(j, m, i) order that canonical_form takes the least triple in.
+(j, m, i) order.  CANONICAL_KEY states that order as a C-level key, with
+which canonical_form and the classify module take their least triples.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import permutations
+from itertools import permutations, starmap
+from operator import itemgetter
 from typing import Iterable
 
 from .dyadic import Record, egcd, odd_part, val2
@@ -59,31 +62,43 @@ class Hat(Record, namedtuple("Hat", "i j m")):
         return Triangle.from_scaled((0, 0, self.i, self.j, self.m, 0), 0)
 
 
+#: The canonical order of encoding triples, lexicographic on (j, m, i), as a
+#: key: min(triples, key=CANONICAL_KEY) is the least triple.
+CANONICAL_KEY = itemgetter(1, 2, 0)
+
+
 class EncodingTriple(Record, namedtuple("EncodingTriple", "i j m")):
     """Pointed class label: odd i in {1, ..., 2j-1} with odd positive j, m.
     A Record, validated on every construction route, except that it is
-    ordered by < and > alone, in the canonical (j, m, i) order; <= and >=
-    raise TypeError."""
+    ordered by < and > alone, in the canonical (j, m, i) order, and only
+    against another EncodingTriple; <= and >= raise TypeError."""
 
     __slots__ = ()
 
     def __new__(cls, i: int, j: int, m: int) -> EncodingTriple:
-        _check_odd_positive(j, "j")
-        _check_odd_positive(m, "m")
-        if i % 2 == 0 or not 1 <= i <= 2 * j - 1:
-            raise InvalidHat(f"i must be odd in 1..{2 * j - 1}, got {i}")
+        # one test accepts; the checks below run only on refusal, in order,
+        # so that the message names the first field at fault
+        if not (j > 0 and m > 0 and j % 2 and m % 2 and i % 2 and 1 <= i <= 2 * j - 1):
+            _check_odd_positive(j, "j")
+            _check_odd_positive(m, "m")
+            if i % 2 == 0 or not 1 <= i <= 2 * j - 1:
+                raise InvalidHat(f"i must be odd in 1..{2 * j - 1}, got {i}")
         return tuple.__new__(cls, (i, j, m))
 
-    def __lt__(self, other: "EncodingTriple") -> bool:
-        # canonical order: lexicographic on (j, m, i)
-        return (self.j, self.m, self.i) < (other.j, other.m, other.i)
-
-    def __gt__(self, other: "EncodingTriple") -> bool:
+    def _canonical_pair(self, other):
         if not isinstance(other, EncodingTriple):
             raise TypeError(
                 f"EncodingTriple has no order against {other.__class__.__name__}"
             )
-        return other < self
+        return CANONICAL_KEY(self), CANONICAL_KEY(other)
+
+    def __lt__(self, other: "EncodingTriple") -> bool:
+        mine, theirs = self._canonical_pair(other)
+        return mine < theirs
+
+    def __gt__(self, other: "EncodingTriple") -> bool:
+        mine, theirs = self._canonical_pair(other)
+        return mine > theirs
 
     def __le__(self, other):
         raise TypeError("EncodingTriple values are ordered by < and > only")
@@ -113,33 +128,40 @@ def _reduce_roles(
     An order (o, a, b) sends vertex o to the origin, a to the apex (i, j)
     and b to (m, 0).  It reads the integer coordinates the triangle already
     holds (the common power of two drops out).  The base (A, B) from o to b
-    has gcd g and Bezout row (s, t): m is the odd part of g, j the odd part
-    of twice the area over m, and i the apex abscissa (s*p + t*q) /
-    2**val2(g) mod j of the apex (p, q) relative to o, lifted to an odd
-    residue mod 2j.  The odd part of twice the area is found once, and g,
-    (s, t), m, j and 1 / 2**val2(g) mod j once per unordered base edge: the
-    reversed edge (-A, -B) takes the Bezout row (-s, -t).  That is exact,
-    since another Bezout row moves s*p + t*q by a multiple of twice the
-    area over g, which is +-j * 2**w, so i mod j does not change.
+    has gcd g = m * 2**v, m odd, and Bezout row (s, t): j is the odd part of
+    twice the area over m, and i the residue r = (s*p + t*q) / 2**v mod j
+    of the apex (p, q) relative to o, lifted to an odd residue mod 2j.  Any
+    Bezout row gives the same r, since another row moves s*p + t*q by a
+    multiple of twice the area over g, which is +-j * 2**w.
+    The odd part of twice the area is found once, and g, m, j and r once per
+    unordered edge, with o its lower-index endpoint.  The reversed order
+    (b, a, o) has the same apex and the residue (m - r) mod j: with the row
+    (-s, -t) of (-A, -B) and the apex taken relative to b = o + (A, B), the
+    numerator is s*A + t*B - (s*p + t*q) = g - (s*p + t*q).
     """
     (x0, y0, x1, y1, x2, y2), _ = tri.scaled_coords()
     xs, ys = (x0, x1, x2), (y0, y1, y2)
     odd = abs(odd_part((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)))
-    # indexed by o + b, which tells the three edges apart
+    # indexed by o + b, which tells the three edges apart: (lower endpoint,
+    # hat from it, hat from the other endpoint)
     edges = [None] * 4
     hats = []
     for o, a, b in orders:
         edge = edges[o + b]
         if edge is None:
-            g, s, t = egcd(xs[b] - xs[o], ys[b] - ys[o])
-            m = odd_part(g)
+            lo, hi = (o, b) if o < b else (b, o)
+            g, s, t = egcd(xs[hi] - xs[lo], ys[hi] - ys[lo])
+            v = val2(g)
+            m = g >> v
             j = odd // m
-            edge = edges[o + b] = o, s, t, m, j, pow(2, -val2(g), j)
-        origin, s, t, m, j, scale = edge
-        if o != origin:
-            s, t = -s, -t
-        r = (s * (xs[a] - xs[o]) + t * (ys[a] - ys[o])) * scale % j
-        hats.append((r if r % 2 else r + j, j, m))
+            r = s * (xs[a] - xs[lo]) + t * (ys[a] - ys[lo])
+            # v is 0 on an edge with an odd coordinate, as on every hat's
+            r = (r * pow(2, -v, j) if v else r) % j
+            back = (m - r) % j
+            edge = edges[o + b] = (
+                lo, (r if r % 2 else r + j, j, m), (back if back % 2 else back + j, j, m)
+            )
+        hats.append(edge[1] if o == edge[0] else edge[2])
     return hats
 
 
@@ -172,7 +194,7 @@ def role_triples(tri: Triangle) -> tuple[EncodingTriple, ...]:
     """The encoding triple of each of the six vertex role orders, in
     _ALL_ROLES order: entry 0, the identity order, is the pointed class,
     the i, j, m of hat_of(tri)."""
-    return tuple(EncodingTriple(*ijm) for ijm in _reduce_roles(tri, _ALL_ROLES))
+    return tuple(starmap(EncodingTriple, _reduce_roles(tri, _ALL_ROLES)))
 
 
 def all_encoding_triples(tri: Triangle) -> frozenset[EncodingTriple]:
@@ -182,4 +204,4 @@ def all_encoding_triples(tri: Triangle) -> frozenset[EncodingTriple]:
 
 def canonical_form(tri: Triangle) -> EncodingTriple:
     """The least encoding triple in the canonical (j, m, i) order."""
-    return min(all_encoding_triples(tri))
+    return min(role_triples(tri), key=CANONICAL_KEY)

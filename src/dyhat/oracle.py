@@ -8,7 +8,9 @@ the solved map qualifies when its entries are dyadic and its determinant is
 correspondences, and oracle_isomorphic takes its first item.  Each solve
 reads the source's Triangle.cramer_source (edge vectors and determinant,
 found on the first solve from that triangle and then kept) and the target's
-integers in correspondence order; all six solves still run.  A solved map
+Triangle.cramer_target in correspondence order, which takes the target's
+determinant from the target's own kept cramer_source, since reordering the
+vertices changes only its sign; all six solves still run.  A solved map
 is stored as integers (AffineMap.from_scaled); its linear part and
 translation are built only when read.  hats.normalize solves its witness
 through solve_correspondence too, after hat_of has found the hat.  This
@@ -57,7 +59,7 @@ def solve_correspondence(
 ) -> AffineMap | None:
     """The unit affine map sending vertex k of src to vertex perm[k] of dst,
     or None when that unique affine map is not a dyadic unit."""
-    return affine_through(src.cramer_source, dst.scaled_coords(perm))
+    return affine_through(src.cramer_source, dst.cramer_target(perm))
 
 
 def realized_correspondences(

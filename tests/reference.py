@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd
 
 from dyhat.dyadic import DyadicRational, common_scale, odd_gcd
-from dyhat.errors import NotDyadic
+from dyhat.errors import InvalidHat, NotDyadic
 from dyhat.geometry import AffineMap, Matrix2, Point2
 from dyhat.hats import EncodingTriple, Hat
 from dyhat.oracle import realized_correspondences
@@ -99,6 +99,17 @@ def closure_sample(points, depth: int) -> frozenset:
 def oracle_aut_count(t) -> int:
     """Number of self-correspondences realized by unit maps (1, 2, 3 or 6)."""
     return sum(1 for _ in realized_correspondences(t, t))
+
+
+def validate_encoding_triple(i, j, m) -> None:
+    """EncodingTriple's validation as three checks in a row: j, then m, each
+    odd positive, then i odd in 1..2j-1.  Raises InvalidHat with the first
+    failed check's message, as the constructor must."""
+    for value, name in ((j, "j"), (m, "m")):
+        if value <= 0 or value % 2 == 0:
+            raise InvalidHat(f"{name} must be an odd positive integer, got {value}")
+    if i % 2 == 0 or not 1 <= i <= 2 * j - 1:
+        raise InvalidHat(f"i must be odd in 1..{2 * j - 1}, got {i}")
 
 
 def pointed_canonical(h: Hat) -> EncodingTriple:

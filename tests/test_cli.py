@@ -322,6 +322,29 @@ def test_normalize_verify(capsys):
     assert all(line.endswith("ok") for line in lines)
 
 
+def test_normalize_verify_reads_each_view_once(capsys, monkeypatch):
+    # the triangle's vertices are read once, and each witness's map_json
+    # serves both the JSON payload and the text line
+    outputs = {}
+    for flags in ([], ["--json"]):
+        built = []
+        init = DyadicRational.__init__
+
+        def counted_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(DyadicRational, "__init__", counted_init)
+        assert run(["normalize", "--verify", *flags, "0,0 1,3 5,0"]) == 0
+        monkeypatch.undo()
+        outputs[tuple(flags)] = capsys.readouterr().out
+        assert len(built) <= 350, flags
+    assert outputs[()].splitlines()[0] == (
+        "ABC: T 1 3 5  linear [[1, 0], [0, 1]] translation (0, 0)  ok"
+    )
+    assert len(json.loads(outputs[("--json",)])["results"]) == 6
+
+
 def test_failed_verify_exits_5(capsys, monkeypatch):
     def shifted(tri, roles):
         result = normalize(tri, roles)

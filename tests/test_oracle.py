@@ -10,9 +10,10 @@ import random
 from itertools import permutations
 
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from dyhat import AffineMap, DyadicRational, Hat, Triangle, oracle_isomorphic
-from dyhat.geometry import Point2, cramer_source
+from dyhat.geometry import Point2, affine_through, cramer_source
 from dyhat.oracle import (
     CASES,
     CORRESPONDENCES,
@@ -153,6 +154,53 @@ def test_one_source_solved_to_several_targets_matches_the_reference(t, large, f,
                 assert got == tutil.fraction_solve(src, dst, perm), (src, dst, perm)
         assert src._source == cramer_source(src.scaled_coords())
         assert src.cramer_source is src._source
+
+
+def _assert_targets_keep_the_determinant(t):
+    """Each vertex order's target data is cramer_source of the reordered
+    vertices, with the odd part up to sign, and carries the odd part and
+    valuation of the triangle's own kept data."""
+    _, odd, v, _ = t.cramer_source
+    for perm in permutations((0, 1, 2)):
+        points, target_odd, target_v, e = t.cramer_target(perm)
+        fresh_points, fresh_odd, fresh_v, fresh_e = cramer_source(t.scaled_coords(perm))
+        assert (points, e) == (fresh_points, fresh_e), perm
+        assert abs(target_odd) == abs(fresh_odd) == abs(odd), perm
+        assert target_v == fresh_v == v, perm
+
+
+def test_targets_keep_the_determinant_on_the_grid():
+    rng = random.Random(16)
+    for j in range(1, 16, 2):
+        for m in range(1, 16, 2):
+            for i in range(1, 2 * j, 2):
+                t = Hat(i, j, m).triangle()
+                image = t.transformed(tutil.rand_unit_map(rng))
+                for u in (t, Triangle(tuple(rng.sample(image.vertices, 3)))):
+                    _assert_targets_keep_the_determinant(u)
+
+
+@settings(max_examples=50)
+@given(st.one_of(tutil.large_triangles, tutil.huge_triangles))
+def test_targets_keep_the_determinant(t):
+    _assert_targets_keep_the_determinant(t)
+
+
+@given(tutil.triangles, st.integers(1, 40))
+def test_a_target_with_another_odd_part_is_never_solved(t, k):
+    # t's own points, the identity among them, once the odd part is off
+    for perm in permutations((0, 1, 2)):
+        points, odd, v, e = t.cramer_target(perm)
+        for wrong in (odd * (2 * k + 1), -odd * (2 * k + 1)):
+            assert affine_through(t.cramer_source, (points, wrong, v, e)) is None
+    # a triangle of 2k + 1 times t's twice-area, solved either way
+    ints, e = t.scaled_coords()
+    stretched = Triangle.from_scaled(
+        [n * (2 * k + 1) if index % 2 == 0 else n for index, n in enumerate(ints)], e
+    )
+    for perm in permutations((0, 1, 2)):
+        assert solve_correspondence(t, stretched, perm) is None
+        assert solve_correspondence(stretched, t, perm) is None
 
 
 @given(tutil.triangles, tutil.unit_maps)

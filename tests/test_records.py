@@ -14,6 +14,8 @@ import operator
 import pickle
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 from dyhat import AffineMap, DyadicRational as D, EncodingTriple, Hat
 from dyhat.classify import AutGroup, CensusReport, CensusRow, IsoResult
@@ -22,6 +24,8 @@ from dyhat.errors import InvalidHat
 from dyhat.geometry import Matrix2, Point2
 from dyhat.hats import Normalization
 from dyhat.oracle import Correspondence
+
+from reference import validate_encoding_triple
 
 #: The witness of case c from T 1 3 5 to T 5 15 1.
 _MAP = AffineMap.from_scaled(((1, 0, 3, -1), 0), ((0, 0), 0))
@@ -162,12 +166,50 @@ def test_encoding_triples_order_canonically_by_lt_and_gt_only():
             for op in (operator.le, operator.ge):
                 with pytest.raises(TypeError):
                     op(a, b)
-    # against a plain tuple no order is tuple order
+    # against a plain tuple no order is tuple order, and a hat with the
+    # same fields has no order against a triple either
     a = triples[0]
-    for op in _ORDER:
-        for left, right in ((a, _fields(a)), (_fields(a), a)):
-            with pytest.raises((TypeError, AttributeError)):
-                op(left, right)
+    for other in (_fields(a), Hat(*_fields(a))):
+        for op in _ORDER:
+            for left, right in ((a, other), (other, a)):
+                with pytest.raises(TypeError):
+                    op(left, right)
+    with pytest.raises(TypeError, match="^EncodingTriple has no order against Hat$"):
+        a < Hat(*_fields(a))
+
+
+def _outcome(build):
+    """What build() gives: its value as a tuple, or its exception's type
+    and message."""
+    try:
+        return tuple(build())
+    except Exception as error:
+        return type(error), str(error)
+
+
+def _checked(i, j, m):
+    validate_encoding_triple(i, j, m)
+    return i, j, m
+
+
+def test_encoding_triple_validates_as_the_three_checks_on_a_grid():
+    accepted = 0
+    for i in range(-3, 20):
+        for j in range(-3, 10):
+            for m in range(-3, 4):
+                got = _outcome(lambda: EncodingTriple(i, j, m))
+                assert got == _outcome(lambda: _checked(i, j, m)), (i, j, m)
+                accepted += got == (i, j, m)
+    # each j in {1, 3, 5, 7, 9} admits j values of i, for m in {1, 3}
+    assert accepted == 2 * (1 + 3 + 5 + 7 + 9)
+
+
+_ints = st.one_of(st.integers(-40, 40), st.integers())
+
+
+@given(_ints, _ints, _ints)
+def test_encoding_triple_validates_as_the_three_checks(i, j, m):
+    assert _outcome(lambda: EncodingTriple(i, j, m)) == _outcome(lambda: _checked(i, j, m))
 
 
 #: (class, valid fields, invalid fields, error, message)
