@@ -147,18 +147,30 @@ class AffineMap:
         return self.linear.is_unit()
 
 
+def _edge_vectors(
+    n: tuple[int, ...], order: tuple[int, int, int] = (0, 1, 2)
+) -> tuple[int, ...]:
+    """(ax, ay, u1x, u1y, u2x, u2y), the layout affine_through unpacks, of
+    points order[0], order[1], order[2] of the points flattened in n as
+    (x0, y0, x1, y1, x2, y2): the first of them, (ax, ay), and the edge
+    vectors u1, u2 from it to the other two."""
+    i, j, k = order
+    ax, ay = n[2 * i], n[2 * i + 1]
+    return ax, ay, n[2 * j] - ax, n[2 * j + 1] - ay, n[2 * k] - ax, n[2 * k + 1] - ay
+
+
 def cramer_source(
     src: tuple[tuple[int, ...], int]
 ) -> tuple[tuple[int, ...], int, int, int]:
-    """What affine_through needs of its source: ((ax, ay, u1x, u1y, u2x,
-    u2y), odd, v, e) for three non-collinear points given as common_scale
-    output (ints, e), where (ax, ay) is the first point, u1 and u2 are the
-    edge vectors from it to the other two, and the determinant u1 x u2 is
+    """What affine_through needs of its source: (_edge_vectors(ints), odd,
+    v, e) for three non-collinear points given as common_scale output
+    (ints, e), where the determinant u1 x u2 of the edge vectors is
     odd * 2**v."""
-    (ax, ay, px, py, qx, qy), e = src
-    u1x, u1y, u2x, u2y = px - ax, py - ay, qx - ax, qy - ay
+    ints, e = src
+    points = _edge_vectors(ints)
+    _, _, u1x, u1y, u2x, u2y = points
     det = u1x * u2y - u1y * u2x
-    return (ax, ay, u1x, u1y, u2x, u2y), odd_part(det), val2(det), e
+    return points, odd_part(det), val2(det), e
 
 
 def affine_through(
@@ -255,11 +267,8 @@ class Triangle:
         order alone, so its odd part and valuation are read from the kept
         cramer_source: the odd part is right up to sign."""
         n, e = self._scaled
-        i, j, k = order
-        bx, by = n[2 * i], n[2 * i + 1]
         _, odd, v, _ = self.cramer_source
-        return (bx, by, n[2 * j] - bx, n[2 * j + 1] - by,
-                n[2 * k] - bx, n[2 * k + 1] - by), odd, v, e
+        return _edge_vectors(n, order), odd, v, e
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

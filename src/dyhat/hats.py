@@ -38,9 +38,8 @@ from .geometry import Triangle
 from .oracle import solve_correspondence
 
 
-def _check_odd_positive(value: int, name: str) -> None:
-    if value <= 0 or value % 2 == 0:
-        raise InvalidHat(f"{name} must be an odd positive integer, got {value}")
+def _not_odd_positive(value: int, name: str) -> InvalidHat:
+    return InvalidHat(f"{name} must be an odd positive integer, got {value}")
 
 
 class Hat(Record, namedtuple("Hat", "i j m")):
@@ -50,8 +49,10 @@ class Hat(Record, namedtuple("Hat", "i j m")):
     __slots__ = ()
 
     def __new__(cls, i: int, j: int, m: int) -> Hat:
-        _check_odd_positive(j, "j")
-        _check_odd_positive(m, "m")
+        if j <= 0 or j % 2 == 0:
+            raise _not_odd_positive(j, "j")
+        if m <= 0 or m % 2 == 0:
+            raise _not_odd_positive(m, "m")
         return tuple.__new__(cls, (i, j, m))
 
     @property
@@ -76,13 +77,12 @@ class EncodingTriple(Record, namedtuple("EncodingTriple", "i j m")):
     __slots__ = ()
 
     def __new__(cls, i: int, j: int, m: int) -> EncodingTriple:
-        # one test accepts; the checks below run only on refusal, in order,
-        # so that the message names the first field at fault
-        if not (j > 0 and m > 0 and j % 2 and m % 2 and i % 2 and 1 <= i <= 2 * j - 1):
-            _check_odd_positive(j, "j")
-            _check_odd_positive(m, "m")
-            if i % 2 == 0 or not 1 <= i <= 2 * j - 1:
-                raise InvalidHat(f"i must be odd in 1..{2 * j - 1}, got {i}")
+        if j <= 0 or j % 2 == 0:
+            raise _not_odd_positive(j, "j")
+        if m <= 0 or m % 2 == 0:
+            raise _not_odd_positive(m, "m")
+        if i % 2 == 0 or not 1 <= i <= 2 * j - 1:
+            raise InvalidHat(f"i must be odd in 1..{2 * j - 1}, got {i}")
         return tuple.__new__(cls, (i, j, m))
 
     def _canonical_pair(self, other):
@@ -155,8 +155,7 @@ def _reduce_roles(
             m = g >> v
             j = odd // m
             r = s * (xs[a] - xs[lo]) + t * (ys[a] - ys[lo])
-            # v is 0 on an edge with an odd coordinate, as on every hat's
-            r = (r * pow(2, -v, j) if v else r) % j
+            r = r * pow(2, -v, j) % j
             back = (m - r) % j
             edge = edges[o + b] = (
                 lo, (r if r % 2 else r + j, j, m), (back if back % 2 else back + j, j, m)
