@@ -163,21 +163,32 @@ def _format_map(shape: dict) -> str:
 # ---------------------------------------------------------------- subcommands
 
 
+def _witness_holds(witness: AffineMap, tri: Triangle, roles, h: Hat) -> bool:
+    """Whether witness is a unit map sending vertices roles[0], [1], [2] of
+    tri to (0, 0), (i, j), (m, 0) of h: its integers re-applied to tri's at
+    the least exponent k, in no code shared with the solve."""
+    ((a, b, c, d), e), ((x, y), s) = witness._scaled
+    n, t = tri.scaled_coords()
+    k = min(e + t, s, 0)
+    for r, target in zip(roles, ((0, 0), (h.i, h.j), (h.m, 0))):
+        px, py = n[2 * r], n[2 * r + 1]
+        image = (((a * px + b * py) << (e + t - k)) + (x << (s - k)),
+                 ((c * px + d * py) << (e + t - k)) + (y << (s - k)))
+        if image != (target[0] << -k, target[1] << -k):
+            return False
+    return witness.is_unit()
+
+
 def _cmd_normalize(args) -> int:
     tri = parse_shape(args.shape)
-    # a view, built on each read: read once for all six witnesses
-    vertices = tri.vertices if args.verify else None
     payload, lines, quiet = [], [], []
     ok = "  ok" if args.verify else ""
     for roles in permutations((0, 1, 2)):
         label = perm_label(roles)
         result = normalize(tri, roles)
         h, witness = result.hat, result.witness
-        if args.verify:
-            images = [witness(vertices[r]) for r in roles]
-            targets = [Point2.of(0, 0), Point2.of(h.i, h.j), Point2.of(h.m, 0)]
-            if images != targets or not witness.is_unit():
-                raise InconsistencyError(f"witness for roles {label} failed verification")
+        if args.verify and not _witness_holds(witness, tri, roles, h):
+            raise InconsistencyError(f"witness for roles {label} failed verification")
         shape = map_json(witness)
         payload.append({
             "roles": label,

@@ -2,7 +2,8 @@
 
 A value is kept in the canonical form ``num * 2**exp`` with ``num`` odd, zero
 being stored as ``(0, 0)``.  Canonical form is unique per value, so equality
-and hashing are plain field comparisons, and a pickle holds the two fields.
+is a plain field comparison, and a pickle holds the two fields.  An integral
+value hashes like the int it equals, so it finds that int in a set or dict.
 All operations are exact; anything that would leave the ring raises
 ``NotDyadic``.
 
@@ -14,6 +15,7 @@ record in dyhat, Residue here among them, is a namedtuple built on it.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from typing import Iterable
 
@@ -124,6 +126,9 @@ class DyadicRational:
         return self.num == other.num and self.exp == other.exp
 
     def __hash__(self):
+        if self.exp >= 0:
+            # the hash of the equal int, num << exp, without building it
+            return hash(self.num * pow(2, self.exp, sys.hash_info.modulus))
         return hash((self.num, self.exp))
 
     def __reduce__(self):

@@ -7,15 +7,15 @@ the solved map qualifies when its entries are dyadic and its determinant is
 +-2**k.  realized_correspondences is the one loop over the six
 correspondences, and oracle_isomorphic takes its first item.  Each solve
 reads the source's Triangle.cramer_source (edge vectors and determinant,
-found on the first solve from that triangle and then kept) and the target's
-Triangle.cramer_target in correspondence order, which takes the target's
-determinant from the target's own kept cramer_source, since reordering the
-vertices changes only its sign; all six solves still run.  A solved map
-is stored as integers (AffineMap.from_scaled); its linear part and
-translation are built only when read.  hats.normalize solves its witness
-through solve_correspondence too, after hat_of has found the hat.  This
-route shares no logic with the number-theoretic criteria or with
-hats.hat_of, so each side checks the other.
+set when the triangle was built) and the target's Triangle.cramer_target in
+correspondence order, which takes the target's determinant from the
+target's own cramer_source, since reordering the vertices changes only its
+sign; all six solves still run.  A solved map is stored as integers
+(AffineMap.from_scaled); its linear part and translation are built only
+when read.  hats.normalize solves its witness through solve_correspondence
+too, after hat_of has found the hat.  This route shares no logic with the
+number-theoretic criteria or with hats.hat_of, so each side checks the
+other.
 """
 
 from __future__ import annotations

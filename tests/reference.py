@@ -3,7 +3,10 @@
 dyhat decides isomorphism from hat parameters and never needs these.  The
 tests use them to state the paper's invariants (area, side types, boundary
 triples, closure under midpoints, the pointed class of a hat of either
-parity) and to compare the integer arithmetic with stdlib Fraction.
+parity) and to compare the integer arithmetic with stdlib Fraction.  A map
+is applied, composed and tested for being a unit here on Fraction, read
+off its linear and translation views: dyhat itself composes and tests maps
+on their integers and applies them only to check normalize's witnesses.
 """
 
 from fractions import Fraction
@@ -11,7 +14,7 @@ from math import gcd
 
 from dyhat.dyadic import DyadicRational, common_scale, odd_gcd
 from dyhat.errors import InvalidHat, NotDyadic
-from dyhat.geometry import AffineMap, Matrix2, Point2
+from dyhat.geometry import AffineMap, Matrix2, Point2, Triangle
 from dyhat.hats import EncodingTriple, Hat
 from dyhat.oracle import realized_correspondences
 
@@ -33,6 +36,51 @@ def affine(a, b, c, d, tx=0, ty=0) -> AffineMap:
 
 
 IDENTITY = affine(1, 0, 0, 1)
+
+
+def map_fractions(f: AffineMap) -> tuple[Fraction, ...]:
+    """(a, b, c, d, tx, ty) of f as Fractions, read off its views."""
+    return tuple(v.to_fraction() for v in (*f.linear, *f.translation))
+
+
+def det(f: AffineMap) -> DyadicRational:
+    """The determinant ad - bc of f's linear part, computed on Fraction."""
+    a, b, c, d, _, _ = map_fractions(f)
+    return from_fraction(a * d - b * c)
+
+
+def is_unit(f: AffineMap) -> bool:
+    """Whether det(f) is +-2**k, on Fraction: a dyadic determinant is a unit
+    exactly when its numerator is a power of two up to sign."""
+    n = abs(det(f).to_fraction().numerator)
+    return n != 0 and n & (n - 1) == 0
+
+
+def compose(f: AffineMap, g: AffineMap) -> tuple[Fraction, ...]:
+    """map_fractions of f after g, composed on Fraction."""
+    a, b, c, d, x, y = map_fractions(f)
+    p, q, r, u, gx, gy = map_fractions(g)
+    return (a * p + b * r, a * q + b * u, c * p + d * r, c * q + d * u,
+            a * gx + b * gy + x, c * gx + d * gy + y)
+
+
+def apply(f: AffineMap, p: Point2) -> Point2:
+    """f(p), computed on Fraction."""
+    a, b, c, d, tx, ty = map_fractions(f)
+    x, y = p.x.to_fraction(), p.y.to_fraction()
+    return Point2(from_fraction(a * x + b * y + tx), from_fraction(c * x + d * y + ty))
+
+
+def transformed(t: Triangle, f: AffineMap) -> Triangle:
+    """The triangle with vertices f(a), f(b), f(c), applied on Fraction."""
+    return Triangle(tuple(apply(f, v) for v in t.vertices))
+
+
+def reordered(t: Triangle, order: tuple[int, int, int]) -> Triangle:
+    """The triangle with vertices t.vertices[order[0]], [order[1]],
+    [order[2]], built from t's integers in that order."""
+    ints, e = t.scaled_coords()
+    return Triangle.from_scaled([ints[2 * k + c] for k in order for c in (0, 1)], e)
 
 
 def weighted_mean(a: Point2, b: Point2, r: DyadicRational) -> Point2:

@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from dyhat.classify import MAX_CENSUS_CELLS, CensusReport, CensusRow
 from dyhat.cli import (
     MAX_LITERAL_DIGITS,
     MAX_POW2_EXPONENT,
+    _witness_holds,
     format_dyadic,
     parse_dyadic,
     parse_hat,
@@ -39,6 +41,9 @@ from dyhat.errors import (
 )
 from dyhat.geometry import Matrix2, Point2
 from dyhat.render import render_svg
+
+import tutil
+from reference import affine, apply, is_unit
 
 D = DyadicRational
 
@@ -254,7 +259,7 @@ def test_iso_json_witness_maps_vertices(capsys):
     witness = map_from_json(payload["map"])
     src = Hat(1, 3, 5).triangle()
     dst = Hat(5, 15, 1).triangle()
-    assert {witness(v) for v in src.vertices} == set(dst.vertices)
+    assert {apply(witness, v) for v in src.vertices} == set(dst.vertices)
 
 
 # ---------------------------------------------------------------- aut
@@ -278,7 +283,7 @@ def test_aut_json_schema(capsys):
     vertices = Hat(15, 9, 21).triangle().vertices
     for w in payload["witnesses"]:
         f = map_from_json({"linear": w["linear"], "translation": w["translation"]})
-        assert {f(v) for v in vertices} == set(vertices)
+        assert {apply(f, v) for v in vertices} == set(vertices)
 
 
 # ---------------------------------------------------------------- normalize, canon
@@ -323,8 +328,8 @@ def test_normalize_verify(capsys):
 
 
 def test_normalize_verify_reads_each_view_once(capsys, monkeypatch):
-    # the triangle's vertices are read once, and each witness's map_json
-    # serves both the JSON payload and the text line
+    # the check reads integers and builds no view, and each witness's
+    # map_json serves both the JSON payload and the text line
     outputs = {}
     for flags in ([], ["--json"]):
         built = []
@@ -346,18 +351,39 @@ def test_normalize_verify_reads_each_view_once(capsys, monkeypatch):
 
 
 def test_failed_verify_exits_5(capsys, monkeypatch):
-    def shifted(tri, roles):
+    def shifted_hat(tri, roles):
         result = normalize(tri, roles)
         h = result.hat
         return result._replace(hat=Hat(h.i + 2 * h.j, h.j, h.m))
 
-    monkeypatch.setattr("dyhat.cli.normalize", shifted)
-    assert run(["normalize", "--verify", "0,0 1,3 5,0"]) == 5
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "internal inconsistency: witness for roles ABC failed verification\n"
-    )
+    def shifted_witness(tri, roles):
+        # the right hat, with its witness moved by 2**-40 along x
+        result = normalize(tri, roles)
+        return result._replace(witness=affine(1, 0, 0, 1, D(1, -40)) @ result.witness)
+
+    for fake in (shifted_hat, shifted_witness):
+        monkeypatch.setattr("dyhat.cli.normalize", fake)
+        assert run(["normalize", "--verify", "0,0 1,3 5,0"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "internal inconsistency: witness for roles ABC failed verification\n"
+        )
+
+
+@given(st.one_of(tutil.triangles, tutil.large_triangles),
+       st.one_of(tutil.unit_maps, tutil.any_maps),
+       st.sampled_from(list(permutations((0, 1, 2)))))
+def test_the_witness_check_matches_fraction_application(t, f, roles):
+    """_witness_holds re-applies a map on the integers; on Fraction, the
+    same check is three images and a unit test.  The true witness, the
+    true witness after another map, and that map alone all agree."""
+    h, witness = normalize(t, roles)
+    targets = [Point2.of(0, 0), Point2.of(h.i, h.j), Point2.of(h.m, 0)]
+    for g in (witness, f @ witness, f):
+        want = [apply(g, t.vertices[r]) for r in roles] == targets and is_unit(g)
+        assert _witness_holds(g, t, roles, h) == want
+    assert _witness_holds(witness, t, roles, h)
 
 
 def test_normalize_json_round_trips(capsys):
@@ -371,9 +397,9 @@ def test_normalize_json_round_trips(capsys):
         assert (triple.i, triple.j, triple.m) == (h.i, h.j, h.m)
         witness = map_from_json(entry["map"])
         roles = ["ABC".index(ch) for ch in entry["roles"]]
-        assert witness(t.vertices[roles[0]]) == Point2.of(0, 0)
-        assert witness(t.vertices[roles[1]]) == Point2.of(h.i, h.j)
-        assert witness(t.vertices[roles[2]]) == Point2.of(h.m, 0)
+        assert apply(witness, t.vertices[roles[0]]) == Point2.of(0, 0)
+        assert apply(witness, t.vertices[roles[1]]) == Point2.of(h.i, h.j)
+        assert apply(witness, t.vertices[roles[2]]) == Point2.of(h.m, 0)
 
 
 # ---------------------------------------------------------------- census

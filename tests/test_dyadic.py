@@ -50,6 +50,24 @@ def test_equality_is_fieldwise():
     assert DyadicRational(5, -1) != 2
 
 
+@given(st.integers(-(2**70), 2**70), st.integers(0, 200))
+@example(3, 0)
+@example(-1, 0)
+@example(0, 7)
+def test_an_integral_value_hashes_like_its_int(num, exp):
+    d, n = DyadicRational(num, exp), num << exp
+    assert d == n and hash(d) == hash(n)
+    assert d in {n} and n in {d}
+    assert {n: "int"}[d] == "int" and {d: "dyadic"}[n] == "dyadic"
+
+
+def test_a_huge_exponent_hashes_without_building_the_int():
+    # num << exp would need 10**12 bits: the hash reduces 2**exp modulo the
+    # hash modulus instead
+    assert isinstance(hash(DyadicRational(1, 10**12)), int)
+    assert DyadicRational(3) in {3} and DyadicRational(1, -1) not in {0, 1}
+
+
 def test_addition_examples():
     assert DyadicRational(3, -3) + DyadicRational(5, -1) == DyadicRational(23, -3)
     assert DyadicRational(1, -1) + DyadicRational(1, -1) == DyadicRational(1)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from dyhat import AffineMap, DyadicRational, Hat, Triangle, oracle_isomorphic
-from dyhat.geometry import Point2, affine_through, cramer_source
+from dyhat.geometry import Point2, affine_through
 from dyhat.oracle import (
     CASES,
     CORRESPONDENCES,
@@ -24,7 +24,17 @@ from dyhat.oracle import (
 )
 
 import tutil
-from reference import IDENTITY, affine, closure_sample, oracle_aut_count
+from reference import (
+    IDENTITY,
+    affine,
+    apply,
+    closure_sample,
+    cross,
+    det,
+    oracle_aut_count,
+    reordered,
+    transformed,
+)
 
 D = DyadicRational
 
@@ -58,7 +68,7 @@ def test_swap_witness_on_translated_hat():
     t = Triangle.of((-15, -9), (0, 0), (6, -9))
     got = solve_correspondence(t, t, (2, 1, 0))
     assert got == affine(-1, 1, 0, 1, 0, 0)
-    assert got.linear.det() == D(-1)
+    assert det(got) == D(-1)
 
 
 def test_cycle_witnesses():
@@ -114,7 +124,7 @@ def test_oracle_isomorphic_reports_first_case():
 
 @given(tutil.triangles, tutil.unit_maps)
 def test_oracle_accepts_unit_images(t, f):
-    found = oracle_isomorphic(t, t.transformed(f))
+    found = oracle_isomorphic(t, transformed(t, f))
     assert found is not None
     corr, witness = found
     assert corr.case == "a"
@@ -136,7 +146,7 @@ def test_solver_matches_fraction_reference_on_the_grid():
 
 @given(tutil.triangles, tutil.unit_maps, tutil.triangles)
 def test_solver_matches_fraction_reference(t, f, other):
-    image = t.transformed(f)
+    image = transformed(t, f)
     for perm in permutations((0, 1, 2)):
         assert solve_correspondence(t, image, perm) == tutil.fraction_solve(t, image, perm)
         assert solve_correspondence(t, other, perm) == tutil.fraction_solve(t, other, perm)
@@ -148,22 +158,25 @@ def test_solver_matches_fraction_reference(t, f, other):
 def test_one_source_solved_to_several_targets_matches_the_reference(t, large, f, g, other):
     # each source keeps the Cramer data of its first solve for the later ones
     for src in (t, large):
-        for dst in (src.transformed(f), other, src, large, src.transformed(g)):
+        for dst in (transformed(src, f), other, src, large, transformed(src, g)):
             for perm in permutations((0, 1, 2)):
                 got = solve_correspondence(src, dst, perm)
                 assert got == tutil.fraction_solve(src, dst, perm), (src, dst, perm)
-        assert src._source == cramer_source(src.scaled_coords())
-        assert src.cramer_source is src._source
+        # the solves leave the source's Cramer data as it was built
+        assert src.cramer_source == Triangle.from_scaled(*src.scaled_coords()).cramer_source
 
 
 def _assert_targets_keep_the_determinant(t):
-    """Each vertex order's target data is cramer_source of the reordered
-    vertices, with the odd part up to sign, and carries the odd part and
-    valuation of the triangle's own kept data."""
-    _, odd, v, _ = t.cramer_source
+    """The source data's determinant is the cross product of the vertices
+    at the triangle's scale, and each vertex order's target data is the
+    cramer_source of the triangle with its vertices in that order, with the
+    odd part up to sign, and carries the odd part and valuation of the
+    triangle's own data."""
+    _, odd, v, scale = t.cramer_source
+    assert cross(*t.vertices) == D(odd, v + 2 * scale)
     for perm in permutations((0, 1, 2)):
         points, target_odd, target_v, e = t.cramer_target(perm)
-        fresh_points, fresh_odd, fresh_v, fresh_e = cramer_source(t.scaled_coords(perm))
+        fresh_points, fresh_odd, fresh_v, fresh_e = reordered(t, perm).cramer_source
         assert (points, e) == (fresh_points, fresh_e), perm
         assert abs(target_odd) == abs(fresh_odd) == abs(odd), perm
         assert target_v == fresh_v == v, perm
@@ -175,7 +188,7 @@ def test_targets_keep_the_determinant_on_the_grid():
         for m in range(1, 16, 2):
             for i in range(1, 2 * j, 2):
                 t = Hat(i, j, m).triangle()
-                image = t.transformed(tutil.rand_unit_map(rng))
+                image = transformed(t, tutil.rand_unit_map(rng))
                 for u in (t, Triangle(tuple(rng.sample(image.vertices, 3)))):
                     _assert_targets_keep_the_determinant(u)
 
@@ -205,18 +218,18 @@ def test_a_target_with_another_odd_part_is_never_solved(t, k):
 
 @given(tutil.triangles, tutil.unit_maps)
 def test_a_solved_triangle_equals_a_fresh_one(t, f):
-    image = t.transformed(f)
+    image = transformed(t, f)
     solved = list(realized_correspondences(t, image))
-    assert t._source is not None
     fresh = Triangle.from_scaled(*t.scaled_coords())
-    assert fresh._source is None
     copy = pickle.loads(pickle.dumps(t))
     for u in (fresh, copy):
         assert u == t and t == u and hash(u) == hash(t) and repr(u) == repr(t)
-    # the kept data is not pickled, and the copy solves like the original
-    assert pickle.dumps(t) == pickle.dumps(fresh)
-    assert copy._source is None
-    assert list(realized_correspondences(copy, image)) == solved
+        # the Cramer data is built with the triangle, not pickled with it
+        assert u.cramer_source == t.cramer_source
+        assert pickle.dumps(u) == pickle.dumps(t)
+        assert list(realized_correspondences(u, image)) == solved
+        assert list(realized_correspondences(image, u)) == list(
+            realized_correspondences(image, t))
 
 
 def _solved(src, dst):
@@ -235,7 +248,7 @@ def test_realized_correspondences_yield_the_solver_hits_in_order():
         for m in range(1, 16, 2):
             for i in range(1, 2 * j, 2):
                 t = Hat(i, j, m).triangle()
-                image = t.transformed(tutil.rand_unit_map(rng))
+                image = transformed(t, tutil.rand_unit_map(rng))
                 shuffled = Triangle(tuple(rng.sample(image.vertices, 3)))
                 for src, dst in ((t, t), (t, shuffled), (shuffled, t)):
                     want = _solved(src, dst)
@@ -289,7 +302,7 @@ def test_closure_sample_fixpoint():
 
 @given(tutil.triangles, tutil.unit_maps)
 def test_solved_maps_match_maps_built_from_their_views(t, f):
-    image = t.transformed(f)
+    image = transformed(t, f)
     for perm in permutations((0, 1, 2)):
         solved = solve_correspondence(t, image, perm)
         if solved is None:
@@ -298,5 +311,5 @@ def test_solved_maps_match_maps_built_from_their_views(t, f):
         twin = AffineMap(solved.linear, solved.translation)
         for g in (copy, twin, pickle.loads(pickle.dumps(twin))):
             assert g == solved and hash(g) == hash(solved) and repr(g) == repr(solved)
-            assert [g(p) for p in t.vertices] == [solved(p) for p in t.vertices]
-        assert [solved(p) for p in t.vertices] == [image.vertices[k] for k in perm]
+            assert [apply(g, p) for p in t.vertices] == [apply(solved, p) for p in t.vertices]
+        assert [apply(solved, p) for p in t.vertices] == [image.vertices[k] for k in perm]

@@ -10,7 +10,7 @@ from dyhat import AffineMap, DyadicRational, Hat, Triangle
 from dyhat.errors import DegenerateTriangle
 from dyhat.geometry import Matrix2, Point2
 
-from reference import IDENTITY, affine, from_fraction, weighted_mean
+from reference import IDENTITY, affine, from_fraction, is_unit, transformed, weighted_mean
 
 dyadics = st.builds(DyadicRational, st.integers(-(2**16), 2**16), st.integers(-10, 10))
 small_dyadics = st.builds(DyadicRational, st.integers(-64, 64), st.integers(-4, 4))
@@ -64,6 +64,8 @@ unit_factors = st.one_of(_translations, _shears_x, _shears_y, _diags)
 unit_maps = st.lists(unit_factors, max_size=4).map(
     lambda fs: reduce(lambda f, g: f @ g, fs, IDENTITY)
 )
+# maps with any small dyadic entries: mostly not units, some singular
+any_maps = st.builds(affine, *[small_dyadics] * 6)
 
 
 def rand_unit_map(rng, max_factors=6):
@@ -126,25 +128,20 @@ def fraction_solve(src, dst, perm):
     w2x, w2y = t[2][0] - bx, t[2][1] - by
 
     det = u1x * u2y - u1y * u2x
-    entries = [
-        _dyadic_or_none((w1x * u2y - w2x * u1y) / det),
-        _dyadic_or_none((w2x * u1x - w1x * u2x) / det),
-        _dyadic_or_none((w1y * u2y - w2y * u1y) / det),
-        _dyadic_or_none((w2y * u1x - w1y * u2x) / det),
-    ]
+    a, b = (w1x * u2y - w2x * u1y) / det, (w2x * u1x - w1x * u2x) / det
+    c, d = (w1y * u2y - w2y * u1y) / det, (w2y * u1x - w1y * u2x) / det
+    entries = [_dyadic_or_none(v)
+               for v in (a, b, c, d, bx - a * ax - b * ay, by - c * ax - d * ay)]
     if any(e is None for e in entries):
         return None
-    linear = Matrix2(*entries)
-    if not linear.is_unit():
-        return None
-    image, target = linear.apply(src.vertices[0]), dst.vertices[perm[0]]
-    return AffineMap(linear, Point2(target.x - image.x, target.y - image.y))
+    solved = AffineMap(Matrix2(*entries[:4]), Point2(*entries[4:]))
+    return solved if is_unit(solved) else None
 
 
 def fraction_inverse(f, tri):
     """The inverse of f by the reference solve, from f's images of tri's
     vertices back to them; None unless it is a dyadic unit map."""
-    return fraction_solve(Triangle(tuple(f(v) for v in tri.vertices)), tri, (0, 1, 2))
+    return fraction_solve(transformed(tri, f), tri, (0, 1, 2))
 
 
 def _reachable_names(fn, seen=None):
