@@ -7,8 +7,7 @@ value hashes like the int it equals, so it finds that int in a set or dict.
 All operations are exact; anything that would leave the ring raises
 ``NotDyadic``.
 
-Record, at the top, states once the policy of dyhat's value records
-(same-class equality, tuple hash, no order, validating construction); every
+Record, at the top, states once the policy of dyhat's value records; every
 record in dyhat, Residue here among them, is a namedtuple built on it.
 """
 
@@ -28,10 +27,11 @@ class Record:
 
     A record is an immutable tuple of its fields.  It equals only another
     record of the same class, hashes as the tuple of its fields and has no
-    order.  _make, _replace, copy and pickle all build through the class's
-    own constructor, so a record that validates its fields in __new__ is
-    validated on every route.  Record comes first among the bases so that
-    its _make shadows the namedtuple's, which would skip __new__.
+    order and no tuple arithmetic (+ and *, either side).  _make, _replace,
+    copy and pickle all build through the class's own constructor, so a
+    record that validates its fields in __new__ is validated on every
+    route.  Record comes first among the bases so that its _make shadows
+    the namedtuple's, which would skip __new__.
     """
 
     __slots__ = ()
@@ -54,6 +54,11 @@ class Record:
         raise TypeError(f"{self.__class__.__name__} values have no order")
 
     __le__ = __gt__ = __ge__ = __lt__
+
+    def __add__(self, other):
+        raise TypeError(f"{self.__class__.__name__} values have no arithmetic")
+
+    __radd__ = __mul__ = __rmul__ = __add__
 
 
 def val2(n: int) -> int:

@@ -50,10 +50,9 @@ class AffineMap:
     Stored as two common_scale forms (ints, e): the linear entries
     (a, b, c, d) and the translation (x, y).  linear and translation are
     views built each time they are read, not kept.  A map equals only
-    another AffineMap, compared on the integers, and hashes as the tuple
-    (linear, translation); its repr is AffineMap(linear=...,
-    translation=...).  A pickle holds the integers and rebuilds the map
-    with from_scaled.
+    another AffineMap, compared and hashed on the integers; its repr is
+    AffineMap(linear=..., translation=...).  A pickle holds the integers
+    and rebuilds the map with from_scaled.
     """
 
     __slots__ = ("_scaled",)
@@ -91,7 +90,7 @@ class AffineMap:
         return self._scaled == other._scaled
 
     def __hash__(self):
-        return hash((self.linear, self.translation))
+        return hash(self._scaled)
 
     def __repr__(self) -> str:
         return f"AffineMap(linear={self.linear!r}, translation={self.translation!r})"
@@ -167,15 +166,13 @@ class Triangle:
     Stored as integers n and one exponent e with coordinate k ==
     n[k] * 2**e, in the order (x0, y0, x1, y1, x2, y2): the common_scale of
     the coordinates.  vertices is a view built each time it is read, not
-    kept.  A triangle equals only another Triangle, compared on the
-    integers, and hashes as the tuple (vertices,); its repr is
-    Triangle(vertices=(...)).
-    A pickle holds the integers and rebuilds the triangle with from_scaled,
-    which rejects collinear vertices again.  cramer_source, the oracle's
-    solve data for the vertex order (0, 1, 2), is set when the triangle is
-    built and takes no part in equality, hash, repr or pickling.
-    cramer_target(order), the data for any vertex order, reads its odd part
-    and valuation from it.
+    kept.  A triangle equals only another Triangle, compared and hashed on
+    the integers; its repr is Triangle(vertices=(...)).  A pickle holds
+    the integers and rebuilds the triangle with from_scaled, which rejects
+    collinear vertices again.  cramer_source, the oracle's solve data for
+    the vertex order (0, 1, 2), is set when the triangle is built and takes
+    no part in equality, hash, repr or pickling.  cramer_target(order), the
+    data for any vertex order, reads its odd part and valuation from it.
     """
 
     __slots__ = ("_scaled", "cramer_source")
@@ -230,7 +227,7 @@ class Triangle:
         return self._scaled == other._scaled
 
     def __hash__(self):
-        return hash((self.vertices,))
+        return hash(self._scaled)
 
     def __repr__(self) -> str:
         return f"Triangle(vertices={self.vertices!r})"

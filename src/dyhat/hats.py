@@ -7,19 +7,18 @@ unit affine map, to exactly one representative hat with i odd in
 {1, 3, ..., 2j-1}; that triple encodes the pointed isomorphism class, and
 the set of triples over all six role assignments encodes the full class.
 hat_of finds that hat on integers alone, and role_triples finds all six,
-identity order first; both go through one reduction, _reduce_roles, which
-takes the odd part of twice the area once and, for each of the three edges,
-one extended Euclid and one residue, from the edge's lower-index endpoint:
-the reversed order's residue is m minus that one, mod j.  So one
-role_triples call per triangle serves both its pointed class (entry 0, the
-identity order's hat) and its triple set (all_encoding_triples), and a
-caller that needs both reduces once.  normalize also returns the witness
-map, for the callers that ask for one: the oracle's solve_correspondence
-from the triangle to the hat's triangle, the same solve that isomorphism
-witnesses come from.  Hat.triangle builds its triangle
-with Triangle.from_scaled, and the witness is stored as integers too: no
-DyadicRational is built until a caller reads the vertices or the
-witness's linear part or translation.  Hat, EncodingTriple and Normalization
+identity order first.  Both go through _edge_hats, which gives the two
+orders that share a base edge from one extended Euclid and one residue;
+hat_of runs it once, _reduce_roles once per edge.  So one role_triples call
+per triangle serves both its pointed class (entry 0, the identity order's
+hat) and its triple set (all_encoding_triples), and a caller that needs
+both reduces once.  normalize also returns the witness map, for the
+callers that ask for one: the oracle's solve_correspondence from the
+triangle to the hat's triangle, the same solve that isomorphism witnesses
+come from.  Hat.triangle builds its triangle with Triangle.from_scaled,
+and the witness is stored as integers too: no DyadicRational is built
+until a caller reads the vertices or the witness's linear part or
+translation.  Hat, EncodingTriple and Normalization
 are dyadic.Record values; EncodingTriple alone adds an order, the canonical
 (j, m, i) order.  CANONICAL_KEY states that order as a C-level key, with
 which canonical_form and the classify module take their least triples.
@@ -28,9 +27,8 @@ which canonical_form and the classify module take their least triples.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import permutations, starmap
+from itertools import starmap
 from operator import itemgetter
-from typing import Iterable
 
 from .dyadic import Record, egcd, odd_part, val2
 from .errors import InconsistencyError, InvalidHat
@@ -43,16 +41,18 @@ def _not_odd_positive(value: int, name: str) -> InvalidHat:
 
 
 class Hat(Record, namedtuple("Hat", "i j m")):
-    """Triangle (0,0), (i,j), (m,0) with odd positive j, m; i unrestricted.
-    A Record, validated on every construction route."""
+    """Triangle (0,0), (i,j), (m,0) with odd positive j, m and any i, each
+    an int, not a bool.  A Record, validated on every construction route."""
 
     __slots__ = ()
 
     def __new__(cls, i: int, j: int, m: int) -> Hat:
-        if j <= 0 or j % 2 == 0:
+        if j.__class__ is not int or j <= 0 or j % 2 == 0:
             raise _not_odd_positive(j, "j")
-        if m <= 0 or m % 2 == 0:
+        if m.__class__ is not int or m <= 0 or m % 2 == 0:
             raise _not_odd_positive(m, "m")
+        if i.__class__ is not int:
+            raise InvalidHat(f"i must be an integer, got {i}")
         return tuple.__new__(cls, (i, j, m))
 
     @property
@@ -69,19 +69,19 @@ CANONICAL_KEY = itemgetter(1, 2, 0)
 
 
 class EncodingTriple(Record, namedtuple("EncodingTriple", "i j m")):
-    """Pointed class label: odd i in {1, ..., 2j-1} with odd positive j, m.
-    A Record, validated on every construction route, except that it is
-    ordered by < and > alone, in the canonical (j, m, i) order, and only
-    against another EncodingTriple; <= and >= raise TypeError."""
+    """Pointed class label: odd i in {1, ..., 2j-1} with odd positive j, m,
+    each an int, not a bool.  A Record, validated on every construction
+    route, but ordered by < and > alone, in the canonical (j, m, i) order,
+    and only against another EncodingTriple; <= and >= raise TypeError."""
 
     __slots__ = ()
 
     def __new__(cls, i: int, j: int, m: int) -> EncodingTriple:
-        if j <= 0 or j % 2 == 0:
+        if j.__class__ is not int or j <= 0 or j % 2 == 0:
             raise _not_odd_positive(j, "j")
-        if m <= 0 or m % 2 == 0:
+        if m.__class__ is not int or m <= 0 or m % 2 == 0:
             raise _not_odd_positive(m, "m")
-        if i % 2 == 0 or not 1 <= i <= 2 * j - 1:
+        if i.__class__ is not int or i % 2 == 0 or not 1 <= i <= 2 * j - 1:
             raise InvalidHat(f"i must be odd in 1..{2 * j - 1}, got {i}")
         return tuple.__new__(cls, (i, j, m))
 
@@ -116,14 +116,24 @@ class Normalization(Record, namedtuple("Normalization", "hat witness")):
 IDENTITY_ROLES = (0, 1, 2)
 
 
-#: The six vertex role orders, in permutations order.
-_ALL_ROLES = tuple(permutations((0, 1, 2)))
+def _edge_hats(
+    odd: int, ox: int, oy: int, bx: int, by: int, ax: int, ay: int
+) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """(i, j, m) of the representative hats of the orders (o, a, b) and
+    (b, a, o), from the integer coordinates of o, b and a and the odd part
+    odd of twice the area; see _reduce_roles."""
+    g, s, t = egcd(bx - ox, by - oy)
+    v = val2(g)
+    m = g >> v
+    j = odd // m
+    r = (s * (ax - ox) + t * (ay - oy)) * pow(2, -v, j) % j
+    back = (m - r) % j
+    return (r if r % 2 else r + j, j, m), (back if back % 2 else back + j, j, m)
 
 
-def _reduce_roles(
-    tri: Triangle, orders: Iterable[tuple[int, int, int]]
-) -> list[tuple[int, int, int]]:
-    """(i, j, m) of the representative hat for each vertex role order.
+def _reduce_roles(tri: Triangle) -> tuple[tuple[int, int, int], ...]:
+    """(i, j, m) of the representative hat for each vertex role order, in
+    permutations((0, 1, 2)) order.
 
     An order (o, a, b) sends vertex o to the origin, a to the apex (i, j)
     and b to (m, 0).  It reads the integer coordinates the triangle already
@@ -133,35 +143,17 @@ def _reduce_roles(
     of the apex (p, q) relative to o, lifted to an odd residue mod 2j.  Any
     Bezout row gives the same r, since another row moves s*p + t*q by a
     multiple of twice the area over g, which is +-j * 2**w.
-    The odd part of twice the area is found once, and g, m, j and r once per
-    unordered edge, with o its lower-index endpoint.  The reversed order
-    (b, a, o) has the same apex and the residue (m - r) mod j: with the row
-    (-s, -t) of (-A, -B) and the apex taken relative to b = o + (A, B), the
-    numerator is s*A + t*B - (s*p + t*q) = g - (s*p + t*q).
+    The reversed order (b, a, o) has the same apex and the residue
+    (m - r) mod j: with the row (-s, -t) of (-A, -B) and the apex taken
+    relative to b = o + (A, B), the numerator is s*A + t*B - (s*p + t*q) =
+    g - (s*p + t*q).
     """
     (x0, y0, x1, y1, x2, y2), _ = tri.scaled_coords()
-    xs, ys = (x0, x1, x2), (y0, y1, y2)
     odd = abs(odd_part((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)))
-    # indexed by o + b, which tells the three edges apart: (lower endpoint,
-    # hat from it, hat from the other endpoint)
-    edges = [None] * 4
-    hats = []
-    for o, a, b in orders:
-        edge = edges[o + b]
-        if edge is None:
-            lo, hi = (o, b) if o < b else (b, o)
-            g, s, t = egcd(xs[hi] - xs[lo], ys[hi] - ys[lo])
-            v = val2(g)
-            m = g >> v
-            j = odd // m
-            r = s * (xs[a] - xs[lo]) + t * (ys[a] - ys[lo])
-            r = r * pow(2, -v, j) % j
-            back = (m - r) % j
-            edge = edges[o + b] = (
-                lo, (r if r % 2 else r + j, j, m), (back if back % 2 else back + j, j, m)
-            )
-        hats.append(edge[1] if o == edge[0] else edge[2])
-    return hats
+    h012, h210 = _edge_hats(odd, x0, y0, x2, y2, x1, y1)
+    h021, h120 = _edge_hats(odd, x0, y0, x1, y1, x2, y2)
+    h102, h201 = _edge_hats(odd, x1, y1, x2, y2, x0, y0)
+    return h012, h021, h102, h120, h201, h210
 
 
 def hat_of(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> Hat:
@@ -173,7 +165,12 @@ def hat_of(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> Hat:
     """
     if sorted(roles) != [0, 1, 2]:
         raise ValueError("roles must be a permutation of (0, 1, 2)")
-    return Hat(*_reduce_roles(tri, (roles,))[0])
+    n, _ = tri.scaled_coords()
+    o, a, b = roles
+    ox, oy, ax, ay = n[2 * o], n[2 * o + 1], n[2 * a], n[2 * a + 1]
+    bx, by = n[2 * b], n[2 * b + 1]
+    odd = abs(odd_part((bx - ox) * (ay - oy) - (by - oy) * (ax - ox)))
+    return Hat(*_edge_hats(odd, ox, oy, bx, by, ax, ay)[0])
 
 
 def normalize(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> Normalization:
@@ -191,9 +188,9 @@ def normalize(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> No
 
 def role_triples(tri: Triangle) -> tuple[EncodingTriple, ...]:
     """The encoding triple of each of the six vertex role orders, in
-    _ALL_ROLES order: entry 0, the identity order, is the pointed class,
-    the i, j, m of hat_of(tri)."""
-    return tuple(starmap(EncodingTriple, _reduce_roles(tri, _ALL_ROLES)))
+    permutations((0, 1, 2)) order: entry 0, the identity order, is the
+    pointed class, the i, j, m of hat_of(tri)."""
+    return tuple(starmap(EncodingTriple, _reduce_roles(tri)))
 
 
 def all_encoding_triples(tri: Triangle) -> frozenset[EncodingTriple]:

@@ -64,16 +64,23 @@ def compose(f: AffineMap, g: AffineMap) -> tuple[Fraction, ...]:
             a * gx + b * gy + x, c * gx + d * gy + y)
 
 
-def apply(f: AffineMap, p: Point2) -> Point2:
-    """f(p), computed on Fraction."""
-    a, b, c, d, tx, ty = map_fractions(f)
+def _apply_fractions(entries: tuple[Fraction, ...], p: Point2) -> Point2:
+    """The image of p under the map with map_fractions entries, on Fraction."""
+    a, b, c, d, tx, ty = entries
     x, y = p.x.to_fraction(), p.y.to_fraction()
     return Point2(from_fraction(a * x + b * y + tx), from_fraction(c * x + d * y + ty))
 
 
+def apply(f: AffineMap, p: Point2) -> Point2:
+    """f(p), computed on Fraction."""
+    return _apply_fractions(map_fractions(f), p)
+
+
 def transformed(t: Triangle, f: AffineMap) -> Triangle:
-    """The triangle with vertices f(a), f(b), f(c), applied on Fraction."""
-    return Triangle(tuple(apply(f, v) for v in t.vertices))
+    """The triangle with vertices f(a), f(b), f(c), applied on Fraction;
+    f's entries are read once for the three."""
+    entries = map_fractions(f)
+    return Triangle(tuple(_apply_fractions(entries, v) for v in t.vertices))
 
 
 def reordered(t: Triangle, order: tuple[int, int, int]) -> Triangle:
@@ -151,12 +158,13 @@ def oracle_aut_count(t) -> int:
 
 def validate_encoding_triple(i, j, m) -> None:
     """EncodingTriple's validation as three checks in a row: j, then m, each
-    odd positive, then i odd in 1..2j-1.  Raises InvalidHat with the first
-    failed check's message, as the constructor must."""
+    an odd positive int, then i an odd int in 1..2j-1 (a bool is not an
+    int here).  Raises InvalidHat with the first failed check's message, as
+    the constructor must."""
     for value, name in ((j, "j"), (m, "m")):
-        if value <= 0 or value % 2 == 0:
+        if type(value) is not int or value <= 0 or value % 2 == 0:
             raise InvalidHat(f"{name} must be an odd positive integer, got {value}")
-    if i % 2 == 0 or not 1 <= i <= 2 * j - 1:
+    if type(i) is not int or i % 2 == 0 or not 1 <= i <= 2 * j - 1:
         raise InvalidHat(f"i must be odd in 1..{2 * j - 1}, got {i}")
 
 

@@ -142,6 +142,18 @@ def test_records_have_no_order(cls, fields, expected):
                 op(left, right)
 
 
+@pytest.mark.parametrize("cls, fields, expected", SAMPLES, ids=_IDS)
+def test_records_have_no_tuple_arithmetic(cls, fields, expected):
+    value = cls(*fields)
+    cases = [(operator.add, value, value), (operator.add, value, fields),
+             (operator.add, fields, value), (operator.mul, value, 2),
+             (operator.mul, 2, value), (operator.iadd, value, fields),
+             (operator.imul, value, 2)]
+    for op, left, right in cases:
+        with pytest.raises(TypeError, match=f"^{cls.__name__} values have no arithmetic$"):
+            op(left, right)
+
+
 def _canonical(t):
     return (t.j, t.m, t.i)
 
@@ -205,9 +217,12 @@ def test_encoding_triple_validates_as_the_three_checks_on_a_grid():
 
 
 _ints = st.one_of(st.integers(-40, 40), st.integers())
+#: ints, and values that compare and take % like ints but are not ints
+_numbers = st.one_of(_ints, st.booleans(), st.floats(-40, 40),
+                     st.integers(-40, 40).map(float))
 
 
-@given(_ints, _ints, _ints)
+@given(_numbers, _numbers, _numbers)
 def test_encoding_triple_validates_as_the_three_checks(i, j, m):
     assert _outcome(lambda: EncodingTriple(i, j, m)) == _outcome(lambda: _checked(i, j, m))
 
@@ -224,6 +239,19 @@ INVALID = [
      "m must be an odd positive integer, got 4"),
     (EncodingTriple, (1, 3, 5), (2, 3, 5), InvalidHat, r"i must be odd in 1\.\.5, got 2"),
     (EncodingTriple, (1, 3, 5), (7, 3, 5), InvalidHat, r"i must be odd in 1\.\.5, got 7"),
+    (Hat, (1, 3, 5), (1, 2.5, 5), InvalidHat, r"j must be an odd positive integer, got 2\.5"),
+    (Hat, (1, 3, 5), (1, 3, 5.0), InvalidHat, r"m must be an odd positive integer, got 5\.0"),
+    (Hat, (1, 3, 5), (1, True, 5), InvalidHat, "j must be an odd positive integer, got True"),
+    (Hat, (1, 3, 5), (2.5, 3, 5), InvalidHat, r"i must be an integer, got 2\.5"),
+    (Hat, (1, 3, 5), (True, 3, 5), InvalidHat, "i must be an integer, got True"),
+    (EncodingTriple, (1, 3, 5), (True, True, True), InvalidHat,
+     "j must be an odd positive integer, got True"),
+    (EncodingTriple, (1, 3, 5), (1, 3, True), InvalidHat,
+     "m must be an odd positive integer, got True"),
+    (EncodingTriple, (1, 3, 5), (1, 2.5, 5), InvalidHat,
+     r"j must be an odd positive integer, got 2\.5"),
+    (EncodingTriple, (1, 3, 5), (1.0, 3, 5), InvalidHat, r"i must be odd in 1\.\.5, got 1\.0"),
+    (EncodingTriple, (1, 3, 5), (True, 3, 5), InvalidHat, r"i must be odd in 1\.\.5, got True"),
 ]
 
 
