@@ -264,11 +264,14 @@ def census(j_max: int, m_max: int, workers: int = 1) -> CensusReport:
     process pool and are merged in a fixed order, so the report does not
     depend on scheduling.  The pool never has more workers than CPUs or
     cells; when that leaves one, the cells run serially.  A grid of more
-    than MAX_CENSUS_CELLS cells raises InvalidBounds.
+    than MAX_CENSUS_CELLS cells raises InvalidBounds, as does a bound or
+    workers value that is not exactly an int (a bool included).
     """
     for name, bound in (("j_max", j_max), ("m_max", m_max)):
-        if bound <= 0 or bound % 2 == 0:
-            raise InvalidBounds(f"{name} must be an odd positive integer, got {bound}")
+        if bound.__class__ is not int or bound <= 0 or bound % 2 == 0:
+            raise InvalidBounds(f"{name} must be an odd positive integer, got {bound!r}")
+    if workers.__class__ is not int:
+        raise InvalidBounds(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise InvalidBounds(f"workers must be at least 1, got {workers}")
     # refused before the cell list is built, which would exhaust memory

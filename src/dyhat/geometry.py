@@ -1,5 +1,4 @@
-"""Exact planar geometry over the dyadic rationals: stored integers and the
-one Cramer solver.
+"""Exact planar geometry over the dyadic rationals: stored integers.
 
 A Triangle holds its six coordinates, and an AffineMap its linear entries
 and its translation, as integers times one power of two (common_scale
@@ -7,11 +6,11 @@ form).  Maps compose, and are tested for being a unit (determinant +-2**k,
 exactly the maps invertible over the dyadics), on those integers.
 Triangle.vertices and AffineMap.linear / .translation are Point2, Matrix2
 and DyadicRational views, built on each read and never kept; Point2 and
-Matrix2 are dyadic.Record values with no arithmetic.  affine_through, the
-one integer Cramer solve, gives the oracle its maps and hats.normalize its
-witness.  A triangle finds its edge vectors' determinant once, when it is
-built: that step rejects collinear vertices and keeps the solve data as
-Triangle.cramer_source, and every vertex order's data reuses it.
+Matrix2 are dyadic.Record values with no arithmetic.  A triangle finds its
+edge vectors' determinant once, when it is built: that step rejects
+collinear vertices and keeps the data of the oracle's Cramer solve as
+Triangle.cramer_source.  This module stores values and solves nothing;
+oracle.solve_correspondence is the one solve.
 """
 
 from __future__ import annotations
@@ -117,49 +116,6 @@ class AffineMap:
         return det != 0 and det & (det - 1) == 0
 
 
-def _edge_vectors(
-    n: tuple[int, ...], order: tuple[int, int, int] = (0, 1, 2)
-) -> tuple[int, ...]:
-    """(ax, ay, u1x, u1y, u2x, u2y), the layout affine_through unpacks, of
-    points order[0], order[1], order[2] of the points flattened in n as
-    (x0, y0, x1, y1, x2, y2): the first of them, (ax, ay), and the edge
-    vectors u1, u2 from it to the other two."""
-    i, j, k = order
-    ax, ay = n[2 * i], n[2 * i + 1]
-    return ax, ay, n[2 * j] - ax, n[2 * j + 1] - ay, n[2 * k] - ax, n[2 * k + 1] - ay
-
-
-def affine_through(
-    source: tuple[tuple[int, ...], int, int, int],
-    target: tuple[tuple[int, ...], int, int, int],
-) -> AffineMap | None:
-    """The unit affine map sending source point k to target point k, or None.
-
-    source is the Cramer data of the three source points
-    (Triangle.cramer_source holds it for a triangle's own vertex order);
-    target is the same data of three target points, as
-    Triangle.cramer_target gives it, whose odd part may have either sign.
-    Cramer's rule on the integers: an entry is dyadic exactly when the odd
-    part of the source determinant divides its numerator, and the map is a
-    unit exactly when the two kept odd parts agree up to sign.
-    """
-    (ax, ay, u1x, u1y, u2x, u2y), odd, v, src_exp = source
-    (bx, by, w1x, w1y, w2x, w2y), target_odd, _, dst_exp = target
-    if target_odd not in (odd, -odd):
-        return None
-    na, nb = w1x * u2y - w2x * u1y, w2x * u1x - w1x * u2x
-    nc, nd = w1y * u2y - w2y * u1y, w2y * u1x - w1y * u2x
-    if na % odd or nb % odd or nc % odd or nd % odd:
-        return None
-    a, b, c, d = na // odd, nb // odd, nc // odd, nd // odd
-    # linear is (a, b, c, d) * 2**(dst_exp - src_exp - v), so the translation
-    # t0 - linear(s0) is an integer pair times 2**(dst_exp - v)
-    return AffineMap.from_scaled(
-        ((a, b, c, d), dst_exp - src_exp - v),
-        (((bx << v) - a * ax - b * ay, (by << v) - c * ax - d * ay), dst_exp - v),
-    )
-
-
 class Triangle:
     """Three non-collinear dyadic vertices; degeneracy is rejected here.
 
@@ -169,10 +125,14 @@ class Triangle:
     kept.  A triangle equals only another Triangle, compared and hashed on
     the integers; its repr is Triangle(vertices=(...)).  A pickle holds
     the integers and rebuilds the triangle with from_scaled, which rejects
-    collinear vertices again.  cramer_source, the oracle's solve data for
-    the vertex order (0, 1, 2), is set when the triangle is built and takes
-    no part in equality, hash, repr or pickling.  cramer_target(order), the
-    data for any vertex order, reads its odd part and valuation from it.
+    collinear vertices again.
+
+    cramer_source is ((x0, y0, u1x, u1y, u2x, u2y), odd, v, e): the
+    integers of vertex 0, the edge vectors u1, u2 from it to vertices 1
+    and 2, their determinant u1x*u2y - u1y*u2x == odd * 2**v with odd an
+    odd integer, and the exponent e.  It is set when the triangle is
+    built, takes no part in equality, hash, repr or pickling, and
+    oracle.solve_correspondence is its one reader in the package.
     """
 
     __slots__ = ("_scaled", "cramer_source")
@@ -193,14 +153,13 @@ class Triangle:
     def _store(self, scaled: tuple[tuple[int, ...], int]) -> None:
         """Keep scaled and its Cramer data, from one determinant of the edge
         vectors, which is 0 exactly when the vertices are collinear."""
-        ints, e = scaled
-        points = _edge_vectors(ints)
-        _, _, u1x, u1y, u2x, u2y = points
+        (x0, y0, x1, y1, x2, y2), e = scaled
+        u1x, u1y, u2x, u2y = x1 - x0, y1 - y0, x2 - x0, y2 - y0
         det = u1x * u2y - u1y * u2x
         if not det:
             raise DegenerateTriangle("the three vertices are collinear")
         self._scaled = scaled
-        self.cramer_source = points, odd_part(det), val2(det), e
+        self.cramer_source = (x0, y0, u1x, u1y, u2x, u2y), odd_part(det), val2(det), e
 
     @property
     def vertices(self) -> tuple[Point2, Point2, Point2]:
@@ -209,17 +168,6 @@ class Triangle:
             Point2(DyadicRational(n[k], e), DyadicRational(n[k + 1], e))
             for k in (0, 2, 4)
         )
-
-    def cramer_target(
-        self, order: tuple[int, int, int]
-    ) -> tuple[tuple[int, ...], int, int, int]:
-        """The Cramer data of vertices[order[0]], [order[1]], [order[2]].
-        Reordering the vertices changes the determinant by the sign of the
-        order alone, so its odd part and valuation are read from
-        cramer_source: the odd part is right up to sign."""
-        n, e = self._scaled
-        _, odd, v, _ = self.cramer_source
-        return _edge_vectors(n, order), odd, v, e
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -12,16 +12,19 @@ orders that share a base edge from one extended Euclid and one residue;
 hat_of runs it once, _reduce_roles once per edge.  So one role_triples call
 per triangle serves both its pointed class (entry 0, the identity order's
 hat) and its triple set (all_encoding_triples), and a caller that needs
-both reduces once.  normalize also returns the witness map, for the
-callers that ask for one: the oracle's solve_correspondence from the
-triangle to the hat's triangle, the same solve that isomorphism witnesses
-come from.  Hat.triangle builds its triangle with Triangle.from_scaled,
-and the witness is stored as integers too: no DyadicRational is built
-until a caller reads the vertices or the witness's linear part or
-translation.  Hat, EncodingTriple and Normalization
-are dyadic.Record values; EncodingTriple alone adds an order, the canonical
-(j, m, i) order.  CANONICAL_KEY states that order as a C-level key, with
-which canonical_form and the classify module take their least triples.
+both reduces once.  The reduction reads the integers of
+Triangle.scaled_coords and never the oracle's cramer_source, so hat_of
+and the oracle check each other.  normalize also returns the witness map,
+for the callers that ask for one: the oracle's solve_correspondence, the
+one Cramer solve, from the triangle to the hat's triangle, the same solve
+that isomorphism witnesses come from.  Hat.triangle builds its triangle
+with Triangle.from_scaled, and the witness is stored as integers too: no
+DyadicRational is built until a caller reads the vertices or the
+witness's linear part or translation.  Hat, EncodingTriple and
+Normalization are dyadic.Record values; EncodingTriple alone adds an
+order, the canonical (j, m, i) order.  CANONICAL_KEY states that order as
+a C-level key, with which canonical_form and the classify module take
+their least triples.
 """
 
 from __future__ import annotations
@@ -115,6 +118,11 @@ class Normalization(Record, namedtuple("Normalization", "hat witness")):
 
 IDENTITY_ROLES = (0, 1, 2)
 
+#: The six vertex role orders, which hat_of and normalize accept.
+_ROLE_ORDERS = frozenset(
+    {(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)}
+)
+
 
 def _edge_hats(
     odd: int, ox: int, oy: int, bx: int, by: int, ax: int, ay: int
@@ -161,9 +169,10 @@ def hat_of(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> Hat:
 
     roles picks which vertex plays which part: vertices[roles[0]] goes to
     the origin, vertices[roles[1]] to the apex (i, j) and vertices[roles[2]]
-    to (m, 0); see _reduce_roles.
+    to (m, 0); see _reduce_roles.  roles that are not one of the six orders
+    of (0, 1, 2) raise ValueError.
     """
-    if sorted(roles) != [0, 1, 2]:
+    if tuple(roles) not in _ROLE_ORDERS:
         raise ValueError("roles must be a permutation of (0, 1, 2)")
     n, _ = tri.scaled_coords()
     o, a, b = roles

@@ -1,16 +1,16 @@
 """Independent exact isomorphism oracle.
 
 Decides whether an affine map carries one triangle onto another by solving
-the vertex correspondence equations with integer Cramer's rule
-(geometry.affine_through, on the integer coordinates each Triangle holds):
-the solved map qualifies when its entries are dyadic and its determinant is
-+-2**k.  realized_correspondences is the one loop over the six
-correspondences, and oracle_isomorphic takes its first item.  Each solve
-reads the source's Triangle.cramer_source (edge vectors and determinant,
-set when the triangle was built) and the target's Triangle.cramer_target in
-correspondence order, which takes the target's determinant from the
-target's own cramer_source, since reordering the vertices changes only its
-sign; all six solves still run.  A solved map is stored as integers
+the vertex correspondence equations with integer Cramer's rule on the
+integer coordinates each Triangle holds: the solved map qualifies when its
+entries are dyadic and its determinant is +-2**k.  solve_correspondence is
+the one Cramer solve.  It reads the source's Triangle.cramer_source (edge
+vectors and determinant, set when the triangle was built) and the target's
+stored integers in correspondence order; the target's determinant is the
+odd part in the target's own cramer_source, up to sign, since reordering
+the vertices changes only its sign.  realized_correspondences is the one
+loop over the six correspondences, and oracle_isomorphic takes its first
+item; all six solves still run.  A solved map is stored as integers
 (AffineMap.from_scaled); its linear part and translation are built only
 when read.  hats.normalize solves its witness through solve_correspondence
 too, after hat_of has found the hat.  This route shares no logic with the
@@ -24,7 +24,7 @@ from collections import namedtuple
 from typing import Iterator
 
 from .dyadic import Record
-from .geometry import AffineMap, Triangle, affine_through
+from .geometry import AffineMap, Triangle
 
 
 class Correspondence(Record, namedtuple("Correspondence", "case perm")):
@@ -58,8 +58,30 @@ def solve_correspondence(
     src: Triangle, dst: Triangle, perm: tuple[int, int, int]
 ) -> AffineMap | None:
     """The unit affine map sending vertex k of src to vertex perm[k] of dst,
-    or None when that unique affine map is not a dyadic unit."""
-    return affine_through(src.cramer_source, dst.cramer_target(perm))
+    or None when that unique affine map is not a dyadic unit.
+
+    Cramer's rule on the integers: with source determinant odd * 2**v, an
+    entry is dyadic exactly when odd divides its numerator, and the map is
+    a unit exactly when the target's determinant has the odd part +-odd.
+    """
+    (ax, ay, u1x, u1y, u2x, u2y), odd, v, src_exp = src.cramer_source
+    if dst.cramer_source[1] not in (odd, -odd):
+        return None
+    n, dst_exp = dst.scaled_coords()
+    p, q, r = 2 * perm[0], 2 * perm[1], 2 * perm[2]
+    bx, by = n[p], n[p + 1]
+    w1x, w1y, w2x, w2y = n[q] - bx, n[q + 1] - by, n[r] - bx, n[r + 1] - by
+    na, nb = w1x * u2y - w2x * u1y, w2x * u1x - w1x * u2x
+    nc, nd = w1y * u2y - w2y * u1y, w2y * u1x - w1y * u2x
+    if na % odd or nb % odd or nc % odd or nd % odd:
+        return None
+    a, b, c, d = na // odd, nb // odd, nc // odd, nd // odd
+    # linear is (a, b, c, d) * 2**(dst_exp - src_exp - v), so the translation
+    # t0 - linear(s0) is an integer pair times 2**(dst_exp - v)
+    return AffineMap.from_scaled(
+        ((a, b, c, d), dst_exp - src_exp - v),
+        (((bx << v) - a * ax - b * ay, (by << v) - c * ax - d * ay), dst_exp - v),
+    )
 
 
 def realized_correspondences(

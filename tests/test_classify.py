@@ -435,14 +435,14 @@ def test_census_builds_no_dyadic_rational_and_skips_no_solve(monkeypatch):
         init(self, *args)
 
     solves = []
-    solve = oracle.affine_through
+    solve = oracle.solve_correspondence
 
-    def counted_solve(src, dst):
-        solves.append(solve(src, dst))
+    def counted_solve(src, dst, perm):
+        solves.append(solve(src, dst, perm))
         return solves[-1]
 
     monkeypatch.setattr(DyadicRational, "__init__", counted_init)
-    monkeypatch.setattr(oracle, "affine_through", counted_solve)
+    monkeypatch.setattr(oracle, "solve_correspondence", counted_solve)
     assert census(15, 15).ok
     assert built == []
     # six correspondence solves per hat, and as many hits as before
@@ -488,6 +488,16 @@ def test_census_bounds_validation():
         census(5, 0)
     with pytest.raises(InvalidBounds):
         census(5, 5, workers=0)
+    # a bound or workers value that is not exactly an int, bool included
+    for args in [(True, True), (15.0, 15), (15, 15.0), (5, 5, 1.5), (5, 5, True),
+                 ("5", 5), (5, 5, None)]:
+        with pytest.raises(InvalidBounds):
+            census(*args)
+    # an int keeps its message
+    with pytest.raises(InvalidBounds, match=r"^j_max must be an odd positive integer, got 4$"):
+        census(4, 5)
+    with pytest.raises(InvalidBounds, match=r"^workers must be at least 1, got 0$"):
+        census(5, 5, 0)
 
 
 def test_census_workers_are_bounded_by_cpus(monkeypatch):
@@ -534,7 +544,7 @@ def test_integer_boundary_matches_boundary_type_exhaustively():
                     assert aut_cycle(h) == cycle, h
 
 
-_SOLVER_NAMES = {"affine_through", "solve_correspondence"}
+_SOLVER_NAMES = {"solve_correspondence"}
 
 
 @pytest.mark.parametrize(
@@ -546,8 +556,8 @@ def test_decision_routes_never_reach_the_solver(fn):
 
 
 def test_reachable_names_sees_the_solver_where_it_is_used():
-    assert "affine_through" in _reachable_names(oracle_isomorphic)
-    assert "affine_through" in _reachable_names(normalize)
+    assert "solve_correspondence" in _reachable_names(oracle_isomorphic)
+    assert "solve_correspondence" in _reachable_names(normalize)
     assert _SOLVER_NAMES <= _reachable_names(realized_correspondences)
 
 

@@ -114,6 +114,14 @@ def test_normalize_rejects_bad_roles():
         normalize(t, (0, 1, 1))
     with pytest.raises(ValueError):
         normalize(t, (0, 1, 3))
+    # hat_of refuses the same roles with the same message; an order given
+    # as a list is accepted
+    for roles in [(0, 0, 1), (0, 1), (0, 1, 3), (0, 1, 2, 0)]:
+        for fn in (hat_of, normalize):
+            with pytest.raises(ValueError, match=r"^roles must be a permutation of \(0, 1, 2\)$"):
+                fn(t, roles)
+    assert hat_of(t, [1, 2, 0]) == hat_of(t, (1, 2, 0))
+    assert normalize(t, [1, 2, 0]) == normalize(t, (1, 2, 0))
 
 
 def test_witness_maps_roles_exactly():

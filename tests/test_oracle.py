@@ -13,7 +13,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from dyhat import AffineMap, DyadicRational, Hat, Triangle, oracle_isomorphic
-from dyhat.geometry import Point2, affine_through
+from dyhat.geometry import Point2
 from dyhat.oracle import (
     CASES,
     CORRESPONDENCES,
@@ -168,18 +168,16 @@ def test_one_source_solved_to_several_targets_matches_the_reference(t, large, f,
 
 def _assert_targets_keep_the_determinant(t):
     """The source data's determinant is the cross product of the vertices
-    at the triangle's scale, and each vertex order's target data is the
-    cramer_source of the triangle with its vertices in that order, with the
-    odd part up to sign, and carries the odd part and valuation of the
-    triangle's own data."""
+    at the triangle's scale, and the triangle with its vertices in any
+    order has that odd part up to sign, the same valuation and the same
+    scale: the facts solve_correspondence relies on when it reads a
+    target's odd part from the target's own cramer_source."""
     _, odd, v, scale = t.cramer_source
     assert cross(*t.vertices) == D(odd, v + 2 * scale)
     for perm in permutations((0, 1, 2)):
-        points, target_odd, target_v, e = t.cramer_target(perm)
-        fresh_points, fresh_odd, fresh_v, fresh_e = reordered(t, perm).cramer_source
-        assert (points, e) == (fresh_points, fresh_e), perm
-        assert abs(target_odd) == abs(fresh_odd) == abs(odd), perm
-        assert target_v == fresh_v == v, perm
+        _, fresh_odd, fresh_v, fresh_e = reordered(t, perm).cramer_source
+        assert abs(fresh_odd) == abs(odd), perm
+        assert (fresh_v, fresh_e) == (v, scale), perm
 
 
 def test_targets_keep_the_determinant_on_the_grid():
@@ -201,11 +199,6 @@ def test_targets_keep_the_determinant(t):
 
 @given(tutil.triangles, st.integers(1, 40))
 def test_a_target_with_another_odd_part_is_never_solved(t, k):
-    # t's own points, the identity among them, once the odd part is off
-    for perm in permutations((0, 1, 2)):
-        points, odd, v, e = t.cramer_target(perm)
-        for wrong in (odd * (2 * k + 1), -odd * (2 * k + 1)):
-            assert affine_through(t.cramer_source, (points, wrong, v, e)) is None
     # a triangle of 2k + 1 times t's twice-area, solved either way
     ints, e = t.scaled_coords()
     stretched = Triangle.from_scaled(
