@@ -3,7 +3,10 @@
 Everything here is decided by integer divisibility criteria on hat
 parameters; witnesses and cross-checks come from the exact oracle, and the
 two routes must agree on every call (a disagreement is a defect, surfaced
-as an InconsistencyError).  isomorphic is the one isomorphism decision:
+as an InconsistencyError).  A hat's automorphism group is one of the six
+subgroups of S3: the outcome of the four automorphism criteria must be one
+of the six rows of one table, and the oracle must realize exactly that
+row's self-correspondences.  isomorphic is the one isomorphism decision:
 isomorphic_hats runs it on the hats' triangles.  A census cell decides each
 hat's group with automorphism_group itself, the same call the aut command
 makes.  The results (AutGroup, IsoResult, CensusRow, CensusReport) are
@@ -30,11 +33,21 @@ from .oracle import (
     realized_correspondences,
 )
 
-GROUP_ORDER = {"Trivial": 1, "C2": 2, "C3": 3, "S3": 6}
+#: The six subgroups of S3, keyed by the criteria's outcome (aut_fix_A,
+#: aut_fix_B, aut_fix_C, aut_cycle): each row is the group's tag and the
+#: oracle.CORRESPONDENCES cases its elements realize, "a" the identity.
+_GROUP_OF_CRITERIA = {
+    (False, False, False, False): ("Trivial", frozenset("a")),
+    (True, False, False, False): ("C2", frozenset("ac")),
+    (False, True, False, False): ("C2", frozenset("ab")),
+    (False, False, True, False): ("C2", frozenset("af")),
+    (False, False, False, True): ("C3", frozenset("ade")),
+    (True, True, True, True): ("S3", frozenset("abcdef")),
+}
+
+GROUP_ORDER = {tag: len(cases) for tag, cases in _GROUP_OF_CRITERIA.values()}
 
 GROUP_TAGS = tuple(GROUP_ORDER)
-
-_TAG_OF_ORDER = {order: tag for tag, order in GROUP_ORDER.items()}
 
 #: The witness label of each oracle case, e.g. "c" -> "ACB".
 _PERM_LABEL = {corr.case: perm_label(corr.perm) for corr in CORRESPONDENCES}
@@ -99,35 +112,20 @@ class AutGroup(Record, namedtuple("AutGroup", "tag witnesses")):
 def automorphism_group(h: Hat) -> AutGroup:
     """Assemble the automorphism group of a representative hat.
 
-    An automorphism is a self-isomorphism, so each criterion names the
-    oracle cases it realizes.  The criteria and the oracle's
-    self-correspondence solver must agree case by case; the tag is the
-    group of that order and the witnesses come from the oracle.
+    An automorphism is a self-isomorphism.  The four criteria's outcome
+    must be one of the six rows of _GROUP_OF_CRITERIA, one per subgroup of
+    S3, and the oracle's self-correspondence solver must realize exactly
+    that row's cases; the tag is the row's and the witnesses come from the
+    oracle.
     """
-    fix_a = aut_fix_A(h)
-    fix_b = aut_fix_B(h)
-    fix_c = aut_fix_C(h)
-    cycle = aut_cycle(h)
-
-    transpositions = fix_a + fix_b + fix_c
-    if transpositions == 2:
-        raise InconsistencyError(f"two transpositions cannot coexist: {h}")
-    if transpositions == 3 and not cycle:
-        raise InconsistencyError(f"three transpositions force a 3-cycle: {h}")
-    if transpositions == 1 and cycle:
-        raise InconsistencyError(f"a single transposition excludes a 3-cycle: {h}")
-
-    # the oracle.CORRESPONDENCES cases each criterion realizes; "a" is the identity
-    expected = {"a"}
-    if fix_a:
-        expected.add("c")
-    if fix_b:
-        expected.add("b")
-    if fix_c:
-        expected.add("f")
-    if cycle:
-        expected.update("de")
-
+    outcome = (aut_fix_A(h), aut_fix_B(h), aut_fix_C(h), aut_cycle(h))
+    row = _GROUP_OF_CRITERIA.get(outcome)
+    if row is None:
+        raise InconsistencyError(
+            f"criteria (fix A, fix B, fix C, cycle) = {outcome} "
+            f"give no subgroup of S3: {h}"
+        )
+    tag, expected = row
     tri = h.triangle()
     realized = tuple(realized_correspondences(tri, tri))
     found = {corr.case for corr, _ in realized}
@@ -136,7 +134,6 @@ def automorphism_group(h: Hat) -> AutGroup:
             f"criteria and oracle disagree on {h}: criteria {sorted(expected)}, "
             f"oracle {sorted(found)}"
         )
-    tag = _TAG_OF_ORDER[len(found)]
     return AutGroup(tag, tuple((_PERM_LABEL[corr.case], f) for corr, f in realized))
 
 

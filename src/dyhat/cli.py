@@ -17,13 +17,12 @@ import argparse
 import os
 import re
 import sys
-from itertools import permutations
 
 from .classify import automorphism_group, census, isomorphic
 from .dyadic import DyadicRational
 from .errors import DomainError, InconsistencyError, InvalidHat, NotDyadic, ParseError
 from .geometry import AffineMap, Point2, Triangle
-from .hats import Hat, canonical_form, normalize
+from .hats import ROLE_ORDERS, Hat, canonical_form, normalize
 from .oracle import perm_label
 from .render import render_svg
 
@@ -183,7 +182,7 @@ def _cmd_normalize(args) -> int:
     tri = parse_shape(args.shape)
     payload, lines, quiet = [], [], []
     ok = "  ok" if args.verify else ""
-    for roles in permutations((0, 1, 2)):
+    for roles in ROLE_ORDERS:
         label = perm_label(roles)
         result = normalize(tri, roles)
         h, witness = result.hat, result.witness

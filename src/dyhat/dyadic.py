@@ -221,9 +221,16 @@ def common_scale(*values: DyadicRational) -> tuple[tuple[int, ...], int]:
 
 def reduce_scale(ints: Iterable[int], e: int) -> tuple[tuple[int, ...], int]:
     """common_scale of the values ints[k] * 2**e, computed on the integers:
-    the power of two that divides all of them moves into the exponent."""
+    the power of two that divides all of them moves into the exponent.
+    NotDyadic refuses a value or an exponent that is not an int."""
     ints = tuple(ints)
-    g = math.gcd(*ints)
+    try:
+        g = math.gcd(*ints)
+    except TypeError:
+        bad = next(n for n in ints if not isinstance(n, int)).__class__.__name__
+        raise NotDyadic(f"scaled values must be integers, got {bad}") from None
+    if not isinstance(e, int):
+        raise NotDyadic(f"a scale exponent must be an integer, got {e.__class__.__name__}")
     if g & 1:
         return ints, e
     if not g:

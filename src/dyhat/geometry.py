@@ -18,8 +18,8 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterable
 
-from .dyadic import DyadicRational, Record, common_scale, odd_part, reduce_scale, val2
-from .errors import DegenerateTriangle
+from .dyadic import DyadicRational, Record, common_scale, reduce_scale, val2
+from .errors import DegenerateTriangle, NotDyadic
 
 
 def _dy(value) -> DyadicRational:
@@ -43,18 +43,36 @@ class Matrix2(Record, namedtuple("Matrix2", "a b c d")):
     __slots__ = ()
 
 
-class AffineMap:
+class _Scaled:
+    """The stored-integer policy of Triangle and AffineMap: a value equals
+    only a value of its own class, compared and hashed on its _scaled
+    integers, and a pickle holds those integers and rebuilds the value
+    with the class's from_scaled."""
+
+    __slots__ = ("_scaled",)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._scaled == other._scaled
+
+    def __hash__(self):
+        return hash(self._scaled)
+
+    def __reduce__(self):
+        return self.from_scaled, self._scaled
+
+
+class AffineMap(_Scaled):
     """p |-> linear @ p + translation.
 
     Stored as two common_scale forms (ints, e): the linear entries
-    (a, b, c, d) and the translation (x, y).  linear and translation are
-    views built each time they are read, not kept.  A map equals only
-    another AffineMap, compared and hashed on the integers; its repr is
-    AffineMap(linear=..., translation=...).  A pickle holds the integers
-    and rebuilds the map with from_scaled.
+    (a, b, c, d) and the translation (x, y), under the _Scaled policy.
+    linear and translation are views built each time they are read, not
+    kept.  Its repr is AffineMap(linear=..., translation=...).
     """
 
-    __slots__ = ("_scaled",)
+    __slots__ = ()
 
     def __init__(self, linear: Matrix2, translation: Point2):
         self._scaled = (
@@ -68,9 +86,15 @@ class AffineMap:
     ) -> "AffineMap":
         """The map with entries n[k] * 2**e for (n, e) = linear and
         translation; any power of two common to a group's integers moves
-        into its exponent."""
+        into its exponent.  NotDyadic refuses other than four linear and
+        two translation integers, or a value or exponent that is not an
+        int."""
+        linear, translation = reduce_scale(*linear), reduce_scale(*translation)
+        if len(linear[0]) != 4 or len(translation[0]) != 2:
+            raise NotDyadic("an affine map needs 4 linear and 2 translation "
+                            f"integers, got {len(linear[0])} and {len(translation[0])}")
         f = cls.__new__(cls)
-        f._scaled = (reduce_scale(*linear), reduce_scale(*translation))
+        f._scaled = (linear, translation)
         return f
 
     @property
@@ -83,19 +107,8 @@ class AffineMap:
         (x, y), e = self._scaled[1]
         return Point2(DyadicRational(x, e), DyadicRational(y, e))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._scaled == other._scaled
-
-    def __hash__(self):
-        return hash(self._scaled)
-
     def __repr__(self) -> str:
         return f"AffineMap(linear={self.linear!r}, translation={self.translation!r})"
-
-    def __reduce__(self):
-        return self.from_scaled, self._scaled
 
     def __matmul__(self, other: "AffineMap") -> "AffineMap":
         """Composition self after other, on the integers; the two parts of
@@ -116,16 +129,15 @@ class AffineMap:
         return det != 0 and det & (det - 1) == 0
 
 
-class Triangle:
+class Triangle(_Scaled):
     """Three non-collinear dyadic vertices; degeneracy is rejected here.
 
     Stored as integers n and one exponent e with coordinate k ==
     n[k] * 2**e, in the order (x0, y0, x1, y1, x2, y2): the common_scale of
-    the coordinates.  vertices is a view built each time it is read, not
-    kept.  A triangle equals only another Triangle, compared and hashed on
-    the integers; its repr is Triangle(vertices=(...)).  A pickle holds
-    the integers and rebuilds the triangle with from_scaled, which rejects
-    collinear vertices again.
+    the coordinates, under the _Scaled policy.  vertices is a view built
+    each time it is read, not kept.  Its repr is Triangle(vertices=(...)).
+    Unpickling goes through from_scaled, which rejects collinear vertices
+    again.
 
     cramer_source is ((x0, y0, u1x, u1y, u2x, u2y), odd, v, e): the
     integers of vertex 0, the edge vectors u1, u2 from it to vertices 1
@@ -135,7 +147,7 @@ class Triangle:
     oracle.solve_correspondence is its one reader in the package.
     """
 
-    __slots__ = ("_scaled", "cramer_source")
+    __slots__ = ("cramer_source",)
 
     def __init__(self, vertices: tuple[Point2, Point2, Point2]):
         a, b, c = vertices
@@ -145,7 +157,8 @@ class Triangle:
     def from_scaled(cls, ints: Iterable[int], e: int) -> "Triangle":
         """The triangle with coordinates ints[k] * 2**e, in the order
         (x0, y0, x1, y1, x2, y2); equal to Triangle(vertices) for those
-        vertices, without building them."""
+        vertices, without building them.  NotDyadic refuses other than six
+        integers, or a value or exponent that is not an int."""
         t = cls.__new__(cls)
         t._store(reduce_scale(ints, e))
         return t
@@ -153,13 +166,17 @@ class Triangle:
     def _store(self, scaled: tuple[tuple[int, ...], int]) -> None:
         """Keep scaled and its Cramer data, from one determinant of the edge
         vectors, which is 0 exactly when the vertices are collinear."""
-        (x0, y0, x1, y1, x2, y2), e = scaled
+        try:
+            (x0, y0, x1, y1, x2, y2), e = scaled
+        except ValueError:
+            raise NotDyadic(f"a triangle needs 6 integers, got {len(scaled[0])}") from None
         u1x, u1y, u2x, u2y = x1 - x0, y1 - y0, x2 - x0, y2 - y0
         det = u1x * u2y - u1y * u2x
         if not det:
             raise DegenerateTriangle("the three vertices are collinear")
         self._scaled = scaled
-        self.cramer_source = (x0, y0, u1x, u1y, u2x, u2y), odd_part(det), val2(det), e
+        v = val2(det)
+        self.cramer_source = (x0, y0, u1x, u1y, u2x, u2y), det >> v, v, e
 
     @property
     def vertices(self) -> tuple[Point2, Point2, Point2]:
@@ -169,19 +186,8 @@ class Triangle:
             for k in (0, 2, 4)
         )
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._scaled == other._scaled
-
-    def __hash__(self):
-        return hash(self._scaled)
-
     def __repr__(self) -> str:
         return f"Triangle(vertices={self.vertices!r})"
-
-    def __reduce__(self):
-        return self.from_scaled, self._scaled
 
     def scaled_coords(self) -> tuple[tuple[int, ...], int]:
         """The stored (x0, y0, x1, y1, x2, y2) integers and their common

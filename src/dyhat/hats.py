@@ -6,31 +6,21 @@ dyadic triangle with a chosen vertex role assignment is isomorphic, by a
 unit affine map, to exactly one representative hat with i odd in
 {1, 3, ..., 2j-1}; that triple encodes the pointed isomorphism class, and
 the set of triples over all six role assignments encodes the full class.
-hat_of finds that hat on integers alone, and role_triples finds all six,
-identity order first.  Both go through _edge_hats, which gives the two
-orders that share a base edge from one extended Euclid and one residue;
-hat_of runs it once, _reduce_roles once per edge.  So one role_triples call
-per triangle serves both its pointed class (entry 0, the identity order's
-hat) and its triple set (all_encoding_triples), and a caller that needs
-both reduces once.  The reduction reads the integers of
-Triangle.scaled_coords and never the oracle's cramer_source, so hat_of
-and the oracle check each other.  normalize also returns the witness map,
-for the callers that ask for one: the oracle's solve_correspondence, the
-one Cramer solve, from the triangle to the hat's triangle, the same solve
-that isomorphism witnesses come from.  Hat.triangle builds its triangle
-with Triangle.from_scaled, and the witness is stored as integers too: no
-DyadicRational is built until a caller reads the vertices or the
-witness's linear part or translation.  Hat, EncodingTriple and
+hat_of finds that hat for one vertex role order on integers alone, and
+role_triples finds the triples of all six orders, in ROLE_ORDERS order
+with the identity first.  The reduction reads Triangle.scaled_coords and
+never the oracle's cramer_source, so hat_of and the oracle check each
+other.  normalize also returns the witness map, solved by the oracle's
+solve_correspondence, the one Cramer solve.  Hat, EncodingTriple and
 Normalization are dyadic.Record values; EncodingTriple alone adds an
-order, the canonical (j, m, i) order.  CANONICAL_KEY states that order as
-a C-level key, with which canonical_form and the classify module take
-their least triples.
+order, the canonical (j, m, i) order, which CANONICAL_KEY states as a
+C-level key.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import starmap
+from itertools import permutations, starmap
 from operator import itemgetter
 
 from .dyadic import Record, egcd, odd_part, val2
@@ -118,10 +108,9 @@ class Normalization(Record, namedtuple("Normalization", "hat witness")):
 
 IDENTITY_ROLES = (0, 1, 2)
 
-#: The six vertex role orders, which hat_of and normalize accept.
-_ROLE_ORDERS = frozenset(
-    {(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)}
-)
+#: The six vertex role orders, which hat_of and normalize accept, in the
+#: order that _reduce_roles and role_triples return their hats.
+ROLE_ORDERS = tuple(permutations(range(3)))
 
 
 def _edge_hats(
@@ -141,7 +130,7 @@ def _edge_hats(
 
 def _reduce_roles(tri: Triangle) -> tuple[tuple[int, int, int], ...]:
     """(i, j, m) of the representative hat for each vertex role order, in
-    permutations((0, 1, 2)) order.
+    ROLE_ORDERS order.
 
     An order (o, a, b) sends vertex o to the origin, a to the apex (i, j)
     and b to (m, 0).  It reads the integer coordinates the triangle already
@@ -172,7 +161,7 @@ def hat_of(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> Hat:
     to (m, 0); see _reduce_roles.  roles that are not one of the six orders
     of (0, 1, 2) raise ValueError.
     """
-    if tuple(roles) not in _ROLE_ORDERS:
+    if tuple(roles) not in ROLE_ORDERS:
         raise ValueError("roles must be a permutation of (0, 1, 2)")
     n, _ = tri.scaled_coords()
     o, a, b = roles
@@ -197,7 +186,7 @@ def normalize(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> No
 
 def role_triples(tri: Triangle) -> tuple[EncodingTriple, ...]:
     """The encoding triple of each of the six vertex role orders, in
-    permutations((0, 1, 2)) order: entry 0, the identity order, is the
+    ROLE_ORDERS order: entry 0, the identity order, is the
     pointed class, the i, j, m of hat_of(tri)."""
     return tuple(starmap(EncodingTriple, _reduce_roles(tri)))
 

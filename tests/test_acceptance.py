@@ -1,6 +1,6 @@
 """End-to-end acceptance suite.
 
-Ten criteria, one test each, so the verbose run shows one pass/fail line
+Eleven criteria, one test each, so the verbose run shows one pass/fail line
 per criterion.  Time limits are asserted where the contract pins them;
 everything else is exact equality, no tolerances anywhere.
 """
@@ -27,6 +27,7 @@ from dyhat.cli import format_dyadic, parse_dyadic
 from dyhat.dyadic import solve_congruence
 from dyhat.errors import NoSolution
 from dyhat.geometry import Point2
+from dyhat.hats import role_triples
 
 from reference import (
     apply,
@@ -273,3 +274,70 @@ def test_criterion_10_arithmetic_suites():
         d = D(rng.randrange(-(2**50), 2**50), rng.randrange(-60, 61))
         assert parse_dyadic(format_dyadic(d)) == d
     print(f"criterion 10: pass ({checked} congruences, 2x10^4 round-trips)")
+
+
+# Isomorphism types of hats with j*m = N, N = 1, 3, ..., 39.  The table and
+# the formulas in criterion 11 were derived in this repo (by this pipeline
+# and by Burnside's lemma over the pointed classes); they are not taken
+# from the paper text, which the repo does not hold.
+TYPE_COUNTS = (1, 2, 2, 3, 4, 3, 4, 6, 4, 5, 8, 5, 7, 9, 6, 7, 10, 10, 8, 12)
+
+
+def _roots_mod(l, *polys):
+    """The number of k mod l that are roots of every polynomial, by brute force."""
+    return sum(all(p(k) % l == 0 for p in polys) for k in range(l))
+
+
+def _cycle(k):
+    return k * k - k + 1
+
+
+def _square_minus_one(k):
+    return k * k - 1
+
+
+def test_criterion_11_isomorphism_types_by_area():
+    # S3 acts on the sigma(N) pointed classes of area N by exchanging roles;
+    # its orbits are the isomorphism types.  A transposition fixes d = tau(N)
+    # classes (fix B: one odd i with j | 2i - m per divisor j), a 3-cycle
+    # fixes c, the hats (mk, ml, m) with l = N/m^2 and l | k^2 - k + 1, and
+    # all of S3 fixes s, those that also have l | k^2 - 1
+    start = time.perf_counter()
+    hats = 0
+    counts = []
+    for n in range(1, 200, 2):
+        divisors = [j for j in range(1, n + 1, 2) if n % j == 0]
+        sigma, d = sum(divisors), len(divisors)
+        squares = [m for m in range(1, n + 1, 2) if n % (m * m) == 0]
+        c = sum(_roots_mod(n // (m * m), _cycle) for m in squares)
+        s = sum(_roots_mod(n // (m * m), _cycle, _square_minus_one) for m in squares)
+        # both congruences give l | (k^2 - 1) - (k^2 - k + 1) = k - 2, so l | 3
+        assert s == sum(n // (m * m) in (1, 3) for m in squares), n
+        types = defaultdict(list)
+        for j in divisors:
+            for i in range(1, 2 * j, 2):
+                h = Hat(i, j, n // j)
+                tri = h.triangle()
+                assert all(t.j * t.m == n for t in role_triples(tri)), h
+                types[canonical_form(tri)].append(tri)
+                hats += 1
+        groups = defaultdict(int)
+        orbits = 0
+        for canonical, members in types.items():
+            representative = Hat(*canonical).triangle()
+            for tri in members:
+                assert oracle_isomorphic(tri, representative) is not None, (tri, canonical)
+            group = automorphism_group(Hat(*canonical))
+            groups[group.tag] += 1
+            orbits += 6 // group.order
+        assert orbits == sigma, n
+        assert len(types) * 6 == sigma + 3 * d + 2 * c, n
+        assert groups["S3"] == s, n
+        assert groups["C3"] * 2 == c - s, n
+        assert groups["C2"] == d - s, n
+        assert groups["Trivial"] * 6 == sigma - s - 2 * groups["C3"] - 3 * groups["C2"], n
+        counts.append(len(types))
+    took = time.perf_counter() - start
+    assert hats == 12307
+    assert tuple(counts[:20]) == TYPE_COUNTS
+    print(f"criterion 11: pass ({hats} hats of odd area below 200; {took:.2f} s)")

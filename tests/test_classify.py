@@ -151,8 +151,45 @@ def test_lying_criterion_raises_inconsistency(monkeypatch):
         automorphism_group(Hat(1, 9, 5))
     # on an S3 hat it also contradicts the other two transpositions
     monkeypatch.setattr("dyhat.classify.aut_fix_B", lambda h: False)
-    with pytest.raises(InconsistencyError, match="two transpositions"):
+    with pytest.raises(InconsistencyError, match="no subgroup of S3"):
         automorphism_group(Hat(1, 1, 1))
+
+
+# (fix A, fix B, fix C, 3-cycle) of the six subgroups of S3: the trivial
+# group, the three C2s, C3 and S3
+SUBGROUP_OUTCOMES = {
+    (False, False, False, False),
+    (True, False, False, False),
+    (False, True, False, False),
+    (False, False, True, False),
+    (False, False, False, True),
+    (True, True, True, True),
+}
+
+
+def test_every_criteria_outcome_meets_the_subgroup_table(monkeypatch):
+    # Hat(1, 1, 1) has the group S3.  Of the 16 outcomes of the four
+    # criteria, 10 name no subgroup and are refused before any solve, the
+    # five subgroups other than S3 disagree with the oracle, and S3 holds
+    solves = _count_calls(monkeypatch, classify, "realized_correspondences")
+    names = ("aut_fix_A", "aut_fix_B", "aut_fix_C", "aut_cycle")
+    for outcome in product((False, True), repeat=4):
+        for name, value in zip(names, outcome):
+            monkeypatch.setattr(classify, name, lambda h, value=value: value)
+        solves.clear()
+        if outcome not in SUBGROUP_OUTCOMES:
+            with pytest.raises(InconsistencyError, match="no subgroup of S3"):
+                automorphism_group(Hat(1, 1, 1))
+            assert solves == [], outcome
+        elif outcome != (True, True, True, True):
+            with pytest.raises(InconsistencyError, match="criteria and oracle disagree"):
+                automorphism_group(Hat(1, 1, 1))
+            assert len(solves) == 1, outcome
+        else:
+            assert automorphism_group(Hat(1, 1, 1)).tag == "S3"
+            assert len(solves) == 1
+    assert GROUP_ORDER == {"Trivial": 1, "C2": 2, "C3": 3, "S3": 6}
+    assert classify.GROUP_TAGS == ("Trivial", "C2", "C3", "S3")
 
 
 def test_lying_case_test_raises_inconsistency(monkeypatch):

@@ -10,8 +10,8 @@ from hypothesis import given
 
 from dyhat import DyadicRational, Hat, Triangle
 from dyhat.dyadic import common_scale
-from dyhat.errors import BothZero, DegenerateTriangle
-from dyhat.geometry import Point2
+from dyhat.errors import BothZero, DegenerateTriangle, NotDyadic
+from dyhat.geometry import AffineMap, Point2
 
 import tutil
 from reference import (
@@ -281,3 +281,32 @@ def test_from_scaled_rejects_collinear_integers_like_the_vertex_constructor():
     assert str(by_integers.value) == str(by_vertices.value)
     with pytest.raises(DegenerateTriangle):
         Triangle.from_scaled((0,) * 6, 5)
+
+
+def test_from_scaled_refuses_a_wrong_count_or_a_non_int_with_not_dyadic():
+    for ints, e, fault in (
+        ([0, 0, 1, 0, 0], 0, "6 integers, got 5"),
+        ((0, 0, 1, 0, 0, 1, 2), 0, "6 integers, got 7"),
+        ((0, 0, 1.0, 0, 0, 1), 0, "values must be integers, got float"),
+        ((0, 0, "1", 0, 0, 1), 0, "values must be integers, got str"),
+        ((0, 0, 1, 0, 0, 1), 0.5, "exponent must be an integer, got float"),
+        ((0, 0, 2, 0, 0, 2), 0.5, "exponent must be an integer, got float"),
+    ):
+        with pytest.raises(NotDyadic, match=fault):
+            Triangle.from_scaled(ints, e)
+    linear, translation = ((1, 0, 0, 1), 0), ((0, 0), 0)
+    for scaled, fault in (
+        ((((1, 0, 1), 0), translation), "4 linear and 2 translation integers, got 3 and 2"),
+        ((linear, ((0,), 0)), "got 4 and 1"),
+        ((((1, 0, 0, 1.5), 0), translation), "values must be integers, got float"),
+        ((linear, ((0, 0), 1.0)), "exponent must be an integer, got float"),
+    ):
+        with pytest.raises(NotDyadic, match=fault):
+            AffineMap.from_scaled(*scaled)
+    # a bool is an int
+    assert Triangle.from_scaled((0, 0, True, 0, 0, True), False) == Triangle.from_scaled(
+        (0, 0, 1, 0, 0, 1), 0
+    )
+    assert AffineMap.from_scaled(((True, 0, 0, True), 0), translation) == AffineMap.from_scaled(
+        linear, translation
+    )
