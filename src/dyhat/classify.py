@@ -21,7 +21,7 @@ import math
 import os
 from collections import namedtuple
 
-from .dyadic import Record, odd_gcd, solve_congruence
+from .dyadic import Record, odd_gcd
 from .errors import InconsistencyError, InvalidBounds, InvalidHat
 from .geometry import Triangle
 from .hats import CANONICAL_KEY, EncodingTriple, Hat, role_triples
@@ -143,7 +143,10 @@ def iso_case(h1: Hat, h2: Hat, case: str) -> bool:
     h1 = (i, j, m) and h2 = (k, l, n) may be almost representative (even i
     or k allowed).  Cases "a"/"b" keep the base and apex; the other four
     exchange roles, forcing n = gcd(side, j) and l = mj/n, with k confined
-    to a residue class mod l determined by a linear congruence.
+    to a residue class mod l: k = x*m (cases c, d) or n - k = x*m (e, f)
+    for an x with x * (side/n) = 1 mod j/n.  As side/n is prime to j/n,
+    that class is tested by one multiplication, with no inverse taken:
+    m divides rest (k or n - k) and rest/m * (side/n) = 1 mod j/n.
     """
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}")
@@ -156,13 +159,10 @@ def iso_case(h1: Hat, h2: Hat, case: str) -> bool:
         return l == j and n == m and (k - (m - i)) % j == 0
 
     side = i if case in ("c", "e") else m - i
-    g = math.gcd(side, j)
-    if n != g or l * n != m * j:
+    if n != math.gcd(side, j) or l * n != m * j:
         return False
-    # gcd(side, j) = n divides n, so the congruence is always solvable
-    a = solve_congruence(side, n, j)
-    anchor = a.value * m if case in ("c", "d") else n - a.value * m
-    return (k - anchor) % l == 0
+    rest = k if case in ("c", "d") else n - k
+    return rest % m == 0 and (rest // m * (side // n) - 1) % (j // n) == 0
 
 
 class IsoResult(Record, namedtuple("IsoResult", "isomorphic case witness")):

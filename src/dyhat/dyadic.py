@@ -7,18 +7,24 @@ value hashes like the int it equals, so it finds that int in a set or dict.
 All operations are exact; anything that would leave the ring raises
 ``NotDyadic``.
 
+The integer helpers beside it, val2, odd_part, odd_gcd and egcd, serve
+the hat reduction and the criteria; egcd's Bezout row takes dyhat's one
+inverse modulo an odd number.  No linear congruence is solved here: the
+isomorphism criteria test a residue class by multiplying, and the
+reduction divides by a power of two with an inverse modulo that power
+(hats._edge_hats).
+
 Record, at the top, states once the policy of dyhat's value records; every
-record in dyhat, Residue here among them, is a namedtuple built on it.
+record in dyhat is a namedtuple built on it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections import namedtuple
 from typing import Iterable
 
-from .errors import BothZero, DivisionByZero, NoSolution, NotDyadic, ZeroArgument
+from .errors import BothZero, DivisionByZero, NotDyadic, ZeroArgument
 
 
 class Record:
@@ -86,7 +92,10 @@ def egcd(a: int, b: int) -> tuple[int, int, int]:
 
     Which Bezout row (x, y) comes back is unspecified.  The gcd and the
     inverse of a/g modulo |b/g| both run in C (math.gcd and pow), and y
-    follows exactly, since a*x = g modulo |b|.
+    follows exactly, since a*x = g modulo |b|.  That inverse is the one
+    dyhat takes modulo a number that is not a power of two: the hat
+    reduction's other inverse is modulo 2**v, and the isomorphism criteria
+    take none.
     """
     g = math.gcd(a, b)
     if b == 0:
@@ -222,8 +231,13 @@ def common_scale(*values: DyadicRational) -> tuple[tuple[int, ...], int]:
 def reduce_scale(ints: Iterable[int], e: int) -> tuple[tuple[int, ...], int]:
     """common_scale of the values ints[k] * 2**e, computed on the integers:
     the power of two that divides all of them moves into the exponent.
-    NotDyadic refuses a value or an exponent that is not an int."""
-    ints = tuple(ints)
+    NotDyadic refuses ints that are not a sequence, and a value or an
+    exponent that is not an int."""
+    try:
+        ints = tuple(ints)
+    except TypeError:
+        raise NotDyadic("scaled values must be a sequence of integers, got "
+                        f"{ints.__class__.__name__}") from None
     try:
         g = math.gcd(*ints)
     except TypeError:
@@ -237,33 +251,3 @@ def reduce_scale(ints: Iterable[int], e: int) -> tuple[tuple[int, ...], int]:
         return ints, 0
     v = (g & -g).bit_length() - 1
     return tuple([n >> v for n in ints]), e + v
-
-
-class Residue(Record, namedtuple("Residue", "value modulus")):
-    """A residue class value + modulus*Z with an odd positive modulus; a
-    Record, validated on every construction route."""
-
-    __slots__ = ()
-
-    def __new__(cls, value: int, modulus: int) -> Residue:
-        if modulus <= 0 or modulus % 2 == 0:
-            raise ValueError("modulus must be an odd positive integer")
-        if not 0 <= value < modulus:
-            raise ValueError("residue value must lie in [0, modulus)")
-        return tuple.__new__(cls, (value, modulus))
-
-
-def solve_congruence(a: int, b: int, n: int) -> Residue:
-    """Solve a*x = b (mod n) for odd positive n.
-
-    Returns the solution class as a Residue mod n // gcd(a, n); raises
-    NoSolution when gcd(a, n) does not divide b.
-    """
-    if n <= 0 or n % 2 == 0:
-        raise ValueError("modulus must be an odd positive integer")
-    g = math.gcd(a, n)
-    if b % g:
-        raise NoSolution(f"{a}*x = {b} (mod {n}) has no solution")
-    m = n // g
-    x = pow(a // g, -1, m) * ((b // g) % m) % m
-    return Residue(x, m)

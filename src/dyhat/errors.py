@@ -25,10 +25,6 @@ class BothZero(DomainError):
     """A gcd-style operation was applied to (0, 0)."""
 
 
-class NoSolution(DomainError):
-    """The linear congruence has no solution."""
-
-
 class DegenerateTriangle(DomainError):
     """The three vertices are collinear (or not distinct)."""
 

@@ -86,10 +86,14 @@ class AffineMap(_Scaled):
     ) -> "AffineMap":
         """The map with entries n[k] * 2**e for (n, e) = linear and
         translation; any power of two common to a group's integers moves
-        into its exponent.  NotDyadic refuses other than four linear and
-        two translation integers, or a value or exponent that is not an
-        int."""
-        linear, translation = reduce_scale(*linear), reduce_scale(*translation)
+        into its exponent.  NotDyadic refuses a group that is not an
+        (integers, exponent) pair, other than four linear and two
+        translation integers, or a value or exponent that is not an int."""
+        try:
+            linear, translation = reduce_scale(*linear), reduce_scale(*translation)
+        except TypeError:
+            raise NotDyadic("an affine map needs (integers, exponent) pairs for "
+                            "its linear part and its translation") from None
         if len(linear[0]) != 4 or len(translation[0]) != 2:
             raise NotDyadic("an affine map needs 4 linear and 2 translation "
                             f"integers, got {len(linear[0])} and {len(translation[0])}")
@@ -157,8 +161,8 @@ class Triangle(_Scaled):
     def from_scaled(cls, ints: Iterable[int], e: int) -> "Triangle":
         """The triangle with coordinates ints[k] * 2**e, in the order
         (x0, y0, x1, y1, x2, y2); equal to Triangle(vertices) for those
-        vertices, without building them.  NotDyadic refuses other than six
-        integers, or a value or exponent that is not an int."""
+        vertices, without building them.  NotDyadic refuses ints that are
+        not a sequence of six integers, or an exponent that is not an int."""
         t = cls.__new__(cls)
         t._store(reduce_scale(ints, e))
         return t

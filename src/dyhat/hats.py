@@ -118,12 +118,20 @@ def _edge_hats(
 ) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """(i, j, m) of the representative hats of the orders (o, a, b) and
     (b, a, o), from the integer coordinates of o, b and a and the odd part
-    odd of twice the area; see _reduce_roles."""
+    odd of twice the area; see _reduce_roles.
+
+    The residue is divided by 2**v modulo j without an inverse modulo j:
+    adding q*j with q = -r / j mod 2**v makes r divisible by 2**v, and the
+    exact quotient lies in [0, j).  Only the inverse of j modulo 2**v is
+    taken, far cheaper than one modulo j, and only when v > 0: every edge
+    of a hat has v = 0, and a census reduces nothing but hats."""
     g, s, t = egcd(bx - ox, by - oy)
     v = val2(g)
     m = g >> v
     j = odd // m
-    r = (s * (ax - ox) + t * (ay - oy)) * pow(2, -v, j) % j
+    r = (s * (ax - ox) + t * (ay - oy)) % j
+    if v:
+        r = (r + (-r * pow(j, -1, 1 << v) & ((1 << v) - 1)) * j) >> v
     back = (m - r) % j
     return (r if r % 2 else r + j, j, m), (back if back % 2 else back + j, j, m)
 
@@ -137,7 +145,8 @@ def _reduce_roles(tri: Triangle) -> tuple[tuple[int, int, int], ...]:
     holds (the common power of two drops out).  The base (A, B) from o to b
     has gcd g = m * 2**v, m odd, and Bezout row (s, t): j is the odd part of
     twice the area over m, and i the residue r = (s*p + t*q) / 2**v mod j
-    of the apex (p, q) relative to o, lifted to an odd residue mod 2j.  Any
+    of the apex (p, q) relative to o, lifted to an odd residue mod 2j.  The
+    division by 2**v is a 2-adic step, run only when v > 0 (_edge_hats).  Any
     Bezout row gives the same r, since another row moves s*p + t*q by a
     multiple of twice the area over g, which is +-j * 2**w.
     The reversed order (b, a, o) has the same apex and the residue

@@ -7,13 +7,21 @@ parity) and to compare the integer arithmetic with stdlib Fraction.  A map
 is applied, composed and tested for being a unit here on Fraction, read
 off its linear and translation views: dyhat itself composes and tests maps
 on their integers and applies them only to check normalize's witnesses.
+
+solve_congruence, with its Residue and NoSolution, solves a linear
+congruence by modular inversion, as dyhat's isomorphism criteria once did;
+the tests check those criteria, which now test the residue class by
+multiplication, against it.  hat_by_inverse is the hat reduction with
+the inverse of 2**v modulo j taken outright, as it once was.
 """
 
+import math
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from dyhat.dyadic import DyadicRational, common_scale, odd_gcd
-from dyhat.errors import InvalidHat, NotDyadic
+from dyhat.dyadic import DyadicRational, Record, common_scale, egcd, odd_gcd, odd_part, val2
+from dyhat.errors import DomainError, InvalidHat, NotDyadic
 from dyhat.geometry import AffineMap, Matrix2, Point2, Triangle
 from dyhat.hats import EncodingTriple, Hat
 from dyhat.oracle import realized_correspondences
@@ -177,3 +185,64 @@ def pointed_canonical(h: Hat) -> EncodingTriple:
     if h.is_representative:
         return EncodingTriple(h.i % two_j, h.j, h.m)
     return EncodingTriple((h.i + h.j) % two_j, h.j, h.m)
+
+
+class NoSolution(DomainError):
+    """The linear congruence has no solution."""
+
+
+class Residue(Record, namedtuple("Residue", "value modulus")):
+    """A residue class value + modulus*Z with an odd positive modulus; a
+    Record, validated on every construction route."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: int, modulus: int) -> "Residue":
+        if modulus <= 0 or modulus % 2 == 0:
+            raise ValueError("modulus must be an odd positive integer")
+        if not 0 <= value < modulus:
+            raise ValueError("residue value must lie in [0, modulus)")
+        return tuple.__new__(cls, (value, modulus))
+
+
+def solve_congruence(a: int, b: int, n: int) -> Residue:
+    """Solve a*x = b (mod n) for odd positive n.
+
+    Returns the solution class as a Residue mod n // gcd(a, n); raises
+    NoSolution when gcd(a, n) does not divide b.
+    """
+    if n <= 0 or n % 2 == 0:
+        raise ValueError("modulus must be an odd positive integer")
+    g = math.gcd(a, n)
+    if b % g:
+        raise NoSolution(f"{a}*x = {b} (mod {n}) has no solution")
+    m = n // g
+    x = pow(a // g, -1, m) * ((b // g) % m) % m
+    return Residue(x, m)
+
+
+def iso_case_by_congruence(h1: Hat, h2: Hat, case: str) -> bool:
+    """classify.iso_case for the cases c to f that exchange roles, with the
+    class of k found by solve_congruence: k = anchor (mod l)."""
+    i, j, m = h1
+    k, l, n = h2
+    side = i if case in ("c", "e") else m - i
+    if n != gcd(side, j) or l * n != m * j:
+        return False
+    a = solve_congruence(side, n, j)
+    anchor = a.value * m if case in ("c", "d") else n - a.value * m
+    return (k - anchor) % l == 0
+
+
+def hat_by_inverse(tri: Triangle, roles: tuple[int, int, int]):
+    """((i, j, m), v): the i, j, m of hat_of(tri, roles), with the residue
+    divided by 2**v modulo j as r * pow(2, -v, j), and the v of the base
+    edge from vertex roles[0] to vertex roles[2]."""
+    n, _ = tri.scaled_coords()
+    (ox, oy), (ax, ay), (bx, by) = ((n[2 * k], n[2 * k + 1]) for k in roles)
+    odd = abs(odd_part((bx - ox) * (ay - oy) - (by - oy) * (ax - ox)))
+    g, s, t = egcd(bx - ox, by - oy)
+    v = val2(g)
+    j = odd // (g >> v)
+    r = (s * (ax - ox) + t * (ay - oy)) * pow(2, -v, j) % j
+    return (r if r % 2 else r + j, j, g >> v), v

@@ -5,6 +5,7 @@ per criterion.  Time limits are asserted where the contract pins them;
 everything else is exact equality, no tolerances anywhere.
 """
 
+import math
 import random
 import time
 from collections import defaultdict
@@ -24,18 +25,18 @@ from dyhat import (
 )
 from dyhat.classify import aut_fix_A, aut_fix_B, aut_fix_C, iso_case
 from dyhat.cli import format_dyadic, parse_dyadic
-from dyhat.dyadic import solve_congruence
-from dyhat.errors import NoSolution
 from dyhat.geometry import Point2
 from dyhat.hats import role_triples
 
 from reference import (
+    NoSolution,
     apply,
     boundary_type,
     boundary_types_equivalent,
     det,
     midpoint,
     oracle_aut_count,
+    solve_congruence,
     transformed,
     twice_area,
 )
@@ -264,6 +265,22 @@ def test_criterion_10_arithmetic_suites():
                 assert got == expected, (a, b, n)
                 checked += 1
 
+    # iso_case's test of k by multiplication, against its class found by
+    # search: some x with x * (side/n) = 1 (mod j/n) has k = anchor (mod l)
+    cases = 0
+    for j in range(1, 64, 2):
+        for side in range(j):
+            n = math.gcd(side, j)
+            inverses = [x for x in range(j // n) if (x * (side // n) - 1) % (j // n) == 0]
+            for m in (1, 3):
+                l = m * j // n
+                for case in "cdef":
+                    h1 = Hat(side if case in "ce" else m - side, j, m)
+                    anchors = {(x * m if case in "cd" else n - x * m) % l for x in inverses}
+                    for k in range(l):
+                        assert iso_case(h1, Hat(k, l, n), case) == (k in anchors), (h1, k, case)
+                        cases += 1
+
     rng = random.Random(14142135)
     for _ in range(10_000):
         x = D(rng.randrange(-(2**30), 2**30), rng.randrange(-20, 21))
@@ -273,7 +290,8 @@ def test_criterion_10_arithmetic_suites():
     for _ in range(10_000):
         d = D(rng.randrange(-(2**50), 2**50), rng.randrange(-60, 61))
         assert parse_dyadic(format_dyadic(d)) == d
-    print(f"criterion 10: pass ({checked} congruences, 2x10^4 round-trips)")
+    print(f"criterion 10: pass ({checked} congruences, {cases} iso_case calls, "
+          "2x10^4 round-trips)")
 
 
 # Isomorphism types of hats with j*m = N, N = 1, 3, ..., 39.  The table and

@@ -6,11 +6,12 @@ import hashlib
 import math
 import random
 import sys
+from collections import Counter
 from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from dyhat import (
@@ -37,7 +38,7 @@ from dyhat.classify import (
 from dyhat.dyadic import odd_gcd
 from dyhat.errors import InconsistencyError, InvalidBounds, InvalidHat
 from dyhat.hats import hat_of
-from dyhat import classify, hats, oracle
+from dyhat import classify, dyadic, hats, oracle
 from dyhat.oracle import CASES, CORRESPONDENCES, perm_label, realized_correspondences
 
 import tutil
@@ -46,6 +47,8 @@ from reference import (
     apply,
     boundary_type,
     boundary_types_equivalent,
+    hat_by_inverse,
+    iso_case_by_congruence,
     oracle_aut_count,
     transformed,
     twice_area,
@@ -249,6 +252,109 @@ def test_verdicts_and_case_letters_on_the_7_grid_are_unchanged():
             digest.update(
                 repr((tuple(h1), tuple(h2), result.isomorphic, result.case)).encode())
     assert digest.hexdigest() == CASE_DIGEST
+
+
+
+def test_iso_case_matches_the_congruence_reference_exhaustively():
+    """Cases c to f, j, m <= 9, i in -2j..4j-1 and k in -l..2l-1, with the n
+    and l each case forces, so that every call reaches the test on k."""
+    calls = 0
+    for j in range(1, 10, 2):
+        for m in range(1, 10, 2):
+            for i in range(-2 * j, 4 * j):
+                h1 = Hat(i, j, m)
+                for case in "cdef":
+                    n = math.gcd(i if case in "ce" else m - i, j)
+                    l = m * j // n
+                    for k in range(-l, 2 * l):
+                        h2 = Hat(k, l, n)
+                        assert iso_case(h1, h2, case) == iso_case_by_congruence(h1, h2, case), (
+                            h1, h2, case)
+                        calls += 1
+    assert calls == 239_400
+
+
+@st.composite
+def _forced_pairs(draw):
+    """(h1, h2, case, in_class): h1 a tutil.shared_factor_hat of up to
+    about 2**300, a role-exchanging case, and h2 with the n and l that case
+    forces; its k is in the case's class when in_class is True, and else
+    drawn in -l..2l-1."""
+    i, j, m = h1 = tutil.shared_factor_hat(draw(st.randoms(use_true_random=False)), 100)
+    case = draw(st.sampled_from("cdef"))
+    side = i if case in "ce" else m - i
+    n = math.gcd(side, j)
+    l = m * j // n
+    in_class = draw(st.booleans())
+    if in_class:
+        rest = pow(side // n, -1, j // n) * m + draw(st.integers(-3, 3)) * l
+        k = rest if case in "cd" else n - rest
+    else:
+        k = draw(st.integers(-l, 2 * l - 1))
+    return h1, Hat(k, l, n), case, in_class
+
+
+@given(_forced_pairs())
+@example((Hat(15, 45, 15), Hat(60, 45, 15), "c", True))  # n = 15, j/n = 3
+@example((Hat(45, 45, 15), Hat(15, 15, 45), "c", True))  # n = j, so j/n = 1
+@example((Hat(45, 45, 15), Hat(17, 15, 45), "e", False))
+def test_iso_case_matches_the_congruence_reference_on_large_shared_factors(drawn):
+    h1, h2, case, in_class = drawn
+    got = iso_case(h1, h2, case)
+    assert got == iso_case_by_congruence(h1, h2, case)
+    if in_class:
+        assert got
+
+
+#: sha256 of isomorphic()'s verdict, case letter and witness integers on the
+#: pairs below, recorded while the criteria solved a linear congruence and
+#: the reduction divided by 2**v with an inverse modulo j.
+LARGE_PAIR_DIGEST = "a98010cee4680e506d65d26117559999ffdb6146aeb03defc6bbd68b9f74895d"
+
+
+def test_verdicts_cases_and_witnesses_on_large_pairs_are_unchanged():
+    """2,000 seeded pairs of large triangles with power-of-two denominators,
+    about half of them isomorphic, every case letter among them."""
+    digest = hashlib.sha256()
+    cases = Counter()
+    for t1, t2 in tutil.large_iso_pairs(random.Random(2020), 2000):
+        result = isomorphic(t1, t2)
+        cases[result.case] += 1
+        witness = result.witness and result.witness._scaled
+        digest.update(repr((result.isomorphic, result.case, witness)).encode())
+    assert set(cases) == {None, *CASES}
+    assert digest.hexdigest() == LARGE_PAIR_DIGEST
+
+
+def test_isomorphic_takes_an_odd_modulus_inverse_only_in_egcd(monkeypatch):
+    """One large pair whose edges have v > 0 and whose case exchanges roles:
+    the six inverses modulo a number that is not a power of two are
+    egcd's, one per edge of each triangle, and classify calls no pow."""
+    calls = {}
+    for module in (dyadic, hats, classify):
+        def spy(*args, seen=calls.setdefault(module.__name__, [])):
+            seen.append(args)
+            return pow(*args)
+
+        monkeypatch.setattr(module, "pow", spy, raising=False)
+    t1, t2 = tutil.large_iso_pairs(random.Random(33), 8)[7]
+    # on the bases of _reduce_roles, the edges 0-2, 0-1 and 1-2, v > 0, and
+    # egcd inverts modulo |y / gcd|, which is not a power of two
+    for t in (t1, t2):
+        n, _ = t.scaled_coords()
+        for o, a, b in [(0, 1, 2), (0, 2, 1), (1, 0, 2)]:
+            x, y = n[2 * b] - n[2 * o], n[2 * b + 1] - n[2 * o + 1]
+            y //= math.gcd(x, y)
+            assert hat_by_inverse(t, (o, a, b))[1] > 0 and abs(y) & (abs(y) - 1)
+    for seen in calls.values():
+        seen.clear()
+    assert isomorphic(t1, t2).case in ("e", "f")
+    inverses = [(name, args) for name, seen in calls.items() for args in seen if args[1] < 0]
+    odd = [name for name, (_, _, modulus) in inverses if modulus & (modulus - 1)]
+    assert odd == ["dyhat.dyadic"] * 6
+    # and the 2-adic step's six, each modulo a power of two
+    assert [name for name, _ in inverses].count("dyhat.hats") == 6
+    assert calls["dyhat.classify"] == []
 
 
 def test_non_isomorphic_pair_shares_area_and_boundary():

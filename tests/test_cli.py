@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import resource
@@ -602,6 +603,27 @@ def test_cli_output_is_unchanged(tmp_path, monkeypatch, capsys):
             captured = capsys.readouterr()
             digest.update(repr((argv, code, captured.out, captured.err)).encode())
     assert digest.hexdigest() == _PIN_DIGEST
+
+
+
+def test_large_iso_pairs_fixture_covers_every_case_with_even_gcd_edges(capsys):
+    """The pairs whose iso --json output CI pins: every case letter and
+    four pairs that are not isomorphic, each pair with an edge whose
+    integers have an even gcd, so that the 2-adic division runs."""
+    cases = []
+    for line in (FIXTURES / "iso_large_pairs.txt").read_text(encoding="utf-8").splitlines():
+        first, second = line.split("|")
+        code = run(["iso", "--json", first, second])
+        result = json.loads(capsys.readouterr().out)["iso"]
+        assert code == (0 if result["result"] else 3)
+        cases.append(result["case"])
+        edges = []
+        for tri in map(parse_shape, (first, second)):
+            n, _ = tri.scaled_coords()
+            edges += [math.gcd(n[2 * a] - n[2 * b], n[2 * a + 1] - n[2 * b + 1])
+                      for a, b in ((0, 1), (0, 2), (1, 2))]
+        assert any(g % 2 == 0 for g in edges), line
+    assert sorted(cases, key=str) == [None, None, None, None, *"abcdef"]
 
 
 # ---------------------------------------------------------------- fuzzing

@@ -1,4 +1,4 @@
-"""Dyadic core: canonical forms, exact arithmetic, congruences.
+"""Dyadic core: canonical forms, exact arithmetic, the congruence reference.
 
 Exact operations are cross-checked against stdlib Fraction, which plays the
 role of the independent arithmetic oracle here.
@@ -12,25 +12,12 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from dyhat import DyadicRational
-from dyhat.dyadic import (
-    Residue,
-    common_scale,
-    egcd,
-    odd_gcd,
-    odd_part,
-    solve_congruence,
-    val2,
-)
-from dyhat.errors import (
-    BothZero,
-    DivisionByZero,
-    NoSolution,
-    NotDyadic,
-    ZeroArgument,
-)
+from dyhat.dyadic import common_scale, egcd, odd_gcd, odd_part, val2
+from dyhat.errors import BothZero, DivisionByZero, DomainError, NotDyadic, ZeroArgument
+from dyhat.hats import _edge_hats
 
 import tutil
-from reference import from_fraction
+from reference import NoSolution, Residue, from_fraction, solve_congruence
 
 
 def test_canonical_form_on_construction():
@@ -152,6 +139,7 @@ def test_solve_congruence_examples():
     assert solve_congruence(3, 6, 9) == Residue(2, 3)
     with pytest.raises(NoSolution):
         solve_congruence(3, 1, 9)
+    assert issubclass(NoSolution, DomainError)
     with pytest.raises(ValueError):
         solve_congruence(1, 1, 6)
 
@@ -169,13 +157,18 @@ def test_solve_congruence_against_brute_force(a, b, k):
     assert brute == list(range(sol.value, n, sol.modulus))
 
 
-@given(st.integers(-10**30, 10**30), st.integers(0, 300), st.integers(0, 10**6))
+@given(st.integers(-(2**900), 2**900), st.integers(0, 700), st.integers(0, 2**900))
+@example(-1, 700, 2**900 - 1)
 def test_integer_residue_matches_dyadic_mod_odd(n, k, half):
     # the residue hat_of computes on integers, n / 2**k mod an odd j: the
-    # r in [0, j) with r * 2**k = n (mod j)
+    # r in [0, j) with r * 2**k = n (mod j), lifted to an odd i in 1..2j-1.
+    # On the base (0, 0) -> (2**k, 0) the Bezout row is (1, 0) and m = 1,
+    # so the apex (n, 1) gives the residue of n, divided by the 2-adic step.
     j = 2 * half + 1
+    (i, jj, m), _ = _edge_hats(j, 0, 0, 1 << k, 0, n, 1)
     r = n * pow(2, -k, j) % j
-    assert 0 <= r < j and (r * 2**k - n) % j == 0
+    assert (jj, m) == (j, 1) and i % 2 == 1 and 1 <= i <= 2 * j - 1
+    assert i % j == r and (r * 2**k - n) % j == 0
 
 
 def test_residue_validation():

@@ -291,6 +291,7 @@ def test_from_scaled_refuses_a_wrong_count_or_a_non_int_with_not_dyadic():
         ((0, 0, "1", 0, 0, 1), 0, "values must be integers, got str"),
         ((0, 0, 1, 0, 0, 1), 0.5, "exponent must be an integer, got float"),
         ((0, 0, 2, 0, 0, 2), 0.5, "exponent must be an integer, got float"),
+        (5, 0, "values must be a sequence of integers, got int"),
     ):
         with pytest.raises(NotDyadic, match=fault):
             Triangle.from_scaled(ints, e)
@@ -300,6 +301,8 @@ def test_from_scaled_refuses_a_wrong_count_or_a_non_int_with_not_dyadic():
         ((linear, ((0,), 0)), "got 4 and 1"),
         ((((1, 0, 0, 1.5), 0), translation), "values must be integers, got float"),
         ((linear, ((0, 0), 1.0)), "exponent must be an integer, got float"),
+        (((1, 0, 0, 1), ((0, 0), 0)), r"needs \(integers, exponent\) pairs"),
+        ((linear, 5), r"needs \(integers, exponent\) pairs"),
     ):
         with pytest.raises(NotDyadic, match=fault):
             AffineMap.from_scaled(*scaled)

@@ -21,10 +21,18 @@ from dyhat import (
 )
 from dyhat.errors import InconsistencyError, InvalidHat
 from dyhat.geometry import Point2
-from dyhat.hats import _reduce_roles, role_triples
+from dyhat.hats import ROLE_ORDERS, _reduce_roles, role_triples
 
 import tutil
-from reference import IDENTITY, affine, apply, pointed_canonical, reordered, transformed
+from reference import (
+    IDENTITY,
+    affine,
+    apply,
+    hat_by_inverse,
+    pointed_canonical,
+    reordered,
+    transformed,
+)
 
 D = DyadicRational
 
@@ -270,6 +278,46 @@ def test_shared_edge_reduction_on_unit_map_images_of_the_15_grid():
 @given(st.one_of(tutil.triangles, tutil.large_triangles, tutil.huge_triangles))
 def test_shared_edge_reduction_matches_unshared_hats(t):
     _check_shared_edges(t)
+
+
+
+def _check_against_the_inverse(t):
+    """hat_of under each role order, and role_triples, against
+    reference.hat_by_inverse, which divides by 2**v with an inverse modulo
+    j; returns each order's v."""
+    found = [hat_by_inverse(t, roles) for roles in ROLE_ORDERS]
+    for roles, (hat, _) in zip(ROLE_ORDERS, found):
+        assert tuple(hat_of(t, roles)) == hat, (t, roles)
+    assert role_triples(t) == tuple(EncodingTriple(*hat) for hat, _ in found)
+    return [v for _, v in found]
+
+
+def test_two_adic_division_matches_the_inverse_on_unit_map_images_of_the_31_grid():
+    """A seeded unit-map image of every representative hat with j, m <= 31;
+    the maps' power-of-two denominators give edges with v > 0."""
+    rng = random.Random(2031)
+    vs = []
+    for j in range(1, 32, 2):
+        for m in range(1, 32, 2):
+            for i in range(1, 2 * j, 2):
+                image = transformed(Hat(i, j, m).triangle(), tutil.rand_unit_map(rng))
+                vs += _check_against_the_inverse(image)
+    assert sum(v > 0 for v in vs) > len(vs) // 4
+    assert 0 in vs
+
+
+def test_two_adic_division_matches_the_inverse_on_large_pairs():
+    vs = []
+    for pair in tutil.large_iso_pairs(random.Random(2032), 100):
+        for t in pair:
+            vs += _check_against_the_inverse(t)
+    assert sum(v > 0 for v in vs) > len(vs) // 4
+    assert max(vs) > 1
+
+
+@given(tutil.huge_triangles)
+def test_two_adic_division_matches_the_inverse_on_huge_triangles(t):
+    _check_against_the_inverse(t)
 
 
 def test_normalize_raises_when_no_witness_exists(monkeypatch):

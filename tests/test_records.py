@@ -1,5 +1,6 @@
 """The value records: Residue, Point2, Matrix2, Hat, EncodingTriple, AutGroup,
 IsoResult, CensusRow, CensusReport, Normalization and Correspondence.
+Residue now lives in the tests' reference module, a dyadic.Record still.
 
 The first nine were frozen dataclasses and the last two typing.NamedTuple
 classes; the reprs below were captured from that code.
@@ -19,13 +20,12 @@ import hypothesis.strategies as st
 
 from dyhat import AffineMap, DyadicRational as D, EncodingTriple, Hat
 from dyhat.classify import AutGroup, CensusReport, CensusRow, IsoResult
-from dyhat.dyadic import Residue
 from dyhat.errors import InvalidHat
 from dyhat.geometry import Matrix2, Point2
 from dyhat.hats import Normalization
 from dyhat.oracle import Correspondence
 
-from reference import validate_encoding_triple
+from reference import Residue, validate_encoding_triple
 
 #: The witness of case c from T 1 3 5 to T 5 15 1.
 _MAP = AffineMap.from_scaled(((1, 0, 3, -1), 0), ((0, 0), 0))

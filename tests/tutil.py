@@ -175,3 +175,32 @@ def _reachable_names(fn, seen=None):
                 if isinstance(member, types.FunctionType):
                     names |= _reachable_names(member, seen)
     return names
+
+
+def shared_factor_hat(rng, bits):
+    """A hat with parameters of up to about 3*bits bits that share an odd
+    factor c: j and m are c times 1 or a random odd, and i a random multiple
+    of c, m or j, so that gcd(i, j) and gcd(m - i, j) exceed 1 and often
+    equal m or j."""
+    c = rng.getrandbits(rng.randrange(1, bits)) | 1
+    j = c * rng.choice([1, rng.getrandbits(bits) | 1])
+    m = c * rng.choice([1, 3, rng.getrandbits(bits) | 1])
+    i = rng.choice([c, m, j]) * rng.randrange(-(2**bits), 2**bits)
+    return Hat(i, j, m)
+
+
+def large_iso_pairs(rng, count, bits=100):
+    """count pairs of triangles with coordinates of hundreds of bits and
+    power-of-two denominators, alternately isomorphic and not.  Each side
+    is a vertex-shuffled image of a shared_factor_hat under rand_unit_map;
+    a positive pair maps one hat twice, a negative pair maps it and the hat
+    with i moved by 2 (which may still be isomorphic)."""
+    pairs = []
+    for k in range(count):
+        h = shared_factor_hat(rng, bits)
+        other = h if k % 2 == 0 else Hat(h.i + 2, h.j, h.m)
+        pairs.append(tuple(
+            Triangle(tuple(rng.sample(transformed(g.triangle(), rand_unit_map(rng)).vertices, 3)))
+            for g in (h, other)
+        ))
+    return pairs
