@@ -24,7 +24,7 @@ from collections import namedtuple
 from .dyadic import Record, odd_gcd
 from .errors import InconsistencyError, InvalidBounds, InvalidHat
 from .geometry import Triangle
-from .hats import CANONICAL_KEY, EncodingTriple, Hat, role_triples
+from .hats import CANONICAL_KEY, Hat, role_triples
 from .oracle import (
     CASES,
     CORRESPONDENCES,
@@ -137,11 +137,12 @@ def automorphism_group(h: Hat) -> AutGroup:
     return AutGroup(tag, tuple((_PERM_LABEL[corr.case], f) for corr, f in realized))
 
 
-def iso_case(h1: Hat, h2: Hat, case: str) -> bool:
+def iso_case(h1: tuple[int, int, int], h2: tuple[int, int, int], case: str) -> bool:
     """Test one of the six hat-to-hat correspondence criteria.
 
-    h1 = (i, j, m) and h2 = (k, l, n) may be almost representative (even i
-    or k allowed).  Cases "a"/"b" keep the base and apex; the other four
+    h1 = (i, j, m) and h2 = (k, l, n) are hats, encoding triples or plain
+    (i, j, m) triples, and may be almost representative (even i or k
+    allowed).  Cases "a"/"b" keep the base and apex; the other four
     exchange roles, forcing n = gcd(side, j) and l = mj/n, with k confined
     to a residue class mod l: k = x*m (cases c, d) or n - k = x*m (e, f)
     for an x with x * (side/n) = 1 mod j/n.  As side/n is prime to j/n,
@@ -150,8 +151,7 @@ def iso_case(h1: Hat, h2: Hat, case: str) -> bool:
     """
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}")
-    i, j, m = h1.i, h1.j, h1.m
-    k, l, n = h2.i, h2.j, h2.m
+    (i, j, m), (k, l, n) = h1, h2
 
     if case == "a":
         return l == j and n == m and (k - i) % j == 0
@@ -176,29 +176,25 @@ class IsoResult(Record, namedtuple("IsoResult", "isomorphic case witness")):
 def isomorphic(t1: Triangle, t2: Triangle) -> IsoResult:
     """Decide whether two triangles are isomorphic over the dyadics.
 
-    Three independent criteria routes (canonical triples, triple overlap,
-    hat case analysis) must agree; the witness map comes from the oracle,
-    run on t1 and t2 themselves when the routes say isomorphic.  One
-    role_triples reduction per triangle gives both its hat (entry 0, the
-    identity order) and its triple set; the oracle shares no code with that
-    reduction.
+    Three criteria routes (canonical triples, triple overlap, hat case
+    analysis) share one role_triples reduction per triangle: entry 0, the
+    identity order, is its hat, and the six entries its triples.  The
+    independent check is the oracle, which shares no code with that
+    reduction: it runs on t1 and t2 themselves on every call, sees every
+    verdict, and gives the witness map.  The three routes and the oracle
+    must agree.
     """
     roles1, roles2 = role_triples(t1), role_triples(t2)
     by_canonical = min(roles1, key=CANONICAL_KEY) == min(roles2, key=CANONICAL_KEY)
     by_overlap = not frozenset(roles1).isdisjoint(roles2)
-    h1, h2 = Hat(*roles1[0]), Hat(*roles2[0])
-    case = next((c for c in CASES if iso_case(h1, h2, c)), None)
-    if not (by_canonical == by_overlap == (case is not None)):
+    case = next((c for c in CASES if iso_case(roles1[0], roles2[0], c)), None)
+    found = oracle_isomorphic(t1, t2)
+    if not (by_canonical == by_overlap == (case is not None) == (found is not None)):
         raise InconsistencyError(
             f"isomorphism routes disagree: canonical {by_canonical}, "
-            f"overlap {by_overlap}, case {case}"
+            f"overlap {by_overlap}, case {case}, oracle {found is not None}"
         )
-    if not by_canonical:
-        return IsoResult(False, None, None)
-    found = oracle_isomorphic(t1, t2)
-    if found is None:
-        raise InconsistencyError("oracle failed to confirm a criteria isomorphism")
-    return IsoResult(True, case, found[1])
+    return IsoResult(by_canonical, case, found and found[1])
 
 
 def isomorphic_hats(h1: Hat, h2: Hat) -> IsoResult:
@@ -235,8 +231,8 @@ class CensusReport(Record, namedtuple("CensusReport", "j_max m_max rows")):
 def _census_cell(cell: tuple[int, int]) -> CensusRow:
     """One (j, m) work unit: every hat with i odd in 1..2j-1."""
     j, m = cell
-    pointed: set[EncodingTriple] = set()
-    canonical: set[EncodingTriple] = set()
+    pointed: set[tuple[int, int, int]] = set()
+    canonical: set[tuple[int, int, int]] = set()
     counts = dict.fromkeys(GROUP_TAGS, 0)
     orbit_ok = True
     for i in range(1, 2 * j, 2):

@@ -14,13 +14,16 @@ other.  normalize also returns the witness map, solved by the oracle's
 solve_correspondence, the one Cramer solve.  Hat, EncodingTriple and
 Normalization are dyadic.Record values; EncodingTriple alone adds an
 order, the canonical (j, m, i) order, which CANONICAL_KEY states as a
-C-level key.
+C-level key.  Triples are plain ints inside the package; records are
+built at the exports: role_triples returns (i, j, m) tuples, and
+all_encoding_triples and canonical_form build an EncodingTriple only for
+each triple they return.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import permutations, starmap
+from itertools import permutations
 from operator import itemgetter
 
 from .dyadic import Record, egcd, odd_part, val2
@@ -109,7 +112,7 @@ class Normalization(Record, namedtuple("Normalization", "hat witness")):
 IDENTITY_ROLES = (0, 1, 2)
 
 #: The six vertex role orders, which hat_of and normalize accept, in the
-#: order that _reduce_roles and role_triples return their hats.
+#: order that role_triples returns their triples.
 ROLE_ORDERS = tuple(permutations(range(3)))
 
 
@@ -118,7 +121,7 @@ def _edge_hats(
 ) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """(i, j, m) of the representative hats of the orders (o, a, b) and
     (b, a, o), from the integer coordinates of o, b and a and the odd part
-    odd of twice the area; see _reduce_roles.
+    odd of twice the area; see role_triples.
 
     The residue is divided by 2**v modulo j without an inverse modulo j:
     adding q*j with q = -r / j mod 2**v makes r divisible by 2**v, and the
@@ -136,9 +139,10 @@ def _edge_hats(
     return (r if r % 2 else r + j, j, m), (back if back % 2 else back + j, j, m)
 
 
-def _reduce_roles(tri: Triangle) -> tuple[tuple[int, int, int], ...]:
+def role_triples(tri: Triangle) -> tuple[tuple[int, int, int], ...]:
     """(i, j, m) of the representative hat for each vertex role order, in
-    ROLE_ORDERS order.
+    ROLE_ORDERS order: entry 0, the identity order, is the pointed class,
+    the i, j, m of hat_of(tri).
 
     An order (o, a, b) sends vertex o to the origin, a to the apex (i, j)
     and b to (m, 0).  It reads the integer coordinates the triangle already
@@ -152,7 +156,8 @@ def _reduce_roles(tri: Triangle) -> tuple[tuple[int, int, int], ...]:
     The reversed order (b, a, o) has the same apex and the residue
     (m - r) mod j: with the row (-s, -t) of (-A, -B) and the apex taken
     relative to b = o + (A, B), the numerator is s*A + t*B - (s*p + t*q) =
-    g - (s*p + t*q).
+    g - (s*p + t*q).  Each triple is an encoding triple by construction (m
+    divides odd, and i is lifted from r in [0, j)), so no record checks it.
     """
     (x0, y0, x1, y1, x2, y2), _ = tri.scaled_coords()
     odd = abs(odd_part((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)))
@@ -167,7 +172,7 @@ def hat_of(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> Hat:
 
     roles picks which vertex plays which part: vertices[roles[0]] goes to
     the origin, vertices[roles[1]] to the apex (i, j) and vertices[roles[2]]
-    to (m, 0); see _reduce_roles.  roles that are not one of the six orders
+    to (m, 0); see role_triples.  roles that are not one of the six orders
     of (0, 1, 2) raise ValueError.
     """
     if tuple(roles) not in ROLE_ORDERS:
@@ -193,18 +198,11 @@ def normalize(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> No
     return Normalization(hat, witness)
 
 
-def role_triples(tri: Triangle) -> tuple[EncodingTriple, ...]:
-    """The encoding triple of each of the six vertex role orders, in
-    ROLE_ORDERS order: entry 0, the identity order, is the
-    pointed class, the i, j, m of hat_of(tri)."""
-    return tuple(starmap(EncodingTriple, _reduce_roles(tri)))
-
-
 def all_encoding_triples(tri: Triangle) -> frozenset[EncodingTriple]:
     """Encoding triples over all six vertex role assignments (1 to 6 values)."""
-    return frozenset(role_triples(tri))
+    return frozenset(EncodingTriple(*t) for t in set(role_triples(tri)))
 
 
 def canonical_form(tri: Triangle) -> EncodingTriple:
     """The least encoding triple in the canonical (j, m, i) order."""
-    return min(role_triples(tri), key=CANONICAL_KEY)
+    return EncodingTriple(*min(role_triples(tri), key=CANONICAL_KEY))

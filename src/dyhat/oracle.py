@@ -10,12 +10,12 @@ stored integers in correspondence order; the target's determinant is the
 odd part in the target's own cramer_source, up to sign, since reordering
 the vertices changes only its sign.  realized_correspondences is the one
 loop over the six correspondences, and oracle_isomorphic takes its first
-item; all six solves still run.  A solved map is stored as integers
-(AffineMap.from_scaled); its linear part and translation are built only
-when read.  hats.normalize solves its witness through solve_correspondence
-too, after hat_of has found the hat.  This route shares no logic with the
-number-theoretic criteria or with hats.hat_of, so each side checks the
-other.
+item, so its solves stop at the first hit.  A solved map is stored as
+integers (AffineMap.from_scaled); its linear part and translation are
+built only when read.  hats.normalize solves its witness through
+solve_correspondence too, after hat_of has found the hat.  This route
+shares no logic with the number-theoretic criteria or with hats.hat_of,
+so each side checks the other.
 """
 
 from __future__ import annotations
@@ -50,7 +50,9 @@ CASES = tuple(c.case for c in CORRESPONDENCES)
 
 
 def perm_label(perm: tuple[int, int, int]) -> str:
-    """Images of A, B, C as a letter string, e.g. (0, 2, 1) -> "ACB"."""
+    """perm's entries as vertex letters, e.g. (0, 2, 1) -> "ACB": the images
+    of A, B and C for a correspondence (aut), and the vertices sent to
+    (0, 0), (i, j) and (m, 0) for a role order (normalize)."""
     return "".join("ABC"[k] for k in perm)
 
 

@@ -16,10 +16,12 @@ import hypothesis.strategies as st
 
 from dyhat import (
     DyadicRational,
+    EncodingTriple,
     Hat,
     Triangle,
     all_encoding_triples,
     automorphism_group,
+    canonical_form,
     census,
     isomorphic,
     isomorphic_hats,
@@ -35,10 +37,11 @@ from dyhat.classify import (
     aut_fix_C,
     iso_case,
 )
-from dyhat.dyadic import odd_gcd
+from dyhat.cli import parse_shape
+from dyhat.dyadic import egcd, odd_gcd, val2
 from dyhat.errors import InconsistencyError, InvalidBounds, InvalidHat
 from dyhat.hats import hat_of
-from dyhat import classify, dyadic, hats, oracle
+from dyhat import classify, cli, dyadic, hats, oracle
 from dyhat.oracle import CASES, CORRESPONDENCES, perm_label, realized_correspondences
 
 import tutil
@@ -56,6 +59,8 @@ from reference import (
 from tutil import _reachable_names
 
 D = DyadicRational
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 # hat params -> (fix A, fix B, fix C, 3-cycle); every row checked by hand
 CRITERIA_TABLE = {
@@ -201,6 +206,42 @@ def test_lying_case_test_raises_inconsistency(monkeypatch):
         isomorphic_hats(Hat(1, 3, 5), Hat(5, 15, 1))
 
 
+def test_lying_oracle_raises_inconsistency_both_ways(monkeypatch):
+    # an oracle that denies an isomorphism the criteria find, and one that
+    # claims an isomorphism where the criteria find none
+    monkeypatch.setattr(classify, "oracle_isomorphic", lambda t1, t2: None)
+    with pytest.raises(InconsistencyError):
+        isomorphic_hats(Hat(1, 3, 5), Hat(5, 15, 1))
+    monkeypatch.setattr(classify, "oracle_isomorphic",
+                        lambda t1, t2: (CORRESPONDENCES[0], IDENTITY))
+    with pytest.raises(InconsistencyError):
+        isomorphic_hats(Hat(3, 27, 21), Hat(39, 27, 21))
+    assert cli.run(["iso", "T 3 27 21", "T 39 27 21"]) == 5
+
+
+def _edge_hats_without_the_two_adic_step(odd, ox, oy, bx, by, ax, ay):
+    """hats._edge_hats with the division by 2**v left out: a faulty
+    reduction that all three criteria routes read."""
+    g, s, t = egcd(bx - ox, by - oy)
+    m = g >> val2(g)
+    j = odd // m
+    r = (s * (ax - ox) + t * (ay - oy)) % j
+    back = (m - r) % j
+    return (r if r % 2 else r + j, j, m), (back if back % 2 else back + j, j, m)
+
+
+def test_a_faulty_reduction_is_caught_by_the_oracle(monkeypatch):
+    """Line 9 of the pinned large pairs is isomorphic, and its edges have
+    v > 0: without the 2-adic step the three criteria routes agree on "not
+    isomorphic", and the oracle, which sees every verdict, refutes them."""
+    line = (FIXTURES / "iso_large_pairs.txt").read_text(encoding="utf-8").splitlines()[8]
+    t1, t2 = map(parse_shape, line.split("|"))
+    assert isomorphic(t1, t2).isomorphic
+    monkeypatch.setattr(hats, "_edge_hats", _edge_hats_without_the_two_adic_step)
+    with pytest.raises(InconsistencyError, match="oracle True"):
+        isomorphic(t1, t2)
+
+
 def test_iso_case_fixtures():
     h = Hat(1, 3, 5)
     cases = lambda other: [c for c in "abcdef" if iso_case(h, other, c)]
@@ -338,7 +379,7 @@ def test_isomorphic_takes_an_odd_modulus_inverse_only_in_egcd(monkeypatch):
 
         monkeypatch.setattr(module, "pow", spy, raising=False)
     t1, t2 = tutil.large_iso_pairs(random.Random(33), 8)[7]
-    # on the bases of _reduce_roles, the edges 0-2, 0-1 and 1-2, v > 0, and
+    # on the bases of role_triples, the edges 0-2, 0-1 and 1-2, v > 0, and
     # egcd inverts modulo |y / gcd|, which is not a power of two
     for t in (t1, t2):
         n, _ = t.scaled_coords()
@@ -464,13 +505,17 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_one_role_reduction_per_triangle_and_every_route_runs(monkeypatch):
-    reductions = _count_calls(monkeypatch, hats, "_reduce_roles")
+    reductions = _count_calls(monkeypatch, classify, "role_triples")
     cases = _count_calls(monkeypatch, classify, "iso_case")
     solves = _count_calls(monkeypatch, classify, "oracle_isomorphic")
     t1, t2 = Hat(1, 3, 5).triangle(), Hat(5, 15, 1).triangle()
     assert isomorphic(t1, t2).case == "c"
     assert reductions == [(t1,), (t2,)]
     assert [case for _, _, case in cases] == ["a", "b", "c"]
+    assert len(solves) == 1
+    # the oracle sees a "not isomorphic" verdict too
+    solves.clear()
+    assert not isomorphic(Hat(3, 27, 21).triangle(), Hat(39, 27, 21).triangle()).isomorphic
     assert len(solves) == 1
     # a census hat is reduced once, and still gets its six oracle solves
     reductions.clear()
@@ -594,6 +639,27 @@ def test_census_builds_no_dyadic_rational_and_skips_no_solve(monkeypatch):
     # positive control: reading a witness's views does build dyadics
     normalize(Hat(5, 15, 1).triangle()).witness.linear
     assert len(built) == 4
+
+
+def test_census_and_isomorphic_build_no_encoding_triple(monkeypatch):
+    built = []
+    new = EncodingTriple.__new__
+
+    def counted_new(cls, *args):
+        built.append(args)
+        return new(cls, *args)
+
+    monkeypatch.setattr(EncodingTriple, "__new__", counted_new)
+    assert census(15, 15).ok
+    for t1, t2 in tutil.large_iso_pairs(random.Random(21), 20):
+        isomorphic(t1, t2)
+    assert isomorphic_hats(Hat(1, 3, 5), Hat(11, 15, 1)).case == "e"
+    assert built == []
+    # positive control: the exports build one record per triple they return
+    assert canonical_form(Hat(1, 3, 5).triangle()) == EncodingTriple(1, 3, 5)
+    assert len(built) == 2
+    assert len(all_encoding_triples(Hat(1, 3, 5).triangle())) == 3
+    assert len(built) == 5
 
 
 #: sha256 of the reprs below, recorded before Triangle and AffineMap were

@@ -21,7 +21,7 @@ from dyhat import (
 )
 from dyhat.errors import InconsistencyError, InvalidHat
 from dyhat.geometry import Point2
-from dyhat.hats import ROLE_ORDERS, _reduce_roles, role_triples
+from dyhat.hats import ROLE_ORDERS, role_triples
 
 import tutil
 from reference import (
@@ -233,17 +233,19 @@ def _unshared_hats(t):
 
 def _check_shared_edges(t):
     """The shared-edge reduction against _unshared_hats; returns the triples.
-    role_triples lists each order's triple, entry 0 being the pointed class
-    of hat_of, and all_encoding_triples is their set."""
+    role_triples lists each order's (i, j, m), entry 0 being the pointed
+    class of hat_of, each one an EncodingTriple's fields (the record's
+    checks run on every triple here), and all_encoding_triples is their
+    set."""
     unshared = _unshared_hats(t)
     for roles, hat in zip(permutations((0, 1, 2)), unshared):
         assert hat_of(t, roles) == hat, (t, roles)
-    assert _reduce_roles(t) == tuple((h.i, h.j, h.m) for h in unshared)
     roles = role_triples(t)
-    assert roles == tuple(EncodingTriple(h.i, h.j, h.m) for h in unshared)
-    assert roles[0] == pointed_canonical(hat_of(t))
+    assert roles == tuple((h.i, h.j, h.m) for h in unshared)
+    records = [EncodingTriple(*triple) for triple in roles]
+    assert records[0] == pointed_canonical(hat_of(t))
     triples = all_encoding_triples(t)
-    assert triples == {EncodingTriple(h.i, h.j, h.m) for h in unshared}
+    assert triples == set(records)
     return triples
 
 
@@ -288,7 +290,10 @@ def _check_against_the_inverse(t):
     found = [hat_by_inverse(t, roles) for roles in ROLE_ORDERS]
     for roles, (hat, _) in zip(ROLE_ORDERS, found):
         assert tuple(hat_of(t, roles)) == hat, (t, roles)
-    assert role_triples(t) == tuple(EncodingTriple(*hat) for hat, _ in found)
+    roles = role_triples(t)
+    assert roles == tuple(hat for hat, _ in found)
+    for triple in roles:
+        EncodingTriple(*triple)
     return [v for _, v in found]
 
 
