@@ -17,7 +17,10 @@ order, the canonical (j, m, i) order, which CANONICAL_KEY states as a
 C-level key.  Triples are plain ints inside the package; records are
 built at the exports: role_triples returns (i, j, m) tuples, and
 all_encoding_triples and canonical_form build an EncodingTriple only for
-each triple they return.
+each triple they return.  classify.isomorphic hands every verdict to the
+oracle, which checks the reduction there; a census is not checked by the
+oracle, only by CensusRow.ok (the pointed count and the orbit identity)
+and, in the tests, by the grid and census digests.
 """
 
 from __future__ import annotations

@@ -492,8 +492,8 @@ def test_isomorphic_answers_on_large_coordinates(t, f, other):
     _check_isomorphic(t, other)
 
 
-def _count_calls(monkeypatch, module, name):
-    calls = []
+def _count_calls(monkeypatch, module, name, calls=None):
+    calls = [] if calls is None else calls
     original = getattr(module, name)
 
     def counted(*args):
@@ -505,7 +505,10 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_one_role_reduction_per_triangle_and_every_route_runs(monkeypatch):
+    # the reduction under both of its names: classify's import, and the hats
+    # global that all_encoding_triples and canonical_form look up
     reductions = _count_calls(monkeypatch, classify, "role_triples")
+    _count_calls(monkeypatch, hats, "role_triples", reductions)
     cases = _count_calls(monkeypatch, classify, "iso_case")
     solves = _count_calls(monkeypatch, classify, "oracle_isomorphic")
     t1, t2 = Hat(1, 3, 5).triangle(), Hat(5, 15, 1).triangle()
