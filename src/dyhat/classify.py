@@ -3,16 +3,17 @@
 Everything here is decided by integer divisibility criteria on hat
 parameters; witnesses and cross-checks come from the exact oracle, and the
 two routes must agree on every call (a disagreement is a defect, surfaced
-as an InconsistencyError).  A hat's automorphism group is one of the six
-subgroups of S3: the outcome of the four automorphism criteria must be one
-of the six rows of one table, and the oracle must realize exactly that
-row's self-correspondences.  isomorphic is the one isomorphism decision:
-isomorphic_hats runs it on the hats' triangles.  A census cell decides each
-hat's group with automorphism_group itself, the same call the aut command
-makes.  The results (AutGroup, IsoResult, CensusRow, CensusReport) are
-dyadic.Record values.  The process pool is imported only when a census runs
-pooled, so the other commands never load concurrent.futures.process or
-multiprocessing.
+as an InconsistencyError).  iso_case runs the six case tests in one pass
+and returns every case that holds.  An automorphism is a self-isomorphism:
+the cases iso_case finds between a hat and itself must key one row of a
+six-row table, one row per subgroup of S3, and the oracle must realize
+exactly those self-correspondences.  isomorphic is the one isomorphism
+decision: isomorphic_hats runs it on the hats' triangles.  A census cell
+decides each hat's group with automorphism_group itself, the same call the
+aut command makes.  The results (AutGroup, IsoResult, CensusRow,
+CensusReport) are dyadic.Record values.  The process pool is imported only
+when a census runs pooled, so the other commands never load
+concurrent.futures.process or multiprocessing.
 """
 
 from __future__ import annotations
@@ -21,31 +22,30 @@ import math
 import os
 from collections import namedtuple
 
-from .dyadic import Record, odd_gcd
+from .dyadic import Record
 from .errors import InconsistencyError, InvalidBounds, InvalidHat
 from .geometry import Triangle
 from .hats import CANONICAL_KEY, Hat, role_triples
 from .oracle import (
-    CASES,
     CORRESPONDENCES,
     oracle_isomorphic,
     perm_label,
     realized_correspondences,
 )
 
-#: The six subgroups of S3, keyed by the criteria's outcome (aut_fix_A,
-#: aut_fix_B, aut_fix_C, aut_cycle): each row is the group's tag and the
-#: oracle.CORRESPONDENCES cases its elements realize, "a" the identity.
-_GROUP_OF_CRITERIA = {
-    (False, False, False, False): ("Trivial", frozenset("a")),
-    (True, False, False, False): ("C2", frozenset("ac")),
-    (False, True, False, False): ("C2", frozenset("ab")),
-    (False, False, True, False): ("C2", frozenset("af")),
-    (False, False, False, True): ("C3", frozenset("ade")),
-    (True, True, True, True): ("S3", frozenset("abcdef")),
+#: The six subgroups of S3, keyed by the cases that iso_case finds between
+#: a hat and itself: each key is the oracle.CORRESPONDENCES cases, in that
+#: order, that the group's elements realize, "a" the identity.
+_GROUP_OF_CASES = {
+    "a": "Trivial",
+    "ab": "C2",
+    "ac": "C2",
+    "af": "C2",
+    "ade": "C3",
+    "abcdef": "S3",
 }
 
-GROUP_ORDER = {tag: len(cases) for tag, cases in _GROUP_OF_CRITERIA.values()}
+GROUP_ORDER = {tag: len(cases) for cases, tag in _GROUP_OF_CASES.items()}
 
 GROUP_TAGS = tuple(GROUP_ORDER)
 
@@ -54,48 +54,6 @@ _PERM_LABEL = {corr.case: perm_label(corr.perm) for corr in CORRESPONDENCES}
 
 #: Most (j, m) cells that one census may sweep: the 1023x1023 grid.
 MAX_CENSUS_CELLS = 512 * 512
-
-
-def _require_representative(h: Hat) -> None:
-    if not h.is_representative:
-        raise InvalidHat(f"criteria require a representative hat (odd i), got i={h.i}")
-
-
-def aut_fix_B(h: Hat) -> bool:
-    """Automorphism fixing the apex and swapping the base vertices: j | 2i - m."""
-    _require_representative(h)
-    return (2 * h.i - h.m) % h.j == 0
-
-
-def aut_fix_A(h: Hat) -> bool:
-    """Automorphism fixing the origin: m | i, m | j and mj | m*m - i*i."""
-    _require_representative(h)
-    i, j, m = h.i, h.j, h.m
-    return i % m == 0 and j % m == 0 and (m * m - i * i) % (m * j) == 0
-
-def aut_fix_C(h: Hat) -> bool:
-    """Automorphism fixing (m, 0); needs m | i, m | j and k'^2 = 1 (mod l')
-    for k' = (m - i + j)/m, l' = j/m."""
-    _require_representative(h)
-    i, j, m = h.i, h.j, h.m
-    if i % m or j % m:
-        return False
-    k = (m - i + j) // m
-    l = j // m
-    return (k * k - 1) % l == 0
-
-
-def aut_cycle(h: Hat) -> bool:
-    """Order-3 automorphism; needs boundary (m, m, m) and l | k*k - k + 1
-    for k = i/m, l = j/m."""
-    _require_representative(h)
-    i, j, m = h.i, h.j, h.m
-    # the side types of (0,0), (i,j), (m,0) are (odd_gcd(i, j), odd_gcd(m - i, j), m)
-    if odd_gcd(i, j) != m or odd_gcd(m - i, j) != m:
-        return False
-    k = i // m
-    l = j // m
-    return (k * k - k + 1) % l == 0
 
 
 class AutGroup(Record, namedtuple("AutGroup", "tag witnesses")):
@@ -112,63 +70,73 @@ class AutGroup(Record, namedtuple("AutGroup", "tag witnesses")):
 def automorphism_group(h: Hat) -> AutGroup:
     """Assemble the automorphism group of a representative hat.
 
-    An automorphism is a self-isomorphism.  The four criteria's outcome
-    must be one of the six rows of _GROUP_OF_CRITERIA, one per subgroup of
-    S3, and the oracle's self-correspondence solver must realize exactly
-    that row's cases; the tag is the row's and the witnesses come from the
-    oracle.
+    An automorphism is a self-isomorphism.  The cases that iso_case finds
+    between h and itself must be a key of _GROUP_OF_CASES, one per subgroup
+    of S3, and the oracle's self-correspondence solver must realize exactly
+    those cases; the tag is the table's entry for them and the witnesses
+    come from the oracle.
     """
-    outcome = (aut_fix_A(h), aut_fix_B(h), aut_fix_C(h), aut_cycle(h))
-    row = _GROUP_OF_CRITERIA.get(outcome)
-    if row is None:
+    if not h.is_representative:
+        raise InvalidHat(f"criteria require a representative hat (odd i), got i={h.i}")
+    cases = iso_case(h, h)
+    tag = _GROUP_OF_CASES.get(cases)
+    if tag is None:
         raise InconsistencyError(
-            f"criteria (fix A, fix B, fix C, cycle) = {outcome} "
-            f"give no subgroup of S3: {h}"
+            f"cases {cases!r} of {h} and itself give no subgroup of S3"
         )
-    tag, expected = row
     tri = h.triangle()
     realized = tuple(realized_correspondences(tri, tri))
-    found = {corr.case for corr, _ in realized}
-    if found != expected:
+    found = "".join(corr.case for corr, _ in realized)
+    if found != cases:
         raise InconsistencyError(
-            f"criteria and oracle disagree on {h}: criteria {sorted(expected)}, "
-            f"oracle {sorted(found)}"
+            f"criteria and oracle disagree on {h}: criteria {list(cases)}, "
+            f"oracle {list(found)}"
         )
     return AutGroup(tag, tuple((_PERM_LABEL[corr.case], f) for corr, f in realized))
 
 
-def iso_case(h1: tuple[int, int, int], h2: tuple[int, int, int], case: str) -> bool:
-    """Test one of the six hat-to-hat correspondence criteria.
+def iso_case(h1: tuple[int, int, int], h2: tuple[int, int, int]) -> str:
+    """Every hat-to-hat correspondence case that holds, as letters in
+    oracle.CASES order ("" when none).
 
     h1 = (i, j, m) and h2 = (k, l, n) are hats, encoding triples or plain
     (i, j, m) triples, and may be almost representative (even i or k
     allowed).  Cases "a"/"b" keep the base and apex; the other four
     exchange roles, forcing n = gcd(side, j) and l = mj/n, with k confined
     to a residue class mod l: k = x*m (cases c, d) or n - k = x*m (e, f)
-    for an x with x * (side/n) = 1 mod j/n.  As side/n is prime to j/n,
-    that class is tested by one multiplication, with no inverse taken:
-    m divides rest (k or n - k) and rest/m * (side/n) = 1 mod j/n.
+    for an x with x * (side/n) = 1 mod j/n, where side is i (c, e) or
+    m - i (d, f).  As side/n is prime to j/n, that class is tested by one
+    multiplication, with no inverse taken: m divides rest (k or n - k) and
+    rest/m * (side/n) = 1 mod j/n.
     """
-    if case not in CASES:
-        raise ValueError(f"unknown case {case!r}")
     (i, j, m), (k, l, n) = h1, h2
-
-    if case == "a":
-        return l == j and n == m and (k - i) % j == 0
-    if case == "b":
-        return l == j and n == m and (k - (m - i)) % j == 0
-
-    side = i if case in ("c", "e") else m - i
-    if n != math.gcd(side, j) or l * n != m * j:
-        return False
-    rest = k if case in ("c", "d") else n - k
-    return rest % m == 0 and (rest // m * (side // n) - 1) % (j // n) == 0
+    found = ""
+    if l == j and n == m:
+        if (k - i) % j == 0:
+            found = "a"
+        if (k - (m - i)) % j == 0:
+            found += "b"
+    if l * n != m * j:
+        return found
+    # side/n for side i (c, e) and side m - i (d, f), or None where n is
+    # not gcd(side, j); c and d test rest k, e and f rest n - k
+    ce = i // n if n == math.gcd(i, j) else None
+    df = (m - i) // n if n == math.gcd(m - i, j) else None
+    for pair, rest in (("cd", k), ("ef", n - k)):
+        if rest % m == 0:
+            x = rest // m
+            if ce is not None and (x * ce - 1) % (j // n) == 0:
+                found += pair[0]
+            if df is not None and (x * df - 1) % (j // n) == 0:
+                found += pair[1]
+    return found
 
 
 class IsoResult(Record, namedtuple("IsoResult", "isomorphic case witness")):
-    """An isomorphism decision: isomorphic (bool), the hat case that holds
-    (a letter of CASES, or None) and the oracle's witness map (an AffineMap,
-    or None); a Record."""
+    """An isomorphism decision: isomorphic (bool), the first in
+    oracle.CASES order of the hat cases that hold (a letter, or None;
+    several may hold) and the oracle's witness map (an AffineMap, or None);
+    a Record."""
 
     __slots__ = ()
 
@@ -187,7 +155,7 @@ def isomorphic(t1: Triangle, t2: Triangle) -> IsoResult:
     roles1, roles2 = role_triples(t1), role_triples(t2)
     by_canonical = min(roles1, key=CANONICAL_KEY) == min(roles2, key=CANONICAL_KEY)
     by_overlap = not frozenset(roles1).isdisjoint(roles2)
-    case = next((c for c in CASES if iso_case(roles1[0], roles2[0], c)), None)
+    case = iso_case(roles1[0], roles2[0])[:1] or None
     found = oracle_isomorphic(t1, t2)
     if not (by_canonical == by_overlap == (case is not None) == (found is not None)):
         raise InconsistencyError(

@@ -7,10 +7,10 @@ value hashes like the int it equals, so it finds that int in a set or dict.
 All operations are exact; anything that would leave the ring raises
 ``NotDyadic``.
 
-The integer helpers beside it, val2, odd_part, odd_gcd and egcd, serve
-the hat reduction and the criteria; egcd's Bezout row takes dyhat's one
-inverse modulo an odd number.  No linear congruence is solved here: the
-isomorphism criteria test a residue class by multiplying, and the
+The integer helpers beside it, val2, odd_part and egcd, serve the hat
+reduction; egcd's Bezout row takes dyhat's one inverse modulo an odd
+number.  No linear congruence is solved here: the isomorphism case tests
+take plain gcds and test a residue class by multiplying, and the
 reduction divides by a power of two with an inverse modulo that power
 (hats._edge_hats).
 
@@ -24,7 +24,7 @@ import math
 import sys
 from typing import Iterable
 
-from .errors import BothZero, DivisionByZero, NotDyadic, ZeroArgument
+from .errors import DivisionByZero, NotDyadic, ZeroArgument
 
 
 class Record:
@@ -77,14 +77,6 @@ def val2(n: int) -> int:
 def odd_part(n: int) -> int:
     """n with all factors of two removed, sign preserved."""
     return n >> val2(n)
-
-
-def odd_gcd(a: int, b: int) -> int:
-    """Largest odd common divisor of a and b (not both zero)."""
-    g = math.gcd(a, b)
-    if g == 0:
-        raise BothZero("odd_gcd(0, 0) is undefined")
-    return odd_part(g)
 
 
 def egcd(a: int, b: int) -> tuple[int, int, int]:

@@ -1,7 +1,8 @@
 """Exceptions shared across the package.
 
 Every input-value failure raises a DomainError subclass, so callers (and the
-command line front end) can tell bad data apart from bugs.
+command line front end) can tell bad data apart from bugs; each class here
+is raised by the package itself.
 """
 
 
@@ -19,10 +20,6 @@ class DivisionByZero(DomainError, ZeroDivisionError):
 
 class ZeroArgument(DomainError):
     """Zero passed where a nonzero value is required."""
-
-
-class BothZero(DomainError):
-    """A gcd-style operation was applied to (0, 0)."""
 
 
 class DegenerateTriangle(DomainError):

@@ -13,6 +13,12 @@ congruence by modular inversion, as dyhat's isomorphism criteria once did;
 the tests check those criteria, which now test the residue class by
 multiplication, against it.  hat_by_inverse is the hat reduction with
 the inverse of 2**v modulo j taken outright, as it once was.
+
+The four automorphism criteria (aut_fix_A, aut_fix_B, aut_fix_C,
+aut_cycle), with odd_gcd and its BothZero, decided automorphism groups
+before dyhat ran its six isomorphism case tests on a hat and itself;
+criteria_row reads a hat's group off them, and the tests check
+classify.automorphism_group against it.
 """
 
 import math
@@ -20,11 +26,11 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from dyhat.dyadic import DyadicRational, Record, common_scale, egcd, odd_gcd, odd_part, val2
+from dyhat.dyadic import DyadicRational, Record, common_scale, egcd, odd_part, val2
 from dyhat.errors import DomainError, InvalidHat, NotDyadic
 from dyhat.geometry import AffineMap, Matrix2, Point2, Triangle
 from dyhat.hats import EncodingTriple, Hat
-from dyhat.oracle import realized_correspondences
+from dyhat.oracle import CORRESPONDENCES, perm_label, realized_correspondences
 
 D = DyadicRational
 HALF = D(1, -1)
@@ -114,6 +120,18 @@ def cross(o: Point2, p: Point2, q: Point2) -> DyadicRational:
 
 def twice_area(t) -> DyadicRational:
     return abs(cross(*t.vertices))
+
+
+class BothZero(DomainError):
+    """A gcd-style operation was applied to (0, 0)."""
+
+
+def odd_gcd(a: int, b: int) -> int:
+    """Largest odd common divisor of a and b (not both zero)."""
+    g = math.gcd(a, b)
+    if g == 0:
+        raise BothZero("odd_gcd(0, 0) is undefined")
+    return odd_part(g)
 
 
 def segment_type(p: Point2, q: Point2) -> int:
@@ -246,3 +264,68 @@ def hat_by_inverse(tri: Triangle, roles: tuple[int, int, int]):
     j = odd // (g >> v)
     r = (s * (ax - ox) + t * (ay - oy)) * pow(2, -v, j) % j
     return (r if r % 2 else r + j, j, g >> v), v
+
+
+def _require_representative(h: Hat) -> None:
+    if not h.is_representative:
+        raise InvalidHat(f"criteria require a representative hat (odd i), got i={h.i}")
+
+
+def aut_fix_B(h: Hat) -> bool:
+    """Automorphism fixing the apex and swapping the base vertices: j | 2i - m."""
+    _require_representative(h)
+    return (2 * h.i - h.m) % h.j == 0
+
+
+def aut_fix_A(h: Hat) -> bool:
+    """Automorphism fixing the origin: m | i, m | j and mj | m*m - i*i."""
+    _require_representative(h)
+    i, j, m = h.i, h.j, h.m
+    return i % m == 0 and j % m == 0 and (m * m - i * i) % (m * j) == 0
+
+def aut_fix_C(h: Hat) -> bool:
+    """Automorphism fixing (m, 0); needs m | i, m | j and k'^2 = 1 (mod l')
+    for k' = (m - i + j)/m, l' = j/m."""
+    _require_representative(h)
+    i, j, m = h.i, h.j, h.m
+    if i % m or j % m:
+        return False
+    k = (m - i + j) // m
+    l = j // m
+    return (k * k - 1) % l == 0
+
+
+def aut_cycle(h: Hat) -> bool:
+    """Order-3 automorphism; needs boundary (m, m, m) and l | k*k - k + 1
+    for k = i/m, l = j/m."""
+    _require_representative(h)
+    i, j, m = h.i, h.j, h.m
+    # the side types of (0,0), (i,j), (m,0) are (odd_gcd(i, j), odd_gcd(m - i, j), m)
+    if odd_gcd(i, j) != m or odd_gcd(m - i, j) != m:
+        return False
+    k = i // m
+    l = j // m
+    return (k * k - k + 1) % l == 0
+
+
+#: The six subgroups of S3, keyed by the criteria's outcome (aut_fix_A,
+#: aut_fix_B, aut_fix_C, aut_cycle): each row is the group's tag and the
+#: oracle.CORRESPONDENCES cases its elements realize, in that order, "a"
+#: the identity.
+GROUP_OF_CRITERIA = {
+    (False, False, False, False): ("Trivial", "a"),
+    (True, False, False, False): ("C2", "ac"),
+    (False, True, False, False): ("C2", "ab"),
+    (False, False, True, False): ("C2", "af"),
+    (False, False, False, True): ("C3", "ade"),
+    (True, True, True, True): ("S3", "abcdef"),
+}
+
+
+def criteria_row(h: Hat) -> tuple[str, str, tuple[str, ...]]:
+    """(tag, cases, labels) of h's automorphism group by the four criteria:
+    the GROUP_OF_CRITERIA row of their outcome and the witness label of each
+    of its cases, as automorphism_group lists them.  A KeyError when the
+    outcome is no row."""
+    tag, cases = GROUP_OF_CRITERIA[(aut_fix_A(h), aut_fix_B(h), aut_fix_C(h), aut_cycle(h))]
+    return tag, cases, tuple(perm_label(c.perm) for c in CORRESPONDENCES if c.case in cases)

@@ -1,4 +1,5 @@
-"""Automorphism criteria, group assembly, isomorphism cases, census."""
+"""Group assembly against the reference automorphism criteria, isomorphism
+cases, census."""
 
 import ast
 import concurrent.futures
@@ -28,30 +29,29 @@ from dyhat import (
     normalize,
     oracle_isomorphic,
 )
-from dyhat.classify import (
-    GROUP_ORDER,
-    IsoResult,
+from dyhat.classify import GROUP_ORDER, IsoResult, iso_case
+from dyhat.cli import parse_shape
+from dyhat.dyadic import egcd, val2
+from dyhat.errors import InconsistencyError, InvalidBounds, InvalidHat
+from dyhat.hats import hat_of
+from dyhat import classify, cli, dyadic, hats, oracle
+from dyhat.oracle import CASES, CORRESPONDENCES, realized_correspondences
+
+import tutil
+from reference import (
+    GROUP_OF_CRITERIA,
+    IDENTITY,
+    apply,
     aut_cycle,
     aut_fix_A,
     aut_fix_B,
     aut_fix_C,
-    iso_case,
-)
-from dyhat.cli import parse_shape
-from dyhat.dyadic import egcd, odd_gcd, val2
-from dyhat.errors import InconsistencyError, InvalidBounds, InvalidHat
-from dyhat.hats import hat_of
-from dyhat import classify, cli, dyadic, hats, oracle
-from dyhat.oracle import CASES, CORRESPONDENCES, perm_label, realized_correspondences
-
-import tutil
-from reference import (
-    IDENTITY,
-    apply,
     boundary_type,
     boundary_types_equivalent,
+    criteria_row,
     hat_by_inverse,
     iso_case_by_congruence,
+    odd_gcd,
     oracle_aut_count,
     transformed,
     twice_area,
@@ -139,69 +139,106 @@ def test_trivial_group_witness_is_identity():
 
 
 def test_automorphisms_are_the_self_isomorphisms_on_the_31_grid():
-    # iso_case shares no code with the four criteria, so this checks the
-    # criterion-to-case table of automorphism_group from outside
+    # the four reference criteria share no code with iso_case or with the
+    # oracle, so this checks both routes of automorphism_group from outside:
+    # its witnesses, and so its labels, come from the oracle
     for j, m in product(range(1, 32, 2), repeat=2):
         for i in range(-2 * j + 1, 4 * j, 2):
             h = Hat(i, j, m)
-            labels = tuple(label for label, _ in automorphism_group(h).witnesses)
-            assert labels == tuple(
-                perm_label(corr.perm) for corr in CORRESPONDENCES
-                if iso_case(h, h, corr.case)
-            ), h
+            tag, cases, labels = criteria_row(h)
+            assert iso_case(h, h) == cases, h
+            group = automorphism_group(h)
+            assert (group.tag, tuple(label for label, _ in group.witnesses)) == (tag, labels), h
+
+
+_odd_large = st.integers(0, 2**199).map(lambda k: 2 * k + 1)
+_TRIVIAL_I = 2 * 10**40 + 123457
+
+
+@st.composite
+def _large_family_hats(draw):
+    """(hat, row): a hat of one of six families with odd M, L, K and J up to
+    2**200, and the (tag, cases) row of the subgroup table that its family
+    gives it, or None where a small parameter may give it a larger group."""
+    M = draw(_odd_large)
+    family = draw(st.sampled_from(["Trivial", "ab", "ac", "af", "C3", "S3"]))
+    if family == "Trivial":
+        # fix A, fix C and the cycle each need M | i, and fix B J | 2i - M
+        J = draw(_odd_large)
+        trivial = _TRIVIAL_I % M != 0 and (2 * _TRIVIAL_I - M) % J != 0
+        return Hat(_TRIVIAL_I, J, M), ("Trivial", "a") if trivial else None
+    if family == "ab":
+        # 2i - M is J or 3J, and the other three criteria need M | J
+        J = draw(_odd_large)
+        i = (M + J) // 2
+        return Hat(i if i % 2 else i + J, J, M), ("C2", "ab") if J % M else None
+    if family == "S3":
+        return Hat(5 * M, 3 * M, M), ("S3", "abcdef")
+    if family == "C3":
+        # K = 1 gives (M, M, M); the other criteria need K*K - K + 1 to
+        # divide K - 2, 2K - 1 or K + 1, which it exceeds for K >= 3
+        K = draw(_odd_large)
+        return Hat(M * K, M * (K * K - K + 1), M), ("C3", "ade") if K >= 3 else None
+    # each of the other three criteria reduces to L | 3
+    L = draw(_odd_large)
+    i = M * (2 * L - 1) if family == "ac" else M * (L + 2)
+    return Hat(i, M * L, M), ("C2", family) if L >= 5 else None
+
+
+@given(_large_family_hats())
+def test_large_hats_get_the_group_of_the_reference_criteria(drawn):
+    h, row = drawn
+    tag, cases, labels = criteria_row(h)
+    group = automorphism_group(h)
+    assert (group.tag, tuple(label for label, _ in group.witnesses)) == (tag, labels)
+    if row is not None:
+        assert (tag, cases) == row
 
 
 def test_lying_criterion_raises_inconsistency(monkeypatch):
-    # Hat(1, 9, 5) has the trivial group; a fix-B criterion that always
-    # fires claims a swap the oracle cannot realize
-    monkeypatch.setattr("dyhat.classify.aut_fix_B", lambda h: True)
+    # Hat(1, 9, 5) has the trivial group; case tests that also find case b
+    # claim a swap the oracle cannot realize
+    monkeypatch.setattr("dyhat.classify.iso_case", lambda h1, h2: "ab")
     with pytest.raises(InconsistencyError, match="criteria and oracle disagree"):
         automorphism_group(Hat(1, 9, 5))
-    # on an S3 hat it also contradicts the other two transpositions
-    monkeypatch.setattr("dyhat.classify.aut_fix_B", lambda h: False)
+    # on an S3 hat, dropping case f names no subgroup at all
+    monkeypatch.setattr("dyhat.classify.iso_case", lambda h1, h2: "abcde")
     with pytest.raises(InconsistencyError, match="no subgroup of S3"):
         automorphism_group(Hat(1, 1, 1))
 
 
-# (fix A, fix B, fix C, 3-cycle) of the six subgroups of S3: the trivial
-# group, the three C2s, C3 and S3
-SUBGROUP_OUTCOMES = {
-    (False, False, False, False),
-    (True, False, False, False),
-    (False, True, False, False),
-    (False, False, True, False),
-    (False, False, False, True),
-    (True, True, True, True),
-}
-
-
 def test_every_criteria_outcome_meets_the_subgroup_table(monkeypatch):
-    # Hat(1, 1, 1) has the group S3.  Of the 16 outcomes of the four
-    # criteria, 10 name no subgroup and are refused before any solve, the
-    # five subgroups other than S3 disagree with the oracle, and S3 holds
+    # Hat(1, 1, 1) has the group S3.  Of the 64 case strings iso_case could
+    # return, 58 name no subgroup and are refused before any solve, the five
+    # subgroups other than S3 disagree with the oracle, and S3 holds
     solves = _count_calls(monkeypatch, classify, "realized_correspondences")
-    names = ("aut_fix_A", "aut_fix_B", "aut_fix_C", "aut_cycle")
-    for outcome in product((False, True), repeat=4):
-        for name, value in zip(names, outcome):
-            monkeypatch.setattr(classify, name, lambda h, value=value: value)
+    rows = {cases for _, cases in GROUP_OF_CRITERIA.values()}
+    outcomes = Counter()
+    for held in product((False, True), repeat=6):
+        cases = "".join(c for c, h in zip(CASES, held) if h)
+        monkeypatch.setattr(classify, "iso_case", lambda h1, h2, cases=cases: cases)
         solves.clear()
-        if outcome not in SUBGROUP_OUTCOMES:
+        if cases not in rows:
             with pytest.raises(InconsistencyError, match="no subgroup of S3"):
                 automorphism_group(Hat(1, 1, 1))
-            assert solves == [], outcome
-        elif outcome != (True, True, True, True):
+            assert solves == [], cases
+            outcomes["refused"] += 1
+        elif cases != "abcdef":
             with pytest.raises(InconsistencyError, match="criteria and oracle disagree"):
                 automorphism_group(Hat(1, 1, 1))
-            assert len(solves) == 1, outcome
+            assert len(solves) == 1, cases
+            outcomes["disagree"] += 1
         else:
             assert automorphism_group(Hat(1, 1, 1)).tag == "S3"
             assert len(solves) == 1
+            outcomes["S3"] += 1
+    assert outcomes == {"refused": 58, "disagree": 5, "S3": 1}
     assert GROUP_ORDER == {"Trivial": 1, "C2": 2, "C3": 3, "S3": 6}
     assert classify.GROUP_TAGS == ("Trivial", "C2", "C3", "S3")
 
 
 def test_lying_case_test_raises_inconsistency(monkeypatch):
-    monkeypatch.setattr("dyhat.classify.iso_case", lambda h1, h2, case: False)
+    monkeypatch.setattr("dyhat.classify.iso_case", lambda h1, h2: "")
     with pytest.raises(InconsistencyError, match="routes disagree"):
         isomorphic_hats(Hat(1, 3, 5), Hat(5, 15, 1))
 
@@ -244,23 +281,17 @@ def test_a_faulty_reduction_is_caught_by_the_oracle(monkeypatch):
 
 def test_iso_case_fixtures():
     h = Hat(1, 3, 5)
-    cases = lambda other: [c for c in "abcdef" if iso_case(h, other, c)]
-    assert cases(Hat(4, 3, 5)) == ["a", "b"]
-    assert cases(Hat(7, 3, 5)) == ["a", "b"]
-    assert cases(Hat(5, 15, 1)) == ["c", "d"]
-    assert cases(Hat(11, 15, 1)) == ["e", "f"]
-    assert cases(Hat(3, 3, 5)) == []
-    assert [c for c in "abcdef" if iso_case(Hat(3, 27, 21), Hat(39, 27, 21), c)] == []
-
-
-def test_iso_case_rejects_unknown_case():
-    with pytest.raises(ValueError):
-        iso_case(Hat(1, 1, 1), Hat(1, 1, 1), "g")
+    assert iso_case(h, Hat(4, 3, 5)) == "ab"
+    assert iso_case(h, Hat(7, 3, 5)) == "ab"
+    assert iso_case(h, Hat(5, 15, 1)) == "cd"
+    assert iso_case(h, Hat(11, 15, 1)) == "ef"
+    assert iso_case(h, Hat(3, 3, 5)) == ""
+    assert iso_case(Hat(3, 27, 21), Hat(39, 27, 21)) == ""
 
 
 @given(tutil.rep_hats)
 def test_iso_case_a_is_reflexive(h):
-    assert iso_case(h, h, "a")
+    assert iso_case(h, h).startswith("a")
 
 
 def test_isomorphic_hats_fixtures():
@@ -309,7 +340,7 @@ def test_iso_case_matches_the_congruence_reference_exhaustively():
                     l = m * j // n
                     for k in range(-l, 2 * l):
                         h2 = Hat(k, l, n)
-                        assert iso_case(h1, h2, case) == iso_case_by_congruence(h1, h2, case), (
+                        assert (case in iso_case(h1, h2)) == iso_case_by_congruence(h1, h2, case), (
                             h1, h2, case)
                         calls += 1
     assert calls == 239_400
@@ -341,7 +372,7 @@ def _forced_pairs(draw):
 @example((Hat(45, 45, 15), Hat(17, 15, 45), "e", False))
 def test_iso_case_matches_the_congruence_reference_on_large_shared_factors(drawn):
     h1, h2, case, in_class = drawn
-    got = iso_case(h1, h2, case)
+    got = case in iso_case(h1, h2)
     assert got == iso_case_by_congruence(h1, h2, case)
     if in_class:
         assert got
@@ -465,7 +496,7 @@ def _check_isomorphic(t1, t2):
     result = isomorphic(t1, t2)
     found = oracle_isomorphic(t1, t2)
     h1, h2 = hat_of(t1), hat_of(t2)
-    case = next((c for c in CASES if iso_case(h1, h2, c)), None)
+    case = iso_case(h1, h2)[:1] or None
     assert result == IsoResult(found is not None, case, found and found[1]), (t1, t2)
     assert result.isomorphic == (
         min(all_encoding_triples(t1)) == min(all_encoding_triples(t2)))
@@ -514,7 +545,7 @@ def test_one_role_reduction_per_triangle_and_every_route_runs(monkeypatch):
     t1, t2 = Hat(1, 3, 5).triangle(), Hat(5, 15, 1).triangle()
     assert isomorphic(t1, t2).case == "c"
     assert reductions == [(t1,), (t2,)]
-    assert [case for _, _, case in cases] == ["a", "b", "c"]
+    assert cases == [((1, 3, 5), (5, 15, 1))]
     assert len(solves) == 1
     # the oracle sees a "not isomorphic" verdict too
     solves.clear()
@@ -760,7 +791,7 @@ _SOLVER_NAMES = {"solve_correspondence"}
 
 
 @pytest.mark.parametrize(
-    "fn", [aut_fix_A, aut_fix_B, aut_fix_C, aut_cycle, iso_case, hat_of],
+    "fn", [iso_case, hat_of],
     ids=lambda fn: fn.__name__,
 )
 def test_decision_routes_never_reach_the_solver(fn):

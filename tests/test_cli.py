@@ -44,7 +44,7 @@ from dyhat.geometry import Matrix2, Point2
 from dyhat.render import render_svg
 
 import tutil
-from reference import affine, apply, is_unit
+from reference import GROUP_OF_CRITERIA, affine, apply, criteria_row, is_unit
 
 D = DyadicRational
 
@@ -626,6 +626,19 @@ def test_large_iso_pairs_fixture_covers_every_case_with_even_gcd_edges(capsys):
     assert sorted(cases, key=str) == [None, None, None, None, *"abcdef"]
 
 
+def test_large_aut_hats_fixture_covers_every_subgroup(capsys):
+    """The hats whose aut --json output CI pins: one per row of the subgroup
+    table, each with the group the reference criteria give it."""
+    rows = []
+    for line in (FIXTURES / "aut_large_hats.txt").read_text(encoding="utf-8").splitlines():
+        assert run(["aut", "--json", *line.split()]) == 0
+        group = json.loads(capsys.readouterr().out)["aut"]
+        tag, cases, labels = criteria_row(Hat(*map(int, line.split())))
+        assert (group["group"], tuple(w["perm"] for w in group["witnesses"])) == (tag, labels)
+        rows.append((tag, cases))
+    assert sorted(rows) == sorted(GROUP_OF_CRITERIA.values())
+
+
 # ---------------------------------------------------------------- fuzzing
 
 
@@ -856,18 +869,31 @@ def test_pooled_census_process_matches_serial():
 
 
 def test_inconsistency_exits_5(capsys, monkeypatch):
-    monkeypatch.setattr("dyhat.classify.aut_fix_B", lambda h: True)
-    assert run(["aut", "1", "9", "5"]) == 5
+    # Hat(1, 9, 5) has the trivial group: case tests that also find case b
+    # disagree with the oracle, and "abcde" names no subgroup of S3
+    for cases, message in (("ab", "criteria and oracle disagree"),
+                           ("abcde", "no subgroup of S3")):
+        monkeypatch.setattr("dyhat.classify.iso_case", lambda h1, h2, cases=cases: cases)
+        assert run(["aut", "1", "9", "5"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
+def test_normalize_without_a_witness_exits_5(capsys, monkeypatch):
+    monkeypatch.setattr("dyhat.hats.solve_correspondence", lambda src, dst, perm: None)
+    assert run(["normalize", "T 1 3 5"]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "criteria and oracle disagree" in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("internal inconsistency: ")
 
 
 def test_inconsistency_survives_optimized_mode():
     # python -O strips assert statements; the cross-checks must still fire
     script = (
         "import sys, dyhat.classify, dyhat.cli\n"
-        "dyhat.classify.aut_fix_B = lambda h: True\n"
+        "dyhat.classify.iso_case = lambda h1, h2: 'ab'\n"
         "try:\n"
         "    dyhat.classify.automorphism_group(dyhat.Hat(1, 9, 5))\n"
         "except dyhat.errors.InconsistencyError:\n"

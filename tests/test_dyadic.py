@@ -1,4 +1,5 @@
-"""Dyadic core: canonical forms, exact arithmetic, the congruence reference.
+"""Dyadic core: canonical forms, exact arithmetic, the congruence and odd
+gcd references.
 
 Exact operations are cross-checked against stdlib Fraction, which plays the
 role of the independent arithmetic oracle here.
@@ -12,12 +13,12 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from dyhat import DyadicRational
-from dyhat.dyadic import common_scale, egcd, odd_gcd, odd_part, val2
-from dyhat.errors import BothZero, DivisionByZero, DomainError, NotDyadic, ZeroArgument
+from dyhat.dyadic import common_scale, egcd, odd_part, val2
+from dyhat.errors import DivisionByZero, DomainError, NotDyadic, ZeroArgument
 from dyhat.hats import _edge_hats
 
 import tutil
-from reference import NoSolution, Residue, from_fraction, solve_congruence
+from reference import BothZero, NoSolution, Residue, from_fraction, odd_gcd, solve_congruence
 
 
 def test_canonical_form_on_construction():

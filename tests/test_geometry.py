@@ -10,11 +10,12 @@ from hypothesis import given
 
 from dyhat import DyadicRational, Hat, Triangle
 from dyhat.dyadic import common_scale
-from dyhat.errors import BothZero, DegenerateTriangle, NotDyadic
+from dyhat.errors import DegenerateTriangle, NotDyadic
 from dyhat.geometry import AffineMap, Point2
 
 import tutil
 from reference import (
+    BothZero,
     affine,
     apply,
     boundary_type,
