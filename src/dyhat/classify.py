@@ -3,17 +3,21 @@
 Everything here is decided by integer divisibility criteria on hat
 parameters; witnesses and cross-checks come from the exact oracle, and the
 two routes must agree on every call (a disagreement is a defect, surfaced
-as an InconsistencyError).  iso_case runs the six case tests in one pass
-and returns every case that holds.  An automorphism is a self-isomorphism:
-the cases iso_case finds between a hat and itself must key one row of a
-six-row table, one row per subgroup of S3, and the oracle must realize
-exactly those self-correspondences.  isomorphic is the one isomorphism
-decision: isomorphic_hats runs it on the hats' triangles.  A census cell
-decides each hat's group with automorphism_group itself, the same call the
-aut command makes.  The results (AutGroup, IsoResult, CensusRow,
-CensusReport) are dyadic.Record values.  The process pool is imported only
-when a census runs pooled, so the other commands never load
-concurrent.futures.process or multiprocessing.
+as an InconsistencyError).  iso_case runs the six case tests in one pass and
+returns every case that holds.  An automorphism is a self-isomorphism: the
+cases iso_case finds between a hat and itself must key one row of a six-row
+table, one row per subgroup of S3, and the oracle must realize exactly
+those self-correspondences.  isomorphic is the one isomorphism decision:
+isomorphic_hats runs it on the hats' triangles.  _self_cases is the one
+group check: iso_case(h, h), the table lookup, and the comparison with the
+oracle's realized_cases, which solves all six self-correspondences and
+builds no map.  automorphism_group runs it and then has the oracle build a
+witness map for each of the group's own cases; a census cell builds each
+hat's triangle once and runs it alone, so a census builds no witness map.
+The results (AutGroup, IsoResult, CensusRow, CensusReport) are
+dyadic.Record values.  The process pool is imported only when a census runs
+pooled, so the other commands never load concurrent.futures.process or
+multiprocessing.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from .oracle import (
     CORRESPONDENCES,
     oracle_isomorphic,
     perm_label,
-    realized_correspondences,
+    realized_cases,
+    solve_correspondence,
 )
 
 #: The six subgroups of S3, keyed by the cases that iso_case finds between
@@ -67,32 +72,45 @@ class AutGroup(Record, namedtuple("AutGroup", "tag witnesses")):
         return GROUP_ORDER[self.tag]
 
 
-def automorphism_group(h: Hat) -> AutGroup:
-    """Assemble the automorphism group of a representative hat.
-
-    An automorphism is a self-isomorphism.  The cases that iso_case finds
-    between h and itself must be a key of _GROUP_OF_CASES, one per subgroup
-    of S3, and the oracle's self-correspondence solver must realize exactly
-    those cases; the tag is the table's entry for them and the witnesses
-    come from the oracle.
-    """
-    if not h.is_representative:
-        raise InvalidHat(f"criteria require a representative hat (odd i), got i={h.i}")
+def _self_cases(h: Hat, tri: Triangle) -> str:
+    """The cases that iso_case finds between h and itself, checked: they
+    must key a row of _GROUP_OF_CASES, and the oracle must realize exactly
+    those self-correspondences of tri, h's triangle.  Builds no map."""
     cases = iso_case(h, h)
-    tag = _GROUP_OF_CASES.get(cases)
-    if tag is None:
+    if cases not in _GROUP_OF_CASES:
         raise InconsistencyError(
             f"cases {cases!r} of {h} and itself give no subgroup of S3"
         )
-    tri = h.triangle()
-    realized = tuple(realized_correspondences(tri, tri))
-    found = "".join(corr.case for corr, _ in realized)
+    found = realized_cases(tri, tri)
     if found != cases:
         raise InconsistencyError(
             f"criteria and oracle disagree on {h}: criteria {list(cases)}, "
             f"oracle {list(found)}"
         )
-    return AutGroup(tag, tuple((_PERM_LABEL[corr.case], f) for corr, f in realized))
+    return cases
+
+
+def automorphism_group(h: Hat) -> AutGroup:
+    """Assemble the automorphism group of a representative hat.
+
+    An automorphism is a self-isomorphism.  The cases that iso_case finds
+    between h and itself must be a key of _GROUP_OF_CASES, one per subgroup
+    of S3, and the oracle must realize exactly those self-correspondences
+    (_self_cases, which the census calls too); the tag is the table's entry
+    for them, and the oracle solves one witness map per case.  A value
+    that is not a Hat raises TypeError.
+    """
+    if not isinstance(h, Hat):
+        raise TypeError(f"h must be a Hat, got {h.__class__.__name__}")
+    if not h.is_representative:
+        raise InvalidHat(f"criteria require a representative hat (odd i), got i={h.i}")
+    tri = h.triangle()
+    cases = _self_cases(h, tri)
+    return AutGroup(_GROUP_OF_CASES[cases], tuple(
+        (_PERM_LABEL[corr.case], solve_correspondence(tri, tri, corr.perm))
+        for corr in CORRESPONDENCES
+        if corr.case in cases
+    ))
 
 
 def iso_case(h1: tuple[int, int, int], h2: tuple[int, int, int]) -> str:
@@ -210,10 +228,11 @@ def _census_cell(cell: tuple[int, int]) -> CensusRow:
         # entry 0 is the identity order's pointed class
         roles = role_triples(tri)
         pointed.add(roles[0])
-        group = automorphism_group(h)
-        counts[group.tag] += 1
+        cases = _self_cases(h, tri)
+        counts[_GROUP_OF_CASES[cases]] += 1
         canonical.add(min(roles, key=CANONICAL_KEY))
-        if len(frozenset(roles)) * group.order != 6:
+        # the group's order is the number of its cases
+        if len(frozenset(roles)) * len(cases) != 6:
             orbit_ok = False
     return CensusRow(j, m, len(pointed), len(canonical), counts, orbit_ok)
 

@@ -101,12 +101,19 @@ class DyadicRational:
 
     ``DyadicRational(num, exp)`` represents ``num * 2**exp``; any integer
     ``num`` is accepted and reduced to the odd-or-zero canonical form.
-    ``DyadicRational(n)`` wraps an integer.
+    ``DyadicRational(n)`` wraps an integer.  ``num`` and ``exp`` must each
+    be exactly an int: a bool, float or Fraction raises NotDyadic.
     """
 
     __slots__ = ("num", "exp")
 
     def __init__(self, num: int, exp: int = 0):
+        if num.__class__ is not int:
+            raise NotDyadic(f"a dyadic rational needs an int numerator, got "
+                            f"{num.__class__.__name__}")
+        if exp.__class__ is not int:
+            raise NotDyadic(f"a dyadic rational needs an int exponent, got "
+                            f"{exp.__class__.__name__}")
         if num == 0:
             self.num = 0
             self.exp = 0
@@ -206,7 +213,8 @@ def _coerce(value) -> "DyadicRational":
     if isinstance(value, DyadicRational):
         return value
     if isinstance(value, int):
-        return DyadicRational(value)
+        # int() so that a bool compares and computes as the int it equals
+        return DyadicRational(int(value))
     return NotImplemented
 
 

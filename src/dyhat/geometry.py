@@ -10,7 +10,7 @@ Matrix2 are dyadic.Record values with no arithmetic.  A triangle finds its
 edge vectors' determinant once, when it is built: that step rejects
 collinear vertices and keeps the data of the oracle's Cramer solve as
 Triangle.cramer_source.  This module stores values and solves nothing;
-oracle.solve_correspondence is the one solve.
+oracle._solve_scaled is the one solve.
 """
 
 from __future__ import annotations
@@ -148,7 +148,9 @@ class Triangle(_Scaled):
     and 2, their determinant u1x*u2y - u1y*u2x == odd * 2**v with odd an
     odd integer, and the exponent e.  It is set when the triangle is
     built, takes no part in equality, hash, repr or pickling, and
-    oracle.solve_correspondence is its one reader in the package.
+    oracle._solve_scaled is its one reader in the package: the Cramer solve
+    that solve_correspondence builds a map from and that realized_cases
+    runs map-free.
     """
 
     __slots__ = ("cramer_source",)

@@ -10,8 +10,9 @@ hat_of finds that hat for one vertex role order on integers alone, and
 role_triples finds the triples of all six orders, in ROLE_ORDERS order
 with the identity first.  The reduction reads Triangle.scaled_coords and
 never the oracle's cramer_source, so hat_of and the oracle check each
-other.  normalize also returns the witness map, solved by the oracle's
-solve_correspondence, the one Cramer solve.  Hat, EncodingTriple and
+other.  normalize also returns the witness map: the oracle's
+solve_correspondence builds it from oracle._solve_scaled, the one Cramer
+solve, which a census runs map-free.  Hat, EncodingTriple and
 Normalization are dyadic.Record values; EncodingTriple alone adds an
 order, the canonical (j, m, i) order, which CANONICAL_KEY states as a
 C-level key.  Triples are plain ints inside the package; records are

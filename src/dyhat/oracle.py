@@ -3,16 +3,19 @@
 Decides whether an affine map carries one triangle onto another by solving
 the vertex correspondence equations with integer Cramer's rule on the
 integer coordinates each Triangle holds: the solved map qualifies when its
-entries are dyadic and its determinant is +-2**k.  solve_correspondence is
-the one Cramer solve.  It reads the source's Triangle.cramer_source (edge
+entries are dyadic and its determinant is +-2**k.  _solve_scaled is the
+one Cramer solve.  It reads the source's Triangle.cramer_source (edge
 vectors and determinant, set when the triangle was built) and the target's
 stored integers in correspondence order; the target's determinant is the
 odd part in the target's own cramer_source, up to sign, since reordering
-the vertices changes only its sign.  realized_correspondences is the one
-loop over the six correspondences, and oracle_isomorphic takes its first
-item, so its solves stop at the first hit.  A solved map is stored as
-integers (AffineMap.from_scaled); its linear part and translation are
-built only when read.  hats.normalize solves its witness through
+the vertices changes only its sign.  It returns the solved map's integers,
+or None, and has two consumers: solve_correspondence builds an AffineMap
+from them (AffineMap.from_scaled; its linear part and translation are
+built only when read), and realized_cases runs all six correspondences
+and returns only their letters, building no map, which is how a census
+checks every hat.  realized_correspondences is the one loop that yields
+maps, and oracle_isomorphic takes its first item, so its solves stop at
+the first hit.  hats.normalize solves its witness through
 solve_correspondence too, after hat_of has found the hat.  This route
 shares no logic with the number-theoretic criteria or with hats.hat_of,
 so each side checks the other.
@@ -56,15 +59,17 @@ def perm_label(perm: tuple[int, int, int]) -> str:
     return "".join("ABC"[k] for k in perm)
 
 
-def solve_correspondence(
+def _solve_scaled(
     src: Triangle, dst: Triangle, perm: tuple[int, int, int]
-) -> AffineMap | None:
-    """The unit affine map sending vertex k of src to vertex perm[k] of dst,
-    or None when that unique affine map is not a dyadic unit.
+) -> tuple[tuple[tuple[int, ...], int], tuple[tuple[int, int], int]] | None:
+    """The Cramer solve: the (linear, translation) integers and exponents
+    of the unit affine map sending vertex k of src to vertex perm[k] of
+    dst, in AffineMap.from_scaled's form, or None when that unique affine
+    map is not a dyadic unit.
 
-    Cramer's rule on the integers: with source determinant odd * 2**v, an
-    entry is dyadic exactly when odd divides its numerator, and the map is
-    a unit exactly when the target's determinant has the odd part +-odd.
+    With source determinant odd * 2**v, an entry is dyadic exactly when odd
+    divides its numerator, and the map is a unit exactly when the target's
+    determinant has the odd part +-odd.
     """
     (ax, ay, u1x, u1y, u2x, u2y), odd, v, src_exp = src.cramer_source
     if dst.cramer_source[1] not in (odd, -odd):
@@ -80,10 +85,30 @@ def solve_correspondence(
     a, b, c, d = na // odd, nb // odd, nc // odd, nd // odd
     # linear is (a, b, c, d) * 2**(dst_exp - src_exp - v), so the translation
     # t0 - linear(s0) is an integer pair times 2**(dst_exp - v)
-    return AffineMap.from_scaled(
+    return (
         ((a, b, c, d), dst_exp - src_exp - v),
         (((bx << v) - a * ax - b * ay, (by << v) - c * ax - d * ay), dst_exp - v),
     )
+
+
+def solve_correspondence(
+    src: Triangle, dst: Triangle, perm: tuple[int, int, int]
+) -> AffineMap | None:
+    """The unit affine map sending vertex k of src to vertex perm[k] of dst,
+    or None when that unique affine map is not a dyadic unit: the map of
+    _solve_scaled's integers."""
+    solved = _solve_scaled(src, dst, perm)
+    return None if solved is None else AffineMap.from_scaled(*solved)
+
+
+def realized_cases(src: Triangle, dst: Triangle) -> str:
+    """The cases (letters in CASES order) of the correspondences realized by
+    a unit map: all six solved, and no map built."""
+    return "".join([
+        corr.case
+        for corr in CORRESPONDENCES
+        if _solve_scaled(src, dst, corr.perm) is not None
+    ])
 
 
 def realized_correspondences(

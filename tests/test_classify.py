@@ -35,7 +35,8 @@ from dyhat.dyadic import egcd, val2
 from dyhat.errors import InconsistencyError, InvalidBounds, InvalidHat
 from dyhat.hats import hat_of
 from dyhat import classify, cli, dyadic, hats, oracle
-from dyhat.oracle import CASES, CORRESPONDENCES, realized_correspondences
+from dyhat.geometry import AffineMap
+from dyhat.oracle import CASES, CORRESPONDENCES, realized_cases, realized_correspondences
 
 import tutil
 from reference import (
@@ -195,6 +196,16 @@ def test_large_hats_get_the_group_of_the_reference_criteria(drawn):
         assert (tag, cases) == row
 
 
+def test_automorphism_group_refuses_a_value_that_is_not_a_hat():
+    tri = Hat(1, 3, 5).triangle()
+    for value in (tri, (1, 3, 5), None):
+        with pytest.raises(TypeError, match="h must be a Hat, got "):
+            automorphism_group(value)
+    # the refusals of a Hat are unchanged
+    with pytest.raises(InvalidHat, match="representative hat"):
+        automorphism_group(Hat(2, 3, 5))
+
+
 def test_lying_criterion_raises_inconsistency(monkeypatch):
     # Hat(1, 9, 5) has the trivial group; case tests that also find case b
     # claim a swap the oracle cannot realize
@@ -211,7 +222,7 @@ def test_every_criteria_outcome_meets_the_subgroup_table(monkeypatch):
     # Hat(1, 1, 1) has the group S3.  Of the 64 case strings iso_case could
     # return, 58 name no subgroup and are refused before any solve, the five
     # subgroups other than S3 disagree with the oracle, and S3 holds
-    solves = _count_calls(monkeypatch, classify, "realized_correspondences")
+    solves = _count_calls(monkeypatch, classify, "realized_cases")
     rows = {cases for _, cases in GROUP_OF_CRITERIA.values()}
     outcomes = Counter()
     for held in product((False, True), repeat=6):
@@ -551,11 +562,14 @@ def test_one_role_reduction_per_triangle_and_every_route_runs(monkeypatch):
     solves.clear()
     assert not isomorphic(Hat(3, 27, 21).triangle(), Hat(39, 27, 21).triangle()).isomorphic
     assert len(solves) == 1
-    # a census hat is reduced once, and still gets its six oracle solves
+    # a census hat is reduced once, and still gets its six oracle solves:
+    # the Cramer solve of each correspondence from its triangle to itself
     reductions.clear()
-    corrs = _count_calls(monkeypatch, classify, "realized_correspondences")
+    solves = _count_calls(monkeypatch, oracle, "_solve_scaled")
     assert census(5, 5).ok
-    assert len(reductions) == len(corrs) == 27
+    assert len(reductions) == 27
+    assert len(solves) == 6 * 27
+    assert set(solves) == {(t, t, c.perm) for (t,) in reductions for c in CORRESPONDENCES}
 
 
 def test_right_triangle_rule():
@@ -644,6 +658,35 @@ def test_census_counts_a_three_cycle_cell():
     assert row.aut_counts["C3"] >= 1
 
 
+def test_census_tags_are_the_automorphism_group_tags_on_the_31_grid(monkeypatch):
+    # the census decides each hat's group without automorphism_group: it
+    # checks every representative hat once, on that hat's own triangle, and
+    # its tag for each hat, and so each cell's counts, are automorphism_group's
+    checked = {}
+    self_cases = classify._self_cases
+
+    def recorded(h, tri):
+        assert h not in checked and tri == h.triangle(), h
+        cases = self_cases(h, tri)
+        checked[h] = classify._GROUP_OF_CASES[cases]
+        return cases
+
+    monkeypatch.setattr(classify, "_self_cases", recorded)
+    report = census(31, 31)
+    monkeypatch.undo()
+    assert report.ok
+    assert len(checked) == 4096
+    by_cell = {(row.j, row.m): Counter() for row in report.rows}
+    for h, tag in checked.items():
+        assert h.is_representative and 0 < h.i < 2 * h.j, h
+        assert tag == automorphism_group(h).tag, h
+        by_cell[h.j, h.m][tag] += 1
+    for row in report.rows:
+        want = by_cell[row.j, row.m]
+        assert sum(want.values()) == row.j, row
+        assert row.aut_counts == {tag: want[tag] for tag in classify.GROUP_TAGS}, row
+
+
 def test_census_parallel_matches_serial():
     assert census(5, 5, workers=2) == census(5, 5)
 
@@ -657,22 +700,37 @@ def test_census_builds_no_dyadic_rational_and_skips_no_solve(monkeypatch):
         init(self, *args)
 
     solves = []
-    solve = oracle.solve_correspondence
+    solve = oracle._solve_scaled
 
     def counted_solve(src, dst, perm):
         solves.append(solve(src, dst, perm))
         return solves[-1]
 
+    # AffineMap and Triangle are built through __init__ or from_scaled, and
+    # every Triangle stores itself through _store
+    maps = _count_calls(monkeypatch, AffineMap, "__init__")
+    from_scaled = AffineMap.from_scaled.__func__
+
+    def counted_from_scaled(cls, *args):
+        maps.append(args)
+        return from_scaled(cls, *args)
+
+    monkeypatch.setattr(AffineMap, "from_scaled", classmethod(counted_from_scaled))
+    triangles = _count_calls(monkeypatch, Triangle, "_store")
     monkeypatch.setattr(DyadicRational, "__init__", counted_init)
-    monkeypatch.setattr(oracle, "solve_correspondence", counted_solve)
+    monkeypatch.setattr(oracle, "_solve_scaled", counted_solve)
     assert census(15, 15).ok
     assert built == []
     # six correspondence solves per hat, and as many hits as before
     assert len(solves) == 6 * 512
     assert sum(f is not None for f in solves) == 666
+    # one triangle per hat, and no witness map
+    assert len(triangles) == 512
+    assert maps == []
     # positive control: reading a witness's views does build dyadics
     normalize(Hat(5, 15, 1).triangle()).witness.linear
     assert len(built) == 4
+    assert len(maps) == 1
 
 
 def test_census_and_isomorphic_build_no_encoding_triple(monkeypatch):
@@ -787,7 +845,7 @@ def test_integer_boundary_matches_boundary_type_exhaustively():
                     assert aut_cycle(h) == cycle, h
 
 
-_SOLVER_NAMES = {"solve_correspondence"}
+_SOLVER_NAMES = {"solve_correspondence", "_solve_scaled"}
 
 
 @pytest.mark.parametrize(
@@ -802,6 +860,8 @@ def test_reachable_names_sees_the_solver_where_it_is_used():
     assert "solve_correspondence" in _reachable_names(oracle_isomorphic)
     assert "solve_correspondence" in _reachable_names(normalize)
     assert _SOLVER_NAMES <= _reachable_names(realized_correspondences)
+    assert "_solve_scaled" in _reachable_names(realized_cases)
+    assert "_solve_scaled" in _reachable_names(classify._self_cases)
 
 
 def _package_imports(module):

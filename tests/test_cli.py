@@ -880,6 +880,24 @@ def test_inconsistency_exits_5(capsys, monkeypatch):
         assert message in captured.err
 
 
+def test_census_inconsistency_exits_5(capsys, monkeypatch):
+    # a census checks each hat's group without automorphism_group: a lie
+    # about Hat(1, 9, 5) alone, in the (9, 5) cell, still stops it
+    iso_case = dyhat.classify.iso_case
+    for lie, message in (("ab", "criteria and oracle disagree"),
+                         ("abcde", "no subgroup of S3")):
+        monkeypatch.setattr(
+            "dyhat.classify.iso_case",
+            lambda h1, h2, lie=lie: lie if h1 == Hat(1, 9, 5) else iso_case(h1, h2))
+        assert run(["census", "--jmax", "9", "--mmax", "5"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Hat(i=1, j=9, m=5)" in captured.err
+    monkeypatch.undo()
+    assert run(["census", "--jmax", "9", "--mmax", "5"]) == 0
+
+
 def test_normalize_without_a_witness_exits_5(capsys, monkeypatch):
     monkeypatch.setattr("dyhat.hats.solve_correspondence", lambda src, dst, perm: None)
     assert run(["normalize", "T 1 3 5"]) == 5

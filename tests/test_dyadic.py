@@ -63,6 +63,27 @@ def test_addition_examples():
     assert x + DyadicRational(0) == x
 
 
+def test_a_value_that_is_not_exactly_an_int_is_refused():
+    for num, exp, fault in (
+        (1.5, 0, "int numerator, got float"),
+        (Fraction(1, 2), 0, "int numerator, got Fraction"),
+        (True, 0, "int numerator, got bool"),
+        ("1", 0, "int numerator, got str"),
+        (1, 0.5, "int exponent, got float"),
+        (1, False, "int exponent, got bool"),
+    ):
+        with pytest.raises(NotDyadic, match=fault):
+            DyadicRational(num, exp)
+
+
+def test_a_bool_still_compares_and_computes_as_its_int():
+    assert DyadicRational(1) == True  # noqa: E712
+    assert DyadicRational(0) == False  # noqa: E712
+    assert DyadicRational(1) != False  # noqa: E712
+    assert DyadicRational(3, -1) + True == DyadicRational(5, -1)
+    assert {DyadicRational(1): "one"}[True] == "one"
+
+
 def test_multiplication_examples():
     assert DyadicRational(5, -2) * DyadicRational(3, -1) == DyadicRational(15, -3)
     x = DyadicRational(-9, 4)

@@ -2,6 +2,7 @@
 tests/reference.py."""
 
 import pickle
+from fractions import Fraction
 from itertools import permutations
 
 import hypothesis.strategies as st
@@ -282,6 +283,13 @@ def test_from_scaled_rejects_collinear_integers_like_the_vertex_constructor():
     assert str(by_integers.value) == str(by_vertices.value)
     with pytest.raises(DegenerateTriangle):
         Triangle.from_scaled((0,) * 6, 5)
+
+
+def test_a_vertex_coordinate_that_is_not_an_int_or_a_dyadic_is_refused():
+    for point, fault in (((0.5, 1), "got float"), ((1, Fraction(1, 2)), "got Fraction"),
+                         ((True, 1), "got bool")):
+        with pytest.raises(NotDyadic, match=fault):
+            Triangle.of((0, 0), point, (1, 0))
 
 
 def test_from_scaled_refuses_a_wrong_count_or_a_non_int_with_not_dyadic():
