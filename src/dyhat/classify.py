@@ -10,14 +10,14 @@ table, one row per subgroup of S3, and the oracle must realize exactly
 those self-correspondences.  isomorphic is the one isomorphism decision:
 isomorphic_hats runs it on the hats' triangles.  _self_cases is the one
 group check: iso_case(h, h), the table lookup, and the comparison with the
-oracle's realized_cases, which solves all six self-correspondences and
-builds no map.  automorphism_group runs it and then has the oracle build a
-witness map for each of the group's own cases; a census cell builds each
-hat's triangle once and runs it alone, so a census builds no witness map.
-The results (AutGroup, IsoResult, CensusRow, CensusReport) are
-dyadic.Record values.  The process pool is imported only when a census runs
-pooled, so the other commands never load concurrent.futures.process or
-multiprocessing.
+oracle's realized_cases, which solves all six self-correspondences in
+one pass and builds no map.  automorphism_group runs it and then has the
+oracle build a witness map for each of the group's own cases; a census
+cell builds each hat's triangle once and runs it alone, so a census builds
+no witness map.  The results (AutGroup, IsoResult, CensusRow,
+CensusReport) are dyadic.Record values.  The process pool is imported only
+when a census runs pooled, so the other commands never load
+concurrent.futures.process or multiprocessing.
 """
 
 from __future__ import annotations
@@ -168,8 +168,11 @@ def isomorphic(t1: Triangle, t2: Triangle) -> IsoResult:
     independent check is the oracle, which shares no code with that
     reduction: it runs on t1 and t2 themselves on every call, sees every
     verdict, and gives the witness map.  The three routes and the oracle
-    must agree.
+    must agree.  A value that is not a Triangle raises TypeError.
     """
+    for name, value in (("t1", t1), ("t2", t2)):
+        if not isinstance(value, Triangle):
+            raise TypeError(f"{name} must be a Triangle, got {value.__class__.__name__}")
     roles1, roles2 = role_triples(t1), role_triples(t2)
     by_canonical = min(roles1, key=CANONICAL_KEY) == min(roles2, key=CANONICAL_KEY)
     by_overlap = not frozenset(roles1).isdisjoint(roles2)
@@ -184,7 +187,11 @@ def isomorphic(t1: Triangle, t2: Triangle) -> IsoResult:
 
 
 def isomorphic_hats(h1: Hat, h2: Hat) -> IsoResult:
-    """isomorphic on the two hats' triangles; i may have either parity."""
+    """isomorphic on the two hats' triangles; i may have either parity.  A
+    value that is not a Hat raises TypeError."""
+    for name, value in (("h1", h1), ("h2", h2)):
+        if not isinstance(value, Hat):
+            raise TypeError(f"{name} must be a Hat, got {value.__class__.__name__}")
     return isomorphic(h1.triangle(), h2.triangle())
 
 
@@ -241,11 +248,12 @@ def census(j_max: int, m_max: int, workers: int = 1) -> CensusReport:
     """Sweep all representative hats with j <= j_max, m <= m_max.
 
     Work units are independent (j, m) cells; with workers > 1 they run in a
-    process pool and are merged in a fixed order, so the report does not
-    depend on scheduling.  The pool never has more workers than CPUs or
-    cells; when that leaves one, the cells run serially.  A grid of more
-    than MAX_CENSUS_CELLS cells raises InvalidBounds, as does a bound or
-    workers value that is not exactly an int (a bool included).
+    process pool, sent in chunks of consecutive cells, and are merged in a
+    fixed order, so the report does not depend on scheduling.  The pool
+    never has more workers than CPUs or cells; when that leaves one, the
+    cells run serially.  A grid of more than MAX_CENSUS_CELLS cells raises
+    InvalidBounds, as does a bound or workers value that is not exactly an
+    int (a bool included).
     """
     for name, bound in (("j_max", j_max), ("m_max", m_max)):
         if bound.__class__ is not int or bound <= 0 or bound % 2 == 0:
@@ -272,6 +280,10 @@ def census(j_max: int, m_max: int, workers: int = 1) -> CensusReport:
     else:
         from concurrent.futures import ProcessPoolExecutor
 
+        # about eight chunks per worker: a round trip per chunk, not per
+        # cell, and enough chunks that the heavy cells of the last rows
+        # still spread over the workers
+        chunksize = max(1, len(cells) // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(_census_cell, cells))
+            rows = tuple(pool.map(_census_cell, cells, chunksize=chunksize))
     return CensusReport(j_max, m_max, rows)

@@ -8,9 +8,10 @@ Triangle.vertices and AffineMap.linear / .translation are Point2, Matrix2
 and DyadicRational views, built on each read and never kept; Point2 and
 Matrix2 are dyadic.Record values with no arithmetic.  A triangle finds its
 edge vectors' determinant once, when it is built: that step rejects
-collinear vertices and keeps the data of the oracle's Cramer solve as
+collinear vertices and keeps the data of the oracle's Cramer pass as
 Triangle.cramer_source.  This module stores values and solves nothing;
-oracle._solve_scaled is the one solve.
+oracle._solve_scaled, which reads that data once per pair of triangles and
+then tests each vertex correspondence, is the one solve.
 """
 
 from __future__ import annotations
@@ -148,9 +149,10 @@ class Triangle(_Scaled):
     and 2, their determinant u1x*u2y - u1y*u2x == odd * 2**v with odd an
     odd integer, and the exponent e.  It is set when the triangle is
     built, takes no part in equality, hash, repr or pickling, and
-    oracle._solve_scaled is its one reader in the package: the Cramer solve
-    that solve_correspondence builds a map from and that realized_cases
-    runs map-free.
+    oracle._solve_scaled is its one reader in the package: the Cramer pass,
+    which reads it once per pair of triangles, whether it then tests one
+    correspondence (solve_correspondence) or all six (realized_cases,
+    realized_correspondences).
     """
 
     __slots__ = ("cramer_source",)

@@ -12,16 +12,18 @@ with the identity first.  The reduction reads Triangle.scaled_coords and
 never the oracle's cramer_source, so hat_of and the oracle check each
 other.  normalize also returns the witness map: the oracle's
 solve_correspondence builds it from oracle._solve_scaled, the one Cramer
-solve, which a census runs map-free.  Hat, EncodingTriple and
-Normalization are dyadic.Record values; EncodingTriple alone adds an
-order, the canonical (j, m, i) order, which CANONICAL_KEY states as a
-C-level key.  Triples are plain ints inside the package; records are
-built at the exports: role_triples returns (i, j, m) tuples, and
-all_encoding_triples and canonical_form build an EncodingTriple only for
-each triple they return.  classify.isomorphic hands every verdict to the
-oracle, which checks the reduction there; a census is not checked by the
-oracle, only by CensusRow.ok (the pointed count and the orbit identity)
-and, in the tests, by the grid and census digests.
+pass, run over the one correspondence from the triangle to its hat; a
+census runs the same pass over all six self-correspondences of each hat,
+map-free.  Hat, EncodingTriple and Normalization are dyadic.Record
+values; EncodingTriple alone adds an order, the canonical (j, m, i) order,
+which CANONICAL_KEY states as a C-level key.  Triples are plain ints
+inside the package; records are built at the exports: role_triples
+returns (i, j, m) tuples, and all_encoding_triples and canonical_form
+build an EncodingTriple only for each triple they return.
+classify.isomorphic hands every verdict to the oracle, which checks the
+reduction there; a census's reduction is not checked by the oracle (its
+pass checks each hat's group), only by CensusRow.ok (the pointed count and
+the orbit identity) and, in the tests, by the grid and census digests.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ from dyhat.cli import parse_shape
 from dyhat.dyadic import egcd, val2
 from dyhat.errors import InconsistencyError, InvalidBounds, InvalidHat
 from dyhat.hats import hat_of
-from dyhat import classify, cli, dyadic, hats, oracle
+from dyhat import classify, cli, dyadic, hats
 from dyhat.geometry import AffineMap
 from dyhat.oracle import CASES, CORRESPONDENCES, realized_cases, realized_correspondences
 
@@ -204,6 +204,31 @@ def test_automorphism_group_refuses_a_value_that_is_not_a_hat():
     # the refusals of a Hat are unchanged
     with pytest.raises(InvalidHat, match="representative hat"):
         automorphism_group(Hat(2, 3, 5))
+
+
+def test_isomorphic_refuses_a_value_that_is_not_a_triangle():
+    tri = Hat(1, 3, 5).triangle()
+    for value in (Hat(1, 3, 5), (1, 3, 5), None):
+        with pytest.raises(TypeError, match="^t1 must be a Triangle, got "):
+            isomorphic(value, tri)
+        with pytest.raises(TypeError, match="^t2 must be a Triangle, got "):
+            isomorphic(tri, value)
+    with pytest.raises(TypeError, match="^t1 must be a Triangle, got Hat$"):
+        isomorphic(Hat(1, 3, 5), Hat(1, 3, 5))
+
+
+def test_isomorphic_hats_refuses_a_value_that_is_not_a_hat():
+    h = Hat(1, 3, 5)
+    for value in (h.triangle(), (1, 3, 5), None):
+        with pytest.raises(TypeError, match="^h1 must be a Hat, got "):
+            isomorphic_hats(value, h)
+        with pytest.raises(TypeError, match="^h2 must be a Hat, got "):
+            isomorphic_hats(h, value)
+    with pytest.raises(TypeError, match="^h1 must be a Hat, got Triangle$"):
+        isomorphic_hats(h.triangle(), h.triangle())
+    # an EncodingTriple is not a Hat, though it names one
+    with pytest.raises(TypeError, match="^h1 must be a Hat, got EncodingTriple$"):
+        isomorphic_hats(EncodingTriple(1, 3, 5), h)
 
 
 def test_lying_criterion_raises_inconsistency(monkeypatch):
@@ -563,13 +588,13 @@ def test_one_role_reduction_per_triangle_and_every_route_runs(monkeypatch):
     assert not isomorphic(Hat(3, 27, 21).triangle(), Hat(39, 27, 21).triangle()).isomorphic
     assert len(solves) == 1
     # a census hat is reduced once, and still gets its six oracle solves:
-    # the Cramer solve of each correspondence from its triangle to itself
+    # the Cramer pass tests each correspondence from its triangle to itself
     reductions.clear()
-    solves = _count_calls(monkeypatch, oracle, "_solve_scaled")
+    tested, _ = tutil.counted_pass(monkeypatch)
     assert census(5, 5).ok
     assert len(reductions) == 27
-    assert len(solves) == 6 * 27
-    assert set(solves) == {(t, t, c.perm) for (t,) in reductions for c in CORRESPONDENCES}
+    assert len(tested) == 6 * 27
+    assert set(tested) == {(t, t, c.perm) for (t,) in reductions for c in CORRESPONDENCES}
 
 
 def test_right_triangle_rule():
@@ -699,13 +724,6 @@ def test_census_builds_no_dyadic_rational_and_skips_no_solve(monkeypatch):
         built.append(args)
         init(self, *args)
 
-    solves = []
-    solve = oracle._solve_scaled
-
-    def counted_solve(src, dst, perm):
-        solves.append(solve(src, dst, perm))
-        return solves[-1]
-
     # AffineMap and Triangle are built through __init__ or from_scaled, and
     # every Triangle stores itself through _store
     maps = _count_calls(monkeypatch, AffineMap, "__init__")
@@ -718,12 +736,12 @@ def test_census_builds_no_dyadic_rational_and_skips_no_solve(monkeypatch):
     monkeypatch.setattr(AffineMap, "from_scaled", classmethod(counted_from_scaled))
     triangles = _count_calls(monkeypatch, Triangle, "_store")
     monkeypatch.setattr(DyadicRational, "__init__", counted_init)
-    monkeypatch.setattr(oracle, "_solve_scaled", counted_solve)
+    tested, hits = tutil.counted_pass(monkeypatch)
     assert census(15, 15).ok
     assert built == []
-    # six correspondence solves per hat, and as many hits as before
-    assert len(solves) == 6 * 512
-    assert sum(f is not None for f in solves) == 666
+    # six correspondences tested per hat, and as many hits as before
+    assert len(tested) == 6 * 512
+    assert len(hits) == 666
     # one triangle per hat, and no witness map
     assert len(triangles) == 512
     assert maps == []
@@ -857,11 +875,10 @@ def test_decision_routes_never_reach_the_solver(fn):
 
 
 def test_reachable_names_sees_the_solver_where_it_is_used():
-    assert "solve_correspondence" in _reachable_names(oracle_isomorphic)
-    assert "solve_correspondence" in _reachable_names(normalize)
-    assert _SOLVER_NAMES <= _reachable_names(realized_correspondences)
-    assert "_solve_scaled" in _reachable_names(realized_cases)
-    assert "_solve_scaled" in _reachable_names(classify._self_cases)
+    assert _SOLVER_NAMES <= _reachable_names(normalize)
+    for fn in (oracle_isomorphic, realized_correspondences, realized_cases,
+               classify._self_cases):
+        assert "_solve_scaled" in _reachable_names(fn), fn.__name__
 
 
 def _package_imports(module):

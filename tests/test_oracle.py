@@ -7,7 +7,10 @@ the classification code.
 
 import pickle
 import random
+from collections import Counter
 from itertools import permutations
+
+import pytest
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -19,6 +22,7 @@ from dyhat.oracle import (
     CORRESPONDENCES,
     Correspondence,
     perm_label,
+    realized_cases,
     realized_correspondences,
     solve_correspondence,
 )
@@ -113,6 +117,93 @@ def test_solver_rejects_non_dyadic_entries():
     assert solve_correspondence(src, dst, (0, 1, 2)) is None
 
 
+def test_solve_correspondence_refuses_a_perm_that_is_not_an_order():
+    # a repeated vertex would give a singular map, and an extra or negative
+    # entry would index the wrong vertex
+    t = Hat(1, 9, 5).triangle()
+    for perm in ((0, 0, 0), (0, 1, 2, 3), (0, 1, -1)):
+        with pytest.raises(ValueError, match=r"^perm must be a permutation of \(0, 1, 2\)$"):
+            solve_correspondence(t, t, perm)
+    # any sequence that is an order is accepted
+    assert solve_correspondence(t, t, [0, 1, 2]) == IDENTITY
+
+
+def test_oracle_isomorphic_refuses_a_value_that_is_not_a_triangle():
+    t = Hat(1, 3, 5).triangle()
+    with pytest.raises(TypeError, match="^src must be a Triangle, got int$"):
+        oracle_isomorphic(1, 2)
+    for value in (Hat(1, 3, 5), t.scaled_coords(), None):
+        with pytest.raises(TypeError, match="^src must be a Triangle, got "):
+            oracle_isomorphic(value, t)
+        with pytest.raises(TypeError, match="^dst must be a Triangle, got "):
+            oracle_isomorphic(t, value)
+
+
+def test_oracle_isomorphic_stops_at_the_first_hit(monkeypatch):
+    tested, hits = tutil.counted_pass(monkeypatch)
+    # a pair realized by case "a" tests one correspondence, and yields it
+    src, dst = Hat(1, 3, 5).triangle(), Hat(7, 3, 5).triangle()
+    assert oracle_isomorphic(src, dst)[0].case == "a"
+    assert tested == [(src, dst, (0, 1, 2))]
+    assert len(hits) == 1
+    # a pair realized first by case "c" tests a, b and c
+    tested.clear()
+    other = Hat(5, 15, 1).triangle()
+    assert oracle_isomorphic(src, other)[0].case == "c"
+    assert [perm for _, _, perm in tested] == [(0, 1, 2), (2, 1, 0), (0, 2, 1)]
+    # odd parts 3 and 1 differ: the pass refuses the pair and tests none
+    tested.clear()
+    hits.clear()
+    assert oracle_isomorphic(Hat(1, 1, 1).triangle(), Hat(1, 3, 1).triangle()) is None
+    assert tested == [] and hits == []
+    # a pair with the same odd part but no unit map tests all six
+    assert oracle_isomorphic(Hat(3, 27, 21).triangle(), Hat(39, 27, 21).triangle()) is None
+    assert len(tested) == 6 and hits == []
+
+
+def _assert_the_pass_agrees(src, dst):
+    """realized_cases, the cases of realized_correspondences and six
+    solve_correspondence calls give the same answers as the Fraction
+    reference."""
+    want = {
+        corr: tutil.fraction_solve(src, dst, corr.perm) for corr in CORRESPONDENCES
+    }
+    want_cases = "".join(corr.case for corr, f in want.items() if f is not None)
+    assert realized_cases(src, dst) == want_cases
+    assert list(realized_correspondences(src, dst)) == [
+        (corr, f) for corr, f in want.items() if f is not None
+    ]
+    for corr, f in want.items():
+        assert solve_correspondence(src, dst, corr.perm) == f, corr
+    return want_cases
+
+
+def test_the_pass_agrees_with_the_reference_on_the_31_grid():
+    rng = random.Random(24)
+    cases = Counter()
+    for j in range(1, 32, 2):
+        for m in range(1, 32, 2):
+            for i in range(1, 2 * j, 2):
+                t = Hat(i, j, m).triangle()
+                image = transformed(t, tutil.rand_unit_map(rng))
+                shuffled = Triangle(tuple(rng.sample(image.vertices, 3)))
+                found = _assert_the_pass_agrees(t, shuffled)
+                assert found, (i, j, m)
+                cases[found] += 1
+    assert sum(cases.values()) == 4096
+    # every case letter is reached
+    assert set("".join(cases)) == set(CASES)
+
+
+@settings(max_examples=40)
+@given(tutil.large_triangles, tutil.unit_maps, tutil.large_triangles, st.permutations(range(3)))
+def test_the_pass_agrees_with_the_reference_on_large_triangles(t, f, other, order):
+    image = Triangle(tuple(transformed(t, f).vertices[k] for k in order))
+    assert _assert_the_pass_agrees(t, image)
+    _assert_the_pass_agrees(t, other)
+    _assert_the_pass_agrees(image, t)
+
+
 def test_oracle_isomorphic_reports_first_case():
     found = oracle_isomorphic(Hat(1, 3, 5).triangle(), Hat(7, 3, 5).triangle())
     assert found is not None
@@ -170,8 +261,8 @@ def _assert_targets_keep_the_determinant(t):
     """The source data's determinant is the cross product of the vertices
     at the triangle's scale, and the triangle with its vertices in any
     order has that odd part up to sign, the same valuation and the same
-    scale: the facts solve_correspondence relies on when it reads a
-    target's odd part from the target's own cramer_source."""
+    scale: the facts the Cramer pass relies on when it reads a target's
+    odd part from the target's own cramer_source."""
     _, odd, v, scale = t.cramer_source
     assert cross(*t.vertices) == D(odd, v + 2 * scale)
     for perm in permutations((0, 1, 2)):

@@ -119,8 +119,8 @@ def fraction_solve(src, dst, perm):
     +-2**k.
     """
     s = [(p.x.to_fraction(), p.y.to_fraction()) for p in src.vertices]
-    t = [(dst.vertices[perm[k]].x.to_fraction(), dst.vertices[perm[k]].y.to_fraction())
-         for k in range(3)]
+    dst_vertices = dst.vertices
+    t = [(p.x.to_fraction(), p.y.to_fraction()) for p in (dst_vertices[k] for k in perm)]
     (ax, ay), (bx, by) = s[0], t[0]
     u1x, u1y = s[1][0] - ax, s[1][1] - ay
     u2x, u2y = s[2][0] - ax, s[2][1] - ay
@@ -142,6 +142,31 @@ def fraction_inverse(f, tri):
     """The inverse of f by the reference solve, from f's images of tri's
     vertices back to them; None unless it is a dyadic unit map."""
     return fraction_solve(transformed(tri, f), tri, (0, 1, 2))
+
+
+def counted_pass(monkeypatch):
+    """Patch oracle._solve_scaled to record, as its callers use it, each
+    correspondence that a pass tests, as (src, dst, perm), and each item it
+    yields.  An entry counts as tested when the pass takes it from its
+    targets, so an entry left after a caller stops, or a pass that refuses
+    the pair, counts none."""
+    from dyhat import oracle
+
+    tested, hits = [], []
+    solve = oracle._solve_scaled
+
+    def counted(src, dst, targets):
+        def taken():
+            for entry in targets:
+                tested.append((src, dst, entry[0].perm))
+                yield entry
+
+        for item in solve(src, dst, taken()):
+            hits.append(item)
+            yield item
+
+    monkeypatch.setattr(oracle, "_solve_scaled", counted)
+    return tested, hits
 
 
 def _reachable_names(fn, seen=None):
