@@ -10,8 +10,7 @@ table, one row per subgroup of S3, and the oracle must realize exactly
 those self-correspondences.  isomorphic is the one isomorphism decision:
 isomorphic_hats runs it on the hats' triangles.  _self_cases is the one
 group check: iso_case(h, h), the table lookup, and the comparison with the
-oracle's realized_cases, which solves all six self-correspondences in
-one pass and builds no map.  automorphism_group runs it and then has the
+oracle's realized cases.  automorphism_group runs it and then has the
 oracle build a witness map for each of the group's own cases; a census
 cell builds each hat's triangle once and runs it alone, so a census builds
 no witness map.  The results (AutGroup, IsoResult, CensusRow,
@@ -27,7 +26,7 @@ import os
 from collections import namedtuple
 
 from .dyadic import Record
-from .errors import InconsistencyError, InvalidBounds, InvalidHat
+from .errors import InconsistencyError, InvalidBounds, InvalidHat, require
 from .geometry import Triangle
 from .hats import CANONICAL_KEY, Hat, role_triples
 from .oracle import (
@@ -53,9 +52,6 @@ _GROUP_OF_CASES = {
 GROUP_ORDER = {tag: len(cases) for cases, tag in _GROUP_OF_CASES.items()}
 
 GROUP_TAGS = tuple(GROUP_ORDER)
-
-#: The witness label of each oracle case, e.g. "c" -> "ACB".
-_PERM_LABEL = {corr.case: perm_label(corr.perm) for corr in CORRESPONDENCES}
 
 #: Most (j, m) cells that one census may sweep: the 1023x1023 grid.
 MAX_CENSUS_CELLS = 512 * 512
@@ -100,14 +96,13 @@ def automorphism_group(h: Hat) -> AutGroup:
     for them, and the oracle solves one witness map per case.  A value
     that is not a Hat raises TypeError.
     """
-    if not isinstance(h, Hat):
-        raise TypeError(f"h must be a Hat, got {h.__class__.__name__}")
+    require(h, Hat, "h")
     if not h.is_representative:
         raise InvalidHat(f"criteria require a representative hat (odd i), got i={h.i}")
     tri = h.triangle()
     cases = _self_cases(h, tri)
     return AutGroup(_GROUP_OF_CASES[cases], tuple(
-        (_PERM_LABEL[corr.case], solve_correspondence(tri, tri, corr.perm))
+        (perm_label(corr.perm), solve_correspondence(tri, tri, corr.perm))
         for corr in CORRESPONDENCES
         if corr.case in cases
     ))
@@ -170,9 +165,8 @@ def isomorphic(t1: Triangle, t2: Triangle) -> IsoResult:
     verdict, and gives the witness map.  The three routes and the oracle
     must agree.  A value that is not a Triangle raises TypeError.
     """
-    for name, value in (("t1", t1), ("t2", t2)):
-        if not isinstance(value, Triangle):
-            raise TypeError(f"{name} must be a Triangle, got {value.__class__.__name__}")
+    require(t1, Triangle, "t1")
+    require(t2, Triangle, "t2")
     roles1, roles2 = role_triples(t1), role_triples(t2)
     by_canonical = min(roles1, key=CANONICAL_KEY) == min(roles2, key=CANONICAL_KEY)
     by_overlap = not frozenset(roles1).isdisjoint(roles2)
@@ -189,9 +183,8 @@ def isomorphic(t1: Triangle, t2: Triangle) -> IsoResult:
 def isomorphic_hats(h1: Hat, h2: Hat) -> IsoResult:
     """isomorphic on the two hats' triangles; i may have either parity.  A
     value that is not a Hat raises TypeError."""
-    for name, value in (("h1", h1), ("h2", h2)):
-        if not isinstance(value, Hat):
-            raise TypeError(f"{name} must be a Hat, got {value.__class__.__name__}")
+    require(h1, Hat, "h1")
+    require(h2, Hat, "h2")
     return isomorphic(h1.triangle(), h2.triangle())
 
 

@@ -2,7 +2,9 @@
 
 Every input-value failure raises a DomainError subclass, so callers (and the
 command line front end) can tell bad data apart from bugs; each class here
-is raised by the package itself.
+is raised by the package itself.  A value of the wrong type is not a domain
+error: require, the one entry check of the exports, refuses it with a
+TypeError naming the parameter and the expected type.
 """
 
 
@@ -44,3 +46,10 @@ class InconsistencyError(Exception):
     Deliberately not a DomainError, and raised explicitly rather than by
     assert, so that it survives python -O.
     """
+
+
+def require(value, kind: type, name: str) -> None:
+    """Raise TypeError, naming the parameter and the expected type, unless
+    value is a kind."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be a {kind.__name__}, got {value.__class__.__name__}")

@@ -150,9 +150,7 @@ class Triangle(_Scaled):
     odd integer, and the exponent e.  It is set when the triangle is
     built, takes no part in equality, hash, repr or pickling, and
     oracle._solve_scaled is its one reader in the package: the Cramer pass,
-    which reads it once per pair of triangles, whether it then tests one
-    correspondence (solve_correspondence) or all six (realized_cases,
-    realized_correspondences).
+    which reads it once per pair of triangles.
     """
 
     __slots__ = ("cramer_source",)

@@ -33,7 +33,7 @@ from itertools import permutations
 from operator import itemgetter
 
 from .dyadic import Record, egcd, odd_part, val2
-from .errors import InconsistencyError, InvalidHat
+from .errors import InconsistencyError, InvalidHat, require
 from .geometry import Triangle
 from .oracle import solve_correspondence
 
@@ -178,11 +178,14 @@ def hat_of(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> Hat:
 
     roles picks which vertex plays which part: vertices[roles[0]] goes to
     the origin, vertices[roles[1]] to the apex (i, j) and vertices[roles[2]]
-    to (m, 0); see role_triples.  roles that are not one of the six orders
-    of (0, 1, 2) raise ValueError.
+    to (m, 0); see role_triples.  roles, read once, that are not one of the
+    six orders of (0, 1, 2) raise ValueError, and a tri that is not a
+    Triangle raises TypeError.
     """
-    if tuple(roles) not in ROLE_ORDERS:
+    roles = tuple(roles)
+    if roles not in ROLE_ORDERS:
         raise ValueError("roles must be a permutation of (0, 1, 2)")
+    require(tri, Triangle, "tri")
     n, _ = tri.scaled_coords()
     o, a, b = roles
     ox, oy, ax, ay = n[2 * o], n[2 * o + 1], n[2 * a], n[2 * a + 1]
@@ -196,6 +199,7 @@ def normalize(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> No
     through the three vertex pairs, which equals the composition of a
     translation, a Bezout matrix, rescalings, a reflection and a shear.
     The oracle solves it, sending vertex roles[k] to hat vertex k."""
+    roles = tuple(roles)
     hat = hat_of(tri, roles)
     inverse = tuple(roles.index(k) for k in range(3))
     witness = solve_correspondence(tri, hat.triangle(), inverse)
@@ -205,10 +209,14 @@ def normalize(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> No
 
 
 def all_encoding_triples(tri: Triangle) -> frozenset[EncodingTriple]:
-    """Encoding triples over all six vertex role assignments (1 to 6 values)."""
+    """Encoding triples over all six vertex role assignments (1 to 6 values).
+    A tri that is not a Triangle raises TypeError."""
+    require(tri, Triangle, "tri")
     return frozenset(EncodingTriple(*t) for t in set(role_triples(tri)))
 
 
 def canonical_form(tri: Triangle) -> EncodingTriple:
-    """The least encoding triple in the canonical (j, m, i) order."""
+    """The least encoding triple in the canonical (j, m, i) order.  A tri
+    that is not a Triangle raises TypeError."""
+    require(tri, Triangle, "tri")
     return EncodingTriple(*min(role_triples(tri), key=CANONICAL_KEY))

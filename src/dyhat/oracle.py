@@ -12,16 +12,13 @@ cramer_source, since reordering the vertices changes only its sign) and
 reads the target's stored integers.  Then, for each entry of _TARGETS it
 is given, a correspondence with its target offsets, it tests the four
 numerators and yields the correspondence and the solved map's integers
-when they make a unit.  It has three consumers: realized_cases joins the
-letters of one pass over all six and builds no map, which is how a census
-checks every hat; realized_correspondences builds an AffineMap
-(AffineMap.from_scaled; its linear part and translation are built only
-when read) per item of one lazy pass, and oracle_isomorphic takes its
-first item, so its tests stop at the first hit; solve_correspondence runs
-the pass over one perm's entry.  hats.normalize solves its witness
-through solve_correspondence, after hat_of has found the hat.  This route
-shares no logic with the number-theoretic criteria or with hats.hat_of,
-so each side checks the other.
+when they make a unit.  Each question has one consumer of the pass:
+realized_cases, which cases hold, over all six and with no map built (a
+census); oracle_isomorphic, the first hit and its map, so its tests stop
+there (isomorphic); solve_correspondence, one given correspondence and its
+map (hats.normalize, automorphism_group).  This route shares no logic with
+the number-theoretic criteria or with hats.hat_of, so each side checks the
+other.
 """
 
 from __future__ import annotations
@@ -30,6 +27,7 @@ from collections import namedtuple
 from typing import Iterable, Iterator
 
 from .dyadic import Record
+from .errors import require
 from .geometry import AffineMap, Triangle
 
 
@@ -135,22 +133,14 @@ def realized_cases(src: Triangle, dst: Triangle) -> str:
     return "".join([corr.case for corr, _ in _solve_scaled(src, dst, _TARGETS)])
 
 
-def realized_correspondences(
-    src: Triangle, dst: Triangle
-) -> Iterator[tuple[Correspondence, AffineMap]]:
-    """Each correspondence (in the fixed order) realized by a unit map, with
-    that map, from one lazy pass: a caller that stops at an item leaves
-    the later correspondences untested."""
-    for corr, solved in _solve_scaled(src, dst, _TARGETS):
-        yield corr, AffineMap.from_scaled(*solved)
-
-
 def oracle_isomorphic(
     src: Triangle, dst: Triangle
 ) -> tuple[Correspondence, AffineMap] | None:
-    """First correspondence (in the fixed order) realized by a unit map.  A
-    value that is not a Triangle raises TypeError."""
-    for name, value in (("src", src), ("dst", dst)):
-        if not isinstance(value, Triangle):
-            raise TypeError(f"{name} must be a Triangle, got {value.__class__.__name__}")
-    return next(realized_correspondences(src, dst), None)
+    """First correspondence (in the fixed order) realized by a unit map,
+    with that map: the pass stops there, leaving the later correspondences
+    untested.  A value that is not a Triangle raises TypeError."""
+    require(src, Triangle, "src")
+    require(dst, Triangle, "dst")
+    for corr, solved in _solve_scaled(src, dst, _TARGETS):
+        return corr, AffineMap.from_scaled(*solved)
+    return None

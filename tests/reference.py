@@ -30,7 +30,7 @@ from dyhat.dyadic import DyadicRational, Record, common_scale, egcd, odd_part, v
 from dyhat.errors import DomainError, InvalidHat, NotDyadic
 from dyhat.geometry import AffineMap, Matrix2, Point2, Triangle
 from dyhat.hats import EncodingTriple, Hat
-from dyhat.oracle import CORRESPONDENCES, perm_label, realized_correspondences
+from dyhat.oracle import CORRESPONDENCES, perm_label, realized_cases
 
 D = DyadicRational
 HALF = D(1, -1)
@@ -179,7 +179,7 @@ def closure_sample(points, depth: int) -> frozenset:
 
 def oracle_aut_count(t) -> int:
     """Number of self-correspondences realized by unit maps (1, 2, 3 or 6)."""
-    return sum(1 for _ in realized_correspondences(t, t))
+    return len(realized_cases(t, t))
 
 
 def validate_encoding_triple(i, j, m) -> None:

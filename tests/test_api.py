@@ -10,9 +10,14 @@ import types
 from fractions import Fraction
 from pathlib import Path
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
 import dyhat
 import dyhat.cli
-from dyhat import DyadicRational
+from dyhat import DyadicRational, EncodingTriple, Hat
+from dyhat.errors import DomainError
 
 from tutil import _reachable_names
 
@@ -121,3 +126,36 @@ def test_every_function_and_class_is_reached_from_the_cli_or_an_export():
                     and (module.__name__, name) not in _ENTRY_POINTS):
                 unreached.append(f"{module.__name__}.{name}")
     assert unreached == []
+
+
+#: Values an export may be handed by mistake: ints (small, so a census
+#: stays cheap, and one above the census cell cap), bools, floats,
+#: Fractions, strings, None and records, with one valid Hat and Triangle.
+_ANY_VALUE = st.one_of(
+    st.integers(-3, 7), st.just(10**12 + 1), st.booleans(), st.floats(),
+    st.fractions(), st.text(max_size=3), st.none(),
+    st.sampled_from([Hat(1, 3, 5), Hat(2, 3, 5), EncodingTriple(1, 3, 5),
+                     Hat(3, 7, 1).triangle(), DyadicRational(3, -1)]),
+)
+
+#: Every exported function, each called on one drawn value per parameter
+#: without a default.
+_FUNCTIONS = sorted(
+    name for name in _public_names() if isinstance(getattr(dyhat, name), types.FunctionType)
+)
+
+
+@pytest.mark.parametrize("name", _FUNCTIONS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_an_export_returns_or_refuses_a_drawn_value(name, data):
+    fn = getattr(dyhat, name)
+    arity = fn.__code__.co_argcount - len(fn.__defaults__ or ())
+    args = [data.draw(_ANY_VALUE) for _ in range(arity)]
+    try:
+        fn(*args)
+    except DomainError:
+        pass
+    except TypeError as e:
+        # the documented entry check, naming the parameter and its type
+        assert re.fullmatch(r"\w+ must be a (Hat|Triangle), got \w+", str(e)), (args, e)

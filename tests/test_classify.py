@@ -36,7 +36,7 @@ from dyhat.errors import InconsistencyError, InvalidBounds, InvalidHat
 from dyhat.hats import hat_of
 from dyhat import classify, cli, dyadic, hats
 from dyhat.geometry import AffineMap
-from dyhat.oracle import CASES, CORRESPONDENCES, realized_cases, realized_correspondences
+from dyhat.oracle import CASES, CORRESPONDENCES, realized_cases
 
 import tutil
 from reference import (
@@ -876,8 +876,7 @@ def test_decision_routes_never_reach_the_solver(fn):
 
 def test_reachable_names_sees_the_solver_where_it_is_used():
     assert _SOLVER_NAMES <= _reachable_names(normalize)
-    for fn in (oracle_isomorphic, realized_correspondences, realized_cases,
-               classify._self_cases):
+    for fn in (oracle_isomorphic, realized_cases, classify._self_cases):
         assert "_solve_scaled" in _reachable_names(fn), fn.__name__
 
 

@@ -130,6 +130,22 @@ def test_normalize_rejects_bad_roles():
                 fn(t, roles)
     assert hat_of(t, [1, 2, 0]) == hat_of(t, (1, 2, 0))
     assert normalize(t, [1, 2, 0]) == normalize(t, (1, 2, 0))
+    # roles are read once, so an iterator is checked and used as one order
+    assert hat_of(t, iter((1, 2, 0))) == hat_of(t, (1, 2, 0))
+    assert normalize(t, iter((1, 2, 0))) == normalize(t, (1, 2, 0))
+    for fn in (hat_of, normalize):
+        with pytest.raises(ValueError, match=r"^roles must be a permutation of \(0, 1, 2\)$"):
+            fn(t, iter((0, 1, 1)))
+
+
+@pytest.mark.parametrize(
+    "fn", [hat_of, normalize, all_encoding_triples, canonical_form],
+    ids=lambda fn: fn.__name__,
+)
+@pytest.mark.parametrize("value", [Hat(1, 3, 5), (1, 3, 5), None], ids=repr)
+def test_triangle_exports_refuse_a_value_that_is_not_a_triangle(fn, value):
+    with pytest.raises(TypeError, match="^tri must be a Triangle, got "):
+        fn(value)
 
 
 def test_witness_maps_roles_exactly():
