@@ -228,11 +228,14 @@ def common_scale(*values: DyadicRational) -> tuple[tuple[int, ...], int]:
     return tuple(v.num << (v.exp - e) if v.num else 0 for v in values), e
 
 
+_EXACT_INT = frozenset([int])
+
+
 def reduce_scale(ints: Iterable[int], e: int) -> tuple[tuple[int, ...], int]:
     """common_scale of the values ints[k] * 2**e, computed on the integers:
-    the power of two that divides all of them moves into the exponent.
-    NotDyadic refuses ints that are not a sequence, and a value or an
-    exponent that is not an int."""
+    the power of two that divides all of them moves into the exponent, and
+    a bool comes back as the int it equals.  NotDyadic refuses ints that
+    are not a sequence, and a value or an exponent that is not an int."""
     try:
         ints = tuple(ints)
     except TypeError:
@@ -245,6 +248,9 @@ def reduce_scale(ints: Iterable[int], e: int) -> tuple[tuple[int, ...], int]:
         raise NotDyadic(f"scaled values must be integers, got {bad}") from None
     if not isinstance(e, int):
         raise NotDyadic(f"a scale exponent must be an integer, got {e.__class__.__name__}")
+    if e.__class__ is not int or not _EXACT_INT.issuperset(map(type, ints)):
+        # DyadicRational takes exact ints only, and a bool is not one
+        ints, e = tuple(map(int, ints)), int(e)
     if g & 1:
         return ints, e
     if not g:

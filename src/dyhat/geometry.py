@@ -20,7 +20,7 @@ from collections import namedtuple
 from typing import Iterable
 
 from .dyadic import DyadicRational, Record, common_scale, reduce_scale, val2
-from .errors import DegenerateTriangle, NotDyadic
+from .errors import DegenerateTriangle, NotDyadic, require
 
 
 def _dy(value) -> DyadicRational:
@@ -70,12 +70,15 @@ class AffineMap(_Scaled):
     Stored as two common_scale forms (ints, e): the linear entries
     (a, b, c, d) and the translation (x, y), under the _Scaled policy.
     linear and translation are views built each time they are read, not
-    kept.  Its repr is AffineMap(linear=..., translation=...).
+    kept.  Its repr is AffineMap(linear=..., translation=...).  The
+    constructor takes a Matrix2 and a Point2, else TypeError.
     """
 
     __slots__ = ()
 
     def __init__(self, linear: Matrix2, translation: Point2):
+        require(linear, Matrix2, "linear")
+        require(translation, Point2, "translation")
         self._scaled = (
             common_scale(linear.a, linear.b, linear.c, linear.d),
             common_scale(translation.x, translation.y),
@@ -142,7 +145,8 @@ class Triangle(_Scaled):
     the coordinates, under the _Scaled policy.  vertices is a view built
     each time it is read, not kept.  Its repr is Triangle(vertices=(...)).
     Unpickling goes through from_scaled, which rejects collinear vertices
-    again.
+    again.  The constructor takes a tuple of Point2 values, else TypeError,
+    and three of them, else NotDyadic; Triangle.of also takes (x, y) pairs.
 
     cramer_source is ((x0, y0, u1x, u1y, u2x, u2y), odd, v, e): the
     integers of vertex 0, the edge vectors u1, u2 from it to vertices 1
@@ -156,6 +160,11 @@ class Triangle(_Scaled):
     __slots__ = ("cramer_source",)
 
     def __init__(self, vertices: tuple[Point2, Point2, Point2]):
+        require(vertices, tuple, "vertices")
+        if len(vertices) != 3:
+            raise NotDyadic(f"a triangle needs 3 vertices, got {len(vertices)}")
+        for p in vertices:
+            require(p, Point2, "vertex")
         a, b, c = vertices
         self._store(common_scale(a.x, a.y, b.x, b.y, c.x, c.y))
 
@@ -203,6 +212,12 @@ class Triangle(_Scaled):
     @staticmethod
     def of(a, b, c) -> "Triangle":
         def pt(p):
-            return p if isinstance(p, Point2) else Point2.of(*p)
+            if isinstance(p, Point2):
+                return p
+            try:
+                return Point2.of(*p)
+            except TypeError:
+                raise NotDyadic("a vertex must be a Point2 or an (x, y) pair, got "
+                                f"{p.__class__.__name__}") from None
 
         return Triangle((pt(a), pt(b), pt(c)))

@@ -62,7 +62,11 @@ class Hat(Record, namedtuple("Hat", "i j m")):
         return self.i % 2 != 0
 
     def triangle(self) -> Triangle:
-        return Triangle.from_scaled((0, 0, self.i, self.j, self.m, 0), 0)
+        # Triangle.from_scaled without its checks and reduction, which these
+        # exact ints with an odd gcd (j is odd) pass unchanged
+        t = Triangle.__new__(Triangle)
+        t._store(((0, 0, self.i, self.j, self.m, 0), 0))
+        return t
 
 
 #: The canonical order of encoding triples, lexicographic on (j, m, i), as a
@@ -120,6 +124,15 @@ IDENTITY_ROLES = (0, 1, 2)
 #: The six vertex role orders, which hat_of and normalize accept, in the
 #: order that role_triples returns their triples.
 ROLE_ORDERS = tuple(permutations(range(3)))
+
+
+def _role_order(roles) -> tuple[int, int, int]:
+    """roles, read once, as the order in ROLE_ORDERS that they equal;
+    anything else, iterable or not, raises ValueError."""
+    try:
+        return ROLE_ORDERS[ROLE_ORDERS.index(tuple(roles))]
+    except (TypeError, ValueError):
+        raise ValueError("roles must be a permutation of (0, 1, 2)") from None
 
 
 def _edge_hats(
@@ -182,9 +195,7 @@ def hat_of(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> Hat:
     six orders of (0, 1, 2) raise ValueError, and a tri that is not a
     Triangle raises TypeError.
     """
-    roles = tuple(roles)
-    if roles not in ROLE_ORDERS:
-        raise ValueError("roles must be a permutation of (0, 1, 2)")
+    roles = _role_order(roles)
     require(tri, Triangle, "tri")
     n, _ = tri.scaled_coords()
     o, a, b = roles
@@ -199,7 +210,7 @@ def normalize(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> No
     through the three vertex pairs, which equals the composition of a
     translation, a Bezout matrix, rescalings, a reflection and a shear.
     The oracle solves it, sending vertex roles[k] to hat vertex k."""
-    roles = tuple(roles)
+    roles = _role_order(roles)
     hat = hat_of(tri, roles)
     inverse = tuple(roles.index(k) for k in range(3))
     witness = solve_correspondence(tri, hat.triangle(), inverse)

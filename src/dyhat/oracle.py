@@ -118,10 +118,11 @@ def solve_correspondence(
     """The unit affine map sending vertex k of src to vertex perm[k] of dst,
     or None when that unique affine map is not a dyadic unit: the pass
     over perm's one entry.  A perm that is not one of the six orders of
-    (0, 1, 2) raises ValueError."""
-    targets = _TARGET_OF_PERM.get(tuple(perm))
-    if targets is None:
-        raise ValueError("perm must be a permutation of (0, 1, 2)")
+    (0, 1, 2), iterable or not, raises ValueError."""
+    try:
+        targets = _TARGET_OF_PERM[tuple(perm)]
+    except (TypeError, KeyError):
+        raise ValueError("perm must be a permutation of (0, 1, 2)") from None
     for _, solved in _solve_scaled(src, dst, targets):
         return AffineMap.from_scaled(*solved)
     return None

@@ -4,6 +4,7 @@ that the package holds no code that only the tests reach."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 import re
 import types
@@ -128,6 +129,17 @@ def test_every_function_and_class_is_reached_from_the_cli_or_an_export():
     assert unreached == []
 
 
+def test_the_package_holds_no_assert_statement():
+    # python -O strips assert statements, so each check in dyhat raises instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(dyhat.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 #: Values an export may be handed by mistake: ints (small, so a census
 #: stays cheap, and one above the census cell cap), bools, floats,
 #: Fractions, strings, None and records, with one valid Hat and Triangle.
@@ -138,24 +150,34 @@ _ANY_VALUE = st.one_of(
                      Hat(3, 7, 1).triangle(), DyadicRational(3, -1)]),
 )
 
-#: Every exported function, each called on one drawn value per parameter
-#: without a default.
-_FUNCTIONS = sorted(
-    name for name in _public_names() if isinstance(getattr(dyhat, name), types.FunctionType)
+
+def _callables(export) -> list:
+    """export, and each public classmethod and staticmethod of a class."""
+    return [export, *(getattr(export, attr) for attr, member in vars(export).items()
+                      if isinstance(member, (classmethod, staticmethod)) and attr[0] != "_")]
+
+
+_CLASSES = sorted(name for name in _public_names() if isinstance(getattr(dyhat, name), type))
+
+
+# each exported function alone, and the exported classes as one group: a
+# Hypothesis run costs far more than the calls it makes
+@pytest.mark.parametrize(
+    "names", [*([name] for name in sorted(_public_names() - set(_CLASSES))), _CLASSES],
+    ids="-".join,
 )
-
-
-@pytest.mark.parametrize("name", _FUNCTIONS)
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_an_export_returns_or_refuses_a_drawn_value(name, data):
-    fn = getattr(dyhat, name)
-    arity = fn.__code__.co_argcount - len(fn.__defaults__ or ())
-    args = [data.draw(_ANY_VALUE) for _ in range(arity)]
-    try:
-        fn(*args)
-    except DomainError:
-        pass
-    except TypeError as e:
-        # the documented entry check, naming the parameter and its type
-        assert re.fullmatch(r"\w+ must be a (Hat|Triangle), got \w+", str(e)), (args, e)
+def test_an_export_returns_or_refuses_a_drawn_value(names, data):
+    # one drawn value per parameter without a default
+    for fn in (fn for name in names for fn in _callables(getattr(dyhat, name))):
+        params = inspect.signature(fn).parameters.values()
+        args = [data.draw(_ANY_VALUE) for p in params if p.default is p.empty]
+        try:
+            fn(*args)
+        except DomainError:
+            pass
+        except TypeError as e:
+            # the documented entry check, naming the parameter and its type
+            assert re.fullmatch(r"\w+ must be a (Hat|Triangle|Matrix2|Point2|tuple), got \w+",
+                                str(e)), (fn, args, e)

@@ -712,10 +712,6 @@ def test_census_tags_are_the_automorphism_group_tags_on_the_31_grid(monkeypatch)
         assert row.aut_counts == {tag: want[tag] for tag in classify.GROUP_TAGS}, row
 
 
-def test_census_parallel_matches_serial():
-    assert census(5, 5, workers=2) == census(5, 5)
-
-
 def test_census_builds_no_dyadic_rational_and_skips_no_solve(monkeypatch):
     built = []
     init = DyadicRational.__init__

@@ -422,13 +422,6 @@ def test_census_json(capsys):
         assert row["orbit_ok"] is True
 
 
-def test_census_parallel_output_matches_serial(capsys):
-    assert run(["census", "--json", "--jmax", "3", "--mmax", "3"]) == 0
-    serial = capsys.readouterr().out
-    assert run(["census", "--json", "--jmax", "3", "--mmax", "3", "--par", "2"]) == 0
-    assert capsys.readouterr().out == serial
-
-
 def test_census_failure_exits_1(capsys, monkeypatch):
     bad_row = CensusRow(3, 1, 2, 1, {"Trivial": 3, "C2": 0, "C3": 0, "S3": 0}, True)
     fake = CensusReport(3, 1, (bad_row,))
@@ -588,31 +581,72 @@ _PIN_CALLS = [
     ["census", "--jmax", "4", "--mmax", "3"],
     ["render", "0,0 1/3,1 1,0", "--out", "out.svg"],
 ]
-_PIN_DIGEST = "d8db720bcb7141bf287e75d966e638c94a7a7dff62dac16308f3a9cf1a12f722"
+
+
+def _fixture_lines(name: str) -> list[str]:
+    return (FIXTURES / name).read_text(encoding="utf-8").splitlines()
+
+
+_LARGE_PAIRS = [line.split("|") for line in _fixture_lines("iso_large_pairs.txt")]
+
+#: The pinned answers: name -> (argv lists, what each call adds to the hash,
+#: a format of call = (argv, code, out, err), out and code; the sha256 of
+#: it all).  A digest changes only with a reason stated in CHANGES.md.
+#: The large rows hash each call's stdout and then its exit code, as the
+#: shell loops that first pinned them did; the 63x63 census is pinned
+#: serial and with two workers, to one report.
+_PINS = {
+    "small calls in each output mode": (
+        [[command, *flags, *rest]
+         for flags in ([], ["--quiet"], ["--json"], ["--json", "--quiet"])
+         for command, *rest in _PIN_CALLS],
+        "{call!r}", "d8db720bcb7141bf287e75d966e638c94a7a7dff62dac16308f3a9cf1a12f722"),
+    "census 31x31": (
+        [["census", "--jmax", "31", "--mmax", "31", "--json"]],
+        "{out}", "4b20b2b6d106925fa6622e0ddcdfb6109bc43e572be55f88f596a6f8f7a100a3"),
+    "census 63x63": (
+        [["census", "--jmax", "63", "--mmax", "63", "--json"]],
+        "{out}", "f873dbb01a403da8330187bb1ba0f5bea8f88975c397033e4c08d0ef1a310b0b"),
+    "census 63x63 with two workers": (
+        [["census", "--jmax", "63", "--mmax", "63", "--par", "2", "--json"]],
+        "{out}", "f873dbb01a403da8330187bb1ba0f5bea8f88975c397033e4c08d0ef1a310b0b"),
+    "iso on the ten large pairs": (
+        [["iso", "--json", *pair] for pair in _LARGE_PAIRS],
+        "{out}exit {code}\n", "ec11c4869809f572cca2b78643be49a0e8aa8ae0fe19f0c0685ae6c0626b4847"),
+    "aut on the six large hats": (
+        [["aut", "--json", *line.split()] for line in _fixture_lines("aut_large_hats.txt")],
+        "{out}exit {code}\n", "1fe74055403ae9bdf528687ac1e44c045fb4373527612368488d4825caaaeece"),
+    "normalize --verify on the twenty large triangles": (
+        [["normalize", "--verify", "--json", tri] for pair in _LARGE_PAIRS for tri in pair],
+        "{out}exit {code}\n", "1b5dd2b22ce2e3210b553cb0b41d0053ee42efa9398b0caa28c3eb87a54ae775"),
+    "canon on the twenty large triangles": (
+        [["canon", "--json", tri] for pair in _LARGE_PAIRS for tri in pair],
+        "{out}exit {code}\n", "45e02c46b05301f16b401d966e03991e29cb4f9861e2e4bcc532444f78a79d64"),
+}
 
 
 def test_cli_output_is_unchanged(tmp_path, monkeypatch, capsys):
-    # every call under each output mode; render writes a relative path, so
-    # the path it prints does not depend on the test's directory
+    # render writes a relative path, so the path it prints does not depend
+    # on the test's directory; --par 2 gets two workers even on a one-CPU host
     monkeypatch.chdir(tmp_path)
-    digest = hashlib.sha256()
-    for flags in ([], ["--quiet"], ["--json"], ["--json", "--quiet"]):
-        for command, *rest in _PIN_CALLS:
-            argv = [command, *flags, *rest]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    digests = {}
+    for name, (calls, record, _) in _PINS.items():
+        digest = hashlib.sha256()
+        for argv in calls:
             code = run(argv)
-            captured = capsys.readouterr()
-            digest.update(repr((argv, code, captured.out, captured.err)).encode())
-    assert digest.hexdigest() == _PIN_DIGEST
-
+            out, err = capsys.readouterr()
+            digest.update(record.format(call=(argv, code, out, err), out=out, code=code).encode())
+        digests[name] = digest.hexdigest()
+    assert digests == {name: pin for name, (_, _, pin) in _PINS.items()}
 
 
 def test_large_iso_pairs_fixture_covers_every_case_with_even_gcd_edges(capsys):
-    """The pairs whose iso --json output CI pins: every case letter and
+    """The pairs whose iso --json output _PINS pins: every case letter and
     four pairs that are not isomorphic, each pair with an edge whose
     integers have an even gcd, so that the 2-adic division runs."""
     cases = []
-    for line in (FIXTURES / "iso_large_pairs.txt").read_text(encoding="utf-8").splitlines():
-        first, second = line.split("|")
+    for first, second in _LARGE_PAIRS:
         code = run(["iso", "--json", first, second])
         result = json.loads(capsys.readouterr().out)["iso"]
         assert code == (0 if result["result"] else 3)
@@ -622,15 +656,15 @@ def test_large_iso_pairs_fixture_covers_every_case_with_even_gcd_edges(capsys):
             n, _ = tri.scaled_coords()
             edges += [math.gcd(n[2 * a] - n[2 * b], n[2 * a + 1] - n[2 * b + 1])
                       for a, b in ((0, 1), (0, 2), (1, 2))]
-        assert any(g % 2 == 0 for g in edges), line
+        assert any(g % 2 == 0 for g in edges), (first, second)
     assert sorted(cases, key=str) == [None, None, None, None, *"abcdef"]
 
 
 def test_large_aut_hats_fixture_covers_every_subgroup(capsys):
-    """The hats whose aut --json output CI pins: one per row of the subgroup
-    table, each with the group the reference criteria give it."""
+    """The hats whose aut --json output _PINS pins: one per row of the
+    subgroup table, each with the group the reference criteria give it."""
     rows = []
-    for line in (FIXTURES / "aut_large_hats.txt").read_text(encoding="utf-8").splitlines():
+    for line in _fixture_lines("aut_large_hats.txt"):
         assert run(["aut", "--json", *line.split()]) == 0
         group = json.loads(capsys.readouterr().out)["aut"]
         tag, cases, labels = criteria_row(Hat(*map(int, line.split())))
@@ -856,16 +890,6 @@ def test_pooled_census_loads_the_pool_and_matches_serial():
     proc = _isolated_child(script)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [False, True, True]
-
-
-def test_pooled_census_process_matches_serial():
-    command = [sys.executable, "-m", "dyhat", "census", "--jmax", "3", "--mmax", "3"]
-    serial = subprocess.run(command, capture_output=True, text=True, env=_child_env(),
-                            timeout=60)
-    pooled = subprocess.run([*command, "--par", "2"], capture_output=True, text=True,
-                            env=_child_env(), timeout=60)
-    assert serial.returncode == 0, serial.stderr
-    assert (pooled.returncode, pooled.stdout) == (serial.returncode, serial.stdout)
 
 
 def test_inconsistency_exits_5(capsys, monkeypatch):

@@ -322,3 +322,16 @@ def test_from_scaled_refuses_a_wrong_count_or_a_non_int_with_not_dyadic():
     assert AffineMap.from_scaled(((True, 0, 0, True), 0), translation) == AffineMap.from_scaled(
         linear, translation
     )
+    # and is kept as the int it equals, so the value reads, prints and
+    # pickles like the one built from ints
+    ints = (0, 0, 1, 3, 5, 0)
+    for built, plain in (
+        (Triangle.from_scaled(ints, True), Triangle.from_scaled(ints, 1)),
+        (Triangle.from_scaled((False, False, True, 3, 5, False), 0), Triangle.from_scaled(ints, 0)),
+        (AffineMap.from_scaled((linear[0], True), translation),
+         AffineMap.from_scaled((linear[0], 1), translation)),
+        (AffineMap.from_scaled(((True, 0, 0, True), 0), ((False, True), False)),
+         AffineMap.from_scaled(linear, ((0, 1), 0))),
+    ):
+        assert repr(built) == repr(pickle.loads(pickle.dumps(built))) == repr(plain)
+    assert Triangle.from_scaled(ints, True).vertices == Triangle.from_scaled(ints, 1).vertices

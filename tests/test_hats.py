@@ -56,6 +56,10 @@ def test_hat_validation():
 def test_hat_triangle():
     t = Hat(15, 9, 21).triangle()
     assert t.vertices == (Point2.of(0, 0), Point2.of(15, 9), Point2.of(21, 0))
+    # the triangle from_scaled builds, for i of either parity and sign
+    for i, j, m in [(15, 9, 21), (2, 3, 5), (0, 1, 1), (-6, 3, 9), (10**40, 3**50, 1)]:
+        built, plain = Hat(i, j, m).triangle(), Triangle.from_scaled((0, 0, i, j, m, 0), 0)
+        assert (built._scaled, built.cramer_source) == (plain._scaled, plain.cramer_source)
 
 
 def test_encoding_triple_validation():
@@ -124,7 +128,7 @@ def test_normalize_rejects_bad_roles():
         normalize(t, (0, 1, 3))
     # hat_of refuses the same roles with the same message; an order given
     # as a list is accepted
-    for roles in [(0, 0, 1), (0, 1), (0, 1, 3), (0, 1, 2, 0)]:
+    for roles in [(0, 0, 1), (0, 1), (0, 1, 3), (0, 1, 2, 0), None, 5, [[0], [1], [2]]]:
         for fn in (hat_of, normalize):
             with pytest.raises(ValueError, match=r"^roles must be a permutation of \(0, 1, 2\)$"):
                 fn(t, roles)

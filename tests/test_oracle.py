@@ -118,9 +118,10 @@ def test_solver_rejects_non_dyadic_entries():
 
 def test_solve_correspondence_refuses_a_perm_that_is_not_an_order():
     # a repeated vertex would give a singular map, and an extra or negative
-    # entry would index the wrong vertex
+    # entry would index the wrong vertex; a value that is not iterable, or
+    # whose entries cannot be hashed, is no order either
     t = Hat(1, 9, 5).triangle()
-    for perm in ((0, 0, 0), (0, 1, 2, 3), (0, 1, -1)):
+    for perm in ((0, 0, 0), (0, 1, 2, 3), (0, 1, -1), None, 5, [[0], [1], [2]]):
         with pytest.raises(ValueError, match=r"^perm must be a permutation of \(0, 1, 2\)$"):
             solve_correspondence(t, t, perm)
     # any sequence that is an order is accepted
