@@ -26,8 +26,11 @@ from .hats import ROLE_ORDERS, Hat, canonical_form, normalize
 from .oracle import perm_label
 from .render import render_svg
 
-_LITERAL = re.compile(r"^(-?\d+)(?:/(.+))?$")
-_POW2 = re.compile(r"^2\^(\d+)$")
+# ASCII digits only: \d, int() and str.isdecimal() also take other
+# scripts' digits, and int() takes "_", "+" and surrounding spaces
+_INT = re.compile(r"-?[0-9]+")
+_LITERAL = re.compile(r"^(-?[0-9]+)(?:/(.+))?$")
+_POW2 = re.compile(r"^2\^([0-9]+)$")
 
 #: Longest digit string a literal may hold (numerator, denominator or k).
 MAX_LITERAL_DIGITS = 1000
@@ -37,19 +40,19 @@ MAX_POW2_EXPONENT = 4096
 
 def _bounded_int(digits: str, literal: str) -> int:
     """int(digits) for a part of literal.  ParseError refuses more than
-    MAX_LITERAL_DIGITS digits, before conversion, and what int() refuses."""
+    MAX_LITERAL_DIGITS digits, before conversion, and anything but an
+    optional "-" and ASCII digits."""
     count = len(digits.lstrip("-"))
     if count > MAX_LITERAL_DIGITS:
         raise ParseError(
             f"literal has a {count}-digit part; at most "
             f"{MAX_LITERAL_DIGITS} digits are allowed"
         )
-    try:
-        return int(digits)
-    except ValueError:
-        # parse_dyadic's pattern admits only digits, so the parts that int()
-        # refuses are the parameters of a hat literal or of aut
-        raise ParseError(f"hat parameters must be integers in {literal!r}") from None
+    if not _INT.fullmatch(digits):
+        # parse_dyadic's patterns admit only these, so the parts refused
+        # here are the parameters of a hat literal or of aut
+        raise ParseError(f"hat parameters must be integers in {literal!r}")
+    return int(digits)
 
 
 def parse_dyadic(text: str) -> DyadicRational:
@@ -73,7 +76,7 @@ def parse_dyadic(text: str) -> DyadicRational:
                 f"exponent 2^{k} exceeds the limit 2^{MAX_POW2_EXPONENT}"
             )
         return DyadicRational(num, -k)
-    if not den_text.isdecimal():
+    if not re.fullmatch(r"[0-9]+", den_text):
         raise ParseError(f"malformed denominator in {text!r}")
     den = _bounded_int(den_text, text)
     if den <= 0 or den & (den - 1):

@@ -6,12 +6,13 @@ form).  Maps compose, and are tested for being a unit (determinant +-2**k,
 exactly the maps invertible over the dyadics), on those integers.
 Triangle.vertices and AffineMap.linear / .translation are Point2, Matrix2
 and DyadicRational views, built on each read and never kept; Point2 and
-Matrix2 are dyadic.Record values with no arithmetic.  A triangle finds its
-edge vectors' determinant once, when it is built: that step rejects
-collinear vertices and keeps the data of the oracle's Cramer pass as
-Triangle.cramer_source.  This module stores values and solves nothing;
-oracle._solve_scaled, which reads that data once per pair of triangles and
-then tests each vertex correspondence, is the one solve.
+Matrix2 are dyadic.Record values with no arithmetic; the constructors read
+each of their fields through _dy, as Point2.of does, so an int field is
+taken as the dyadic it equals and any other non-dyadic is refused.  A
+triangle is refused when its edge vectors' determinant is 0, its vertices
+collinear, and keeps nothing else: this module stores values and solves
+nothing.  oracle._solve_scaled, the one solve, derives what it needs from
+the stored integers once per pair of triangles.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterable
 
-from .dyadic import DyadicRational, Record, common_scale, reduce_scale, val2
+from .dyadic import DyadicRational, Record, common_scale, reduce_scale
 from .errors import DegenerateTriangle, NotDyadic, require
 
 
@@ -71,7 +72,8 @@ class AffineMap(_Scaled):
     (a, b, c, d) and the translation (x, y), under the _Scaled policy.
     linear and translation are views built each time they are read, not
     kept.  Its repr is AffineMap(linear=..., translation=...).  The
-    constructor takes a Matrix2 and a Point2, else TypeError.
+    constructor takes a Matrix2 and a Point2, else TypeError, whose fields
+    are ints or DyadicRationals, else NotDyadic.
     """
 
     __slots__ = ()
@@ -80,8 +82,7 @@ class AffineMap(_Scaled):
         require(linear, Matrix2, "linear")
         require(translation, Point2, "translation")
         self._scaled = (
-            common_scale(linear.a, linear.b, linear.c, linear.d),
-            common_scale(translation.x, translation.y),
+            common_scale(*map(_dy, linear)), common_scale(*map(_dy, translation))
         )
 
     @classmethod
@@ -146,18 +147,11 @@ class Triangle(_Scaled):
     each time it is read, not kept.  Its repr is Triangle(vertices=(...)).
     Unpickling goes through from_scaled, which rejects collinear vertices
     again.  The constructor takes a tuple of Point2 values, else TypeError,
-    and three of them, else NotDyadic; Triangle.of also takes (x, y) pairs.
-
-    cramer_source is ((x0, y0, u1x, u1y, u2x, u2y), odd, v, e): the
-    integers of vertex 0, the edge vectors u1, u2 from it to vertices 1
-    and 2, their determinant u1x*u2y - u1y*u2x == odd * 2**v with odd an
-    odd integer, and the exponent e.  It is set when the triangle is
-    built, takes no part in equality, hash, repr or pickling, and
-    oracle._solve_scaled is its one reader in the package: the Cramer pass,
-    which reads it once per pair of triangles.
+    three of them, each with int or DyadicRational fields, else NotDyadic;
+    Triangle.of also takes (x, y) pairs.
     """
 
-    __slots__ = ("cramer_source",)
+    __slots__ = ()
 
     def __init__(self, vertices: tuple[Point2, Point2, Point2]):
         require(vertices, tuple, "vertices")
@@ -165,8 +159,7 @@ class Triangle(_Scaled):
             raise NotDyadic(f"a triangle needs 3 vertices, got {len(vertices)}")
         for p in vertices:
             require(p, Point2, "vertex")
-        a, b, c = vertices
-        self._store(common_scale(a.x, a.y, b.x, b.y, c.x, c.y))
+        self._store(common_scale(*[_dy(z) for p in vertices for z in p]))
 
     @classmethod
     def from_scaled(cls, ints: Iterable[int], e: int) -> "Triangle":
@@ -179,19 +172,15 @@ class Triangle(_Scaled):
         return t
 
     def _store(self, scaled: tuple[tuple[int, ...], int]) -> None:
-        """Keep scaled and its Cramer data, from one determinant of the edge
-        vectors, which is 0 exactly when the vertices are collinear."""
+        """Keep scaled, or refuse collinear vertices: exactly those whose
+        edge vectors have determinant 0."""
         try:
-            (x0, y0, x1, y1, x2, y2), e = scaled
+            (x0, y0, x1, y1, x2, y2), _ = scaled
         except ValueError:
             raise NotDyadic(f"a triangle needs 6 integers, got {len(scaled[0])}") from None
-        u1x, u1y, u2x, u2y = x1 - x0, y1 - y0, x2 - x0, y2 - y0
-        det = u1x * u2y - u1y * u2x
-        if not det:
+        if not (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0):
             raise DegenerateTriangle("the three vertices are collinear")
         self._scaled = scaled
-        v = val2(det)
-        self.cramer_source = (x0, y0, u1x, u1y, u2x, u2y), det >> v, v, e
 
     @property
     def vertices(self) -> tuple[Point2, Point2, Point2]:

@@ -6,24 +6,25 @@ dyadic triangle with a chosen vertex role assignment is isomorphic, by a
 unit affine map, to exactly one representative hat with i odd in
 {1, 3, ..., 2j-1}; that triple encodes the pointed isomorphism class, and
 the set of triples over all six role assignments encodes the full class.
-hat_of finds that hat for one vertex role order on integers alone, and
-role_triples finds the triples of all six orders, in ROLE_ORDERS order
-with the identity first.  The reduction reads Triangle.scaled_coords and
-never the oracle's cramer_source, so hat_of and the oracle check each
-other.  normalize also returns the witness map: the oracle's
-solve_correspondence builds it from oracle._solve_scaled, the one Cramer
-pass, run over the one correspondence from the triangle to its hat; a
-census runs the same pass over all six self-correspondences of each hat,
-map-free.  Hat, EncodingTriple and Normalization are dyadic.Record
-values; EncodingTriple alone adds an order, the canonical (j, m, i) order,
-which CANONICAL_KEY states as a C-level key.  Triples are plain ints
-inside the package; records are built at the exports: role_triples
-returns (i, j, m) tuples, and all_encoding_triples and canonical_form
-build an EncodingTriple only for each triple they return.
-classify.isomorphic hands every verdict to the oracle, which checks the
-reduction there; a census's reduction is not checked by the oracle (its
-pass checks each hat's group), only by CensusRow.ok (the pointed count and
-the orbit identity) and, in the tests, by the grid and census digests.
+role_triples finds the triples of all six vertex role orders on integers
+alone, in ROLE_ORDERS order with the identity first, and hat_of reads one
+order's entry as a Hat.  The reduction reads Triangle.scaled_coords and
+nothing the oracle computes, and the oracle reads nothing the reduction
+computes, so role_triples and the oracle check each other.  normalize also
+returns the witness map: the oracle's solve_correspondence builds it from
+oracle._solve_scaled, the one Cramer pass, run over the one correspondence
+from the triangle to its hat; a census runs the same pass over all six
+self-correspondences of each hat, map-free.  Hat, EncodingTriple and
+Normalization are dyadic.Record values; EncodingTriple alone adds an
+order, the canonical (j, m, i) order, which CANONICAL_KEY states as a
+C-level key.  Triples are plain ints inside the package; records are built
+at the exports: role_triples returns (i, j, m) tuples, and
+all_encoding_triples and canonical_form build an EncodingTriple only for
+each triple they return.  classify.isomorphic hands every verdict to the
+oracle, which checks the reduction there; a census's reduction is not
+checked by the oracle (its pass checks each hat's group), only by
+CensusRow.ok (the pointed count and the orbit identity) and, in the tests,
+by the grid and census digests.
 """
 
 from __future__ import annotations
@@ -191,18 +192,13 @@ def hat_of(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> Hat:
 
     roles picks which vertex plays which part: vertices[roles[0]] goes to
     the origin, vertices[roles[1]] to the apex (i, j) and vertices[roles[2]]
-    to (m, 0); see role_triples.  roles, read once, that are not one of the
-    six orders of (0, 1, 2) raise ValueError, and a tri that is not a
-    Triangle raises TypeError.
+    to (m, 0): role_triples(tri)'s entry for that order.  roles, read once,
+    that are not one of the six orders of (0, 1, 2) raise ValueError, and a
+    tri that is not a Triangle raises TypeError.
     """
     roles = _role_order(roles)
     require(tri, Triangle, "tri")
-    n, _ = tri.scaled_coords()
-    o, a, b = roles
-    ox, oy, ax, ay = n[2 * o], n[2 * o + 1], n[2 * a], n[2 * a + 1]
-    bx, by = n[2 * b], n[2 * b + 1]
-    odd = abs(odd_part((bx - ox) * (ay - oy) - (by - oy) * (ax - ox)))
-    return Hat(*_edge_hats(odd, ox, oy, bx, by, ax, ay)[0])
+    return Hat(*role_triples(tri)[ROLE_ORDERS.index(roles)])
 
 
 def normalize(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> Normalization:

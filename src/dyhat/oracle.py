@@ -5,20 +5,18 @@ the vertex correspondence equations with integer Cramer's rule on the
 integer coordinates each Triangle holds: the solved map qualifies when its
 entries are dyadic and its determinant is +-2**k.  _solve_scaled is the
 one Cramer pass over a pair of triangles, a generator.  Once per pair it
-reads the source's Triangle.cramer_source (edge vectors and determinant,
-set when the triangle was built), refuses a target whose determinant has
-another odd part (that odd part, up to sign, is in the target's own
-cramer_source, since reordering the vertices changes only its sign) and
-reads the target's stored integers.  Then, for each entry of _TARGETS it
-is given, a correspondence with its target offsets, it tests the four
-numerators and yields the correspondence and the solved map's integers
-when they make a unit.  Each question has one consumer of the pass:
-realized_cases, which cases hold, over all six and with no map built (a
-census); oracle_isomorphic, the first hit and its map, so its tests stop
-there (isomorphic); solve_correspondence, one given correspondence and its
-map (hats.normalize, automorphism_group).  This route shares no logic with
-the number-theoretic criteria or with hats.hat_of, so each side checks the
-other.
+reads both triangles' scaled_coords, derives the source's edge vectors and
+determinant from them and refuses a target whose determinant has another
+odd part.  Then, for each entry of _TARGETS it is given, a correspondence
+with its target offsets, it tests the four numerators and yields the
+correspondence and the solved map's integers when they make a unit.  Each
+question has one consumer of the pass: realized_cases, which cases hold,
+over all six and with no map built (a census); oracle_isomorphic, the
+first hit and its map, so its tests stop there (isomorphic);
+solve_correspondence, one given correspondence and its map
+(hats.normalize, automorphism_group).  This route shares no logic and no
+computed data with the number-theoretic criteria or with the hat
+reduction, hats.role_triples, so each side checks the other.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterable, Iterator
 
-from .dyadic import Record
+from .dyadic import Record, odd_part, val2
 from .errors import require
 from .geometry import AffineMap, Triangle
 
@@ -83,18 +81,26 @@ def _solve_scaled(
     correspondence and that map's (linear, translation) integers and
     exponents, in AffineMap.from_scaled's form.
 
-    The pair's data is read once: src's cramer_source, dst's stored
-    integers and exponent, and the unit test.  With source determinant
-    odd * 2**v, the map is a unit exactly when the target's determinant
-    has the odd part +-odd, so a target without it yields nothing and
-    tests no entry; an entry's map is dyadic exactly when odd divides its
-    four numerators.  The pass is lazy: a caller that stops at a yield
-    leaves the later entries untested.
+    The pair's data is read once: the stored integers and exponents of
+    src and dst, src's edge vectors and determinant, and the unit test.
+    With source determinant odd * 2**v, the map is a unit exactly when the
+    target's determinant has the odd part +-odd (reordering the target's
+    vertices changes only its sign), so a target without it yields nothing
+    and tests no entry; when dst is src, the determinant is found once.  An
+    entry's map is dyadic exactly when odd divides its four numerators.
+    The pass is lazy: a caller that stops at a yield leaves the later
+    entries untested.
     """
-    (ax, ay, u1x, u1y, u2x, u2y), odd, v, src_exp = src.cramer_source
-    if dst.cramer_source[1] not in (odd, -odd):
-        return
+    (ax, ay, x1, y1, x2, y2), src_exp = src.scaled_coords()
+    u1x, u1y, u2x, u2y = x1 - ax, y1 - ay, x2 - ax, y2 - ay
+    det = u1x * u2y - u1y * u2x
+    v = val2(det)
+    odd = det >> v
     n, dst_exp = dst.scaled_coords()
+    if dst is not src and odd_part(
+        (n[2] - n[0]) * (n[5] - n[1]) - (n[3] - n[1]) * (n[4] - n[0])
+    ) not in (odd, -odd):
+        return
     # linear is (a, b, c, d) * 2**(dst_exp - src_exp - v), so the translation
     # t0 - linear(s0) is an integer pair times 2**(dst_exp - v)
     linear_exp, translation_exp = dst_exp - src_exp - v, dst_exp - v

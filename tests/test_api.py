@@ -19,6 +19,7 @@ import dyhat
 import dyhat.cli
 from dyhat import DyadicRational, EncodingTriple, Hat
 from dyhat.errors import DomainError
+from dyhat.geometry import Matrix2, Point2
 
 from tutil import _reachable_names
 
@@ -87,7 +88,7 @@ def _resolves(chain: str) -> bool:
 
 
 #: bench/test_bench.py's wrapper test still looks up classify.normalize,
-#: which classify has not imported since it reduces with hat_of; that test
+#: which classify does not import: it reduces with role_triples.  That test
 #: fails for it (ROADMAP item 1).  Mending it must empty this set.
 _STALE_BENCH_CHAINS = {"dyhat.classify.normalize"}
 
@@ -140,10 +141,20 @@ def test_the_package_holds_no_assert_statement():
     assert found == []
 
 
-#: Values an export may be handed by mistake: ints (small, so a census
-#: stays cheap, and one above the census cell cap), bools, floats,
-#: Fractions, strings, None and records, with one valid Hat and Triangle.
+#: A Point2 or Matrix2 field: the records accept any value, so the
+#: constructors that take them must check each field.
+_FIELD = st.one_of(st.integers(-3, 7), st.booleans(), st.floats(), st.fractions(),
+                   st.none())
+_POINT = st.builds(Point2, _FIELD, _FIELD)
+
+#: Values an export may be handed by mistake: three Point2 records of such
+#: fields in a tuple, as Triangle takes them (listed first, since Hypothesis
+#: draws the early branches more often), one alone, and a Matrix2 of such
+#: fields; ints (small, so a census stays cheap, and one above the census
+#: cell cap), bools, floats, Fractions, strings and None; and records, with
+#: one valid Hat and Triangle.
 _ANY_VALUE = st.one_of(
+    st.tuples(_POINT, _POINT, _POINT), _POINT, st.builds(Matrix2, *[_FIELD] * 4),
     st.integers(-3, 7), st.just(10**12 + 1), st.booleans(), st.floats(),
     st.fractions(), st.text(max_size=3), st.none(),
     st.sampled_from([Hat(1, 3, 5), Hat(2, 3, 5), EncodingTriple(1, 3, 5),

@@ -74,7 +74,9 @@ def test_parse_dyadic_rejects():
         parse_dyadic("1/3")
     with pytest.raises(NotDyadic):
         parse_dyadic("1/6")
-    for bad in ("abc", "5/", "1/2^", "/8", "1.5", ""):
+    # ASCII digits only: int() and str.isdecimal() take these too
+    for bad in ("abc", "5/", "1/2^", "/8", "1.5", "", "+1", "1_1", "1/1_6", "1/+4",
+                "\u0661", "1/\u0664", "1/2^\u0663", "1/2^+3", "\uff11"):
         with pytest.raises(ParseError):
             parse_dyadic(bad)
 
@@ -144,8 +146,9 @@ def test_parse_hat():
         parse_hat("T 4 3 5")
     with pytest.raises(InvalidHat):
         parse_hat("T 1 2 3")
-    for bad in ("X 1 2 3", "T 1 3", "T a b c", "T 1 3 5 7"):
-        with pytest.raises(ParseError):
+    for bad in ("X 1 2 3", "T 1 3", "T a b c", "T 1 3 5 7", "T +1 3 5", "T 1_1 3 5",
+                "T \u0661 3 5", "TT 1 3 5\u0660"):
+        with pytest.raises(ParseError, match="hat parameters must be integers|malformed"):
             parse_hat(bad)
 
 
@@ -186,9 +189,23 @@ def test_domain_errors_exit_4(capsys):
     assert run(["aut", "1", "2", "3"]) == 4
     assert run(["aut", "x", "3", "5"]) == 4
     assert run(["census", "--jmax", "4", "--mmax", "3"]) == 4
+    # integers spelled outside the grammar: "_", "+", spaces, other digits
+    assert run(["aut", "1_1", "3", "5"]) == 4
+    assert run(["aut", " 7", "3", "5"]) == 4
+    assert run(["canon", "T +1 3 5"]) == 4
+    assert run(["canon", "T 1_1 3 5"]) == 4
+    assert run(["canon", "0,0 1,0 0,\u0661"]) == 4
+    assert run(["canon", "0,0 1/\u0664,0 0,1"]) == 4
+    assert run(["canon", "0,0 1/2^\u0663,0 0,1"]) == 4
     err = capsys.readouterr().err
-    assert err.count("error:") == 7
+    assert err.count("error:") == 14
     assert "error: hat parameters must be integers in 'x 3 5'\n" in err
+    assert "error: hat parameters must be integers in '1_1 3 5'\n" in err
+    assert "error: hat parameters must be integers in ' 7 3 5'\n" in err
+    assert "error: hat parameters must be integers in 'T +1 3 5'\n" in err
+    assert "error: malformed dyadic literal '\u0661'\n" in err
+    assert "error: malformed denominator in '1/\u0664'\n" in err
+    assert "error: malformed denominator in '1/2^\u0663'\n" in err
 
 
 def test_census_above_the_cell_cap_exits_4():

@@ -12,7 +12,7 @@ from hypothesis import given
 from dyhat import DyadicRational, Hat, Triangle
 from dyhat.dyadic import common_scale
 from dyhat.errors import DegenerateTriangle, NotDyadic
-from dyhat.geometry import AffineMap, Point2
+from dyhat.geometry import AffineMap, Matrix2, Point2
 
 import tutil
 from reference import (
@@ -260,7 +260,6 @@ def test_stored_integers_leave_equality_hash_repr_and_pickle_alone():
 def _assert_same_triangle(u, t):
     assert u == t and hash(u) == hash(t) and repr(u) == repr(t)
     assert u.scaled_coords() == t.scaled_coords()
-    assert u.cramer_source == t.cramer_source
 
 
 @given(tutil.triangles, tutil.unit_maps)
@@ -287,9 +286,21 @@ def test_from_scaled_rejects_collinear_integers_like_the_vertex_constructor():
 
 def test_a_vertex_coordinate_that_is_not_an_int_or_a_dyadic_is_refused():
     for point, fault in (((0.5, 1), "got float"), ((1, Fraction(1, 2)), "got Fraction"),
-                         ((True, 1), "got bool")):
+                         ((True, 1), "got bool"), ((1, None), "got NoneType")):
         with pytest.raises(NotDyadic, match=fault):
             Triangle.of((0, 0), point, (1, 0))
+        # the records take any field, so the constructors check each one
+        with pytest.raises(NotDyadic, match=fault):
+            Triangle((Point2(0, 0), Point2(*point), Point2(1, 0)))
+        with pytest.raises(NotDyadic, match=fault):
+            AffineMap(Matrix2(1, 0, *point), Point2(0, 0))
+        with pytest.raises(NotDyadic, match=fault):
+            AffineMap(Matrix2(1, 0, 0, 1), Point2(*point))
+    # an int field is the dyadic it equals
+    assert Triangle((Point2(0, 0), Point2(1, 0), Point2(0, 1))) == Triangle.of(
+        (0, 0), (1, 0), (0, 1))
+    assert AffineMap(Matrix2(1, 0, 0, 1), Point2(3, 0)) == AffineMap.from_scaled(
+        ((1, 0, 0, 1), 0), ((3, 0), 0))
 
 
 def test_from_scaled_refuses_a_wrong_count_or_a_non_int_with_not_dyadic():

@@ -245,26 +245,32 @@ def test_solver_matches_fraction_reference(t, f, other):
 @given(tutil.triangles, tutil.large_triangles, tutil.unit_maps, tutil.unit_maps,
        tutil.triangles)
 def test_one_source_solved_to_several_targets_matches_the_reference(t, large, f, g, other):
-    # each source keeps the Cramer data of its first solve for the later ones
     for src in (t, large):
         for dst in (transformed(src, f), other, src, large, transformed(src, g)):
             for perm in permutations((0, 1, 2)):
                 got = solve_correspondence(src, dst, perm)
                 assert got == tutil.fraction_solve(src, dst, perm), (src, dst, perm)
-        # the solves leave the source's Cramer data as it was built
-        assert src.cramer_source == Triangle.from_scaled(*src.scaled_coords()).cramer_source
+
+
+def _vertex_0_determinant(t) -> tuple[int, int, int]:
+    """(odd, v, e): the cross product at vertex 0 of t's stored integers is
+    odd * 2**v with odd an odd integer, and e is their exponent."""
+    (x0, y0, x1, y1, x2, y2), e = t.scaled_coords()
+    d = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+    v = (d & -d).bit_length() - 1
+    return d >> v, v, e
 
 
 def _assert_targets_keep_the_determinant(t):
-    """The source data's determinant is the cross product of the vertices
-    at the triangle's scale, and the triangle with its vertices in any
-    order has that odd part up to sign, the same valuation and the same
-    scale: the facts the Cramer pass relies on when it reads a target's
-    odd part from the target's own cramer_source."""
-    _, odd, v, scale = t.cramer_source
+    """The vertex-0 determinant of the stored integers is the cross product
+    of the vertices at the triangle's scale, and the triangle with its
+    vertices in any order has that odd part up to sign, the same valuation
+    and the same exponent: the facts the Cramer pass relies on when it
+    refuses a target by the odd part of the target's own determinant."""
+    odd, v, scale = _vertex_0_determinant(t)
     assert cross(*t.vertices) == D(odd, v + 2 * scale)
     for perm in permutations((0, 1, 2)):
-        _, fresh_odd, fresh_v, fresh_e = reordered(t, perm).cramer_source
+        fresh_odd, fresh_v, fresh_e = _vertex_0_determinant(reordered(t, perm))
         assert abs(fresh_odd) == abs(odd), perm
         assert (fresh_v, fresh_e) == (v, scale), perm
 
@@ -306,8 +312,6 @@ def test_a_solved_triangle_equals_a_fresh_one(t, f):
     copy = pickle.loads(pickle.dumps(t))
     for u in (fresh, copy):
         assert u == t and t == u and hash(u) == hash(t) and repr(u) == repr(t)
-        # the Cramer data is built with the triangle, not pickled with it
-        assert u.cramer_source == t.cramer_source
         assert pickle.dumps(u) == pickle.dumps(t)
         assert _solved(u, image) == solved and oracle_isomorphic(u, image) == first
         assert _solved(image, u) == _solved(image, t)
