@@ -13,10 +13,13 @@ group check: iso_case(h, h), the table lookup, and the comparison with the
 oracle's realized cases.  automorphism_group runs it and then has the
 oracle build a witness map for each of the group's own cases; a census
 cell builds each hat's triangle once and runs it alone, so a census builds
-no witness map.  The results (AutGroup, IsoResult, CensusRow,
-CensusReport) are dyadic.Record values.  The process pool is imported only
-when a census runs pooled, so the other commands never load
-concurrent.futures.process or multiprocessing.
+no witness map.  A cell counts isomorphism classes as distinct orbits, the
+sets of role triples that its hats' reductions return: two hats have the
+same least (canonical) triple exactly when they have the same orbit.  The
+results (AutGroup, IsoResult, CensusRow, CensusReport) are dyadic.Record
+values.  The process pool is imported only when a census runs pooled, so
+the other commands never load concurrent.futures.process or
+multiprocessing.
 """
 
 from __future__ import annotations
@@ -218,7 +221,7 @@ def _census_cell(cell: tuple[int, int]) -> CensusRow:
     """One (j, m) work unit: every hat with i odd in 1..2j-1."""
     j, m = cell
     pointed: set[tuple[int, int, int]] = set()
-    canonical: set[tuple[int, int, int]] = set()
+    orbits: set[frozenset[tuple[int, int, int]]] = set()
     counts = dict.fromkeys(GROUP_TAGS, 0)
     orbit_ok = True
     for i in range(1, 2 * j, 2):
@@ -230,11 +233,14 @@ def _census_cell(cell: tuple[int, int]) -> CensusRow:
         pointed.add(roles[0])
         cases = _self_cases(h, tri)
         counts[_GROUP_OF_CASES[cases]] += 1
-        canonical.add(min(roles, key=CANONICAL_KEY))
+        # classes are counted as distinct orbits, the sets of role triples:
+        # two hats share their least triple exactly when they share that set
+        orbit = frozenset(roles)
+        orbits.add(orbit)
         # the group's order is the number of its cases
-        if len(frozenset(roles)) * len(cases) != 6:
+        if len(orbit) * len(cases) != 6:
             orbit_ok = False
-    return CensusRow(j, m, len(pointed), len(canonical), counts, orbit_ok)
+    return CensusRow(j, m, len(pointed), len(orbits), counts, orbit_ok)
 
 
 def census(j_max: int, m_max: int, workers: int = 1) -> CensusReport:

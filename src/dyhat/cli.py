@@ -22,7 +22,7 @@ from .classify import automorphism_group, census, isomorphic
 from .dyadic import DyadicRational
 from .errors import DomainError, InconsistencyError, InvalidHat, NotDyadic, ParseError
 from .geometry import AffineMap, Point2, Triangle
-from .hats import ROLE_ORDERS, Hat, canonical_form, normalize
+from .hats import ROLE_ORDERS, Hat, _normalized, canonical_form, role_triples
 from .oracle import perm_label
 from .render import render_svg
 
@@ -185,9 +185,10 @@ def _cmd_normalize(args) -> int:
     tri = parse_shape(args.shape)
     payload, lines, quiet = [], [], []
     ok = "  ok" if args.verify else ""
+    triples = role_triples(tri)
     for roles in ROLE_ORDERS:
         label = perm_label(roles)
-        result = normalize(tri, roles)
+        result = _normalized(tri, roles, triples)
         h, witness = result.hat, result.witness
         if args.verify and not _witness_holds(witness, tri, roles, h):
             raise InconsistencyError(f"witness for roles {label} failed verification")

@@ -7,11 +7,12 @@ value hashes like the int it equals, so it finds that int in a set or dict.
 All operations are exact; anything that would leave the ring raises
 ``NotDyadic``.
 
-The integer helpers beside it, val2, odd_part and egcd, serve the hat
-reduction; egcd's Bezout row takes dyhat's one inverse modulo an odd
-number.  No linear congruence is solved here: the isomorphism case tests
-take plain gcds and test a residue class by multiplying, and the
-reduction divides by a power of two with an inverse modulo that power
+The integer helper beside it, egcd, serves the hat reduction; its Bezout
+row takes dyhat's one inverse modulo an odd number.  The reduction and the
+oracle take each 2-adic valuation inline, as (n & -n).bit_length() - 1.
+No linear congruence is solved here: the isomorphism case tests take
+plain gcds and test a residue class by multiplying, and the reduction
+divides by a power of two with an inverse modulo that power
 (hats._edge_hats).
 
 Record, at the top, states once the policy of dyhat's value records; every
@@ -24,7 +25,7 @@ import math
 import sys
 from typing import Iterable
 
-from .errors import DivisionByZero, NotDyadic, ZeroArgument
+from .errors import DivisionByZero, NotDyadic
 
 
 class Record:
@@ -65,18 +66,6 @@ class Record:
         raise TypeError(f"{self.__class__.__name__} values have no arithmetic")
 
     __radd__ = __mul__ = __rmul__ = __add__
-
-
-def val2(n: int) -> int:
-    """2-adic valuation of a nonzero integer."""
-    if n == 0:
-        raise ZeroArgument("val2 is undefined at 0")
-    return (n & -n).bit_length() - 1
-
-
-def odd_part(n: int) -> int:
-    """n with all factors of two removed, sign preserved."""
-    return n >> val2(n)
 
 
 def egcd(a: int, b: int) -> tuple[int, int, int]:

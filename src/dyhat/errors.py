@@ -20,10 +20,6 @@ class DivisionByZero(DomainError, ZeroDivisionError):
     pass
 
 
-class ZeroArgument(DomainError):
-    """Zero passed where a nonzero value is required."""
-
-
 class DegenerateTriangle(DomainError):
     """The three vertices are collinear (or not distinct)."""
 

@@ -33,7 +33,7 @@ from collections import namedtuple
 from itertools import permutations
 from operator import itemgetter
 
-from .dyadic import Record, egcd, odd_part, val2
+from .dyadic import Record, egcd
 from .errors import InconsistencyError, InvalidHat, require
 from .geometry import Triangle
 from .oracle import solve_correspondence
@@ -149,7 +149,7 @@ def _edge_hats(
     taken, far cheaper than one modulo j, and only when v > 0: every edge
     of a hat has v = 0, and a census reduces nothing but hats."""
     g, s, t = egcd(bx - ox, by - oy)
-    v = val2(g)
+    v = (g & -g).bit_length() - 1
     m = g >> v
     j = odd // m
     r = (s * (ax - ox) + t * (ay - oy)) % j
@@ -180,7 +180,8 @@ def role_triples(tri: Triangle) -> tuple[tuple[int, int, int], ...]:
     divides odd, and i is lifted from r in [0, j)), so no record checks it.
     """
     (x0, y0, x1, y1, x2, y2), _ = tri.scaled_coords()
-    odd = abs(odd_part((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)))
+    twice = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+    odd = twice >> ((twice & -twice).bit_length() - 1)
     h012, h210 = _edge_hats(odd, x0, y0, x2, y2, x1, y1)
     h021, h120 = _edge_hats(odd, x0, y0, x1, y1, x2, y2)
     h102, h201 = _edge_hats(odd, x1, y1, x2, y2, x0, y0)
@@ -207,7 +208,16 @@ def normalize(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> No
     translation, a Bezout matrix, rescalings, a reflection and a shear.
     The oracle solves it, sending vertex roles[k] to hat vertex k."""
     roles = _role_order(roles)
-    hat = hat_of(tri, roles)
+    require(tri, Triangle, "tri")
+    return _normalized(tri, roles, role_triples(tri))
+
+
+def _normalized(
+    tri: Triangle, roles: tuple[int, int, int], triples: tuple[tuple[int, int, int], ...]
+) -> Normalization:
+    """normalize(tri, roles) read off triples, which is role_triples(tri):
+    dyhat normalize reduces once for all six orders."""
+    hat = Hat(*triples[ROLE_ORDERS.index(roles)])
     inverse = tuple(roles.index(k) for k in range(3))
     witness = solve_correspondence(tri, hat.triangle(), inverse)
     if witness is None:

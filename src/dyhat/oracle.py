@@ -5,7 +5,8 @@ the vertex correspondence equations with integer Cramer's rule on the
 integer coordinates each Triangle holds: the solved map qualifies when its
 entries are dyadic and its determinant is +-2**k.  _solve_scaled is the
 one Cramer pass over a pair of triangles, a generator.  Once per pair it
-reads both triangles' scaled_coords, derives the source's edge vectors and
+reads both triangles' scaled_coords (one read when the target is the
+source, as in a census), derives the source's edge vectors and
 determinant from them and refuses a target whose determinant has another
 odd part.  Then, for each entry of _TARGETS it is given, a correspondence
 with its target offsets, it tests the four numerators and yields the
@@ -24,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterable, Iterator
 
-from .dyadic import Record, odd_part, val2
+from .dyadic import Record
 from .errors import require
 from .geometry import AffineMap, Triangle
 
@@ -86,21 +87,25 @@ def _solve_scaled(
     With source determinant odd * 2**v, the map is a unit exactly when the
     target's determinant has the odd part +-odd (reordering the target's
     vertices changes only its sign), so a target without it yields nothing
-    and tests no entry; when dst is src, the determinant is found once.  An
-    entry's map is dyadic exactly when odd divides its four numerators.
+    and tests no entry; when dst is src, its integers are read and its
+    determinant found once, and the test is skipped.  Valuations are taken
+    inline, as (n & -n).bit_length() - 1.  An entry's map is dyadic exactly
+    when odd divides its four numerators.
     The pass is lazy: a caller that stops at a yield leaves the later
     entries untested.
     """
-    (ax, ay, x1, y1, x2, y2), src_exp = src.scaled_coords()
+    n, src_exp = src.scaled_coords()
+    ax, ay, x1, y1, x2, y2 = n
     u1x, u1y, u2x, u2y = x1 - ax, y1 - ay, x2 - ax, y2 - ay
     det = u1x * u2y - u1y * u2x
-    v = val2(det)
+    v = (det & -det).bit_length() - 1
     odd = det >> v
-    n, dst_exp = dst.scaled_coords()
-    if dst is not src and odd_part(
-        (n[2] - n[0]) * (n[5] - n[1]) - (n[3] - n[1]) * (n[4] - n[0])
-    ) not in (odd, -odd):
-        return
+    dst_exp = src_exp
+    if dst is not src:
+        n, dst_exp = dst.scaled_coords()
+        det = (n[2] - n[0]) * (n[5] - n[1]) - (n[3] - n[1]) * (n[4] - n[0])
+        if det >> ((det & -det).bit_length() - 1) not in (odd, -odd):
+            return
     # linear is (a, b, c, d) * 2**(dst_exp - src_exp - v), so the translation
     # t0 - linear(s0) is an integer pair times 2**(dst_exp - v)
     linear_exp, translation_exp = dst_exp - src_exp - v, dst_exp - v

@@ -12,7 +12,8 @@ solve_congruence, with its Residue and NoSolution, solves a linear
 congruence by modular inversion, as dyhat's isomorphism criteria once did;
 the tests check those criteria, which now test the residue class by
 multiplication, against it.  hat_by_inverse is the hat reduction with
-the inverse of 2**v modulo j taken outright, as it once was.
+the inverse of 2**v modulo j taken outright, as it once was.  val2 and
+odd_part, which dyhat takes inline, are counted here off binary digits.
 
 The four automorphism criteria (aut_fix_A, aut_fix_B, aut_fix_C,
 aut_cycle), with odd_gcd and its BothZero, decided automorphism groups
@@ -26,7 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from dyhat.dyadic import DyadicRational, Record, common_scale, egcd, odd_part, val2
+from dyhat.dyadic import DyadicRational, Record, common_scale, egcd
 from dyhat.errors import DomainError, InvalidHat, NotDyadic
 from dyhat.geometry import AffineMap, Matrix2, Point2, Triangle
 from dyhat.hats import EncodingTriple, Hat
@@ -34,6 +35,20 @@ from dyhat.oracle import CORRESPONDENCES, perm_label, realized_cases
 
 D = DyadicRational
 HALF = D(1, -1)
+
+
+def val2(n: int) -> int:
+    """2-adic valuation of a nonzero integer, counted off its binary digits;
+    ValueError at 0."""
+    if n == 0:
+        raise ValueError("val2 is undefined at 0")
+    digits = bin(n)
+    return len(digits) - len(digits.rstrip("0"))
+
+
+def odd_part(n: int) -> int:
+    """n with all factors of two removed, sign preserved."""
+    return n >> val2(n)
 
 
 def from_fraction(f: Fraction) -> DyadicRational:

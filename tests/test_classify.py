@@ -31,9 +31,9 @@ from dyhat import (
 )
 from dyhat.classify import GROUP_ORDER, IsoResult, iso_case
 from dyhat.cli import parse_shape
-from dyhat.dyadic import egcd, val2
+from dyhat.dyadic import egcd
 from dyhat.errors import InconsistencyError, InvalidBounds, InvalidHat
-from dyhat.hats import hat_of
+from dyhat.hats import CANONICAL_KEY, hat_of, role_triples
 from dyhat import classify, cli, dyadic, hats
 from dyhat.geometry import AffineMap
 from dyhat.oracle import CASES, CORRESPONDENCES, realized_cases
@@ -56,6 +56,7 @@ from reference import (
     oracle_aut_count,
     transformed,
     twice_area,
+    val2,
 )
 from tutil import _reachable_names
 
@@ -683,6 +684,17 @@ def test_census_counts_a_three_cycle_cell():
     assert row.aut_counts["C3"] >= 1
 
 
+def test_census_class_counts_are_the_least_triples_on_the_31_grid():
+    # the census counts distinct orbits; by definition a class is labelled
+    # by its least triple, so each cell has as many classes as least triples
+    rows = census(31, 31).rows
+    assert len(rows) == 256
+    for row in rows:
+        least = {min(role_triples(Hat(i, row.j, row.m).triangle()), key=CANONICAL_KEY)
+                 for i in range(1, 2 * row.j, 2)}
+        assert row.isomorphism_classes == len(least), (row.j, row.m)
+
+
 def test_census_tags_are_the_automorphism_group_tags_on_the_31_grid(monkeypatch):
     # the census decides each hat's group without automorphism_group: it
     # checks every representative hat once, on that hat's own triangle, and
@@ -731,6 +743,7 @@ def test_census_builds_no_dyadic_rational_and_skips_no_solve(monkeypatch):
 
     monkeypatch.setattr(AffineMap, "from_scaled", classmethod(counted_from_scaled))
     triangles = _count_calls(monkeypatch, Triangle, "_store")
+    reads = _count_calls(monkeypatch, Triangle, "scaled_coords")
     monkeypatch.setattr(DyadicRational, "__init__", counted_init)
     tested, hits = tutil.counted_pass(monkeypatch)
     assert census(15, 15).ok
@@ -741,6 +754,8 @@ def test_census_builds_no_dyadic_rational_and_skips_no_solve(monkeypatch):
     # one triangle per hat, and no witness map
     assert len(triangles) == 512
     assert maps == []
+    # two reads of each triangle: the reduction's, and the self pass's one
+    assert len(reads) == 2 * 512
     # positive control: reading a witness's views does build dyadics
     normalize(Hat(5, 15, 1).triangle()).witness.linear
     assert len(built) == 4

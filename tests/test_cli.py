@@ -41,6 +41,7 @@ from dyhat.errors import (
     ParseError,
 )
 from dyhat.geometry import Matrix2, Point2
+from dyhat.hats import _normalized
 from dyhat.render import render_svg
 
 import tutil
@@ -339,6 +340,23 @@ def test_normalize_lists_all_roles(capsys):
     assert capsys.readouterr().out.splitlines() == lines
 
 
+def test_normalize_reduces_the_triangle_once(capsys, monkeypatch):
+    # one role_triples run, three edges, serves all six role orders
+    edge_hats = dyhat.hats._edge_hats
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return edge_hats(*args)
+
+    monkeypatch.setattr("dyhat.hats._edge_hats", counted)
+    for argv in (["normalize", "0,0 1,3 5,0"], ["normalize", "--verify", "--json", "T 5 15 1"]):
+        calls.clear()
+        assert run(argv) == 0
+        assert len(calls) == 3, argv
+    capsys.readouterr()
+
+
 def test_normalize_verify(capsys):
     assert run(["normalize", "--verify", "0,0 1,3 5,0"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -369,18 +387,19 @@ def test_normalize_verify_reads_each_view_once(capsys, monkeypatch):
 
 
 def test_failed_verify_exits_5(capsys, monkeypatch):
-    def shifted_hat(tri, roles):
-        result = normalize(tri, roles)
+    # the faults go in at the helper that the command calls once per order
+    def shifted_hat(tri, roles, triples):
+        result = _normalized(tri, roles, triples)
         h = result.hat
         return result._replace(hat=Hat(h.i + 2 * h.j, h.j, h.m))
 
-    def shifted_witness(tri, roles):
+    def shifted_witness(tri, roles, triples):
         # the right hat, with its witness moved by 2**-40 along x
-        result = normalize(tri, roles)
+        result = _normalized(tri, roles, triples)
         return result._replace(witness=affine(1, 0, 0, 1, D(1, -40)) @ result.witness)
 
     for fake in (shifted_hat, shifted_witness):
-        monkeypatch.setattr("dyhat.cli.normalize", fake)
+        monkeypatch.setattr("dyhat.cli._normalized", fake)
         assert run(["normalize", "--verify", "0,0 1,3 5,0"]) == 5
         captured = capsys.readouterr()
         assert captured.out == ""
