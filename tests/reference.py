@@ -1,27 +1,30 @@
-"""Plane geometry and the Fraction conversion that the tests check dyhat with.
+"""Plane geometry and the Fraction routes that the tests check dyhat with.
 
 dyhat decides isomorphism from hat parameters and never needs these.  The
 tests use them to state the paper's invariants (area, side types, boundary
-triples, closure under midpoints, the pointed class of a hat of either
-parity) and to compare the integer arithmetic with stdlib Fraction.  A map
-is applied, composed and tested for being a unit here on Fraction, read
-off its linear and translation views: dyhat itself composes and tests maps
-on their integers and applies them only to check normalize's witnesses.
+triples, the pointed class of a hat of either parity) and to compare the
+integer arithmetic with stdlib Fraction.  A map is applied, composed and
+tested for being a unit here on Fraction, read off its linear and
+translation views, and fraction_solve solves a correspondence by Cramer's
+rule on Fraction; oracle_aut_count counts automorphisms with it.
 
 solve_congruence, with its Residue and NoSolution, solves a linear
 congruence by modular inversion, as dyhat's isomorphism criteria once did;
-the tests check those criteria, which now test the residue class by
-multiplication, against it.  hat_by_inverse is the hat reduction with
-the inverse of 2**v modulo j taken outright, as it once was.  val2 and
-odd_part, which dyhat takes inline, are counted here off binary digits.
+the tests check those criteria against it.  closed_form_triples builds a
+hat's encoding triples from the paper's formulas with it, and the tests
+check hats.role_triples against it.  hat_by_inverse is the hat reduction
+with the inverse of 2**v modulo j taken outright, as it once was.  val2
+and odd_part, which dyhat takes inline, are counted here off binary digits.
 
 The four automorphism criteria (aut_fix_A, aut_fix_B, aut_fix_C,
 aut_cycle), with odd_gcd and its BothZero, decided automorphism groups
 before dyhat ran its six isomorphism case tests on a hat and itself;
 criteria_row reads a hat's group off them, and the tests check
 classify.automorphism_group against it.
-"""
 
+This module imports no decision route of dyhat (tests/test_classify.py
+parses it to check that), so each reference checks them from outside.
+"""
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -31,7 +34,7 @@ from dyhat.dyadic import DyadicRational, Record, common_scale, egcd
 from dyhat.errors import DomainError, InvalidHat, NotDyadic
 from dyhat.geometry import AffineMap, Matrix2, Point2, Triangle
 from dyhat.hats import EncodingTriple, Hat
-from dyhat.oracle import CORRESPONDENCES, perm_label, realized_cases
+from dyhat.oracle import CORRESPONDENCES, perm_label
 
 D = DyadicRational
 HALF = D(1, -1)
@@ -174,27 +177,37 @@ def boundary_types_equivalent(u, v) -> bool:
     return tuple(v) in forward or tuple(reversed(v)) in forward
 
 
-def contains(t, p: Point2) -> bool:
-    """Whether p lies in the closed triangle, boundary included."""
-    a, b, c = t.vertices
-    signs = {(d.num > 0) - (d.num < 0) for d in (cross(a, b, p), cross(b, c, p), cross(c, a, p))}
-    return not {1, -1} <= signs
+def fraction_solve(src, dst, perm):
+    """Reference correspondence solver: Cramer's rule over Fraction.
 
+    The unique affine map over Q sending vertex k of src to vertex perm[k]
+    of dst, or None unless every entry is dyadic and the determinant is
+    +-2**k.
+    """
+    s = [(p.x.to_fraction(), p.y.to_fraction()) for p in src.vertices]
+    dst_vertices = dst.vertices
+    t = [(p.x.to_fraction(), p.y.to_fraction()) for p in (dst_vertices[k] for k in perm)]
+    (ax, ay), (bx, by) = s[0], t[0]
+    u1x, u1y = s[1][0] - ax, s[1][1] - ay
+    u2x, u2y = s[2][0] - ax, s[2][1] - ay
+    w1x, w1y = t[1][0] - bx, t[1][1] - by
+    w2x, w2y = t[2][0] - bx, t[2][1] - by
 
-def closure_sample(points, depth: int) -> frozenset:
-    """Close a point set under pairwise midpoints, depth rounds."""
-    current = set(points)
-    for _ in range(depth):
-        grown = current | {midpoint(p, q) for p in current for q in current if p != q}
-        if grown == current:
-            break
-        current = grown
-    return frozenset(current)
+    det = u1x * u2y - u1y * u2x
+    a, b = (w1x * u2y - w2x * u1y) / det, (w2x * u1x - w1x * u2x) / det
+    c, d = (w1y * u2y - w2y * u1y) / det, (w2y * u1x - w1y * u2x) / det
+    entries = (a, b, c, d, bx - a * ax - b * ay, by - c * ax - d * ay)
+    if any(v.denominator & (v.denominator - 1) for v in entries):
+        return None
+    entries = [from_fraction(v) for v in entries]
+    solved = AffineMap(Matrix2(*entries[:4]), Point2(*entries[4:]))
+    return solved if is_unit(solved) else None
 
 
 def oracle_aut_count(t) -> int:
-    """Number of self-correspondences realized by unit maps (1, 2, 3 or 6)."""
-    return len(realized_cases(t, t))
+    """Number of self-correspondences realized by unit maps (1, 2, 3 or 6),
+    each solved by fraction_solve."""
+    return sum(fraction_solve(t, t, c.perm) is not None for c in CORRESPONDENCES)
 
 
 def validate_encoding_triple(i, j, m) -> None:
@@ -254,17 +267,43 @@ def solve_congruence(a: int, b: int, n: int) -> Residue:
     return Residue(x, m)
 
 
+def _exchanged(h: Hat, case: str) -> tuple[int, int, int]:
+    """(anchor, l, n) of the role-exchanging case c to f from h = (i, j, m),
+    by the paper's formulas: n = gcd(side, j), l = m*j/n, and the class of
+    k is anchor mod l, with anchor = x*m (c, d) or n - x*m (e, f), where x
+    solves side*x = n (mod j) and side is i (c, e) or m - i (d, f)."""
+    i, j, m = h
+    side = i if case in "ce" else m - i
+    n = gcd(side, j)
+    x = solve_congruence(side, n, j).value
+    return (x * m if case in "cd" else n - x * m), m * j // n, n
+
+
 def iso_case_by_congruence(h1: Hat, h2: Hat, case: str) -> bool:
     """classify.iso_case for the cases c to f that exchange roles, with the
-    class of k found by solve_congruence: k = anchor (mod l)."""
-    i, j, m = h1
+    class of k found by solve_congruence (_exchanged)."""
     k, l, n = h2
-    side = i if case in ("c", "e") else m - i
-    if n != gcd(side, j) or l * n != m * j:
-        return False
-    a = solve_congruence(side, n, j)
-    anchor = a.value * m if case in ("c", "d") else n - a.value * m
-    return (k - anchor) % l == 0
+    anchor, *forced = _exchanged(h1, case)
+    return [l, n] == forced and (k - anchor) % l == 0
+
+
+def _odd_lift(r: int, j: int) -> int:
+    """The odd residue mod 2j that is r mod j."""
+    r %= j
+    return r if r % 2 else r + j
+
+
+def closed_form_triples(h: Hat) -> set[tuple[int, int, int]]:
+    """The (i, j, m) of h's encoding triples over its six role orders, from
+    the paper's formulas and no coordinates: (i, j, m), (m - i, j, m) and
+    the (anchor, l, n) of each role-exchanging case (_exchanged), each
+    first entry lifted to an odd residue."""
+    i, j, m = h
+    triples = {(_odd_lift(i, j), j, m), (_odd_lift(m - i, j), j, m)}
+    for case in "cdef":
+        k, l, n = _exchanged(h, case)
+        triples.add((_odd_lift(k, l), l, n))
+    return triples
 
 
 def hat_by_inverse(tri: Triangle, roles: tuple[int, int, int]):

@@ -7,7 +7,7 @@ import hashlib
 import math
 import random
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import combinations, permutations, product
 from pathlib import Path
 
@@ -33,7 +33,7 @@ from dyhat.classify import GROUP_ORDER, IsoResult, iso_case
 from dyhat.cli import parse_shape
 from dyhat.dyadic import egcd
 from dyhat.errors import InconsistencyError, InvalidBounds, InvalidHat
-from dyhat.hats import CANONICAL_KEY, hat_of, role_triples
+from dyhat.hats import CANONICAL_KEY, hat_of
 from dyhat import classify, cli, dyadic, hats
 from dyhat.geometry import AffineMap
 from dyhat.oracle import CASES, CORRESPONDENCES, realized_cases
@@ -49,7 +49,9 @@ from reference import (
     aut_fix_C,
     boundary_type,
     boundary_types_equivalent,
+    closed_form_triples,
     criteria_row,
+    fraction_solve,
     hat_by_inverse,
     iso_case_by_congruence,
     odd_gcd,
@@ -527,16 +529,15 @@ def test_orbit_stabilizer_identity(h):
 
 
 def _check_isomorphic(t1, t2):
-    """isomorphic(t1, t2) against its parts computed apart: the case from
-    iso_case on hat_of of each triangle, the canonical route from
-    all_encoding_triples, the verdict and witness from the oracle."""
-    result = isomorphic(t1, t2)
-    found = oracle_isomorphic(t1, t2)
-    h1, h2 = hat_of(t1), hat_of(t2)
-    case = iso_case(h1, h2)[:1] or None
-    assert result == IsoResult(found is not None, case, found and found[1]), (t1, t2)
-    assert result.isomorphic == (
-        min(all_encoding_triples(t1)) == min(all_encoding_triples(t2)))
+    """isomorphic(t1, t2) against reference.fraction_solve over the six
+    correspondences: the verdict is whether any is solved, the witness is
+    the first solved map in CORRESPONDENCES order, and the case is its
+    letter (vertex k of a triangle is vertex k of its hat, so two
+    triangles realize the correspondences that their hats do)."""
+    hits = [(corr.case, f) for corr in CORRESPONDENCES
+            if (f := fraction_solve(t1, t2, corr.perm)) is not None]
+    case, witness = hits[0] if hits else (None, None)
+    assert isomorphic(t1, t2) == IsoResult(bool(hits), case, witness), (t1, t2)
 
 
 def test_isomorphic_answers_on_the_15_grid():
@@ -613,26 +614,6 @@ def test_right_triangle_rule():
                 assert tag == "C2", (j, m)
 
 
-def test_double_base_family_rule():
-    # (0,0), (m,km), (2m,0) has the full group exactly for k = 1 and k = 3
-    for m in range(1, 6, 2):
-        for k in range(1, 8, 2):
-            t = Triangle.of((0, 0), (m, k * m), (2 * m, 0))
-            tag = automorphism_group(normalize(t).hat).tag
-            assert tag == ("S3" if k in (1, 3) else "C2"), (m, k)
-
-
-def test_double_base_family_closed_forms():
-    for m in range(1, 6, 2):
-        for k in range(1, 10, 2):
-            got = normalize(Triangle.of((0, 0), (m, k * m), (2 * m, 0))).hat
-            if k % 4 == 1:
-                expected = Hat((1 + 2 * (k // 4)) * m, k * m, m)
-            else:
-                expected = Hat((5 + 6 * (k // 4)) * m, k * m, m)
-            assert got == expected, (m, k)
-
-
 def test_equilateral_boundary_hats_are_crooked():
     # boundary (m,m,m) with i != m forces i beyond the base, never inside
     for j in range(1, 16, 2):
@@ -686,19 +667,46 @@ def test_census_counts_a_three_cycle_cell():
 
 def test_census_class_counts_are_the_least_triples_on_the_31_grid():
     # the census counts distinct orbits; by definition a class is labelled
-    # by its least triple, so each cell has as many classes as least triples
+    # by its least triple, so each cell has as many classes as least
+    # triples, here built from the paper's formulas
     rows = census(31, 31).rows
     assert len(rows) == 256
     for row in rows:
-        least = {min(role_triples(Hat(i, row.j, row.m).triangle()), key=CANONICAL_KEY)
+        least = {min(closed_form_triples(Hat(i, row.j, row.m)), key=CANONICAL_KEY)
                  for i in range(1, 2 * row.j, 2)}
         assert row.isomorphism_classes == len(least), (row.j, row.m)
+
+
+def test_isomorphism_classes_of_the_31_grid_by_transitivity():
+    """Every representative hat with j, m <= 31, grouped by area and then by
+    canonical_form: the oracle confirms each hat against its class's first
+    hat and refutes every pair of distinct classes of one area, so
+    canonical_form neither splits nor merges a class on this grid, and all
+    equal-area pairs are decided by transitivity."""
+    by_area = defaultdict(lambda: defaultdict(list))
+    for j, m in product(range(1, 32, 2), repeat=2):
+        for i in range(1, 2 * j, 2):
+            tri = Hat(i, j, m).triangle()
+            by_area[j * m][canonical_form(tri)].append(tri)
+    classes = confirmed = refuted = 0
+    for types in by_area.values():
+        firsts = [members[0] for members in types.values()]
+        for members in types.values():
+            for tri in members[1:]:
+                assert oracle_isomorphic(tri, members[0]) is not None, (tri, members[0])
+                confirmed += 1
+        for t1, t2 in combinations(firsts, 2):
+            assert oracle_isomorphic(t1, t2) is None, (t1, t2)
+            refuted += 1
+        classes += len(firsts)
+    assert (classes, confirmed, refuted) == (1956, 2140, 17618)
 
 
 def test_census_tags_are_the_automorphism_group_tags_on_the_31_grid(monkeypatch):
     # the census decides each hat's group without automorphism_group: it
     # checks every representative hat once, on that hat's own triangle, and
-    # its tag for each hat, and so each cell's counts, are automorphism_group's
+    # its tag for each hat, and so each cell's counts, are the reference
+    # criteria's
     checked = {}
     self_cases = classify._self_cases
 
@@ -716,7 +724,7 @@ def test_census_tags_are_the_automorphism_group_tags_on_the_31_grid(monkeypatch)
     by_cell = {(row.j, row.m): Counter() for row in report.rows}
     for h, tag in checked.items():
         assert h.is_representative and 0 < h.i < 2 * h.j, h
-        assert tag == automorphism_group(h).tag, h
+        assert tag == criteria_row(h)[0], h
         by_cell[h.j, h.m][tag] += 1
     for row in report.rows:
         want = by_cell[row.j, row.m]
@@ -916,3 +924,24 @@ def test_oracle_does_not_import_hats():
     imported = _package_imports("oracle")
     assert "geometry" in imported
     assert "hats" not in imported and "classify" not in imported
+
+
+#: The routes that tests/reference.py checks, none of which it may use.
+_CHECKED_ROUTES = {
+    "role_triples", "hat_of", "normalize", "iso_case", "realized_cases",
+    "solve_correspondence", "oracle_isomorphic", "_solve_scaled",
+    "automorphism_group", "isomorphic", "census",
+}
+
+
+def test_the_references_use_no_route_they_check():
+    """Each name that tests/reference.py imports, or reads as an attribute,
+    is none of the routes that the tests check against it."""
+    tree = ast.parse((Path(__file__).parent / "reference.py").read_text(encoding="utf-8"))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            used.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    assert sorted(used & _CHECKED_ROUTES) == []

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from dyhat import DyadicRational

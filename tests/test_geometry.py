@@ -21,7 +21,6 @@ from reference import (
     apply,
     boundary_type,
     boundary_types_equivalent,
-    contains,
     compose,
     cross,
     det,
@@ -154,22 +153,6 @@ def test_boundary_equivalence_up_to_rotation_and_reversal():
     assert not boundary_types_equivalent((1, 1, 5), (1, 5, 5))
 
 
-def test_contains():
-    t = tri((0, 0), (1, 1), (2, 0))
-    assert contains(t, Point2(D(1, -1), D(1, -2)))
-    assert contains(t, Point2.of(0, 0))
-    assert contains(t, Point2.of(1, 1))
-    assert contains(t, Point2(D(1), D(0)))
-    assert not contains(t, Point2.of(1, 2))
-    assert not contains(t, Point2.of(-1, 0))
-
-
-@given(tutil.triangles, tutil.points, tutil.points)
-def test_contains_closed_under_midpoints(t, p, q):
-    if contains(t, p) and contains(t, q):
-        assert contains(t, midpoint(p, q))
-
-
 @given(tutil.triangles, tutil.unit_maps)
 def test_twice_area_scales_by_det(t, f):
     assert twice_area(transformed(t, f)) == twice_area(t) * abs(det(f))
@@ -260,6 +243,7 @@ def test_stored_integers_leave_equality_hash_repr_and_pickle_alone():
 def _assert_same_triangle(u, t):
     assert u == t and hash(u) == hash(t) and repr(u) == repr(t)
     assert u.scaled_coords() == t.scaled_coords()
+    assert pickle.dumps(u) == pickle.dumps(t)
 
 
 @given(tutil.triangles, tutil.unit_maps)

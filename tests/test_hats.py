@@ -28,6 +28,8 @@ from reference import (
     IDENTITY,
     affine,
     apply,
+    closed_form_triples,
+    fraction_solve,
     hat_by_inverse,
     pointed_canonical,
     reordered,
@@ -213,24 +215,6 @@ def test_triple_count_divides_six(h):
     assert 6 % len(all_encoding_triples(h.triangle())) == 0
 
 
-def test_hat_of_matches_normalize_on_the_31_grid():
-    rng = random.Random(31)
-    start = time.perf_counter()
-    hats = 0
-    for j in range(1, 32, 2):
-        for m in range(1, 32, 2):
-            for i in range(1, 2 * j, 2):
-                h = Hat(i, j, m)
-                image = transformed(h.triangle(), tutil.rand_unit_map(rng))
-                for roles in permutations((0, 1, 2)):
-                    assert hat_of(image, roles) == normalize(image, roles).hat, (h, roles)
-                assert hat_of(image, (0, 1, 2)) == h, h
-                hats += 1
-    took = time.perf_counter() - start
-    assert hats == 4096
-    assert took < 3.0, f"{took:.2f} s"
-
-
 def test_normalize_witness_matches_fraction_reference_on_the_grid():
     rng = random.Random(15)
     for j in range(1, 16, 2):
@@ -241,32 +225,20 @@ def test_normalize_witness_matches_fraction_reference_on_the_grid():
                     result = normalize(image, roles)
                     # vertices[roles[k]] goes to vertex k of the hat
                     inverse = tuple(roles.index(k) for k in range(3))
-                    want = tutil.fraction_solve(image, result.hat.triangle(), inverse)
+                    want = fraction_solve(image, result.hat.triangle(), inverse)
                     assert want is not None and result.witness == want, (i, j, m, roles)
 
 
-def _unshared_hats(t):
-    """hat_of for each of the six role orders, each on the triangle with
-    its vertices put in that order, so that no edge is shared."""
-    return [hat_of(reordered(t, roles), (0, 1, 2)) for roles in permutations((0, 1, 2))]
-
-
 def _check_shared_edges(t):
-    """The shared-edge reduction against _unshared_hats; returns the triples.
-    role_triples lists each order's (i, j, m), entry 0 being the pointed
-    class of hat_of, each one an EncodingTriple's fields (the record's
-    checks run on every triple here), and all_encoding_triples is their
-    set."""
-    unshared = _unshared_hats(t)
-    for roles, hat in zip(permutations((0, 1, 2)), unshared):
-        assert hat_of(t, roles) == hat, (t, roles)
+    """role_triples, whose six orders share their base edges, against hat_of
+    of the triangle with its vertices put in each order, where no edge is
+    shared; each triple is an EncodingTriple's fields (the record's checks
+    run on every triple here).  Returns all_encoding_triples(t)."""
     roles = role_triples(t)
-    assert roles == tuple((h.i, h.j, h.m) for h in unshared)
-    records = [EncodingTriple(*triple) for triple in roles]
-    assert records[0] == pointed_canonical(hat_of(t))
-    triples = all_encoding_triples(t)
-    assert triples == set(records)
-    return triples
+    assert roles == tuple(tuple(hat_of(reordered(t, order))) for order in ROLE_ORDERS)
+    for triple in roles:
+        EncodingTriple(*triple)
+    return all_encoding_triples(t)
 
 
 #: sha256 of the sorted reprs of all_encoding_triples below, recorded before
@@ -302,11 +274,29 @@ def test_shared_edge_reduction_matches_unshared_hats(t):
     _check_shared_edges(t)
 
 
+def test_role_triples_are_the_closed_form_triples_on_the_31_grid():
+    """Every representative hat with j, m <= 31: the triples of role_triples
+    are reference.closed_form_triples, built from the paper's formulas."""
+    hats = 0
+    for j in range(1, 32, 2):
+        for m in range(1, 32, 2):
+            for i in range(1, 2 * j, 2):
+                h = Hat(i, j, m)
+                assert set(role_triples(h.triangle())) == closed_form_triples(h), h
+                hats += 1
+    assert hats == 4096
+
+
+@given(st.randoms(use_true_random=False))
+def test_role_triples_are_the_closed_form_triples_on_large_shared_factors(rng):
+    h = tutil.shared_factor_hat(rng, 100)
+    assert set(role_triples(h.triangle())) == closed_form_triples(h)
+
 
 def _check_against_the_inverse(t):
     """hat_of under each role order, and role_triples, against
     reference.hat_by_inverse, which divides by 2**v with an inverse modulo
-    j; returns each order's v."""
+    j; returns hat_by_inverse's ((i, j, m), v) for each order."""
     found = [hat_by_inverse(t, roles) for roles in ROLE_ORDERS]
     for roles, (hat, _) in zip(ROLE_ORDERS, found):
         assert tuple(hat_of(t, roles)) == hat, (t, roles)
@@ -314,28 +304,39 @@ def _check_against_the_inverse(t):
     assert roles == tuple(hat for hat, _ in found)
     for triple in roles:
         EncodingTriple(*triple)
-    return [v for _, v in found]
+    return found
 
 
 def test_two_adic_division_matches_the_inverse_on_unit_map_images_of_the_31_grid():
     """A seeded unit-map image of every representative hat with j, m <= 31;
-    the maps' power-of-two denominators give edges with v > 0."""
+    the maps' power-of-two denominators give edges with v > 0.  The image's
+    hat is the hat it came from, and normalize's hat under each order is
+    the reference's too."""
     rng = random.Random(2031)
+    start = time.perf_counter()
     vs = []
     for j in range(1, 32, 2):
         for m in range(1, 32, 2):
             for i in range(1, 2 * j, 2):
-                image = transformed(Hat(i, j, m).triangle(), tutil.rand_unit_map(rng))
-                vs += _check_against_the_inverse(image)
+                h = Hat(i, j, m)
+                image = transformed(h.triangle(), tutil.rand_unit_map(rng))
+                found = _check_against_the_inverse(image)
+                assert hat_of(image) == h, h
+                for roles, (hat, v) in zip(ROLE_ORDERS, found):
+                    assert tuple(normalize(image, roles).hat) == hat, (h, roles)
+                    vs.append(v)
+    took = time.perf_counter() - start
+    assert len(vs) == 6 * 4096
     assert sum(v > 0 for v in vs) > len(vs) // 4
     assert 0 in vs
+    assert took < 3.0, f"{took:.2f} s"
 
 
 def test_two_adic_division_matches_the_inverse_on_large_pairs():
     vs = []
     for pair in tutil.large_iso_pairs(random.Random(2032), 100):
         for t in pair:
-            vs += _check_against_the_inverse(t)
+            vs += [v for _, v in _check_against_the_inverse(t)]
     assert sum(v > 0 for v in vs) > len(vs) // 4
     assert max(vs) > 1
 

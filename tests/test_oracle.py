@@ -16,7 +16,6 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from dyhat import AffineMap, DyadicRational, Hat, Triangle, oracle_isomorphic
-from dyhat.geometry import Point2
 from dyhat.oracle import (
     CASES,
     CORRESPONDENCES,
@@ -31,9 +30,9 @@ from reference import (
     IDENTITY,
     affine,
     apply,
-    closure_sample,
     cross,
     det,
+    fraction_solve,
     oracle_aut_count,
     reordered,
     transformed,
@@ -165,7 +164,7 @@ def _assert_the_pass_agrees(src, dst):
     """realized_cases, oracle_isomorphic and six solve_correspondence calls
     give the same answers as the Fraction reference."""
     want = {
-        corr: tutil.fraction_solve(src, dst, corr.perm) for corr in CORRESPONDENCES
+        corr: fraction_solve(src, dst, corr.perm) for corr in CORRESPONDENCES
     }
     hits = [(corr, f) for corr, f in want.items() if f is not None]
     want_cases = "".join(corr.case for corr, _ in hits)
@@ -228,7 +227,7 @@ def test_solver_matches_fraction_reference_on_the_grid():
                 t = Hat(i, j, m).triangle()
                 for perm in permutations((0, 1, 2)):
                     got = solve_correspondence(t, t, perm)
-                    assert got == tutil.fraction_solve(t, t, perm), (i, j, m, perm)
+                    assert got == fraction_solve(t, t, perm), (i, j, m, perm)
                     solved += got is not None
     assert solved > 512  # the identity everywhere, plus the automorphisms
 
@@ -237,8 +236,8 @@ def test_solver_matches_fraction_reference_on_the_grid():
 def test_solver_matches_fraction_reference(t, f, other):
     image = transformed(t, f)
     for perm in permutations((0, 1, 2)):
-        assert solve_correspondence(t, image, perm) == tutil.fraction_solve(t, image, perm)
-        assert solve_correspondence(t, other, perm) == tutil.fraction_solve(t, other, perm)
+        assert solve_correspondence(t, image, perm) == fraction_solve(t, image, perm)
+        assert solve_correspondence(t, other, perm) == fraction_solve(t, other, perm)
 
 
 @settings(max_examples=50)
@@ -249,7 +248,7 @@ def test_one_source_solved_to_several_targets_matches_the_reference(t, large, f,
         for dst in (transformed(src, f), other, src, large, transformed(src, g)):
             for perm in permutations((0, 1, 2)):
                 got = solve_correspondence(src, dst, perm)
-                assert got == tutil.fraction_solve(src, dst, perm), (src, dst, perm)
+                assert got == fraction_solve(src, dst, perm), (src, dst, perm)
 
 
 def _vertex_0_determinant(t) -> tuple[int, int, int]:
@@ -304,20 +303,6 @@ def test_a_target_with_another_odd_part_is_never_solved(t, k):
         assert solve_correspondence(stretched, t, perm) is None
 
 
-@given(tutil.triangles, tutil.unit_maps)
-def test_a_solved_triangle_equals_a_fresh_one(t, f):
-    image = transformed(t, f)
-    solved, first = _solved(t, image), oracle_isomorphic(t, image)
-    fresh = Triangle.from_scaled(*t.scaled_coords())
-    copy = pickle.loads(pickle.dumps(t))
-    for u in (fresh, copy):
-        assert u == t and t == u and hash(u) == hash(t) and repr(u) == repr(t)
-        assert pickle.dumps(u) == pickle.dumps(t)
-        assert _solved(u, image) == solved and oracle_isomorphic(u, image) == first
-        assert _solved(image, u) == _solved(image, t)
-        assert oracle_isomorphic(image, u) == oracle_isomorphic(image, t)
-
-
 def _solved(src, dst):
     """The realized correspondences, one solve_correspondence call each."""
     return [
@@ -362,27 +347,6 @@ def test_oracle_aut_counts():
 @given(tutil.rep_hats)
 def test_oracle_aut_count_is_a_group_order(h):
     assert oracle_aut_count(h.triangle()) in (1, 2, 3, 6)
-
-
-def test_closure_sample_segment():
-    pts = {Point2.of(0, 0), Point2.of(1, 0)}
-    got = closure_sample(pts, 3)
-    assert len(got) == 9
-    eighth = D(1, -3)
-    assert got == frozenset(
-        Point2(eighth * D(k), D(0)) for k in range(9)
-    )
-
-
-def test_closure_sample_growth():
-    gen = frozenset(Hat(1, 1, 1).triangle().vertices)
-    sizes = [len(closure_sample(gen, d)) for d in range(5)]
-    assert sizes == [3, 6, 15, 45, 153]
-
-
-def test_closure_sample_fixpoint():
-    single = {Point2.of(2, 2)}
-    assert closure_sample(single, 5) == frozenset(single)
 
 
 @given(tutil.triangles, tutil.unit_maps)

@@ -1,16 +1,15 @@
 """Shared strategies, random builders and the reachability walk for the tests."""
 
 import types
-from fractions import Fraction
 from functools import reduce
 
 import hypothesis.strategies as st
 
-from dyhat import AffineMap, DyadicRational, Hat, Triangle
+from dyhat import DyadicRational, Hat, Triangle
 from dyhat.errors import DegenerateTriangle
-from dyhat.geometry import Matrix2, Point2
+from dyhat.geometry import Point2
 
-from reference import IDENTITY, affine, from_fraction, is_unit, transformed, weighted_mean
+from reference import IDENTITY, affine, fraction_solve, transformed, weighted_mean
 
 dyadics = st.builds(DyadicRational, st.integers(-(2**16), 2**16), st.integers(-10, 10))
 small_dyadics = st.builds(DyadicRational, st.integers(-64, 64), st.integers(-4, 4))
@@ -102,40 +101,6 @@ def rand_interior_point(rng, tri):
         return DyadicRational(rng.randrange(1, 64), -6)
 
     return weighted_mean(weighted_mean(a, b, weight()), c, weight())
-
-
-def _dyadic_or_none(f: Fraction):
-    den = f.denominator
-    if den & (den - 1):
-        return None
-    return from_fraction(f)
-
-
-def fraction_solve(src, dst, perm):
-    """Reference correspondence solver: Cramer's rule over Fraction.
-
-    The unique affine map over Q sending vertex k of src to vertex perm[k]
-    of dst, or None unless every entry is dyadic and the determinant is
-    +-2**k.
-    """
-    s = [(p.x.to_fraction(), p.y.to_fraction()) for p in src.vertices]
-    dst_vertices = dst.vertices
-    t = [(p.x.to_fraction(), p.y.to_fraction()) for p in (dst_vertices[k] for k in perm)]
-    (ax, ay), (bx, by) = s[0], t[0]
-    u1x, u1y = s[1][0] - ax, s[1][1] - ay
-    u2x, u2y = s[2][0] - ax, s[2][1] - ay
-    w1x, w1y = t[1][0] - bx, t[1][1] - by
-    w2x, w2y = t[2][0] - bx, t[2][1] - by
-
-    det = u1x * u2y - u1y * u2x
-    a, b = (w1x * u2y - w2x * u1y) / det, (w2x * u1x - w1x * u2x) / det
-    c, d = (w1y * u2y - w2y * u1y) / det, (w2y * u1x - w1y * u2x) / det
-    entries = [_dyadic_or_none(v)
-               for v in (a, b, c, d, bx - a * ax - b * ay, by - c * ax - d * ay)]
-    if any(e is None for e in entries):
-        return None
-    solved = AffineMap(Matrix2(*entries[:4]), Point2(*entries[4:]))
-    return solved if is_unit(solved) else None
 
 
 def fraction_inverse(f, tri):
