@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import islice
 from typing import Iterable
 
 from .errors import DivisionByZero, NotDyadic
@@ -224,9 +225,12 @@ def reduce_scale(ints: Iterable[int], e: int) -> tuple[tuple[int, ...], int]:
     """common_scale of the values ints[k] * 2**e, computed on the integers:
     the power of two that divides all of them moves into the exponent, and
     a bool comes back as the int it equals.  NotDyadic refuses ints that
-    are not a sequence, and a value or an exponent that is not an int."""
+    are not a sequence, and a value or an exponent that is not an int.  A
+    tuple is taken as it is; any other iterable is read at most seven
+    items deep, one more than the six of a triangle."""
     try:
-        ints = tuple(ints)
+        if ints.__class__ is not tuple:
+            ints = tuple(islice(ints, 7))
     except TypeError:
         raise NotDyadic("scaled values must be a sequence of integers, got "
                         f"{ints.__class__.__name__}") from None

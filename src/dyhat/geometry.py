@@ -18,6 +18,7 @@ the stored integers once per pair of triangles.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import islice
 from typing import Iterable
 
 from .dyadic import DyadicRational, Record, common_scale, reduce_scale
@@ -95,10 +96,12 @@ class AffineMap(_Scaled):
         (integers, exponent) pair, other than four linear and two
         translation integers, or a value or exponent that is not an int."""
         try:
-            linear, translation = reduce_scale(*linear), reduce_scale(*translation)
-        except TypeError:
+            # unpacking a pair reads at most one item past it
+            (n, e), (tn, te) = linear, translation
+        except (TypeError, ValueError):
             raise NotDyadic("an affine map needs (integers, exponent) pairs for "
                             "its linear part and its translation") from None
+        linear, translation = reduce_scale(n, e), reduce_scale(tn, te)
         if len(linear[0]) != 4 or len(translation[0]) != 2:
             raise NotDyadic("an affine map needs 4 linear and 2 translation "
                             f"integers, got {len(linear[0])} and {len(translation[0])}")
@@ -204,7 +207,8 @@ class Triangle(_Scaled):
             if isinstance(p, Point2):
                 return p
             try:
-                return Point2.of(*p)
+                # at most one item past a pair, so an endless p is refused
+                return Point2.of(*islice(p, 3))
             except TypeError:
                 raise NotDyadic("a vertex must be a Point2 or an (x, y) pair, got "
                                 f"{p.__class__.__name__}") from None

@@ -30,7 +30,7 @@ by the grid and census digests.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import permutations
+from itertools import islice, permutations
 from operator import itemgetter
 
 from .dyadic import Record, egcd
@@ -128,10 +128,11 @@ ROLE_ORDERS = tuple(permutations(range(3)))
 
 
 def _role_order(roles) -> tuple[int, int, int]:
-    """roles, read once, as the order in ROLE_ORDERS that they equal;
-    anything else, iterable or not, raises ValueError."""
+    """roles, read once and at most four items deep, as the order in
+    ROLE_ORDERS that they equal; anything else, iterable or not, raises
+    ValueError."""
     try:
-        return ROLE_ORDERS[ROLE_ORDERS.index(tuple(roles))]
+        return ROLE_ORDERS[ROLE_ORDERS.index(tuple(islice(roles, 4)))]
     except (TypeError, ValueError):
         raise ValueError("roles must be a permutation of (0, 1, 2)") from None
 

@@ -23,6 +23,7 @@ reduction, hats.role_triples, so each side checks the other.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .dyadic import Record
@@ -129,9 +130,10 @@ def solve_correspondence(
     """The unit affine map sending vertex k of src to vertex perm[k] of dst,
     or None when that unique affine map is not a dyadic unit: the pass
     over perm's one entry.  A perm that is not one of the six orders of
-    (0, 1, 2), iterable or not, raises ValueError."""
+    (0, 1, 2), iterable or not, raises ValueError; it is read at most four
+    items deep."""
     try:
-        targets = _TARGET_OF_PERM[tuple(perm)]
+        targets = _TARGET_OF_PERM[tuple(islice(perm, 4))]
     except (TypeError, KeyError):
         raise ValueError("perm must be a permutation of (0, 1, 2)") from None
     for _, solved in _solve_scaled(src, dst, targets):

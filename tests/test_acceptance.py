@@ -65,29 +65,35 @@ def _elapsed(fn, repeats=5):
     return result, best
 
 
+_S3_LABELS = {"ABC", "ACB", "BAC", "BCA", "CAB", "CBA"}
+
+# (params, tag, witness labels, criterion that must fire for the C2 hats)
+AUT_FIXTURES = (
+    ((1, 1, 1), "S3", _S3_LABELS, None),
+    ((3, 3, 3), "S3", _S3_LABELS, None),
+    ((5, 5, 5), "S3", _S3_LABELS, None),
+    ((15, 9, 21), "C2", {"ABC", "CBA"}, aut_fix_B),
+    ((21, 9, 3), "C2", {"ABC", "ACB"}, aut_fix_A),
+    ((15, 9, 3), "S3", _S3_LABELS, None),
+    ((3, 7, 1), "C3", {"ABC", "BCA", "CAB"}, None),
+    ((21, 15, 3), "C2", {"ABC", "BAC"}, aut_fix_C),
+    ((5, 3, 1), "S3", _S3_LABELS, None),
+    ((1, 3, 5), "C2", {"ABC", "CBA"}, aut_fix_B),
+    ((1, 9, 5), "Trivial", {"ABC"}, None),
+)
+
+
 def test_criterion_01_automorphism_fixtures():
-    # (params, tag, criterion that must fire for the C2 hats)
-    fixtures = (
-        ((1, 1, 1), "S3", None),
-        ((3, 3, 3), "S3", None),
-        ((5, 5, 5), "S3", None),
-        ((15, 9, 21), "C2", aut_fix_B),
-        ((21, 9, 3), "C2", aut_fix_A),
-        ((15, 9, 3), "S3", None),
-        ((3, 7, 1), "C3", None),
-        ((21, 15, 3), "C2", aut_fix_C),
-    )
-    swap_labels = {aut_fix_B: "CBA", aut_fix_A: "ACB", aut_fix_C: "BAC"}
-    for params, tag, via in fixtures:
+    for params, tag, labels, via in AUT_FIXTURES:
         h = Hat(*params)
         group, best = _elapsed(lambda: automorphism_group(h))
         assert group.tag == tag, params
         assert best < 0.001, f"{params}: {best * 1000:.3f} ms"
+        assert {w[0] for w in group.witnesses} == labels, params
+        assert len(group.witnesses) == group.order == len(labels), params
         if via is not None:
             assert via(h), params
-            labels = {w[0] for w in group.witnesses}
-            assert labels == {"ABC", swap_labels[via]}, params
-    print("criterion 1: pass (8 automorphism fixtures, each call < 1 ms)")
+    print(f"criterion 1: pass ({len(AUT_FIXTURES)} automorphism fixtures, each call < 1 ms)")
 
 
 def test_criterion_02_isomorphism_fixtures():
@@ -222,9 +228,10 @@ def test_criterion_09_witness_validity():
             assert apply(witness, x) == Point2.of(0, 0)
             assert apply(witness, y) == Point2.of(hat.i, hat.j)
             assert apply(witness, z) == Point2.of(hat.m, 0)
+            assert hat.is_representative and 1 <= hat.i < 2 * hat.j
             corpus.append((witness, t))
 
-    for params in ((1, 1, 1), (15, 9, 21), (21, 9, 3), (21, 15, 3), (3, 7, 1), (15, 9, 3)):
+    for params, *_ in AUT_FIXTURES:
         h = Hat(*params)
         vertices = h.triangle().vertices
         for label, witness in automorphism_group(h).witnesses:

@@ -17,9 +17,10 @@ from hypothesis import Phase, given, settings
 
 import dyhat
 import dyhat.cli
-from dyhat import DyadicRational, EncodingTriple, Hat
-from dyhat.errors import DomainError
+from dyhat import AffineMap, DyadicRational, EncodingTriple, Hat, Triangle, hat_of, normalize
+from dyhat.errors import DomainError, NotDyadic
 from dyhat.geometry import Matrix2, Point2
+from dyhat.oracle import solve_correspondence
 
 from tutil import _reachable_names
 
@@ -195,3 +196,33 @@ def test_an_export_returns_or_refuses_a_drawn_value(names, data):
             # the documented entry check, naming the parameter and its type
             assert re.fullmatch(r"\w+ must be a (Hat|Triangle|Matrix2|Point2|tuple), got \w+",
                                 str(e)), (fn, args, e)
+
+
+def _eight_zeros_then_an_error():
+    """Eight zeros, more than any entry point reads, then a RuntimeError: a
+    call that reads past its bound ends in that error instead of hanging,
+    as it would on an endless iterable."""
+    yield from [0] * 8
+    raise RuntimeError("read past the eighth item")
+
+
+_TRI = Hat(1, 3, 5).triangle()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda it: hat_of(_TRI, it), ValueError, r"roles must be a permutation of \(0, 1, 2\)"),
+    (lambda it: normalize(_TRI, it), ValueError, r"roles must be a permutation of \(0, 1, 2\)"),
+    (lambda it: solve_correspondence(_TRI, _TRI, it), ValueError,
+     r"perm must be a permutation of \(0, 1, 2\)"),
+    (lambda it: Triangle.of(it, (1, 0), (0, 1)), NotDyadic,
+     r"a vertex must be a Point2 or an \(x, y\) pair, got generator"),
+    (lambda it: Triangle.from_scaled(it, 0), NotDyadic, "a triangle needs 6 integers, got 7"),
+    (lambda it: AffineMap.from_scaled((it, 0), ((0, 0), 0)), NotDyadic,
+     "an affine map needs 4 linear and 2 translation integers, got 7 and 2"),
+    (lambda it: AffineMap.from_scaled(it, ((0, 0), 0)), NotDyadic,
+     r"an affine map needs \(integers, exponent\) pairs for its linear part and its translation"),
+], ids=["hat_of", "normalize", "solve_correspondence", "Triangle.of",
+        "Triangle.from_scaled", "AffineMap.from_scaled", "AffineMap.from_scaled-pair"])
+def test_an_entry_point_reads_an_iterable_only_to_its_bound(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call(_eight_zeros_then_an_error())

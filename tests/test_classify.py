@@ -42,7 +42,6 @@ import tutil
 from reference import (
     GROUP_OF_CRITERIA,
     IDENTITY,
-    apply,
     aut_cycle,
     aut_fix_A,
     aut_fix_B,
@@ -55,7 +54,6 @@ from reference import (
     hat_by_inverse,
     iso_case_by_congruence,
     odd_gcd,
-    oracle_aut_count,
     transformed,
     twice_area,
     val2,
@@ -94,49 +92,6 @@ def test_criteria_reject_even_i():
             fn(Hat(4, 3, 5))
 
 
-GROUP_TABLE = {
-    (1, 1, 1): "S3",
-    (3, 3, 3): "S3",
-    (5, 5, 5): "S3",
-    (15, 9, 3): "S3",
-    (5, 3, 1): "S3",
-    (15, 9, 21): "C2",
-    (21, 9, 3): "C2",
-    (21, 15, 3): "C2",
-    (1, 3, 5): "C2",
-    (3, 7, 1): "C3",
-    (1, 9, 5): "Trivial",
-}
-
-
-def test_group_tags():
-    for params, tag in GROUP_TABLE.items():
-        group = automorphism_group(Hat(*params))
-        assert group.tag == tag, params
-        assert group.order == GROUP_ORDER[tag]
-        assert len(group.witnesses) == group.order
-
-
-def test_group_witness_labels():
-    labels = lambda h: {w[0] for w in automorphism_group(h).witnesses}
-    assert labels(Hat(15, 9, 21)) == {"ABC", "CBA"}
-    assert labels(Hat(21, 9, 3)) == {"ABC", "ACB"}
-    assert labels(Hat(21, 15, 3)) == {"ABC", "BAC"}
-    assert labels(Hat(3, 7, 1)) == {"ABC", "BCA", "CAB"}
-    assert labels(Hat(1, 9, 5)) == {"ABC"}
-    assert labels(Hat(1, 1, 1)) == {"ABC", "ACB", "BAC", "BCA", "CAB", "CBA"}
-
-
-def test_group_witnesses_permute_vertices_as_labeled():
-    for params in GROUP_TABLE:
-        h = Hat(*params)
-        vertices = h.triangle().vertices
-        for label, witness in automorphism_group(h).witnesses:
-            assert witness.is_unit()
-            for k, target in enumerate(label):
-                assert apply(witness, vertices[k]) == vertices["ABC".index(target)]
-
-
 def test_trivial_group_witness_is_identity():
     group = automorphism_group(Hat(1, 9, 5))
     assert group.witnesses == (("ABC", IDENTITY),)
@@ -145,14 +100,17 @@ def test_trivial_group_witness_is_identity():
 def test_automorphisms_are_the_self_isomorphisms_on_the_31_grid():
     # the four reference criteria share no code with iso_case or with the
     # oracle, so this checks both routes of automorphism_group from outside:
-    # its witnesses, and so its labels, come from the oracle
+    # its witnesses, and so its labels, come from the oracle.  Odd i runs
+    # over -2j+1..4j-1 and over -49..51, every i that tutil.rep_hats draws,
+    # and each hat's triples and group meet the orbit-stabilizer identity
     for j, m in product(range(1, 32, 2), repeat=2):
-        for i in range(-2 * j + 1, 4 * j, 2):
+        for i in range(min(-2 * j, -50) + 1, max(4 * j, 52), 2):
             h = Hat(i, j, m)
             tag, cases, labels = criteria_row(h)
             assert iso_case(h, h) == cases, h
             group = automorphism_group(h)
             assert (group.tag, tuple(label for label, _ in group.witnesses)) == (tag, labels), h
+            assert len(all_encoding_triples(h.triangle())) * group.order == 6, h
 
 
 _odd_large = st.integers(0, 2**199).map(lambda k: 2 * k + 1)
@@ -468,23 +426,6 @@ def test_isomorphic_takes_an_odd_modulus_inverse_only_in_egcd(monkeypatch):
     assert calls["dyhat.classify"] == []
 
 
-def test_non_isomorphic_pair_shares_area_and_boundary():
-    t1 = Hat(3, 27, 21).triangle()
-    t2 = Hat(39, 27, 21).triangle()
-    assert twice_area(t1) == twice_area(t2) == D(567)
-    assert boundary_type(t1) == boundary_type(t2) == (3, 9, 21)
-    assert not isomorphic(t1, t2).isomorphic
-
-
-def test_isomorphic_witness_maps_vertices_onto_vertices():
-    t1 = Hat(1, 3, 5).triangle()
-    t2 = Hat(5, 15, 1).triangle()
-    result = isomorphic(t1, t2)
-    assert result.isomorphic
-    images = {apply(result.witness, v) for v in t1.vertices}
-    assert images == set(t2.vertices)
-
-
 def test_isomorphic_on_self_gives_identity_witness():
     t = Hat(1, 9, 5).triangle()
     result = isomorphic(t, t)
@@ -513,19 +454,6 @@ def test_isomorphic_pairs_share_invariants(h1, h2):
         t1, t2 = h1.triangle(), h2.triangle()
         assert twice_area(t1) == twice_area(t2)
         assert boundary_types_equivalent(boundary_type(t1), boundary_type(t2))
-
-
-@given(tutil.rep_hats)
-@settings(max_examples=60)
-def test_group_order_matches_oracle_count(h):
-    assert automorphism_group(h).order == oracle_aut_count(h.triangle())
-
-
-@given(tutil.rep_hats)
-@settings(max_examples=60)
-def test_orbit_stabilizer_identity(h):
-    triples = all_encoding_triples(h.triangle())
-    assert len(triples) * automorphism_group(h).order == 6
 
 
 def _check_isomorphic(t1, t2):
@@ -657,12 +585,6 @@ def test_census_small():
 
     row = rows[(3, 5)]
     assert row.pointed_classes == 3
-
-
-def test_census_counts_a_three_cycle_cell():
-    report = census(7, 1)
-    row = next(r for r in report.rows if (r.j, r.m) == (7, 1))
-    assert row.aut_counts["C3"] >= 1
 
 
 def test_census_class_counts_are_the_least_triples_on_the_31_grid():
