@@ -218,23 +218,36 @@ def test_oracle_accepts_unit_images(t, f):
     assert witness == f
 
 
-def test_solver_matches_fraction_reference_on_the_grid():
-    # each hat with j, m <= 15 and a seeded unit-map image of it with its
-    # vertices shuffled, solved to itself and to each other; the self
-    # passes find at least the identity, and the automorphisms too
+def _grid_15_images():
+    """Each hat with j, m <= 15, with a seeded unit-map image of it whose
+    vertices are shuffled."""
     rng = random.Random(15)
-    solved = 0
     for j in range(1, 16, 2):
         for m in range(1, 16, 2):
             for i in range(1, 2 * j, 2):
                 t = Hat(i, j, m).triangle()
                 image = transformed(t, tutil.rand_unit_map(rng))
-                shuffled = Triangle(tuple(rng.sample(image.vertices, 3)))
-                for src, dst in ((t, t), (shuffled, shuffled), (shuffled, t)):
-                    found = _assert_the_pass_agrees(src, dst)
-                    assert found, (i, j, m)
-                    solved += len(found)
-    assert solved > 3 * 512
+                yield (i, j, m), t, Triangle(tuple(rng.sample(image.vertices, 3)))
+
+
+def test_solver_matches_fraction_reference_on_the_grid():
+    # the self passes find at least the identity, and the automorphisms too
+    solved = 0
+    for params, t, shuffled in _grid_15_images():
+        for src in (t, shuffled):
+            found = _assert_the_pass_agrees(src, src)
+            assert found, params
+            solved += len(found)
+    assert solved > 2 * 512
+
+
+def test_oracle_isomorphic_gives_the_first_solver_hit():
+    pairs = 0
+    for params, t, shuffled in _grid_15_images():
+        for src, dst in ((t, shuffled), (shuffled, t)):
+            assert _assert_the_pass_agrees(src, dst), params
+            pairs += 1
+    assert pairs == 2 * 512
     assert oracle_isomorphic(Hat(1, 1, 1).triangle(), Hat(1, 3, 5).triangle()) is None
 
 
