@@ -13,13 +13,17 @@ group check: iso_case(h, h), the table lookup, and the comparison with the
 oracle's realized cases.  automorphism_group runs it and then has the
 oracle build a witness map for each of the group's own cases; a census
 cell builds each hat's triangle once and runs it alone, so a census builds
-no witness map.  A cell counts isomorphism classes as distinct orbits, the
-sets of role triples that its hats' reductions return: two hats have the
-same least (canonical) triple exactly when they have the same orbit.  The
-results (AutGroup, IsoResult, CensusRow, CensusReport) are dyadic.Record
-values.  The process pool is imported only when a census runs pooled, so
-the other commands never load concurrent.futures.process or
-multiprocessing.
+no witness map.  The cell also checks its reduction against the oracle:
+each non-identity case that the oracle realizes on a hat must carry the
+hat's role triples onto themselves (_ROLE_SHIFTS), so a reduction that
+permutes its six entries raises InconsistencyError.  The cell builds its
+hats without Hat's checks, which its ranges meet.  A cell counts
+isomorphism classes as distinct orbits, the sets of role triples that its
+hats' reductions return: two hats have the same least (canonical) triple
+exactly when they have the same orbit.  The results (AutGroup, IsoResult,
+CensusRow, CensusReport) are dyadic.Record values.  The process pool is
+imported only when a census runs pooled, so the other commands never load
+concurrent.futures.process or multiprocessing.
 """
 
 from __future__ import annotations
@@ -27,11 +31,12 @@ from __future__ import annotations
 import math
 import os
 from collections import namedtuple
+from operator import itemgetter
 
 from .dyadic import Record
 from .errors import InconsistencyError, InvalidBounds, InvalidHat, require
 from .geometry import Triangle
-from .hats import CANONICAL_KEY, Hat, role_triples
+from .hats import CANONICAL_KEY, ROLE_ORDERS, Hat, role_triples
 from .oracle import (
     CORRESPONDENCES,
     oracle_isomorphic,
@@ -50,6 +55,18 @@ _GROUP_OF_CASES = {
     "af": "C2",
     "ade": "C3",
     "abcdef": "S3",
+}
+
+#: Case -> the action of its correspondence perm on role_triples' entries:
+#: entry k of _ROLE_SHIFTS[case](roles) is roles' entry for the order
+#: (perm[r0], perm[r1], perm[r2]), where (r0, r1, r2) = ROLE_ORDERS[k].
+#: After a self-map that realizes the case, that order's unit map to its
+#: hat is one for the order r, so on a hat roles must equal its shift.
+_ROLE_SHIFTS = {
+    corr.case: itemgetter(*(
+        ROLE_ORDERS.index(tuple(corr.perm[r] for r in order)) for order in ROLE_ORDERS
+    ))
+    for corr in CORRESPONDENCES
 }
 
 GROUP_ORDER = {tag: len(cases) for cases, tag in _GROUP_OF_CASES.items()}
@@ -225,7 +242,8 @@ def _census_cell(cell: tuple[int, int]) -> CensusRow:
     counts = dict.fromkeys(GROUP_TAGS, 0)
     orbit_ok = True
     for i in range(1, 2 * j, 2):
-        h = Hat(i, j, m)
+        # the ranges make (i, j, m) a valid hat, so Hat's checks are skipped
+        h = tuple.__new__(Hat, (i, j, m))
         tri = h.triangle()
         # run the full pipeline rather than trusting i to be canonical:
         # entry 0 is the identity order's pointed class
@@ -233,6 +251,14 @@ def _census_cell(cell: tuple[int, int]) -> CensusRow:
         pointed.add(roles[0])
         cases = _self_cases(h, tri)
         counts[_GROUP_OF_CASES[cases]] += 1
+        # each case the oracle realized must permute the role orders onto
+        # orders with the same triples
+        for case in cases[1:]:
+            if _ROLE_SHIFTS[case](roles) != roles:
+                raise InconsistencyError(
+                    f"reduction and oracle disagree on {h}: case {case} "
+                    f"does not fix its role triples {list(roles)}"
+                )
         # classes are counted as distinct orbits, the sets of role triples:
         # two hats share their least triple exactly when they share that set
         orbit = frozenset(roles)

@@ -14,17 +14,18 @@ computes, so role_triples and the oracle check each other.  normalize also
 returns the witness map: the oracle's solve_correspondence builds it from
 oracle._solve_scaled, the one Cramer pass, run over the one correspondence
 from the triangle to its hat; a census runs the same pass over all six
-self-correspondences of each hat, map-free.  Hat, EncodingTriple and
-Normalization are dyadic.Record values; EncodingTriple alone adds an
+self-correspondences of each hat and builds no map.  Hat, EncodingTriple
+and Normalization are dyadic.Record values; EncodingTriple alone adds an
 order, the canonical (j, m, i) order, which CANONICAL_KEY states as a
 C-level key.  Triples are plain ints inside the package; records are built
 at the exports: role_triples returns (i, j, m) tuples, and
 all_encoding_triples and canonical_form build an EncodingTriple only for
 each triple they return.  classify.isomorphic hands every verdict to the
-oracle, which checks the reduction there; a census's reduction is not
-checked by the oracle (its pass checks each hat's group), only by
-CensusRow.ok (the pointed count and the orbit identity) and, in the tests,
-by the grid and census digests.
+oracle, which checks the reduction there.  A census checks it against the
+group that the oracle realizes on each hat: every realized case must carry
+the hat's six role triples onto themselves, and CensusRow.ok adds the
+pointed count and the orbit identity, so the blocks of equal triples are
+the cosets of that group.
 """
 
 from __future__ import annotations

@@ -4,18 +4,19 @@ Decides whether an affine map carries one triangle onto another by solving
 the vertex correspondence equations with integer Cramer's rule on the
 integer coordinates each Triangle holds: the solved map qualifies when its
 entries are dyadic and its determinant is +-2**k.  _solve_scaled is the
-one Cramer pass over a pair of triangles, a generator.  Once per pair it
-reads both triangles' scaled_coords (one read when the target is the
-source, as in a census), derives the source's edge vectors and
+one Cramer pass over a pair of triangles, a plain function.  Once per
+pair it reads both triangles' scaled_coords (one read when the target is
+the source, as in a census), derives the source's edge vectors and
 determinant from them and refuses a target whose determinant has another
-odd part.  Then, for each entry of _TARGETS it is given, a correspondence
-with its target offsets, it tests the four numerators and yields the
-correspondence and the solved map's integers when they make a unit.  Each
-question has one consumer of the pass: realized_cases, which cases hold,
-over all six and with no map built (a census); oracle_isomorphic, the
-first hit and its map, so its tests stop there (isomorphic);
-solve_correspondence, one given correspondence and its map
-(hats.normalize, automorphism_group).  This route shares no logic and no
+odd part.  Then, for each entry of _TARGETS it is given, a
+correspondence with its target offsets, it finds and tests the four
+numerators one at a time, so most entries that are no unit stop at the
+first or second.  It builds a map's integers only for the hit whose map
+its caller asks for.  Each question has one consumer of the pass:
+realized_cases, which cases hold, over all six and with no map built (a
+census); oracle_isomorphic, the first hit and its map, so its tests stop
+there (isomorphic); solve_correspondence, one given correspondence and
+its map (hats.normalize, automorphism_group).  This route shares no logic and no
 computed data with the number-theoretic criteria or with the hat
 reduction, hats.role_triples, so each side checks the other.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .dyadic import Record
 from .errors import require
@@ -73,27 +74,31 @@ _TARGET_OF_PERM = {entry[0].perm: (entry,) for entry in _TARGETS}
 
 
 def _solve_scaled(
-    src: Triangle, dst: Triangle, targets: Iterable[tuple[Correspondence, int, int, int]]
-) -> Iterator[tuple[
-    Correspondence, tuple[tuple[tuple[int, ...], int], tuple[tuple[int, int], int]]
-]]:
-    """The Cramer pass: for each entry of targets (entries of _TARGETS, in
-    their order) whose unique affine map, sending vertex k of src to
-    vertex perm[k] of dst, is a dyadic unit, yield the entry's
-    correspondence and that map's (linear, translation) integers and
-    exponents, in AffineMap.from_scaled's form.
+    src: Triangle,
+    dst: Triangle,
+    targets: Iterable[tuple[Correspondence, int, int, int]],
+    witness: bool,
+):
+    """The Cramer pass: test each entry of targets (entries of _TARGETS, in
+    their order) for whether its unique affine map, sending vertex k of src
+    to vertex perm[k] of dst, is a dyadic unit.  With witness, return the
+    first such entry's correspondence and that map's (linear, translation)
+    integers and exponents, in AffineMap.from_scaled's form, or None when
+    no entry is one; the later entries are left untested.  Without
+    witness, test every entry and return the cases of those that are units,
+    as letters in targets order, and build no map.
 
     The pair's data is read once: the stored integers and exponents of
     src and dst, src's edge vectors and determinant, and the unit test.
     With source determinant odd * 2**v, the map is a unit exactly when the
     target's determinant has the odd part +-odd (reordering the target's
-    vertices changes only its sign), so a target without it yields nothing
-    and tests no entry; when dst is src, its integers are read and its
-    determinant found once, and the test is skipped.  Valuations are taken
-    inline, as (n & -n).bit_length() - 1.  An entry's map is dyadic exactly
-    when odd divides its four numerators.
-    The pass is lazy: a caller that stops at a yield leaves the later
-    entries untested.
+    vertices changes only its sign), so a target without it tests no
+    entry; when dst is src, its integers are read and its determinant
+    found once, and the test is skipped.  Valuations are taken inline, as
+    (n & -n).bit_length() - 1.  An entry's map is dyadic exactly when odd
+    divides its four numerators, and they are found and tested one at a
+    time, so that an entry stops at its first numerator that odd does not
+    divide; the map's integers are built only for the hit it returns.
     """
     n, src_exp = src.scaled_coords()
     ax, ay, x1, y1, x2, y2 = n
@@ -106,22 +111,36 @@ def _solve_scaled(
         n, dst_exp = dst.scaled_coords()
         det = (n[2] - n[0]) * (n[5] - n[1]) - (n[3] - n[1]) * (n[4] - n[0])
         if det >> ((det & -det).bit_length() - 1) not in (odd, -odd):
-            return
-    # linear is (a, b, c, d) * 2**(dst_exp - src_exp - v), so the translation
-    # t0 - linear(s0) is an integer pair times 2**(dst_exp - v)
-    linear_exp, translation_exp = dst_exp - src_exp - v, dst_exp - v
+            return None if witness else ""
+    found = ""
     for corr, p, q, r in targets:
-        bx, by = n[p], n[p + 1]
-        w1x, w1y, w2x, w2y = n[q] - bx, n[q + 1] - by, n[r] - bx, n[r + 1] - by
-        na, nb = w1x * u2y - w2x * u1y, w2x * u1x - w1x * u2x
-        nc, nd = w1y * u2y - w2y * u1y, w2y * u1x - w1y * u2x
-        if na % odd or nb % odd or nc % odd or nd % odd:
+        bx = n[p]
+        w1x, w2x = n[q] - bx, n[r] - bx
+        na = w1x * u2y - w2x * u1y
+        if na % odd:
+            continue
+        nb = w2x * u1x - w1x * u2x
+        if nb % odd:
+            continue
+        by = n[p + 1]
+        w1y, w2y = n[q + 1] - by, n[r + 1] - by
+        nc = w1y * u2y - w2y * u1y
+        if nc % odd:
+            continue
+        nd = w2y * u1x - w1y * u2x
+        if nd % odd:
+            continue
+        if not witness:
+            found += corr.case
             continue
         a, b, c, d = na // odd, nb // odd, nc // odd, nd // odd
-        yield corr, (
-            ((a, b, c, d), linear_exp),
-            (((bx << v) - a * ax - b * ay, (by << v) - c * ax - d * ay), translation_exp),
+        # linear is (a, b, c, d) * 2**(dst_exp - src_exp - v), so the
+        # translation t0 - linear(s0) is an integer pair times 2**(dst_exp - v)
+        return corr, (
+            ((a, b, c, d), dst_exp - src_exp - v),
+            (((bx << v) - a * ax - b * ay, (by << v) - c * ax - d * ay), dst_exp - v),
         )
+    return None if witness else found
 
 
 def solve_correspondence(
@@ -136,15 +155,14 @@ def solve_correspondence(
         targets = _TARGET_OF_PERM[tuple(islice(perm, 4))]
     except (TypeError, KeyError):
         raise ValueError("perm must be a permutation of (0, 1, 2)") from None
-    for _, solved in _solve_scaled(src, dst, targets):
-        return AffineMap.from_scaled(*solved)
-    return None
+    hit = _solve_scaled(src, dst, targets, True)
+    return hit and AffineMap.from_scaled(*hit[1])
 
 
 def realized_cases(src: Triangle, dst: Triangle) -> str:
     """The cases (letters in CASES order) of the correspondences realized by
     a unit map: one pass over all six, and no map built."""
-    return "".join([corr.case for corr, _ in _solve_scaled(src, dst, _TARGETS)])
+    return _solve_scaled(src, dst, _TARGETS, False)
 
 
 def oracle_isomorphic(
@@ -155,6 +173,5 @@ def oracle_isomorphic(
     untested.  A value that is not a Triangle raises TypeError."""
     require(src, Triangle, "src")
     require(dst, Triangle, "dst")
-    for corr, solved in _solve_scaled(src, dst, _TARGETS):
-        return corr, AffineMap.from_scaled(*solved)
-    return None
+    hit = _solve_scaled(src, dst, _TARGETS, True)
+    return hit and (hit[0], AffineMap.from_scaled(*hit[1]))

@@ -22,6 +22,11 @@ before dyhat ran its six isomorphism case tests on a hat and itself;
 criteria_row reads a hat's group off them, and the tests check
 classify.automorphism_group against it.
 
+parse_literal reads the README's literal grammar (dyadic, hat and
+triangle literals) character by character, with no regular expression and
+no int() on text it has not checked; the tests check cli.parse_dyadic,
+cli.parse_shape and cli.format_dyadic against it.
+
 This module imports no decision route of dyhat (tests/test_classify.py
 parses it to check that), so each reference checks them from outside.
 """
@@ -383,3 +388,112 @@ def criteria_row(h: Hat) -> tuple[str, str, tuple[str, ...]]:
     outcome is no row."""
     tag, cases = GROUP_OF_CRITERIA[(aut_fix_A(h), aut_fix_B(h), aut_fix_C(h), aut_cycle(h))]
     return tag, cases, tuple(perm_label(c.perm) for c in CORRESPONDENCES if c.case in cases)
+
+
+class Refused(DomainError):
+    """parse_literal's refusal of a text outside the literal grammar."""
+
+
+#: The README's caps: digits in one number of a literal, and k in "2^k".
+LITERAL_DIGITS = 1000
+POW2_EXPONENT = 4096
+
+
+def _read_int(text: str, at: int, sign: bool) -> tuple[int, int]:
+    """(value, end) of the ASCII digits at text[at:], after one "-" when sign
+    allows it; Refused when no digit follows or more than LITERAL_DIGITS do."""
+    negative = sign and at < len(text) and text[at] == "-"
+    at += negative
+    value, count = 0, 0
+    while at < len(text) and "0" <= text[at] <= "9":
+        value = 10 * value + (ord(text[at]) - ord("0"))
+        count += 1
+        at += 1
+    if count == 0 or count > LITERAL_DIGITS:
+        raise Refused(f"{count} digits at {at} in {text!r}")
+    return (-value if negative else value), at
+
+
+def _read_dyadic(text: str) -> Fraction:
+    """"[-]digits", "[-]digits/digits" (a power of two) or "[-]digits/2^k",
+    the whole of text."""
+    num, at = _read_int(text, 0, True)
+    k = 0
+    if at < len(text) and text[at] == "/":
+        at += 1
+        if text[at:at + 2] == "2^":
+            k, at = _read_int(text, at + 2, False)
+            if k > POW2_EXPONENT:
+                raise Refused(f"2^{k} in {text!r}")
+        else:
+            den, at = _read_int(text, at, False)
+            if den == 0:
+                raise Refused(f"denominator 0 in {text!r}")
+            while den % 2 == 0:
+                den //= 2
+                k += 1
+            if den != 1:
+                raise Refused(f"a denominator that is not a power of two in {text!r}")
+    if at != len(text):
+        raise Refused(f"{text[at]!r} at {at} in {text!r}")
+    return Fraction(num, 1 << k)
+
+
+def _words(text: str) -> list[str]:
+    """text's runs of characters that are not whitespace."""
+    words, word = [], ""
+    for ch in text + " ":
+        if ch.isspace():
+            if word:
+                words.append(word)
+            word = ""
+        else:
+            word += ch
+    return words
+
+
+def parse_literal(text: str, shape: bool = False):
+    """The README literal grammar, read character by character, with no re
+    and no int() on text it has not checked.
+
+    Without shape, text is a dyadic literal, surrounding whitespace allowed:
+    its value as a Fraction.  With shape, its words split at whitespace, it
+    is a hat literal "T i j m" (odd i) or "TT i j m" (any i), with odd
+    positive j and m, or three vertices "x,y" of dyadic literals that are
+    not collinear: the vertices as a tuple of three (x, y) Fraction pairs.
+    Each number holds at most LITERAL_DIGITS digits and k at most
+    POW2_EXPONENT; any other text raises Refused.
+    """
+    words = _words(text)
+    if not shape:
+        if len(words) != 1:
+            raise Refused(f"{len(words)} words in {text!r}")
+        return _read_dyadic(words[0])
+    if words and words[0] in ("T", "TT"):
+        if len(words) != 4:
+            raise Refused(f"a hat literal of {len(words)} words: {text!r}")
+        params = []
+        for word in words[1:]:
+            value, end = _read_int(word, 0, True)
+            if end != len(word):
+                raise Refused(f"hat parameter {word!r} is not an integer")
+            params.append(value)
+        i, j, m = params
+        if j <= 0 or j % 2 == 0 or m <= 0 or m % 2 == 0:
+            raise Refused(f"j and m must be odd positive in {text!r}")
+        if words[0] == "T" and i % 2 == 0:
+            raise Refused(f"a representative hat needs odd i in {text!r}")
+        zero = Fraction(0)
+        return (zero, zero), (Fraction(i), Fraction(j)), (Fraction(m), zero)
+    if len(words) != 3:
+        raise Refused(f"a triangle literal of {len(words)} words: {text!r}")
+    vertices = []
+    for word in words:
+        comma = word.find(",")
+        if comma < 0 or word.find(",", comma + 1) >= 0:
+            raise Refused(f"vertex {word!r} is not an x,y pair")
+        vertices.append((_read_dyadic(word[:comma]), _read_dyadic(word[comma + 1:])))
+    (ax, ay), (bx, by), (cx, cy) = vertices
+    if (bx - ax) * (cy - ay) == (by - ay) * (cx - ax):
+        raise Refused(f"collinear vertices in {text!r}")
+    return tuple(vertices)

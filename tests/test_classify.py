@@ -675,9 +675,12 @@ def test_census_builds_no_dyadic_rational_and_skips_no_solve(monkeypatch):
     triangles = _count_calls(monkeypatch, Triangle, "_store")
     reads = _count_calls(monkeypatch, Triangle, "scaled_coords")
     monkeypatch.setattr(DyadicRational, "__init__", counted_init)
+    hats_built = _count_calls(monkeypatch, Hat, "__new__")
     tested, hits = tutil.counted_pass(monkeypatch)
     assert census(15, 15).ok
     assert built == []
+    # the cell's ranges make each hat valid: none is validated again
+    assert hats_built == []
     # six correspondences tested per hat, and as many hits as before
     assert len(tested) == 6 * 512
     assert len(hits) == 666
@@ -690,6 +693,8 @@ def test_census_builds_no_dyadic_rational_and_skips_no_solve(monkeypatch):
     normalize(Hat(5, 15, 1).triangle()).witness.linear
     assert len(built) == 4
     assert len(maps) == 1
+    # the test's own Hat and the one normalize returns
+    assert hats_built == [(Hat, 5, 15, 1)] * 2
 
 
 def test_census_and_isomorphic_build_no_encoding_triple(monkeypatch):
@@ -853,6 +858,7 @@ _CHECKED_ROUTES = {
     "role_triples", "hat_of", "normalize", "iso_case", "realized_cases",
     "solve_correspondence", "oracle_isomorphic", "_solve_scaled",
     "automorphism_group", "isomorphic", "census",
+    "parse_dyadic", "parse_shape", "parse_hat", "parse_triangle", "format_dyadic",
 }
 
 

@@ -36,6 +36,7 @@ from dyhat.cli import (
 )
 from dyhat.errors import (
     DegenerateTriangle,
+    DomainError,
     InvalidHat,
     NotDyadic,
     ParseError,
@@ -45,7 +46,7 @@ from dyhat.hats import _normalized
 from dyhat.render import render_svg
 
 import tutil
-from reference import GROUP_OF_CRITERIA, affine, apply, criteria_row, is_unit
+from reference import GROUP_OF_CRITERIA, affine, apply, criteria_row, is_unit, parse_literal
 
 D = DyadicRational
 
@@ -759,14 +760,67 @@ def _mutate(text: str, position: int, char: str, kind: str) -> str:
 
 
 _literals = st.one_of(_triangle_literals, _hat_literals, _oversized_literals)
+_mutations = st.sampled_from(["delete", "insert", "replace"])
 _shapes = st.one_of(
     _literals,
     # \u0663 is an Arabic-Indic digit, which \d matches; \u00b2 is a
     # superscript two, which isdigit() accepts and int() refuses
     st.builds(_mutate, _literals, st.integers(0, 60),
               st.sampled_from([*"0123456789-/,^T .\tx", "\u0663", "\u00b2"]),
-              st.sampled_from(["delete", "insert", "replace"])),
+              _mutations),
 )
+#: What the grammar tests draw text over: ASCII digits, the signs and
+#: separators that int() or a loose reader would take, space, tab and
+#: other scripts' digits (Arabic-Indic, superscript, fullwidth, Devanagari);
+#: a shape adds the vertex comma and the hat keyword's letter.
+_LITERAL_CHARS = "0123456789-+/^_ \t\u0661\u00b2\uff11\u0966"
+_SHAPE_CHARS = _LITERAL_CHARS + ",T"
+_at_the_caps = st.one_of(
+    st.integers(MAX_LITERAL_DIGITS - 1, MAX_LITERAL_DIGITS).map(lambda n: "-" + "7" * n),
+    st.integers(MAX_POW2_EXPONENT - 1, MAX_POW2_EXPONENT).map("1/2^{}".format),
+)
+_dyadic_literals = st.one_of(
+    _numbers, _oversized, _at_the_caps, tutil.dyadics.map(format_dyadic)
+)
+
+
+def _read(parse, text):
+    """parse(text), or "refused" for a domain error."""
+    try:
+        return parse(text)
+    except DomainError:
+        return "refused"
+
+
+@given(st.one_of(
+    st.text(_LITERAL_CHARS, max_size=12),
+    _dyadic_literals,
+    st.builds(_mutate, _dyadic_literals, st.integers(0, 60),
+              st.sampled_from(_LITERAL_CHARS), _mutations),
+))
+def test_parse_dyadic_reads_the_literal_grammar(text):
+    assert _read(lambda t: parse_dyadic(t).to_fraction(), text) == _read(parse_literal, text)
+
+
+def _shape_vertices(text):
+    return tuple((p.x.to_fraction(), p.y.to_fraction()) for p in parse_shape(text).vertices)
+
+
+@given(st.one_of(
+    st.text(_SHAPE_CHARS, max_size=20),
+    _shapes,
+    st.builds(_mutate, _literals, st.integers(0, 60), st.sampled_from(_SHAPE_CHARS),
+              _mutations),
+))
+def test_parse_shape_reads_the_literal_grammar(text):
+    assert _read(_shape_vertices, text) == _read(lambda t: parse_literal(t, shape=True), text)
+
+
+@given(st.builds(D, st.integers(-(2**64), 2**64), st.integers(-MAX_POW2_EXPONENT, 64)))
+def test_format_dyadic_reads_back_through_the_literal_grammar(d):
+    assert parse_literal(format_dyadic(d)) == d.to_fraction()
+
+
 #: flags that take no value, so that an inserted one cannot pick up a
 #: census bound, a worker count or a render path
 _flags = st.sampled_from(["--json", "--quiet", "--canonical", "--verify", "--help",
@@ -974,6 +1028,28 @@ def test_census_inconsistency_exits_5(capsys, monkeypatch):
         assert "Hat(i=1, j=9, m=5)" in captured.err
     monkeypatch.undo()
     assert run(["census", "--jmax", "9", "--mmax", "5"]) == 0
+
+
+def _permuted_roles(order):
+    """A fault in the reduction: role_triples with its entries in order."""
+    role_triples = dyhat.classify.role_triples
+    return lambda tri: tuple(role_triples(tri)[k] for k in order)
+
+
+@pytest.mark.parametrize("order", [
+    (0, 1, 4, 3, 2, 5),  # swap entries 2 and 4
+    (0, 3, 2, 1, 4, 5),  # swap entries 1 and 3
+    (0, 2, 3, 4, 5, 1),  # rotate entries 1..5
+    (5, 1, 2, 3, 4, 0),  # swap entries 0 and 5
+], ids=["swap-2-4", "swap-1-3", "rotate-1-5", "swap-0-5"])
+def test_census_checks_its_reduction_against_the_oracle(capsys, monkeypatch, order):
+    # each fault keeps every row of census(31, 31), with ok True, so only
+    # the check that each realized case fixes the role triples sees it
+    monkeypatch.setattr("dyhat.classify.role_triples", _permuted_roles(order))
+    assert run(["census", "--jmax", "31", "--mmax", "31"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "reduction and oracle disagree on Hat(i=" in captured.err
 
 
 def test_normalize_without_a_witness_exits_5(capsys, monkeypatch):

@@ -110,25 +110,29 @@ def fraction_inverse(f, tri):
 
 
 def counted_pass(monkeypatch):
-    """Patch oracle._solve_scaled to record, as its callers use it, each
-    correspondence that a pass tests, as (src, dst, perm), and each item it
-    yields.  An entry counts as tested when the pass takes it from its
-    targets, so an entry left after a caller stops, or a pass that refuses
+    """Patch oracle._solve_scaled to record each correspondence that a pass
+    tests, as (src, dst, perm), and each hit it returns: the correspondence
+    of a witness hit, or each letter of the cases a map-free pass returns.
+    An entry counts as tested when the pass takes it from its targets, so
+    an entry left after the pass returns a witness, or a pass that refuses
     the pair, counts none."""
     from dyhat import oracle
 
     tested, hits = [], []
     solve = oracle._solve_scaled
 
-    def counted(src, dst, targets):
+    def counted(src, dst, targets, witness):
         def taken():
             for entry in targets:
                 tested.append((src, dst, entry[0].perm))
                 yield entry
 
-        for item in solve(src, dst, taken()):
-            hits.append(item)
-            yield item
+        found = solve(src, dst, taken(), witness)
+        if not witness:
+            hits.extend(found)
+        elif found:
+            hits.append(found[0])
+        return found
 
     monkeypatch.setattr(oracle, "_solve_scaled", counted)
     return tested, hits
