@@ -3,27 +3,29 @@
 Everything here is decided by integer divisibility criteria on hat
 parameters; witnesses and cross-checks come from the exact oracle, and the
 two routes must agree on every call (a disagreement is a defect, surfaced
-as an InconsistencyError).  iso_case runs the six case tests in one pass and
-returns every case that holds.  An automorphism is a self-isomorphism: the
-cases iso_case finds between a hat and itself must key one row of a six-row
-table, one row per subgroup of S3, and the oracle must realize exactly
-those self-correspondences.  isomorphic is the one isomorphism decision:
-isomorphic_hats runs it on the hats' triangles.  _self_cases is the one
-group check: iso_case(h, h), the table lookup, and the comparison with the
-oracle's realized cases.  automorphism_group runs it and then has the
-oracle build a witness map for each of the group's own cases; a census
-cell builds each hat's triangle once and runs it alone, so a census builds
-no witness map.  The cell also checks its reduction against the oracle:
-each non-identity case that the oracle realizes on a hat must carry the
-hat's role triples onto themselves (_ROLE_SHIFTS), so a reduction that
-permutes its six entries raises InconsistencyError.  The cell builds its
-hats without Hat's checks, which its ranges meet.  A cell counts
-isomorphism classes as distinct orbits, the sets of role triples that its
-hats' reductions return: two hats have the same least (canonical) triple
-exactly when they have the same orbit.  The results (AutGroup, IsoResult,
-CensusRow, CensusReport) are dyadic.Record values.  The process pool is
-imported only when a census runs pooled, so the other commands never load
-concurrent.futures.process or multiprocessing.
+as an InconsistencyError).  iso_case runs the six case tests in one pass
+and returns every case that holds.  An automorphism is a self-isomorphism:
+the cases iso_case finds between a hat and itself must key one row of a
+six-row table, one row per subgroup of S3, and the oracle must realize
+exactly those self-correspondences.  isomorphic is the one isomorphism
+decision.  _self_cases is the one group check: iso_case(h, h), the table
+lookup, and the comparison with the oracle's realized cases.
+automorphism_group runs it and then has the oracle build a witness map for
+each of the group's own cases; a census cell builds each hat's triangle
+once and runs it alone, so a census builds no witness map.  The cell also
+checks its reduction against the oracle: each non-identity case that the
+oracle realizes on a hat must carry the hat's role triples onto themselves
+(_ROLE_SHIFTS), so a reduction that permutes its six entries raises
+InconsistencyError.  With CensusRow.ok, which adds the pointed count and
+the orbit identity, the blocks of equal role triples are then the cosets of
+that group.  The cell builds its hats without Hat's checks, which its
+ranges meet.  A cell counts isomorphism classes as distinct orbits, the
+sets of role triples that its hats' reductions return: two hats have the
+same least (canonical) triple exactly when they have the same orbit.  The
+results (AutGroup, IsoResult, CensusRow, CensusReport) are dyadic.Record
+values.  The process pool is imported only when a census runs pooled, so
+the other commands never load concurrent.futures.process or
+multiprocessing.
 """
 
 from __future__ import annotations
@@ -198,14 +200,6 @@ def isomorphic(t1: Triangle, t2: Triangle) -> IsoResult:
             f"overlap {by_overlap}, case {case}, oracle {found is not None}"
         )
     return IsoResult(by_canonical, case, found and found[1])
-
-
-def isomorphic_hats(h1: Hat, h2: Hat) -> IsoResult:
-    """isomorphic on the two hats' triangles; i may have either parity.  A
-    value that is not a Hat raises TypeError."""
-    require(h1, Hat, "h1")
-    require(h2, Hat, "h2")
-    return isomorphic(h1.triangle(), h2.triangle())
 
 
 class CensusRow(Record, namedtuple(

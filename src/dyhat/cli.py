@@ -85,7 +85,9 @@ def parse_dyadic(text: str) -> DyadicRational:
 
 
 def format_dyadic(d: DyadicRational) -> str:
-    """Canonical literal; round-trips through parse_dyadic."""
+    """Canonical literal.  It reads back through parse_dyadic only within
+    MAX_LITERAL_DIGITS and MAX_POW2_EXPONENT, which bound input alone: a
+    printed value, such as an entry of a normalize map, can exceed them."""
     if d.exp >= 0:
         return str(d.num << d.exp)
     k = -d.exp

@@ -7,13 +7,8 @@ value hashes like the int it equals, so it finds that int in a set or dict.
 All operations are exact; anything that would leave the ring raises
 ``NotDyadic``.
 
-The integer helper beside it, egcd, serves the hat reduction; its Bezout
-row takes dyhat's one inverse modulo an odd number.  The reduction and the
-oracle take each 2-adic valuation inline, as (n & -n).bit_length() - 1.
-No linear congruence is solved here: the isomorphism case tests take
-plain gcds and test a residue class by multiplying, and the reduction
-divides by a power of two with an inverse modulo that power
-(hats._edge_hats).
+The integer helper beside it, egcd, is the extended Euclid; this module
+solves no linear congruence.
 
 Record, at the top, states once the policy of dyhat's value records; every
 record in dyhat is a namedtuple built on it.

@@ -11,9 +11,7 @@ each of their fields through _dy, as Point2.of does, so an int field is
 taken as the dyadic it equals and any other non-dyadic is refused.  A
 triangle is refused when its edge vectors' determinant is 0, its vertices
 collinear, and keeps nothing else: this module stores values and solves
-nothing.  oracle._solve_scaled, the one solve, derives what it needs from
-the stored integers once per pair of triangles, and builds a map's
-integers only for the hit whose map its caller asks for.
+nothing.
 """
 
 from __future__ import annotations

@@ -8,24 +8,16 @@ unit affine map, to exactly one representative hat with i odd in
 the set of triples over all six role assignments encodes the full class.
 role_triples finds the triples of all six vertex role orders on integers
 alone, in ROLE_ORDERS order with the identity first, and hat_of reads one
-order's entry as a Hat.  The reduction reads Triangle.scaled_coords and
-nothing the oracle computes, and the oracle reads nothing the reduction
-computes, so role_triples and the oracle check each other.  normalize also
-returns the witness map: the oracle's solve_correspondence builds it from
-oracle._solve_scaled, the one Cramer pass, run over the one correspondence
-from the triangle to its hat; a census runs the same pass over all six
-self-correspondences of each hat and builds no map.  Hat, EncodingTriple
-and Normalization are dyadic.Record values; EncodingTriple alone adds an
-order, the canonical (j, m, i) order, which CANONICAL_KEY states as a
-C-level key.  Triples are plain ints inside the package; records are built
-at the exports: role_triples returns (i, j, m) tuples, and
-all_encoding_triples and canonical_form build an EncodingTriple only for
-each triple they return.  classify.isomorphic hands every verdict to the
-oracle, which checks the reduction there.  A census checks it against the
-group that the oracle realizes on each hat: every realized case must carry
-the hat's six role triples onto themselves, and CensusRow.ok adds the
-pointed count and the orbit identity, so the blocks of equal triples are
-the cosets of that group.
+order's entry as a Hat; normalize adds the witness map, which the oracle
+solves.  The reduction reads Triangle.scaled_coords and nothing the oracle
+computes, and the oracle reads nothing the reduction computes, so
+role_triples and the oracle check each other.  Triples are plain ints
+inside the package; records are built at the exports: role_triples
+returns (i, j, m) tuples, and all_encoding_triples and canonical_form
+build an EncodingTriple only for each triple they return.  Hat,
+EncodingTriple and Normalization are dyadic.Record values, so none has an
+order; CANONICAL_KEY states the canonical (j, m, i) order of triples as a
+C-level key.
 """
 
 from __future__ import annotations
@@ -40,8 +32,12 @@ from .geometry import Triangle
 from .oracle import solve_correspondence
 
 
-def _not_odd_positive(value: int, name: str) -> InvalidHat:
-    return InvalidHat(f"{name} must be an odd positive integer, got {value}")
+def _check_j_m(j: int, m: int) -> None:
+    """Refuse j, then m, unless it is an odd positive int (not a bool): the
+    check that Hat and EncodingTriple share, made before their check of i."""
+    for name, value in (("j", j), ("m", m)):
+        if value.__class__ is not int or value <= 0 or value % 2 == 0:
+            raise InvalidHat(f"{name} must be an odd positive integer, got {value}")
 
 
 class Hat(Record, namedtuple("Hat", "i j m")):
@@ -51,10 +47,7 @@ class Hat(Record, namedtuple("Hat", "i j m")):
     __slots__ = ()
 
     def __new__(cls, i: int, j: int, m: int) -> Hat:
-        if j.__class__ is not int or j <= 0 or j % 2 == 0:
-            raise _not_odd_positive(j, "j")
-        if m.__class__ is not int or m <= 0 or m % 2 == 0:
-            raise _not_odd_positive(m, "m")
+        _check_j_m(j, m)
         if i.__class__ is not int:
             raise InvalidHat(f"i must be an integer, got {i}")
         return tuple.__new__(cls, (i, j, m))
@@ -79,39 +72,16 @@ CANONICAL_KEY = itemgetter(1, 2, 0)
 class EncodingTriple(Record, namedtuple("EncodingTriple", "i j m")):
     """Pointed class label: odd i in {1, ..., 2j-1} with odd positive j, m,
     each an int, not a bool.  A Record, validated on every construction
-    route, but ordered by < and > alone, in the canonical (j, m, i) order,
-    and only against another EncodingTriple; <= and >= raise TypeError."""
+    route, with no order of its own: CANONICAL_KEY states the canonical
+    one."""
 
     __slots__ = ()
 
     def __new__(cls, i: int, j: int, m: int) -> EncodingTriple:
-        if j.__class__ is not int or j <= 0 or j % 2 == 0:
-            raise _not_odd_positive(j, "j")
-        if m.__class__ is not int or m <= 0 or m % 2 == 0:
-            raise _not_odd_positive(m, "m")
+        _check_j_m(j, m)
         if i.__class__ is not int or i % 2 == 0 or not 1 <= i <= 2 * j - 1:
             raise InvalidHat(f"i must be odd in 1..{2 * j - 1}, got {i}")
         return tuple.__new__(cls, (i, j, m))
-
-    def _canonical_pair(self, other):
-        if not isinstance(other, EncodingTriple):
-            raise TypeError(
-                f"EncodingTriple has no order against {other.__class__.__name__}"
-            )
-        return CANONICAL_KEY(self), CANONICAL_KEY(other)
-
-    def __lt__(self, other: "EncodingTriple") -> bool:
-        mine, theirs = self._canonical_pair(other)
-        return mine < theirs
-
-    def __gt__(self, other: "EncodingTriple") -> bool:
-        mine, theirs = self._canonical_pair(other)
-        return mine > theirs
-
-    def __le__(self, other):
-        raise TypeError("EncodingTriple values are ordered by < and > only")
-
-    __ge__ = __le__
 
 
 class Normalization(Record, namedtuple("Normalization", "hat witness")):

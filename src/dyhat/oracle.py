@@ -4,19 +4,11 @@ Decides whether an affine map carries one triangle onto another by solving
 the vertex correspondence equations with integer Cramer's rule on the
 integer coordinates each Triangle holds: the solved map qualifies when its
 entries are dyadic and its determinant is +-2**k.  _solve_scaled is the
-one Cramer pass over a pair of triangles, a plain function.  Once per
-pair it reads both triangles' scaled_coords (one read when the target is
-the source, as in a census), derives the source's edge vectors and
-determinant from them and refuses a target whose determinant has another
-odd part.  Then, for each entry of _TARGETS it is given, a
-correspondence with its target offsets, it finds and tests the four
-numerators one at a time, so most entries that are no unit stop at the
-first or second.  It builds a map's integers only for the hit whose map
-its caller asks for.  Each question has one consumer of the pass:
+one Cramer pass.  Each question has one consumer of the pass:
 realized_cases, which cases hold, over all six and with no map built (a
-census); oracle_isomorphic, the first hit and its map, so its tests stop
-there (isomorphic); solve_correspondence, one given correspondence and
-its map (hats.normalize, automorphism_group).  This route shares no logic and no
+census); oracle_isomorphic, the first hit and its map (isomorphic);
+solve_correspondence, one given correspondence and its map
+(hats.normalize, automorphism_group).  This route shares no logic and no
 computed data with the number-theoretic criteria or with the hat
 reduction, hats.role_triples, so each side checks the other.
 """

@@ -19,7 +19,7 @@ from dyhat import (
     automorphism_group,
     canonical_form,
     census,
-    isomorphic_hats,
+    isomorphic,
     normalize,
     oracle_isomorphic,
 )
@@ -107,7 +107,7 @@ def test_criterion_02_isomorphism_fixtures():
     for other, cases in related:
         for case in cases:
             assert case in iso_case(base, other), (other, case)
-        result = isomorphic_hats(base, other)
+        result = isomorphic(base.triangle(), other.triangle())
         assert result.isomorphic, other
         assert result.witness.is_unit()
         images = {apply(result.witness, v) for v in base.triangle().vertices}
@@ -117,7 +117,7 @@ def test_criterion_02_isomorphism_fixtures():
     t1, t2 = h1.triangle(), h2.triangle()
     assert boundary_type(t1) == boundary_type(t2) == (3, 9, 21)
     assert twice_area(t1) == twice_area(t2) == D(21 * 27)
-    result = isomorphic_hats(h1, h2)
+    result = isomorphic(h1.triangle(), h2.triangle())
     assert (result.isomorphic, result.case, result.witness) == (False, None, None)
     print("criterion 2: pass (4 isomorphic pairs with witnesses, 1 non-pair)")
 
@@ -173,8 +173,9 @@ def test_criterion_06_oracle_equivalence_exhaustive():
         for a in range(len(group)):
             ta = group[a].triangle()
             for b in range(a + 1, len(group)):
-                verdict = isomorphic_hats(group[a], group[b]).isomorphic
-                oracle = oracle_isomorphic(ta, group[b].triangle()) is not None
+                tb = group[b].triangle()
+                verdict = isomorphic(ta, tb).isomorphic
+                oracle = oracle_isomorphic(ta, tb) is not None
                 assert verdict == oracle, (group[a], group[b])
                 pairs += 1
     took = time.perf_counter() - start
@@ -241,7 +242,7 @@ def test_criterion_09_witness_validity():
 
     for other in (Hat(4, 3, 5), Hat(7, 3, 5), Hat(5, 15, 1), Hat(11, 15, 1)):
         t1 = Hat(1, 3, 5).triangle()
-        result = isomorphic_hats(Hat(1, 3, 5), other)
+        result = isomorphic(Hat(1, 3, 5).triangle(), other.triangle())
         images = {apply(result.witness, v) for v in t1.vertices}
         assert images == set(other.triangle().vertices)
         corpus.append((result.witness, t1))

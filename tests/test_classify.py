@@ -25,7 +25,6 @@ from dyhat import (
     canonical_form,
     census,
     isomorphic,
-    isomorphic_hats,
     normalize,
     oracle_isomorphic,
 )
@@ -169,27 +168,14 @@ def test_automorphism_group_refuses_a_value_that_is_not_a_hat():
 
 def test_isomorphic_refuses_a_value_that_is_not_a_triangle():
     tri = Hat(1, 3, 5).triangle()
-    for value in (Hat(1, 3, 5), (1, 3, 5), None):
+    # an EncodingTriple is not a Triangle, though it names a hat
+    for value in (Hat(1, 3, 5), EncodingTriple(1, 3, 5), (1, 3, 5), None):
         with pytest.raises(TypeError, match="^t1 must be a Triangle, got "):
             isomorphic(value, tri)
         with pytest.raises(TypeError, match="^t2 must be a Triangle, got "):
             isomorphic(tri, value)
     with pytest.raises(TypeError, match="^t1 must be a Triangle, got Hat$"):
         isomorphic(Hat(1, 3, 5), Hat(1, 3, 5))
-
-
-def test_isomorphic_hats_refuses_a_value_that_is_not_a_hat():
-    h = Hat(1, 3, 5)
-    for value in (h.triangle(), (1, 3, 5), None):
-        with pytest.raises(TypeError, match="^h1 must be a Hat, got "):
-            isomorphic_hats(value, h)
-        with pytest.raises(TypeError, match="^h2 must be a Hat, got "):
-            isomorphic_hats(h, value)
-    with pytest.raises(TypeError, match="^h1 must be a Hat, got Triangle$"):
-        isomorphic_hats(h.triangle(), h.triangle())
-    # an EncodingTriple is not a Hat, though it names one
-    with pytest.raises(TypeError, match="^h1 must be a Hat, got EncodingTriple$"):
-        isomorphic_hats(EncodingTriple(1, 3, 5), h)
 
 
 def test_lying_criterion_raises_inconsistency(monkeypatch):
@@ -237,7 +223,7 @@ def test_every_criteria_outcome_meets_the_subgroup_table(monkeypatch):
 def test_lying_case_test_raises_inconsistency(monkeypatch):
     monkeypatch.setattr("dyhat.classify.iso_case", lambda h1, h2: "")
     with pytest.raises(InconsistencyError, match="routes disagree"):
-        isomorphic_hats(Hat(1, 3, 5), Hat(5, 15, 1))
+        isomorphic(Hat(1, 3, 5).triangle(), Hat(5, 15, 1).triangle())
 
 
 def test_lying_oracle_raises_inconsistency_both_ways(monkeypatch):
@@ -245,11 +231,11 @@ def test_lying_oracle_raises_inconsistency_both_ways(monkeypatch):
     # claims an isomorphism where the criteria find none
     monkeypatch.setattr(classify, "oracle_isomorphic", lambda t1, t2: None)
     with pytest.raises(InconsistencyError):
-        isomorphic_hats(Hat(1, 3, 5), Hat(5, 15, 1))
+        isomorphic(Hat(1, 3, 5).triangle(), Hat(5, 15, 1).triangle())
     monkeypatch.setattr(classify, "oracle_isomorphic",
                         lambda t1, t2: (CORRESPONDENCES[0], IDENTITY))
     with pytest.raises(InconsistencyError):
-        isomorphic_hats(Hat(3, 27, 21), Hat(39, 27, 21))
+        isomorphic(Hat(3, 27, 21).triangle(), Hat(39, 27, 21).triangle())
     assert cli.run(["iso", "T 3 27 21", "T 39 27 21"]) == 5
 
 
@@ -292,24 +278,25 @@ def test_iso_case_a_is_reflexive(h):
 
 
 def test_isomorphic_hats_fixtures():
-    got = isomorphic_hats(Hat(1, 3, 5), Hat(4, 3, 5))
+    got = isomorphic(Hat(1, 3, 5).triangle(), Hat(4, 3, 5).triangle())
     assert got.isomorphic and got.case == "a"
-    got = isomorphic_hats(Hat(1, 3, 5), Hat(5, 15, 1))
+    got = isomorphic(Hat(1, 3, 5).triangle(), Hat(5, 15, 1).triangle())
     assert got.isomorphic and got.case == "c"
-    got = isomorphic_hats(Hat(1, 3, 5), Hat(11, 15, 1))
+    got = isomorphic(Hat(1, 3, 5).triangle(), Hat(11, 15, 1).triangle())
     assert got.isomorphic and got.case == "e"
-    got = isomorphic_hats(Hat(3, 27, 21), Hat(39, 27, 21))
+    got = isomorphic(Hat(3, 27, 21).triangle(), Hat(39, 27, 21).triangle())
     assert (got.isomorphic, got.case, got.witness) == (False, None, None)
 
 
-#: sha256 of the reprs below, recorded while isomorphic_hats still ran
-#: iso_case on the hats as given, with triple sets of its own.
+#: sha256 of the reprs below, recorded while a separate hat entry ran
+#: iso_case on the hats as given, with triple sets of its own: isomorphic
+#: on the hats' triangles must keep its verdicts and case letters.
 CASE_DIGEST = "691df9962754539b3605cccd98444b19f9e3b47989f33626497a86f9b342a591"
 
 
 def test_verdicts_and_case_letters_on_the_7_grid_are_unchanged():
-    """isomorphic_hats on every ordered pair of equal-area hats with
-    j, m <= 7 and i in -j..3j-1, of either parity (8,128 pairs)."""
+    """isomorphic on the triangles of every ordered pair of equal-area hats
+    with j, m <= 7 and i in -j..3j-1, of either parity (8,128 pairs)."""
     by_area = {}
     for j in range(1, 8, 2):
         for m in range(1, 8, 2):
@@ -317,7 +304,7 @@ def test_verdicts_and_case_letters_on_the_7_grid_are_unchanged():
     digest = hashlib.sha256()
     for hats_of_area in by_area.values():
         for h1, h2 in product(hats_of_area, repeat=2):
-            result = isomorphic_hats(h1, h2)
+            result = isomorphic(h1.triangle(), h2.triangle())
             digest.update(
                 repr((tuple(h1), tuple(h2), result.isomorphic, result.case)).encode())
     assert digest.hexdigest() == CASE_DIGEST
@@ -436,22 +423,23 @@ def test_isomorphic_on_self_gives_identity_witness():
 def test_isomorphism_class_of_the_three_triples():
     hats = [Hat(1, 3, 5), Hat(5, 15, 1), Hat(11, 15, 1)]
     for h1, h2 in combinations(hats, 2):
-        assert isomorphic_hats(h1, h2).isomorphic
-        assert isomorphic_hats(h2, h1).isomorphic
+        assert isomorphic(h1.triangle(), h2.triangle()).isomorphic
+        assert isomorphic(h2.triangle(), h1.triangle()).isomorphic
 
 
 @given(tutil.rep_hats, tutil.rep_hats)
 @settings(max_examples=40)
 def test_isomorphic_is_symmetric(h1, h2):
-    assert isomorphic_hats(h1, h2).isomorphic == isomorphic_hats(h2, h1).isomorphic
+    t1, t2 = h1.triangle(), h2.triangle()
+    assert isomorphic(t1, t2).isomorphic == isomorphic(t2, t1).isomorphic
 
 
 @given(tutil.rep_hats, tutil.rep_hats)
 @settings(max_examples=40)
 def test_isomorphic_pairs_share_invariants(h1, h2):
-    result = isomorphic_hats(h1, h2)
+    t1, t2 = h1.triangle(), h2.triangle()
+    result = isomorphic(t1, t2)
     if result.isomorphic:
-        t1, t2 = h1.triangle(), h2.triangle()
         assert twice_area(t1) == twice_area(t2)
         assert boundary_types_equivalent(boundary_type(t1), boundary_type(t2))
 
@@ -709,7 +697,7 @@ def test_census_and_isomorphic_build_no_encoding_triple(monkeypatch):
     assert census(15, 15).ok
     for t1, t2 in tutil.large_iso_pairs(random.Random(21), 20):
         isomorphic(t1, t2)
-    assert isomorphic_hats(Hat(1, 3, 5), Hat(11, 15, 1)).case == "e"
+    assert isomorphic(Hat(1, 3, 5).triangle(), Hat(11, 15, 1).triangle()).case == "e"
     assert built == []
     # positive control: the exports build one record per triple they return
     assert canonical_form(Hat(1, 3, 5).triangle()) == EncodingTriple(1, 3, 5)

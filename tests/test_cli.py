@@ -816,9 +816,31 @@ def test_parse_shape_reads_the_literal_grammar(text):
     assert _read(_shape_vertices, text) == _read(lambda t: parse_literal(t, shape=True), text)
 
 
-@given(st.builds(D, st.integers(-(2**64), 2**64), st.integers(-MAX_POW2_EXPONENT, 64)))
+#: Numerators from a few digits short of the digit cap to a few past it.
+_near_the_digit_cap = st.integers(MAX_LITERAL_DIGITS - 2, MAX_LITERAL_DIGITS + 2).flatmap(
+    lambda n: st.integers(-(10**n) + 1, 10**n - 1))
+
+
+@given(st.builds(
+    D,
+    st.one_of(st.integers(-(2**64), 2**64), _near_the_digit_cap),
+    # around 2^-4096, and up to 2^3400, which alone has 1,024 digits
+    st.one_of(st.integers(-MAX_POW2_EXPONENT, 64),
+              st.integers(-MAX_POW2_EXPONENT - 4, -MAX_POW2_EXPONENT + 4),
+              st.integers(3300, 3400)),
+))
 def test_format_dyadic_reads_back_through_the_literal_grammar(d):
-    assert parse_literal(format_dyadic(d)) == d.to_fraction()
+    # the caps bound input only: a printed value past them is refused by
+    # the grammar and by parse_dyadic alike, and every other one reads back
+    text, value = format_dyadic(d), d.to_fraction()
+    if (len(str(abs(value.numerator))) > MAX_LITERAL_DIGITS
+            or value.denominator.bit_length() - 1 > MAX_POW2_EXPONENT):
+        with pytest.raises(ParseError):
+            parse_dyadic(text)
+        assert _read(parse_literal, text) == "refused"
+    else:
+        assert parse_literal(text) == value
+        assert parse_dyadic(text) == d
 
 
 #: flags that take no value, so that an inserted one cannot pick up a

@@ -74,16 +74,6 @@ def test_encoding_triple_validation():
         EncodingTriple(-1, 3, 5)
 
 
-def test_encoding_triple_order():
-    a = EncodingTriple(1, 3, 5)
-    b = EncodingTriple(5, 15, 1)
-    c = EncodingTriple(11, 15, 1)
-    assert a < b < c
-    assert min((c, a, b)) == a
-    # j dominates, then m, then i
-    assert EncodingTriple(9, 5, 1) < EncodingTriple(1, 5, 3)
-
-
 def test_pointed_canonical():
     assert pointed_canonical(Hat(7, 3, 5)) == EncodingTriple(1, 3, 5)
     assert pointed_canonical(Hat(4, 3, 5)) == EncodingTriple(1, 3, 5)

@@ -6,8 +6,7 @@ The first nine were frozen dataclasses and the last two typing.NamedTuple
 classes; the reprs below were captured from that code.
 Pinned here: repr, hash (that of the tuple of the fields), pickling, equality
 only with the same class, no assignment, the validation messages on every
-construction route, and the order (none, except EncodingTriple's canonical
-< and >).
+construction route, and the order (none).
 """
 
 import copy
@@ -129,11 +128,7 @@ def test_assignment_raises(cls, fields, expected):
     assert repr(value) == expected
 
 
-@pytest.mark.parametrize(
-    "cls, fields, expected",
-    [sample for sample in SAMPLES if sample[0] is not EncodingTriple],
-    ids=[i for i, (cls, _, _) in zip(_IDS, SAMPLES) if cls is not EncodingTriple],
-)
+@pytest.mark.parametrize("cls, fields, expected", SAMPLES, ids=_IDS)
 def test_records_have_no_order(cls, fields, expected):
     value = cls(*fields)
     for op in _ORDER:
@@ -152,42 +147,6 @@ def test_records_have_no_tuple_arithmetic(cls, fields, expected):
     for op, left, right in cases:
         with pytest.raises(TypeError, match=f"^{cls.__name__} values have no arithmetic$"):
             op(left, right)
-
-
-def _canonical(t):
-    return (t.j, t.m, t.i)
-
-
-def _fields(t):
-    return (t.i, t.j, t.m)
-
-
-def test_encoding_triples_order_canonically_by_lt_and_gt_only():
-    # tuple order (i, j, m) and the canonical order (j, m, i) disagree here
-    triples = [EncodingTriple(*ijm) for ijm in
-               [(5, 3, 1), (1, 5, 1), (3, 3, 1), (1, 1, 7), (1, 3, 5), (9, 5, 1)]]
-    expected = sorted(triples, key=_canonical)
-    assert expected != sorted(triples, key=_fields)
-    assert sorted(triples) == expected
-    assert sorted(triples, reverse=True) == expected[::-1]
-    assert min(triples) == expected[0] and max(triples) == expected[-1]
-    for a in triples:
-        for b in triples:
-            assert (a < b) == (_canonical(a) < _canonical(b))
-            assert (a > b) == (_canonical(a) > _canonical(b))
-            for op in (operator.le, operator.ge):
-                with pytest.raises(TypeError):
-                    op(a, b)
-    # against a plain tuple no order is tuple order, and a hat with the
-    # same fields has no order against a triple either
-    a = triples[0]
-    for other in (_fields(a), Hat(*_fields(a))):
-        for op in _ORDER:
-            for left, right in ((a, other), (other, a)):
-                with pytest.raises(TypeError):
-                    op(left, right)
-    with pytest.raises(TypeError, match="^EncodingTriple has no order against Hat$"):
-        a < Hat(*_fields(a))
 
 
 def _outcome(build):
