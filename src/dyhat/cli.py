@@ -55,6 +55,17 @@ def _bounded_int(digits: str, literal: str) -> int:
     return int(digits)
 
 
+def _ascii_int(text: str) -> int:
+    """argparse type of the census bounds and --par: int(text) for ASCII
+    digits with an optional "-" that int() reads, else a usage error."""
+    try:
+        if _INT.fullmatch(text):
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def parse_dyadic(text: str) -> DyadicRational:
     """Parse "[-]digits", "[-]digits/denom" or "[-]digits/2^k".
 
@@ -329,9 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", parents=[common],
                        help="sweep all representative hats up to bounds")
-    p.add_argument("--jmax", type=int, required=True)
-    p.add_argument("--mmax", type=int, required=True)
-    p.add_argument("--par", type=int, default=1, metavar="N",
+    p.add_argument("--jmax", type=_ascii_int, required=True)
+    p.add_argument("--mmax", type=_ascii_int, required=True)
+    p.add_argument("--par", type=_ascii_int, default=1, metavar="N",
                    help="number of parallel workers (at most one per CPU); "
                         "the pool pays only on large grids, such as 63x63")
     p.set_defaults(func=_cmd_census)

@@ -7,9 +7,6 @@ value hashes like the int it equals, so it finds that int in a set or dict.
 All operations are exact; anything that would leave the ring raises
 ``NotDyadic``.
 
-The integer helper beside it, egcd, is the extended Euclid; this module
-solves no linear congruence.
-
 Record, at the top, states once the policy of dyhat's value records; every
 record in dyhat is a namedtuple built on it.
 """
@@ -62,23 +59,6 @@ class Record:
         raise TypeError(f"{self.__class__.__name__} values have no arithmetic")
 
     __radd__ = __mul__ = __rmul__ = __add__
-
-
-def egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: (g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g.
-
-    Which Bezout row (x, y) comes back is unspecified.  The gcd and the
-    inverse of a/g modulo |b/g| both run in C (math.gcd and pow), and y
-    follows exactly, since a*x = g modulo |b|.  That inverse is the one
-    dyhat takes modulo a number that is not a power of two: the hat
-    reduction's other inverse is modulo 2**v, and the isomorphism criteria
-    take none.
-    """
-    g = math.gcd(a, b)
-    if b == 0:
-        return g, (a > 0) - (a < 0), 0
-    x = pow(a // g, -1, abs(b // g))
-    return g, x, (g - a * x) // b
 
 
 class DyadicRational:

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import islice, permutations
+from math import gcd
 from operator import itemgetter
 
-from .dyadic import Record, egcd
+from .dyadic import Record
 from .errors import InconsistencyError, InvalidHat, require
 from .geometry import Triangle
 from .oracle import solve_correspondence
@@ -58,9 +59,10 @@ class Hat(Record, namedtuple("Hat", "i j m")):
 
     def triangle(self) -> Triangle:
         # Triangle.from_scaled without its checks and reduction, which these
-        # exact ints with an odd gcd (j is odd) pass unchanged
+        # exact ints (odd gcd, as j is odd; determinant -j*m != 0) pass as is
+        i, j, m = self
         t = Triangle.__new__(Triangle)
-        t._store(((0, 0, self.i, self.j, self.m, 0), 0))
+        t._scaled = ((0, 0, i, j, m, 0), 0)
         return t
 
 
@@ -113,14 +115,20 @@ def _edge_hats(
 ) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """(i, j, m) of the representative hats of the orders (o, a, b) and
     (b, a, o), from the integer coordinates of o, b and a and the odd part
-    odd of twice the area; see role_triples.
+    odd of twice the area; see role_triples.  The base (A, B) = b - o takes
+    its Bezout row (s, t) inline, dyhat's one extended Euclid: for
+    g = gcd(A, B), s = (A/g)**-1 mod |B/g| and the exact t = (g - A*s)/B,
+    or (A/g, 0) = (sign(A), 0) when B = 0.
 
     The residue is divided by 2**v modulo j without an inverse modulo j:
     adding q*j with q = -r / j mod 2**v makes r divisible by 2**v, and the
     exact quotient lies in [0, j).  Only the inverse of j modulo 2**v is
     taken, far cheaper than one modulo j, and only when v > 0: every edge
     of a hat has v = 0, and a census reduces nothing but hats."""
-    g, s, t = egcd(bx - ox, by - oy)
+    A, B = bx - ox, by - oy
+    g = gcd(A, B)
+    s = pow(A // g, -1, abs(B // g)) if B else A // g
+    t = (g - A * s) // B if B else 0
     v = (g & -g).bit_length() - 1
     m = g >> v
     j = odd // m

@@ -5,8 +5,9 @@ the vertex correspondence equations with integer Cramer's rule on the
 integer coordinates each Triangle holds: the solved map qualifies when its
 entries are dyadic and its determinant is +-2**k.  _solve_scaled is the
 one Cramer pass.  Each question has one consumer of the pass:
-realized_cases, which cases hold, over all six and with no map built (a
-census); oracle_isomorphic, the first hit and its map (isomorphic);
+realized_cases, which cases hold, with no map built (a census, which asks
+it of a hat and itself, where the identity holds untested);
+oracle_isomorphic, the first hit and its map (isomorphic);
 solve_correspondence, one given correspondence and its map
 (hats.normalize, automorphism_group).  This route shares no logic and no
 computed data with the number-theoretic criteria or with the hat
@@ -153,7 +154,10 @@ def solve_correspondence(
 
 def realized_cases(src: Triangle, dst: Triangle) -> str:
     """The cases (letters in CASES order) of the correspondences realized by
-    a unit map: one pass over all six, and no map built."""
+    a unit map: one pass, and no map built.  When dst is src, the pass
+    tests five: case "a" holds untested, with numerators det, 0, 0, det."""
+    if dst is src:
+        return "a" + _solve_scaled(src, src, _TARGETS[1:], False)
     return _solve_scaled(src, dst, _TARGETS, False)
 
 

@@ -13,8 +13,9 @@ congruence by modular inversion, as dyhat's isomorphism criteria once did;
 the tests check those criteria against it.  closed_form_triples builds a
 hat's encoding triples from the paper's formulas with it, and the tests
 check hats.role_triples against it.  hat_by_inverse is the hat reduction
-with the inverse of 2**v modulo j taken outright, as it once was.  val2
-and odd_part, which dyhat takes inline, are counted here off binary digits.
+with the inverse of 2**v modulo j taken outright, as it once was, and its
+Bezout row from egcd, the textbook loop of divisions.  val2 and odd_part,
+which dyhat takes inline, are counted here off binary digits.
 
 The four automorphism criteria (aut_fix_A, aut_fix_B, aut_fix_C,
 aut_cycle), with odd_gcd and its BothZero, decided automorphism groups
@@ -35,7 +36,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from dyhat.dyadic import DyadicRational, Record, common_scale, egcd
+from dyhat.dyadic import DyadicRational, Record, common_scale
 from dyhat.errors import DomainError, InvalidHat, NotDyadic
 from dyhat.geometry import AffineMap, Matrix2, Point2, Triangle
 from dyhat.hats import EncodingTriple, Hat
@@ -57,6 +58,19 @@ def val2(n: int) -> int:
 def odd_part(n: int) -> int:
     """n with all factors of two removed, sign preserved."""
     return n >> val2(n)
+
+
+def egcd(a: int, b: int) -> tuple[int, int, int]:
+    """Extended Euclid by the textbook loop of divisions: (g, x, y) with
+    g = gcd(a, b) >= 0 and a*x + b*y = g.  Each step keeps
+    a0*x + b0*y = a and a0*x1 + b0*y1 = b for the inputs a0, b0."""
+    x, y, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x, x1 = x1, x - q * x1
+        y, y1 = y1, y - q * y1
+    return (a, x, y) if a >= 0 else (-a, -x, -y)
 
 
 def from_fraction(f: Fraction) -> DyadicRational:

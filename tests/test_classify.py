@@ -30,7 +30,6 @@ from dyhat import (
 )
 from dyhat.classify import GROUP_ORDER, IsoResult, iso_case
 from dyhat.cli import parse_shape
-from dyhat.dyadic import egcd
 from dyhat.errors import InconsistencyError, InvalidBounds, InvalidHat
 from dyhat.hats import CANONICAL_KEY, hat_of
 from dyhat import classify, cli, dyadic, hats
@@ -49,6 +48,7 @@ from reference import (
     boundary_types_equivalent,
     closed_form_triples,
     criteria_row,
+    egcd,
     fraction_solve,
     hat_by_inverse,
     iso_case_by_congruence,
@@ -382,10 +382,12 @@ def test_verdicts_cases_and_witnesses_on_large_pairs_are_unchanged():
     assert digest.hexdigest() == LARGE_PAIR_DIGEST
 
 
-def test_isomorphic_takes_an_odd_modulus_inverse_only_in_egcd(monkeypatch):
+def test_isomorphic_takes_an_odd_modulus_inverse_only_in_the_reduction(monkeypatch):
     """One large pair whose edges have v > 0 and whose case exchanges roles:
-    the six inverses modulo a number that is not a power of two are
-    egcd's, one per edge of each triangle, and classify calls no pow."""
+    the six inverses modulo a number that is not a power of two are the
+    Bezout rows of hats._edge_hats, one per edge of each triangle, the six
+    others are its 2-adic steps, modulo powers of two, and classify and
+    dyadic take none."""
     calls = {}
     for module in (dyadic, hats, classify):
         def spy(*args, seen=calls.setdefault(module.__name__, [])):
@@ -395,22 +397,25 @@ def test_isomorphic_takes_an_odd_modulus_inverse_only_in_egcd(monkeypatch):
         monkeypatch.setattr(module, "pow", spy, raising=False)
     t1, t2 = tutil.large_iso_pairs(random.Random(33), 8)[7]
     # on the bases of role_triples, the edges 0-2, 0-1 and 1-2, v > 0, and
-    # egcd inverts modulo |y / gcd|, which is not a power of two
+    # the Bezout row inverts modulo |y / gcd|, which is not a power of two
+    bases = []
     for t in (t1, t2):
         n, _ = t.scaled_coords()
         for o, a, b in [(0, 1, 2), (0, 2, 1), (1, 0, 2)]:
             x, y = n[2 * b] - n[2 * o], n[2 * b + 1] - n[2 * o + 1]
             y //= math.gcd(x, y)
             assert hat_by_inverse(t, (o, a, b))[1] > 0 and abs(y) & (abs(y) - 1)
+            bases.append(abs(y))
     for seen in calls.values():
         seen.clear()
     assert isomorphic(t1, t2).case in ("e", "f")
     inverses = [(name, args) for name, seen in calls.items() for args in seen if args[1] < 0]
-    odd = [name for name, (_, _, modulus) in inverses if modulus & (modulus - 1)]
-    assert odd == ["dyhat.dyadic"] * 6
-    # and the 2-adic step's six, each modulo a power of two
-    assert [name for name, _ in inverses].count("dyhat.hats") == 6
+    odd = [(name, modulus) for name, (_, _, modulus) in inverses if modulus & (modulus - 1)]
+    assert odd == [("dyhat.hats", modulus) for modulus in bases]
+    two = [name for name, (_, _, modulus) in inverses if not modulus & (modulus - 1)]
+    assert two == ["dyhat.hats"] * 6
     assert calls["dyhat.classify"] == []
+    assert [args for args in calls["dyhat.dyadic"] if args[1] < 0] == []
 
 
 def test_isomorphic_on_self_gives_identity_witness():
@@ -505,14 +510,17 @@ def test_one_role_reduction_per_triangle_and_every_route_runs(monkeypatch):
     solves.clear()
     assert not isomorphic(Hat(3, 27, 21).triangle(), Hat(39, 27, 21).triangle()).isomorphic
     assert len(solves) == 1
-    # a census hat is reduced once, and still gets its six oracle solves:
-    # the Cramer pass tests each correspondence from its triangle to itself
+    # a census hat is reduced once, and still gets its oracle solves: the
+    # Cramer pass tests each correspondence from its triangle to itself
+    # but the identity, which holds untested
     reductions.clear()
     tested, _ = tutil.counted_pass(monkeypatch)
     assert census(5, 5).ok
     assert len(reductions) == 27
-    assert len(tested) == 6 * 27
-    assert set(tested) == {(t, t, c.perm) for (t,) in reductions for c in CORRESPONDENCES}
+    assert len(tested) == 5 * 27
+    assert set(tested) == {
+        (t, t, c.perm) for (t,) in reductions for c in CORRESPONDENCES[1:]
+    }
 
 
 def test_right_triangle_rule():
@@ -642,7 +650,7 @@ def test_census_tags_are_the_automorphism_group_tags_on_the_31_grid(monkeypatch)
         assert row.aut_counts == {tag: want[tag] for tag in classify.GROUP_TAGS}, row
 
 
-def test_census_builds_no_dyadic_rational_and_skips_no_solve(monkeypatch):
+def test_census_builds_no_dyadic_rational_and_skips_only_the_identity(monkeypatch):
     built = []
     init = DyadicRational.__init__
 
@@ -651,7 +659,7 @@ def test_census_builds_no_dyadic_rational_and_skips_no_solve(monkeypatch):
         init(self, *args)
 
     # AffineMap and Triangle are built through __init__ or from_scaled, and
-    # every Triangle stores itself through _store
+    # every Triangle but a hat's stores itself through _store
     maps = _count_calls(monkeypatch, AffineMap, "__init__")
     from_scaled = AffineMap.from_scaled.__func__
 
@@ -660,20 +668,34 @@ def test_census_builds_no_dyadic_rational_and_skips_no_solve(monkeypatch):
         return from_scaled(cls, *args)
 
     monkeypatch.setattr(AffineMap, "from_scaled", classmethod(counted_from_scaled))
-    triangles = _count_calls(monkeypatch, Triangle, "_store")
+    triangles = _count_calls(monkeypatch, Hat, "triangle")
+    stored = _count_calls(monkeypatch, Triangle, "_store")
     reads = _count_calls(monkeypatch, Triangle, "scaled_coords")
     monkeypatch.setattr(DyadicRational, "__init__", counted_init)
     hats_built = _count_calls(monkeypatch, Hat, "__new__")
     tested, hits = tutil.counted_pass(monkeypatch)
+    letters = []
+    realized = classify.realized_cases
+
+    def counted_cases(src, dst):
+        found = realized(src, dst)
+        letters.extend(found)
+        return found
+
+    monkeypatch.setattr(classify, "realized_cases", counted_cases)
     assert census(15, 15).ok
     assert built == []
     # the cell's ranges make each hat valid: none is validated again
     assert hats_built == []
-    # six correspondences tested per hat, and as many hits as before
-    assert len(tested) == 6 * 512
-    assert len(hits) == 666
-    # one triangle per hat, and no witness map
+    # the five correspondences but the identity tested per hat; the
+    # identity holds untested, and the letters are as many as before
+    assert len(tested) == 5 * 512
+    assert (0, 1, 2) not in {perm for _, _, perm in tested}
+    assert len(hits) == 154
+    assert len(letters) == 666 and letters.count("a") == 512
+    # one triangle per hat, built by Hat.triangle alone, and no witness map
     assert len(triangles) == 512
+    assert stored == []
     assert maps == []
     # two reads of each triangle: the reduction's, and the self pass's one
     assert len(reads) == 2 * 512
@@ -843,7 +865,7 @@ def test_oracle_does_not_import_hats():
 
 #: The routes that tests/reference.py checks, none of which it may use.
 _CHECKED_ROUTES = {
-    "role_triples", "hat_of", "normalize", "iso_case", "realized_cases",
+    "role_triples", "_edge_hats", "hat_of", "normalize", "iso_case", "realized_cases",
     "solve_correspondence", "oracle_isomorphic", "_solve_scaled",
     "automorphism_group", "isomorphic", "census",
     "parse_dyadic", "parse_shape", "parse_hat", "parse_triangle", "format_dyadic",

@@ -171,6 +171,13 @@ def test_usage_errors_exit_2(capsys):
     # argparse in Python 3.11 would give j the value [] here
     assert run(["aut", "--", "1", "--", "3"]) == 2
     assert "'--' may be given at most once" in capsys.readouterr().err
+    # census bounds and --par spelled outside the integer grammar, as "abc"
+    for bad in ("abc", "1_5", "+15", " 15", "15 ", "\u0661\u0665", "15\n"):
+        assert run(["census", "--jmax", bad, "--mmax", "3"]) == 2, bad
+        assert run(["census", "--jmax", "3", "--mmax", bad]) == 2, bad
+        assert run(["census", "--jmax", "3", "--mmax", "3", "--par", bad]) == 2, bad
+        err = capsys.readouterr().err
+        assert err.count(f"invalid int value: {bad!r}\n") == 3, bad
 
 
 def test_help_exits_0(capsys):
@@ -865,8 +872,12 @@ def test_fuzzed_argv_exits_with_a_documented_code(fuzz_dir, data):
         numbers = st.one_of(_integers, _oversized)
         argv = [command, *data.draw(st.lists(numbers, min_size=2, max_size=4))]
     elif command == "census":
-        # 99999999999 asks for more cells than a census may sweep
-        bounds = st.one_of(st.integers(-1, 15), st.just(99999999999)).map(str)
+        # 99999999999 asks for more cells than a census may sweep; a
+        # mutation adds no ASCII digit, so a bound it leaves valid stays small
+        plain = st.one_of(st.integers(-1, 15), st.just(99999999999)).map(str)
+        bounds = st.one_of(plain, st.builds(
+            _mutate, plain, st.integers(0, 12),
+            st.sampled_from([*"-+_ \tx", "\u0663", "\u00b2", "\uff11"]), _mutations))
         argv = [command, "--jmax", data.draw(bounds), "--mmax", data.draw(bounds),
                 "--par", data.draw(st.sampled_from(["1", "2"]))]
     elif command == "render":

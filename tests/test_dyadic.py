@@ -1,5 +1,5 @@
-"""Dyadic core: canonical forms, exact arithmetic, the congruence and odd
-gcd references.
+"""Dyadic core: canonical forms, exact arithmetic, the congruence, odd gcd
+and extended Euclid references.
 
 Exact operations are cross-checked against stdlib Fraction, which plays the
 role of the independent arithmetic oracle here.
@@ -13,13 +13,14 @@ from hypothesis import example, given
 import hypothesis.strategies as st
 
 from dyhat import DyadicRational
-from dyhat.dyadic import common_scale, egcd
+from dyhat.dyadic import common_scale
 from dyhat.errors import DivisionByZero, DomainError, NotDyadic
 from dyhat.hats import _edge_hats
 
 import tutil
 from reference import (
-    BothZero, NoSolution, Residue, from_fraction, odd_gcd, odd_part, solve_congruence, val2,
+    BothZero, NoSolution, Residue, egcd, from_fraction, odd_gcd, odd_part, solve_congruence,
+    val2,
 )
 
 
@@ -146,7 +147,7 @@ def _check_egcd(a, b):
 @example(-(2**700) + 1, 0)
 @example(35, -35)
 @example(-(2**699), 2**699)
-@example(91, 7)  # |b/g| == 1: the inverse is taken mod 1
+@example(91, 7)  # b divides a: one division ends the loop
 @example(-(3**400), -(3**200))
 def test_egcd_identity(a, b):
     _check_egcd(a, b)

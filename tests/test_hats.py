@@ -1,13 +1,14 @@
 """Hat normal forms: the reduction pipeline, pointed classes, triple sets."""
 
 import hashlib
+import pickle
 import random
 import time
 from itertools import permutations
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from dyhat import (
     DyadicRational,
@@ -57,10 +58,14 @@ def test_hat_validation():
 def test_hat_triangle():
     t = Hat(15, 9, 21).triangle()
     assert t.vertices == (Point2.of(0, 0), Point2.of(15, 9), Point2.of(21, 0))
-    # the triangle from_scaled builds, for i of either parity and sign
+    # the triangle from_scaled builds, for i of either parity and sign, in
+    # its stored integers, equality, hash, repr and pickle bytes
     for i, j, m in [(15, 9, 21), (2, 3, 5), (0, 1, 1), (-6, 3, 9), (10**40, 3**50, 1)]:
         built, plain = Hat(i, j, m).triangle(), Triangle.from_scaled((0, 0, i, j, m, 0), 0)
         assert built._scaled == plain._scaled
+        assert built == plain and hash(built) == hash(plain)
+        assert repr(built) == repr(plain)
+        assert pickle.dumps(built) == pickle.dumps(plain)
 
 
 def test_encoding_triple_validation():
@@ -300,6 +305,12 @@ def test_two_adic_division_matches_the_inverse_on_large_pairs():
 
 
 @given(tutil.huge_triangles)
+# bases that meet each branch of _edge_hats' inline Bezout row: horizontal
+# either way (B = 0), vertical (A = 0), and |B / g| = 1
+@example(Triangle.of((0, 0), (3, 5), (8, 0)))
+@example(Triangle.of((8, 0), (3, 5), (0, 0)))
+@example(Triangle.of((0, 0), (7, 3), (0, -12)))
+@example(Triangle.of((0, 0), (2, 9), (14, 2)))
 def test_two_adic_division_matches_the_inverse_on_huge_triangles(t):
     _check_against_the_inverse(t)
 

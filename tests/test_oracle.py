@@ -200,6 +200,28 @@ def test_the_pass_agrees_with_the_reference_on_large_triangles(t, f, other, orde
     _assert_the_pass_agrees(image, t)
 
 
+def _assert_the_untested_identity_holds(t):
+    """realized_cases of t and itself, where the identity is taken as held,
+    equals the full six-entry pass onto a distinct copy of t."""
+    copy = Triangle.from_scaled(*t.scaled_coords())
+    assert copy is not t and copy == t
+    found = realized_cases(t, t)
+    assert found == realized_cases(t, copy)
+    assert found.startswith("a")
+
+
+def test_the_untested_identity_holds_on_the_31_grid():
+    for j in range(1, 32, 2):
+        for m in range(1, 32, 2):
+            for i in range(1, 2 * j, 2):
+                _assert_the_untested_identity_holds(Hat(i, j, m).triangle())
+
+
+@given(st.one_of(tutil.large_triangles, tutil.huge_triangles))
+def test_the_untested_identity_holds_on_large_and_huge_triangles(t):
+    _assert_the_untested_identity_holds(t)
+
+
 def test_oracle_isomorphic_reports_first_case():
     found = oracle_isomorphic(Hat(1, 3, 5).triangle(), Hat(7, 3, 5).triangle())
     assert found is not None
