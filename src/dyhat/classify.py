@@ -38,7 +38,7 @@ from operator import itemgetter
 from .dyadic import Record
 from .errors import InconsistencyError, InvalidBounds, InvalidHat, require
 from .geometry import Triangle
-from .hats import CANONICAL_KEY, ROLE_ORDERS, Hat, role_triples
+from .hats import CANONICAL_KEY, ROLE_ORDERS, Hat, check_odd_positive, role_triples
 from .oracle import (
     CORRESPONDENCES,
     oracle_isomorphic,
@@ -132,7 +132,7 @@ def automorphism_group(h: Hat) -> AutGroup:
 
 def iso_case(h1: tuple[int, int, int], h2: tuple[int, int, int]) -> str:
     """Every hat-to-hat correspondence case that holds, as letters in
-    oracle.CASES order ("" when none).
+    oracle.CORRESPONDENCES order ("" when none).
 
     h1 = (i, j, m) and h2 = (k, l, n) are hats, encoding triples or plain
     (i, j, m) triples, and may be almost representative (even i or k
@@ -169,9 +169,9 @@ def iso_case(h1: tuple[int, int, int], h2: tuple[int, int, int]) -> str:
 
 class IsoResult(Record, namedtuple("IsoResult", "isomorphic case witness")):
     """An isomorphism decision: isomorphic (bool), the first in
-    oracle.CASES order of the hat cases that hold (a letter, or None;
-    several may hold) and the oracle's witness map (an AffineMap, or None);
-    a Record."""
+    oracle.CORRESPONDENCES order of the hat cases that hold (a letter, or
+    None; several may hold) and the oracle's witness map (an AffineMap, or
+    None); a Record."""
 
     __slots__ = ()
 
@@ -185,7 +185,8 @@ def isomorphic(t1: Triangle, t2: Triangle) -> IsoResult:
     independent check is the oracle, which shares no code with that
     reduction: it runs on t1 and t2 themselves on every call, sees every
     verdict, and gives the witness map.  The three routes and the oracle
-    must agree.  A value that is not a Triangle raises TypeError.
+    must agree, and the oracle's first case must be the case route's.  A
+    value that is not a Triangle raises TypeError.
     """
     require(t1, Triangle, "t1")
     require(t2, Triangle, "t2")
@@ -194,10 +195,14 @@ def isomorphic(t1: Triangle, t2: Triangle) -> IsoResult:
     by_overlap = not frozenset(roles1).isdisjoint(roles2)
     case = iso_case(roles1[0], roles2[0])[:1] or None
     found = oracle_isomorphic(t1, t2)
-    if not (by_canonical == by_overlap == (case is not None) == (found is not None)):
+    # t1 and t2 realize the correspondences that their identity-order hats
+    # do, so the oracle's first case is the criteria's first case
+    oracle_case = found and found[0].case
+    if not (by_canonical == by_overlap == (case is not None)) or case != oracle_case:
         raise InconsistencyError(
             f"isomorphism routes disagree: canonical {by_canonical}, "
-            f"overlap {by_overlap}, case {case}, oracle {found is not None}"
+            f"overlap {by_overlap}, case {case}, oracle {found is not None} "
+            f"(case {oracle_case})"
         )
     return IsoResult(by_canonical, case, found and found[1])
 
@@ -274,9 +279,7 @@ def census(j_max: int, m_max: int, workers: int = 1) -> CensusReport:
     InvalidBounds, as does a bound or workers value that is not exactly an
     int (a bool included).
     """
-    for name, bound in (("j_max", j_max), ("m_max", m_max)):
-        if bound.__class__ is not int or bound <= 0 or bound % 2 == 0:
-            raise InvalidBounds(f"{name} must be an odd positive integer, got {bound!r}")
+    check_odd_positive(InvalidBounds, ("j_max", j_max), ("m_max", m_max))
     if workers.__class__ is not int:
         raise InvalidBounds(f"workers must be an integer, got {workers!r}")
     if workers < 1:

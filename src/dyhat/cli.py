@@ -29,8 +29,10 @@ from .render import render_svg
 # ASCII digits only: \d, int() and str.isdecimal() also take other
 # scripts' digits, and int() takes "_", "+" and surrounding spaces
 _INT = re.compile(r"-?[0-9]+")
-_LITERAL = re.compile(r"^(-?[0-9]+)(?:/(.+))?$")
-_POW2 = re.compile(r"^2\^([0-9]+)$")
+#: The dyadic literal grammar, for fullmatch: the numerator, then after a
+#: "/" a "2^k" exponent, a digit denominator or anything else, which is a
+#: malformed denominator.
+_LITERAL = re.compile(r"(-?[0-9]+)(?:/(?:2\^([0-9]+)|([0-9]+)|(.+)))?")
 
 #: Longest digit string a literal may hold (numerator, denominator or k).
 MAX_LITERAL_DIGITS = 1000
@@ -49,7 +51,7 @@ def _bounded_int(digits: str, literal: str) -> int:
             f"{MAX_LITERAL_DIGITS} digits are allowed"
         )
     if not _INT.fullmatch(digits):
-        # parse_dyadic's patterns admit only these, so the parts refused
+        # parse_dyadic's pattern admits only these, so the parts refused
         # here are the parameters of a hat literal or of aut
         raise ParseError(f"hat parameters must be integers in {literal!r}")
     return int(digits)
@@ -72,23 +74,22 @@ def parse_dyadic(text: str) -> DyadicRational:
     Digit strings longer than MAX_LITERAL_DIGITS and k above
     MAX_POW2_EXPONENT are rejected with ParseError.
     """
-    match = _LITERAL.match(text.strip())
+    match = _LITERAL.fullmatch(text.strip())
     if not match:
         raise ParseError(f"malformed dyadic literal {text!r}")
-    num = _bounded_int(match.group(1), text)
-    den_text = match.group(2)
-    if den_text is None:
-        return DyadicRational(num)
-    pow2 = _POW2.match(den_text)
-    if pow2:
-        k = _bounded_int(pow2.group(1), text)
+    num_text, k_text, den_text, malformed = match.groups()
+    num = _bounded_int(num_text, text)
+    if k_text is not None:
+        k = _bounded_int(k_text, text)
         if k > MAX_POW2_EXPONENT:
             raise ParseError(
                 f"exponent 2^{k} exceeds the limit 2^{MAX_POW2_EXPONENT}"
             )
         return DyadicRational(num, -k)
-    if not re.fullmatch(r"[0-9]+", den_text):
+    if malformed is not None:
         raise ParseError(f"malformed denominator in {text!r}")
+    if den_text is None:
+        return DyadicRational(num)
     den = _bounded_int(den_text, text)
     if den <= 0 or den & (den - 1):
         raise NotDyadic(f"denominator {den} is not a positive power of two")

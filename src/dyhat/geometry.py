@@ -6,12 +6,12 @@ form).  Maps compose, and are tested for being a unit (determinant +-2**k,
 exactly the maps invertible over the dyadics), on those integers.
 Triangle.vertices and AffineMap.linear / .translation are Point2, Matrix2
 and DyadicRational views, built on each read and never kept; Point2 and
-Matrix2 are dyadic.Record values with no arithmetic; the constructors read
-each of their fields through _dy, as Point2.of does, so an int field is
-taken as the dyadic it equals and any other non-dyadic is refused.  A
-triangle is refused when its edge vectors' determinant is 0, its vertices
-collinear, and keeps nothing else: this module stores values and solves
-nothing.
+Matrix2 are dyadic.Record values with no arithmetic.  The Triangle and
+AffineMap constructors read each field of their Point2 and Matrix2
+arguments through _dy, once, so an int field is taken as the dyadic it
+equals and any other non-dyadic is refused.  A triangle is refused when
+its edge vectors' determinant is 0, its vertices collinear, and keeps
+nothing else: this module stores values and solves nothing.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ class Point2(Record, namedtuple("Point2", "x y")):
     """A point (x, y) with DyadicRational coordinates; a Record."""
 
     __slots__ = ()
-
-    @staticmethod
-    def of(x, y) -> "Point2":
-        return Point2(_dy(x), _dy(y))
 
 
 class Matrix2(Record, namedtuple("Matrix2", "a b c d")):
@@ -206,8 +202,9 @@ class Triangle(_Scaled):
             if isinstance(p, Point2):
                 return p
             try:
-                # at most one item past a pair, so an endless p is refused
-                return Point2.of(*islice(p, 3))
+                # at most one item past a pair, so an endless p is refused;
+                # the constructor reads each field
+                return Point2(*islice(p, 3))
             except TypeError:
                 raise NotDyadic("a vertex must be a Point2 or an (x, y) pair, got "
                                 f"{p.__class__.__name__}") from None

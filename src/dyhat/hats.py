@@ -23,22 +23,24 @@ C-level key.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import islice, permutations
+from itertools import permutations
 from math import gcd
 from operator import itemgetter
 
 from .dyadic import Record
 from .errors import InconsistencyError, InvalidHat, require
 from .geometry import Triangle
-from .oracle import solve_correspondence
+from .oracle import solve_correspondence, vertex_order
 
 
-def _check_j_m(j: int, m: int) -> None:
-    """Refuse j, then m, unless it is an odd positive int (not a bool): the
-    check that Hat and EncodingTriple share, made before their check of i."""
-    for name, value in (("j", j), ("m", m)):
+def check_odd_positive(error: type[Exception], *pairs: tuple[str, object]) -> None:
+    """Refuse each (name, value) of pairs in turn, raising error, unless the
+    value is an odd positive int (not a bool): the check that Hat and
+    EncodingTriple share for j, then m, made before their check of i, and
+    census's for its bounds."""
+    for name, value in pairs:
         if value.__class__ is not int or value <= 0 or value % 2 == 0:
-            raise InvalidHat(f"{name} must be an odd positive integer, got {value}")
+            raise error(f"{name} must be an odd positive integer, got {value!r}")
 
 
 class Hat(Record, namedtuple("Hat", "i j m")):
@@ -48,9 +50,9 @@ class Hat(Record, namedtuple("Hat", "i j m")):
     __slots__ = ()
 
     def __new__(cls, i: int, j: int, m: int) -> Hat:
-        _check_j_m(j, m)
+        check_odd_positive(InvalidHat, ("j", j), ("m", m))
         if i.__class__ is not int:
-            raise InvalidHat(f"i must be an integer, got {i}")
+            raise InvalidHat(f"i must be an integer, got {i!r}")
         return tuple.__new__(cls, (i, j, m))
 
     @property
@@ -80,9 +82,9 @@ class EncodingTriple(Record, namedtuple("EncodingTriple", "i j m")):
     __slots__ = ()
 
     def __new__(cls, i: int, j: int, m: int) -> EncodingTriple:
-        _check_j_m(j, m)
+        check_odd_positive(InvalidHat, ("j", j), ("m", m))
         if i.__class__ is not int or i % 2 == 0 or not 1 <= i <= 2 * j - 1:
-            raise InvalidHat(f"i must be odd in 1..{2 * j - 1}, got {i}")
+            raise InvalidHat(f"i must be odd in 1..{2 * j - 1}, got {i!r}")
         return tuple.__new__(cls, (i, j, m))
 
 
@@ -98,16 +100,6 @@ IDENTITY_ROLES = (0, 1, 2)
 #: The six vertex role orders, which hat_of and normalize accept, in the
 #: order that role_triples returns their triples.
 ROLE_ORDERS = tuple(permutations(range(3)))
-
-
-def _role_order(roles) -> tuple[int, int, int]:
-    """roles, read once and at most four items deep, as the order in
-    ROLE_ORDERS that they equal; anything else, iterable or not, raises
-    ValueError."""
-    try:
-        return ROLE_ORDERS[ROLE_ORDERS.index(tuple(islice(roles, 4)))]
-    except (TypeError, ValueError):
-        raise ValueError("roles must be a permutation of (0, 1, 2)") from None
 
 
 def _edge_hats(
@@ -177,7 +169,7 @@ def hat_of(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> Hat:
     that are not one of the six orders of (0, 1, 2) raise ValueError, and a
     tri that is not a Triangle raises TypeError.
     """
-    roles = _role_order(roles)
+    roles = vertex_order(roles, "roles")
     require(tri, Triangle, "tri")
     return Hat(*role_triples(tri)[ROLE_ORDERS.index(roles)])
 
@@ -187,7 +179,7 @@ def normalize(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> No
     through the three vertex pairs, which equals the composition of a
     translation, a Bezout matrix, rescalings, a reflection and a shear.
     The oracle solves it, sending vertex roles[k] to hat vertex k."""
-    roles = _role_order(roles)
+    roles = vertex_order(roles, "roles")
     require(tri, Triangle, "tri")
     return _normalized(tri, roles, role_triples(tri))
 

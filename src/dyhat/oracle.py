@@ -44,8 +44,6 @@ CORRESPONDENCES = (
     Correspondence("f", (1, 0, 2)),
 )
 
-CASES = tuple(c.case for c in CORRESPONDENCES)
-
 
 def perm_label(perm: tuple[int, int, int]) -> str:
     """perm's entries as vertex letters, e.g. (0, 2, 1) -> "ACB": the images
@@ -62,8 +60,20 @@ _TARGETS = tuple(
     for corr in CORRESPONDENCES
 )
 
-#: Each perm's one-entry slice of _TARGETS, for solve_correspondence.
-_TARGET_OF_PERM = {entry[0].perm: (entry,) for entry in _TARGETS}
+#: Each perm's entry of _TARGETS, keyed by the perm that the entry keeps.
+_TARGET_OF_PERM = {entry[0].perm: entry for entry in _TARGETS}
+
+
+def vertex_order(order, name: str) -> tuple[int, int, int]:
+    """order, read once and at most four items deep, as the permutation of
+    (0, 1, 2) that it equals, in the form that CORRESPONDENCES keeps; any
+    other value, iterable or not, raises ValueError naming the parameter:
+    the one reader of a vertex order (hat_of, normalize and
+    solve_correspondence)."""
+    try:
+        return _TARGET_OF_PERM[tuple(islice(order, 4))][0].perm
+    except (TypeError, KeyError):
+        raise ValueError(f"{name} must be a permutation of (0, 1, 2)") from None
 
 
 def _solve_scaled(
@@ -142,20 +152,17 @@ def solve_correspondence(
     """The unit affine map sending vertex k of src to vertex perm[k] of dst,
     or None when that unique affine map is not a dyadic unit: the pass
     over perm's one entry.  A perm that is not one of the six orders of
-    (0, 1, 2), iterable or not, raises ValueError; it is read at most four
-    items deep."""
-    try:
-        targets = _TARGET_OF_PERM[tuple(islice(perm, 4))]
-    except (TypeError, KeyError):
-        raise ValueError("perm must be a permutation of (0, 1, 2)") from None
-    hit = _solve_scaled(src, dst, targets, True)
+    (0, 1, 2), iterable or not, raises ValueError (vertex_order)."""
+    perm = vertex_order(perm, "perm")
+    hit = _solve_scaled(src, dst, (_TARGET_OF_PERM[perm],), True)
     return hit and AffineMap.from_scaled(*hit[1])
 
 
 def realized_cases(src: Triangle, dst: Triangle) -> str:
-    """The cases (letters in CASES order) of the correspondences realized by
-    a unit map: one pass, and no map built.  When dst is src, the pass
-    tests five: case "a" holds untested, with numerators det, 0, 0, det."""
+    """The cases (letters in CORRESPONDENCES order) of the correspondences
+    realized by a unit map: one pass, and no map built.  When dst is src,
+    the pass tests five: case "a" holds untested, with numerators det, 0,
+    0, det."""
     if dst is src:
         return "a" + _solve_scaled(src, src, _TARGETS[1:], False)
     return _solve_scaled(src, dst, _TARGETS, False)

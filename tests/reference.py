@@ -83,7 +83,7 @@ def from_fraction(f: Fraction) -> DyadicRational:
 def affine(a, b, c, d, tx=0, ty=0) -> AffineMap:
     """p |-> [[a, b], [c, d]] p + (tx, ty), from ints or DyadicRationals."""
     entries = (v if isinstance(v, D) else D(v) for v in (a, b, c, d))
-    return AffineMap(Matrix2(*entries), Point2.of(tx, ty))
+    return AffineMap(Matrix2(*entries), Point2(tx, ty))
 
 
 IDENTITY = affine(1, 0, 0, 1)
@@ -236,9 +236,9 @@ def validate_encoding_triple(i, j, m) -> None:
     the constructor must."""
     for value, name in ((j, "j"), (m, "m")):
         if type(value) is not int or value <= 0 or value % 2 == 0:
-            raise InvalidHat(f"{name} must be an odd positive integer, got {value}")
+            raise InvalidHat(f"{name} must be an odd positive integer, got {value!r}")
     if type(i) is not int or i % 2 == 0 or not 1 <= i <= 2 * j - 1:
-        raise InvalidHat(f"i must be odd in 1..{2 * j - 1}, got {i}")
+        raise InvalidHat(f"i must be odd in 1..{2 * j - 1}, got {i!r}")
 
 
 def pointed_canonical(h: Hat) -> EncodingTriple:

@@ -226,9 +226,9 @@ def test_criterion_09_witness_validity():
         for roles in permutations((0, 1, 2)):
             hat, witness = normalize(t, roles)
             x, y, z = (t.vertices[k] for k in roles)
-            assert apply(witness, x) == Point2.of(0, 0)
-            assert apply(witness, y) == Point2.of(hat.i, hat.j)
-            assert apply(witness, z) == Point2.of(hat.m, 0)
+            assert apply(witness, x) == Point2(D(0), D(0))
+            assert apply(witness, y) == Point2(D(hat.i), D(hat.j))
+            assert apply(witness, z) == Point2(D(hat.m), D(0))
             assert hat.is_representative and 1 <= hat.i < 2 * hat.j
             corpus.append((witness, t))
 

@@ -107,8 +107,38 @@ def test_benchmark_attribute_chains_resolve():
 #: Reached only from outside the package: the console-script entry point.
 _ENTRY_POINTS = {("dyhat.cli", "main")}
 
+#: Read only from outside the package: the version.
+_READ_OUTSIDE = {"__version__"}
+
+
+def _unread_module_names() -> list[str]:
+    """Each name, as "dyhat.module.name", that a dyhat module binds by a
+    top-level assignment and that no package code reads: read means loaded
+    in its own module, or loaded in a module that imports it from there."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(dyhat.__file__).parent.glob("*.py"))}
+    loaded = {stem: {node.id for node in ast.walk(tree)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+              for stem, tree in trees.items()}
+    read = {(stem, name) for stem, names in loaded.items() for name in names}
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                read |= {(node.module, alias.name) for alias in node.names
+                         if (alias.asname or alias.name) in loaded[stem]}
+    unread = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                if (stem, name) not in read and name not in _READ_OUTSIDE:
+                    unread.append(f"dyhat.{stem}.{name}")
+    return unread
+
 
 def test_every_function_and_class_is_reached_from_the_cli_or_an_export():
+    # and every other module-level name is read by package code
     seen, reached = set(), _public_names() | {"run"}
     roots = [dyhat.cli.run]
     for name in _public_names():
@@ -128,7 +158,7 @@ def test_every_function_and_class_is_reached_from_the_cli_or_an_export():
                     and name not in reached
                     and (module.__name__, name) not in _ENTRY_POINTS):
                 unreached.append(f"{module.__name__}.{name}")
-    assert unreached == []
+    assert unreached + _unread_module_names() == []
 
 
 def test_the_package_holds_no_assert_statement():

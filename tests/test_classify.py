@@ -34,7 +34,7 @@ from dyhat.errors import InconsistencyError, InvalidBounds, InvalidHat
 from dyhat.hats import CANONICAL_KEY, hat_of
 from dyhat import classify, cli, dyadic, hats
 from dyhat.geometry import AffineMap
-from dyhat.oracle import CASES, CORRESPONDENCES, realized_cases
+from dyhat.oracle import CORRESPONDENCES, realized_cases
 
 import tutil
 from reference import (
@@ -198,7 +198,7 @@ def test_every_criteria_outcome_meets_the_subgroup_table(monkeypatch):
     rows = {cases for _, cases in GROUP_OF_CRITERIA.values()}
     outcomes = Counter()
     for held in product((False, True), repeat=6):
-        cases = "".join(c for c, h in zip(CASES, held) if h)
+        cases = "".join(c.case for c, h in zip(CORRESPONDENCES, held) if h)
         monkeypatch.setattr(classify, "iso_case", lambda h1, h2, cases=cases: cases)
         solves.clear()
         if cases not in rows:
@@ -237,6 +237,19 @@ def test_lying_oracle_raises_inconsistency_both_ways(monkeypatch):
     with pytest.raises(InconsistencyError):
         isomorphic(Hat(3, 27, 21).triangle(), Hat(39, 27, 21).triangle())
     assert cli.run(["iso", "T 3 27 21", "T 39 27 21"]) == 5
+
+
+def test_an_oracle_hit_under_another_case_raises_inconsistency(monkeypatch):
+    # the oracle's real first hit from Hat(1, 3, 5) to Hat(5, 15, 1) is case
+    # "c"; the same witness reported under case "a" agrees on existence only
+    t1, t2 = Hat(1, 3, 5).triangle(), Hat(5, 15, 1).triangle()
+    corr, witness = oracle_isomorphic(t1, t2)
+    assert corr.case == "c" and isomorphic(t1, t2).case == "c"
+    monkeypatch.setattr(classify, "oracle_isomorphic",
+                        lambda t1, t2: (CORRESPONDENCES[0], witness))
+    with pytest.raises(InconsistencyError, match=r"case c, oracle True \(case a\)"):
+        isomorphic(t1, t2)
+    assert cli.run(["iso", "T 1 3 5", "T 5 15 1"]) == 5
 
 
 def _edge_hats_without_the_two_adic_step(odd, ox, oy, bx, by, ax, ay):
@@ -378,7 +391,7 @@ def test_verdicts_cases_and_witnesses_on_large_pairs_are_unchanged():
         cases[result.case] += 1
         witness = result.witness and result.witness._scaled
         digest.update(repr((result.isomorphic, result.case, witness)).encode())
-    assert set(cases) == {None, *CASES}
+    assert set(cases) == {None, *(c.case for c in CORRESPONDENCES)}
     assert digest.hexdigest() == LARGE_PAIR_DIGEST
 
 

@@ -427,7 +427,7 @@ def test_the_witness_check_matches_fraction_application(t, f, roles):
     same check is three images and a unit test.  The true witness, the
     true witness after another map, and that map alone all agree."""
     h, witness = normalize(t, roles)
-    targets = [Point2.of(0, 0), Point2.of(h.i, h.j), Point2.of(h.m, 0)]
+    targets = [Point2(D(0), D(0)), Point2(D(h.i), D(h.j)), Point2(D(h.m), D(0))]
     for g in (witness, f @ witness, f):
         want = [apply(g, t.vertices[r]) for r in roles] == targets and is_unit(g)
         assert _witness_holds(g, t, roles, h) == want
@@ -445,9 +445,9 @@ def test_normalize_json_round_trips(capsys):
         assert (triple.i, triple.j, triple.m) == (h.i, h.j, h.m)
         witness = map_from_json(entry["map"])
         roles = ["ABC".index(ch) for ch in entry["roles"]]
-        assert apply(witness, t.vertices[roles[0]]) == Point2.of(0, 0)
-        assert apply(witness, t.vertices[roles[1]]) == Point2.of(h.i, h.j)
-        assert apply(witness, t.vertices[roles[2]]) == Point2.of(h.m, 0)
+        assert apply(witness, t.vertices[roles[0]]) == Point2(D(0), D(0))
+        assert apply(witness, t.vertices[roles[1]]) == Point2(D(h.i), D(h.j))
+        assert apply(witness, t.vertices[roles[2]]) == Point2(D(h.m), D(0))
 
 
 # ---------------------------------------------------------------- census

@@ -43,10 +43,10 @@ def tri(*coords):
 
 
 def test_weighted_mean_and_midpoint():
-    a = Point2.of(0, 0)
-    b = Point2.of(8, 4)
+    a = Point2(D(0), D(0))
+    b = Point2(D(8), D(4))
     assert weighted_mean(a, b, D(3, -3)) == Point2(D(3), D(3, -1))
-    assert midpoint(a, b) == Point2.of(4, 2)
+    assert midpoint(a, b) == Point2(D(4), D(2))
     assert weighted_mean(a, b, D(0)) == a
     assert weighted_mean(a, b, D(1)) == b
 
@@ -67,7 +67,7 @@ def test_affine_compose_and_invert():
     f = affine(0, -1, 1, 0, 1, 0)
     g = affine(1, 0, 0, 1, 0, 5)
     h = f @ g
-    p = Point2.of(2, 3)
+    p = Point2(D(2), D(3))
     assert apply(h, p) == apply(f, apply(g, p))
     finv = tutil.fraction_inverse(f, _SOLVE_ON)
     assert apply(finv, apply(f, p)) == p
@@ -98,7 +98,7 @@ def test_integer_composition_and_unit_test_match_fractions(f, g):
 def test_twice_area():
     assert twice_area(tri((0, 0), (15, 9), (21, 0))) == D(9 * 21)
     t = Triangle(
-        (Point2.of(0, 0), Point2(D(1, -1), D(0)), Point2(D(0), D(1, -1)))
+        (Point2(D(0), D(0)), Point2(D(1, -1), D(0)), Point2(D(0), D(1, -1)))
     )
     assert twice_area(t) == D(1, -2)
 
@@ -111,12 +111,12 @@ def test_degenerate_triangle_rejected():
 
 
 def test_segment_type():
-    assert segment_type(Point2.of(0, 0), Point2.of(21, 0)) == 21
-    assert segment_type(Point2.of(0, 0), Point2.of(15, 9)) == 3
-    assert segment_type(Point2.of(0, 0), Point2(D(1, -1), D(0))) == 1
-    assert segment_type(Point2.of(0, 0), Point2(D(3, -2), D(9, -2))) == 3
+    assert segment_type(Point2(D(0), D(0)), Point2(D(21), D(0))) == 21
+    assert segment_type(Point2(D(0), D(0)), Point2(D(15), D(9))) == 3
+    assert segment_type(Point2(D(0), D(0)), Point2(D(1, -1), D(0))) == 1
+    assert segment_type(Point2(D(0), D(0)), Point2(D(3, -2), D(9, -2))) == 3
     with pytest.raises(BothZero):
-        segment_type(Point2.of(1, 1), Point2.of(1, 1))
+        segment_type(Point2(D(1), D(1)), Point2(D(1), D(1)))
 
 
 def test_boundary_type_fixtures():
@@ -223,7 +223,7 @@ def test_stored_integers_reconstruct_the_vertices(t, f):
 
 
 def test_stored_integers_leave_equality_hash_repr_and_pickle_alone():
-    t = Triangle((Point2(D(3, -2), D(0)), Point2.of(5, 1), Point2(D(-7, -3), D(9, 4))))
+    t = Triangle((Point2(D(3, -2), D(0)), Point2(D(5), D(1)), Point2(D(-7, -3), D(9, 4))))
     assert repr(t) == (
         "Triangle(vertices=(Point2(x=DyadicRational(3, -2), y=DyadicRational(0, 0)), "
         "Point2(x=DyadicRational(5, 0), y=DyadicRational(1, 0)), "
@@ -258,7 +258,7 @@ def test_from_scaled_matches_the_vertex_constructor(t, f):
 
 
 def test_from_scaled_rejects_collinear_integers_like_the_vertex_constructor():
-    pts = (Point2.of(0, 0), Point2(D(1, -1), D(3, -2)), Point2.of(2, 3))
+    pts = (Point2(D(0), D(0)), Point2(D(1, -1), D(3, -2)), Point2(D(2), D(3)))
     with pytest.raises(DegenerateTriangle) as by_vertices:
         Triangle(pts)
     with pytest.raises(DegenerateTriangle) as by_integers:

@@ -57,7 +57,7 @@ def test_hat_validation():
 
 def test_hat_triangle():
     t = Hat(15, 9, 21).triangle()
-    assert t.vertices == (Point2.of(0, 0), Point2.of(15, 9), Point2.of(21, 0))
+    assert t.vertices == (Point2(D(0), D(0)), Point2(D(15), D(9)), Point2(D(21), D(0)))
     # the triangle from_scaled builds, for i of either parity and sign, in
     # its stored integers, equality, hash, repr and pickle bytes
     for i, j, m in [(15, 9, 21), (2, 3, 5), (0, 1, 1), (-6, 3, 9), (10**40, 3**50, 1)]:
@@ -98,7 +98,7 @@ def test_pointed_canonical_collapses_shear_orbits(h):
 
 def test_normalize_half_integer_and_reflected():
     half = D(1, -1)
-    assert normalize(Triangle((Point2.of(0, 0), Point2(half, half), Point2.of(1, 0)))).hat == Hat(1, 1, 1)
+    assert normalize(Triangle.of((0, 0), (half, half), (1, 0))).hat == Hat(1, 1, 1)
     assert normalize(tri((0, 0), (1, -1), (2, 0))).hat == Hat(1, 1, 1)
 
 
@@ -144,9 +144,9 @@ def test_triangle_exports_refuse_a_value_that_is_not_a_triangle(fn, value):
 @given(tutil.triangles)
 def test_witness_properties_hold_generically(t):
     hat, witness = normalize(t)
-    assert apply(witness, t.vertices[0]) == Point2.of(0, 0)
-    assert apply(witness, t.vertices[1]) == Point2.of(hat.i, hat.j)
-    assert apply(witness, t.vertices[2]) == Point2.of(hat.m, 0)
+    assert apply(witness, t.vertices[0]) == Point2(D(0), D(0))
+    assert apply(witness, t.vertices[1]) == Point2(D(hat.i), D(hat.j))
+    assert apply(witness, t.vertices[2]) == Point2(D(hat.m), D(0))
     assert witness.is_unit()
     assert hat.is_representative and 1 <= hat.i <= 2 * hat.j - 1
 

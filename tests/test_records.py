@@ -12,6 +12,7 @@ construction route, and the order (none).
 import copy
 import operator
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -211,6 +212,18 @@ INVALID = [
      r"j must be an odd positive integer, got 2\.5"),
     (EncodingTriple, (1, 3, 5), (1.0, 3, 5), InvalidHat, r"i must be odd in 1\.\.5, got 1\.0"),
     (EncodingTriple, (1, 3, 5), (True, 3, 5), InvalidHat, r"i must be odd in 1\.\.5, got True"),
+    # a value that is not an int prints as its repr: "3" and Fraction(3)
+    # are not the int 3
+    (Hat, (1, 3, 5), (1, "3", 5), InvalidHat, "j must be an odd positive integer, got '3'"),
+    (Hat, (1, 3, 5), (1, Fraction(3), 5), InvalidHat,
+     r"j must be an odd positive integer, got Fraction\(3, 1\)"),
+    (Hat, (1, 3, 5), ("1", 3, 5), InvalidHat, "i must be an integer, got '1'"),
+    (Hat, (1, 3, 5), (Fraction(1), 3, 5), InvalidHat, r"i must be an integer, got Fraction\(1, 1\)"),
+    (EncodingTriple, (1, 3, 5), (1, 3, "5"), InvalidHat,
+     "m must be an odd positive integer, got '5'"),
+    (EncodingTriple, (1, 3, 5), ("1", 3, 5), InvalidHat, r"i must be odd in 1\.\.5, got '1'"),
+    (EncodingTriple, (1, 3, 5), (Fraction(1), 3, 5), InvalidHat,
+     r"i must be odd in 1\.\.5, got Fraction\(1, 1\)"),
 ]
 
 
