@@ -30,7 +30,6 @@ multiprocessing.
 
 from __future__ import annotations
 
-import math
 import os
 from collections import namedtuple
 from operator import itemgetter
@@ -140,9 +139,11 @@ def iso_case(h1: tuple[int, int, int], h2: tuple[int, int, int]) -> str:
     exchange roles, forcing n = gcd(side, j) and l = mj/n, with k confined
     to a residue class mod l: k = x*m (cases c, d) or n - k = x*m (e, f)
     for an x with x * (side/n) = 1 mod j/n, where side is i (c, e) or
-    m - i (d, f).  As side/n is prime to j/n, that class is tested by one
-    multiplication, with no inverse taken: m divides rest (k or n - k) and
-    rest/m * (side/n) = 1 mod j/n.
+    m - i (d, f).  That class is tested by one multiplication, with no
+    inverse taken: m divides rest (k or n - k) and rest/m * (side/n) = 1
+    mod j/n.  The congruence makes side/n prime to j/n, so once it holds,
+    n = gcd(side, j) says no more than that n divides side and j: no gcd
+    is taken.
     """
     (i, j, m), (k, l, n) = h1, h2
     found = ""
@@ -151,12 +152,13 @@ def iso_case(h1: tuple[int, int, int], h2: tuple[int, int, int]) -> str:
             found = "a"
         if (k - (m - i)) % j == 0:
             found += "b"
-    if l * n != m * j:
+    if l * n != m * j or j % n:
         return found
-    # side/n for side i (c, e) and side m - i (d, f), or None where n is
-    # not gcd(side, j); c and d test rest k, e and f rest n - k
-    ce = i // n if n == math.gcd(i, j) else None
-    df = (m - i) // n if n == math.gcd(m - i, j) else None
+    # side/n for side i (c, e) and side m - i (d, f), or None where n does
+    # not divide side; where the congruence below holds, n dividing side and
+    # j is n = gcd(side, j).  c and d test rest k, e and f rest n - k
+    ce = i // n if i % n == 0 else None
+    df = (m - i) // n if (m - i) % n == 0 else None
     for pair, rest in (("cd", k), ("ef", n - k)):
         if rest % m == 0:
             x = rest // m

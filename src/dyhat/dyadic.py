@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 from itertools import islice
-from typing import Iterable
 
 from .errors import DivisionByZero, NotDyadic
 

@@ -17,8 +17,8 @@ nothing else: this module stores values and solves nothing.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from itertools import islice
-from typing import Iterable
 
 from .dyadic import DyadicRational, Record, common_scale, reduce_scale
 from .errors import DegenerateTriangle, NotDyadic, require

@@ -103,11 +103,11 @@ ROLE_ORDERS = tuple(permutations(range(3)))
 
 
 def _edge_hats(
-    odd: int, ox: int, oy: int, bx: int, by: int, ax: int, ay: int
+    odd: int, A: int, B: int, p: int, q: int
 ) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """(i, j, m) of the representative hats of the orders (o, a, b) and
-    (b, a, o), from the integer coordinates of o, b and a and the odd part
-    odd of twice the area; see role_triples.  The base (A, B) = b - o takes
+    (b, a, o), from the base (A, B) = b - o, the apex (p, q) = a - o and
+    the odd part odd of twice the area; see role_triples.  The base takes
     its Bezout row (s, t) inline, dyhat's one extended Euclid: for
     g = gcd(A, B), s = (A/g)**-1 mod |B/g| and the exact t = (g - A*s)/B,
     or (A/g, 0) = (sign(A), 0) when B = 0.
@@ -117,14 +117,13 @@ def _edge_hats(
     exact quotient lies in [0, j).  Only the inverse of j modulo 2**v is
     taken, far cheaper than one modulo j, and only when v > 0: every edge
     of a hat has v = 0, and a census reduces nothing but hats."""
-    A, B = bx - ox, by - oy
     g = gcd(A, B)
     s = pow(A // g, -1, abs(B // g)) if B else A // g
     t = (g - A * s) // B if B else 0
     v = (g & -g).bit_length() - 1
     m = g >> v
     j = odd // m
-    r = (s * (ax - ox) + t * (ay - oy)) % j
+    r = (s * p + t * q) % j
     if v:
         r = (r + (-r * pow(j, -1, 1 << v) & ((1 << v) - 1)) * j) >> v
     back = (m - r) % j
@@ -138,13 +137,18 @@ def role_triples(tri: Triangle) -> tuple[tuple[int, int, int], ...]:
 
     An order (o, a, b) sends vertex o to the origin, a to the apex (i, j)
     and b to (m, 0).  It reads the integer coordinates the triangle already
-    holds (the common power of two drops out).  The base (A, B) from o to b
-    has gcd g = m * 2**v, m odd, and Bezout row (s, t): j is the odd part of
-    twice the area over m, and i the residue r = (s*p + t*q) / 2**v mod j
-    of the apex (p, q) relative to o, lifted to an odd residue mod 2j.  The
-    division by 2**v is a 2-adic step, run only when v > 0 (_edge_hats).  Any
-    Bezout row gives the same r, since another row moves s*p + t*q by a
-    multiple of twice the area over g, which is +-j * 2**w.
+    holds (the common power of two drops out), and takes the edge vectors
+    (ax, ay) from vertex 0 to vertex 1 and (bx, by) from vertex 0 to vertex
+    2 once: twice the area is their determinant, and each order's base and
+    apex relative to o are made of them (from vertex 1, vertex 2 lies at
+    (bx - ax, by - ay) and vertex 0 at (-ax, -ay)).  The base
+    (A, B) from o to b has gcd g = m * 2**v, m odd, and Bezout row (s, t):
+    j is the odd part of twice the area over m, and i the residue
+    r = (s*p + t*q) / 2**v mod j of the apex (p, q) relative to o, lifted
+    to an odd residue mod 2j.  The division by 2**v is a 2-adic step, run
+    only when v > 0 (_edge_hats).  Any Bezout row gives the same r, since
+    another row moves s*p + t*q by a multiple of twice the area over g,
+    which is +-j * 2**w.
     The reversed order (b, a, o) has the same apex and the residue
     (m - r) mod j: with the row (-s, -t) of (-A, -B) and the apex taken
     relative to b = o + (A, B), the numerator is s*A + t*B - (s*p + t*q) =
@@ -152,11 +156,12 @@ def role_triples(tri: Triangle) -> tuple[tuple[int, int, int], ...]:
     divides odd, and i is lifted from r in [0, j)), so no record checks it.
     """
     (x0, y0, x1, y1, x2, y2), _ = tri.scaled_coords()
-    twice = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+    ax, ay, bx, by = x1 - x0, y1 - y0, x2 - x0, y2 - y0
+    twice = abs(ax * by - ay * bx)
     odd = twice >> ((twice & -twice).bit_length() - 1)
-    h012, h210 = _edge_hats(odd, x0, y0, x2, y2, x1, y1)
-    h021, h120 = _edge_hats(odd, x0, y0, x1, y1, x2, y2)
-    h102, h201 = _edge_hats(odd, x1, y1, x2, y2, x0, y0)
+    h012, h210 = _edge_hats(odd, bx, by, ax, ay)
+    h021, h120 = _edge_hats(odd, ax, ay, bx, by)
+    h102, h201 = _edge_hats(odd, bx - ax, by - ay, -ax, -ay)
     return h012, h021, h102, h120, h201, h210
 
 

@@ -17,8 +17,8 @@ reduction, hats.role_triples, so each side checks the other.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from itertools import islice
-from typing import Iterable
 
 from .dyadic import Record
 from .errors import require
@@ -62,6 +62,10 @@ _TARGETS = tuple(
 
 #: Each perm's entry of _TARGETS, keyed by the perm that the entry keeps.
 _TARGET_OF_PERM = {entry[0].perm: entry for entry in _TARGETS}
+
+#: _TARGETS without the identity's entry: the pass of a triangle and
+#: itself, where case "a" holds untested (realized_cases).
+_SELF_TARGETS = _TARGETS[1:]
 
 
 def vertex_order(order, name: str) -> tuple[int, int, int]:
@@ -164,7 +168,7 @@ def realized_cases(src: Triangle, dst: Triangle) -> str:
     the pass tests five: case "a" holds untested, with numerators det, 0,
     0, det."""
     if dst is src:
-        return "a" + _solve_scaled(src, src, _TARGETS[1:], False)
+        return "a" + _solve_scaled(src, src, _SELF_TARGETS, False)
     return _solve_scaled(src, dst, _TARGETS, False)
 
 

@@ -252,13 +252,13 @@ def test_an_oracle_hit_under_another_case_raises_inconsistency(monkeypatch):
     assert cli.run(["iso", "T 1 3 5", "T 5 15 1"]) == 5
 
 
-def _edge_hats_without_the_two_adic_step(odd, ox, oy, bx, by, ax, ay):
+def _edge_hats_without_the_two_adic_step(odd, A, B, p, q):
     """hats._edge_hats with the division by 2**v left out: a faulty
     reduction that all three criteria routes read."""
-    g, s, t = egcd(bx - ox, by - oy)
+    g, s, t = egcd(A, B)
     m = g >> val2(g)
     j = odd // m
-    r = (s * (ax - ox) + t * (ay - oy)) % j
+    r = (s * p + t * q) % j
     back = (m - r) % j
     return (r if r % 2 else r + j, j, m), (back if back % 2 else back + j, j, m)
 
@@ -283,6 +283,15 @@ def test_iso_case_fixtures():
     assert iso_case(h, Hat(11, 15, 1)) == "ef"
     assert iso_case(h, Hat(3, 3, 5)) == ""
     assert iso_case(Hat(3, 27, 21), Hat(39, 27, 21)) == ""
+    # n = 1 divides side 3 and j = 9, but gcd(3, 9) = 3: never "c" or "e"
+    assert [iso_case(Hat(3, 9, 1), Hat(k, 9, 1)) for k in range(1, 18, 2)] == [
+        "", "a", "", "b", "", "", "d", "f", ""
+    ]
+    # n = 3 divides m*j = 15 but not j = 5: only "a" and "b" can hold
+    assert iso_case(Hat(3, 5, 3), Hat(3, 5, 3)) == "a"
+    assert iso_case(Hat(3, 5, 3), Hat(5, 5, 3)) == "b"
+    # n = 3 divides j = 3 but neither side, 5 nor 1 - 5: nothing holds
+    assert iso_case(Hat(5, 3, 1), Hat(1, 1, 3)) == ""
 
 
 @given(tutil.rep_hats)

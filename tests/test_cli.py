@@ -962,10 +962,11 @@ _LAZY_MODULES = ("concurrent.futures.process", "multiprocessing", "fractions",
 
 
 def _isolated_child(script: str) -> subprocess.CompletedProcess:
-    """Run script in a fresh `python -I` interpreter; its sys.argv[1] is the
-    directory that holds this same dyhat (-I ignores PYTHONPATH)."""
+    """Run script in a fresh `python -I -S` interpreter; its sys.argv[1] is
+    the directory that holds this same dyhat (-I ignores PYTHONPATH, and -S
+    skips the site hook, whose .pth files may import modules themselves)."""
     src = str(Path(dyhat.__file__).resolve().parents[1])
-    return subprocess.run([sys.executable, "-I", "-c", script, src],
+    return subprocess.run([sys.executable, "-I", "-S", "-c", script, src],
                           capture_output=True, text=True, timeout=60)
 
 
@@ -1031,6 +1032,18 @@ def test_pooled_census_loads_the_pool_and_matches_serial():
     proc = _isolated_child(script)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [False, True, True]
+
+
+def test_the_cli_import_loads_no_typing():
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import dyhat.cli\n"
+        "print(repr(['dyhat.cli' in sys.modules, 'typing' in sys.modules]))\n"
+    )
+    proc = _isolated_child(script)
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout) == [True, False]
 
 
 def test_inconsistency_exits_5(capsys, monkeypatch):

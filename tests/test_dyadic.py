@@ -177,7 +177,7 @@ def test_integer_residue_matches_dyadic_mod_odd(n, k, half):
     # On the base (0, 0) -> (2**k, 0) the Bezout row is (1, 0) and m = 1,
     # so the apex (n, 1) gives the residue of n, divided by the 2-adic step.
     j = 2 * half + 1
-    (i, jj, m), _ = _edge_hats(j, 0, 0, 1 << k, 0, n, 1)
+    (i, jj, m), _ = _edge_hats(j, 1 << k, 0, n, 1)
     r = n * pow(2, -k, j) % j
     assert (jj, m) == (j, 1) and i % 2 == 1 and 1 <= i <= 2 * j - 1
     assert i % j == r and (r * 2**k - n) % j == 0
