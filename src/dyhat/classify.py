@@ -8,8 +8,11 @@ and returns every case that holds.  An automorphism is a self-isomorphism:
 the cases iso_case finds between a hat and itself must key one row of a
 six-row table, one row per subgroup of S3, and the oracle must realize
 exactly those self-correspondences.  isomorphic is the one isomorphism
-decision.  _self_cases is the one group check: iso_case(h, h), the table
-lookup, and the comparison with the oracle's realized cases.
+decision: its three criteria routes must agree, and the oracle must realize
+exactly the cases that iso_case finds between the triangles' hats, every
+letter and not just the first.  _self_cases is the one group check:
+iso_case(h, h), the table lookup, and the comparison with the oracle's
+realized cases.
 automorphism_group runs it and then has the oracle build a witness map for
 each of the group's own cases; a census cell builds each hat's triangle
 once and runs it alone, so a census builds no witness map.  The cell also
@@ -98,7 +101,7 @@ def _self_cases(h: Hat, tri: Triangle) -> str:
         raise InconsistencyError(
             f"cases {cases!r} of {h} and itself give no subgroup of S3"
         )
-    found = realized_cases(tri, tri)
+    found = realized_cases(tri)
     if found != cases:
         raise InconsistencyError(
             f"criteria and oracle disagree on {h}: criteria {list(cases)}, "
@@ -187,26 +190,26 @@ def isomorphic(t1: Triangle, t2: Triangle) -> IsoResult:
     independent check is the oracle, which shares no code with that
     reduction: it runs on t1 and t2 themselves on every call, sees every
     verdict, and gives the witness map.  The three routes and the oracle
-    must agree, and the oracle's first case must be the case route's.  A
-    value that is not a Triangle raises TypeError.
+    must agree, and the oracle must realize exactly the cases that the case
+    route finds.  A value that is not a Triangle raises TypeError.
     """
     require(t1, Triangle, "t1")
     require(t2, Triangle, "t2")
     roles1, roles2 = role_triples(t1), role_triples(t2)
     by_canonical = min(roles1, key=CANONICAL_KEY) == min(roles2, key=CANONICAL_KEY)
     by_overlap = not frozenset(roles1).isdisjoint(roles2)
-    case = iso_case(roles1[0], roles2[0])[:1] or None
+    cases = iso_case(roles1[0], roles2[0])
     found = oracle_isomorphic(t1, t2)
     # t1 and t2 realize the correspondences that their identity-order hats
-    # do, so the oracle's first case is the criteria's first case
-    oracle_case = found and found[0].case
-    if not (by_canonical == by_overlap == (case is not None)) or case != oracle_case:
+    # do, so the oracle's cases are the criteria's cases
+    oracle_cases = found[0] if found else ""
+    if not (by_canonical == by_overlap == bool(cases)) or cases != oracle_cases:
         raise InconsistencyError(
             f"isomorphism routes disagree: canonical {by_canonical}, "
-            f"overlap {by_overlap}, case {case}, oracle {found is not None} "
-            f"(case {oracle_case})"
+            f"overlap {by_overlap}, cases {list(cases)}, "
+            f"oracle cases {list(oracle_cases)}"
         )
-    return IsoResult(by_canonical, case, found and found[1])
+    return IsoResult(by_canonical, cases[:1] or None, found and found[2])
 
 
 class CensusRow(Record, namedtuple(
@@ -270,16 +273,24 @@ def _census_cell(cell: tuple[int, int]) -> CensusRow:
     return CensusRow(j, m, len(pointed), len(orbits), counts, orbit_ok)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, or the machine's
+    count where the platform has no affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def census(j_max: int, m_max: int, workers: int = 1) -> CensusReport:
     """Sweep all representative hats with j <= j_max, m <= m_max.
 
     Work units are independent (j, m) cells; with workers > 1 they run in a
     process pool, sent in chunks of consecutive cells, and are merged in a
     fixed order, so the report does not depend on scheduling.  The pool
-    never has more workers than CPUs or cells; when that leaves one, the
-    cells run serially.  A grid of more than MAX_CENSUS_CELLS cells raises
-    InvalidBounds, as does a bound or workers value that is not exactly an
-    int (a bool included).
+    never has more workers than cells or than CPUs that the process may run
+    on; when that leaves one, the cells run serially.  A grid of more than
+    MAX_CENSUS_CELLS cells raises InvalidBounds, as does a bound or workers
+    value that is not exactly an int (a bool included).
     """
     check_odd_positive(InvalidBounds, ("j_max", j_max), ("m_max", m_max))
     if workers.__class__ is not int:
@@ -298,7 +309,7 @@ def census(j_max: int, m_max: int, workers: int = 1) -> CensusReport:
         for j in range(1, j_max + 1, 2)
         for m in range(1, m_max + 1, 2)
     ]
-    workers = min(workers, os.cpu_count() or 1, len(cells))
+    workers = min(workers, _usable_cpus(), len(cells))
     if workers == 1:
         rows = tuple(_census_cell(cell) for cell in cells)
     else:

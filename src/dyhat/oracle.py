@@ -4,10 +4,12 @@ Decides whether an affine map carries one triangle onto another by solving
 the vertex correspondence equations with integer Cramer's rule on the
 integer coordinates each Triangle holds: the solved map qualifies when its
 entries are dyadic and its determinant is +-2**k.  _solve_scaled is the
-one Cramer pass.  Each question has one consumer of the pass:
-realized_cases, which cases hold, with no map built (a census, which asks
-it of a hat and itself, where the identity holds untested);
-oracle_isomorphic, the first hit and its map (isomorphic);
+one Cramer pass, with one mode: it tests every correspondence it is given
+and returns the cases that hold and the first hit's map integers.  Each
+question has one consumer of the pass: realized_cases, which
+self-correspondences of a triangle hold (a census, where the identity
+holds untested, and automorphism_group); oracle_isomorphic, every case
+between two triangles and the first hit's map (isomorphic);
 solve_correspondence, one given correspondence and its map
 (hats.normalize, automorphism_group).  This route shares no logic and no
 computed data with the number-theoretic criteria or with the hat
@@ -84,16 +86,15 @@ def _solve_scaled(
     src: Triangle,
     dst: Triangle,
     targets: Iterable[tuple[Correspondence, int, int, int]],
-    witness: bool,
 ):
-    """The Cramer pass: test each entry of targets (entries of _TARGETS, in
+    """The Cramer pass: test every entry of targets (entries of _TARGETS, in
     their order) for whether its unique affine map, sending vertex k of src
-    to vertex perm[k] of dst, is a dyadic unit.  With witness, return the
-    first such entry's correspondence and that map's (linear, translation)
-    integers and exponents, in AffineMap.from_scaled's form, or None when
-    no entry is one; the later entries are left untested.  Without
-    witness, test every entry and return the cases of those that are units,
-    as letters in targets order, and build no map.
+    to vertex perm[k] of dst, is a dyadic unit.  Return (cases, first):
+    cases, the letters of the entries that are units, in targets order,
+    and first, the first such entry's correspondence with that map's
+    (linear, translation) integers and exponents, in AffineMap.from_scaled's
+    form, or None when no entry is one.  The pass has this one mode; each
+    caller reads the half that answers its question.
 
     The pair's data is read once: the stored integers and exponents of
     src and dst, src's edge vectors and determinant, and the unit test.
@@ -105,7 +106,7 @@ def _solve_scaled(
     (n & -n).bit_length() - 1.  An entry's map is dyadic exactly when odd
     divides its four numerators, and they are found and tested one at a
     time, so that an entry stops at its first numerator that odd does not
-    divide; the map's integers are built only for the hit it returns.
+    divide; the map's integers are built for the first hit alone.
     """
     n, src_exp = src.scaled_coords()
     ax, ay, x1, y1, x2, y2 = n
@@ -118,8 +119,8 @@ def _solve_scaled(
         n, dst_exp = dst.scaled_coords()
         det = (n[2] - n[0]) * (n[5] - n[1]) - (n[3] - n[1]) * (n[4] - n[0])
         if det >> ((det & -det).bit_length() - 1) not in (odd, -odd):
-            return None if witness else ""
-    found = ""
+            return "", None
+    cases, first = "", None
     for corr, p, q, r in targets:
         bx = n[p]
         w1x, w2x = n[q] - bx, n[r] - bx
@@ -137,17 +138,17 @@ def _solve_scaled(
         nd = w2y * u1x - w1y * u2x
         if nd % odd:
             continue
-        if not witness:
-            found += corr.case
+        cases += corr.case
+        if first is not None:
             continue
         a, b, c, d = na // odd, nb // odd, nc // odd, nd // odd
         # linear is (a, b, c, d) * 2**(dst_exp - src_exp - v), so the
         # translation t0 - linear(s0) is an integer pair times 2**(dst_exp - v)
-        return corr, (
+        first = corr, (
             ((a, b, c, d), dst_exp - src_exp - v),
             (((bx << v) - a * ax - b * ay, (by << v) - c * ax - d * ay), dst_exp - v),
         )
-    return None if witness else found
+    return cases, first
 
 
 def solve_correspondence(
@@ -158,27 +159,27 @@ def solve_correspondence(
     over perm's one entry.  A perm that is not one of the six orders of
     (0, 1, 2), iterable or not, raises ValueError (vertex_order)."""
     perm = vertex_order(perm, "perm")
-    hit = _solve_scaled(src, dst, (_TARGET_OF_PERM[perm],), True)
+    hit = _solve_scaled(src, dst, (_TARGET_OF_PERM[perm],))[1]
     return hit and AffineMap.from_scaled(*hit[1])
 
 
-def realized_cases(src: Triangle, dst: Triangle) -> str:
-    """The cases (letters in CORRESPONDENCES order) of the correspondences
-    realized by a unit map: one pass, and no map built.  When dst is src,
-    the pass tests five: case "a" holds untested, with numerators det, 0,
-    0, det."""
-    if dst is src:
-        return "a" + _solve_scaled(src, src, _SELF_TARGETS, False)
-    return _solve_scaled(src, dst, _TARGETS, False)
+def realized_cases(tri: Triangle) -> str:
+    """The cases (letters in CORRESPONDENCES order) of the
+    self-correspondences of tri realized by a unit map: the pass over
+    _SELF_TARGETS, after case "a", which holds untested with numerators
+    det, 0, 0, det."""
+    return "a" + _solve_scaled(tri, tri, _SELF_TARGETS)[0]
 
 
 def oracle_isomorphic(
     src: Triangle, dst: Triangle
-) -> tuple[Correspondence, AffineMap] | None:
-    """First correspondence (in the fixed order) realized by a unit map,
-    with that map: the pass stops there, leaving the later correspondences
-    untested.  A value that is not a Triangle raises TypeError."""
+) -> tuple[str, Correspondence, AffineMap] | None:
+    """Every correspondence realized by a unit map, and the first of them
+    with its map: (cases, corr, witness), cases the letters in
+    CORRESPONDENCES order and corr the first of them, or None when none is
+    realized.  The pass tests all six.  A value that is not a Triangle
+    raises TypeError."""
     require(src, Triangle, "src")
     require(dst, Triangle, "dst")
-    hit = _solve_scaled(src, dst, _TARGETS, True)
-    return hit and (hit[0], AffineMap.from_scaled(*hit[1]))
+    cases, first = _solve_scaled(src, dst, _TARGETS)
+    return first and (cases, first[0], AffineMap.from_scaled(*first[1]))

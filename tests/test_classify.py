@@ -233,21 +233,52 @@ def test_lying_oracle_raises_inconsistency_both_ways(monkeypatch):
     with pytest.raises(InconsistencyError):
         isomorphic(Hat(1, 3, 5).triangle(), Hat(5, 15, 1).triangle())
     monkeypatch.setattr(classify, "oracle_isomorphic",
-                        lambda t1, t2: (CORRESPONDENCES[0], IDENTITY))
+                        lambda t1, t2: ("a", CORRESPONDENCES[0], IDENTITY))
     with pytest.raises(InconsistencyError):
         isomorphic(Hat(3, 27, 21).triangle(), Hat(39, 27, 21).triangle())
     assert cli.run(["iso", "T 3 27 21", "T 39 27 21"]) == 5
 
 
 def test_an_oracle_hit_under_another_case_raises_inconsistency(monkeypatch):
-    # the oracle's real first hit from Hat(1, 3, 5) to Hat(5, 15, 1) is case
-    # "c"; the same witness reported under case "a" agrees on existence only
+    # the oracle's real hits from Hat(1, 3, 5) to Hat(5, 15, 1) are cases
+    # "c" and "d"; the first witness reported under case "a" agrees on
+    # existence only
     t1, t2 = Hat(1, 3, 5).triangle(), Hat(5, 15, 1).triangle()
-    corr, witness = oracle_isomorphic(t1, t2)
-    assert corr.case == "c" and isomorphic(t1, t2).case == "c"
+    cases, corr, witness = oracle_isomorphic(t1, t2)
+    assert (cases, corr.case) == ("cd", "c") and isomorphic(t1, t2).case == "c"
     monkeypatch.setattr(classify, "oracle_isomorphic",
-                        lambda t1, t2: (CORRESPONDENCES[0], witness))
-    with pytest.raises(InconsistencyError, match=r"case c, oracle True \(case a\)"):
+                        lambda t1, t2: ("a", CORRESPONDENCES[0], witness))
+    with pytest.raises(InconsistencyError, match=r"cases \['c', 'd'\], oracle cases \['a'\]$"):
+        isomorphic(t1, t2)
+    assert cli.run(["iso", "T 1 3 5", "T 5 15 1"]) == 5
+
+
+def _without_d(found):
+    """A route's answer with case "d" dropped: only the second letter of a
+    pair realized by "c" and "d" changes."""
+    return found.replace("d", "")
+
+
+def test_a_case_route_that_drops_a_second_letter_raises_inconsistency(monkeypatch):
+    # "c" and "d" both hold, so the first letter and the verdict are unchanged
+    t1, t2 = Hat(1, 3, 5).triangle(), Hat(5, 15, 1).triangle()
+    real = classify.iso_case
+    monkeypatch.setattr(classify, "iso_case", lambda h1, h2: _without_d(real(h1, h2)))
+    with pytest.raises(InconsistencyError, match=r"cases \['c'\], oracle cases \['c', 'd'\]$"):
+        isomorphic(t1, t2)
+    assert cli.run(["iso", "T 1 3 5", "T 5 15 1"]) == 5
+
+
+def test_an_oracle_that_drops_a_second_letter_raises_inconsistency(monkeypatch):
+    t1, t2 = Hat(1, 3, 5).triangle(), Hat(5, 15, 1).triangle()
+    real = classify.oracle_isomorphic
+
+    def lying(t1, t2):
+        cases, corr, witness = real(t1, t2)
+        return _without_d(cases), corr, witness
+
+    monkeypatch.setattr(classify, "oracle_isomorphic", lying)
+    with pytest.raises(InconsistencyError, match=r"cases \['c', 'd'\], oracle cases \['c'\]$"):
         isomorphic(t1, t2)
     assert cli.run(["iso", "T 1 3 5", "T 5 15 1"]) == 5
 
@@ -271,7 +302,7 @@ def test_a_faulty_reduction_is_caught_by_the_oracle(monkeypatch):
     t1, t2 = map(parse_shape, line.split("|"))
     assert isomorphic(t1, t2).isomorphic
     monkeypatch.setattr(hats, "_edge_hats", _edge_hats_without_the_two_adic_step)
-    with pytest.raises(InconsistencyError, match="oracle True"):
+    with pytest.raises(InconsistencyError, match=r"cases \[\], oracle cases \['e'\]$"):
         isomorphic(t1, t2)
 
 
@@ -699,8 +730,8 @@ def test_census_builds_no_dyadic_rational_and_skips_only_the_identity(monkeypatc
     letters = []
     realized = classify.realized_cases
 
-    def counted_cases(src, dst):
-        found = realized(src, dst)
+    def counted_cases(tri):
+        found = realized(tri)
         letters.extend(found)
         return found
 
@@ -772,8 +803,9 @@ def test_results_on_the_15_grid_are_unchanged():
                     digest.update(repr(automorphism_group(hat)).encode())
                 image = transformed(t, tutil.rand_unit_map(rng))
                 shuffled = Triangle(tuple(rng.sample(image.vertices, 3)))
-                digest.update(repr(oracle_isomorphic(t, shuffled)).encode())
-                digest.update(repr(oracle_isomorphic(shuffled, t)).encode())
+                for found in (oracle_isomorphic(t, shuffled), oracle_isomorphic(shuffled, t)):
+                    # the first hit and its map, the part that was pinned
+                    digest.update(repr(found and found[1:]).encode())
     digest.update(repr(census(15, 15)).encode())
     assert digest.hexdigest() == GRID_DIGEST
 
@@ -808,16 +840,26 @@ def test_census_workers_are_bounded_by_cpus(monkeypatch):
             super().__init__(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
-    monkeypatch.setattr(classify.os, "cpu_count", lambda: 2)
+    # raising=False: a platform without the affinity call gets it here
+    monkeypatch.setattr(classify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     serial = census(3, 3)
     assert pools == []
     assert census(3, 3, workers=10**6) == serial
     assert pools == [2]
     # one cell, or one CPU, leaves nothing to share: no pool at all
     assert census(1, 1, workers=10**6) == census(1, 1)
-    monkeypatch.setattr(classify.os, "cpu_count", lambda: None)
+    # the CPUs the process may use count, not the machine's
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(classify.os, "sched_getaffinity", lambda pid: {0})
     assert census(3, 3, workers=10**6) == serial
     assert pools == [2]
+    # with no affinity call, the machine's count, or one CPU when it is unknown
+    monkeypatch.delattr(classify.os, "sched_getaffinity")
+    assert census(3, 3, workers=10**6) == serial
+    assert pools == [2, 2]
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: None)
+    assert census(3, 3, workers=10**6) == serial
+    assert pools == [2, 2]
 
 
 # ------------------------------------ integer boundary and route independence

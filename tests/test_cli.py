@@ -689,7 +689,7 @@ def test_cli_output_is_unchanged(tmp_path, monkeypatch, capsys):
     # render writes a relative path, so the path it prints does not depend
     # on the test's directory; --par 2 gets two workers even on a one-CPU host
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     digests = {}
     for name, (calls, record, _) in _PINS.items():
         digest = hashlib.sha256()
@@ -1022,7 +1022,7 @@ def test_pooled_census_loads_the_pool_and_matches_serial():
         "import json, os, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "from dyhat.classify import census\n"
-        "os.cpu_count = lambda: 2  # two workers even on a one-CPU host\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}  # two workers on one CPU\n"
         "serial = census(3, 3)\n"
         "before = 'concurrent.futures.process' in sys.modules\n"
         "pooled = census(3, 3, workers=2)\n"
@@ -1108,15 +1108,24 @@ def test_normalize_without_a_witness_exits_5(capsys, monkeypatch):
 
 
 def test_inconsistency_survives_optimized_mode():
-    # python -O strips assert statements; the cross-checks must still fire
+    # python -O strips assert statements; the cross-checks must still fire:
+    # the group check on aut, and the every-letter check on iso, where a
+    # case route that drops "d" keeps the verdict and the first letter "c"
     script = (
         "import sys, dyhat.classify, dyhat.cli\n"
+        "real = dyhat.classify.iso_case\n"
         "dyhat.classify.iso_case = lambda h1, h2: 'ab'\n"
         "try:\n"
         "    dyhat.classify.automorphism_group(dyhat.Hat(1, 9, 5))\n"
         "except dyhat.errors.InconsistencyError:\n"
         "    print('raised')\n"
-        "sys.exit(dyhat.cli.run(['aut', '1', '9', '5']))\n"
+        "print(dyhat.cli.run(['aut', '1', '9', '5']))\n"
+        "dyhat.classify.iso_case = lambda h1, h2: real(h1, h2).replace('d', '')\n"
+        "try:\n"
+        "    dyhat.isomorphic(dyhat.Hat(1, 3, 5).triangle(), dyhat.Hat(5, 15, 1).triangle())\n"
+        "except dyhat.errors.InconsistencyError:\n"
+        "    print('raised')\n"
+        "print(dyhat.cli.run(['iso', 'T 1 3 5', 'T 5 15 1']))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script],
@@ -1124,6 +1133,7 @@ def test_inconsistency_survives_optimized_mode():
         text=True,
         env=_child_env(),
     )
-    assert proc.returncode == 5, proc.stderr
-    assert proc.stdout.strip() == "raised"
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised", "5", "raised", "5"]
     assert "criteria and oracle disagree" in proc.stderr
+    assert "isomorphism routes disagree" in proc.stderr

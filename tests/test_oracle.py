@@ -135,18 +135,19 @@ def test_oracle_isomorphic_refuses_a_value_that_is_not_a_triangle():
             oracle_isomorphic(t, value)
 
 
-def test_oracle_isomorphic_stops_at_the_first_hit(monkeypatch):
+def test_oracle_isomorphic_tests_every_correspondence(monkeypatch):
     tested, hits = tutil.counted_pass(monkeypatch)
-    # a pair realized by case "a" tests one correspondence, and yields it
+    # a pair realized by cases "a" and "b" tests all six, yields both, and
+    # maps by the first
     src, dst = Hat(1, 3, 5).triangle(), Hat(7, 3, 5).triangle()
-    assert oracle_isomorphic(src, dst)[0].case == "a"
-    assert tested == [(src, dst, (0, 1, 2))]
-    assert len(hits) == 1
-    # a pair realized first by case "c" tests a, b and c
+    assert oracle_isomorphic(src, dst) == ("ab", CORRESPONDENCES[0], affine(1, 2, 0, 1, 0, 0))
+    assert tested == [(src, dst, c.perm) for c in CORRESPONDENCES]
+    assert hits == ["a", "b"]
+    # a pair realized by cases "c" and "d" tests all six too
     tested.clear()
     other = Hat(5, 15, 1).triangle()
-    assert oracle_isomorphic(src, other)[0].case == "c"
-    assert [perm for _, _, perm in tested] == [(0, 1, 2), (2, 1, 0), (0, 2, 1)]
+    assert oracle_isomorphic(src, other) == ("cd", CORRESPONDENCES[2], affine(1, 0, 3, -1, 0, 0))
+    assert [perm for _, _, perm in tested] == [c.perm for c in CORRESPONDENCES]
     # odd parts 3 and 1 differ: the pass refuses the pair and tests none
     tested.clear()
     hits.clear()
@@ -158,15 +159,17 @@ def test_oracle_isomorphic_stops_at_the_first_hit(monkeypatch):
 
 
 def _assert_the_pass_agrees(src, dst):
-    """realized_cases, oracle_isomorphic and six solve_correspondence calls
-    give the same answers as the Fraction reference."""
+    """oracle_isomorphic (every case and the first hit's map), realized_cases
+    when dst is src, and six solve_correspondence calls give the same
+    answers as the Fraction reference."""
     want = {
         corr: fraction_solve(src, dst, corr.perm) for corr in CORRESPONDENCES
     }
     hits = [(corr, f) for corr, f in want.items() if f is not None]
     want_cases = "".join(corr.case for corr, _ in hits)
-    assert realized_cases(src, dst) == want_cases
-    assert oracle_isomorphic(src, dst) == (hits[0] if hits else None)
+    if src is dst:
+        assert realized_cases(src) == want_cases
+    assert oracle_isomorphic(src, dst) == ((want_cases, *hits[0]) if hits else None)
     for corr, f in want.items():
         assert solve_correspondence(src, dst, corr.perm) == f, corr
     return want_cases
@@ -200,12 +203,12 @@ def test_the_pass_agrees_with_the_reference_on_large_triangles(t, f, other, orde
 
 
 def _assert_the_untested_identity_holds(t):
-    """realized_cases of t and itself, where the identity is taken as held,
-    equals the full six-entry pass onto a distinct copy of t."""
+    """realized_cases of t, where the identity is taken as held, equals the
+    cases of the full six-entry pass onto a distinct copy of t."""
     copy = Triangle.from_scaled(*t.scaled_coords())
     assert copy is not t and copy == t
-    found = realized_cases(t, t)
-    assert found == realized_cases(t, copy)
+    found = realized_cases(t)
+    assert found == oracle_isomorphic(t, copy)[0]
     assert found.startswith("a")
 
 
@@ -224,7 +227,8 @@ def test_the_untested_identity_holds_on_large_and_huge_triangles(t):
 def test_oracle_isomorphic_reports_first_case():
     found = oracle_isomorphic(Hat(1, 3, 5).triangle(), Hat(7, 3, 5).triangle())
     assert found is not None
-    corr, witness = found
+    cases, corr, witness = found
+    assert cases == "ab"
     assert corr == Correspondence("a", (0, 1, 2))
     assert witness == affine(1, 2, 0, 1, 0, 0)
     assert oracle_isomorphic(Hat(1, 1, 1).triangle(), Hat(1, 3, 1).triangle()) is None
@@ -234,8 +238,8 @@ def test_oracle_isomorphic_reports_first_case():
 def test_oracle_accepts_unit_images(t, f):
     found = oracle_isomorphic(t, transformed(t, f))
     assert found is not None
-    corr, witness = found
-    assert corr.case == "a"
+    cases, corr, witness = found
+    assert corr.case == "a" and cases.startswith("a")
     assert witness == f
 
 

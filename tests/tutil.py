@@ -111,27 +111,22 @@ def fraction_inverse(f, tri):
 
 def counted_pass(monkeypatch):
     """Patch oracle._solve_scaled to record each correspondence that a pass
-    tests, as (src, dst, perm), and each hit it returns: the correspondence
-    of a witness hit, or each letter of the cases a map-free pass returns.
+    tests, as (src, dst, perm), and each letter of the cases it returns.
     An entry counts as tested when the pass takes it from its targets, so
-    an entry left after the pass returns a witness, or a pass that refuses
-    the pair, counts none."""
+    a pass that refuses the pair counts none."""
     from dyhat import oracle
 
     tested, hits = [], []
     solve = oracle._solve_scaled
 
-    def counted(src, dst, targets, witness):
+    def counted(src, dst, targets):
         def taken():
             for entry in targets:
                 tested.append((src, dst, entry[0].perm))
                 yield entry
 
-        found = solve(src, dst, taken(), witness)
-        if not witness:
-            hits.extend(found)
-        elif found:
-            hits.append(found[0])
+        found = solve(src, dst, taken())
+        hits.extend(found[0])
         return found
 
     monkeypatch.setattr(oracle, "_solve_scaled", counted)
