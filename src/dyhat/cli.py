@@ -368,6 +368,12 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exit_:  # argparse handles usage errors and --help
         return int(exit_.code or 0)
+    # a hat parameter or map entry from literals within MAX_LITERAL_DIGITS
+    # can pass the 4,300 digits that int-to-str allows by default, so the
+    # command prints without that limit; _bounded_int caps what it reads
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except DomainError as err:
@@ -376,6 +382,9 @@ def run(argv: list[str] | None = None) -> int:
     except InconsistencyError as err:
         print(f"internal inconsistency: {err}", file=sys.stderr)
         return 5
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

@@ -141,7 +141,13 @@ def role_triples(tri: Triangle) -> tuple[tuple[int, int, int], ...]:
     (ax, ay) from vertex 0 to vertex 1 and (bx, by) from vertex 0 to vertex
     2 once: twice the area is their determinant, and each order's base and
     apex relative to o are made of them (from vertex 1, vertex 2 lies at
-    (bx - ax, by - ay) and vertex 0 at (-ax, -ay)).  The base
+    (bx - ax, by - ay) and vertex 0 at (-ax, -ay)).  When twice the area
+    is even, the powers of two that both x parts share, 2**k, and that both
+    y parts share, 2**l, are divided out first: diag(2**-k, 2**-l) is a
+    unit map, so every order's triple is unchanged, and 2**(k+l) divides
+    twice the area, so its odd part is too; the inverses below then run
+    on smaller integers.  An odd area shares no factor of two, and every
+    hat's is odd, so a census pays one test for this.  The base
     (A, B) from o to b has gcd g = m * 2**v, m odd, and Bezout row (s, t):
     j is the odd part of twice the area over m, and i the residue
     r = (s*p + t*q) / 2**v mod j of the apex (p, q) relative to o, lifted
@@ -158,7 +164,12 @@ def role_triples(tri: Triangle) -> tuple[tuple[int, int, int], ...]:
     (x0, y0, x1, y1, x2, y2), _ = tri.scaled_coords()
     ax, ay, bx, by = x1 - x0, y1 - y0, x2 - x0, y2 - y0
     twice = abs(ax * by - ay * bx)
-    odd = twice >> ((twice & -twice).bit_length() - 1)
+    w = (twice & -twice).bit_length() - 1
+    odd = twice >> w
+    if w:
+        k, l = ax | bx, ay | by
+        k, l = (k & -k).bit_length() - 1, (l & -l).bit_length() - 1
+        ax, bx, ay, by = ax >> k, bx >> k, ay >> l, by >> l
     h012, h210 = _edge_hats(odd, bx, by, ax, ay)
     h021, h120 = _edge_hats(odd, ax, ay, bx, by)
     h102, h201 = _edge_hats(odd, bx - ax, by - ay, -ax, -ay)

@@ -48,7 +48,6 @@ from reference import (
     boundary_types_equivalent,
     closed_form_triples,
     criteria_row,
-    egcd,
     fraction_solve,
     hat_by_inverse,
     iso_case_by_congruence,
@@ -283,25 +282,31 @@ def test_an_oracle_that_drops_a_second_letter_raises_inconsistency(monkeypatch):
     assert cli.run(["iso", "T 1 3 5", "T 5 15 1"]) == 5
 
 
-def _edge_hats_without_the_two_adic_step(odd, A, B, p, q):
-    """hats._edge_hats with the division by 2**v left out: a faulty
-    reduction that all three criteria routes read."""
-    g, s, t = egcd(A, B)
-    m = g >> val2(g)
-    j = odd // m
-    r = (s * p + t * q) % j
-    back = (m - r) % j
-    return (r if r % 2 else r + j, j, m), (back if back % 2 else back + j, j, m)
+def _role_triples_with_a_wrong_strip(tri):
+    """hats.role_triples with the y parts divided by the power of two that
+    the x parts share, not by their own: a faulty reduction that all three
+    criteria routes read."""
+    (x0, y0, x1, y1, x2, y2), _ = tri.scaled_coords()
+    ax, ay, bx, by = x1 - x0, y1 - y0, x2 - x0, y2 - y0
+    odd = abs(ax * by - ay * bx)
+    odd >>= val2(odd)
+    k = val2(math.gcd(ax, bx))
+    ax, bx, ay, by = ax >> k, bx >> k, ay >> k, by >> k
+    h012, h210 = hats._edge_hats(odd, bx, by, ax, ay)
+    h021, h120 = hats._edge_hats(odd, ax, ay, bx, by)
+    h102, h201 = hats._edge_hats(odd, bx - ax, by - ay, -ax, -ay)
+    return h012, h021, h102, h120, h201, h210
 
 
 def test_a_faulty_reduction_is_caught_by_the_oracle(monkeypatch):
-    """Line 9 of the pinned large pairs is isomorphic, and its edges have
-    v > 0: without the 2-adic step the three criteria routes agree on "not
+    """Line 9 of the pinned large pairs is isomorphic, and the x and y
+    parts of its triangles share different powers of two: with the y parts
+    stripped by the x parts' power, the three criteria routes agree on "not
     isomorphic", and the oracle, which sees every verdict, refutes them."""
     line = (FIXTURES / "iso_large_pairs.txt").read_text(encoding="utf-8").splitlines()[8]
     t1, t2 = map(parse_shape, line.split("|"))
     assert isomorphic(t1, t2).isomorphic
-    monkeypatch.setattr(hats, "_edge_hats", _edge_hats_without_the_two_adic_step)
+    monkeypatch.setattr(classify, "role_triples", _role_triples_with_a_wrong_strip)
     with pytest.raises(InconsistencyError, match=r"cases \[\], oracle cases \['e'\]$"):
         isomorphic(t1, t2)
 
@@ -436,11 +441,12 @@ def test_verdicts_cases_and_witnesses_on_large_pairs_are_unchanged():
 
 
 def test_isomorphic_takes_an_odd_modulus_inverse_only_in_the_reduction(monkeypatch):
-    """One large pair whose edges have v > 0 and whose case exchanges roles:
-    the six inverses modulo a number that is not a power of two are the
-    Bezout rows of hats._edge_hats, one per edge of each triangle, the six
-    others are its 2-adic steps, modulo powers of two, and classify and
-    dyadic take none."""
+    """One large pair whose case exchanges roles, each triangle with an edge
+    that has v > 0 after role_triples divides out the powers of two that
+    each axis shares: the six inverses modulo a number that is not a power
+    of two are the Bezout rows of hats._edge_hats, one per stripped edge of
+    each triangle, the others are its 2-adic steps, modulo powers of two,
+    one per stripped edge with v > 0, and classify and dyadic take none."""
     calls = {}
     for module in (dyadic, hats, classify):
         def spy(*args, seen=calls.setdefault(module.__name__, [])):
@@ -448,25 +454,32 @@ def test_isomorphic_takes_an_odd_modulus_inverse_only_in_the_reduction(monkeypat
             return pow(*args)
 
         monkeypatch.setattr(module, "pow", spy, raising=False)
-    t1, t2 = tutil.large_iso_pairs(random.Random(33), 8)[7]
-    # on the bases of role_triples, the edges 0-2, 0-1 and 1-2, v > 0, and
-    # the Bezout row inverts modulo |y / gcd|, which is not a power of two
-    bases = []
+    t1, t2 = tutil.large_iso_pairs(random.Random(307), 5)[4]
+    # on the stripped bases of role_triples, the edges 0-2, 0-1 and 1-2, the
+    # Bezout row inverts modulo |y / gcd|, which is not a power of two
+    bases, steps = [], []
     for t in (t1, t2):
-        n, _ = t.scaled_coords()
-        for o, a, b in [(0, 1, 2), (0, 2, 1), (1, 0, 2)]:
-            x, y = n[2 * b] - n[2 * o], n[2 * b + 1] - n[2 * o + 1]
-            y //= math.gcd(x, y)
-            assert hat_by_inverse(t, (o, a, b))[1] > 0 and abs(y) & (abs(y) - 1)
-            bases.append(abs(y))
+        (x0, y0, x1, y1, x2, y2), _ = t.scaled_coords()
+        ax, ay, bx, by = x1 - x0, y1 - y0, x2 - x0, y2 - y0
+        assert val2(ax * by - ay * bx) > 0
+        k, l = val2(math.gcd(ax, bx)), val2(math.gcd(ay, by))
+        ax, ay, bx, by = ax >> k, ay >> l, bx >> k, by >> l
+        vs = []
+        for x, y in [(bx, by), (ax, ay), (bx - ax, by - ay)]:
+            g = math.gcd(x, y)
+            assert abs(y // g) & (abs(y // g) - 1)
+            bases.append(abs(y // g))
+            vs.append(val2(g))
+        assert any(vs)
+        steps += [v for v in vs if v]
     for seen in calls.values():
         seen.clear()
     assert isomorphic(t1, t2).case in ("e", "f")
     inverses = [(name, args) for name, seen in calls.items() for args in seen if args[1] < 0]
     odd = [(name, modulus) for name, (_, _, modulus) in inverses if modulus & (modulus - 1)]
     assert odd == [("dyhat.hats", modulus) for modulus in bases]
-    two = [name for name, (_, _, modulus) in inverses if not modulus & (modulus - 1)]
-    assert two == ["dyhat.hats"] * 6
+    two = [(name, modulus) for name, (_, _, modulus) in inverses if not modulus & (modulus - 1)]
+    assert two == [("dyhat.hats", 1 << v) for v in steps]
     assert calls["dyhat.classify"] == []
     assert [args for args in calls["dyhat.dyadic"] if args[1] < 0] == []
 

@@ -450,6 +450,31 @@ def test_normalize_json_round_trips(capsys):
         assert apply(witness, t.vertices[roles[2]]) == Point2(D(h.m), D(0))
 
 
+def test_normalize_prints_hat_parameters_past_the_str_digit_limit(capsys):
+    """A triangle within the literal caps whose largest hat parameter has
+    4,466 digits, past the 4,300 that int-to-str allows by default: each
+    output prints it, and the limit is lifted for the command alone."""
+    n, m, k = "9" * 1000, "7" * 999 + "1", "3" * 1000
+    literal = f"0,0 {n}/2^4096,{m} {k},-{n}/2^4096"
+    triples = dyhat.hats.role_triples(parse_triangle(literal))
+    assert max(x.bit_length() for t in triples for x in t) > 4300 * math.log2(10)
+    limit = sys.get_int_max_str_digits()
+    outputs = {}
+    for flag in ("", "--json", "--quiet"):
+        assert run(["normalize", *filter(None, [flag]), literal]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        outputs[flag] = capsys.readouterr().out
+    sys.set_int_max_str_digits(0)
+    try:
+        for flag in ("", "--quiet"):
+            read = [tuple(map(int, line.split()[2:5])) for line in outputs[flag].splitlines()]
+            assert tuple(read) == triples, flag
+        results = json.loads(outputs["--json"])["results"]
+        assert tuple(tuple(entry["triple"]) for entry in results) == triples
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # ---------------------------------------------------------------- census
 
 

@@ -310,9 +310,26 @@ def test_two_adic_division_matches_the_inverse_on_large_pairs():
 @example(Triangle.of((0, 0), (3, 5), (8, 0)))
 @example(Triangle.of((8, 0), (3, 5), (0, 0)))
 @example(Triangle.of((0, 0), (7, 3), (0, -12)))
-@example(Triangle.of((0, 0), (2, 9), (14, 2)))
+@example(Triangle.of((0, 0), (3, 5), (7, 1)))
 def test_two_adic_division_matches_the_inverse_on_huge_triangles(t):
     _check_against_the_inverse(t)
+
+
+@given(tutil.huge_triangles, st.integers(0, 300), st.integers(0, 300))
+# edge vectors whose x parts alone share a factor of two, whose y parts
+# alone do, whose x and y parts both do, and neither, with an even area
+@example(Triangle.of((0, 0), (2, 1), (4, 5)), 0, 0)
+@example(Triangle.of((0, 0), (1, 2), (5, 4)), 0, 0)
+@example(Triangle.of((1, 1), (3, 5), (7, 5)), 0, 0)
+@example(Triangle.of((0, 0), (3, 1), (1, 3)), 0, 0)
+@example(Triangle.of((1, 1), (3, 5), (7, 5)), 7, 2)
+def test_role_triples_are_unchanged_by_a_power_of_two_on_each_axis(t, a, b):
+    """The image of t under diag(2**a, 2**b), a unit map, has t's triples,
+    and both agree with reference.hat_by_inverse, which strips nothing."""
+    (x0, y0, x1, y1, x2, y2), e = t.scaled_coords()
+    image = Triangle.from_scaled((x0 << a, y0 << b, x1 << a, y1 << b, x2 << a, y2 << b), e)
+    assert role_triples(image) == role_triples(t)
+    _check_against_the_inverse(image)
 
 
 def test_normalize_raises_when_no_witness_exists(monkeypatch):
