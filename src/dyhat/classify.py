@@ -12,17 +12,21 @@ decision: its three criteria routes must agree, and the oracle must realize
 exactly the cases that iso_case finds between the triangles' hats, every
 letter and not just the first.  _self_cases is the one group check:
 iso_case(h, h), the table lookup, and the comparison with the oracle's
-realized cases.
-automorphism_group runs it and then has the oracle build a witness map for
-each of the group's own cases; a census cell builds each hat's triangle
-once and runs it alone, so a census builds no witness map.  The cell also
+realized cases on the triangle's stored (integers, exponent) pair.
+automorphism_group runs it on tri.scaled_coords() and then has the oracle
+build a witness map for each of the group's own cases; a census cell runs
+it alone, so a census builds no witness map.  The cell builds no Hat or
+Triangle per hat: it writes the pair ((0, 0, i, j, m, 0), 0) that
+Hat(i, j, m).triangle() stores and hands it to the reduction
+(hats.scaled_role_triples) and to the oracle's self pass, and builds a Hat
+only to name the hat in an error.  The pair is input to both, not data
+that either computes, so each still checks the other.  The cell also
 checks its reduction against the oracle: each non-identity case that the
 oracle realizes on a hat must carry the hat's role triples onto themselves
 (_ROLE_SHIFTS), so a reduction that permutes its six entries raises
 InconsistencyError.  With CensusRow.ok, which adds the pointed count and
 the orbit identity, the blocks of equal role triples are then the cosets of
-that group.  The cell builds its hats without Hat's checks, which its
-ranges meet.  A cell counts isomorphism classes as distinct orbits, the
+that group.  A cell counts isomorphism classes as distinct orbits, the
 sets of role triples that its hats' reductions return: two hats have the
 same least (canonical) triple exactly when they have the same orbit.  The
 results (AutGroup, IsoResult, CensusRow, CensusReport) are dyadic.Record
@@ -40,7 +44,9 @@ from operator import itemgetter
 from .dyadic import Record
 from .errors import InconsistencyError, InvalidBounds, InvalidHat, require
 from .geometry import Triangle
-from .hats import CANONICAL_KEY, ROLE_ORDERS, Hat, check_odd_positive, role_triples
+from .hats import (
+    CANONICAL_KEY, ROLE_ORDERS, Hat, check_odd_positive, role_triples, scaled_role_triples,
+)
 from .oracle import (
     CORRESPONDENCES,
     oracle_isomorphic,
@@ -92,19 +98,21 @@ class AutGroup(Record, namedtuple("AutGroup", "tag witnesses")):
         return GROUP_ORDER[self.tag]
 
 
-def _self_cases(h: Hat, tri: Triangle) -> str:
+def _self_cases(h: tuple[int, int, int], scaled: tuple[tuple[int, ...], int]) -> str:
     """The cases that iso_case finds between h and itself, checked: they
     must key a row of _GROUP_OF_CASES, and the oracle must realize exactly
-    those self-correspondences of tri, h's triangle.  Builds no map."""
+    those self-correspondences of scaled, the stored pair of h's triangle.
+    h is a Hat or its plain (i, j, m); a message names it as a Hat.  Builds
+    no map."""
     cases = iso_case(h, h)
     if cases not in _GROUP_OF_CASES:
         raise InconsistencyError(
-            f"cases {cases!r} of {h} and itself give no subgroup of S3"
+            f"cases {cases!r} of {Hat(*h)} and itself give no subgroup of S3"
         )
-    found = realized_cases(tri)
+    found = realized_cases(scaled)
     if found != cases:
         raise InconsistencyError(
-            f"criteria and oracle disagree on {h}: criteria {list(cases)}, "
+            f"criteria and oracle disagree on {Hat(*h)}: criteria {list(cases)}, "
             f"oracle {list(found)}"
         )
     return cases
@@ -124,7 +132,7 @@ def automorphism_group(h: Hat) -> AutGroup:
     if not h.is_representative:
         raise InvalidHat(f"criteria require a representative hat (odd i), got i={h.i}")
     tri = h.triangle()
-    cases = _self_cases(h, tri)
+    cases = _self_cases(h, tri.scaled_coords())
     return AutGroup(_GROUP_OF_CASES[cases], tuple(
         (perm_label(corr.perm), solve_correspondence(tri, tri, corr.perm))
         for corr in CORRESPONDENCES
@@ -239,29 +247,30 @@ class CensusReport(Record, namedtuple("CensusReport", "j_max m_max rows")):
 
 
 def _census_cell(cell: tuple[int, int]) -> CensusRow:
-    """One (j, m) work unit: every hat with i odd in 1..2j-1."""
+    """One (j, m) work unit: every hat with i odd in 1..2j-1, checked on
+    the stored pair ((0, 0, i, j, m, 0), 0) that Hat(i, j, m).triangle()
+    would hold, built here by hand: no Hat or Triangle is built unless a
+    check fails, and then only to name the hat."""
     j, m = cell
     pointed: set[tuple[int, int, int]] = set()
     orbits: set[frozenset[tuple[int, int, int]]] = set()
     counts = dict.fromkeys(GROUP_TAGS, 0)
     orbit_ok = True
     for i in range(1, 2 * j, 2):
-        # the ranges make (i, j, m) a valid hat, so Hat's checks are skipped
-        h = tuple.__new__(Hat, (i, j, m))
-        tri = h.triangle()
+        scaled = ((0, 0, i, j, m, 0), 0)
         # run the full pipeline rather than trusting i to be canonical:
         # entry 0 is the identity order's pointed class
-        roles = role_triples(tri)
+        roles = scaled_role_triples(scaled)
         pointed.add(roles[0])
-        cases = _self_cases(h, tri)
+        cases = _self_cases((i, j, m), scaled)
         counts[_GROUP_OF_CASES[cases]] += 1
         # each case the oracle realized must permute the role orders onto
         # orders with the same triples
         for case in cases[1:]:
             if _ROLE_SHIFTS[case](roles) != roles:
                 raise InconsistencyError(
-                    f"reduction and oracle disagree on {h}: case {case} "
-                    f"does not fix its role triples {list(roles)}"
+                    f"reduction and oracle disagree on {Hat(i, j, m)}: case "
+                    f"{case} does not fix its role triples {list(roles)}"
                 )
         # classes are counted as distinct orbits, the sets of role triples:
         # two hats share their least triple exactly when they share that set

@@ -9,15 +9,15 @@ the set of triples over all six role assignments encodes the full class.
 role_triples finds the triples of all six vertex role orders on integers
 alone, in ROLE_ORDERS order with the identity first, and hat_of reads one
 order's entry as a Hat; normalize adds the witness map, which the oracle
-solves.  The reduction reads Triangle.scaled_coords and nothing the oracle
-computes, and the oracle reads nothing the reduction computes, so
-role_triples and the oracle check each other.  Triples are plain ints
-inside the package; records are built at the exports: role_triples
-returns (i, j, m) tuples, and all_encoding_triples and canonical_form
-build an EncodingTriple only for each triple they return.  Hat,
-EncodingTriple and Normalization are dyadic.Record values, so none has an
-order; CANONICAL_KEY states the canonical (j, m, i) order of triples as a
-C-level key.
+solves.  role_triples' body, scaled_role_triples, reads a triangle's
+stored integers (Triangle.scaled_coords) and nothing the oracle computes,
+and the oracle reads nothing the reduction computes, so role_triples and
+the oracle check each other.  Triples are plain ints inside the package;
+records are built at the exports: role_triples returns (i, j, m) tuples,
+and all_encoding_triples and canonical_form build an EncodingTriple only
+for each triple they return.  Hat, EncodingTriple and Normalization are
+dyadic.Record values, so none has an order; CANONICAL_KEY states the
+canonical (j, m, i) order of triples as a C-level key.
 """
 
 from __future__ import annotations
@@ -133,35 +133,44 @@ def _edge_hats(
 def role_triples(tri: Triangle) -> tuple[tuple[int, int, int], ...]:
     """(i, j, m) of the representative hat for each vertex role order, in
     ROLE_ORDERS order: entry 0, the identity order, is the pointed class,
-    the i, j, m of hat_of(tri).
+    the i, j, m of hat_of(tri).  This is scaled_role_triples of the
+    integers that tri stores, for callers that hold a Triangle."""
+    return scaled_role_triples(tri.scaled_coords())
+
+
+def scaled_role_triples(
+    scaled: tuple[tuple[int, ...], int]
+) -> tuple[tuple[int, int, int], ...]:
+    """role_triples of the triangle whose scaled_coords() is scaled, read
+    from those six integers alone: the census enters here, with each hat's
+    ((0, 0, i, j, m, 0), 0) built by hand, and builds no Triangle.
 
     An order (o, a, b) sends vertex o to the origin, a to the apex (i, j)
-    and b to (m, 0).  It reads the integer coordinates the triangle already
-    holds (the common power of two drops out), and takes the edge vectors
-    (ax, ay) from vertex 0 to vertex 1 and (bx, by) from vertex 0 to vertex
-    2 once: twice the area is their determinant, and each order's base and
-    apex relative to o are made of them (from vertex 1, vertex 2 lies at
-    (bx - ax, by - ay) and vertex 0 at (-ax, -ay)).  When twice the area
-    is even, the powers of two that both x parts share, 2**k, and that both
-    y parts share, 2**l, are divided out first: diag(2**-k, 2**-l) is a
-    unit map, so every order's triple is unchanged, and 2**(k+l) divides
-    twice the area, so its odd part is too; the inverses below then run
-    on smaller integers.  An odd area shares no factor of two, and every
-    hat's is odd, so a census pays one test for this.  The base
-    (A, B) from o to b has gcd g = m * 2**v, m odd, and Bezout row (s, t):
-    j is the odd part of twice the area over m, and i the residue
-    r = (s*p + t*q) / 2**v mod j of the apex (p, q) relative to o, lifted
-    to an odd residue mod 2j.  The division by 2**v is a 2-adic step, run
-    only when v > 0 (_edge_hats).  Any Bezout row gives the same r, since
-    another row moves s*p + t*q by a multiple of twice the area over g,
-    which is +-j * 2**w.
+    and b to (m, 0).  It reads the integer coordinates (the common power of
+    two drops out), and takes the edge vectors (ax, ay) from vertex 0 to
+    vertex 1 and (bx, by) from vertex 0 to vertex 2 once: twice the area
+    is their determinant, and each order's base and apex relative to o are
+    made of them (from vertex 1, vertex 2 lies at (bx - ax, by - ay) and
+    vertex 0 at (-ax, -ay)).  When twice the area is even, the powers of
+    two that both x parts share, 2**k, and that both y parts share, 2**l,
+    are divided out first: diag(2**-k, 2**-l) is a unit map, so every
+    order's triple is unchanged, and 2**(k+l) divides twice the area, so
+    its odd part is too; the inverses below then run on smaller integers.
+    An odd area shares no factor of two, and every hat's is odd, so a
+    census pays one test for this.  The base (A, B) from o to b has gcd
+    g = m * 2**v, m odd, and Bezout row (s, t): j is the odd part of twice
+    the area over m, and i the residue r = (s*p + t*q) / 2**v mod j of the
+    apex (p, q) relative to o, lifted to an odd residue mod 2j.  The
+    division by 2**v is a 2-adic step, run only when v > 0 (_edge_hats).
+    Any Bezout row gives the same r, since another row moves s*p + t*q by
+    a multiple of twice the area over g, which is +-j * 2**w.
     The reversed order (b, a, o) has the same apex and the residue
     (m - r) mod j: with the row (-s, -t) of (-A, -B) and the apex taken
     relative to b = o + (A, B), the numerator is s*A + t*B - (s*p + t*q) =
     g - (s*p + t*q).  Each triple is an encoding triple by construction (m
     divides odd, and i is lifted from r in [0, j)), so no record checks it.
     """
-    (x0, y0, x1, y1, x2, y2), _ = tri.scaled_coords()
+    (x0, y0, x1, y1, x2, y2), _ = scaled
     ax, ay, bx, by = x1 - x0, y1 - y0, x2 - x0, y2 - y0
     twice = abs(ax * by - ay * bx)
     w = (twice & -twice).bit_length() - 1

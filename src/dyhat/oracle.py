@@ -4,14 +4,15 @@ Decides whether an affine map carries one triangle onto another by solving
 the vertex correspondence equations with integer Cramer's rule on the
 integer coordinates each Triangle holds: the solved map qualifies when its
 entries are dyadic and its determinant is +-2**k.  _solve_scaled is the
-one Cramer pass, with one mode: it tests every correspondence it is given
-and returns the cases that hold and the first hit's map integers.  Each
-question has one consumer of the pass: realized_cases, which
-self-correspondences of a triangle hold (a census, where the identity
-holds untested, and automorphism_group); oracle_isomorphic, every case
-between two triangles and the first hit's map (isomorphic);
-solve_correspondence, one given correspondence and its map
-(hats.normalize, automorphism_group).  This route shares no logic and no
+one Cramer pass, with one mode: it reads two triangles' stored (integers,
+exponent) pairs, tests every correspondence it is given and returns the
+cases that hold and the first hit's map integers.  Each question has one
+consumer of the pass: realized_cases, which self-correspondences of a
+stored pair hold (a census, which builds each hat's pair by hand and no
+Triangle, and automorphism_group; the identity holds untested);
+oracle_isomorphic, every case between two triangles and the first hit's
+map (isomorphic); solve_correspondence, one given correspondence and its
+map (hats.normalize, automorphism_group).  This route shares no logic and no
 computed data with the number-theoretic criteria or with the hat
 reduction, hats.role_triples, so each side checks the other.
 """
@@ -83,13 +84,14 @@ def vertex_order(order, name: str) -> tuple[int, int, int]:
 
 
 def _solve_scaled(
-    src: Triangle,
-    dst: Triangle,
+    src: tuple[tuple[int, ...], int],
+    dst: tuple[tuple[int, ...], int],
     targets: Iterable[tuple[Correspondence, int, int, int]],
 ):
-    """The Cramer pass: test every entry of targets (entries of _TARGETS, in
-    their order) for whether its unique affine map, sending vertex k of src
-    to vertex perm[k] of dst, is a dyadic unit.  Return (cases, first):
+    """The Cramer pass on two triangles' scaled_coords() pairs, src and dst:
+    test every entry of targets (entries of _TARGETS, in their order) for
+    whether its unique affine map, sending vertex k of src to vertex
+    perm[k] of dst, is a dyadic unit.  Return (cases, first):
     cases, the letters of the entries that are units, in targets order,
     and first, the first such entry's correspondence with that map's
     (linear, translation) integers and exponents, in AffineMap.from_scaled's
@@ -101,14 +103,15 @@ def _solve_scaled(
     With source determinant odd * 2**v, the map is a unit exactly when the
     target's determinant has the odd part +-odd (reordering the target's
     vertices changes only its sign), so a target without it tests no
-    entry; when dst is src, its integers are read and its determinant
-    found once, and the test is skipped.  Valuations are taken inline, as
-    (n & -n).bit_length() - 1.  An entry's map is dyadic exactly when odd
-    divides its four numerators, and they are found and tested one at a
-    time, so that an entry stops at its first numerator that odd does not
-    divide; the map's integers are built for the first hit alone.
+    entry; when dst is src (a Triangle's scaled_coords() is one stored
+    pair, so a triangle and itself qualify), its integers are read and its
+    determinant found once, and the test is skipped.  Valuations are taken
+    inline, as (n & -n).bit_length() - 1.  An entry's map is dyadic exactly
+    when odd divides its four numerators, and they are found and tested one
+    at a time, so that an entry stops at its first numerator that odd does
+    not divide; the map's integers are built for the first hit alone.
     """
-    n, src_exp = src.scaled_coords()
+    n, src_exp = src
     ax, ay, x1, y1, x2, y2 = n
     u1x, u1y, u2x, u2y = x1 - ax, y1 - ay, x2 - ax, y2 - ay
     det = u1x * u2y - u1y * u2x
@@ -116,7 +119,7 @@ def _solve_scaled(
     odd = det >> v
     dst_exp = src_exp
     if dst is not src:
-        n, dst_exp = dst.scaled_coords()
+        n, dst_exp = dst
         det = (n[2] - n[0]) * (n[5] - n[1]) - (n[3] - n[1]) * (n[4] - n[0])
         if det >> ((det & -det).bit_length() - 1) not in (odd, -odd):
             return "", None
@@ -159,16 +162,18 @@ def solve_correspondence(
     over perm's one entry.  A perm that is not one of the six orders of
     (0, 1, 2), iterable or not, raises ValueError (vertex_order)."""
     perm = vertex_order(perm, "perm")
-    hit = _solve_scaled(src, dst, (_TARGET_OF_PERM[perm],))[1]
+    targets = (_TARGET_OF_PERM[perm],)
+    hit = _solve_scaled(src.scaled_coords(), dst.scaled_coords(), targets)[1]
     return hit and AffineMap.from_scaled(*hit[1])
 
 
-def realized_cases(tri: Triangle) -> str:
+def realized_cases(scaled: tuple[tuple[int, ...], int]) -> str:
     """The cases (letters in CORRESPONDENCES order) of the
-    self-correspondences of tri realized by a unit map: the pass over
-    _SELF_TARGETS, after case "a", which holds untested with numerators
-    det, 0, 0, det."""
-    return "a" + _solve_scaled(tri, tri, _SELF_TARGETS)[0]
+    self-correspondences realized by a unit map of the triangle whose
+    scaled_coords() is scaled: the pass over _SELF_TARGETS, after case "a",
+    which holds untested with numerators det, 0, 0, det.  It reads the
+    stored pair alone, so a census passes each hat's by hand."""
+    return "a" + _solve_scaled(scaled, scaled, _SELF_TARGETS)[0]
 
 
 def oracle_isomorphic(
@@ -181,5 +186,5 @@ def oracle_isomorphic(
     raises TypeError."""
     require(src, Triangle, "src")
     require(dst, Triangle, "dst")
-    cases, first = _solve_scaled(src, dst, _TARGETS)
+    cases, first = _solve_scaled(src.scaled_coords(), dst.scaled_coords(), _TARGETS)
     return first and (cases, first[0], AffineMap.from_scaled(*first[1]))

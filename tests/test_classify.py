@@ -576,16 +576,19 @@ def test_one_role_reduction_per_triangle_and_every_route_runs(monkeypatch):
     solves.clear()
     assert not isomorphic(Hat(3, 27, 21).triangle(), Hat(39, 27, 21).triangle()).isomorphic
     assert len(solves) == 1
-    # a census hat is reduced once, and still gets its oracle solves: the
-    # Cramer pass tests each correspondence from its triangle to itself
-    # but the identity, which holds untested
+    # a census hat is reduced once, from its stored pair and not from a
+    # Triangle, and still gets its oracle solves: the Cramer pass tests
+    # each correspondence from that pair to itself but the identity, which
+    # holds untested
     reductions.clear()
+    scaled_reductions = _count_calls(monkeypatch, classify, "scaled_role_triples")
     tested, _ = tutil.counted_pass(monkeypatch)
     assert census(5, 5).ok
-    assert len(reductions) == 27
+    assert reductions == []
+    assert len(scaled_reductions) == 27
     assert len(tested) == 5 * 27
     assert set(tested) == {
-        (t, t, c.perm) for (t,) in reductions for c in CORRESPONDENCES[1:]
+        (s, s, c.perm) for (s,) in scaled_reductions for c in CORRESPONDENCES[1:]
     }
 
 
@@ -688,23 +691,33 @@ def test_isomorphism_classes_of_the_31_grid_by_transitivity():
 
 def test_census_tags_are_the_automorphism_group_tags_on_the_31_grid(monkeypatch):
     # the census decides each hat's group without automorphism_group: it
-    # checks every representative hat once, on that hat's own triangle, and
-    # its tag for each hat, and so each cell's counts, are the reference
-    # criteria's
+    # checks every representative hat once, on the integers that the hat's
+    # own triangle stores, which it builds by hand and hands to both the
+    # reduction and the self pass; its tag for each hat, and so each cell's
+    # counts, are the reference criteria's
     checked = {}
+    reduced = []
     self_cases = classify._self_cases
+    reduce = classify.scaled_role_triples
 
-    def recorded(h, tri):
-        assert h not in checked and tri == h.triangle(), h
-        cases = self_cases(h, tri)
+    def recorded(h, scaled):
+        h = Hat(*h)
+        assert h not in checked and scaled == h.triangle().scaled_coords(), h
+        assert scaled is reduced[-1], h
+        cases = self_cases(h, scaled)
         checked[h] = classify._GROUP_OF_CASES[cases]
         return cases
 
+    def recorded_reduction(scaled):
+        reduced.append(scaled)
+        return reduce(scaled)
+
     monkeypatch.setattr(classify, "_self_cases", recorded)
+    monkeypatch.setattr(classify, "scaled_role_triples", recorded_reduction)
     report = census(31, 31)
     monkeypatch.undo()
     assert report.ok
-    assert len(checked) == 4096
+    assert len(checked) == len(reduced) == 4096
     by_cell = {(row.j, row.m): Counter() for row in report.rows}
     for h, tag in checked.items():
         assert h.is_representative and 0 < h.i < 2 * h.j, h
@@ -739,32 +752,35 @@ def test_census_builds_no_dyadic_rational_and_skips_only_the_identity(monkeypatc
     reads = _count_calls(monkeypatch, Triangle, "scaled_coords")
     monkeypatch.setattr(DyadicRational, "__init__", counted_init)
     hats_built = _count_calls(monkeypatch, Hat, "__new__")
+    # classify's Hat, called only on a path that raises; tuple.__new__(Hat,
+    # ...) would bypass Hat.__new__, and it fails on this stand-in
+    census_hats = _count_calls(monkeypatch, classify, "Hat")
     tested, hits = tutil.counted_pass(monkeypatch)
     letters = []
     realized = classify.realized_cases
 
-    def counted_cases(tri):
-        found = realized(tri)
+    def counted_cases(scaled):
+        found = realized(scaled)
         letters.extend(found)
         return found
 
     monkeypatch.setattr(classify, "realized_cases", counted_cases)
     assert census(15, 15).ok
     assert built == []
-    # the cell's ranges make each hat valid: none is validated again
-    assert hats_built == []
+    # the cell works on each hat's integers: it builds no Hat at all
+    assert hats_built == [] and census_hats == []
     # the five correspondences but the identity tested per hat; the
     # identity holds untested, and the letters are as many as before
     assert len(tested) == 5 * 512
     assert (0, 1, 2) not in {perm for _, _, perm in tested}
     assert len(hits) == 154
     assert len(letters) == 666 and letters.count("a") == 512
-    # one triangle per hat, built by Hat.triangle alone, and no witness map
-    assert len(triangles) == 512
+    # no triangle, no read of one and no witness map: the reduction and
+    # the self pass read the stored pair that the cell builds by hand
+    assert triangles == []
     assert stored == []
     assert maps == []
-    # two reads of each triangle: the reduction's, and the self pass's one
-    assert len(reads) == 2 * 512
+    assert reads == []
     # positive control: reading a witness's views does build dyadics
     normalize(Hat(5, 15, 1).triangle()).witness.linear
     assert len(built) == 4
@@ -942,8 +958,8 @@ def test_oracle_does_not_import_hats():
 
 #: The routes that tests/reference.py checks, none of which it may use.
 _CHECKED_ROUTES = {
-    "role_triples", "_edge_hats", "hat_of", "normalize", "iso_case", "realized_cases",
-    "solve_correspondence", "oracle_isomorphic", "_solve_scaled",
+    "role_triples", "scaled_role_triples", "_edge_hats", "hat_of", "normalize", "iso_case",
+    "realized_cases", "solve_correspondence", "oracle_isomorphic", "_solve_scaled",
     "automorphism_group", "isomorphic", "census",
     "parse_dyadic", "parse_shape", "parse_hat", "parse_triangle", "format_dyadic",
 }

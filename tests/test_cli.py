@@ -503,11 +503,12 @@ def test_census_failure_exits_1(capsys, monkeypatch):
     monkeypatch.undo()
     # Hat(1, 9, 5) has the trivial group: one pointed class for its six
     # role orders breaks |orbit| x |Aut| = 6 in the (9, 5) cell alone
-    role_triples = dyhat.classify.role_triples
-    lying = Hat(1, 9, 5).triangle()
+    # the census reduces each hat's stored pair, built by hand
+    reduce = dyhat.classify.scaled_role_triples
+    lying = Hat(1, 9, 5).triangle().scaled_coords()
     monkeypatch.setattr(
-        "dyhat.classify.role_triples",
-        lambda tri: (role_triples(tri)[0],) * 6 if tri == lying else role_triples(tri))
+        "dyhat.classify.scaled_role_triples",
+        lambda scaled: (reduce(scaled)[0],) * 6 if scaled == lying else reduce(scaled))
     report = census(9, 5)
     assert not report.ok
     assert [(row.j, row.m) for row in report.rows if not row.orbit_ok] == [(9, 5)]
@@ -1091,7 +1092,7 @@ def test_census_inconsistency_exits_5(capsys, monkeypatch):
                          ("abcde", "no subgroup of S3")):
         monkeypatch.setattr(
             "dyhat.classify.iso_case",
-            lambda h1, h2, lie=lie: lie if h1 == Hat(1, 9, 5) else iso_case(h1, h2))
+            lambda h1, h2, lie=lie: lie if tuple(h1) == (1, 9, 5) else iso_case(h1, h2))
         assert run(["census", "--jmax", "9", "--mmax", "5"]) == 5
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1102,9 +1103,10 @@ def test_census_inconsistency_exits_5(capsys, monkeypatch):
 
 
 def _permuted_roles(order):
-    """A fault in the reduction: role_triples with its entries in order."""
-    role_triples = dyhat.classify.role_triples
-    return lambda tri: tuple(role_triples(tri)[k] for k in order)
+    """A fault in the census's reduction: scaled_role_triples with its
+    entries in order."""
+    reduce = dyhat.classify.scaled_role_triples
+    return lambda scaled: tuple(reduce(scaled)[k] for k in order)
 
 
 @pytest.mark.parametrize("order", [
@@ -1116,7 +1118,7 @@ def _permuted_roles(order):
 def test_census_checks_its_reduction_against_the_oracle(capsys, monkeypatch, order):
     # each fault keeps every row of census(31, 31), with ok True, so only
     # the check that each realized case fixes the role triples sees it
-    monkeypatch.setattr("dyhat.classify.role_triples", _permuted_roles(order))
+    monkeypatch.setattr("dyhat.classify.scaled_role_triples", _permuted_roles(order))
     assert run(["census", "--jmax", "31", "--mmax", "31"]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -111,7 +111,8 @@ def fraction_inverse(f, tri):
 
 def counted_pass(monkeypatch):
     """Patch oracle._solve_scaled to record each correspondence that a pass
-    tests, as (src, dst, perm), and each letter of the cases it returns.
+    tests, as (src, dst, perm) with src and dst the stored (integers,
+    exponent) pairs that it reads, and each letter of the cases it returns.
     An entry counts as tested when the pass takes it from its targets, so
     a pass that refuses the pair counts none."""
     from dyhat import oracle
