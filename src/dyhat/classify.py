@@ -10,7 +10,9 @@ six-row table, one row per subgroup of S3, and the oracle must realize
 exactly those self-correspondences.  isomorphic is the one isomorphism
 decision: its three criteria routes must agree, and the oracle must realize
 exactly the cases that iso_case finds between the triangles' hats, every
-letter and not just the first.  _self_cases is the one group check:
+letter and not just the first; it reduces each triangle through
+hats.role_triples(scaled), the one entry to the hat reduction, on
+tri.scaled_coords().  _self_cases is the one group check:
 iso_case(h, h), the table lookup, and the comparison with the oracle's
 realized cases on the triangle's stored (integers, exponent) pair.
 automorphism_group runs it on tri.scaled_coords() and then has the oracle
@@ -18,7 +20,7 @@ build a witness map for each of the group's own cases; a census cell runs
 it alone, so a census builds no witness map.  The cell builds no Hat or
 Triangle per hat: it writes the pair ((0, 0, i, j, m, 0), 0) that
 Hat(i, j, m).triangle() stores and hands it to the reduction
-(hats.scaled_role_triples) and to the oracle's self pass, and builds a Hat
+(hats.role_triples) and to the oracle's self pass, and builds a Hat
 only to name the hat in an error.  The pair is input to both, not data
 that either computes, so each still checks the other.  The cell also
 checks its reduction against the oracle: each non-identity case that the
@@ -44,9 +46,7 @@ from operator import itemgetter
 from .dyadic import Record
 from .errors import InconsistencyError, InvalidBounds, InvalidHat, require
 from .geometry import Triangle
-from .hats import (
-    CANONICAL_KEY, ROLE_ORDERS, Hat, check_odd_positive, role_triples, scaled_role_triples,
-)
+from .hats import CANONICAL_KEY, ROLE_ORDERS, Hat, check_odd_positive, role_triples
 from .oracle import (
     CORRESPONDENCES,
     oracle_isomorphic,
@@ -80,8 +80,6 @@ _ROLE_SHIFTS = {
 }
 
 GROUP_ORDER = {tag: len(cases) for cases, tag in _GROUP_OF_CASES.items()}
-
-GROUP_TAGS = tuple(GROUP_ORDER)
 
 #: Most (j, m) cells that one census may sweep: the 1023x1023 grid.
 MAX_CENSUS_CELLS = 512 * 512
@@ -193,17 +191,18 @@ def isomorphic(t1: Triangle, t2: Triangle) -> IsoResult:
     """Decide whether two triangles are isomorphic over the dyadics.
 
     Three criteria routes (canonical triples, triple overlap, hat case
-    analysis) share one role_triples reduction per triangle: entry 0, the
-    identity order, is its hat, and the six entries its triples.  The
-    independent check is the oracle, which shares no code with that
-    reduction: it runs on t1 and t2 themselves on every call, sees every
-    verdict, and gives the witness map.  The three routes and the oracle
-    must agree, and the oracle must realize exactly the cases that the case
-    route finds.  A value that is not a Triangle raises TypeError.
+    analysis) share one role_triples reduction of each triangle's stored
+    pair, tri.scaled_coords(): entry 0, the identity order, is its hat, and
+    the six entries its triples.  The independent check is the oracle,
+    which shares no code with that reduction: it runs on t1 and t2
+    themselves on every call, sees every verdict, and gives the witness
+    map.  The three routes and the oracle must agree, and the oracle must
+    realize exactly the cases that the case route finds.  A value that is
+    not a Triangle raises TypeError.
     """
     require(t1, Triangle, "t1")
     require(t2, Triangle, "t2")
-    roles1, roles2 = role_triples(t1), role_triples(t2)
+    roles1, roles2 = role_triples(t1.scaled_coords()), role_triples(t2.scaled_coords())
     by_canonical = min(roles1, key=CANONICAL_KEY) == min(roles2, key=CANONICAL_KEY)
     by_overlap = not frozenset(roles1).isdisjoint(roles2)
     cases = iso_case(roles1[0], roles2[0])
@@ -254,13 +253,13 @@ def _census_cell(cell: tuple[int, int]) -> CensusRow:
     j, m = cell
     pointed: set[tuple[int, int, int]] = set()
     orbits: set[frozenset[tuple[int, int, int]]] = set()
-    counts = dict.fromkeys(GROUP_TAGS, 0)
+    counts = dict.fromkeys(GROUP_ORDER, 0)
     orbit_ok = True
     for i in range(1, 2 * j, 2):
         scaled = ((0, 0, i, j, m, 0), 0)
         # run the full pipeline rather than trusting i to be canonical:
         # entry 0 is the identity order's pointed class
-        roles = scaled_role_triples(scaled)
+        roles = role_triples(scaled)
         pointed.add(roles[0])
         cases = _self_cases((i, j, m), scaled)
         counts[_GROUP_OF_CASES[cases]] += 1

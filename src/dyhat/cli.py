@@ -183,7 +183,7 @@ def _witness_holds(witness: AffineMap, tri: Triangle, roles, h: Hat) -> bool:
     """Whether witness is a unit map sending vertices roles[0], [1], [2] of
     tri to (0, 0), (i, j), (m, 0) of h: its integers re-applied to tri's at
     the least exponent k, in no code shared with the solve."""
-    ((a, b, c, d), e), ((x, y), s) = witness._scaled
+    ((a, b, c, d), e), ((x, y), s) = witness.scaled_coords()
     n, t = tri.scaled_coords()
     k = min(e + t, s, 0)
     for r, target in zip(roles, ((0, 0), (h.i, h.j), (h.m, 0))):
@@ -199,7 +199,7 @@ def _cmd_normalize(args) -> int:
     tri = parse_shape(args.shape)
     payload, lines, quiet = [], [], []
     ok = "  ok" if args.verify else ""
-    triples = role_triples(tri)
+    triples = role_triples(tri.scaled_coords())
     for roles in ROLE_ORDERS:
         label = perm_label(roles)
         result = _normalized(tri, roles, triples)

@@ -2,8 +2,10 @@
 
 A Triangle holds its six coordinates, and an AffineMap its linear entries
 and its translation, as integers times one power of two (common_scale
-form).  Maps compose, and are tested for being a unit (determinant +-2**k,
-exactly the maps invertible over the dyadics), on those integers.
+form); scaled_coords() reads them back, and no other module reads or
+writes them directly.  Maps compose, and are tested for being a unit
+(determinant +-2**k, exactly the maps invertible over the dyadics), on
+those integers.
 Triangle.vertices and AffineMap.linear / .translation are Point2, Matrix2
 and DyadicRational views, built on each read and never kept; Point2 and
 Matrix2 are dyadic.Record values with no arithmetic.  The Triangle and
@@ -44,8 +46,8 @@ class Matrix2(Record, namedtuple("Matrix2", "a b c d")):
 class _Scaled:
     """The stored-integer policy of Triangle and AffineMap: a value equals
     only a value of its own class, compared and hashed on its _scaled
-    integers, and a pickle holds those integers and rebuilds the value
-    with the class's from_scaled."""
+    integers, a pickle holds those integers and rebuilds the value with
+    the class's from_scaled, and scaled_coords reads them back."""
 
     __slots__ = ("_scaled",)
 
@@ -59,6 +61,13 @@ class _Scaled:
 
     def __reduce__(self):
         return self.from_scaled, self._scaled
+
+    def scaled_coords(self):
+        """The stored integers, read back as from_scaled takes them: a
+        Triangle's (x0, y0, x1, y1, x2, y2) integers and their common
+        exponent, the common_scale of its coordinates; an AffineMap's
+        (linear, translation) pair of (integers, exponent) groups."""
+        return self._scaled
 
 
 class AffineMap(_Scaled):
@@ -190,11 +199,6 @@ class Triangle(_Scaled):
 
     def __repr__(self) -> str:
         return f"Triangle(vertices={self.vertices!r})"
-
-    def scaled_coords(self) -> tuple[tuple[int, ...], int]:
-        """The stored (x0, y0, x1, y1, x2, y2) integers and their common
-        exponent: the common_scale of the coordinates."""
-        return self._scaled
 
     @staticmethod
     def of(a, b, c) -> "Triangle":

@@ -6,18 +6,19 @@ dyadic triangle with a chosen vertex role assignment is isomorphic, by a
 unit affine map, to exactly one representative hat with i odd in
 {1, 3, ..., 2j-1}; that triple encodes the pointed isomorphism class, and
 the set of triples over all six role assignments encodes the full class.
-role_triples finds the triples of all six vertex role orders on integers
-alone, in ROLE_ORDERS order with the identity first, and hat_of reads one
-order's entry as a Hat; normalize adds the witness map, which the oracle
-solves.  role_triples' body, scaled_role_triples, reads a triangle's
-stored integers (Triangle.scaled_coords) and nothing the oracle computes,
-and the oracle reads nothing the reduction computes, so role_triples and
-the oracle check each other.  Triples are plain ints inside the package;
-records are built at the exports: role_triples returns (i, j, m) tuples,
-and all_encoding_triples and canonical_form build an EncodingTriple only
-for each triple they return.  Hat, EncodingTriple and Normalization are
-dyadic.Record values, so none has an order; CANONICAL_KEY states the
-canonical (j, m, i) order of triples as a C-level key.
+role_triples(scaled) is the one entry to the reduction: it finds the
+triples of all six vertex role orders from a triangle's stored (integers,
+exponent) pair, Triangle.scaled_coords(), on integers alone, in
+ROLE_ORDERS order with the identity first.  hat_of reads one order's entry
+as a Hat; normalize adds the witness map, which the oracle solves.
+role_triples reads nothing the oracle computes, and the oracle reads
+nothing the reduction computes, so the two check each other.  Triples are
+plain ints inside the package; records are built at the exports:
+role_triples returns (i, j, m) tuples, and all_encoding_triples and
+canonical_form build an EncodingTriple only for each triple they
+return.  Hat, EncodingTriple and Normalization are dyadic.Record values,
+so none has an order; CANONICAL_KEY states the canonical (j, m, i) order
+of triples as a C-level key.
 """
 
 from __future__ import annotations
@@ -60,12 +61,8 @@ class Hat(Record, namedtuple("Hat", "i j m")):
         return self.i % 2 != 0
 
     def triangle(self) -> Triangle:
-        # Triangle.from_scaled without its checks and reduction, which these
-        # exact ints (odd gcd, as j is odd; determinant -j*m != 0) pass as is
         i, j, m = self
-        t = Triangle.__new__(Triangle)
-        t._scaled = ((0, 0, i, j, m, 0), 0)
-        return t
+        return Triangle.from_scaled((0, 0, i, j, m, 0), 0)
 
 
 #: The canonical order of encoding triples, lexicographic on (j, m, i), as a
@@ -130,20 +127,13 @@ def _edge_hats(
     return (r if r % 2 else r + j, j, m), (back if back % 2 else back + j, j, m)
 
 
-def role_triples(tri: Triangle) -> tuple[tuple[int, int, int], ...]:
+def role_triples(scaled: tuple[tuple[int, ...], int]) -> tuple[tuple[int, int, int], ...]:
     """(i, j, m) of the representative hat for each vertex role order, in
-    ROLE_ORDERS order: entry 0, the identity order, is the pointed class,
-    the i, j, m of hat_of(tri).  This is scaled_role_triples of the
-    integers that tri stores, for callers that hold a Triangle."""
-    return scaled_role_triples(tri.scaled_coords())
-
-
-def scaled_role_triples(
-    scaled: tuple[tuple[int, ...], int]
-) -> tuple[tuple[int, int, int], ...]:
-    """role_triples of the triangle whose scaled_coords() is scaled, read
-    from those six integers alone: the census enters here, with each hat's
-    ((0, 0, i, j, m, 0), 0) built by hand, and builds no Triangle.
+    ROLE_ORDERS order, of the triangle whose scaled_coords() is scaled,
+    read from those six integers alone: entry 0, the identity order, is the
+    pointed class, the i, j, m of hat_of.  The one entry to the reduction:
+    a caller that holds a Triangle passes tri.scaled_coords(), and the
+    census each hat's ((0, 0, i, j, m, 0), 0), built by hand.
 
     An order (o, a, b) sends vertex o to the origin, a to the apex (i, j)
     and b to (m, 0).  It reads the integer coordinates (the common power of
@@ -190,13 +180,13 @@ def hat_of(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> Hat:
 
     roles picks which vertex plays which part: vertices[roles[0]] goes to
     the origin, vertices[roles[1]] to the apex (i, j) and vertices[roles[2]]
-    to (m, 0): role_triples(tri)'s entry for that order.  roles, read once,
-    that are not one of the six orders of (0, 1, 2) raise ValueError, and a
-    tri that is not a Triangle raises TypeError.
+    to (m, 0): role_triples(tri.scaled_coords())'s entry for that order.
+    roles, read once, that are not one of the six orders of (0, 1, 2) raise
+    ValueError, and a tri that is not a Triangle raises TypeError.
     """
     roles = vertex_order(roles, "roles")
     require(tri, Triangle, "tri")
-    return Hat(*role_triples(tri)[ROLE_ORDERS.index(roles)])
+    return Hat(*role_triples(tri.scaled_coords())[ROLE_ORDERS.index(roles)])
 
 
 def normalize(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> Normalization:
@@ -206,14 +196,15 @@ def normalize(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> No
     The oracle solves it, sending vertex roles[k] to hat vertex k."""
     roles = vertex_order(roles, "roles")
     require(tri, Triangle, "tri")
-    return _normalized(tri, roles, role_triples(tri))
+    return _normalized(tri, roles, role_triples(tri.scaled_coords()))
 
 
 def _normalized(
     tri: Triangle, roles: tuple[int, int, int], triples: tuple[tuple[int, int, int], ...]
 ) -> Normalization:
-    """normalize(tri, roles) read off triples, which is role_triples(tri):
-    dyhat normalize reduces once for all six orders."""
+    """normalize(tri, roles) read off triples, which is
+    role_triples(tri.scaled_coords()): dyhat normalize reduces once for all
+    six orders."""
     hat = Hat(*triples[ROLE_ORDERS.index(roles)])
     inverse = tuple(roles.index(k) for k in range(3))
     witness = solve_correspondence(tri, hat.triangle(), inverse)
@@ -226,11 +217,11 @@ def all_encoding_triples(tri: Triangle) -> frozenset[EncodingTriple]:
     """Encoding triples over all six vertex role assignments (1 to 6 values).
     A tri that is not a Triangle raises TypeError."""
     require(tri, Triangle, "tri")
-    return frozenset(EncodingTriple(*t) for t in set(role_triples(tri)))
+    return frozenset(EncodingTriple(*t) for t in set(role_triples(tri.scaled_coords())))
 
 
 def canonical_form(tri: Triangle) -> EncodingTriple:
     """The least encoding triple in the canonical (j, m, i) order.  A tri
     that is not a Triangle raises TypeError."""
     require(tri, Triangle, "tri")
-    return EncodingTriple(*min(role_triples(tri), key=CANONICAL_KEY))
+    return EncodingTriple(*min(role_triples(tri.scaled_coords()), key=CANONICAL_KEY))

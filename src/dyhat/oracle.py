@@ -14,7 +14,9 @@ oracle_isomorphic, every case between two triangles and the first hit's
 map (isomorphic); solve_correspondence, one given correspondence and its
 map (hats.normalize, automorphism_group).  This route shares no logic and no
 computed data with the number-theoretic criteria or with the hat
-reduction, hats.role_triples, so each side checks the other.
+reduction, whose one entry is hats.role_triples(scaled): the reduction and
+the pass read the same stored pair as input, and nothing that the other
+computes, so each side checks the other.
 """
 
 from __future__ import annotations

@@ -347,7 +347,7 @@ def test_criterion_11_isomorphism_types_by_area():
             for i in range(1, 2 * j, 2):
                 h = Hat(i, j, n // j)
                 tri = h.triangle()
-                assert all(j * m == n for _, j, m in role_triples(tri)), h
+                assert all(j * m == n for _, j, m in role_triples(tri.scaled_coords())), h
                 types[canonical_form(tri)].append(tri)
                 hats += 1
         groups = defaultdict(int)

@@ -161,6 +161,36 @@ def test_every_function_and_class_is_reached_from_the_cli_or_an_export():
     assert unreached + _unread_module_names() == []
 
 
+def _scaled_touches(node: ast.AST, scope: str) -> list[str]:
+    """The scopes (module.Class.function) under node that read or write an
+    attribute named _scaled, or name it in a string (getattr and kin)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}"
+    touched = []
+    if (isinstance(node, ast.Attribute) and node.attr == "_scaled"
+            or isinstance(node, ast.Constant) and node.value == "_scaled"):
+        touched.append(scope)
+    for child in ast.iter_child_nodes(node):
+        touched += _scaled_touches(child, scope)
+    return touched
+
+
+def test_only_geometry_touches_the_stored_integers():
+    """Triangle and AffineMap keep their integers in _scaled, which geometry
+    alone reads or writes: every other module goes through from_scaled and
+    scaled_coords()."""
+    found = set()
+    for path in sorted(Path(dyhat.__file__).parent.glob("*.py")):
+        if path.name != "geometry.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            found.update(_scaled_touches(tree, path.stem))
+    assert sorted(found) == []
+    # positive control: geometry's own class bodies are found
+    tree = ast.parse(Path(dyhat.geometry.__file__).read_text(encoding="utf-8"))
+    assert {"geometry._Scaled.__eq__", "geometry.Triangle._store"} <= set(
+        _scaled_touches(tree, "geometry"))
+
+
 def test_the_package_holds_no_assert_statement():
     # python -O strips assert statements, so each check in dyhat raises instead
     found = [

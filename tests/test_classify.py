@@ -216,7 +216,8 @@ def test_every_criteria_outcome_meets_the_subgroup_table(monkeypatch):
             outcomes["S3"] += 1
     assert outcomes == {"refused": 58, "disagree": 5, "S3": 1}
     assert GROUP_ORDER == {"Trivial": 1, "C2": 2, "C3": 3, "S3": 6}
-    assert classify.GROUP_TAGS == ("Trivial", "C2", "C3", "S3")
+    # the key order of each census row, and of its JSON
+    assert tuple(GROUP_ORDER) == ("Trivial", "C2", "C3", "S3")
 
 
 def test_lying_case_test_raises_inconsistency(monkeypatch):
@@ -282,11 +283,11 @@ def test_an_oracle_that_drops_a_second_letter_raises_inconsistency(monkeypatch):
     assert cli.run(["iso", "T 1 3 5", "T 5 15 1"]) == 5
 
 
-def _role_triples_with_a_wrong_strip(tri):
+def _role_triples_with_a_wrong_strip(scaled):
     """hats.role_triples with the y parts divided by the power of two that
     the x parts share, not by their own: a faulty reduction that all three
     criteria routes read."""
-    (x0, y0, x1, y1, x2, y2), _ = tri.scaled_coords()
+    (x0, y0, x1, y1, x2, y2), _ = scaled
     ax, ay, bx, by = x1 - x0, y1 - y0, x2 - x0, y2 - y0
     odd = abs(ax * by - ay * bx)
     odd >>= val2(odd)
@@ -434,7 +435,7 @@ def test_verdicts_cases_and_witnesses_on_large_pairs_are_unchanged():
     for t1, t2 in tutil.large_iso_pairs(random.Random(2020), 2000):
         result = isomorphic(t1, t2)
         cases[result.case] += 1
-        witness = result.witness and result.witness._scaled
+        witness = result.witness and result.witness.scaled_coords()
         digest.update(repr((result.isomorphic, result.case, witness)).encode())
     assert set(cases) == {None, *(c.case for c in CORRESPONDENCES)}
     assert digest.hexdigest() == LARGE_PAIR_DIGEST
@@ -561,15 +562,15 @@ def _count_calls(monkeypatch, module, name, calls=None):
 
 
 def test_one_role_reduction_per_triangle_and_every_route_runs(monkeypatch):
-    # the reduction under both of its names: classify's import, and the hats
-    # global that all_encoding_triples and canonical_form look up
+    # the one reduction under both of its bindings: classify's import, and
+    # the hats global that all_encoding_triples and canonical_form look up
     reductions = _count_calls(monkeypatch, classify, "role_triples")
     _count_calls(monkeypatch, hats, "role_triples", reductions)
     cases = _count_calls(monkeypatch, classify, "iso_case")
     solves = _count_calls(monkeypatch, classify, "oracle_isomorphic")
     t1, t2 = Hat(1, 3, 5).triangle(), Hat(5, 15, 1).triangle()
     assert isomorphic(t1, t2).case == "c"
-    assert reductions == [(t1,), (t2,)]
+    assert reductions == [(t1.scaled_coords(),), (t2.scaled_coords(),)]
     assert cases == [((1, 3, 5), (5, 15, 1))]
     assert len(solves) == 1
     # the oracle sees a "not isomorphic" verdict too
@@ -581,14 +582,18 @@ def test_one_role_reduction_per_triangle_and_every_route_runs(monkeypatch):
     # each correspondence from that pair to itself but the identity, which
     # holds untested
     reductions.clear()
-    scaled_reductions = _count_calls(monkeypatch, classify, "scaled_role_triples")
     tested, _ = tutil.counted_pass(monkeypatch)
     assert census(5, 5).ok
-    assert reductions == []
-    assert len(scaled_reductions) == 27
+    assert len(reductions) == 27
+    # each a hat's stored pair, and never a Triangle
+    assert not any(isinstance(s, Triangle) for (s,) in reductions)
+    assert sorted(s for (s,) in reductions) == sorted(
+        Hat(i, j, m).triangle().scaled_coords()
+        for j in (1, 3, 5) for m in (1, 3, 5) for i in range(1, 2 * j, 2)
+    )
     assert len(tested) == 5 * 27
     assert set(tested) == {
-        (s, s, c.perm) for (s,) in scaled_reductions for c in CORRESPONDENCES[1:]
+        (s, s, c.perm) for (s,) in reductions for c in CORRESPONDENCES[1:]
     }
 
 
@@ -698,7 +703,7 @@ def test_census_tags_are_the_automorphism_group_tags_on_the_31_grid(monkeypatch)
     checked = {}
     reduced = []
     self_cases = classify._self_cases
-    reduce = classify.scaled_role_triples
+    reduce = classify.role_triples
 
     def recorded(h, scaled):
         h = Hat(*h)
@@ -713,7 +718,7 @@ def test_census_tags_are_the_automorphism_group_tags_on_the_31_grid(monkeypatch)
         return reduce(scaled)
 
     monkeypatch.setattr(classify, "_self_cases", recorded)
-    monkeypatch.setattr(classify, "scaled_role_triples", recorded_reduction)
+    monkeypatch.setattr(classify, "role_triples", recorded_reduction)
     report = census(31, 31)
     monkeypatch.undo()
     assert report.ok
@@ -726,7 +731,7 @@ def test_census_tags_are_the_automorphism_group_tags_on_the_31_grid(monkeypatch)
     for row in report.rows:
         want = by_cell[row.j, row.m]
         assert sum(want.values()) == row.j, row
-        assert row.aut_counts == {tag: want[tag] for tag in classify.GROUP_TAGS}, row
+        assert row.aut_counts == {tag: want[tag] for tag in GROUP_ORDER}, row
 
 
 def test_census_builds_no_dyadic_rational_and_skips_only_the_identity(monkeypatch):
@@ -738,7 +743,7 @@ def test_census_builds_no_dyadic_rational_and_skips_only_the_identity(monkeypatc
         init(self, *args)
 
     # AffineMap and Triangle are built through __init__ or from_scaled, and
-    # every Triangle but a hat's stores itself through _store
+    # every Triangle, a hat's too, stores itself through _store
     maps = _count_calls(monkeypatch, AffineMap, "__init__")
     from_scaled = AffineMap.from_scaled.__func__
 
@@ -958,7 +963,7 @@ def test_oracle_does_not_import_hats():
 
 #: The routes that tests/reference.py checks, none of which it may use.
 _CHECKED_ROUTES = {
-    "role_triples", "scaled_role_triples", "_edge_hats", "hat_of", "normalize", "iso_case",
+    "role_triples", "_edge_hats", "hat_of", "normalize", "iso_case",
     "realized_cases", "solve_correspondence", "oracle_isomorphic", "_solve_scaled",
     "automorphism_group", "isomorphic", "census",
     "parse_dyadic", "parse_shape", "parse_hat", "parse_triangle", "format_dyadic",

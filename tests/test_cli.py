@@ -456,7 +456,7 @@ def test_normalize_prints_hat_parameters_past_the_str_digit_limit(capsys):
     output prints it, and the limit is lifted for the command alone."""
     n, m, k = "9" * 1000, "7" * 999 + "1", "3" * 1000
     literal = f"0,0 {n}/2^4096,{m} {k},-{n}/2^4096"
-    triples = dyhat.hats.role_triples(parse_triangle(literal))
+    triples = dyhat.hats.role_triples(parse_triangle(literal).scaled_coords())
     assert max(x.bit_length() for t in triples for x in t) > 4300 * math.log2(10)
     limit = sys.get_int_max_str_digits()
     outputs = {}
@@ -504,10 +504,10 @@ def test_census_failure_exits_1(capsys, monkeypatch):
     # Hat(1, 9, 5) has the trivial group: one pointed class for its six
     # role orders breaks |orbit| x |Aut| = 6 in the (9, 5) cell alone
     # the census reduces each hat's stored pair, built by hand
-    reduce = dyhat.classify.scaled_role_triples
+    reduce = dyhat.classify.role_triples
     lying = Hat(1, 9, 5).triangle().scaled_coords()
     monkeypatch.setattr(
-        "dyhat.classify.scaled_role_triples",
+        "dyhat.classify.role_triples",
         lambda scaled: (reduce(scaled)[0],) * 6 if scaled == lying else reduce(scaled))
     report = census(9, 5)
     assert not report.ok
@@ -1103,9 +1103,9 @@ def test_census_inconsistency_exits_5(capsys, monkeypatch):
 
 
 def _permuted_roles(order):
-    """A fault in the census's reduction: scaled_role_triples with its
-    entries in order."""
-    reduce = dyhat.classify.scaled_role_triples
+    """A fault in the census's reduction: role_triples with its entries in
+    order."""
+    reduce = dyhat.classify.role_triples
     return lambda scaled: tuple(reduce(scaled)[k] for k in order)
 
 
@@ -1118,7 +1118,7 @@ def _permuted_roles(order):
 def test_census_checks_its_reduction_against_the_oracle(capsys, monkeypatch, order):
     # each fault keeps every row of census(31, 31), with ok True, so only
     # the check that each realized case fixes the role triples sees it
-    monkeypatch.setattr("dyhat.classify.scaled_role_triples", _permuted_roles(order))
+    monkeypatch.setattr("dyhat.classify.role_triples", _permuted_roles(order))
     assert run(["census", "--jmax", "31", "--mmax", "31"]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""

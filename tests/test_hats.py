@@ -62,7 +62,7 @@ def test_hat_triangle():
     # its stored integers, equality, hash, repr and pickle bytes
     for i, j, m in [(15, 9, 21), (2, 3, 5), (0, 1, 1), (-6, 3, 9), (10**40, 3**50, 1)]:
         built, plain = Hat(i, j, m).triangle(), Triangle.from_scaled((0, 0, i, j, m, 0), 0)
-        assert built._scaled == plain._scaled
+        assert built.scaled_coords() == plain.scaled_coords()
         assert built == plain and hash(built) == hash(plain)
         assert repr(built) == repr(plain)
         assert pickle.dumps(built) == pickle.dumps(plain)
@@ -197,7 +197,7 @@ def _check_shared_edges(t):
     of the triangle with its vertices put in each order, where no edge is
     shared; each triple is an EncodingTriple's fields (the record's checks
     run on every triple here).  Returns all_encoding_triples(t)."""
-    roles = role_triples(t)
+    roles = role_triples(t.scaled_coords())
     assert roles == tuple(tuple(hat_of(reordered(t, order))) for order in ROLE_ORDERS)
     for triple in roles:
         EncodingTriple(*triple)
@@ -245,7 +245,7 @@ def test_role_triples_are_the_closed_form_triples_on_the_31_grid():
         for m in range(1, 32, 2):
             for i in range(1, 2 * j, 2):
                 h = Hat(i, j, m)
-                assert set(role_triples(h.triangle())) == closed_form_triples(h), h
+                assert set(role_triples(h.triangle().scaled_coords())) == closed_form_triples(h), h
                 hats += 1
     assert hats == 4096
 
@@ -253,7 +253,7 @@ def test_role_triples_are_the_closed_form_triples_on_the_31_grid():
 @given(st.randoms(use_true_random=False))
 def test_role_triples_are_the_closed_form_triples_on_large_shared_factors(rng):
     h = tutil.shared_factor_hat(rng, 100)
-    assert set(role_triples(h.triangle())) == closed_form_triples(h)
+    assert set(role_triples(h.triangle().scaled_coords())) == closed_form_triples(h)
 
 
 def _check_against_the_inverse(t):
@@ -263,7 +263,7 @@ def _check_against_the_inverse(t):
     found = [hat_by_inverse(t, roles) for roles in ROLE_ORDERS]
     for roles, (hat, _) in zip(ROLE_ORDERS, found):
         assert tuple(hat_of(t, roles)) == hat, (t, roles)
-    roles = role_triples(t)
+    roles = role_triples(t.scaled_coords())
     assert roles == tuple(hat for hat, _ in found)
     for triple in roles:
         EncodingTriple(*triple)
@@ -328,7 +328,7 @@ def test_role_triples_are_unchanged_by_a_power_of_two_on_each_axis(t, a, b):
     and both agree with reference.hat_by_inverse, which strips nothing."""
     (x0, y0, x1, y1, x2, y2), e = t.scaled_coords()
     image = Triangle.from_scaled((x0 << a, y0 << b, x1 << a, y1 << b, x2 << a, y2 << b), e)
-    assert role_triples(image) == role_triples(t)
+    assert role_triples(image.scaled_coords()) == role_triples(t.scaled_coords())
     _check_against_the_inverse(image)
 
 
