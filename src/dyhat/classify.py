@@ -84,6 +84,14 @@ GROUP_ORDER = {tag: len(cases) for cases, tag in _GROUP_OF_CASES.items()}
 #: Most (j, m) cells that one census may sweep: the 1023x1023 grid.
 MAX_CENSUS_CELLS = 512 * 512
 
+#: Fewest hats for which a census starts a pool.  On a 2-CPU host, a
+#: two-worker pool cost about 13 ms beyond half the serial work on the
+#: 15x15 grid (start, chunk round trips and shutdown), and it saved about
+#: 2.2 us per hat on the 63x63 grid (5.5 us serial, 3.3 us pooled once
+#: that start is taken off), so it pays from about 13 ms / 2.2 us, some
+#: 6,000 hats: 35x35 (5,832 hats) measured level and 37x37 (6,859) faster.
+MIN_POOLED_HATS = 6000
+
 
 class AutGroup(Record, namedtuple("AutGroup", "tag witnesses")):
     """Group tag plus one oracle witness per group element: witnesses is a
@@ -296,9 +304,10 @@ def census(j_max: int, m_max: int, workers: int = 1) -> CensusReport:
     process pool, sent in chunks of consecutive cells, and are merged in a
     fixed order, so the report does not depend on scheduling.  The pool
     never has more workers than cells or than CPUs that the process may run
-    on; when that leaves one, the cells run serially.  A grid of more than
-    MAX_CENSUS_CELLS cells raises InvalidBounds, as does a bound or workers
-    value that is not exactly an int (a bool included).
+    on; when that leaves one, or the grid holds fewer than MIN_POOLED_HATS
+    hats, the cells run serially.  A grid of more than MAX_CENSUS_CELLS
+    cells raises InvalidBounds, as does a bound or workers value that is
+    not exactly an int (a bool included).
     """
     check_odd_positive(InvalidBounds, ("j_max", j_max), ("m_max", m_max))
     if workers.__class__ is not int:
@@ -317,7 +326,10 @@ def census(j_max: int, m_max: int, workers: int = 1) -> CensusReport:
         for j in range(1, j_max + 1, 2)
         for m in range(1, m_max + 1, 2)
     ]
-    workers = min(workers, _usable_cpus(), len(cells))
+    # a cell (j, m) holds j hats, and the odd j <= j_max sum to
+    # ((j_max + 1) // 2) ** 2, so the grid holds this many hats
+    hats = count * ((j_max + 1) // 2)
+    workers = min(workers, _usable_cpus(), len(cells)) if hats >= MIN_POOLED_HATS else 1
     if workers == 1:
         rows = tuple(_census_cell(cell) for cell in cells)
     else:

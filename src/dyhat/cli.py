@@ -1,6 +1,10 @@
 """Command line front end.
 
-One query per invocation.  Exit codes: 0 success (for iso: isomorphic),
+One query per invocation.  Each subcommand computes its answer and
+returns it as data, printing nothing; run alone prints the answer (as
+JSON, the --quiet lines or the text lines), writes each diagnostic and
+maps each failure to its exit code, so a failed query prints nothing on
+stdout.  Exit codes: 0 success (for iso: isomorphic),
 1 failed census (and nothing else), 2 usage error, 3 not isomorphic,
 4 domain error (malformed or oversized literal, non-dyadic value,
 degenerate triangle, even j, bad bounds), 5 internal inconsistency (two
@@ -18,7 +22,7 @@ import os
 import re
 import sys
 
-from .classify import automorphism_group, census, isomorphic
+from .classify import MIN_POOLED_HATS, automorphism_group, census, isomorphic
 from .dyadic import DyadicRational
 from .errors import DomainError, InconsistencyError, InvalidHat, NotDyadic, ParseError
 from .geometry import AffineMap, Point2, Triangle
@@ -144,17 +148,8 @@ def parse_shape(text: str) -> Triangle:
 # ---------------------------------------------------------------- output
 
 
-def _emit(args, payload: dict, lines: list[str], quiet: list[str]) -> None:
-    """Print payload as one line of JSON under --json, quiet under --quiet,
-    and lines otherwise.  json is imported in the JSON branch, so a command
-    run without --json never loads it."""
-    if args.json:
-        import json
-
-        print(json.dumps(payload))
-        return
-    for line in quiet if args.quiet else lines:
-        print(line)
+class OutputError(Exception):
+    """An answer's file could not be written: exit 6."""
 
 
 def map_json(f: AffineMap) -> dict:
@@ -177,6 +172,8 @@ def _format_map(shape: dict) -> str:
 
 
 # ---------------------------------------------------------------- subcommands
+# Each _cmd_* computes one query's answer and prints nothing: it returns
+# (exit code, the --json payload, the text lines, the --quiet lines).
 
 
 def _witness_holds(witness: AffineMap, tri: Triangle, roles, h: Hat) -> bool:
@@ -195,7 +192,7 @@ def _witness_holds(witness: AffineMap, tri: Triangle, roles, h: Hat) -> bool:
     return witness.is_unit()
 
 
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args) -> tuple:
     tri = parse_shape(args.shape)
     payload, lines, quiet = [], [], []
     ok = "  ok" if args.verify else ""
@@ -216,11 +213,10 @@ def _cmd_normalize(args) -> int:
         })
         quiet.append(f"{label}: T {h.i} {h.j} {h.m}")
         lines.append(f"{quiet[-1]}  {_format_map(shape)}{ok}")
-    _emit(args, {"results": payload}, lines, quiet)
-    return 0
+    return 0, {"results": payload}, lines, quiet
 
 
-def _cmd_aut(args) -> int:
+def _cmd_aut(args) -> tuple:
     numbers = (args.i, args.j, args.m)
     literal = " ".join(numbers)
     group = automorphism_group(Hat(*(_bounded_int(n, literal) for n in numbers)))
@@ -232,11 +228,10 @@ def _cmd_aut(args) -> int:
     }
     lines = [f"{group.tag} (order {group.order})"]
     lines += [f"  {perm}  {_format_map(shape)}" for perm, shape in shapes]
-    _emit(args, {"aut": payload}, lines, [group.tag])
-    return 0
+    return 0, {"aut": payload}, lines, [group.tag]
 
 
-def _cmd_iso(args) -> int:
+def _cmd_iso(args) -> tuple:
     result = isomorphic(parse_shape(args.first), parse_shape(args.second))
     shape = map_json(result.witness) if result.witness else None
     payload = {"result": result.isomorphic, "case": result.case, "map": shape}
@@ -244,18 +239,16 @@ def _cmd_iso(args) -> int:
         lines = [f"isomorphic (case {result.case})", f"  {_format_map(shape)}"]
     else:
         lines = ["not isomorphic"]
-    _emit(args, {"iso": payload}, lines, [])
-    return 0 if result.isomorphic else 3
+    return 0 if result.isomorphic else 3, {"iso": payload}, lines, []
 
 
-def _cmd_canon(args) -> int:
+def _cmd_canon(args) -> tuple:
     triple = canonical_form(parse_shape(args.shape))
     lines = [f"{triple.i} {triple.j} {triple.m}"]
-    _emit(args, {"triple": list(triple)}, lines, lines)
-    return 0
+    return 0, {"triple": list(triple)}, lines, lines
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args) -> tuple:
     report = census(args.jmax, args.mmax, workers=args.par)
     payload = {
         "jmax": report.j_max,
@@ -286,20 +279,17 @@ def _cmd_census(args) -> int:
         )
     verdict = f"census {'ok' if report.ok else 'FAILED'}: {len(report.rows)} cells"
     lines.append(verdict)
-    _emit(args, {"census": payload}, lines, [verdict])
-    return 0 if report.ok else 1
+    return 0 if report.ok else 1, {"census": payload}, lines, [verdict]
 
 
-def _cmd_render(args) -> int:
+def _cmd_render(args) -> tuple:
     svg = render_svg(parse_shape(args.shape))
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg)
     except OSError as err:
-        print(f"error: cannot write {args.out}: {err.strerror or err}", file=sys.stderr)
-        return 6
-    _emit(args, {"render": {"out": args.out}}, [f"wrote {args.out}"], [])
-    return 0
+        raise OutputError(f"cannot write {args.out}: {err.strerror or err}") from err
+    return 0, {"render": {"out": args.out}}, [f"wrote {args.out}"], []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mmax", type=_ascii_int, required=True)
     p.add_argument("--par", type=_ascii_int, default=1, metavar="N",
                    help="number of parallel workers (at most one per CPU); "
-                        "the pool pays only on large grids, such as 63x63")
+                        f"a grid under {MIN_POOLED_HATS} hats, such as 35x35, runs serially")
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("render", parents=[common],
@@ -370,18 +360,32 @@ def run(argv: list[str] | None = None) -> int:
         return int(exit_.code or 0)
     # a hat parameter or map entry from literals within MAX_LITERAL_DIGITS
     # can pass the 4,300 digits that int-to-str allows by default, so the
-    # command prints without that limit; _bounded_int caps what it reads
+    # answer is built and printed without that limit; _bounded_int caps
+    # what it reads
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code, payload, lines, quiet = args.func(args)
     except DomainError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
     except InconsistencyError as err:
         print(f"internal inconsistency: {err}", file=sys.stderr)
         return 5
+    except OutputError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 6
+    else:
+        # json is imported only here, so a run without --json never loads it
+        if args.json:
+            import json
+
+            print(json.dumps(payload))
+        else:
+            for line in quiet if args.quiet else lines:
+                print(line)
+        return code
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

@@ -161,18 +161,44 @@ def test_every_function_and_class_is_reached_from_the_cli_or_an_export():
     assert unreached + _unread_module_names() == []
 
 
-def _scaled_touches(node: ast.AST, scope: str) -> list[str]:
-    """The scopes (module.Class.function) under node that read or write an
-    attribute named _scaled, or name it in a string (getattr and kin)."""
+def _scopes_where(hit, node: ast.AST, scope: str) -> list[str]:
+    """The scopes (module.Class.function) under node that hold a node for
+    which hit is true."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         scope = f"{scope}.{node.name}"
-    touched = []
-    if (isinstance(node, ast.Attribute) and node.attr == "_scaled"
-            or isinstance(node, ast.Constant) and node.value == "_scaled"):
-        touched.append(scope)
+    found = [scope] if hit(node) else []
     for child in ast.iter_child_nodes(node):
-        touched += _scaled_touches(child, scope)
-    return touched
+        found += _scopes_where(hit, child, scope)
+    return found
+
+
+def _scaled_touches(node: ast.AST, scope: str) -> list[str]:
+    """The scopes under node that read or write an attribute named _scaled,
+    or name it in a string (getattr and kin)."""
+    return _scopes_where(
+        lambda n: (isinstance(n, ast.Attribute) and n.attr == "_scaled"
+                   or isinstance(n, ast.Constant) and n.value == "_scaled"),
+        node, scope)
+
+
+def _terminal_writes(node: ast.AST, scope: str) -> list[str]:
+    """The scopes under node that name print, stdout or stderr: a call of
+    print, or sys.stdout or sys.stderr read, written or passed on."""
+    return _scopes_where(
+        lambda n: (isinstance(n, ast.Name) and n.id in ("print", "stdout", "stderr")
+                   or isinstance(n, ast.Attribute) and n.attr in ("stdout", "stderr")),
+        node, scope)
+
+
+def test_only_run_and_main_write_to_the_terminal():
+    """Each subcommand returns its answer as data: cli.run alone prints an
+    answer or a diagnostic, and cli.main only flushes or silences stdout.
+    The two are also this test's positive control."""
+    found = set()
+    for path in sorted(Path(dyhat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found.update(_terminal_writes(tree, path.stem))
+    assert sorted(found) == ["cli.main", "cli.run"]
 
 
 def test_only_geometry_touches_the_stored_integers():

@@ -543,7 +543,7 @@ def test_isomorphic_answers_on_the_15_grid():
 
 @given(st.one_of(tutil.large_triangles, tutil.huge_triangles), tutil.unit_maps,
        st.one_of(tutil.large_triangles, tutil.huge_triangles))
-@settings(max_examples=60)
+@settings(max_examples=60, phases=tutil.UNSHRUNK)
 def test_isomorphic_answers_on_large_coordinates(t, f, other):
     _check_isomorphic(t, transformed(t, f))
     _check_isomorphic(t, other)
@@ -878,6 +878,11 @@ def test_census_workers_are_bounded_by_cpus(monkeypatch):
     monkeypatch.setattr(classify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     serial = census(3, 3)
     assert pools == []
+    # the 3x3 grid's 8 hats are too few to pay for a pool: it runs serially
+    # unless the threshold is lowered, as it is for the rest of this test
+    assert census(3, 3, workers=10**6) == serial
+    assert pools == []
+    monkeypatch.setattr(classify, "MIN_POOLED_HATS", 0)
     assert census(3, 3, workers=10**6) == serial
     assert pools == [2]
     # one cell, or one CPU, leaves nothing to share: no pool at all

@@ -422,6 +422,7 @@ def test_failed_verify_exits_5(capsys, monkeypatch):
 @given(st.one_of(tutil.triangles, tutil.large_triangles),
        st.one_of(tutil.unit_maps, tutil.any_maps),
        st.sampled_from(list(permutations((0, 1, 2)))))
+@settings(phases=tutil.UNSHRUNK)
 def test_the_witness_check_matches_fraction_application(t, f, roles):
     """_witness_holds re-applies a map on the integers; on Fraction, the
     same check is three images and a unit test.  The true witness, the
@@ -631,12 +632,14 @@ def test_render_oversized_coordinate_exits_4(tmp_path, capsys, shape):
 
 
 def test_render_into_a_missing_directory_exits_6(tmp_path, capsys):
+    # under every output flag: a failed command prints nothing on stdout
     out = tmp_path / "missing" / "hat.svg"
-    assert run(["render", "T 1 3 5", "--out", str(out)]) == 6
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: cannot write {out}: ")
-    assert captured.err.count("\n") == 1
+    for flags in ([], ["--json"], ["--quiet"]):
+        assert run(["render", *flags, "T 1 3 5", "--out", str(out)]) == 6, flags
+        captured = capsys.readouterr()
+        assert captured.out == "", flags
+        assert captured.err.startswith(f"error: cannot write {out}: "), flags
+        assert captured.err.count("\n") == 1, flags
 
 
 # ---------------------------------------------------------------- pinned output
@@ -1047,8 +1050,10 @@ def test_pooled_census_loads_the_pool_and_matches_serial():
     script = (
         "import json, os, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
+        "from dyhat import classify\n"
         "from dyhat.classify import census\n"
         "os.sched_getaffinity = lambda pid: {0, 1}  # two workers on one CPU\n"
+        "classify.MIN_POOLED_HATS = 0  # so that the 3x3 grid runs pooled\n"
         "serial = census(3, 3)\n"
         "before = 'concurrent.futures.process' in sys.modules\n"
         "pooled = census(3, 3, workers=2)\n"

@@ -8,7 +8,7 @@ from itertools import permutations
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 
 from dyhat import (
     DyadicRational,
@@ -142,6 +142,7 @@ def test_triangle_exports_refuse_a_value_that_is_not_a_triangle(fn, value):
 
 
 @given(tutil.triangles)
+@settings(phases=tutil.UNSHRUNK)
 def test_witness_properties_hold_generically(t):
     hat, witness = normalize(t)
     assert apply(witness, t.vertices[0]) == Point2(D(0), D(0))
@@ -174,6 +175,7 @@ def test_canonical_form_fixture():
 
 
 @given(tutil.triangles, tutil.unit_maps)
+@settings(phases=tutil.UNSHRUNK)
 def test_canonical_form_is_a_unit_map_invariant(t, f):
     assert canonical_form(transformed(t, f)) == canonical_form(t)
 
@@ -233,6 +235,7 @@ def test_shared_edge_reduction_on_unit_map_images_of_the_15_grid():
 
 
 @given(st.one_of(tutil.triangles, tutil.large_triangles, tutil.huge_triangles))
+@settings(phases=tutil.UNSHRUNK)
 def test_shared_edge_reduction_matches_unshared_hats(t):
     _check_shared_edges(t)
 
@@ -311,6 +314,7 @@ def test_two_adic_division_matches_the_inverse_on_large_pairs():
 @example(Triangle.of((8, 0), (3, 5), (0, 0)))
 @example(Triangle.of((0, 0), (7, 3), (0, -12)))
 @example(Triangle.of((0, 0), (3, 5), (7, 1)))
+@settings(phases=tutil.UNSHRUNK)
 def test_two_adic_division_matches_the_inverse_on_huge_triangles(t):
     _check_against_the_inverse(t)
 

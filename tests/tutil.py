@@ -4,6 +4,7 @@ import types
 from functools import reduce
 
 import hypothesis.strategies as st
+from hypothesis import Phase
 
 from dyhat import DyadicRational, Hat, Triangle
 from dyhat.errors import DegenerateTriangle
@@ -22,6 +23,12 @@ odd_positive = st.integers(0, 15).map(lambda k: 2 * k + 1)
 
 # representative hats (i odd, possibly negative or past the fundamental domain)
 rep_hats = st.builds(Hat, odd_ints, odd_positive, odd_positive)
+
+#: Hypothesis phases less shrinking (the @example rows still run), for the
+#: tests that draw whole triangles and ran past a minute on a faulty
+#: reduction: unshrunk, each fails in about 3 s on its first falsifying
+#: triangle, so shrinking that triangle took the rest.
+UNSHRUNK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
 
 
 def _triangle_or_none(a, b, c):
