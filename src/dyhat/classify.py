@@ -23,18 +23,20 @@ Hat(i, j, m).triangle() stores and hands it to the reduction
 (hats.role_triples) and to the oracle's self pass, and builds a Hat
 only to name the hat in an error.  The pair is input to both, not data
 that either computes, so each still checks the other.  The cell also
-checks its reduction against the oracle: each non-identity case that the
+checks its reduction, hat by hat: a representative hat is its own pointed
+class, so the identity order's entry must be (i, j, m) itself, and the
+cell's pointed classes are its j hats; and each non-identity case that the
 oracle realizes on a hat must carry the hat's role triples onto themselves
-(_ROLE_SHIFTS), so a reduction that permutes its six entries raises
-InconsistencyError.  With CensusRow.ok, which adds the pointed count and
-the orbit identity, the blocks of equal role triples are then the cosets of
-that group.  A cell counts isomorphism classes as distinct orbits, the
-sets of role triples that its hats' reductions return: two hats have the
-same least (canonical) triple exactly when they have the same orbit.  The
-results (AutGroup, IsoResult, CensusRow, CensusReport) are dyadic.Record
-values.  The process pool is imported only when a census runs pooled, so
-the other commands never load concurrent.futures.process or
-multiprocessing.
+(_ROLE_SHIFTS).  So a reduction that maps every triple to another, or that
+permutes its six entries, raises InconsistencyError.  With CensusRow.ok,
+which adds the orbit identity, the blocks of equal role triples are then
+the cosets of that group.  A cell counts isomorphism classes as distinct
+orbits, the sets of role triples that its hats' reductions return: two
+hats have the same least (canonical) triple exactly when they have the
+same orbit.  The results (AutGroup, IsoResult, CensusRow, CensusReport)
+are dyadic.Record values.  The process pool is imported only when a census
+runs pooled, so the other commands never load concurrent.futures.process
+or multiprocessing.
 """
 
 from __future__ import annotations
@@ -232,8 +234,10 @@ class CensusRow(Record, namedtuple(
 )):
     """One (j, m) census cell: the numbers of pointed and isomorphism
     classes, aut_counts (a dict from group tag to count) and whether the
-    orbit identity held for every hat.  A Record; as aut_counts is a dict,
-    hashing one raises TypeError."""
+    orbit identity held for every hat.  A census row's pointed_classes is
+    always j, since the cell checks each hat to be its own pointed class;
+    ok still compares the two, for a row built by hand.  A Record; as
+    aut_counts is a dict, hashing one raises TypeError."""
 
     __slots__ = ()
 
@@ -257,18 +261,22 @@ def _census_cell(cell: tuple[int, int]) -> CensusRow:
     """One (j, m) work unit: every hat with i odd in 1..2j-1, checked on
     the stored pair ((0, 0, i, j, m, 0), 0) that Hat(i, j, m).triangle()
     would hold, built here by hand: no Hat or Triangle is built unless a
-    check fails, and then only to name the hat."""
+    check fails, and then only to name the hat.  Each hat must be its own
+    pointed class, so the cell has j of them."""
     j, m = cell
-    pointed: set[tuple[int, int, int]] = set()
     orbits: set[frozenset[tuple[int, int, int]]] = set()
     counts = dict.fromkeys(GROUP_ORDER, 0)
     orbit_ok = True
     for i in range(1, 2 * j, 2):
         scaled = ((0, 0, i, j, m, 0), 0)
         # run the full pipeline rather than trusting i to be canonical:
-        # entry 0 is the identity order's pointed class
+        # entry 0, the identity order's pointed class, must be the hat
         roles = role_triples(scaled)
-        pointed.add(roles[0])
+        if roles[0] != (i, j, m):
+            raise InconsistencyError(
+                f"reduction does not return {Hat(i, j, m)} as its own pointed "
+                f"class: identity-order triple {list(roles[0])}"
+            )
         cases = _self_cases((i, j, m), scaled)
         counts[_GROUP_OF_CASES[cases]] += 1
         # each case the oracle realized must permute the role orders onto
@@ -286,7 +294,7 @@ def _census_cell(cell: tuple[int, int]) -> CensusRow:
         # the group's order is the number of its cases
         if len(orbit) * len(cases) != 6:
             orbit_ok = False
-    return CensusRow(j, m, len(pointed), len(orbits), counts, orbit_ok)
+    return CensusRow(j, m, j, len(orbits), counts, orbit_ok)
 
 
 def _usable_cpus() -> int:

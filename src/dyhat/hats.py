@@ -15,10 +15,12 @@ role_triples reads nothing the oracle computes, and the oracle reads
 nothing the reduction computes, so the two check each other.  Triples are
 plain ints inside the package; records are built at the exports:
 role_triples returns (i, j, m) tuples, and all_encoding_triples and
-canonical_form build an EncodingTriple only for each triple they
-return.  Hat, EncodingTriple and Normalization are dyadic.Record values,
-so none has an order; CANONICAL_KEY states the canonical (j, m, i) order
-of triples as a C-level key.
+canonical_form build an EncodingTriple only for each triple they return,
+once the oracle has solved the map from the triangle to that triple's hat
+(_normalized, as normalize does), so a wrong triple raises
+InconsistencyError.  Hat, EncodingTriple and Normalization are
+dyadic.Record values, so none has an order; CANONICAL_KEY states the
+canonical (j, m, i) order of triples as a C-level key.
 """
 
 from __future__ import annotations
@@ -214,14 +216,26 @@ def _normalized(
 
 
 def all_encoding_triples(tri: Triangle) -> frozenset[EncodingTriple]:
-    """Encoding triples over all six vertex role assignments (1 to 6 values).
-    A tri that is not a Triangle raises TypeError."""
+    """Encoding triples over all six vertex role assignments (1 to 6 values),
+    each checked by the oracle: for the first order that returns a triple,
+    _normalized solves the map from tri to that triple's hat, and raises
+    InconsistencyError when there is none.  A tri that is not a Triangle
+    raises TypeError."""
     require(tri, Triangle, "tri")
-    return frozenset(EncodingTriple(*t) for t in set(role_triples(tri.scaled_coords())))
+    triples = role_triples(tri.scaled_coords())
+    return frozenset(
+        EncodingTriple(*_normalized(tri, ROLE_ORDERS[triples.index(t)], triples).hat)
+        for t in set(triples)
+    )
 
 
 def canonical_form(tri: Triangle) -> EncodingTriple:
-    """The least encoding triple in the canonical (j, m, i) order.  A tri
-    that is not a Triangle raises TypeError."""
+    """The least encoding triple in the canonical (j, m, i) order, checked
+    by the oracle: _normalized solves the map from tri, under the order k
+    of the least entry, to that triple's hat, and raises
+    InconsistencyError when there is none.  A tri that is not a Triangle
+    raises TypeError."""
     require(tri, Triangle, "tri")
-    return EncodingTriple(*min(role_triples(tri.scaled_coords()), key=CANONICAL_KEY))
+    triples = role_triples(tri.scaled_coords())
+    k = triples.index(min(triples, key=CANONICAL_KEY))
+    return EncodingTriple(*_normalized(tri, ROLE_ORDERS[k], triples).hat)
