@@ -46,7 +46,7 @@ from collections import namedtuple
 from operator import itemgetter
 
 from .dyadic import Record
-from .errors import InconsistencyError, InvalidBounds, InvalidHat, require
+from .errors import InconsistencyError, InvalidBounds, InvalidHat, require, shown
 from .geometry import Triangle
 from .hats import CANONICAL_KEY, ROLE_ORDERS, Hat, check_odd_positive, role_triples
 from .oracle import (
@@ -138,7 +138,7 @@ def automorphism_group(h: Hat) -> AutGroup:
     """
     require(h, Hat, "h")
     if not h.is_representative:
-        raise InvalidHat(f"criteria require a representative hat (odd i), got i={h.i}")
+        raise InvalidHat(f"criteria require a representative hat (odd i), got i={shown(h.i)}")
     tri = h.triangle()
     cases = _self_cases(h, tri.scaled_coords())
     return AutGroup(_GROUP_OF_CASES[cases], tuple(
@@ -321,12 +321,12 @@ def census(j_max: int, m_max: int, workers: int = 1) -> CensusReport:
     if workers.__class__ is not int:
         raise InvalidBounds(f"workers must be an integer, got {workers!r}")
     if workers < 1:
-        raise InvalidBounds(f"workers must be at least 1, got {workers}")
+        raise InvalidBounds(f"workers must be at least 1, got {shown(workers)}")
     # refused before the cell list is built, which would exhaust memory
     count = ((j_max + 1) // 2) * ((m_max + 1) // 2)
     if count > MAX_CENSUS_CELLS:
         raise InvalidBounds(
-            f"a census may sweep at most {MAX_CENSUS_CELLS} cells, got {count}"
+            f"a census may sweep at most {MAX_CENSUS_CELLS} cells, got {shown(count)}"
         )
 
     cells = [

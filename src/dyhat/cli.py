@@ -8,9 +8,10 @@ stdout.  Exit codes: 0 success (for iso: isomorphic),
 1 failed census (and nothing else), 2 usage error, 3 not isomorphic,
 4 domain error (malformed or oversized literal, non-dyadic value,
 degenerate triangle, even j, bad bounds), 5 internal inconsistency (two
-cross-checked routes disagreed, or a normalize --verify witness failed
-re-application: a defect in dyhat, not in the input), each with a
-diagnostic naming the violated invariant, 6 output could not be written
+cross-checked routes disagreed, or a witness map failed the
+re-application that normalize makes before it prints the map: a defect
+in dyhat, not in the input), each with a diagnostic naming the violated
+invariant, 6 output could not be written
 (render's --out file, with a one-line diagnostic, or stdout closed by its
 reader, as in "dyhat census ... | head -1", silently).
 """
@@ -62,14 +63,15 @@ def _bounded_int(digits: str, literal: str) -> int:
 
 
 def _ascii_int(text: str) -> int:
-    """argparse type of the census bounds and --par: int(text) for ASCII
-    digits with an optional "-" that int() reads, else a usage error."""
-    try:
-        if _INT.fullmatch(text):
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    """argparse type of the census bounds and --par: int(text) for at most
+    MAX_LITERAL_DIGITS ASCII digits with an optional "-", else a usage
+    error.  The cap is checked before int(), whose own digit limit differs
+    between interpreters."""
+    if len(text.lstrip("-")) > MAX_LITERAL_DIGITS:
+        raise argparse.ArgumentTypeError(f"at most {MAX_LITERAL_DIGITS} digits are allowed")
+    if not _INT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def parse_dyadic(text: str) -> DyadicRational:
@@ -195,13 +197,11 @@ def _witness_holds(witness: AffineMap, tri: Triangle, roles, h: Hat) -> bool:
 def _cmd_normalize(args) -> tuple:
     tri = parse_shape(args.shape)
     payload, lines, quiet = [], [], []
-    ok = "  ok" if args.verify else ""
     triples = role_triples(tri.scaled_coords())
     for roles in ROLE_ORDERS:
         label = perm_label(roles)
-        result = _normalized(tri, roles, triples)
-        h, witness = result.hat, result.witness
-        if args.verify and not _witness_holds(witness, tri, roles, h):
+        h, witness = _normalized(tri, roles, triples)
+        if not _witness_holds(witness, tri, roles, h):
             raise InconsistencyError(f"witness for roles {label} failed verification")
         shape = map_json(witness)
         payload.append({
@@ -212,7 +212,7 @@ def _cmd_normalize(args) -> tuple:
             "map": shape,
         })
         quiet.append(f"{label}: T {h.i} {h.j} {h.m}")
-        lines.append(f"{quiet[-1]}  {_format_map(shape)}{ok}")
+        lines.append(f"{quiet[-1]}  {_format_map(shape)}")
     return 0, {"results": payload}, lines, quiet
 
 
@@ -307,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", parents=[common],
                        help="representative hats for all six vertex roles")
     p.add_argument("shape", help='hat or triangle literal, e.g. "0,0 1,3 2,0"')
-    p.add_argument("--verify", action="store_true",
-                   help="re-apply each witness map and check the vertices")
     p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser("aut", parents=[common],

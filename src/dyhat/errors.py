@@ -49,3 +49,13 @@ def require(value, kind: type, name: str) -> None:
     value is a kind."""
     if not isinstance(value, kind):
         raise TypeError(f"{name} must be a {kind.__name__}, got {value.__class__.__name__}")
+
+
+def shown(value) -> str:
+    """repr(value) for a refusal message, except that an int past 100
+    digits, judged by its bit length (2**333 > 10**100) without converting
+    it, is shown by its size: a message stays one short line on every
+    interpreter, whatever its int-to-str limit."""
+    if isinstance(value, int) and value.bit_length() > 333:
+        return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
+    return repr(value)

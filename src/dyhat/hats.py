@@ -31,7 +31,7 @@ from math import gcd
 from operator import itemgetter
 
 from .dyadic import Record
-from .errors import InconsistencyError, InvalidHat, require
+from .errors import InconsistencyError, InvalidHat, require, shown
 from .geometry import Triangle
 from .oracle import solve_correspondence, vertex_order
 
@@ -43,7 +43,7 @@ def check_odd_positive(error: type[Exception], *pairs: tuple[str, object]) -> No
     census's for its bounds."""
     for name, value in pairs:
         if value.__class__ is not int or value <= 0 or value % 2 == 0:
-            raise error(f"{name} must be an odd positive integer, got {value!r}")
+            raise error(f"{name} must be an odd positive integer, got {shown(value)}")
 
 
 class Hat(Record, namedtuple("Hat", "i j m")):
@@ -83,7 +83,7 @@ class EncodingTriple(Record, namedtuple("EncodingTriple", "i j m")):
     def __new__(cls, i: int, j: int, m: int) -> EncodingTriple:
         check_odd_positive(InvalidHat, ("j", j), ("m", m))
         if i.__class__ is not int or i % 2 == 0 or not 1 <= i <= 2 * j - 1:
-            raise InvalidHat(f"i must be odd in 1..{2 * j - 1}, got {i!r}")
+            raise InvalidHat(f"i must be odd in 1..{shown(2 * j - 1)}, got {shown(i)}")
         return tuple.__new__(cls, (i, j, m))
 
 

@@ -112,10 +112,11 @@ def _census_permuted(name, order, message):
 
 
 def _verify_fails(name, edit):
-    """normalize --verify with the result of cli._normalized, which it
-    calls once per order, edited: the re-applied witness must fail."""
+    """normalize with the result of cli._normalized, which it calls once
+    per order, edited: the witness that it re-applies before printing it
+    must fail."""
     return Fault(name, _edit(edit, "dyhat.cli._normalized"), (),
-                 (["normalize", "--verify", "0,0 1,3 5,0"],),
+                 (["normalize", "0,0 1,3 5,0"],),
                  r"^witness for roles ABC failed verification$")
 
 
@@ -165,7 +166,7 @@ ROWS = (
     Fault("no-witness", {"dyhat.hats.solve_correspondence": lambda src, dst, perm: None},
           ((normalize, _T135), (canonical_form, _T135), (all_encoding_triples, _T135)),
           (["normalize", "T 1 3 5"], ["canon", "T 1 3 5"]), _NO_MAP),
-    # normalize --verify re-applies each witness: the right map for a
+    # normalize re-applies each witness it prints: the right map for a
     # wrong hat, the right hat with its map moved by 2**-40 along x, and
     # the hat stretched 3 times along y with the map that sends the
     # vertices onto it, right images from a map that is not a unit

@@ -237,12 +237,15 @@ _POINT = st.builds(Point2, _FIELD, _FIELD)
 #: Values an export may be handed by mistake: three Point2 records of such
 #: fields in a tuple, as Triangle takes them (listed first, since Hypothesis
 #: draws the early branches more often), one alone, and a Matrix2 of such
-#: fields; ints (small, so a census stays cheap, and one above the census
-#: cell cap), bools, floats, Fractions, strings and None; and records, with
-#: one valid Hat and Triangle.
+#: fields; ints (small, so a census stays cheap, one above the census cell
+#: cap, and two of 5,000 digits, past the 4,300 that int-to-str allows by
+#: default, which a refusal must not print whole), bools, floats,
+#: Fractions, strings and None; and records, with one valid Hat and
+#: Triangle.
 _ANY_VALUE = st.one_of(
     st.tuples(_POINT, _POINT, _POINT), _POINT, st.builds(Matrix2, *[_FIELD] * 4),
-    st.integers(-3, 7), st.just(10**12 + 1), st.booleans(), st.floats(),
+    st.integers(-3, 7), st.just(10**12 + 1), st.sampled_from([10**4999, -10**4999]),
+    st.booleans(), st.floats(),
     st.fractions(), st.text(max_size=3), st.none(),
     st.sampled_from([Hat(1, 3, 5), Hat(2, 3, 5), EncodingTriple(1, 3, 5),
                      Hat(3, 7, 1).triangle(), DyadicRational(3, -1)]),

@@ -8,7 +8,9 @@ import json
 import math
 import os
 import random
+import re
 import resource
+import shlex
 import shutil
 import subprocess
 import sys
@@ -230,6 +232,26 @@ def test_census_above_the_cell_cap_exits_4():
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("str_digits", [sys.int_info.default_max_str_digits, 0],
+                         ids=["default-str-limit", "no-str-limit"])
+def test_census_bound_or_par_past_the_literal_cap_exits_2(capsys, str_digits):
+    # refused before int(), so an interpreter without the int-to-str limit
+    # (0: none) exits as one with it, with a short line naming the cap
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(str_digits)
+    try:
+        for digits in (MAX_LITERAL_DIGITS + 1, 4301, 5000):
+            value = "9" * digits
+            for flags in (["--jmax", value, "--mmax", "3"], ["--jmax", "3", "--mmax", value],
+                          ["--jmax", "3", "--mmax", "3", "--par", value]):
+                assert run(["census", *flags]) == 2, (digits, flags[::2])
+                err = capsys.readouterr().err
+                assert len(err) < 300, (digits, flags[::2])
+                assert f"at most {MAX_LITERAL_DIGITS} digits are allowed\n" in err
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # ---------------------------------------------------------------- iso
 
 
@@ -352,17 +374,11 @@ def test_normalize_reduces_the_triangle_once(capsys, monkeypatch):
         return edge_hats(*args)
 
     monkeypatch.setattr("dyhat.hats._edge_hats", counted)
-    for argv in (["normalize", "0,0 1,3 5,0"], ["normalize", "--verify", "--json", "T 5 15 1"]):
+    for argv in (["normalize", "0,0 1,3 5,0"], ["normalize", "--json", "T 5 15 1"]):
         calls.clear()
         assert run(argv) == 0
         assert len(calls) == 3, argv
     capsys.readouterr()
-
-
-def test_normalize_verify(capsys):
-    assert run(["normalize", "--verify", "0,0 1,3 5,0"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert all(line.endswith("ok") for line in lines)
 
 
 def test_normalize_verify_reads_each_view_once(capsys, monkeypatch):
@@ -378,12 +394,12 @@ def test_normalize_verify_reads_each_view_once(capsys, monkeypatch):
             init(self, *args)
 
         monkeypatch.setattr(DyadicRational, "__init__", counted_init)
-        assert run(["normalize", "--verify", *flags, "0,0 1,3 5,0"]) == 0
+        assert run(["normalize", *flags, "0,0 1,3 5,0"]) == 0
         monkeypatch.undo()
         outputs[tuple(flags)] = capsys.readouterr().out
         assert len(built) <= 350, flags
     assert outputs[()].splitlines()[0] == (
-        "ABC: T 1 3 5  linear [[1, 0], [0, 1]] translation (0, 0)  ok"
+        "ABC: T 1 3 5  linear [[1, 0], [0, 1]] translation (0, 0)"
     )
     assert len(json.loads(outputs[("--json",)])["results"]) == 6
 
@@ -617,7 +633,6 @@ def test_render_into_a_missing_directory_exits_6(tmp_path, capsys):
 _PIN_SHAPES = ["T 1 3 5", "TT 4 3 5", "0,0 1,3 5,0", "0,0 1/2,1/2 1,0"]
 _PIN_CALLS = [
     *(["normalize", shape] for shape in _PIN_SHAPES),
-    *(["normalize", "--verify", shape] for shape in _PIN_SHAPES),
     *(["canon", shape] for shape in _PIN_SHAPES),
     ["aut", "3", "7", "1"],
     ["aut", "15", "9", "21"],
@@ -658,7 +673,7 @@ _PINS = {
         [[command, *flags, *rest]
          for flags in ([], ["--quiet"], ["--json"], ["--json", "--quiet"])
          for command, *rest in _PIN_CALLS],
-        "{call!r}", "d8db720bcb7141bf287e75d966e638c94a7a7dff62dac16308f3a9cf1a12f722"),
+        "{call!r}", "ae110b6bac9ef2c55aa2823639b857fb3a0399dd614db0062e1676201643ef26"),
     "census 31x31": (
         [["census", "--jmax", "31", "--mmax", "31", "--json"]],
         "{out}", "4b20b2b6d106925fa6622e0ddcdfb6109bc43e572be55f88f596a6f8f7a100a3"),
@@ -674,8 +689,8 @@ _PINS = {
     "aut on the six large hats": (
         [["aut", "--json", *line.split()] for line in _fixture_lines("aut_large_hats.txt")],
         "{out}exit {code}\n", "1fe74055403ae9bdf528687ac1e44c045fb4373527612368488d4825caaaeece"),
-    "normalize --verify on the twenty large triangles": (
-        [["normalize", "--verify", "--json", tri] for pair in _LARGE_PAIRS for tri in pair],
+    "normalize on the twenty large triangles": (
+        [["normalize", "--json", tri] for pair in _LARGE_PAIRS for tri in pair],
         "{out}exit {code}\n", "1b5dd2b22ce2e3210b553cb0b41d0053ee42efa9398b0caa28c3eb87a54ae775"),
     "canon on the twenty large triangles": (
         [["canon", "--json", tri] for pair in _LARGE_PAIRS for tri in pair],
@@ -919,10 +934,31 @@ def test_installed_script():
     assert proc.stdout.strip() == "C3"
 
 
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    """Each dyhat line of the README's CLI examples exits 0 (3 where its
+    comment says "not isomorphic") with nothing on stderr, and each canon
+    line prints the triple in its comment."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("dyhat ")]
+    # render writes its --out file into the test's directory
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        command, _, comment = line.partition("#")
+        code = run(shlex.split(command)[1:])
+        out, err = capsys.readouterr()
+        assert (code, err) == (3 if "not isomorphic" in comment else 0, ""), line
+        if command.startswith("dyhat canon "):
+            assert out == comment.strip() + "\n", line
+    assert [line for line in lines if "not isomorphic" in line]
+    assert [line for line in lines if line.startswith("dyhat canon ")]
+
+
 #: Commands that print more than one line.
 _MANY_LINES = [
     ["census", "--jmax", "15", "--mmax", "15"],
-    ["normalize", "--verify", "0,0 1,3 5,0"],
+    ["normalize", "0,0 1,3 5,0"],
 ]
 
 
