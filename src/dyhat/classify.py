@@ -319,7 +319,7 @@ def census(j_max: int, m_max: int, workers: int = 1) -> CensusReport:
     """
     check_odd_positive(InvalidBounds, ("j_max", j_max), ("m_max", m_max))
     if workers.__class__ is not int:
-        raise InvalidBounds(f"workers must be an integer, got {workers!r}")
+        raise InvalidBounds(f"workers must be an integer, got {shown(workers)}")
     if workers < 1:
         raise InvalidBounds(f"workers must be at least 1, got {shown(workers)}")
     # refused before the cell list is built, which would exhaust memory

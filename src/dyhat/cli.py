@@ -9,9 +9,9 @@ stdout.  Exit codes: 0 success (for iso: isomorphic),
 4 domain error (malformed or oversized literal, non-dyadic value,
 degenerate triangle, even j, bad bounds), 5 internal inconsistency (two
 cross-checked routes disagreed, or a witness map failed the
-re-application that normalize makes before it prints the map: a defect
-in dyhat, not in the input), each with a diagnostic naming the violated
-invariant, 6 output could not be written
+re-application that hats._normalized makes before normalize prints the
+map: a defect in dyhat, not in the input), each with a diagnostic naming
+the violated invariant, 6 output could not be written
 (render's --out file, with a one-line diagnostic, or stdout closed by its
 reader, as in "dyhat census ... | head -1", silently).
 """
@@ -25,7 +25,7 @@ import sys
 
 from .classify import MIN_POOLED_HATS, automorphism_group, census, isomorphic
 from .dyadic import DyadicRational
-from .errors import DomainError, InconsistencyError, InvalidHat, NotDyadic, ParseError
+from .errors import DomainError, InconsistencyError, InvalidHat, NotDyadic, ParseError, cut, shown
 from .geometry import AffineMap, Point2, Triangle
 from .hats import ROLE_ORDERS, Hat, _normalized, canonical_form, role_triples
 from .oracle import perm_label
@@ -58,7 +58,7 @@ def _bounded_int(digits: str, literal: str) -> int:
     if not _INT.fullmatch(digits):
         # parse_dyadic's pattern admits only these, so the parts refused
         # here are the parameters of a hat literal or of aut
-        raise ParseError(f"hat parameters must be integers in {literal!r}")
+        raise ParseError(f"hat parameters must be integers in {shown(literal)}")
     return int(digits)
 
 
@@ -70,7 +70,7 @@ def _ascii_int(text: str) -> int:
     if len(text.lstrip("-")) > MAX_LITERAL_DIGITS:
         raise argparse.ArgumentTypeError(f"at most {MAX_LITERAL_DIGITS} digits are allowed")
     if not _INT.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}")
     return int(text)
 
 
@@ -82,23 +82,23 @@ def parse_dyadic(text: str) -> DyadicRational:
     """
     match = _LITERAL.fullmatch(text.strip())
     if not match:
-        raise ParseError(f"malformed dyadic literal {text!r}")
+        raise ParseError(f"malformed dyadic literal {shown(text)}")
     num_text, k_text, den_text, malformed = match.groups()
     num = _bounded_int(num_text, text)
     if k_text is not None:
         k = _bounded_int(k_text, text)
         if k > MAX_POW2_EXPONENT:
             raise ParseError(
-                f"exponent 2^{k} exceeds the limit 2^{MAX_POW2_EXPONENT}"
+                f"exponent 2^{shown(k)} exceeds the limit 2^{MAX_POW2_EXPONENT}"
             )
         return DyadicRational(num, -k)
     if malformed is not None:
-        raise ParseError(f"malformed denominator in {text!r}")
+        raise ParseError(f"malformed denominator in {shown(text)}")
     if den_text is None:
         return DyadicRational(num)
     den = _bounded_int(den_text, text)
     if den <= 0 or den & (den - 1):
-        raise NotDyadic(f"denominator {den} is not a positive power of two")
+        raise NotDyadic(f"denominator {shown(den)} is not a positive power of two")
     return DyadicRational(num, 1 - den.bit_length())
 
 
@@ -118,10 +118,10 @@ def parse_hat(text: str) -> Hat:
     """Parse "T i j m" (representative) or "TT i j m" (i parity free)."""
     tokens = text.split()
     if len(tokens) != 4 or tokens[0] not in ("T", "TT"):
-        raise ParseError(f"malformed hat literal {text!r}")
+        raise ParseError(f"malformed hat literal {shown(text)}")
     hat = Hat(*(_bounded_int(t, text) for t in tokens[1:]))
     if tokens[0] == "T" and not hat.is_representative:
-        raise InvalidHat(f"representative hat literal needs odd i, got {hat.i}")
+        raise InvalidHat(f"representative hat literal needs odd i, got {shown(hat.i)}")
     return hat
 
 
@@ -129,12 +129,12 @@ def parse_triangle(text: str) -> Triangle:
     """Parse three comma-joined vertex pairs, e.g. "0,0 1,3 2,0"."""
     parts = text.split()
     if len(parts) != 3:
-        raise ParseError(f"triangle literal needs three vertices, got {text!r}")
+        raise ParseError(f"triangle literal needs three vertices, got {shown(text)}")
     points = []
     for part in parts:
         coords = part.split(",")
         if len(coords) != 2:
-            raise ParseError(f"vertex {part!r} is not an x,y pair")
+            raise ParseError(f"vertex {shown(part)} is not an x,y pair")
         points.append(Point2(parse_dyadic(coords[0]), parse_dyadic(coords[1])))
     return Triangle(tuple(points))
 
@@ -178,22 +178,6 @@ def _format_map(shape: dict) -> str:
 # (exit code, the --json payload, the text lines, the --quiet lines).
 
 
-def _witness_holds(witness: AffineMap, tri: Triangle, roles, h: Hat) -> bool:
-    """Whether witness is a unit map sending vertices roles[0], [1], [2] of
-    tri to (0, 0), (i, j), (m, 0) of h: its integers re-applied to tri's at
-    the least exponent k, in no code shared with the solve."""
-    ((a, b, c, d), e), ((x, y), s) = witness.scaled_coords()
-    n, t = tri.scaled_coords()
-    k = min(e + t, s, 0)
-    for r, target in zip(roles, ((0, 0), (h.i, h.j), (h.m, 0))):
-        px, py = n[2 * r], n[2 * r + 1]
-        image = (((a * px + b * py) << (e + t - k)) + (x << (s - k)),
-                 ((c * px + d * py) << (e + t - k)) + (y << (s - k)))
-        if image != (target[0] << -k, target[1] << -k):
-            return False
-    return witness.is_unit()
-
-
 def _cmd_normalize(args) -> tuple:
     tri = parse_shape(args.shape)
     payload, lines, quiet = [], [], []
@@ -201,8 +185,6 @@ def _cmd_normalize(args) -> tuple:
     for roles in ROLE_ORDERS:
         label = perm_label(roles)
         h, witness = _normalized(tri, roles, triples)
-        if not _witness_holds(witness, tri, roles, h):
-            raise InconsistencyError(f"witness for roles {label} failed verification")
         shape = map_json(witness)
         payload.append({
             "roles": label,
@@ -288,8 +270,27 @@ def _cmd_render(args) -> tuple:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg)
     except OSError as err:
-        raise OutputError(f"cannot write {args.out}: {err.strerror or err}") from err
+        raise OutputError(f"cannot write {cut(args.out)}: {err.strerror or err}") from err
     return 0, {"render": {"out": args.out}}, [f"wrote {args.out}"], []
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that its refusals of an unknown subcommand
+    and of unrecognized arguments bound what they quote, as errors.shown
+    and errors.cut do: argparse repeats each token whole."""
+
+    def _check_value(self, action, value):
+        try:
+            super()._check_value(action, value)
+        except argparse.ArgumentError as err:
+            raise argparse.ArgumentError(
+                action, err.message.replace(repr(value), shown(value))) from None
+
+    def parse_args(self, args=None, namespace=None):
+        namespace, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {cut(' '.join(extra))}")
+        return namespace
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--quiet", action="store_true",
                         help="suppress everything but the essential answer")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dyhat",
         description="Exact classification of triangles over the dyadic rationals.",
     )

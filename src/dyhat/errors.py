@@ -52,10 +52,20 @@ def require(value, kind: type, name: str) -> None:
 
 
 def shown(value) -> str:
-    """repr(value) for a refusal message, except that an int past 100
-    digits, judged by its bit length (2**333 > 10**100) without converting
-    it, is shown by its size: a message stays one short line on every
-    interpreter, whatever its int-to-str limit."""
+    """repr(value) for a refusal message, bounded by cut, except that an
+    int past 100 digits, judged by its bit length (2**333 > 10**100)
+    without converting it, is shown by its size: a message stays one short
+    line on every interpreter, whatever its int-to-str limit, and however
+    long the value it quotes."""
     if isinstance(value, int) and value.bit_length() > 333:
         return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
-    return repr(value)
+    return cut(repr(value))
+
+
+def cut(text: str) -> str:
+    """text for a refusal message: whole up to 120 characters, else its
+    first 80 and its length, so that quoted input, such as a command line
+    token, cannot make the message long."""
+    if len(text) <= 120:
+        return text
+    return f"{text[:80]}... ({len(text)} characters)"

@@ -10,15 +10,17 @@ role_triples(scaled) is the one entry to the reduction: it finds the
 triples of all six vertex role orders from a triangle's stored (integers,
 exponent) pair, Triangle.scaled_coords(), on integers alone, in
 ROLE_ORDERS order with the identity first.  hat_of reads one order's entry
-as a Hat; normalize adds the witness map, which the oracle solves.
-role_triples reads nothing the oracle computes, and the oracle reads
-nothing the reduction computes, so the two check each other.  Triples are
-plain ints inside the package; records are built at the exports:
-role_triples returns (i, j, m) tuples, and all_encoding_triples and
-canonical_form build an EncodingTriple only for each triple they return,
-once the oracle has solved the map from the triangle to that triple's hat
-(_normalized, as normalize does), so a wrong triple raises
-InconsistencyError.  Hat, EncodingTriple and Normalization are
+as a Hat; normalize adds the witness map, which the oracle solves and
+_witness_holds re-applies to the triangle's integers before normalize (and
+dyhat normalize, through _normalized) hands it out.  role_triples reads
+nothing the oracle computes, and the oracle reads nothing the reduction
+computes, so the two check each other.  Triples are plain ints inside the
+package; records are built at the exports: role_triples returns (i, j, m)
+tuples, and all_encoding_triples and canonical_form build an EncodingTriple
+only for each triple they return, once the oracle has found that a unit map
+carries the triangle to that triple's hat (_checked_triple: one
+correspondence between stored pairs, with no map built), so a wrong triple
+raises InconsistencyError.  Hat, EncodingTriple and Normalization are
 dyadic.Record values, so none has an order; CANONICAL_KEY states the
 canonical (j, m, i) order of triples as a C-level key.
 """
@@ -32,8 +34,8 @@ from operator import itemgetter
 
 from .dyadic import Record
 from .errors import InconsistencyError, InvalidHat, require, shown
-from .geometry import Triangle
-from .oracle import solve_correspondence, vertex_order
+from .geometry import AffineMap, Triangle
+from .oracle import correspondence_holds, perm_label, solve_correspondence, vertex_order
 
 
 def check_odd_positive(error: type[Exception], *pairs: tuple[str, object]) -> None:
@@ -55,7 +57,7 @@ class Hat(Record, namedtuple("Hat", "i j m")):
     def __new__(cls, i: int, j: int, m: int) -> Hat:
         check_odd_positive(InvalidHat, ("j", j), ("m", m))
         if i.__class__ is not int:
-            raise InvalidHat(f"i must be an integer, got {i!r}")
+            raise InvalidHat(f"i must be an integer, got {shown(i)}")
         return tuple.__new__(cls, (i, j, m))
 
     @property
@@ -206,36 +208,71 @@ def _normalized(
 ) -> Normalization:
     """normalize(tri, roles) read off triples, which is
     role_triples(tri.scaled_coords()): dyhat normalize reduces once for all
-    six orders."""
+    six orders.  The oracle solves the witness, and _witness_holds then
+    re-applies it, so every map that normalize and dyhat normalize hand
+    out has been checked; either failure raises InconsistencyError."""
     hat = Hat(*triples[ROLE_ORDERS.index(roles)])
     inverse = tuple(roles.index(k) for k in range(3))
     witness = solve_correspondence(tri, hat.triangle(), inverse)
     if witness is None:
         raise InconsistencyError(f"no unit map carries {tri} with roles {roles} to {hat}")
+    if not _witness_holds(witness, tri, roles, hat):
+        raise InconsistencyError(f"witness for roles {perm_label(roles)} failed verification")
     return Normalization(hat, witness)
+
+
+def _witness_holds(witness: AffineMap, tri: Triangle, roles, h: Hat) -> bool:
+    """Whether witness is a unit map sending vertices roles[0], [1], [2] of
+    tri to (0, 0), (i, j), (m, 0) of h: its integers re-applied to tri's at
+    the least exponent k, in no code shared with the solve."""
+    ((a, b, c, d), e), ((x, y), s) = witness.scaled_coords()
+    n, t = tri.scaled_coords()
+    k = min(e + t, s, 0)
+    for r, target in zip(roles, ((0, 0), (h.i, h.j), (h.m, 0))):
+        px, py = n[2 * r], n[2 * r + 1]
+        image = (((a * px + b * py) << (e + t - k)) + (x << (s - k)),
+                 ((c * px + d * py) << (e + t - k)) + (y << (s - k)))
+        if image != (target[0] << -k, target[1] << -k):
+            return False
+    return witness.is_unit()
+
+
+def _checked_triple(tri: Triangle, scaled: tuple, triples: tuple, k: int) -> EncodingTriple:
+    """triples[k], of role_triples(scaled) with scaled tri.scaled_coords(),
+    as an EncodingTriple, once the oracle finds that a unit map sends
+    vertex roles[r] of tri to vertex r of that triple's hat, for roles
+    ROLE_ORDERS[k]: one correspondence from scaled to the hat's pair
+    ((0, 0, i, j, m, 0), 0), built by hand as a census builds it, so that
+    no map, Normalization or hat Triangle is built.  When there is none
+    it raises InconsistencyError, as _normalized does."""
+    i, j, m = triples[k]
+    roles = ROLE_ORDERS[k]
+    inverse = tuple(roles.index(r) for r in range(3))
+    if not correspondence_holds(scaled, ((0, 0, i, j, m, 0), 0), inverse):
+        raise InconsistencyError(f"no unit map carries {tri} with roles {roles} to {Hat(i, j, m)}")
+    return EncodingTriple(i, j, m)
 
 
 def all_encoding_triples(tri: Triangle) -> frozenset[EncodingTriple]:
     """Encoding triples over all six vertex role assignments (1 to 6 values),
     each checked by the oracle: for the first order that returns a triple,
-    _normalized solves the map from tri to that triple's hat, and raises
-    InconsistencyError when there is none.  A tri that is not a Triangle
-    raises TypeError."""
+    _checked_triple finds, building no map, that a unit map carries tri to
+    that triple's hat, and raises InconsistencyError when none does.  A tri
+    that is not a Triangle raises TypeError."""
     require(tri, Triangle, "tri")
-    triples = role_triples(tri.scaled_coords())
-    return frozenset(
-        EncodingTriple(*_normalized(tri, ROLE_ORDERS[triples.index(t)], triples).hat)
-        for t in set(triples)
-    )
+    scaled = tri.scaled_coords()
+    triples = role_triples(scaled)
+    return frozenset(_checked_triple(tri, scaled, triples, triples.index(t)) for t in set(triples))
 
 
 def canonical_form(tri: Triangle) -> EncodingTriple:
     """The least encoding triple in the canonical (j, m, i) order, checked
-    by the oracle: _normalized solves the map from tri, under the order k
-    of the least entry, to that triple's hat, and raises
-    InconsistencyError when there is none.  A tri that is not a Triangle
-    raises TypeError."""
+    by the oracle: _checked_triple finds, building no map, that a unit map
+    carries tri, under the order of the least entry, to that triple's hat,
+    and raises InconsistencyError when none does.  A tri that is not a
+    Triangle raises TypeError."""
     require(tri, Triangle, "tri")
-    triples = role_triples(tri.scaled_coords())
+    scaled = tri.scaled_coords()
+    triples = role_triples(scaled)
     k = triples.index(min(triples, key=CANONICAL_KEY))
-    return EncodingTriple(*_normalized(tri, ROLE_ORDERS[k], triples).hat)
+    return _checked_triple(tri, scaled, triples, k)

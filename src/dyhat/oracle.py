@@ -3,20 +3,23 @@
 Decides whether an affine map carries one triangle onto another by solving
 the vertex correspondence equations with integer Cramer's rule on the
 integer coordinates each Triangle holds: the solved map qualifies when its
-entries are dyadic and its determinant is +-2**k.  _solve_scaled is the
-one Cramer pass, with one mode: it reads two triangles' stored (integers,
+entries are dyadic and its determinant is +-2**k.  _solve_scaled is the one
+Cramer pass, with one mode: it reads two triangles' stored (integers,
 exponent) pairs, tests every correspondence it is given and returns the
 cases that hold and the first hit's map integers.  Each question has one
 consumer of the pass: realized_cases, which self-correspondences of a
 stored pair hold (a census, which builds each hat's pair by hand and no
 Triangle, and automorphism_group; the identity holds untested);
-oracle_isomorphic, every case between two triangles and the first hit's
-map (isomorphic); solve_correspondence, one given correspondence and its
-map (hats.normalize, automorphism_group).  This route shares no logic and no
-computed data with the number-theoretic criteria or with the hat
-reduction, whose one entry is hats.role_triples(scaled): the reduction and
-the pass read the same stored pair as input, and nothing that the other
-computes, so each side checks the other.
+oracle_isomorphic, every case between two triangles and the first hit's map
+(isomorphic); solve_correspondence, one given correspondence and its map
+(hats.normalize, automorphism_group); correspondence_holds, whether one
+given correspondence between two stored pairs holds, with no map
+(hats.canonical_form and all_encoding_triples, from a triangle's pair to
+its hat's pair ((0, 0, i, j, m, 0), 0), built by hand).  This route shares
+no logic and no computed data with the number-theoretic criteria or with
+the hat reduction, whose one entry is hats.role_triples(scaled): the
+reduction and the pass read the same stored pair as input, and nothing that
+the other computes, so each side checks the other.
 """
 
 from __future__ import annotations
@@ -167,6 +170,14 @@ def solve_correspondence(
     targets = (_TARGET_OF_PERM[perm],)
     hit = _solve_scaled(src.scaled_coords(), dst.scaled_coords(), targets)[1]
     return hit and AffineMap.from_scaled(*hit[1])
+
+
+def correspondence_holds(src: tuple, dst: tuple, perm: tuple[int, int, int]) -> bool:
+    """Whether a unit map sends vertex k of the triangle whose
+    scaled_coords() is src to vertex perm[k] of dst's, a permutation in the
+    form that CORRESPONDENCES keeps: the pass over perm's one entry, on the
+    stored pairs alone, so that no map is built."""
+    return bool(_solve_scaled(src, dst, (_TARGET_OF_PERM[perm],))[0])
 
 
 def realized_cases(scaled: tuple[tuple[int, ...], int]) -> str:

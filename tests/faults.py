@@ -64,8 +64,10 @@ def _uniform(triples):
 _ISO_CASE, _ORACLE = "dyhat.classify.iso_case", "dyhat.classify.oracle_isomorphic"
 _REDUCE = "dyhat.classify.role_triples"
 _T135, _T5151 = Hat(1, 3, 5).triangle(), Hat(5, 15, 1).triangle()
-#: The message of hats._normalized, which normalize, canonical_form and
-#: all_encoding_triples raise when the oracle finds no map to a triple's hat.
+#: The message of hats._normalized, which normalize raises when the oracle
+#: solves no witness to a triple's hat, and of hats._checked_triple, which
+#: canonical_form and all_encoding_triples raise when the oracle's map-free
+#: test finds that no unit map carries the triangle to a triple's hat.
 _NO_MAP = r"^no unit map carries Triangle\(.+\) with roles \(\d, \d, \d\) to Hat\([^)]+\)$"
 _SHIFT_113 = r"^reduction and oracle disagree on Hat\(i=1, j=1, m=3\): case b "
 _OWN_131 = r"^reduction does not return Hat\(i=1, j=3, m=1\) as its own pointed class: "
@@ -111,13 +113,21 @@ def _census_permuted(name, order, message):
                  (["census", "--jmax", "31", "--mmax", "31"],), message)
 
 
-def _verify_fails(name, edit):
-    """normalize with the result of cli._normalized, which it calls once
-    per order, edited: the witness that it re-applies before printing it
-    must fail."""
-    return Fault(name, _edit(edit, "dyhat.cli._normalized"), (),
-                 (["normalize", "0,0 1,3 5,0"],),
+def _verify_fails(name, patches):
+    """normalize, in the library and at the CLI, under patches that change
+    what hats._normalized reads, the oracle's witness and the hat: the
+    re-application that it makes before handing the witness out must
+    fail."""
+    return Fault(name, patches, ((normalize, _T135),), (["normalize", "0,0 1,3 5,0"],),
                  r"^witness for roles ABC failed verification$")
+
+
+def _solve_unstretched(src, dst, perm, real=hats.solve_correspondence):
+    """The oracle's map to dst squeezed 3 times along y, then stretched back
+    along y: a map that sends src's vertices onto dst's and is not a
+    unit."""
+    (_, _, i, j, m, _), _ = dst.scaled_coords()
+    return affine(1, 0, 0, 3) @ real(src, Hat(i, j // 3, m).triangle(), perm)
 
 
 ROWS = (
@@ -164,18 +174,26 @@ ROWS = (
           (["canon", "0,0 1,3 5,0"], ["census", "--jmax", "31", "--mmax", "31"]),
           _NO_MAP + "|" + _OWN_131 + r"identity-order triple \[5, 3, 1\]$"),
     Fault("no-witness", {"dyhat.hats.solve_correspondence": lambda src, dst, perm: None},
-          ((normalize, _T135), (canonical_form, _T135), (all_encoding_triples, _T135)),
-          (["normalize", "T 1 3 5"], ["canon", "T 1 3 5"]), _NO_MAP),
-    # normalize re-applies each witness it prints: the right map for a
-    # wrong hat, the right hat with its map moved by 2**-40 along x, and
-    # the hat stretched 3 times along y with the map that sends the
-    # vertices onto it, right images from a map that is not a unit
+          ((normalize, _T135),), (["normalize", "T 1 3 5"],), _NO_MAP),
+    # the oracle's map-free test of one correspondence, which checks each
+    # triple that canonical_form and all_encoding_triples return
+    Fault("no-correspondence", {"dyhat.hats.correspondence_holds": lambda src, dst, perm: False},
+          ((canonical_form, _T135), (all_encoding_triples, _T135)), (["canon", "T 1 3 5"],),
+          _NO_MAP),
+    # hats._normalized re-applies each witness before normalize hands it
+    # out: the right hat with a unit map onto the hat shifted by 2j along
+    # x, the right hat with its map moved by 2**-40 along x, and the hat
+    # stretched 3 times along y with the map that sends the vertices onto
+    # it, right images from a map that is not a unit
     _verify_fails("verify-shifted-hat",
-                  lambda r: r._replace(hat=Hat(r.hat.i + 2 * r.hat.j, r.hat.j, r.hat.m))),
-    _verify_fails("verify-shifted-witness", lambda r: r._replace(
-        witness=affine(1, 0, 0, 1, DyadicRational(1, -40)) @ r.witness)),
-    _verify_fails("verify-stretched", lambda r: r._replace(
-        hat=Hat(r.hat.i, 3 * r.hat.j, r.hat.m), witness=affine(1, 0, 0, 3) @ r.witness)),
+                  _edit(lambda f: affine(1, 2, 0, 1) @ f, "dyhat.hats.solve_correspondence")),
+    _verify_fails("verify-shifted-witness", _edit(
+        lambda f: affine(1, 0, 0, 1, DyadicRational(1, -40)) @ f,
+        "dyhat.hats.solve_correspondence")),
+    _verify_fails("verify-stretched", {
+        **_edit(lambda triples: tuple((i, 3 * j, m) for i, j, m in triples),
+                "dyhat.hats.role_triples", "dyhat.cli.role_triples"),
+        "dyhat.hats.solve_correspondence": _solve_unstretched}),
 )
 
 

@@ -15,7 +15,6 @@ import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -23,12 +22,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import dyhat
-from dyhat import AffineMap, DyadicRational, EncodingTriple, Hat, Triangle, normalize
+from dyhat import AffineMap, DyadicRational, EncodingTriple, Hat, Triangle
 from dyhat.classify import MAX_CENSUS_CELLS, CensusReport, CensusRow, census
 from dyhat.cli import (
     MAX_LITERAL_DIGITS,
     MAX_POW2_EXPONENT,
-    _witness_holds,
     format_dyadic,
     parse_dyadic,
     parse_hat,
@@ -42,12 +40,14 @@ from dyhat.errors import (
     InvalidHat,
     NotDyadic,
     ParseError,
+    cut,
+    shown,
 )
 from dyhat.geometry import Matrix2, Point2
 from dyhat.render import render_svg
 
 import tutil
-from reference import GROUP_OF_CRITERIA, apply, criteria_row, is_unit, parse_literal
+from reference import GROUP_OF_CRITERIA, apply, criteria_row, parse_literal
 
 D = DyadicRational
 
@@ -252,6 +252,50 @@ def test_census_bound_or_par_past_the_literal_cap_exits_2(capsys, str_digits):
         sys.set_int_max_str_digits(limit)
 
 
+_LONG = "x" * 100_000
+_LONG_DIGITS = "7" * MAX_LITERAL_DIGITS
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([_LONG], 2),
+    (["canon", "0,0 1,3 5,0", "--" + _LONG], 2),
+    (["canon", "0,0 1,3 5,0", _LONG, _LONG, _LONG], 2),
+    (["canon", _LONG], 4),
+    (["canon", f"0,0 {_LONG},3 5,0"], 4),
+    (["canon", f"0,0 1,3 5,{_LONG}"], 4),
+    (["canon", f"0,0 1/{_LONG},3 5,0"], 4),
+    (["canon", f"0,0 1,3 {_LONG}"], 4),
+    (["normalize", f"0,0 1,3 5,0 {_LONG}"], 4),
+    (["iso", "T 1 3 5", f"T 1 {_LONG} 5"], 4),
+    (["iso", f"TT {_LONG} 3 5", "T 1 3 5"], 4),
+    (["aut", "1", "3", _LONG], 4),
+    (["census", "--jmax", _LONG, "--mmax", "3"], 2),
+    (["census", "--jmax", "3", "--mmax", "3", "--par", _LONG[:MAX_LITERAL_DIGITS]], 2),
+    (["render", "T 1 3 5", "--out", _LONG], 6),
+    # values within the literal caps that dyhat repeats in its refusal
+    (["canon", f"0,0 1/2^{_LONG_DIGITS},3 5,0"], 4),
+    (["canon", f"0,0 1/{_LONG_DIGITS},3 5,0"], 4),
+    (["canon", f"T {_LONG_DIGITS[:-1]}8 3 5"], 4),
+], ids=lambda v: v if isinstance(v, int) else " ".join(t[:12] for t in v))
+def test_a_long_token_in_any_position_gives_short_stderr_lines(capsys, argv, code):
+    """dyhat's refusals and argparse's invalid choice and unrecognized
+    arguments lines quote a long token cut (errors.shown, errors.cut)."""
+    assert run(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err
+    assert max(map(len, err.splitlines())) < 300
+
+
+def test_short_values_are_quoted_whole():
+    assert shown("x" * 118) == repr("x" * 118)
+    assert shown("x" * 119).endswith("... (121 characters)")
+    assert shown(1 - 2**333) == str(1 - 2**333)
+    assert cut("--frob " * 17) == "--frob " * 17
+    for make in (lambda: Hat(_LONG, 3, 5), lambda: census(3, 3, workers=_LONG)):
+        with pytest.raises(DomainError, match=r"^.{,120}\.\.\. \(100002 characters\)$"):
+            make()
+
+
 # ---------------------------------------------------------------- iso
 
 
@@ -402,22 +446,6 @@ def test_normalize_verify_reads_each_view_once(capsys, monkeypatch):
         "ABC: T 1 3 5  linear [[1, 0], [0, 1]] translation (0, 0)"
     )
     assert len(json.loads(outputs[("--json",)])["results"]) == 6
-
-
-@given(st.one_of(tutil.triangles, tutil.large_triangles),
-       st.one_of(tutil.unit_maps, tutil.any_maps),
-       st.sampled_from(list(permutations((0, 1, 2)))))
-@settings(phases=tutil.UNSHRUNK)
-def test_the_witness_check_matches_fraction_application(t, f, roles):
-    """_witness_holds re-applies a map on the integers; on Fraction, the
-    same check is three images and a unit test.  The true witness, the
-    true witness after another map, and that map alone all agree."""
-    h, witness = normalize(t, roles)
-    targets = [Point2(D(0), D(0)), Point2(D(h.i), D(h.j)), Point2(D(h.m), D(0))]
-    for g in (witness, f @ witness, f):
-        want = [apply(g, t.vertices[r]) for r in roles] == targets and is_unit(g)
-        assert _witness_holds(g, t, roles, h) == want
-    assert _witness_holds(witness, t, roles, h)
 
 
 def test_normalize_json_round_trips(capsys):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from dyhat import (
+    AffineMap,
     DyadicRational,
     EncodingTriple,
     Hat,
@@ -22,7 +23,7 @@ from dyhat import (
 )
 from dyhat.errors import InconsistencyError, InvalidHat
 from dyhat.geometry import Point2
-from dyhat.hats import ROLE_ORDERS, role_triples
+from dyhat.hats import ROLE_ORDERS, Normalization, _witness_holds, role_triples
 
 import tutil
 from reference import (
@@ -31,6 +32,7 @@ from reference import (
     closed_form_triples,
     fraction_solve,
     hat_by_inverse,
+    is_unit,
     pointed_canonical,
     reordered,
     transformed,
@@ -152,6 +154,22 @@ def test_witness_properties_hold_generically(t):
     assert hat.is_representative and 1 <= hat.i <= 2 * hat.j - 1
 
 
+@given(st.one_of(tutil.triangles, tutil.large_triangles),
+       st.one_of(tutil.unit_maps, tutil.any_maps),
+       st.sampled_from(list(permutations((0, 1, 2)))))
+@settings(phases=tutil.UNSHRUNK)
+def test_the_witness_check_matches_fraction_application(t, f, roles):
+    """_witness_holds re-applies a map on the integers; on Fraction, the
+    same check is three images and a unit test.  The true witness, the
+    true witness after another map, and that map alone all agree."""
+    h, witness = normalize(t, roles)
+    targets = [Point2(D(0), D(0)), Point2(D(h.i), D(h.j)), Point2(D(h.m), D(0))]
+    for g in (witness, f @ witness, f):
+        want = [apply(g, t.vertices[r]) for r in roles] == targets and is_unit(g)
+        assert _witness_holds(g, t, roles, h) == want
+    assert _witness_holds(witness, t, roles, h)
+
+
 @given(tutil.rep_hats)
 def test_normalize_round_trip(h):
     canon = pointed_canonical(h)
@@ -172,6 +190,36 @@ def test_canonical_form_fixture():
     assert canonical_form(Hat(1, 3, 5).triangle()) == EncodingTriple(1, 3, 5)
     assert canonical_form(Hat(5, 15, 1).triangle()) == EncodingTriple(1, 3, 5)
     assert canonical_form(Hat(15, 9, 21).triangle()) == EncodingTriple(15, 9, 21)
+
+
+def test_checked_triples_build_no_map(monkeypatch):
+    """A passing canonical_form or all_encoding_triples calls
+    AffineMap.from_scaled and Hat.triangle zero times and builds no
+    Normalization: the oracle tests one correspondence per returned triple,
+    from the triangle's stored pair to the hat's pair ((0, 0, i, j, m, 0),
+    0), built by hand.  normalize, which hands out a map, shows that the
+    counting stand-ins count."""
+    shapes = [Triangle.of((0, 0), (1, 3), (5, 0)), Triangle.of((0, 0), (1, 3), (2, 0)),
+              Hat(1, 1, 1).triangle(), Hat(3, 7, 1).triangle(),
+              *(t for pair in tutil.large_iso_pairs(random.Random(1), 2) for t in pair)]
+    built = []
+    from_scaled, triangle, record = AffineMap.from_scaled.__func__, Hat.triangle, Normalization
+    monkeypatch.setattr(AffineMap, "from_scaled", classmethod(
+        lambda cls, *args: built.append("map") or from_scaled(cls, *args)))
+    monkeypatch.setattr(Hat, "triangle", lambda self: built.append("triangle") or triangle(self))
+    monkeypatch.setattr("dyhat.hats.Normalization",
+                        lambda *args: built.append("normalization") or record(*args))
+    tested, _ = tutil.counted_pass(monkeypatch)
+    for t in shapes:
+        scaled = t.scaled_coords()
+        triples = all_encoding_triples(t)
+        assert canonical_form(t) in triples
+        assert built == []
+        assert [src for src, _, _ in tested] == [scaled] * (len(triples) + 1)
+        assert {dst for _, dst, _ in tested} == {((0, 0, i, j, m, 0), 0) for i, j, m in triples}
+        tested.clear()
+    normalize(shapes[0])
+    assert sorted(built) == ["map", "normalization", "triangle"]
 
 
 @given(tutil.triangles, tutil.unit_maps)
