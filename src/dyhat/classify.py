@@ -15,9 +15,10 @@ hats.role_triples(scaled), the one entry to the hat reduction, on
 tri.scaled_coords().  _self_cases is the one group check:
 iso_case(h, h), the table lookup, and the comparison with the oracle's
 realized cases on the triangle's stored (integers, exponent) pair.
-automorphism_group runs it on tri.scaled_coords() and then has the oracle
-build a witness map for each of the group's own cases; a census cell runs
-it alone, so a census builds no witness map.  The cell builds no Hat or
+automorphism_group runs it on tri.scaled_coords() and then takes a
+witness map for each of the group's own cases from hats._normalized, which
+has the oracle solve it and re-applies it; a census cell runs _self_cases
+alone, so a census builds no witness map.  The cell builds no Hat or
 Triangle per hat: it writes the pair ((0, 0, i, j, m, 0), 0) that
 Hat(i, j, m).triangle() stores and hands it to the reduction
 (hats.role_triples) and to the oracle's self pass, and builds a Hat
@@ -48,14 +49,8 @@ from operator import itemgetter
 from .dyadic import Record
 from .errors import InconsistencyError, InvalidBounds, InvalidHat, require, shown
 from .geometry import Triangle
-from .hats import CANONICAL_KEY, ROLE_ORDERS, Hat, check_odd_positive, role_triples
-from .oracle import (
-    CORRESPONDENCES,
-    oracle_isomorphic,
-    perm_label,
-    realized_cases,
-    solve_correspondence,
-)
+from .hats import CANONICAL_KEY, ROLE_ORDERS, Hat, _normalized, check_odd_positive, role_triples
+from .oracle import CORRESPONDENCES, oracle_isomorphic, perm_label, realized_cases
 
 #: The six subgroups of S3, keyed by the cases that iso_case finds between
 #: a hat and itself: each key is the oracle.CORRESPONDENCES cases, in that
@@ -96,8 +91,9 @@ MIN_POOLED_HATS = 6000
 
 
 class AutGroup(Record, namedtuple("AutGroup", "tag witnesses")):
-    """Group tag plus one oracle witness per group element: witnesses is a
-    tuple of (permutation label, AffineMap) pairs; a Record."""
+    """Group tag plus one witness per group element, which the oracle
+    solved and hats._normalized re-applied: witnesses is a tuple of
+    (permutation label, AffineMap) pairs; a Record."""
 
     __slots__ = ()
 
@@ -133,8 +129,12 @@ def automorphism_group(h: Hat) -> AutGroup:
     between h and itself must be a key of _GROUP_OF_CASES, one per subgroup
     of S3, and the oracle must realize exactly those self-correspondences
     (_self_cases, which the census calls too); the tag is the table's entry
-    for them, and the oracle solves one witness map per case.  A value
-    that is not a Hat raises TypeError.
+    for them.  Each case's witness map is hats._normalized's map from h's
+    triangle to h itself, under the vertex order whose entry r is
+    perm.index(r), which sends vertex k to vertex perm[k]: the oracle
+    solves it and _normalized re-applies it, as for normalize, and raises
+    InconsistencyError when either fails.  A value that is not a Hat
+    raises TypeError.
     """
     require(h, Hat, "h")
     if not h.is_representative:
@@ -142,9 +142,9 @@ def automorphism_group(h: Hat) -> AutGroup:
     tri = h.triangle()
     cases = _self_cases(h, tri.scaled_coords())
     return AutGroup(_GROUP_OF_CASES[cases], tuple(
-        (perm_label(corr.perm), solve_correspondence(tri, tri, corr.perm))
-        for corr in CORRESPONDENCES
-        if corr.case in cases
+        (perm_label(perm), _normalized(tri, tuple(map(perm.index, range(3))), h).witness)
+        for case, perm in CORRESPONDENCES
+        if case in cases
     ))
 
 

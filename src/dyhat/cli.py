@@ -8,12 +8,12 @@ stdout.  Exit codes: 0 success (for iso: isomorphic),
 1 failed census (and nothing else), 2 usage error, 3 not isomorphic,
 4 domain error (malformed or oversized literal, non-dyadic value,
 degenerate triangle, even j, bad bounds), 5 internal inconsistency (two
-cross-checked routes disagreed, or a witness map failed the
-re-application that hats._normalized makes before normalize prints the
-map: a defect in dyhat, not in the input), each with a diagnostic naming
-the violated invariant, 6 output could not be written
-(render's --out file, with a one-line diagnostic, or stdout closed by its
-reader, as in "dyhat census ... | head -1", silently).
+cross-checked routes disagreed, or the oracle solved no witness map, or
+one failed the re-application that hats._normalized makes before
+normalize or aut prints the map: a defect in dyhat, not in the input),
+each with a diagnostic naming the violated invariant, 6 output could not
+be written (render's --out file, with a one-line diagnostic, or stdout
+closed by its reader, as in "dyhat census ... | head -1", silently).
 """
 
 from __future__ import annotations
@@ -181,10 +181,9 @@ def _format_map(shape: dict) -> str:
 def _cmd_normalize(args) -> tuple:
     tri = parse_shape(args.shape)
     payload, lines, quiet = [], [], []
-    triples = role_triples(tri.scaled_coords())
-    for roles in ROLE_ORDERS:
+    for roles, triple in zip(ROLE_ORDERS, role_triples(tri.scaled_coords())):
         label = perm_label(roles)
-        h, witness = _normalized(tri, roles, triples)
+        h, witness = _normalized(tri, roles, triple)
         shape = map_json(witness)
         payload.append({
             "roles": label,
@@ -275,22 +274,15 @@ def _cmd_render(args) -> tuple:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, except that its refusals of an unknown subcommand
-    and of unrecognized arguments bound what they quote, as errors.shown
-    and errors.cut do: argparse repeats each token whole."""
+    """argparse's parser, except that its one error hook bounds each usage
+    message as errors.cut bounds a refusal, whole up to 120 characters,
+    else its first 80 and its length: argparse quotes a token whole, in an
+    invalid choice, unrecognized arguments, an ambiguous option or a value
+    given to a flag that takes none.  The usage line above it is
+    argparse's own."""
 
-    def _check_value(self, action, value):
-        try:
-            super()._check_value(action, value)
-        except argparse.ArgumentError as err:
-            raise argparse.ArgumentError(
-                action, err.message.replace(repr(value), shown(value))) from None
-
-    def parse_args(self, args=None, namespace=None):
-        namespace, extra = self.parse_known_args(args, namespace)
-        if extra:
-            self.error(f"unrecognized arguments: {cut(' '.join(extra))}")
-        return namespace
+    def error(self, message):
+        super().error(cut(message))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,8 +11,9 @@ triples of all six vertex role orders from a triangle's stored (integers,
 exponent) pair, Triangle.scaled_coords(), on integers alone, in
 ROLE_ORDERS order with the identity first.  hat_of reads one order's entry
 as a Hat; normalize adds the witness map, which the oracle solves and
-_witness_holds re-applies to the triangle's integers before normalize (and
-dyhat normalize, through _normalized) hands it out.  role_triples reads
+_witness_holds re-applies to the triangle's integers before _normalized
+hands it out, to normalize, dyhat normalize and automorphism_group alike,
+which take every witness map from it.  role_triples reads
 nothing the oracle computes, and the oracle reads nothing the reduction
 computes, so the two check each other.  Triples are plain ints inside the
 package; records are built at the exports: role_triples returns (i, j, m)
@@ -200,18 +201,21 @@ def normalize(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> No
     The oracle solves it, sending vertex roles[k] to hat vertex k."""
     roles = vertex_order(roles, "roles")
     require(tri, Triangle, "tri")
-    return _normalized(tri, roles, role_triples(tri.scaled_coords()))
+    return _normalized(tri, roles, role_triples(tri.scaled_coords())[ROLE_ORDERS.index(roles)])
 
 
 def _normalized(
-    tri: Triangle, roles: tuple[int, int, int], triples: tuple[tuple[int, int, int], ...]
+    tri: Triangle, roles: tuple[int, int, int], triple: tuple[int, int, int]
 ) -> Normalization:
-    """normalize(tri, roles) read off triples, which is
-    role_triples(tri.scaled_coords()): dyhat normalize reduces once for all
-    six orders.  The oracle solves the witness, and _witness_holds then
-    re-applies it, so every map that normalize and dyhat normalize hand
-    out has been checked; either failure raises InconsistencyError."""
-    hat = Hat(*triples[ROLE_ORDERS.index(roles)])
+    """The hat (i, j, m) = triple with the witness that sends vertex
+    roles[k] of tri to hat vertex k: for normalize and dyhat normalize,
+    roles' entry of role_triples(tri.scaled_coords()), and for
+    automorphism_group its hat itself, under the order that one of its
+    self-correspondences gives.  The oracle solves the witness, and
+    _witness_holds then re-applies it, so every map that normalize,
+    automorphism_group, dyhat normalize and dyhat aut hand out has been
+    checked; either failure raises InconsistencyError."""
+    hat = Hat(*triple)
     inverse = tuple(roles.index(k) for k in range(3))
     witness = solve_correspondence(tri, hat.triangle(), inverse)
     if witness is None:

@@ -12,14 +12,15 @@ stored pair hold (a census, which builds each hat's pair by hand and no
 Triangle, and automorphism_group; the identity holds untested);
 oracle_isomorphic, every case between two triangles and the first hit's map
 (isomorphic); solve_correspondence, one given correspondence and its map
-(hats.normalize, automorphism_group); correspondence_holds, whether one
-given correspondence between two stored pairs holds, with no map
-(hats.canonical_form and all_encoding_triples, from a triangle's pair to
-its hat's pair ((0, 0, i, j, m, 0), 0), built by hand).  This route shares
-no logic and no computed data with the number-theoretic criteria or with
-the hat reduction, whose one entry is hats.role_triples(scaled): the
-reduction and the pass read the same stored pair as input, and nothing that
-the other computes, so each side checks the other.
+(hats._normalized alone, for normalize and automorphism_group);
+correspondence_holds, whether one given correspondence between two stored
+pairs holds, with no map (hats.canonical_form and all_encoding_triples,
+from a triangle's pair to its hat's pair ((0, 0, i, j, m, 0), 0), built by
+hand).  This route shares no logic and no computed data with the
+number-theoretic criteria or with the hat reduction, whose one entry is
+hats.role_triples(scaled): the reduction and the pass read the same stored
+pair as input, and nothing that the other computes, so each side checks
+the other.
 """
 
 from __future__ import annotations

@@ -64,10 +64,11 @@ def _uniform(triples):
 _ISO_CASE, _ORACLE = "dyhat.classify.iso_case", "dyhat.classify.oracle_isomorphic"
 _REDUCE = "dyhat.classify.role_triples"
 _T135, _T5151 = Hat(1, 3, 5).triangle(), Hat(5, 15, 1).triangle()
-#: The message of hats._normalized, which normalize raises when the oracle
-#: solves no witness to a triple's hat, and of hats._checked_triple, which
-#: canonical_form and all_encoding_triples raise when the oracle's map-free
-#: test finds that no unit map carries the triangle to a triple's hat.
+#: The message of hats._normalized, which normalize and automorphism_group
+#: raise when the oracle solves no witness to a hat, and of
+#: hats._checked_triple, which canonical_form and all_encoding_triples
+#: raise when the oracle's map-free test finds that no unit map carries the
+#: triangle to a triple's hat.
 _NO_MAP = r"^no unit map carries Triangle\(.+\) with roles \(\d, \d, \d\) to Hat\([^)]+\)$"
 _SHIFT_113 = r"^reduction and oracle disagree on Hat\(i=1, j=1, m=3\): case b "
 _OWN_131 = r"^reduction does not return Hat\(i=1, j=3, m=1\) as its own pointed class: "
@@ -113,12 +114,18 @@ def _census_permuted(name, order, message):
                  (["census", "--jmax", "31", "--mmax", "31"],), message)
 
 
-def _verify_fails(name, patches):
-    """normalize, in the library and at the CLI, under patches that change
-    what hats._normalized reads, the oracle's witness and the hat: the
-    re-application that it makes before handing the witness out must
-    fail."""
-    return Fault(name, patches, ((normalize, _T135),), (["normalize", "0,0 1,3 5,0"],),
+#: automorphism_group and dyhat aut on the S3 hat, whose first witness, of
+#: case a, hats._normalized solves and re-applies under the roles ABC.
+_AUT_CALL, _AUT_ARGV = (automorphism_group, Hat(1, 1, 1)), ["aut", "1", "1", "1"]
+
+
+def _verify_fails(name, patches, calls=(), argvs=()):
+    """normalize, and calls and argvs, in the library and at the CLI,
+    under patches that change what hats._normalized reads, the oracle's
+    witness and the hat: the re-application that it makes before handing
+    the witness out must fail."""
+    return Fault(name, patches, ((normalize, _T135), *calls),
+                 (["normalize", "0,0 1,3 5,0"], *argvs),
                  r"^witness for roles ABC failed verification$")
 
 
@@ -174,22 +181,24 @@ ROWS = (
           (["canon", "0,0 1,3 5,0"], ["census", "--jmax", "31", "--mmax", "31"]),
           _NO_MAP + "|" + _OWN_131 + r"identity-order triple \[5, 3, 1\]$"),
     Fault("no-witness", {"dyhat.hats.solve_correspondence": lambda src, dst, perm: None},
-          ((normalize, _T135),), (["normalize", "T 1 3 5"],), _NO_MAP),
+          ((normalize, _T135), _AUT_CALL), (["normalize", "T 1 3 5"], _AUT_ARGV), _NO_MAP),
     # the oracle's map-free test of one correspondence, which checks each
     # triple that canonical_form and all_encoding_triples return
     Fault("no-correspondence", {"dyhat.hats.correspondence_holds": lambda src, dst, perm: False},
           ((canonical_form, _T135), (all_encoding_triples, _T135)), (["canon", "T 1 3 5"],),
           _NO_MAP),
-    # hats._normalized re-applies each witness before normalize hands it
-    # out: the right hat with a unit map onto the hat shifted by 2j along
-    # x, the right hat with its map moved by 2**-40 along x, and the hat
-    # stretched 3 times along y with the map that sends the vertices onto
-    # it, right images from a map that is not a unit
+    # hats._normalized re-applies each witness before normalize and
+    # automorphism_group hand it out: the right hat with a unit map onto
+    # the hat shifted by 2j along x, the right hat with its map moved by
+    # 2**-40 along x, and (normalize alone, as a hat's j divided by 3 is no
+    # hat) the hat stretched 3 times along y with the map that sends the
+    # vertices onto it, right images from a map that is not a unit
     _verify_fails("verify-shifted-hat",
-                  _edit(lambda f: affine(1, 2, 0, 1) @ f, "dyhat.hats.solve_correspondence")),
+                  _edit(lambda f: affine(1, 2, 0, 1) @ f, "dyhat.hats.solve_correspondence"),
+                  (_AUT_CALL,), (_AUT_ARGV,)),
     _verify_fails("verify-shifted-witness", _edit(
         lambda f: affine(1, 0, 0, 1, DyadicRational(1, -40)) @ f,
-        "dyhat.hats.solve_correspondence")),
+        "dyhat.hats.solve_correspondence"), (_AUT_CALL,), (_AUT_ARGV,)),
     _verify_fails("verify-stretched", {
         **_edit(lambda triples: tuple((i, 3 * j, m) for i, j, m in triples),
                 "dyhat.hats.role_triples", "dyhat.cli.role_triples"),

@@ -1,5 +1,6 @@
 """Command line surface: literals, exit codes, JSON schema, SVG output."""
 
+import argparse
 import ast
 import contextlib
 import hashlib
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import dyhat
-from dyhat import AffineMap, DyadicRational, EncodingTriple, Hat, Triangle
+from dyhat import AffineMap, DyadicRational, EncodingTriple, Hat, Triangle, cli
 from dyhat.classify import MAX_CENSUS_CELLS, CensusReport, CensusRow, census
 from dyhat.cli import (
     MAX_LITERAL_DIGITS,
@@ -181,6 +182,23 @@ def test_usage_errors_exit_2(capsys):
         assert err.count(f"invalid int value: {bad!r}\n") == 3, bad
 
 
+@pytest.mark.parametrize("argv", [
+    [], ["frob"], ["aut", "1", "3"], ["aut", "--", "1", "--", "3"],
+    ["normalize", "--canonical", "T 1 3 5"], ["normalize", "--json=1", "T 1 3 5"],
+    ["census", "--jmax", "3"], ["census", "--j=3", "--mmax", "3"],
+    ["census", "--jmax", "abc", "--mmax", "3"],
+], ids=lambda argv: " ".join(argv) or "no arguments")
+def test_a_short_usage_message_prints_as_argparse_prints_it(capsys, monkeypatch, argv):
+    """A usage message of at most 120 characters prints byte for byte as
+    argparse's own error hook prints it: the bound cuts long ones only."""
+    assert run(argv) == 2
+    ours = capsys.readouterr()
+    assert len(ours.err.splitlines()[-1].split(" error: ", 1)[1]) <= 120
+    monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+    assert run(argv) == 2
+    assert capsys.readouterr() == ours
+
+
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     assert "census" in capsys.readouterr().out
@@ -271,6 +289,11 @@ _LONG_DIGITS = "7" * MAX_LITERAL_DIGITS
     (["aut", "1", "3", _LONG], 4),
     (["census", "--jmax", _LONG, "--mmax", "3"], 2),
     (["census", "--jmax", "3", "--mmax", "3", "--par", _LONG[:MAX_LITERAL_DIGITS]], 2),
+    # argparse's own refusals: a value given to a flag that takes none, and
+    # an ambiguous abbreviation of an option
+    (["normalize", f"--json={_LONG}", "T 1 3 5"], 2),
+    (["canon", f"--quiet={_LONG}", "T 1 3 5"], 2),
+    (["census", f"--j={_LONG}", "--mmax", "3"], 2),
     (["render", "T 1 3 5", "--out", _LONG], 6),
     # values within the literal caps that dyhat repeats in its refusal
     (["canon", f"0,0 1/2^{_LONG_DIGITS},3 5,0"], 4),
@@ -278,8 +301,8 @@ _LONG_DIGITS = "7" * MAX_LITERAL_DIGITS
     (["canon", f"T {_LONG_DIGITS[:-1]}8 3 5"], 4),
 ], ids=lambda v: v if isinstance(v, int) else " ".join(t[:12] for t in v))
 def test_a_long_token_in_any_position_gives_short_stderr_lines(capsys, argv, code):
-    """dyhat's refusals and argparse's invalid choice and unrecognized
-    arguments lines quote a long token cut (errors.shown, errors.cut)."""
+    """dyhat's refusals and every argparse usage message quote a long token
+    cut (errors.shown, errors.cut)."""
     assert run(argv) == code
     out, err = capsys.readouterr()
     assert out == "" and err
@@ -891,10 +914,15 @@ def test_format_dyadic_reads_back_through_the_literal_grammar(d):
         assert parse_dyadic(text) == d
 
 
-#: flags that take no value, so that an inserted one cannot pick up a
-#: census bound, a worker count or a render path
-_flags = st.sampled_from(["--json", "--quiet", "--canonical", "--verify", "--help",
-                          "--bogus", "--"])
+#: flags that take no value, alone or with one joined by "=", so that an
+#: inserted one cannot pick up a census bound, a worker count or a render
+#: path: "--j" is ambiguous in census (--jmax or --json) and --json
+#: elsewhere, so "--j=..." is refused either way, quoting its value
+_flags = st.one_of(
+    st.sampled_from(["--json", "--quiet", "--canonical", "--verify", "--help", "--bogus", "--"]),
+    st.builds("{}={}".format, st.sampled_from(["--json", "--j"]),
+              st.text(max_size=400) | st.just(_LONG)),
+)
 
 
 @pytest.fixture(scope="module")
@@ -933,6 +961,7 @@ def test_fuzzed_argv_exits_with_a_documented_code(fuzz_dir, data):
         code = run(argv)
     assert code in range(7), argv
     assert "Traceback" not in stderr.getvalue(), argv
+    assert max(map(len, stderr.getvalue().splitlines()), default=0) < 300, argv
 
 
 # ---------------------------------------------------------------- entry point
