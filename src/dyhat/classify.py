@@ -12,13 +12,15 @@ decision: its three criteria routes must agree, and the oracle must realize
 exactly the cases that iso_case finds between the triangles' hats, every
 letter and not just the first; it reduces each triangle through
 hats.role_triples(scaled), the one entry to the hat reduction, on
-tri.scaled_coords().  _self_cases is the one group check:
-iso_case(h, h), the table lookup, and the comparison with the oracle's
-realized cases on the triangle's stored (integers, exponent) pair.
-automorphism_group runs it on tri.scaled_coords() and then takes a
-witness map for each of the group's own cases from hats._normalized, which
-has the oracle solve it and re-applies it; a census cell runs _self_cases
-alone, so a census builds no witness map.  The cell builds no Hat or
+tri.scaled_coords(), and re-applies the oracle's map to the second
+triangle's stored pair (hats._witness_holds).  _self_cases is the one
+group check: iso_case(h, h), the table lookup, and the comparison with
+the oracle's realized cases on the triangle's stored (integers, exponent)
+pair.  automorphism_group runs it on a triangle's identity-order hat and
+the triangle's own pair, and then takes a witness map from the triangle
+to itself for each of the group's own cases from hats._checked_witness,
+which has the oracle solve it and re-applies it; a census cell runs
+_self_cases alone, so a census builds no witness map.  The cell builds no Hat or
 Triangle per hat: it writes the pair ((0, 0, i, j, m, 0), 0) that
 Hat(i, j, m).triangle() stores and hands it to the reduction
 (hats.role_triples) and to the oracle's self pass, and builds a Hat
@@ -49,7 +51,8 @@ from operator import itemgetter
 from .dyadic import Record
 from .errors import InconsistencyError, InvalidBounds, InvalidHat, require, shown
 from .geometry import Triangle
-from .hats import CANONICAL_KEY, ROLE_ORDERS, Hat, _normalized, check_odd_positive, role_triples
+from .hats import (CANONICAL_KEY, ROLE_ORDERS, Hat, _checked_witness, _witness_holds,
+                   check_odd_positive, role_triples)
 from .oracle import CORRESPONDENCES, oracle_isomorphic, perm_label, realized_cases
 
 #: The six subgroups of S3, keyed by the cases that iso_case finds between
@@ -92,7 +95,7 @@ MIN_POOLED_HATS = 6000
 
 class AutGroup(Record, namedtuple("AutGroup", "tag witnesses")):
     """Group tag plus one witness per group element, which the oracle
-    solved and hats._normalized re-applied: witnesses is a tuple of
+    solved and hats._checked_witness re-applied: witnesses is a tuple of
     (permutation label, AffineMap) pairs; a Record."""
 
     __slots__ = ()
@@ -122,29 +125,34 @@ def _self_cases(h: tuple[int, int, int], scaled: tuple[tuple[int, ...], int]) ->
     return cases
 
 
-def automorphism_group(h: Hat) -> AutGroup:
-    """Assemble the automorphism group of a representative hat.
+def automorphism_group(shape: Triangle | Hat) -> AutGroup:
+    """Assemble the automorphism group of a triangle, or of a
+    representative hat's triangle.
 
-    An automorphism is a self-isomorphism.  The cases that iso_case finds
-    between h and itself must be a key of _GROUP_OF_CASES, one per subgroup
-    of S3, and the oracle must realize exactly those self-correspondences
-    (_self_cases, which the census calls too); the tag is the table's entry
-    for them.  Each case's witness map is hats._normalized's map from h's
-    triangle to h itself, under the vertex order whose entry r is
-    perm.index(r), which sends vertex k to vertex perm[k]: the oracle
-    solves it and _normalized re-applies it, as for normalize, and raises
-    InconsistencyError when either fails.  A value that is not a Hat
-    raises TypeError.
+    An automorphism is a self-isomorphism, and a unit map carries the
+    triangle to its identity-order hat h, entry 0 of
+    role_triples(tri.scaled_coords()), so the two have one group, with the
+    same vertex permutations.  The cases that iso_case finds between h and
+    itself must be a key of _GROUP_OF_CASES, one per subgroup of S3, and
+    the oracle must realize exactly those self-correspondences of the
+    triangle's own stored pair (_self_cases, which the census calls too);
+    the tag is the table's entry for them.  Each case's witness map is
+    hats._checked_witness's map from the triangle to itself, under the
+    vertex order whose entry r is perm.index(r), which sends vertex k to
+    vertex perm[k]: the oracle solves it and it is re-applied, as for
+    normalize, and InconsistencyError is raised when either fails.  A Hat
+    with even i raises InvalidHat, and a value that is neither a Hat nor a
+    Triangle raises TypeError.
     """
-    require(h, Hat, "h")
-    if not h.is_representative:
-        raise InvalidHat(f"criteria require a representative hat (odd i), got i={shown(h.i)}")
-    tri = h.triangle()
-    cases = _self_cases(h, tri.scaled_coords())
+    if isinstance(shape, Hat) and not shape.is_representative:
+        raise InvalidHat(f"criteria require a representative hat (odd i), got i={shown(shape.i)}")
+    tri = shape.triangle() if isinstance(shape, Hat) else shape
+    require(tri, Triangle, "shape")
+    scaled = tri.scaled_coords()
+    cases = _self_cases(role_triples(scaled)[0], scaled)
     return AutGroup(_GROUP_OF_CASES[cases], tuple(
-        (perm_label(perm), _normalized(tri, tuple(map(perm.index, range(3))), h).witness)
-        for case, perm in CORRESPONDENCES
-        if case in cases
+        (perm_label(perm), _checked_witness(tri, tuple(map(perm.index, range(3))), scaled, tri))
+        for case, perm in CORRESPONDENCES if case in cases
     ))
 
 
@@ -191,8 +199,8 @@ def iso_case(h1: tuple[int, int, int], h2: tuple[int, int, int]) -> str:
 class IsoResult(Record, namedtuple("IsoResult", "isomorphic case witness")):
     """An isomorphism decision: isomorphic (bool), the first in
     oracle.CORRESPONDENCES order of the hat cases that hold (a letter, or
-    None; several may hold) and the oracle's witness map (an AffineMap, or
-    None); a Record."""
+    None; several may hold) and the oracle's witness map, re-applied (an
+    AffineMap, or None); a Record."""
 
     __slots__ = ()
 
@@ -207,8 +215,10 @@ def isomorphic(t1: Triangle, t2: Triangle) -> IsoResult:
     which shares no code with that reduction: it runs on t1 and t2
     themselves on every call, sees every verdict, and gives the witness
     map.  The three routes and the oracle must agree, and the oracle must
-    realize exactly the cases that the case route finds.  A value that is
-    not a Triangle raises TypeError.
+    realize exactly the cases that the case route finds.  The witness map
+    is then re-applied to t2's stored pair (hats._witness_holds), so a
+    map that does not carry t1 onto t2 as a unit map raises
+    InconsistencyError.  A value that is not a Triangle raises TypeError.
     """
     require(t1, Triangle, "t1")
     require(t2, Triangle, "t2")
@@ -226,6 +236,11 @@ def isomorphic(t1: Triangle, t2: Triangle) -> IsoResult:
             f"overlap {by_overlap}, cases {list(cases)}, "
             f"oracle cases {list(oracle_cases)}"
         )
+    # the oracle's map, re-applied to t2's integers under the roles that
+    # invert its correspondence, in no code shared with its solve
+    if found and not _witness_holds(found[2], t1, tuple(map(found[1].perm.index, range(3))),
+                                    t2.scaled_coords()):
+        raise InconsistencyError(f"witness for case {found[1].case} failed verification")
     return IsoResult(by_canonical, cases[:1] or None, found and found[2])
 
 

@@ -9,11 +9,12 @@ stdout.  Exit codes: 0 success (for iso: isomorphic),
 4 domain error (malformed or oversized literal, non-dyadic value,
 degenerate triangle, even j, bad bounds), 5 internal inconsistency (two
 cross-checked routes disagreed, or the oracle solved no witness map, or
-one failed the re-application that hats._normalized makes before
-normalize or aut prints the map: a defect in dyhat, not in the input),
-each with a diagnostic naming the violated invariant, 6 output could not
-be written (render's --out file, with a one-line diagnostic, or stdout
-closed by its reader, as in "dyhat census ... | head -1", silently).
+one failed the re-application, hats._witness_holds, that every map
+passes before normalize, aut or iso prints it: a defect in dyhat, not in
+the input), each with a diagnostic naming the violated invariant, 6
+output could not be written (render's --out file, with a one-line
+diagnostic, or stdout closed by its reader, as in "dyhat census ... |
+head -1", silently).
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _bounded_int(digits: str, literal: str) -> int:
         )
     if not _INT.fullmatch(digits):
         # parse_dyadic's pattern admits only these, so the parts refused
-        # here are the parameters of a hat literal or of aut
+        # here are the parameters of a hat literal
         raise ParseError(f"hat parameters must be integers in {shown(literal)}")
     return int(digits)
 
@@ -198,9 +199,7 @@ def _cmd_normalize(args) -> tuple:
 
 
 def _cmd_aut(args) -> tuple:
-    numbers = (args.i, args.j, args.m)
-    literal = " ".join(numbers)
-    group = automorphism_group(Hat(*(_bounded_int(n, literal) for n in numbers)))
+    group = automorphism_group(parse_shape(args.shape))
     shapes = [(perm, map_json(witness)) for perm, witness in group.witnesses]
     payload = {
         "group": group.tag,
@@ -303,10 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser("aut", parents=[common],
-                       help="automorphism group of a representative hat")
-    p.add_argument("i")
-    p.add_argument("j")
-    p.add_argument("m")
+                       help="automorphism group of a hat or triangle")
+    p.add_argument("shape", help="hat or triangle literal")
     p.set_defaults(func=_cmd_aut)
 
     p = sub.add_parser("iso", parents=[common],
@@ -344,7 +341,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         if argv.count("--") > 1:
             # argparse in Python 3.11 drops a second "--" and can hand a
-            # positional an empty list in place of a value ("aut -- 1 -- 3")
+            # positional an empty list in place of a value ("iso -- a -- b")
             parser.error("'--' may be given at most once")
         args = parser.parse_args(argv)
     except SystemExit as exit_:  # argparse handles usage errors and --help

@@ -10,10 +10,13 @@ role_triples(scaled) is the one entry to the reduction: it finds the
 triples of all six vertex role orders from a triangle's stored (integers,
 exponent) pair, Triangle.scaled_coords(), on integers alone, in
 ROLE_ORDERS order with the identity first.  hat_of reads one order's entry
-as a Hat; normalize adds the witness map, which the oracle solves and
-_witness_holds re-applies to the triangle's integers before _normalized
-hands it out, to normalize, dyhat normalize and automorphism_group alike,
-which take every witness map from it.  role_triples reads
+as a Hat; normalize adds the witness map.  _witness_holds is dyhat's one
+re-application of a map: it applies the map's integers to a triangle's and
+compares them with a target's stored pair.  Every map that dyhat hands out
+passes it once: _checked_witness has the oracle solve a map and then
+re-applies it, for normalize and dyhat normalize (to the hat's pair, built
+by hand) and for automorphism_group (to the triangle's own pair), and
+classify.isomorphic re-applies the oracle's map.  role_triples reads
 nothing the oracle computes, and the oracle reads nothing the reduction
 computes, so the two check each other.  Triples are plain ints inside the
 package; records are built at the exports: role_triples returns (i, j, m)
@@ -196,9 +199,11 @@ def hat_of(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> Hat:
 
 def normalize(tri: Triangle, roles: tuple[int, int, int] = IDENTITY_ROLES) -> Normalization:
     """hat_of(tri, roles) with its witness: the unique unit affine map
-    through the three vertex pairs, which equals the composition of a
-    translation, a Bezout matrix, rescalings, a reflection and a shear.
-    The oracle solves it, sending vertex roles[k] to hat vertex k."""
+    through the three vertex pairs, which equals the composition, applied
+    in this order, of a translation, an integer Bezout matrix, an optional
+    reflection, a power-of-two rescaling and a dyadic shear.  The oracle
+    solves it, sending vertex roles[k] to hat vertex k, and _checked_witness
+    re-applies it."""
     roles = vertex_order(roles, "roles")
     require(tri, Triangle, "tri")
     return _normalized(tri, roles, role_triples(tri.scaled_coords())[ROLE_ORDERS.index(roles)])
@@ -208,35 +213,47 @@ def _normalized(
     tri: Triangle, roles: tuple[int, int, int], triple: tuple[int, int, int]
 ) -> Normalization:
     """The hat (i, j, m) = triple with the witness that sends vertex
-    roles[k] of tri to hat vertex k: for normalize and dyhat normalize,
-    roles' entry of role_triples(tri.scaled_coords()), and for
-    automorphism_group its hat itself, under the order that one of its
-    self-correspondences gives.  The oracle solves the witness, and
-    _witness_holds then re-applies it, so every map that normalize,
+    roles[k] of tri to hat vertex k, for normalize and dyhat normalize:
+    roles' entry of role_triples(tri.scaled_coords()).  _checked_witness
+    solves it and re-applies it to the hat's pair ((0, 0, i, j, m, 0), 0),
+    built by hand."""
+    i, j, m = triple
+    hat = Hat(i, j, m)
+    return Normalization(hat, _checked_witness(tri, roles, ((0, 0, i, j, m, 0), 0), hat))
+
+
+def _checked_witness(src: Triangle, roles, dst: tuple, name) -> AffineMap:
+    """The unit map that sends vertex roles[k] of src to vertex k of the
+    triangle whose stored pair is dst: the oracle solves it, and
+    _witness_holds then re-applies it to dst, so every map that normalize,
     automorphism_group, dyhat normalize and dyhat aut hand out has been
-    checked; either failure raises InconsistencyError."""
-    hat = Hat(*triple)
+    checked.  normalize's dst is a hat's pair, and automorphism_group's
+    src's own.  Either failure raises InconsistencyError, naming dst as
+    name."""
     inverse = tuple(roles.index(k) for k in range(3))
-    witness = solve_correspondence(tri, hat.triangle(), inverse)
+    witness = solve_correspondence(src, Triangle.from_scaled(*dst), inverse)
     if witness is None:
-        raise InconsistencyError(f"no unit map carries {tri} with roles {roles} to {hat}")
-    if not _witness_holds(witness, tri, roles, hat):
+        raise InconsistencyError(f"no unit map carries {src} with roles {roles} to {name}")
+    if not _witness_holds(witness, src, roles, dst):
         raise InconsistencyError(f"witness for roles {perm_label(roles)} failed verification")
-    return Normalization(hat, witness)
+    return witness
 
 
-def _witness_holds(witness: AffineMap, tri: Triangle, roles, h: Hat) -> bool:
+def _witness_holds(witness: AffineMap, src: Triangle, roles, dst: tuple) -> bool:
     """Whether witness is a unit map sending vertices roles[0], [1], [2] of
-    tri to (0, 0), (i, j), (m, 0) of h: its integers re-applied to tri's at
-    the least exponent k, in no code shared with the solve."""
+    src to vertices 0, 1, 2 of the triangle whose stored (integers,
+    exponent) pair is dst: its integers re-applied to src's and compared
+    with dst's at the least exponent k, in no code shared with the solve.
+    The one re-application: _checked_witness runs it for normalize and
+    automorphism_group, and classify.isomorphic on the oracle's map."""
     ((a, b, c, d), e), ((x, y), s) = witness.scaled_coords()
-    n, t = tri.scaled_coords()
-    k = min(e + t, s, 0)
-    for r, target in zip(roles, ((0, 0), (h.i, h.j), (h.m, 0))):
+    (n, t), (q, u) = src.scaled_coords(), dst
+    k = min(e + t, s, u)
+    for r, w in zip(roles, (0, 2, 4)):
         px, py = n[2 * r], n[2 * r + 1]
         image = (((a * px + b * py) << (e + t - k)) + (x << (s - k)),
                  ((c * px + d * py) << (e + t - k)) + (y << (s - k)))
-        if image != (target[0] << -k, target[1] << -k):
+        if image != (q[w] << (u - k), q[w + 1] << (u - k)):
             return False
     return witness.is_unit()
 
@@ -248,7 +265,7 @@ def _checked_triple(tri: Triangle, scaled: tuple, triples: tuple, k: int) -> Enc
     ROLE_ORDERS[k]: one correspondence from scaled to the hat's pair
     ((0, 0, i, j, m, 0), 0), built by hand as a census builds it, so that
     no map, Normalization or hat Triangle is built.  When there is none
-    it raises InconsistencyError, as _normalized does."""
+    it raises InconsistencyError, as _checked_witness does."""
     i, j, m = triples[k]
     roles = ROLE_ORDERS[k]
     inverse = tuple(roles.index(r) for r in range(3))

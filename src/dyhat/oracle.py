@@ -12,7 +12,7 @@ stored pair hold (a census, which builds each hat's pair by hand and no
 Triangle, and automorphism_group; the identity holds untested);
 oracle_isomorphic, every case between two triangles and the first hit's map
 (isomorphic); solve_correspondence, one given correspondence and its map
-(hats._normalized alone, for normalize and automorphism_group);
+(hats._checked_witness alone, for normalize and automorphism_group);
 correspondence_holds, whether one given correspondence between two stored
 pairs holds, with no map (hats.canonical_form and all_encoding_triples,
 from a triangle's pair to its hat's pair ((0, 0, i, j, m, 0), 0), built by

@@ -64,12 +64,13 @@ def _uniform(triples):
 _ISO_CASE, _ORACLE = "dyhat.classify.iso_case", "dyhat.classify.oracle_isomorphic"
 _REDUCE = "dyhat.classify.role_triples"
 _T135, _T5151 = Hat(1, 3, 5).triangle(), Hat(5, 15, 1).triangle()
-#: The message of hats._normalized, which normalize and automorphism_group
-#: raise when the oracle solves no witness to a hat, and of
-#: hats._checked_triple, which canonical_form and all_encoding_triples
-#: raise when the oracle's map-free test finds that no unit map carries the
-#: triangle to a triple's hat.
-_NO_MAP = r"^no unit map carries Triangle\(.+\) with roles \(\d, \d, \d\) to Hat\([^)]+\)$"
+#: The message of hats._checked_witness, which normalize raises when the
+#: oracle solves no witness to a hat, and automorphism_group when it solves
+#: none from a triangle to itself, and of hats._checked_triple, which
+#: canonical_form and all_encoding_triples raise when the oracle's map-free
+#: test finds that no unit map carries the triangle to a triple's hat.
+_NO_MAP = (r"^no unit map carries Triangle\(.+\) with roles \(\d, \d, \d\) "
+           r"to (Hat\([^)]+\)|Triangle\(.+\))$")
 _SHIFT_113 = r"^reduction and oracle disagree on Hat\(i=1, j=1, m=3\): case b "
 _OWN_131 = r"^reduction does not return Hat\(i=1, j=3, m=1\) as its own pointed class: "
 # line 9 of the pinned large pairs is isomorphic, and the x and y parts of
@@ -87,13 +88,16 @@ def _edit(edit, *targets):
 
 def _self_cases_lie(name, cases, message):
     """iso_case finds cases between Hat(1, 9, 5), whose group is trivial,
-    and itself, and the real cases elsewhere: at aut, and in the census's
-    (9, 5) cell, which checks each hat's group without automorphism_group."""
+    and itself, and the real cases elsewhere: at aut, on the hat and on
+    its image under the unit map (x, y) -> (x + 2y + 1, y), whose
+    identity-order hat it is, and in the census's (9, 5) cell, which
+    checks each hat's group without automorphism_group."""
     def lie(h1, h2, real=classify.iso_case):
         return cases if tuple(h1) == tuple(h2) == (1, 9, 5) else real(h1, h2)
 
     return Fault(name, {_ISO_CASE: lie}, ((automorphism_group, Hat(1, 9, 5)), (census, 9, 5)),
-                 (["aut", "1", "9", "5"], ["census", "--jmax", "9", "--mmax", "5"]), message)
+                 (["aut", "T 1 9 5"], ["aut", "1,0 20,9 6,0"],
+                  ["census", "--jmax", "9", "--mmax", "5"]), message)
 
 
 def _iso_cd(name, patches, cases, oracle):
@@ -115,15 +119,15 @@ def _census_permuted(name, order, message):
 
 
 #: automorphism_group and dyhat aut on the S3 hat, whose first witness, of
-#: case a, hats._normalized solves and re-applies under the roles ABC.
-_AUT_CALL, _AUT_ARGV = (automorphism_group, Hat(1, 1, 1)), ["aut", "1", "1", "1"]
+#: case a, hats._checked_witness solves and re-applies under the roles ABC.
+_AUT_CALL, _AUT_ARGV = (automorphism_group, Hat(1, 1, 1)), ["aut", "T 1 1 1"]
 
 
 def _verify_fails(name, patches, calls=(), argvs=()):
     """normalize, and calls and argvs, in the library and at the CLI,
-    under patches that change what hats._normalized reads, the oracle's
-    witness and the hat: the re-application that it makes before handing
-    the witness out must fail."""
+    under patches that change what hats._checked_witness reads, the
+    oracle's witness and the hat: the re-application that it makes before
+    handing the witness out must fail."""
     return Fault(name, patches, ((normalize, _T135), *calls),
                  (["normalize", "0,0 1,3 5,0"], *argvs),
                  r"^witness for roles ABC failed verification$")
@@ -146,7 +150,7 @@ ROWS = (
                     r"Hat\(i=1, j=9, m=5\) and itself give no subgroup of S3$"),
     # on an S3 hat, a case route that drops f names no subgroup at all
     Fault("case-route-drops-f", _edit(lambda c: c.replace("f", ""), _ISO_CASE),
-          ((automorphism_group, Hat(1, 1, 1)),), (["aut", "1", "1", "1"],),
+          ((automorphism_group, Hat(1, 1, 1)),), (["aut", "T 1 1 1"],),
           r"^cases 'abcde' of Hat\(i=1, j=1, m=1\) and itself give no subgroup of S3$"),
     # a case route that finds none, and one that drops "d": "c" and "d"
     # both hold, so the first letter and the verdict are unchanged
@@ -187,22 +191,30 @@ ROWS = (
     Fault("no-correspondence", {"dyhat.hats.correspondence_holds": lambda src, dst, perm: False},
           ((canonical_form, _T135), (all_encoding_triples, _T135)), (["canon", "T 1 3 5"],),
           _NO_MAP),
-    # hats._normalized re-applies each witness before normalize and
+    # hats._checked_witness re-applies each witness before normalize and
     # automorphism_group hand it out: the right hat with a unit map onto
     # the hat shifted by 2j along x, the right hat with its map moved by
-    # 2**-40 along x, and (normalize alone, as a hat's j divided by 3 is no
-    # hat) the hat stretched 3 times along y with the map that sends the
-    # vertices onto it, right images from a map that is not a unit
+    # 2**-40 along x (also at aut on a triangle, its own target), and
+    # (normalize alone, as a hat's j divided by 3 is no hat) the hat
+    # stretched 3 times along y with the map that sends the vertices onto
+    # it, right images from a map that is not a unit
     _verify_fails("verify-shifted-hat",
                   _edit(lambda f: affine(1, 2, 0, 1) @ f, "dyhat.hats.solve_correspondence"),
                   (_AUT_CALL,), (_AUT_ARGV,)),
     _verify_fails("verify-shifted-witness", _edit(
         lambda f: affine(1, 0, 0, 1, DyadicRational(1, -40)) @ f,
-        "dyhat.hats.solve_correspondence"), (_AUT_CALL,), (_AUT_ARGV,)),
+        "dyhat.hats.solve_correspondence"), (_AUT_CALL,), (_AUT_ARGV, ["aut", "0,0 1,3 5,0"])),
     _verify_fails("verify-stretched", {
         **_edit(lambda triples: tuple((i, 3 * j, m) for i, j, m in triples),
                 "dyhat.hats.role_triples", "dyhat.cli.role_triples"),
         "dyhat.hats.solve_correspondence": _solve_unstretched}),
+    # isomorphic re-applies the oracle's first map to the second triangle:
+    # the map moved by 1 along x, with every case the oracle found
+    Fault("iso-shifted-witness", _edit(lambda f: f and (*f[:2], affine(1, 0, 0, 1, 1) @ f[2]),
+                                       _ORACLE),
+          ((isomorphic, _T135, _T5151),),
+          (["iso", "T 1 3 5", "T 5 15 1"], ["iso", "0,0 1,3 5,0", "T 1 3 5"]),
+          r"^witness for case [ac] failed verification$"),
 )
 
 

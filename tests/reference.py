@@ -7,6 +7,10 @@ integer arithmetic with stdlib Fraction.  A map is applied, composed and
 tested for being a unit here on Fraction, read off its linear and
 translation views, and fraction_solve solves a correspondence by Cramer's
 rule on Fraction; oracle_aut_count counts automorphisms with it.
+witness_factors builds the five factors that the README names for a
+witness (a translation, an integer Bezout matrix from egcd, a reflection,
+a power-of-two rescaling and a shear) on Fraction, and composed
+multiplies them; the tests check that the product is normalize's witness.
 
 solve_congruence, with its Residue and NoSolution, solves a linear
 congruence by modular inversion, as dyhat's isomorphism criteria once did;
@@ -100,19 +104,35 @@ def det(f: AffineMap) -> DyadicRational:
     return from_fraction(a * d - b * c)
 
 
-def is_unit(f: AffineMap) -> bool:
-    """Whether det(f) is +-2**k, on Fraction: a dyadic determinant is a unit
+def is_dyadic_unit(entries: tuple[Fraction, ...]) -> bool:
+    """Whether the map with map_fractions entries has dyadic entries and a
+    determinant of +-2**k, on Fraction: a dyadic determinant is a unit
     exactly when its numerator is a power of two up to sign."""
-    n = abs(det(f).to_fraction().numerator)
-    return n != 0 and n & (n - 1) == 0
+    a, b, c, d, _, _ = entries
+    n = a * d - b * c
+    top = abs(n.numerator)
+    return top != 0 and top & (top - 1) == 0 and all(
+        v.denominator & (v.denominator - 1) == 0 for v in (*entries, n))
+
+
+def is_unit(f: AffineMap) -> bool:
+    """Whether det(f) is +-2**k, on Fraction (is_dyadic_unit)."""
+    return is_dyadic_unit(map_fractions(f))
+
+
+def composed(maps) -> tuple[Fraction, ...]:
+    """The (a, b, c, d, tx, ty) entries of the last of maps after ... after
+    the first, each given by its entries, composed on Fraction."""
+    a, b, c, d, x, y = maps[0]
+    for p, q, r, u, fx, fy in maps[1:]:
+        a, b, c, d, x, y = (p * a + q * c, p * b + q * d, r * a + u * c, r * b + u * d,
+                            p * x + q * y + fx, r * x + u * y + fy)
+    return a, b, c, d, x, y
 
 
 def compose(f: AffineMap, g: AffineMap) -> tuple[Fraction, ...]:
     """map_fractions of f after g, composed on Fraction."""
-    a, b, c, d, x, y = map_fractions(f)
-    p, q, r, u, gx, gy = map_fractions(g)
-    return (a * p + b * r, a * q + b * u, c * p + d * r, c * q + d * u,
-            a * gx + b * gy + x, c * gx + d * gy + y)
+    return composed([map_fractions(g), map_fractions(f)])
 
 
 def _apply_fractions(entries: tuple[Fraction, ...], p: Point2) -> Point2:
@@ -337,6 +357,44 @@ def hat_by_inverse(tri: Triangle, roles: tuple[int, int, int]):
     j = odd // (g >> v)
     r = (s * (ax - ox) + t * (ay - oy)) * pow(2, -v, j) % j
     return (r if r % 2 else r + j, j, g >> v), v
+
+
+def witness_factors(tri: Triangle, roles: tuple[int, int, int], i: int):
+    """((j, m), factors): the j and m of tri's hat under roles, from tri's
+    coordinates, and the five maps that, applied in the order listed, send
+    vertex roles[0] of tri to (0, 0), roles[1] to (i, j) and roles[2] to
+    (m, 0).  They are built on Fraction, as the README and hats.normalize
+    name them, for the origin o, apex a and base end b that roles pick,
+    each as its (a, b, c, d, tx, ty) entries (Fraction or int), the form
+    of map_fractions:
+      - the translation by -o;
+      - the integer Bezout matrix [[s, t], [-B/g, A/g]] of the base,
+        where (A, B) is 2**e (b - o) taken to integers and s*A + t*B = g =
+        m * 2**v (egcd): it lays the base on the x axis at (g / 2**e, 0);
+      - the reflection diag(1, +-1) that puts the apex, now (x, y), above
+        the x axis;
+      - the rescaling diag(2**e / 2**v, j / |y|), which makes the base m
+        and the apex's height j;
+      - the shear [[1, (i - x') / j], [0, 1]], which moves the apex (x', j)
+        to (i, j)."""
+    n = [(v.x.to_fraction(), v.y.to_fraction()) for v in tri.vertices]
+    (ox, oy), (ax, ay), (bx, by) = (n[k] for k in roles)
+    scale = max((bx - ox).denominator, (by - oy).denominator)
+    A, B, p, q = int((bx - ox) * scale), int((by - oy) * scale), ax - ox, ay - oy
+    g, s, t = egcd(A, B)
+    m = odd_part(g)
+    j = odd_part(abs(A * q - B * p).numerator) // m
+    x, y = s * p + t * q, (A * q - B * p) / g
+    grow = Fraction(m * scale, g)
+    # an entry that is an integer stays an int, which Fraction arithmetic
+    # takes as the Fraction it equals, and int arithmetic far faster
+    return (j, m), [
+        (1, 0, 0, 1, -ox, -oy),
+        (s, t, -B // g, A // g, 0, 0),
+        (1, 0, 0, 1 if y > 0 else -1, 0, 0),
+        (grow, 0, 0, j / abs(y), 0, 0),
+        (1, (i - grow * x) / j, 0, 1, 0, 0),
+    ]
 
 
 def _require_representative(h: Hat) -> None:

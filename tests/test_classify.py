@@ -39,6 +39,8 @@ import tutil
 from reference import (
     GROUP_OF_CRITERIA,
     IDENTITY,
+    affine,
+    apply,
     aut_cycle,
     aut_fix_A,
     aut_fix_B,
@@ -48,6 +50,7 @@ from reference import (
     closed_form_triples,
     criteria_row,
     fraction_solve,
+    is_unit,
     iso_case_by_congruence,
     odd_gcd,
     transformed,
@@ -151,14 +154,39 @@ def test_large_hats_get_the_group_of_the_reference_criteria(drawn):
         assert (tag, cases) == row
 
 
-def test_automorphism_group_refuses_a_value_that_is_not_a_hat():
-    tri = Hat(1, 3, 5).triangle()
-    for value in (tri, (1, 3, 5), None):
-        with pytest.raises(TypeError, match="h must be a Hat, got "):
+_SHEARED = affine(1, 3, 0, -1, D(5, -2), -7)
+
+
+@given(st.one_of(tutil.triangles, tutil.large_triangles))
+@example(transformed(Hat(1, 1, 1).triangle(), _SHEARED))
+@example(transformed(Hat(3, 7, 1).triangle(), _SHEARED))
+@example(transformed(Hat(15, 9, 21).triangle(), _SHEARED))
+@settings(phases=tutil.UNSHRUNK)
+def test_a_triangle_has_the_group_of_its_identity_order_hat(t):
+    """automorphism_group(t) is the group of t's identity-order hat, by
+    dyhat and by the reference criteria, with the same labels; applied on
+    Fraction, each witness is a unit map that sends A, B and C to the
+    vertices that its label names."""
+    h = hat_of(t)
+    group = automorphism_group(t)
+    tag, _, labels = criteria_row(h)
+    assert group.tag == automorphism_group(h).tag == tag
+    assert tuple(label for label, _ in group.witnesses) == labels
+    vertices = t.vertices
+    for label, witness in group.witnesses:
+        assert [apply(witness, v) for v in vertices] == [vertices["ABC".index(c)] for c in label]
+        assert is_unit(witness)
+
+
+def test_automorphism_group_refuses_a_value_that_is_neither_a_hat_nor_a_triangle():
+    # an EncodingTriple names a hat, but is neither
+    for value in (EncodingTriple(1, 3, 5), (1, 3, 5), None):
+        with pytest.raises(TypeError, match="^shape must be a Triangle, got "):
             automorphism_group(value)
-    # the refusals of a Hat are unchanged
+    # a Hat must be representative, and its triangle has its group
     with pytest.raises(InvalidHat, match="representative hat"):
         automorphism_group(Hat(2, 3, 5))
+    assert automorphism_group(Hat(3, 7, 1)) == automorphism_group(Hat(3, 7, 1).triangle())
 
 
 def test_isomorphic_refuses_a_value_that_is_not_a_triangle():

@@ -105,13 +105,13 @@ def test_oversized_literal_exits_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == 2
     assert len(err) < 500
-    # a hat literal's integers and aut's obey the same digit limit
+    # a hat literal's integers obey the same digit limit, in every command
     sevens = "7" * 1500
     out = tmp_path / "out.svg"
     for argv in (["canon", f"T 1 {sevens} 5"],
                  ["iso", "T 1 3 5", f"T 1 {sevens} 5"],
                  ["render", f"T 1 {sevens} 5", "--out", str(out)],
-                 ["aut", "1", sevens, "5"]):
+                 ["aut", f"T 1 {sevens} 5"]):
         assert run(argv) == 4, argv
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -170,9 +170,12 @@ def test_parse_triangle():
 def test_usage_errors_exit_2(capsys):
     assert run([]) == 2
     assert run(["bogus"]) == 2
-    # argparse in Python 3.11 would give j the value [] here
-    assert run(["aut", "--", "1", "--", "3"]) == 2
+    # argparse in Python 3.11 would give second the value [] here
+    assert run(["iso", "--", "T 1 3 5", "--", "T 1 3 5"]) == 2
     assert "'--' may be given at most once" in capsys.readouterr().err
+    # aut reads one shape literal: three bare integers are two too many
+    assert run(["aut", "3", "7", "1"]) == 2
+    assert "unrecognized arguments: 7 1" in capsys.readouterr().err
     # census bounds and --par spelled outside the integer grammar, as "abc"
     for bad in ("abc", "1_5", "+15", " 15", "15 ", "\u0661\u0665", "15\n"):
         assert run(["census", "--jmax", bad, "--mmax", "3"]) == 2, bad
@@ -207,14 +210,14 @@ def test_help_exits_0(capsys):
 def test_domain_errors_exit_4(capsys):
     assert run(["iso", "T 1 3", "T 1 3 5"]) == 4
     assert run(["canon", "0,0 1,1 2,2"]) == 4
-    assert run(["aut", "4", "3", "5"]) == 4
-    assert run(["aut", "2", "3", "5"]) == 4
-    assert run(["aut", "1", "2", "3"]) == 4
-    assert run(["aut", "x", "3", "5"]) == 4
+    assert run(["aut", "T 4 3 5"]) == 4
+    assert run(["aut", "TT 2 3 4"]) == 4
+    assert run(["aut", "T 1 2 3"]) == 4
+    assert run(["aut", "0,0 1,1 2,2"]) == 4
     assert run(["census", "--jmax", "4", "--mmax", "3"]) == 4
-    # integers spelled outside the grammar: "_", "+", spaces, other digits
-    assert run(["aut", "1_1", "3", "5"]) == 4
-    assert run(["aut", " 7", "3", "5"]) == 4
+    # integers spelled outside the grammar: "_", "+", other digits
+    assert run(["aut", "T x 3 5"]) == 4
+    assert run(["aut", "T 1 \u0663 5"]) == 4
     assert run(["canon", "T +1 3 5"]) == 4
     assert run(["canon", "T 1_1 3 5"]) == 4
     assert run(["canon", "0,0 1,0 0,\u0661"]) == 4
@@ -222,9 +225,9 @@ def test_domain_errors_exit_4(capsys):
     assert run(["canon", "0,0 1/2^\u0663,0 0,1"]) == 4
     err = capsys.readouterr().err
     assert err.count("error:") == 14
-    assert "error: hat parameters must be integers in 'x 3 5'\n" in err
-    assert "error: hat parameters must be integers in '1_1 3 5'\n" in err
-    assert "error: hat parameters must be integers in ' 7 3 5'\n" in err
+    assert "error: representative hat literal needs odd i, got 4\n" in err
+    assert "error: hat parameters must be integers in 'T x 3 5'\n" in err
+    assert "error: hat parameters must be integers in 'T 1 \u0663 5'\n" in err
     assert "error: hat parameters must be integers in 'T +1 3 5'\n" in err
     assert "error: malformed dyadic literal '\u0661'\n" in err
     assert "error: malformed denominator in '1/\u0664'\n" in err
@@ -286,7 +289,7 @@ _LONG_DIGITS = "7" * MAX_LITERAL_DIGITS
     (["normalize", f"0,0 1,3 5,0 {_LONG}"], 4),
     (["iso", "T 1 3 5", f"T 1 {_LONG} 5"], 4),
     (["iso", f"TT {_LONG} 3 5", "T 1 3 5"], 4),
-    (["aut", "1", "3", _LONG], 4),
+    (["aut", f"T 1 3 {_LONG}"], 4),
     (["census", "--jmax", _LONG, "--mmax", "3"], 2),
     (["census", "--jmax", "3", "--mmax", "3", "--par", _LONG[:MAX_LITERAL_DIGITS]], 2),
     # argparse's own refusals: a value given to a flag that takes none, and
@@ -376,17 +379,17 @@ def test_iso_json_witness_maps_vertices(capsys):
 
 
 def test_aut_text_and_quiet(capsys):
-    assert run(["aut", "3", "7", "1"]) == 0
+    assert run(["aut", "T 3 7 1"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("C3 (order 3)")
     assert out.count("linear") == 3
 
-    assert run(["aut", "--quiet", "3", "7", "1"]) == 0
+    assert run(["aut", "--quiet", "T 3 7 1"]) == 0
     assert capsys.readouterr().out.strip() == "C3"
 
 
 def test_aut_json_schema(capsys):
-    assert run(["aut", "--json", "15", "9", "21"]) == 0
+    assert run(["aut", "--json", "T 15 9 21"]) == 0
     payload = json.loads(capsys.readouterr().out)["aut"]
     assert payload["group"] == "C2" and payload["order"] == 2
     assert {w["perm"] for w in payload["witnesses"]} == {"ABC", "CBA"}
@@ -685,10 +688,11 @@ _PIN_SHAPES = ["T 1 3 5", "TT 4 3 5", "0,0 1,3 5,0", "0,0 1/2,1/2 1,0"]
 _PIN_CALLS = [
     *(["normalize", shape] for shape in _PIN_SHAPES),
     *(["canon", shape] for shape in _PIN_SHAPES),
-    ["aut", "3", "7", "1"],
-    ["aut", "15", "9", "21"],
-    ["aut", "1", "1", "1"],
-    ["aut", "1", "3", "5"],
+    ["aut", "T 3 7 1"],
+    ["aut", "T 15 9 21"],
+    ["aut", "T 1 1 1"],
+    ["aut", "T 1 3 5"],
+    ["aut", "0,0 1,3 2,0"],
     ["iso", "T 1 3 5", "T 5 15 1"],
     ["iso", "TT 4 3 5", "0,0 1,3 5,0"],
     ["iso", "0,0 1,3 5,0", "0,0 7,3 5,0"],
@@ -700,8 +704,8 @@ _PIN_CALLS = [
     ["canon", "T a 3 5"],
     ["normalize", "T 4 3 5"],
     ["iso", "T 1 3", "T 1 3 5"],
-    ["aut", "4", "3", "5"],
-    ["aut", "1", "3"],
+    ["aut", "T 4 3 5"],
+    ["aut", "3", "7", "1"],
     ["census", "--jmax", "4", "--mmax", "3"],
     ["render", "0,0 1/3,1 1,0", "--out", "out.svg"],
 ]
@@ -724,7 +728,7 @@ _PINS = {
         [[command, *flags, *rest]
          for flags in ([], ["--quiet"], ["--json"], ["--json", "--quiet"])
          for command, *rest in _PIN_CALLS],
-        "{call!r}", "ae110b6bac9ef2c55aa2823639b857fb3a0399dd614db0062e1676201643ef26"),
+        "{call!r}", "ace154d7ee79984c5702cf619a42b8c1d3a784c78fd0110f6d04e736692d310b"),
     "census 31x31": (
         [["census", "--jmax", "31", "--mmax", "31", "--json"]],
         "{out}", "4b20b2b6d106925fa6622e0ddcdfb6109bc43e572be55f88f596a6f8f7a100a3"),
@@ -738,7 +742,7 @@ _PINS = {
         [["iso", "--json", *pair] for pair in _LARGE_PAIRS],
         "{out}exit {code}\n", "ec11c4869809f572cca2b78643be49a0e8aa8ae0fe19f0c0685ae6c0626b4847"),
     "aut on the six large hats": (
-        [["aut", "--json", *line.split()] for line in _fixture_lines("aut_large_hats.txt")],
+        [["aut", "--json", f"T {line}"] for line in _fixture_lines("aut_large_hats.txt")],
         "{out}exit {code}\n", "1fe74055403ae9bdf528687ac1e44c045fb4373527612368488d4825caaaeece"),
     "normalize on the twenty large triangles": (
         [["normalize", "--json", tri] for pair in _LARGE_PAIRS for tri in pair],
@@ -789,7 +793,7 @@ def test_large_aut_hats_fixture_covers_every_subgroup(capsys):
     subgroup table, each with the group the reference criteria give it."""
     rows = []
     for line in _fixture_lines("aut_large_hats.txt"):
-        assert run(["aut", "--json", *line.split()]) == 0
+        assert run(["aut", "--json", f"T {line}"]) == 0
         group = json.loads(capsys.readouterr().out)["aut"]
         tag, cases, labels = criteria_row(Hat(*map(int, line.split())))
         assert (group["group"], tuple(w["perm"] for w in group["witnesses"])) == (tag, labels)
@@ -937,9 +941,6 @@ def test_fuzzed_argv_exits_with_a_documented_code(fuzz_dir, data):
         ["normalize", "canon", "iso", "aut", "census", "render", "isomorphic", ""]))
     if command == "iso":
         argv = [command, data.draw(_shapes), data.draw(_shapes)]
-    elif command == "aut":
-        numbers = st.one_of(_integers, _oversized)
-        argv = [command, *data.draw(st.lists(numbers, min_size=2, max_size=4))]
     elif command == "census":
         # 99999999999 asks for more cells than a census may sweep; a
         # mutation adds no ASCII digit, so a bound it leaves valid stays small
@@ -982,7 +983,7 @@ def test_installed_script():
     assert proc.returncode == 2  # no subcommand
 
     proc = subprocess.run(
-        [*command, "aut", "--quiet", "3", "7", "1"],
+        [*command, "aut", "--quiet", "T 3 7 1"],
         capture_output=True,
         text=True,
         env=env,
@@ -993,8 +994,9 @@ def test_installed_script():
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     """Each dyhat line of the README's CLI examples exits 0 (3 where its
-    comment says "not isomorphic") with nothing on stderr, and each canon
-    line prints the triple in its comment."""
+    comment says "not isomorphic") with nothing on stderr, each canon
+    line prints the triple in its comment, and each aut line the group
+    that its comment begins with."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
@@ -1008,8 +1010,11 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
         assert (code, err) == (3 if "not isomorphic" in comment else 0, ""), line
         if command.startswith("dyhat canon "):
             assert out == comment.strip() + "\n", line
+        if command.startswith("dyhat aut "):
+            assert out.split()[0] == comment.split()[0], line
     assert [line for line in lines if "not isomorphic" in line]
-    assert [line for line in lines if line.startswith("dyhat canon ")]
+    for command in ("canon", "aut"):
+        assert [line for line in lines if line.startswith(f"dyhat {command} ")], command
 
 
 #: Commands that print more than one line.

@@ -38,7 +38,7 @@ def test_every_fault_fires_under_optimized_mode(optimized):
 
 
 def test_every_raise_site_has_a_row(optimized):
-    """Each `raise InconsistencyError(...)` in the package, eight of them,
+    """Each `raise InconsistencyError(...)` in the package, nine of them,
     built the error of some row, judged by the line that built it and not
     by its message: a check added later without a row fails here."""
     built = [(str(Path(file).resolve()), line) for file, line in optimized["sites"]]
@@ -47,6 +47,6 @@ def test_every_raise_site_has_a_row(optimized):
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
              and getattr(node.exc.func, "id", None) == "InconsistencyError"]
-    assert len(sites) == 8
+    assert len(sites) == 9
     assert [(path, first) for path, first, last in sites if not any(
         file == path and first <= line <= last for file, line in built)] == []

@@ -30,12 +30,16 @@ from reference import (
     IDENTITY,
     apply,
     closed_form_triples,
+    composed,
     fraction_solve,
     hat_by_inverse,
+    is_dyadic_unit,
     is_unit,
+    map_fractions,
     pointed_canonical,
     reordered,
     transformed,
+    witness_factors,
 )
 
 D = DyadicRational
@@ -155,19 +159,24 @@ def test_witness_properties_hold_generically(t):
 
 
 @given(st.one_of(tutil.triangles, tutil.large_triangles),
-       st.one_of(tutil.unit_maps, tutil.any_maps),
+       st.one_of(tutil.unit_maps, tutil.any_maps), tutil.unit_maps,
        st.sampled_from(list(permutations((0, 1, 2)))))
 @settings(phases=tutil.UNSHRUNK)
-def test_the_witness_check_matches_fraction_application(t, f, roles):
-    """_witness_holds re-applies a map on the integers; on Fraction, the
-    same check is three images and a unit test.  The true witness, the
-    true witness after another map, and that map alone all agree."""
+def test_the_witness_check_matches_fraction_application(t, f, u, roles):
+    """_witness_holds re-applies a map on the integers, to a target's
+    stored pair; on Fraction, the same check is three images and a unit
+    test.  Two targets: the hat, whose pair is built by hand, and t
+    carried to u(t) by the unit map u, a triangle that is not a hat, with
+    its vertices in roles order.  The true map to each, that map after
+    another map, and that map alone all agree."""
     h, witness = normalize(t, roles)
-    targets = [Point2(D(0), D(0)), Point2(D(h.i), D(h.j)), Point2(D(h.m), D(0))]
-    for g in (witness, f @ witness, f):
-        want = [apply(g, t.vertices[r]) for r in roles] == targets and is_unit(g)
-        assert _witness_holds(g, t, roles, h) == want
-    assert _witness_holds(witness, t, roles, h)
+    image = reordered(transformed(t, u), roles)
+    for dst, true in ((((0, 0, h.i, h.j, h.m, 0), 0), witness), (image.scaled_coords(), u)):
+        vertices = list(Triangle.from_scaled(*dst).vertices)
+        for g in (true, f @ true, f):
+            want = [apply(g, t.vertices[r]) for r in roles] == vertices and is_unit(g)
+            assert _witness_holds(g, t, roles, dst) == want
+        assert _witness_holds(true, t, roles, dst)
 
 
 @given(tutil.rep_hats)
@@ -194,19 +203,20 @@ def test_canonical_form_fixture():
 
 def test_checked_triples_build_no_map(monkeypatch):
     """A passing canonical_form or all_encoding_triples calls
-    AffineMap.from_scaled and Hat.triangle zero times and builds no
-    Normalization: the oracle tests one correspondence per returned triple,
-    from the triangle's stored pair to the hat's pair ((0, 0, i, j, m, 0),
-    0), built by hand.  normalize, which hands out a map, shows that the
-    counting stand-ins count."""
+    AffineMap.from_scaled and Triangle.from_scaled (which Hat.triangle
+    calls) zero times and builds no Normalization: the oracle tests one
+    correspondence per returned triple, from the triangle's stored pair to
+    the hat's pair ((0, 0, i, j, m, 0), 0), built by hand.  normalize,
+    which hands out a map, shows that the counting stand-ins count."""
     shapes = [Triangle.of((0, 0), (1, 3), (5, 0)), Triangle.of((0, 0), (1, 3), (2, 0)),
               Hat(1, 1, 1).triangle(), Hat(3, 7, 1).triangle(),
               *(t for pair in tutil.large_iso_pairs(random.Random(1), 2) for t in pair)]
     built = []
-    from_scaled, triangle, record = AffineMap.from_scaled.__func__, Hat.triangle, Normalization
-    monkeypatch.setattr(AffineMap, "from_scaled", classmethod(
-        lambda cls, *args: built.append("map") or from_scaled(cls, *args)))
-    monkeypatch.setattr(Hat, "triangle", lambda self: built.append("triangle") or triangle(self))
+    record = Normalization
+    for cls, name in ((AffineMap, "map"), (Triangle, "triangle")):
+        monkeypatch.setattr(cls, "from_scaled", classmethod(
+            lambda cls, *args, name=name, real=cls.from_scaled.__func__:
+            built.append(name) or real(cls, *args)))
     monkeypatch.setattr("dyhat.hats.Normalization",
                         lambda *args: built.append("normalization") or record(*args))
     tested, _ = tutil.counted_pass(monkeypatch)
@@ -344,6 +354,32 @@ def test_two_adic_division_matches_the_inverse_on_unit_map_images_of_the_31_grid
     assert sum(v > 0 for v in vs) > len(vs) // 4
     assert 0 in vs
     assert took < 3.0, f"{took:.2f} s"
+
+
+def _check_the_factors(t):
+    """normalize's witness, under each role order, is the product of the
+    five factors that tests/reference.py builds on Fraction, each a dyadic
+    unit, for its hat's i and with its hat's j and m."""
+    for roles in ROLE_ORDERS:
+        h, witness = normalize(t, roles)
+        (j, m), factors = witness_factors(t, roles, h.i)
+        assert (j, m) == (h.j, h.m), roles
+        assert all(map(is_dyadic_unit, factors)), roles
+        assert composed(factors) == map_fractions(witness), roles
+
+
+def test_the_witness_is_the_product_of_its_factors_on_unit_map_images_of_the_31_grid():
+    rng = random.Random(2033)
+    for j in range(1, 32, 2):
+        for m in range(1, 32, 2):
+            for i in range(1, 2 * j, 2):
+                _check_the_factors(transformed(Hat(i, j, m).triangle(), tutil.rand_unit_map(rng)))
+
+
+@given(st.one_of(tutil.large_triangles, tutil.huge_triangles))
+@settings(phases=tutil.UNSHRUNK)
+def test_the_witness_is_the_product_of_its_factors_on_large_coordinates(t):
+    _check_the_factors(t)
 
 
 def test_two_adic_division_matches_the_inverse_on_large_pairs():
